@@ -17,9 +17,9 @@ Equivalent via the CLI for arbitrary runs::
     PYTHONPATH=src python -m repro --profile simulate --app resnet_training \
         --model hebbian --n 200000
 
-The wall-clock number printed at the end is NOT comparable to
-``BENCH_PR3.json`` (profiling roughly doubles the runtime); use
-``benchmarks/test_perf_cls_hot_path.py`` for throughput.
+The wall-clock number printed at the end is NOT a throughput figure
+(profiling roughly doubles the runtime); use ``python -m bench``
+(``events_per_s`` on ``sim-cls-hebbian``) for that.
 """
 
 from __future__ import annotations

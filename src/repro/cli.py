@@ -13,9 +13,10 @@ Three subcommands cover the library's day-to-day uses:
 - ``serve`` — run the online train-and-serve prefetch daemon
   (:mod:`repro.serve`) over a generated multi-tenant miss mix, in
   deterministic lockstep or on real threads, plus a quick threaded
-  latency probe (``serve bench``);
-- ``bench`` — pivot the repo-root ``BENCH_PR*.json`` files into
-  cross-PR speedup/fleet/serving trend tables.
+  latency probe (``serve bench``).
+
+Performance is measured by the repo-root ``bench`` package
+(``python -m bench``), not from here.
 
 Examples::
 
@@ -29,7 +30,6 @@ Examples::
     python -m repro telemetry summarize runs/
     python -m repro serve run --tenants 8 --n 2000 --threaded
     python -m repro serve bench --offered-eps 2000
-    python -m repro bench trend
 
 ``--profile`` (before the subcommand) wraps any run in :mod:`cProfile`
 and prints the 25 hottest functions by cumulative time — the same view
@@ -247,15 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="offered events+queries per second")
     serve_bench.add_argument("--vocab", type=int, default=128)
     serve_bench.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser("bench", help="inspect benchmark artifacts")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_trend = bench_sub.add_parser(
-        "trend", help="per-workload speedup trajectory across all "
-                      "BENCH_PR*.json files")
-    bench_trend.add_argument("--dir", default=".",
-                             help="directory holding BENCH_PR*.json "
-                                  "(default: current directory)")
 
     tel = sub.add_parser("telemetry", help="inspect telemetry output")
     tel_sub = tel.add_subparsers(dest="telemetry_command", required=True)
@@ -675,38 +666,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "trend":
-        from .harness.bench_trend import (
-            find_bench_files,
-            fleet_table,
-            serve_table,
-            trend_table,
-        )
-
-        files = find_bench_files(args.dir)
-        if not files:
-            print(f"no BENCH_PR*.json files found in {args.dir}")
-            return 1
-        headers, rows = trend_table(args.dir)
-        print_table(headers, rows,
-                    title="Benchmark speedup trajectory (per-PR, vs that "
-                          "PR's own baseline; '—' = not measured)")
-        fleet_headers, fleet_rows = fleet_table(args.dir)
-        if fleet_rows:
-            print()
-            print_table(fleet_headers, fleet_rows,
-                        title="Fleet throughput (batched engine vs "
-                              "N sequential simulate() calls)")
-        serve_headers, serve_rows = serve_table(args.dir)
-        if serve_rows:
-            print()
-            print_table(serve_headers, serve_rows,
-                        title="Online serving SLOs (query latency, "
-                              "swap pause, daemon throughput)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -716,7 +675,6 @@ def main(argv: list[str] | None = None) -> int:
         "fleet": cmd_fleet,
         "telemetry": cmd_telemetry,
         "serve": cmd_serve,
-        "bench": cmd_bench,
     }
     handler = handlers[args.command]
     if args.profile:

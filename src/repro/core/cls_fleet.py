@@ -8,27 +8,12 @@ round, every stalled lane's miss flows through **one** stacked
 step/replay/rollout call per group instead of L scalar
 ``on_miss_fast`` calls.
 
-Bit-identity contract — each statement below names its scalar
-counterpart in :meth:`CLSPrefetcher.on_miss_fast` → ``_ingest`` →
-``_predict``, and the phases preserve every within-lane ordering
-(cross-lane order is free: lanes share no mutable state, and the
-prototype's memo caches are pure memoization over fixed structures):
-
-* **Phase A (observe, per lane)** — miss counter, encoder observe,
-  phase detection, confidence/EMA update against the *previous* probs,
-  training-policy decision, episode record, recall store: everything in
-  ``_ingest`` before the inlined ``model.step`` hot branch.
-* **Phase B (stacked step)** — one ``HebbianFleet.step_lanes`` call
-  replaces each lane's ``self._last_probs = self.model.step(...)``.
-* **Phase C (stacked replay)** — the trained-lane bookkeeping, with
-  ``ReplayScheduler.select_pairs`` drawing each lane's episodes (same
-  RNG stream, same counters as ``scheduler.step``) and one
-  ``train_pairs_lanes`` call applying them.
-* **Phase D (advance, per lane)** — history push and ``_prev_class``,
-  the ``_ingest`` tail.
-* **Phase E (stacked predict)** — the ``_predict`` accuracy gate per
-  lane, one ``rollout_lanes`` call for the survivors, then each lane's
-  ``_decode_rollout`` (the literal scalar decode tail).
+The per-miss pipeline itself is :class:`CLSPrefetcher`'s: this module
+only schedules its stages (DESIGN.md §5) around the three stacked
+kernels, keeping every within-lane ordering of the scalar composition
+``CLSPrefetcher._ingest`` → ``_predict`` (cross-lane order is free:
+lanes share no mutable state, and the prototype's memo caches are pure
+memoization over fixed structures).  That is the bit-identity contract.
 
 Eligibility is decided by :meth:`CLSPrefetcher.fleet_steppable` and
 grouping by :meth:`CLSPrefetcher.fleet_group_key`; ineligible lanes
@@ -37,14 +22,9 @@ keep the scalar per-miss path in the cohort.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..nn.hebbian import SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
-from .cls_prefetcher import CLSPrefetcher
-from .hippocampus import Episode
-from .history import MissRecord
-from .recall import HippocampalRecall
+from .cls_prefetcher import CLSPrefetcher, Observation
 
 __all__ = ["CLSFleetGroup"]
 
@@ -92,126 +72,47 @@ class CLSFleetGroup:
         ``timestamps[i]``; the result row ``i`` equals what
         ``on_miss_fast`` would have returned for that lane.
         """
-        n = len(slots)
-        results: list[list[int]] = [[] for _ in range(n)]
+        results: list[list[int]] = [[] for _ in slots]
         fleet = self._fleet
-
-        # Phase A — everything in _ingest before the model step.
-        live: list[int] = []
-        lanes: list[int] = []
-        classes: list[int] = []
-        trains: list[bool] = []
-        phases: list[int] = []
-        for row in range(n):
-            p = self._members[slots[row]]
-            address = addresses[row]
-            p.stats.misses_seen += 1
-            class_id = p._encoder_observe(address)
-            if class_id is None:
-                continue  # scalar: _ingest returns None -> []
-            phase = -1
-            detector = p.phase_detector
-            if p._hinted_phase is not None:
-                phase = p._hinted_phase
-            elif detector is not None:
-                phase = detector.observe(
-                    (address >> p._region_shift) % p._PHASE_FEATURE_BINS)
-                p.stats.phases_seen = detector.n_phases
-            scored_probs = p._last_probs
-            confidence = (scored_probs.item(class_id)
-                          if scored_probs is not None else 0.0)
-            transition = (None if p._prev_class is None
-                          else (p._prev_class, class_id))
-            if scored_probs is not None:
-                ema_top = p._ema_top
-                if ema_top is not None and ema_top[0] is scored_probs:
-                    covered = class_id in ema_top[1]
-                else:
-                    top = np.argpartition(scored_probs,
-                                          -p._width)[-p._width:]
-                    covered = class_id in top
-                alpha = p._alpha
-                p.accuracy_ema = ((1 - alpha) * p.accuracy_ema
-                                  + alpha * float(covered))
-            train = (transition is not None
-                     and p._should_train(confidence))
-            if transition is not None and p.scheduler is not None:
-                p.scheduler.record(Episode(
-                    input_class=transition[0],
-                    target_class=transition[1],
-                    phase_id=phase,
-                    confidence=confidence,
-                    timestamp=timestamps[row],
-                ))
-            if p.recall_memory is not None and transition is not None:
-                if (p.recall_memory.occupancy()
-                        > p.config.recall_occupancy_reset):
-                    p.recall_memory = HippocampalRecall(
-                        p.recall_memory.config)
-                p.recall_memory.store(*transition)
-            live.append(row)
-            lanes.append(slots[row])
-            classes.append(class_id)
-            trains.append(train)
-            phases.append(phase)
+        live: list[tuple[int, CLSPrefetcher, Observation]] = []
+        for row, slot in enumerate(slots):
+            p = self._members[slot]
+            seen = p.observe(addresses[row], timestamps[row])
+            if seen is None:
+                continue  # scalar: _ingest returns False -> []
+            p.remember(seen)
+            live.append((row, p, seen))
         if not live:
             return results
 
-        # Phase B — the stacked model step.
-        probs = fleet.step_lanes(lanes, classes, trains)
-        for i, row in enumerate(live):
-            self._members[slots[row]]._last_probs = probs[i]
+        lanes = [slots[row] for row, _, _ in live]
+        probs = fleet.step_lanes(lanes,
+                                 [seen.class_id for _, _, seen in live],
+                                 [seen.train for _, _, seen in live])
 
-        # Phase C — trained-step bookkeeping and stacked replay.
         replay_lanes: list[int] = []
         replay_pairs: list[list[tuple[int, int]]] = []
         replay_scales: list[float] = []
-        for i, row in enumerate(live):
-            if not trains[i]:
-                continue
-            p = self._members[slots[row]]
-            p.stats.trained_steps += 1
-            scheduler = p.scheduler
-            if scheduler is None:
-                continue
-            phase = phases[i]
-            pairs = scheduler.select_pairs(phase if phase >= 0 else None)
-            p.stats.replayed_pairs += len(pairs)
-            if pairs:
-                replay_lanes.append(lanes[i])
-                replay_pairs.append(pairs)
-                replay_scales.append(scheduler.lr_scale)
+        for i, (_, p, seen) in enumerate(live):
+            if seen.train:
+                pairs = p.replay(seen)
+                if pairs:
+                    assert p.scheduler is not None
+                    replay_lanes.append(lanes[i])
+                    replay_pairs.append(pairs)
+                    replay_scales.append(p.scheduler.lr_scale)
+            p.advance(seen, probs[i])
         if replay_lanes:
             fleet.train_pairs_lanes(replay_lanes, replay_pairs,
                                     replay_scales)
 
-        # Phase D — the _ingest tail.
-        for i, row in enumerate(live):
-            p = self._members[slots[row]]
-            p._history_push(MissRecord(classes[i], addresses[row],
-                                       timestamps[row]))
-            p._prev_class = classes[i]
-
-        # Phase E — the accuracy gate, one stacked rollout, and the
-        # scalar decode tail per surviving lane.
-        roll_rows: list[int] = []
-        roll_lanes: list[int] = []
-        widths: list[int] = []
-        lengths: list[int] = []
-        for i, row in enumerate(live):
-            p = self._members[slots[row]]
-            if (p._min_accuracy > 0
-                    and p.accuracy_ema < p._min_accuracy):
-                p.stats.suppressed_low_confidence += 1
-                continue
-            roll_rows.append(row)
-            roll_lanes.append(lanes[i])
-            widths.append(p._width)
-            lengths.append(p._length)
-        if roll_rows:
-            rollouts = fleet.rollout_lanes(roll_lanes, widths, lengths)
-            for row, rollout in zip(roll_rows, rollouts):
-                p = self._members[slots[row]]
-                results[row] = p._decode_rollout(addresses[row],
-                                                 pages[row], rollout)
+        rolling = [(lanes[i], row, p) for i, (row, p, _) in enumerate(live)
+                   if not p.gated()]
+        if rolling:
+            rollouts = fleet.rollout_lanes(
+                [lane for lane, _, _ in rolling],
+                [p.config.prefetch_width for _, _, p in rolling],
+                [p.config.prefetch_length for _, _, p in rolling])
+            for (_, row, p), rollout in zip(rolling, rollouts):
+                results[row] = p.decode(addresses[row], pages[row], rollout)
         return results

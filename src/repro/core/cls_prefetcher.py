@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .phase_detect import OnlinePhaseDetector
 from .recall import HippocampalRecall, RecallConfig, RecallStats
 from .replay import ReplayScheduler, make_replay_policy
 from .sampling import BatchAccumulate, make_training_policy
+
+#: A beam rollout, as ``predict_rollout`` returns it.
+Rollout = list[list[tuple[int, float]]]
 
 
 @dataclass
@@ -187,6 +191,19 @@ class CLSPrefetcherStats:
     phases_seen: int = 0
 
 
+class Observation(NamedTuple):
+    """What the *observe* stage learned about one miss — the input of
+    every later stage of that miss."""
+
+    class_id: int
+    address: int
+    timestamp: int
+    phase: int                          # -1: no phase information
+    confidence: float                   # scored prediction's p(class_id)
+    transition: tuple[int, int] | None  # the (input, target) training pair
+    train: bool
+
+
 class CLSPrefetcher:
     """Online CLS prefetcher (implements the memsim ``Prefetcher`` protocol)."""
 
@@ -278,11 +295,6 @@ class CLSPrefetcher:
         self._ema_top: tuple[np.ndarray, list[int]] | None = None
         self._ema_memo_ok = getattr(self.model, "rollout_top_argpartition",
                                     False)
-        # Without availability the model is never swapped, so its rollout
-        # can be pre-bound (under a manager the live model changes on
-        # redeploy and must be resolved per miss).
-        self._model_rollout = (self.model.predict_rollout
-                               if self.manager is None else None)
         #: Fast-path protocol: the simulator may skip the per-access
         #: callback entirely when the prefetcher doesn't watch hits.
         self.wants_accesses = config.observe_hits
@@ -319,8 +331,8 @@ class CLSPrefetcher:
     def fleet_steppable(self) -> bool:
         """True when the fleet engine may batch this prefetcher's misses.
 
-        The stacked path (``core/cls_fleet.py``) mirrors exactly the
-        inlined rollout-mode hot branch of ``_ingest``: a Hebbian model
+        The stacked path (``core/cls_fleet.py``) replaces the kernel
+        calls of ``_ingest``'s rollout-mode branch: a Hebbian model
         with fixed hidden projections and a float serving path, no
         availability manager, no batch-accumulate training policy, and
         a replay scheduler (if any) whose ``step`` reduces to
@@ -358,9 +370,7 @@ class CLSPrefetcher:
                      stream_id: int, timestamp: int) -> list[int]:
         """Allocation-free miss entry point (fast-path protocol)."""
         del index, stream_id  # part of the protocol, unused by CLS
-        self.stats.misses_seen += 1
-        class_id = self._ingest(address, timestamp)
-        if class_id is None:
+        if not self._ingest(address, timestamp, True):
             return []
         return self._predict(address, page)
 
@@ -380,13 +390,24 @@ class CLSPrefetcher:
         del index, stream_id
         if not hit or not self.config.observe_hits:
             return None
-        class_id = self._ingest(address, timestamp)
-        if class_id is None or not self.config.trigger_on_hits:
+        if (not self._ingest(address, timestamp, False)
+                or not self.config.trigger_on_hits):
             return None
         return self._predict(address, page)
 
-    def _ingest(self, address: int, timestamp: int) -> int | None:
-        """Encode one observation and run the learning pipeline on it."""
+    # ------------------------------------------------------------------
+    # The per-miss pipeline, one stage per method (DESIGN.md §5 has the
+    # stage table).  ``_ingest``/``_predict`` compose the stages in
+    # scalar order; ``CLSFleetGroup`` and serve's ``TenantLane`` call the
+    # same stages around stacked kernels and across actors.
+    def observe(self, address: int, timestamp: int,
+                miss: bool = True) -> Observation | None:
+        """*Observe*: encode, detect the phase, score the prediction made
+        for this observation (confidence, accuracy EMA) and take the
+        training decision.  Moves no model state.  None while the encoder
+        has no class for the address."""
+        if miss:
+            self.stats.misses_seen += 1
         class_id = self._encoder_observe(address)
         if class_id is None:
             return None
@@ -404,17 +425,14 @@ class CLSPrefetcher:
             # Score against the prediction made prefetch_length steps ago.
             full = len(self._probs_history) == self._length
             scored_probs = self._probs_history[0] if full else None
-            confidence = (scored_probs.item(class_id)
-                          if scored_probs is not None else 0.0)
             transition = self._direct_pair(class_id)
         else:
             scored_probs = self._last_probs
-            confidence = (scored_probs.item(class_id)
-                          if scored_probs is not None else 0.0)
             transition = (None if self._prev_class is None
                           else (self._prev_class, class_id))
-
+        confidence = 0.0
         if scored_probs is not None:
+            confidence = scored_probs.item(class_id)
             ema_top = self._ema_top
             if ema_top is not None and ema_top[0] is scored_probs:
                 # The rollout already partitioned this exact vector; the
@@ -427,56 +445,12 @@ class CLSPrefetcher:
             alpha = self._alpha
             self.accuracy_ema = ((1 - alpha) * self.accuracy_ema
                                  + alpha * float(covered))
-        train = (transition is not None
-                 and self._should_train(confidence))
-
-        # §5.1 batched training: accumulate transitions and apply them as
-        # one true batch update when full (instead of per-sample steps).
-        if self._batch_policy is not None:
-            if transition is not None:
-                pending = self._batch_policy.offer(*transition)
-                if pending:
-                    trainer = (self.manager.shadow if self.manager is not None
-                               else self.model)
-                    trainer.train_pairs(pending)
-                    self.stats.trained_steps += len(pending)
-                    if self.scheduler is not None:
-                        self.stats.replayed_pairs += self.scheduler.step(
-                            trainer,
-                            current_phase=phase if phase >= 0 else None)
-            train = False  # the batch path owns training
-
-        if transition is not None and self.scheduler is not None:
-            self.scheduler.record(Episode(
-                input_class=transition[0],
-                target_class=transition[1],
-                phase_id=phase,
-                confidence=confidence,
-                timestamp=timestamp,
-            ))
-
-        if self.recall_memory is not None and transition is not None:
-            if self.recall_memory.occupancy() > self.config.recall_occupancy_reset:
-                recall_cfg = self.recall_memory.config
-                self.recall_memory = HippocampalRecall(recall_cfg)
-            self.recall_memory.store(*transition)
-
-        if self.manager is None and not self._direct:
-            # Inlined hot branch of ``_learn_and_advance`` (rollout mode,
-            # no availability manager) — same statements, one frame less.
-            self._last_probs = self.model.step(class_id, train=train)
-            if train:
-                self.stats.trained_steps += 1
-                if self.scheduler is not None:
-                    self.stats.replayed_pairs += self.scheduler.step(
-                        self.model, phase if phase >= 0 else None)
-        else:
-            self._learn_and_advance(class_id, train, phase, transition)
-            if self._direct and self._last_probs is not None:
-                self._probs_history.append(self._last_probs)
-        self._history_push(MissRecord(class_id, address, timestamp))
-        self._prev_class = class_id
-        return class_id
+        # §5.1 batched training owns training wholesale (``_train_batch``);
+        # its policy is still consulted so its counters keep moving.
+        train = (transition is not None and self._should_train(confidence)
+                 and self._batch_policy is None)
+        return Observation(class_id, address, timestamp, phase, confidence,
+                           transition, train)
 
     def _direct_pair(self, class_id: int) -> tuple[int, int] | None:
         """The lag-L training pair (class at t-L, class at t), if the miss
@@ -488,77 +462,110 @@ class CLSPrefetcher:
         past = self.history.last(lag)[0]
         return past.class_id, class_id
 
-    # ------------------------------------------------------------------
-    def _learn_and_advance(self, class_id: int, train: bool, phase: int,
-                           transition: tuple[int, int] | None) -> None:
+    def remember(self, seen: Observation) -> None:
+        """*Remember*: file the transition as a hippocampal episode (the
+        replay store) and in the one-shot recall memory."""
+        transition = seen.transition
+        if transition is None:
+            return
+        if self.scheduler is not None:
+            self.scheduler.record(Episode(
+                input_class=transition[0],
+                target_class=transition[1],
+                phase_id=seen.phase,
+                confidence=seen.confidence,
+                timestamp=seen.timestamp,
+            ))
+        if self.recall_memory is not None:
+            if self.recall_memory.occupancy() > self.config.recall_occupancy_reset:
+                recall_cfg = self.recall_memory.config
+                self.recall_memory = HippocampalRecall(recall_cfg)
+            self.recall_memory.store(*transition)
+
+    def train(self, seen: Observation) -> None:
+        """*Train*, for drivers whose live step does not learn: the §5.5
+        shadow (in direct mode without a manager, the model itself) takes
+        the transition, then the interleaved replay."""
+        assert seen.transition is not None
+        if self.manager is not None:
+            self.manager.train_shadow(*seen.transition)
+            self.replay(seen, self.manager.shadow)
+        else:
+            self.model.train_pair(*seen.transition)
+            self.replay(seen, self.model)
+
+    def replay(self, seen: Observation,
+               model: SequenceModel | None = None) -> list[tuple[int, int]]:
+        """*Replay bookkeeping* after a trained step: count it and draw
+        the interleaved replay.  With ``model`` the scheduler retrains it
+        in place; without, the drawn pairs are returned for the caller's
+        stacked ``train_pairs_lanes`` (same RNG draws, same counters)."""
+        self.stats.trained_steps += 1
+        scheduler = self.scheduler
+        if scheduler is None:
+            return []
         # phase -1 means "no phase information": replay everything rather
         # than excluding the (only) phase, which would disable replay.
-        exclude = phase if phase >= 0 else None
+        exclude = seen.phase if seen.phase >= 0 else None
+        if model is not None:
+            self.stats.replayed_pairs += scheduler.step(model, exclude)
+            return []
+        pairs = scheduler.select_pairs(exclude)
+        self.stats.replayed_pairs += len(pairs)
+        return pairs
 
-        if self.manager is None:
-            if self._direct:
-                if train and transition is not None:
-                    self.model.train_pair(*transition)
-                    self.stats.trained_steps += 1
-                    if self.scheduler is not None:
-                        self.stats.replayed_pairs += self.scheduler.step(
-                            self.model, current_phase=exclude)
-                self._last_probs = self.model.step(class_id, train=False)
-            else:
-                self._last_probs = self.model.step(class_id, train=train)
-                if train:
-                    self.stats.trained_steps += 1
-                    if self.scheduler is not None:
-                        self.stats.replayed_pairs += self.scheduler.step(
-                            self.model, current_phase=exclude)
-            return
-
-        # Availability protocol (§5.5): shadow trains, live serves.
-        if train and transition is not None:
-            self.manager.train_shadow(*transition)
-            self.stats.trained_steps += 1
-            if self.scheduler is not None:
-                self.stats.replayed_pairs += self.scheduler.step(
-                    self.manager.shadow, current_phase=exclude)
+    def redeploy_due(self, class_id: int) -> bool:
+        """*Redeploy check* (§5.5): fold the live model's confidence on
+        the observed class into the manager's EMA; True when the shadow
+        should be promoted (confidence drop or staleness backstop)."""
+        manager = self.manager
+        assert manager is not None
         if self._last_probs is not None:
-            self.manager.note_confidence(float(self._last_probs[class_id]))
-        if self.manager.should_redeploy():
-            self.manager.redeploy()
-            self.manager.live.reset_state()  # state re-warms within a few misses
-            self.stats.redeploys = self.manager.redeploys
-        self._last_probs = self.manager.live.step(class_id, train=False)
+            manager.note_confidence(float(self._last_probs[class_id]))
+        return manager.should_redeploy()
 
-    def _predict(self, miss_address: int, miss_page: int) -> list[int]:
+    def redeploy(self) -> None:
+        """Promote the shadow to live (§5.5)."""
+        manager = self.manager
+        assert manager is not None
+        manager.redeploy()
+        manager.live.reset_state()  # state re-warms within a few misses
+        self.stats.redeploys = manager.redeploys
+        self._ema_top = None  # its top-k came from the replaced model
+
+    def advance(self, seen: Observation, probs: np.ndarray) -> None:
+        """*Advance*: adopt the probabilities the live model's step on
+        ``seen.class_id`` produced, and move the stream position."""
+        self._last_probs = probs
+        if self._direct:
+            self._probs_history.append(probs)
+        self._history_push(MissRecord(seen.class_id, seen.address,
+                                      seen.timestamp))
+        self._prev_class = seen.class_id
+
+    def gated(self) -> bool:
+        """*Gate*: True (and counted) while the self-monitored accuracy is
+        below ``min_accuracy`` — checked before any rollout work."""
         if (self._min_accuracy > 0
                 and self.accuracy_ema < self._min_accuracy):
             self.stats.suppressed_low_confidence += 1
-            return []
-        if self._direct:
-            return self._predict_direct(miss_address, miss_page)
-        model_rollout = self._model_rollout
-        if model_rollout is None:
-            model_rollout = self._live.predict_rollout
-        rollout = model_rollout(self._width, self._length)
-        return self._decode_rollout(miss_address, miss_page, rollout)
+            return True
+        return False
 
-    def _decode_rollout(self, miss_address: int, miss_page: int,
-                        rollout: list[list[tuple[int, float]]]) -> list[int]:
-        """Decode a beam rollout into page prefetches (the ``_predict``
-        tail).  Split out so the fleet miss path — which computes the
-        rollout batched across lanes — shares the recall consult, the
-        decode loop, and every counter with the scalar path verbatim."""
+    def rollout(self) -> Rollout:
+        """The live model's beam rollout (the scalar kernel call; stacked
+        drivers use ``HebbianFleet.rollout_lanes`` instead)."""
+        return self._live.predict_rollout(self._width, self._length)
+
+    def decode(self, miss_address: int, miss_page: int,
+               rollout: Rollout) -> list[int]:
+        """*Decode* a beam rollout into page prefetches: the recall
+        consult, the candidate loop and every counter."""
         if rollout and self._ema_memo_ok and self._last_probs is not None:
             # Memoize the first step's top-width classes for the next
             # miss's accuracy-EMA update (same probs vector, same set).
             self._ema_top = (self._last_probs, [c for c, _ in rollout[0]])
         pages: list[int] = []
-        seen: set[int] = set()
-        base = miss_address
-        stats = self.stats
-        decode = self._encoder_decode
-        page_shift = self._page_shift
-        min_confidence = self._min_confidence
-
         # Figure 4's recall path: when the neocortex is not yet confident,
         # ask the one-shot hippocampal memory first.
         if (self.recall_memory is not None and self._prev_class is not None
@@ -570,12 +577,23 @@ class CLSPrefetcher:
                 self.recall_stats.answered += 1
                 if rollout and recalled != rollout[0][0][0]:
                     self.recall_stats.overrode_neocortex += 1
-                address = decode(recalled, base)
+                address = self._encoder_decode(recalled, miss_address)
                 if address is not None:
-                    page = address >> page_shift
+                    page = address >> self._page_shift
                     if page != miss_page:
-                        seen.add(page)
                         pages.append(page)
+        return self._emit(rollout, miss_address, miss_page, pages)
+
+    def _emit(self, rollout: Rollout, base: int, miss_page: int,
+              pages: list[int]) -> list[int]:
+        """The candidate loop: suppress below ``min_confidence``, skip
+        OOV and undecodable classes, dedupe, and chain each step's base
+        address through its top-1 prediction.  Appends to ``pages``."""
+        seen = set(pages)
+        stats = self.stats
+        decode = self._encoder_decode
+        page_shift = self._page_shift
+        min_confidence = self._min_confidence
         for candidates in rollout:
             for candidate_class, probability in candidates:
                 if probability < min_confidence:
@@ -591,13 +609,59 @@ class CLSPrefetcher:
                     seen.add(page)
                     pages.append(page)
             # The rollout path follows the top-1 prediction at each step.
-            top_class = candidates[0][0]
-            next_base = decode(top_class, base)
+            next_base = decode(candidates[0][0], base)
             if next_base is None:
                 break
             base = next_base
         stats.prefetches_emitted += len(pages)
         return pages
+
+    # ------------------------------------------------------------------
+    def _ingest(self, address: int, timestamp: int, miss: bool) -> bool:
+        """The stages up to *advance*, in scalar order; False when the
+        observation produced no class (nothing to predict from)."""
+        seen = self.observe(address, timestamp, miss)
+        if seen is None:
+            return False
+        if self._batch_policy is not None and seen.transition is not None:
+            self._train_batch(seen)
+        self.remember(seen)
+        class_id = seen.class_id
+        if self.manager is None and not self._direct:
+            # Rollout mode on the model itself: the step is the training.
+            probs = self.model.step(class_id, train=seen.train)
+            if seen.train:
+                self.replay(seen, self.model)
+        else:
+            if seen.train:
+                self.train(seen)
+            if self.manager is not None and self.redeploy_due(class_id):
+                self.redeploy()
+            probs = self._live.step(class_id, train=False)
+        self.advance(seen, probs)
+        return True
+
+    def _train_batch(self, seen: Observation) -> None:
+        """§5.1 batched training: accumulate transitions and apply them as
+        one true batch update when full (instead of per-sample steps)."""
+        assert self._batch_policy is not None and seen.transition is not None
+        pending = self._batch_policy.offer(*seen.transition)
+        if not pending:
+            return
+        trainer = (self.manager.shadow if self.manager is not None
+                   else self.model)
+        trainer.train_pairs(pending)
+        self.stats.trained_steps += len(pending)
+        if self.scheduler is not None:
+            self.stats.replayed_pairs += self.scheduler.step(
+                trainer, current_phase=seen.phase if seen.phase >= 0 else None)
+
+    def _predict(self, miss_address: int, miss_page: int) -> list[int]:
+        if self.gated():
+            return []
+        if self._direct:
+            return self._predict_direct(miss_address, miss_page)
+        return self.decode(miss_address, miss_page, self.rollout())
 
     def _predict_direct(self, miss_address: int, miss_page: int) -> list[int]:
         """One inference names the top-w units expected L misses ahead."""
@@ -623,26 +687,8 @@ class CLSPrefetcher:
                 order = np.argsort(probs)[::-1][:width]
         else:
             order = np.argsort(probs)[::-1][:width]
-        pages: list[int] = []
-        seen: set[int] = set()
-        decode = self._encoder_decode
-        min_confidence = self._min_confidence
-        for candidate_class in order:
-            probability = float(probs[candidate_class])
-            if probability < min_confidence:
-                self.stats.suppressed_low_confidence += 1
-                continue
-            if candidate_class == OOV_CLASS:
-                continue
-            address = decode(int(candidate_class), miss_address)
-            if address is None:
-                continue
-            page = address >> self._page_shift
-            if page != miss_page and page not in seen:
-                seen.add(page)
-                pages.append(page)
-        self.stats.prefetches_emitted += len(pages)
-        return pages
+        candidates = list(zip(order.tolist(), probs[order].tolist()))
+        return self._emit([candidates], miss_address, miss_page, [])
 
     # ------------------------------------------------------------------
     def hint_phase(self, phase_id: int | None) -> None:
@@ -665,3 +711,6 @@ class CLSPrefetcher:
         self.history.clear()
         self._prev_class = None
         self._last_probs = None
+        # Predictions made for the old stream must not score the new one.
+        self._probs_history.clear()
+        self._ema_top = None

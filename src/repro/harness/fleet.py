@@ -25,9 +25,6 @@ aggregate record plus one per-tenant record.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +36,11 @@ import numpy as np
 from ..memsim.fleet import FleetCohort, FleetLaneSpec
 from ..memsim.simulator import SimConfig, SimResult
 from ..telemetry import Telemetry
-from ..telemetry.manifest import SCHEMA_VERSION, environment
+from ..telemetry.manifest import (
+    SCHEMA_VERSION,
+    environment,
+    write_jsonl_atomic,
+)
 from .runner import _init_worker, resolve_jobs
 
 __all__ = ["FleetJobsReport", "FleetReport", "LaneOutcome",
@@ -239,18 +240,7 @@ def write_fleet_manifest(report: FleetReport,
             "wall_time_s": round(outcome.wall_time_s, 6),
         })
     path = out_dir / f"fleet-{report.n_lanes}x-{report.backend}.jsonl"
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for record in [head, *lanes]:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return write_jsonl_atomic(path, [head, *lanes])
 
 
 # ----------------------------------------------------------------------
@@ -544,15 +534,4 @@ def write_fleet_jobs_manifest(report: FleetJobsReport,
              for lane in report.lanes]
     path = (out_dir / f"fleet-{report.n_lanes}x-{report.jobs}j-"
             f"{report.backend}.jsonl")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for record in [head, *lanes]:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return write_jsonl_atomic(path, [head, *lanes])

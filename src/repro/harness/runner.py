@@ -48,7 +48,7 @@ def resolve_jobs(jobs: int | None, n_cells: int) -> int:
     grid only adds spawn cost).  Explicit values are likewise capped at
     ``n_cells``.  Anything that resolves to fewer than two workers means
     "run serially" — on a single-core machine process fan-out is pure
-    IPC overhead (measured 0.85x in BENCH_PR1.json), so auto-detection
+    IPC overhead (measured 0.85x at PR 1, EXPERIMENTS.md), so auto-detection
     deliberately falls back to the in-process loop there.
     """
     if jobs is None:

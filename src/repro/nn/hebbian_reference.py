@@ -9,10 +9,10 @@ temporaries.  It exists for two reasons:
 1. **Equivalence testing** — the CSR-style kernels in ``hebbian.py`` must
    produce bit-identical ``step()`` probabilities to this reference
    (``tests/nn/test_hebbian_equivalence.py``).
-2. **Performance tracking** — the throughput benchmark
-   (``benchmarks/test_perf_throughput.py``) measures the kernelized model
-   against this reference on the same machine, which is how the
-   before/after numbers in ``BENCH_PR1.json`` are produced.
+2. **Performance tracking** — the kernelized model's speedup over this
+   reference on the same machine is PR 1's before/after number
+   (EXPERIMENTS.md); today's per-step cost is ``nn.hebbian.step_us`` of
+   ``python -m bench trace``.
 
 The arithmetic is the dense mirror of the kernel math: the tie-break
 jitter is folded into the feed-forward drive (added before the recurrent

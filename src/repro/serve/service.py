@@ -1,10 +1,9 @@
 """The train-and-serve prefetch daemon.
 
 :class:`PrefetchService` keeps one :class:`TenantLane` per tenant; each
-lane owns a §5.5 :class:`~repro.core.availability.ShadowModelManager`
-(live serves, shadow trains) plus the encoder/replay/accuracy state the
-offline :class:`~repro.core.cls_prefetcher.CLSPrefetcher` keeps per
-stream.  Two actors drive it:
+lane holds one offline :class:`~repro.core.cls_prefetcher.CLSPrefetcher`
+(§5.5 availability on: live serves, shadow trains) and *schedules* its
+per-miss stages (DESIGN.md §5) across two actors:
 
 - **serve** — drains the ingest ring into per-tenant rounds, advances
   every staged lane's *live* model in one stacked
@@ -13,46 +12,45 @@ stream.  Two actors drive it:
   from batched fleet rollouts.  The serve actor is the only mutator of
   live models, so the answer path takes no lock and can never block
   behind a training step.
-- **trainer** — consumes queued transitions and trains each lane's
+- **trainer** — consumes queued observations and trains each lane's
   *shadow* copy (plus interleaved replay) under that lane's lock; the
   lock is shared only with the swap decision, never with answering.
 
-The per-event pipeline is split into a *stage* sub-step (encode, score,
-accuracy EMA — the offline ``_ingest`` prefix) and a *finish* sub-step
-(confidence EMA, redeploy check, live-model step — the ``_ingest``
-suffix), with training queued between them.  Under the lockstep schedule
-``stage → drain trainer → finish → answer`` (see
-:func:`replay_lockstep`) the daemon performs the offline pipeline's
-operations in the identical order, which is why the differential suite
-can assert bit-identity against ``simulate()`` — predictions, learned
-``w_out``, and the confidence EMA.  Under any other schedule the service
-is still correct (queries are answered from whatever weights are
-deployed), just not bit-equal to the offline serialization.
+The per-event pipeline is split into a *stage* sub-step (the *observe*
+stage) and a *finish* sub-step (*redeploy check*, live-model step,
+*advance*), with *remember* → *train* queued between them.  Under the
+lockstep schedule ``stage → drain trainer → finish → answer`` (see
+:func:`replay_lockstep`) the daemon runs the stages in the scalar
+composition's order, which is why the differential suite can assert
+bit-identity against ``simulate()`` — predictions, learned ``w_out``,
+and the confidence EMA.  Under any other schedule the service is still
+correct (queries are answered from whatever weights are deployed), just
+not bit-equal to the offline serialization.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
+import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.availability import ShadowModelManager, weights_finite
-from ..core.encoding import OOV_CLASS, Encoder, make_encoder
-from ..core.hippocampus import Episode
-from ..core.replay import ReplayScheduler, make_replay_policy
-from ..core.sampling import make_training_policy
+from ..core.cls_prefetcher import (
+    CLSPrefetcher,
+    CLSPrefetcherConfig,
+    Observation,
+    Rollout,
+)
 from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
 from ..seeding import spawn_seeds
-from ..telemetry.manifest import build_serve_manifest
+from ..telemetry.manifest import build_serve_manifest, write_jsonl_atomic
 from ..telemetry.sink import Telemetry
 from .batcher import QueryTicket, RequestBatcher
 from .clock import Clock, RealClock
@@ -60,21 +58,15 @@ from .faults import FaultPlan, poison_weights
 from .loop import Actor
 from .ring import EventRing
 
-import threading
-
-#: A beam rollout, as ``predict_rollout`` returns it.
-Rollout = list[list[tuple[int, float]]]
-
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything configurable about one service instance.
 
-    The model/encoder/prediction fields deliberately mirror
-    :class:`~repro.core.cls_prefetcher.CLSPrefetcherConfig` (rollout
-    mode, no phase detection): the differential suite holds the daemon
-    bit-identical to the offline prefetcher, so the serve path cannot
-    fork semantics.
+    The encoder/prediction/training fields are
+    :class:`~repro.core.cls_prefetcher.CLSPrefetcherConfig`'s (rollout
+    mode, no phase detection, availability on) and are range-checked
+    there: :meth:`prefetcher_config` is the one place they cross over.
 
     Attributes:
         vocab_size: Miss-class vocabulary shared by encoder and model.
@@ -132,22 +124,28 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if self.prefetch_length < 1 or self.prefetch_width < 1:
-            raise ValueError("prefetch_length and prefetch_width must be >= 1")
-        if not 0 <= self.min_confidence <= 1:
-            raise ValueError("min_confidence must be in [0, 1]")
-        if not 0 <= self.min_accuracy <= 1:
-            raise ValueError("min_accuracy must be in [0, 1]")
-        if not 0 < self.accuracy_ema_alpha <= 1:
-            raise ValueError("accuracy_ema_alpha must be in (0, 1]")
         if self.training == "batch":
             raise ValueError("the batch-accumulate policy is not servable "
                              "(it owns training wholesale)")
-        if self.page_size <= 0 or self.page_size & (self.page_size - 1):
-            raise ValueError("page_size must be a positive power of two")
         if min(self.ring_capacity, self.train_queue_capacity,
                self.max_batch) < 1:
             raise ValueError("capacities and max_batch must be >= 1")
+        self.prefetcher_config(self.seed)  # raises on a bad shared field
+
+    def prefetcher_config(self, seed: int) -> CLSPrefetcherConfig:
+        """The per-lane pipeline config (``seed`` feeds replay sampling)."""
+        return CLSPrefetcherConfig(
+            vocab_size=self.vocab_size, encoder=self.encoder,
+            granularity=self.granularity, page_size=self.page_size,
+            prefetch_length=self.prefetch_length,
+            prefetch_width=self.prefetch_width,
+            min_confidence=self.min_confidence,
+            min_accuracy=self.min_accuracy,
+            accuracy_ema_alpha=self.accuracy_ema_alpha,
+            training=self.training, replay_policy=self.replay_policy,
+            replay_per_step=self.replay_per_step,
+            replay_lr_scale=self.replay_lr_scale,
+            phase_detection=False, availability=True, seed=seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,165 +157,77 @@ class ServeEvent:
     timestamp: int
 
 
-@dataclass(frozen=True, slots=True)
-class _Staged:
-    """The stage sub-step's output, consumed by the finish sub-step."""
-
-    class_id: int
-    confidence: float
-    had_probs: bool
-    transition: tuple[int, int] | None
-    train: bool
-    timestamp: int
-
-
-@dataclass(frozen=True, slots=True)
-class _TrainTask:
-    """One queued background-training unit (always has a transition)."""
-
-    lane: "TenantLane"
-    transition: tuple[int, int]
-    confidence: float
-    train: bool
-    timestamp: int
-
-
 class TenantLane:
-    """One tenant's serving state: §5.5 manager, encoder, accuracy EMA.
+    """One tenant's serving state: a :class:`CLSPrefetcher` whose stages
+    this lane schedules, plus what only a daemon has — the lock, the
+    fleet slot, swap admission, swap pauses and checksums.
 
     Attribute discipline (this is what makes the concurrency auditable):
     the serve actor calls :meth:`observe` / :meth:`pre_advance` /
-    :meth:`post_advance` / :meth:`answer`; the trainer actor calls only
-    :meth:`train_background` / :meth:`poison_shadow`.  State shared
-    between the two — the manager's scalars and the shadow model — is
-    touched exclusively under :attr:`lock`.  Everything else is owned by
-    the serve actor alone.
+    :meth:`answer` and the prefetcher's *advance* / *gate* / *rollout*
+    stages; the trainer actor calls only :meth:`train_background` /
+    :meth:`poison_shadow`.  State shared between the two — the manager's
+    scalars and the shadow model — is touched exclusively under
+    :attr:`lock`; the replay scheduler and the trained/replayed counters
+    belong to the trainer; everything else is the serve actor's alone.
     """
 
-    def __init__(self, tenant: int, config: ServeConfig,
-                 manager: ShadowModelManager, encoder: Encoder,
-                 replay: ReplayScheduler | None) -> None:
+    def __init__(self, tenant: int, prefetcher: CLSPrefetcher,
+                 record_checksums: bool) -> None:
         self.tenant = tenant
-        self.config = config
-        self.manager = manager
-        self.encoder = encoder
-        self.replay = replay
+        self.prefetcher = prefetcher
+        self.record_checksums = record_checksums
         self.lock = threading.Lock()
         self.slot = -1          # fleet slot; -1 in scalar mode
-        self.prev_class: int | None = None
-        self.last_probs: np.ndarray | None = None
-        self.last_address = 0
-        self.last_page = 0
-        self.accuracy_ema = 0.0
-        self.misses_seen = 0
-        self.trained_steps = 0
-        self.replayed_pairs = 0
-        self.prefetches_emitted = 0
-        self.suppressed = 0
+        self.last_address = 0   # the miss a later query is answered for
         self.swaps = 0
         self.swaps_rejected = 0
         self.swap_pauses: list[float] = []
         self.checksum_history: list[str] = []
-        self._page_shift = config.page_size.bit_length() - 1
-        self._width = config.prefetch_width
-        self._length = config.prefetch_length
-        self._alpha = config.accuracy_ema_alpha
-        self._should_train = make_training_policy(config.training).should_train
 
-    # -- serve actor: the two-sub-step event pipeline ---------------------
-    def observe(self, address: int, timestamp: int) -> _Staged | None:
-        """Stage sub-step: the offline ``_ingest`` prefix (encode, score
-        the last probs, accuracy EMA, train decision).  No model state
-        moves here — that happens in :meth:`post_advance`."""
-        self.misses_seen += 1
+    @property
+    def manager(self) -> ShadowModelManager:
+        manager = self.prefetcher.manager
+        assert manager is not None
+        return manager
+
+    @property
+    def accuracy_ema(self) -> float:
+        return self.prefetcher.accuracy_ema
+
+    @property
+    def misses_seen(self) -> int:
+        return self.prefetcher.stats.misses_seen
+
+    @property
+    def trained_steps(self) -> int:
+        return self.prefetcher.stats.trained_steps
+
+    @property
+    def replayed_pairs(self) -> int:
+        return self.prefetcher.stats.replayed_pairs
+
+    # -- serve actor ------------------------------------------------------
+    def observe(self, address: int, timestamp: int) -> Observation | None:
+        """Stage sub-step: the *observe* stage.  No model state moves
+        here — that happens in the finish sub-step."""
         self.last_address = address
-        self.last_page = address >> self._page_shift
-        class_id = self.encoder.observe(address)
-        if class_id is None:
-            return None
-        probs = self.last_probs
-        confidence = float(probs.item(class_id)) if probs is not None else 0.0
-        transition = (None if self.prev_class is None
-                      else (self.prev_class, class_id))
-        if probs is not None:
-            top = np.argpartition(probs, -self._width)[-self._width:]
-            alpha = self._alpha
-            self.accuracy_ema = ((1 - alpha) * self.accuracy_ema
-                                 + alpha * float(class_id in top))
-        train = transition is not None and self._should_train(confidence)
-        return _Staged(class_id, confidence, probs is not None,
-                       transition, train, timestamp)
+        return self.prefetcher.observe(address, timestamp)
 
-    def pre_advance(self, staged: _Staged, fleet: HebbianFleet | None,
+    def pre_advance(self, seen: Observation, fleet: HebbianFleet | None,
                     clock: Clock) -> None:
-        """Finish sub-step, part 1: confidence EMA and the swap decision
-        (the offline ``_learn_and_advance`` suffix before the live step).
+        """Finish sub-step, part 1: the *redeploy check* and the swap.
         Runs under the lane lock — mutually exclusive with background
         shadow training, never with answering."""
         with self.lock:
-            if staged.had_probs:
-                self.manager.note_confidence(staged.confidence)
-            if self.manager.should_redeploy():
+            if self.prefetcher.redeploy_due(seen.class_id):
                 self._swap_locked(fleet, clock)
 
-    def post_advance(self, probs: np.ndarray, staged: _Staged) -> None:
-        """Finish sub-step, part 2: adopt the live model's new probs row
-        (the caller stepped the model — stacked via the fleet, or scalar
-        via ``live.step``)."""
-        self.last_probs = probs
-        self.prev_class = staged.class_id
-
-    def step_scalar(self, staged: _Staged) -> np.ndarray:
-        """Scalar-mode live step (the fleet-less mirror of
-        ``step_lanes``)."""
-        return self.live_net().step(staged.class_id, train=False)
-
-    # -- serve actor: answering ------------------------------------------
-    def would_gate(self) -> bool:
-        """True when the min-accuracy gate suppresses this lane's
-        prefetching (checked before any rollout work is spent)."""
-        config = self.config
-        return (config.min_accuracy > 0
-                and self.accuracy_ema < config.min_accuracy)
-
-    def live_rollout(self) -> Rollout:
-        """Scalar-mode beam rollout from the live model."""
-        return self.live_net().predict_rollout(self._width, self._length)
-
-    def answer(self, rollout: Rollout | None) -> list[int]:
-        """Decode a rollout into prefetch pages — the offline
-        ``_decode_rollout`` loop verbatim (suppression, OOV skip, dedupe,
-        top-1 base chaining).  ``None`` means the lane was gated."""
-        if rollout is None:
-            self.suppressed += 1
-            return []
-        pages: list[int] = []
-        seen: set[int] = set()
-        base = self.last_address
-        miss_page = self.last_page
-        decode = self.encoder.decode
-        page_shift = self._page_shift
-        min_confidence = self.config.min_confidence
-        for candidates in rollout:
-            for candidate_class, probability in candidates:
-                if probability < min_confidence:
-                    self.suppressed += 1
-                    continue
-                if candidate_class == OOV_CLASS:
-                    continue
-                address = decode(candidate_class, base)
-                if address is None:
-                    continue
-                page = address >> page_shift
-                if page != miss_page and page not in seen:
-                    seen.add(page)
-                    pages.append(page)
-            next_base = decode(candidates[0][0], base)
-            if next_base is None:
-                break
-            base = next_base
-        self.prefetches_emitted += len(pages)
-        return pages
+    def answer(self, rollout: Rollout) -> list[int]:
+        """The *decode* stage, for the lane's latest miss."""
+        address = self.last_address
+        page_shift = self.prefetcher.config.page_size.bit_length() - 1
+        return self.prefetcher.decode(address, address >> page_shift, rollout)
 
     # -- serve actor: swaps ----------------------------------------------
     def adopt(self, fleet: HebbianFleet) -> None:
@@ -345,13 +255,12 @@ class TenantLane:
         start = clock.now()
         if fleet is not None:
             fleet.release_lane(self.slot, self.live_net())
-        manager.redeploy()
-        manager.live.reset_state()  # state re-warms within a few misses
+        self.prefetcher.redeploy()
         if fleet is not None:
             self.slot = fleet.acquire_lane(self.live_net())
         self.swap_pauses.append(clock.now() - start)
         self.swaps += 1
-        if self.config.record_checksums:
+        if self.record_checksums:
             self.checksum_history.append(self.serving_checksum(fleet))
 
     def serving_checksum(self, fleet: HebbianFleet | None) -> str:
@@ -369,25 +278,14 @@ class TenantLane:
         return live
 
     # -- trainer actor ----------------------------------------------------
-    def train_background(self, task: _TrainTask) -> None:
-        """One background-training unit: record the episode, train the
-        shadow, run interleaved replay — the offline order (record →
-        train_shadow → replay step), under the lane lock."""
+    def train_background(self, seen: Observation) -> None:
+        """One background-training unit: *remember* the episode, then
+        *train* the shadow with its interleaved replay — the scalar
+        order, under the lane lock."""
         with self.lock:
-            if self.replay is not None:
-                self.replay.record(Episode(
-                    input_class=task.transition[0],
-                    target_class=task.transition[1],
-                    phase_id=-1,
-                    confidence=task.confidence,
-                    timestamp=task.timestamp,
-                ))
-            if task.train:
-                self.manager.train_shadow(*task.transition)
-                self.trained_steps += 1
-                if self.replay is not None:
-                    self.replayed_pairs += self.replay.step(
-                        self.manager.shadow, current_phase=None)
+            self.prefetcher.remember(seen)
+            if seen.train:
+                self.prefetcher.train(seen)
 
     def poison_shadow(self) -> None:
         """Fault hook: corrupt the shadow's weights (trainer side)."""
@@ -398,20 +296,22 @@ class TenantLane:
 
     def manifest_record(self) -> dict:
         """Per-lane line of the service's JSONL manifest."""
+        stats = self.prefetcher.stats
+        manager = self.manager
         return {
             "record": "serve_lane",
             "tenant": self.tenant,
-            "misses_seen": self.misses_seen,
-            "trained_steps": self.trained_steps,
-            "replayed_pairs": self.replayed_pairs,
-            "prefetches_emitted": self.prefetches_emitted,
-            "suppressed": self.suppressed,
+            "misses_seen": stats.misses_seen,
+            "trained_steps": stats.trained_steps,
+            "replayed_pairs": stats.replayed_pairs,
+            "prefetches_emitted": stats.prefetches_emitted,
+            "suppressed": stats.suppressed_low_confidence,
             "swaps": self.swaps,
             "swaps_rejected": self.swaps_rejected,
-            "redeploys": self.manager.redeploys,
-            "staleness": self.manager.staleness,
-            "confidence_ema": self.manager.confidence_ema,
-            "accuracy_ema": self.accuracy_ema,
+            "redeploys": manager.redeploys,
+            "staleness": manager.staleness,
+            "confidence_ema": manager.confidence_ema,
+            "accuracy_ema": self.prefetcher.accuracy_ema,
         }
 
 
@@ -462,12 +362,12 @@ class PrefetchService:
             if config.stacked else None)
         self.ring: EventRing[ServeEvent] = EventRing(config.ring_capacity)
         self.batcher = RequestBatcher(config.max_batch)
-        self._train_queue: EventRing[_TrainTask] = EventRing(
-            config.train_queue_capacity)
+        self._train_queue: EventRing[tuple[TenantLane, Observation]] = (
+            EventRing(config.train_queue_capacity))
         self._lanes: dict[int, TenantLane] = {}
         self._lane_seeds: tuple[int, ...] = ()
         self._backlog: deque[ServeEvent] = deque()
-        self._staged: list[tuple[TenantLane, _Staged]] = []
+        self._staged: list[tuple[TenantLane, Observation]] = []
         self._submit_lock = threading.Lock()
         self._sequence = 0
         self.events_submitted = 0
@@ -527,28 +427,26 @@ class PrefetchService:
             backlog.extend(self.ring.pop_up_to(self.config.max_batch))
         if not backlog:
             return False
-        staged: list[tuple[TenantLane, _Staged]] = []
+        staged: list[tuple[TenantLane, Observation]] = []
         rest: deque[ServeEvent] = deque()
-        seen: set[int] = set()
+        tenants: set[int] = set()
         max_batch = self.config.max_batch
         for event in backlog:
             # One in-flight event per tenant per round: the second event
             # must not stage before the first finishes (per-tenant FIFO
             # through both sub-steps).  Cross-tenant order is free.
-            if event.tenant in seen or len(staged) >= max_batch:
+            if event.tenant in tenants or len(staged) >= max_batch:
                 rest.append(event)
                 continue
-            seen.add(event.tenant)
+            tenants.add(event.tenant)
             lane = self.lane(event.tenant)
             self.events_started += 1
-            item = lane.observe(event.address, event.timestamp)
-            if item is None:
+            seen = lane.observe(event.address, event.timestamp)
+            if seen is None:
                 continue
-            staged.append((lane, item))
-            if item.transition is not None:
-                task = _TrainTask(lane, item.transition, item.confidence,
-                                  item.train, item.timestamp)
-                self._train_queue.push(task)
+            staged.append((lane, seen))
+            if seen.transition is not None:
+                self._train_queue.push((lane, seen))
         self._backlog = rest
         self._staged = staged
         return True
@@ -557,18 +455,21 @@ class PrefetchService:
         staged = self._staged
         self._staged = []
         fleet = self._fleet
-        for lane, item in staged:
-            lane.pre_advance(item, fleet, self.clock)
+        for lane, seen in staged:
+            lane.pre_advance(seen, fleet, self.clock)
+        # The live step never trains (the shadow does): stacked through
+        # the fleet, or per lane in scalar mode; then the *advance* stage.
         if fleet is not None and staged:
             probs = fleet.step_lanes(
                 [lane.slot for lane, _ in staged],
-                [item.class_id for _, item in staged],
+                [seen.class_id for _, seen in staged],
                 [False] * len(staged))
-            for i, (lane, item) in enumerate(staged):
-                lane.post_advance(probs[i], item)
+            for i, (lane, seen) in enumerate(staged):
+                lane.prefetcher.advance(seen, probs[i])
         else:
-            for lane, item in staged:
-                lane.post_advance(lane.step_scalar(item), item)
+            for lane, seen in staged:
+                lane.prefetcher.advance(
+                    seen, lane.live_net().step(seen.class_id, train=False))
         self.events_processed += len(staged)
         if self.telemetry is not None:
             self.telemetry.counter("serve_events_processed", len(staged))
@@ -583,11 +484,16 @@ class PrefetchService:
             for lane in lanes.values():
                 lane.force_swap(fleet, self.clock)
                 self.forced_swaps += 1
-        rollouts = self._rollouts(lanes)
+        # The *gate* stage runs (and counts) once per ticket; the rollout
+        # is read-only, so tickets of one tenant share it.
+        rollouts = self._rollouts(
+            {ticket.tenant: lanes[ticket.tenant] for ticket in batch
+             if not lanes[ticket.tenant].prefetcher.gated()})
         record_checksums = self.config.record_checksums
         for ticket in batch:
             lane = lanes[ticket.tenant]
-            pages = lane.answer(rollouts.get(ticket.tenant))
+            rollout = rollouts.get(ticket.tenant)
+            pages = lane.answer(rollout) if rollout is not None else []
             checksum = (lane.serving_checksum(fleet)
                         if record_checksums else None)
             now = self.clock.now()
@@ -599,23 +505,17 @@ class PrefetchService:
         return True
 
     def _rollouts(self, lanes: dict[int, TenantLane]) -> dict[int, Rollout]:
-        """One rollout per distinct non-gated lane — batched through the
-        fleet when stacked (rollouts are read-only, so tickets for the
-        same tenant in one batch share the result)."""
+        """One rollout per (non-gated) lane — batched through the fleet
+        when stacked, the prefetcher's scalar kernel call otherwise."""
         fleet = self._fleet
-        live = [(tenant, lane) for tenant, lane in lanes.items()
-                if not lane.would_gate()]
-        if not live:
-            return {}
-        if fleet is not None:
-            width = self.config.prefetch_width
-            length = self.config.prefetch_length
-            rolls = fleet.rollout_lanes([lane.slot for _, lane in live],
-                                        [width] * len(live),
-                                        [length] * len(live))
-            return {tenant: roll
-                    for (tenant, _), roll in zip(live, rolls)}
-        return {tenant: lane.live_rollout() for tenant, lane in live}
+        if fleet is None or not lanes:
+            return {tenant: lane.prefetcher.rollout()
+                    for tenant, lane in lanes.items()}
+        rolls = fleet.rollout_lanes(
+            [lane.slot for lane in lanes.values()],
+            [self.config.prefetch_width] * len(lanes),
+            [self.config.prefetch_length] * len(lanes))
+        return dict(zip(lanes, rolls))
 
     # -- the trainer actor's round ----------------------------------------
     def train_once(self) -> bool:
@@ -627,13 +527,14 @@ class PrefetchService:
         task = self._train_queue.pop()
         if task is None:
             return False
-        task.lane.train_background(task)
-        if task.train:
+        lane, seen = task
+        lane.train_background(seen)
+        if seen.train:
             self.total_trained += 1
             if (faults.poison_after_trains is not None
                     and self.total_trained == faults.poison_after_trains
                     and self.poison_injected == 0):
-                task.lane.poison_shadow()
+                lane.poison_shadow()
                 self.poison_injected += 1
             if faults.trainer_pause_s:
                 # Threaded-mode fault: a slow worker.  No locks are held
@@ -690,19 +591,8 @@ class PrefetchService:
         records = [self.manifest()]
         records.extend(self._lanes[tenant].manifest_record()
                        for tenant in sorted(self._lanes))
-        path = out_dir / f"serve-{len(self._lanes)}x.jsonl"
-        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True))
-                    fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return write_jsonl_atomic(
+            out_dir / f"serve-{len(self._lanes)}x.jsonl", records)
 
     # -- internals ---------------------------------------------------------
     def _lane_seed(self, tenant: int) -> int:
@@ -713,20 +603,14 @@ class PrefetchService:
 
     def _make_lane(self, tenant: int) -> TenantLane:
         config = self.config
-        model = self._prototype.clone()
-        manager = ShadowModelManager(
-            model, redeploy_below=config.redeploy_below,
+        prefetcher = CLSPrefetcher(
+            config.prefetcher_config(self._lane_seed(tenant)),
+            model=self._prototype.clone())
+        # The §5.5 thresholds are serve options the offline config lacks.
+        prefetcher.manager = ShadowModelManager(
+            prefetcher.model, redeploy_below=config.redeploy_below,
             ema_alpha=config.ema_alpha, max_staleness=config.max_staleness)
-        replay = None
-        if config.replay_policy is not None:
-            replay = ReplayScheduler(
-                policy=make_replay_policy(config.replay_policy),
-                per_step=config.replay_per_step,
-                lr_scale=config.replay_lr_scale,
-                seed=self._lane_seed(tenant))
-        lane = TenantLane(tenant, config, manager,
-                          make_encoder(config.encoder, config.vocab_size,
-                                       config.granularity), replay)
+        lane = TenantLane(tenant, prefetcher, config.record_checksums)
         if self._fleet is not None:
             lane.adopt(self._fleet)
         if config.record_checksums:
@@ -752,8 +636,8 @@ def replay_lockstep(service: PrefetchService,
 
     Drives the service's own round functions in the canonical order —
     stage, drain the trainer, finish, answer — which serializes the
-    concurrent pipeline into exactly the offline
-    ``CLSPrefetcher._ingest``/``_predict`` operation order.  The
+    concurrent pipeline into exactly the stage order of the offline
+    ``CLSPrefetcher._ingest``/``_predict``.  The
     differential suite feeds the same stream to ``simulate()`` and
     asserts the answers, learned weights, and confidence EMA are
     bit-identical.

@@ -15,10 +15,14 @@ still holds: the simulator only ever hands data *to* the sink.
 
 from __future__ import annotations
 
+import json
+import os
 import platform
 import subprocess
 import sys
-from typing import Any, Mapping
+import tempfile
+from pathlib import Path
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -74,6 +78,29 @@ def environment() -> dict:
         "numpy": np.__version__,
         "platform": sys.platform,
     }
+
+
+def write_jsonl_atomic(path: Path, records: Iterable[Mapping[str, Any]]
+                       ) -> Path:
+    """Write ``records`` to ``path``, one sorted-key JSON object per line.
+
+    Atomic: the lines go to a temporary file in the same directory that
+    replaces ``path`` only once complete, and is removed on any failure —
+    a reader never sees a partial manifest, and a failed write (e.g. a
+    record that cannot be serialised) leaves nothing behind.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True))
+                handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 def build_serve_manifest(spec: Mapping[str, Any], *,

@@ -16,16 +16,13 @@ zones by design.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ..harness.runner import spec_key
-from .manifest import build_manifest, run_spec
+from .manifest import build_manifest, run_spec, write_jsonl_atomic
 from .nullsink import NullTelemetry
 from .windowing import WindowAccumulator
 
@@ -170,15 +167,4 @@ class Telemetry(NullTelemetry):
         out_dir.mkdir(parents=True, exist_ok=True)
         records = self.records()
         path = out_dir / f"{records[0]['run_id']}.jsonl"
-        fd, tmp_name = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for record in records:
-                    handle.write(json.dumps(record, sort_keys=True))
-                    handle.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-        return path
+        return write_jsonl_atomic(path, records)

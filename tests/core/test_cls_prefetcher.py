@@ -131,6 +131,21 @@ class TestOnMiss:
         prefetcher.reset_stream()
         assert prefetcher.on_miss(miss(11, 0x900000)) == []
 
+    def test_reset_stream_forgets_direct_mode_predictions(self):
+        """Direct mode scores a miss against the prediction made
+        ``prefetch_length`` misses earlier; across a reset those were
+        made for the old stream and must score nothing."""
+        prefetcher = CLSPrefetcher(small_config(
+            prediction_mode="direct", encoder="page", prefetch_length=2))
+        for i in range(60):
+            prefetcher.on_miss(miss(i, (i % 5) * 4096))
+        assert prefetcher.accuracy_ema > 0
+        prefetcher.reset_stream()
+        assert len(prefetcher._probs_history) == 0
+        before = prefetcher.accuracy_ema
+        prefetcher.on_miss(miss(61, 0x900000))
+        assert prefetcher.accuracy_ema == before
+
 
 class TestAvailabilityIntegration:
     def test_shadow_protocol_wired(self):

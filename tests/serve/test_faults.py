@@ -12,6 +12,9 @@ service's exact counters:
 - swap raced w/ query  → every answer's serving-weights checksum is a
                           member of the swap history: old or new
                           weights, never a torn mix.
+- swap before rollout  → the accuracy EMA equals a recomputation from
+                          the scored probabilities: no top-k memo
+                          outlives the model it was computed from.
 - poisoned shadow      → the swap path rejects and discards it; live
                           weights stay finite; answers keep flowing.
 """
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.availability import weights_finite
+from repro.core.cls_prefetcher import CLSPrefetcher
 from repro.serve import FaultPlan, PrefetchService, ServeConfig
 from repro.serve.clock import VirtualClock
 from repro.serve.loop import VirtualScheduler
@@ -126,6 +130,44 @@ def test_swap_raced_with_query_never_tears(seed: int) -> None:
             assert ticket.checksum in history, (
                 f"torn read under interleaving seed={seed}: answer "
                 f"checksum {ticket.checksum} matches no swap generation")
+
+
+@pytest.mark.parametrize("stacked", [True, False],
+                         ids=["stacked", "scalar"])
+def test_forced_swaps_keep_accuracy_ema_exact(
+        stacked: bool, monkeypatch: pytest.MonkeyPatch) -> None:
+    """A forced swap lands between "live model stepped" and "rollout
+    decoded"; the rollout's top-width memo must not pair one model's
+    probabilities with another's top-k.  Every lane's accuracy EMA must
+    equal a from-scratch recomputation over the probabilities it scored."""
+    scored: dict[int, list[tuple[np.ndarray, int]]] = {}
+    observe = CLSPrefetcher.observe
+
+    def recording_observe(self: CLSPrefetcher, address: int, timestamp: int,
+                          miss: bool = True):
+        probs = self._last_probs
+        seen = observe(self, address, timestamp, miss)
+        if seen is not None and probs is not None:
+            scored.setdefault(id(self), []).append(
+                (np.array(probs), seen.class_id))
+        return seen
+
+    monkeypatch.setattr(CLSPrefetcher, "observe", recording_observe)
+    config = ServeConfig(vocab_size=VOCAB, max_staleness=8, stacked=stacked,
+                         seed=3)
+    service = PrefetchService(config, clock=VirtualClock(),
+                              faults=FaultPlan(swap_on_query=True))
+    _run(service, _events(240))
+    assert service.counters()["forced_swaps"] > 0
+    width, alpha = config.prefetch_width, config.accuracy_ema_alpha
+    for tenant in range(2):
+        lane = service.lane(tenant)
+        ema = 0.0
+        for probs, class_id in scored[id(lane.prefetcher)]:
+            top = np.argpartition(probs, -width)[-width:]
+            ema = (1 - alpha) * ema + alpha * float(class_id in top)
+        assert ema > 0
+        assert lane.accuracy_ema == ema
 
 
 def test_poisoned_shadow_rejected_live_stays_finite() -> None:
