@@ -1,33 +1,22 @@
-"""RL102 — compiled-backend contract parity with the numpy reference.
+"""RL102 — compiled-backend registration and reference-import hygiene.
 
-The PR 6 backend registry's safety argument is "every backend is
-bit-identical to numpy, so selection can stay out of cache keys".  That
-argument silently breaks in three ways a runtime test may not catch:
+The backend registry's safety argument is "every backend is
+bit-identical to numpy, so selection can stay out of cache keys".  Two
+ways that argument silently breaks without a runtime test noticing:
 
-1. a kernel-bundle method drifts between backends (renamed/reordered
-   parameter, changed annotation/dtype) so one backend takes a
-   different call shape than its siblings — callers written against
-   the reference break only on the machine that has that backend;
-2. a backend module stops exporting a registered factory
-   (``make_sim_kernels`` / ``make_hebbian_kernels`` / ``available``),
-   turning an explicit backend into a silent numpy-only fallback;
-3. a hot-path module quietly imports one of the retained reference
+1. a backend module stops exporting a registered factory
+   (``make_sim_kernels`` / ``available``), turning an explicit backend
+   into a silent numpy-only fallback;
+2. a hot-path module quietly imports one of the retained reference
    implementations (``*_reference``), smuggling the slow path back
    into the code the backends were built to replace.
 
 The rule finds every ``backends`` package in the linted project (a
 package whose ``__init__`` declares ``SIM_BACKENDS``/``NN_BACKENDS``),
-treats its sibling modules as the backend implementations, and
-cross-checks them structurally:
+treats its sibling modules as the backend implementations, and checks:
 
 - factory functions present in any backend module (or referenced by
-  the registry) must exist in all of them, with identical parameter
-  names, order, kinds, and annotations (return annotations exempt —
-  each backend legitimately returns its own bundle class);
-- kernel-bundle classes (``*SimKernels``, ``*HebbianKernels``) must
-  expose the same public methods with identical signatures including
-  return annotations (``__init__`` exempt: construction is the one
-  legitimately backend-specific surface);
+  the registry) must exist in all of them;
 - hot-path modules — anything inside a ``backends`` package, plus any
   module with a ``<name>_reference`` sibling (the optimized twin of a
   retained reference, e.g. ``nn/hebbian.py``, ``memsim/pagecache.py``)
@@ -37,59 +26,19 @@ cross-checks them structurally:
 from __future__ import annotations
 
 import ast
-from collections import defaultdict
 
 from .base import ProjectRule
 from ..dataflow.modules import ModuleInfo, _resolve_relative
 from ..finding import Finding
 
-#: Kernel-bundle class suffixes compared across backend modules.
-_BUNDLE_SUFFIXES = ("SimKernels", "HebbianKernels")
-
 #: Factory/probe functions every backend module must export.
 _ALWAYS_REQUIRED = frozenset({"available"})
 
 
-def _signature(node: ast.FunctionDef | ast.AsyncFunctionDef,
-               *, with_return: bool) -> str:
-    """Canonical signature text: names, order, kinds, annotations."""
-    args = node.args
-    parts: list[str] = []
-
-    def fmt(arg: ast.arg) -> str:
-        if arg.annotation is None:
-            return arg.arg
-        return f"{arg.arg}: {ast.unparse(arg.annotation)}"
-
-    parts.extend(fmt(a) for a in args.posonlyargs)
-    if args.posonlyargs:
-        parts.append("/")
-    parts.extend(fmt(a) for a in args.args)
-    if args.vararg is not None:
-        parts.append(f"*{fmt(args.vararg)}")
-    elif args.kwonlyargs:
-        parts.append("*")
-    parts.extend(fmt(a) for a in args.kwonlyargs)
-    if args.kwarg is not None:
-        parts.append(f"**{fmt(args.kwarg)}")
-    text = f"({', '.join(parts)})"
-    if with_return and node.returns is not None:
-        text += f" -> {ast.unparse(node.returns)}"
-    return text
-
-
-def _strip_self(signature: str) -> str:
-    inner = signature[1:].split(", ", 1)
-    if len(inner) == 1:
-        return "(" + inner[0]
-    return "(" + inner[1]
-
-
 class BackendParityRule(ProjectRule):
     code = "RL102"
-    summary = ("compiled-backend kernel signature/registration drift vs "
-               "the numpy reference; reference modules imported from "
-               "hot paths")
+    summary = ("compiled-backend factory registration missing; "
+               "reference modules imported from hot paths")
 
     def run(self) -> list[Finding]:
         registries = [
@@ -99,7 +48,7 @@ class BackendParityRule(ProjectRule):
             and self._declares_backend_tuple(info)
         ]
         for registry in registries:
-            self._check_package(registry)
+            self._check_factories(registry)
         self._check_reference_imports()
         return self.findings
 
@@ -118,16 +67,6 @@ class BackendParityRule(ProjectRule):
         return False
 
     # -- package-level checks ---------------------------------------------
-    def _check_package(self, registry: ModuleInfo) -> None:
-        backend_modules = [
-            info for info in self.project.modules.in_package(registry.name)
-            if not info.is_package_init()
-        ]
-        if not backend_modules:
-            return
-        self._check_factories(registry, backend_modules)
-        self._check_bundles(backend_modules)
-
     def _top_level_functions(
             self, info: ModuleInfo) -> dict[str, ast.FunctionDef]:
         return {node.name: node for node in info.tree.body
@@ -142,8 +81,11 @@ class BackendParityRule(ProjectRule):
                 refs.add(node.attr)
         return refs
 
-    def _check_factories(self, registry: ModuleInfo,
-                         backend_modules: list[ModuleInfo]) -> None:
+    def _check_factories(self, registry: ModuleInfo) -> None:
+        backend_modules = [
+            info for info in self.project.modules.in_package(registry.name)
+            if not info.is_package_init()
+        ]
         per_module = {info.name: self._top_level_functions(info)
                       for info in backend_modules}
         required = set(_ALWAYS_REQUIRED) | self._registry_factory_refs(registry)
@@ -160,86 +102,6 @@ class BackendParityRule(ProjectRule):
                         f"{name}(); a missing registration silently "
                         "degrades this backend to the numpy-only "
                         "fallback")
-        # Signature parity across modules (params only; returns are the
-        # backend-specific bundle classes).
-        for name in sorted(required):
-            sigs: dict[str, list[str]] = defaultdict(list)
-            for info in backend_modules:
-                node = per_module[info.name].get(name)
-                if node is not None:
-                    sigs[_signature(node, with_return=False)].append(
-                        info.name)
-            if len(sigs) > 1:
-                detail = "; ".join(
-                    f"{sig} in {', '.join(sorted(mods))}"
-                    for sig, mods in sorted(sigs.items()))
-                for info in backend_modules:
-                    node = per_module[info.name].get(name)
-                    if node is not None:
-                        self.report_at(
-                            info.display_path, node.lineno,
-                            node.col_offset,
-                            f"{name}() signature drifts across backend "
-                            f"modules: {detail}")
-
-    def _check_bundles(self, backend_modules: list[ModuleInfo]) -> None:
-        # suffix -> list of (module, class node)
-        groups: dict[str, list[tuple[ModuleInfo, ast.ClassDef]]] = \
-            defaultdict(list)
-        for info in backend_modules:
-            for node in info.tree.body:
-                if isinstance(node, ast.ClassDef):
-                    for suffix in _BUNDLE_SUFFIXES:
-                        if node.name.endswith(suffix):
-                            groups[suffix].append((info, node))
-        for suffix, members in sorted(groups.items()):
-            if len(members) < 2:
-                continue
-            self._compare_bundle_group(suffix, members)
-
-    def _compare_bundle_group(
-            self, suffix: str,
-            members: list[tuple[ModuleInfo, ast.ClassDef]]) -> None:
-        methods: dict[str, dict[str, tuple[ModuleInfo, ast.FunctionDef]]] = {}
-        for info, cls in members:
-            table: dict[str, tuple[ModuleInfo, ast.FunctionDef]] = {}
-            for item in cls.body:
-                if isinstance(item, ast.FunctionDef) and \
-                        not item.name.startswith("__"):
-                    table[item.name] = (info, item)
-            methods[cls.name] = table
-        all_names = sorted({name for table in methods.values()
-                            for name in table})
-        for name in all_names:
-            # Presence parity.
-            for info, cls in members:
-                if name not in methods[cls.name]:
-                    self.report_at(
-                        info.display_path, cls.lineno, cls.col_offset,
-                        f"{cls.name} lacks {name}(), which sibling "
-                        f"*{suffix} bundles define; backends must expose "
-                        "an identical kernel surface")
-            # Signature parity (drop the receiver; keep returns/dtypes).
-            sigs: dict[str, list[str]] = defaultdict(list)
-            nodes: list[tuple[ModuleInfo, ast.FunctionDef, str]] = []
-            for cls_name, table in methods.items():
-                entry = table.get(name)
-                if entry is None:
-                    continue
-                info, node = entry
-                sig = _strip_self(_signature(node, with_return=True))
-                sigs[sig].append(cls_name)
-                nodes.append((info, node, sig))
-            if len(sigs) > 1:
-                detail = "; ".join(
-                    f"{sig} in {', '.join(sorted(cs))}"
-                    for sig, cs in sorted(sigs.items()))
-                for info, node, _sig in nodes:
-                    self.report_at(
-                        info.display_path, node.lineno, node.col_offset,
-                        f"kernel method {name}() drifts across *{suffix} "
-                        f"bundles (parameter order, names, or declared "
-                        f"dtypes): {detail}")
 
     # -- reference-import check -------------------------------------------
     def _hot_path_modules(self) -> set[str]:

@@ -63,6 +63,7 @@ from .harness.models import (
 from .harness.reporting import format_series, print_table
 from .memsim.prefetcher import NullPrefetcher, Prefetcher
 from .memsim.simulator import SimConfig, baseline_misses, simulate
+from .nn.backends import NN_BACKENDS, SIM_BACKENDS
 from .patterns.applications import ALL_APPLICATIONS, AppSpec, generate_application
 from .patterns.generators import PATTERN_NAMES, PatternSpec, generate
 from .patterns.phases import pattern_pairs
@@ -129,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--telemetry-interval", type=int, default=None,
                      help="accesses per telemetry window (default 1000)")
     sim.add_argument("--backend",
-                     choices=["auto", "numpy", "numba", "c", "int8"],
+                     choices=["auto", *NN_BACKENDS],
                      default="auto",
-                     help="kernel backend for the simulator and Hebbian "
-                          "hot paths (see repro.nn.backends); 'auto' "
-                          "prefers a compiled backend and falls back to "
-                          "numpy; 'int8' quantizes Hebbian serving only")
+                     help="kernel backend (see repro.nn.backends): 'c' "
+                          "compiles the simulator scans, 'auto' prefers "
+                          "it and falls back to numpy; 'int8' quantizes "
+                          "Hebbian serving only")
 
     exp = sub.add_parser("experiment",
                          help="regenerate a paper table/figure")
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--telemetry-interval", type=int, default=None,
                      help="accesses per telemetry window (default 1000)")
     exp.add_argument("--backend",
-                     choices=["auto", "numpy", "numba", "c"],
+                     choices=["auto", *SIM_BACKENDS],
                      default="auto",
                      help="kernel backend every grid worker resolves "
                           "'auto' to; never part of the result-cache key "
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: auto-detect from CPU affinity; "
                             "under two means run serially in-process)")
     fleet.add_argument("--backend",
-                       choices=["auto", "numpy", "numba", "c"],
+                       choices=["auto", *SIM_BACKENDS],
                        default="auto")
     fleet.add_argument("--manifest-dir", default=None,
                        help="write the fleet JSONL manifest (aggregate "

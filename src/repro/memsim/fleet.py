@@ -119,7 +119,7 @@ class FleetCohort:
         universe_capacity: Maximum per-lane page-universe size.
         trace_capacity: Maximum per-lane trace length.
         backend: Kernel backend name for the fleet walks (``"auto"`` /
-            ``"numpy"`` / ``"numba"`` / ``"c"``, as in ``simulate``).
+            ``"numpy"`` / ``"c"``, as in ``simulate``).
         record_miss_indices: Collect per-lane miss indices in results.
         stacked_cls: Batch same-config learned (CLS/Hebbian) lanes
             through one stacked model call per round

@@ -74,11 +74,10 @@ class FastPathPrefetcher(Prefetcher, Protocol):
 class NullPrefetcher:
     """The no-prefetching baseline (Figure 5's denominator).
 
-    ``is_null`` lets the simulator skip constructing :class:`MissEvent`
-    objects entirely — this policy never reads them — and unlocks the
-    fully vectorized null replay in the batched engine (bulk miss-run
-    fills, and a clean restart on the scalar engine when the workload
-    turns out span-degenerate).
+    ``is_null`` lets the scalar engine skip constructing
+    :class:`MissEvent` objects entirely — this policy never reads them —
+    and, with the C kernels, selects the compiled null replay (the whole
+    run in one kernel call per segment).
     """
 
     name = "none"

@@ -5,8 +5,8 @@ sized as a fraction of the trace footprint (Figure 5 uses 50%), feeding
 every demand miss to a prefetcher and installing its predictions after a
 configurable timeliness delay.
 
-Two engines produce bit-identical results (same ``CacheStats``, same miss
-indices, same prefetcher interaction order):
+Three engines produce bit-identical results (same ``CacheStats``, same
+miss indices, same prefetcher interaction order):
 
 * ``scalar`` — the retained per-access event loop, running on the seed's
   OrderedDict :class:`~repro.memsim.pagecache_reference.ReferencePageCache`
@@ -18,19 +18,21 @@ indices, same prefetcher interaction order):
   membership-changing events (a demand fill or a prefetch landing) the
   resident set is constant, so the next miss is found by a vectorized
   membership scan and the whole hit run is accounted in one
-  ``PageCache.access_run`` call.  Misses stay scalar so the prefetcher
-  sees the exact same callback sequence; for the null prefetcher (whose
-  queue is provably always empty) maximal distinct miss runs are also
-  resolved in bulk via ``PageCache.fill_run``.
+  ``PageCache.access_run`` call (with compiled kernels: one C hit walk
+  per span).  Misses stay scalar so the prefetcher sees the exact same
+  callback sequence.
+* the compiled null replay — with the C kernels a null-prefetcher run is
+  one kernel call per segment (reported as ``batched``).
 
 ``engine="auto"`` (the default) picks ``batched`` whenever the prefetcher
 does not observe per-access events, which covers every Figure 5
-configuration in the repo.  The auto null replay additionally restarts on
-the scalar engine when span batching proves degenerate mid-run
-(scattered-miss workloads whose spans are too short to amortize a
-vectorized scan — see ``_FALLBACK_SCALAR``).
+configuration in the repo, unless one up-front probe of the trace prefix
+(``_probe_prefers_scalar``) shows spans too short to amortize the
+per-span dispatch; the compiled null replay has no per-span cost and
+skips the probe.  Without the C kernels a null prefetcher takes the same
+route as every other prefetcher.
 
-Both engines are *segment-capable* (PR 5): each exposes
+All engines are *segment-capable* (PR 5): each exposes
 ``run(start, stop)`` and ``simulate`` drives the run as a sequence of
 segments.  With telemetry disabled there is exactly one segment,
 ``[0, n)``, through the identical code path — which is how the null
@@ -67,27 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
 #: the per-access loop for short spans (miss-dense regions, short delays).
 _BULK_MIN_SPAN = 24
 
-#: Demand-miss runs shorter than this are filled scalar: a bulk fill is
-#: ~10 vectorized calls, so isolated misses (low-miss-rate workloads)
-#: are cheaper through the plain access/fill pair.
-_BULK_MIN_RUN = 8
-
-#: After this many scalar-fallback accesses, the null engine switches
-#: from boxing numpy scalars to one-time tolist() materialization.
-_MATERIALIZE_AFTER = 4096
-
-#: Under ``engine="auto"``, the null engine gives up on batching once this
-#: many accesses have gone through the scalar fallbacks *and* they are the
-#: majority of the trace so far: span batching has proven degenerate
-#: (scattered misses, short spans) and the per-access reference engine —
-#: whose OrderedDict ops are cheaper than scalar array pokes — wins.  The
-#: null prefetcher is stateless and never consulted, so a clean restart
-#: from access 0 is safe and bit-identical.
-_FALLBACK_SCALAR = 8192
-
 #: Spans at least this long still pay for the batched engine when the
 #: membership scans are compiled: the per-span cost drops from ~3 numpy
-#: windowed calls to one C/numba call, moving the scalar/batched
+#: windowed calls to one C call, moving the scalar/batched
 #: crossover from ~24 accesses down to a handful (measured on
 #: stride-resnet, spans ~1-2: compiled-batched 0.20 M/s vs scalar
 #: 0.38 M/s; stride-graph500, spans ~8: compiled-batched 1.65 M/s vs
@@ -96,7 +80,7 @@ _BULK_MIN_SPAN_COMPILED = 3
 
 #: The auto-engine probe replays at most this many leading accesses (null,
 #: bulk APIs only) to estimate steady-state span lengths before committing
-#: a non-null run to the batched engine.
+#: a run to the batched engine.
 _PROBE_PREFIX = 32_768
 
 #: Below this many accesses the probe is skipped (the run is too short for
@@ -151,7 +135,7 @@ class SimResult:
     config: SimConfig
     miss_indices: list[int] = field(default_factory=list, repr=False)
     #: Which engine actually ran ("batched" or "scalar") and which kernel
-    #: backend the run resolved to ("numpy", "numba" or "c").  The scalar
+    #: backend the run resolved to ("numpy" or "c").  The scalar
     #: engine never touches the compiled kernels, but the resolved name is
     #: still recorded so telemetry can attribute the run.
     engine_used: str = "batched"
@@ -186,18 +170,18 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
     explicit values exist for equivalence tests and debugging.
 
     ``backend`` selects the kernel backend for the batched engine's inner
-    loops — ``"auto"`` (prefer a compiled backend, silently fall back to
-    numpy), ``"numpy"``, ``"numba"`` or ``"c"`` (see
-    ``repro.nn.backends``).  All backends are bit-identical; requesting
+    loops — ``"auto"`` (the C kernels when available, else numpy with a
+    one-time warning), ``"numpy"`` or ``"c"`` (see
+    ``repro.nn.backends``).  The backends are bit-identical; requesting
     an unavailable one explicitly raises ``BackendUnavailableError``.
     The scalar reference engine never touches the kernels.
 
-    On the numpy backend, ``engine="auto"`` additionally probes the trace
-    (a bulk null replay of a short prefix) and picks the scalar engine for
-    short-span workloads whose per-access misses would make span batching
-    a net loss (the PR 4 stride-resnet regression).  Compiled backends
-    skip the probe — their per-span cost is low enough that batching wins
-    everywhere.
+    ``engine="auto"`` additionally probes the trace (a bulk null replay
+    of a short prefix) and picks the scalar engine for short-span
+    workloads whose per-access misses would make span batching a net
+    loss (the PR 4 stride-resnet regression); the span threshold is
+    lower when the scans are compiled.  The compiled null replay skips
+    the probe — it has no per-span cost.
 
     ``telemetry`` optionally attaches a :class:`repro.telemetry.Telemetry`
     sink.  An enabled sink partitions the run into window-aligned
@@ -224,8 +208,9 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
             "batched engine cannot drive per-access observers; "
             "use engine='scalar' (or 'auto') for wants_accesses prefetchers")
     use_batched = engine == "batched" or (engine == "auto" and on_access is None)
-    is_null = getattr(prefetcher, "is_null", False)
-    if (use_batched and engine == "auto" and not is_null
+    compiled_null = (kern is not None
+                     and getattr(prefetcher, "is_null", False))
+    if (use_batched and engine == "auto" and not compiled_null
             and _probe_prefers_scalar(trace, config, capacity, kern)):
         # Short-span workload: per-span dispatch (numpy calls, or the
         # kernel-call + landing bookkeeping of the compiled walk) costs
@@ -240,41 +225,22 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
     n = len(trace)
     miss_indices: list[int] = []
     miss_out = miss_indices if record_miss_indices else None
-    eng: (_ScalarEngine | _BatchedEngine | _NullReplayEngine
-          | _CompiledNullEngine)
+    eng: _ScalarEngine | _BatchedEngine | _CompiledNullEngine
     cache: PageCache | ReferencePageCache
     if use_batched:
         cache = PageCache(capacity_pages=capacity)
-        if is_null:
-            if kern is not None:
-                eng = _CompiledNullEngine(trace, config, cache, miss_out,
-                                          kern)
-            else:
-                eng = _NullReplayEngine(trace, config, cache, miss_out,
-                                        allow_fallback=engine == "auto")
+        if compiled_null:
+            eng = _CompiledNullEngine(trace, config, cache, miss_out, kern)
         else:
             eng = _BatchedEngine(trace, prefetcher, config, cache, queue,
                                  miss_out, kern)
         engine_used = "batched"
-        done = _drive(eng, n, sink, cache, queue, prefetcher)
-        if not done:
-            # Batching proved degenerate mid-run (see _FALLBACK_SCALAR);
-            # discard the partial run and restart on the reference engine.
-            miss_indices.clear()
-            queue = PrefetchQueue(delay_accesses=config.prefetch_delay_accesses)
-            cache = ReferencePageCache(capacity_pages=capacity)
-            if sink is not None:
-                sink.on_fallback_restart()
-            eng = _ScalarEngine(trace, prefetcher, config, cache, queue,
-                                None, miss_out)
-            engine_used = "scalar"
-            _drive(eng, n, sink, cache, queue, prefetcher)
     else:
         cache = ReferencePageCache(capacity_pages=capacity)
         eng = _ScalarEngine(trace, prefetcher, config, cache, queue,
                             on_access, miss_out)
         engine_used = "scalar"
-        _drive(eng, n, sink, cache, queue, prefetcher)
+    _drive(eng, n, sink, cache, queue, prefetcher)
     if sink is not None:
         sink.end_run(engine_used, backend_used)
     return SimResult(
@@ -337,26 +303,24 @@ def _probe_prefers_scalar(trace: Trace, config: SimConfig,
     return (prefix - half) / late_misses < min_span
 
 
-def _drive(eng: "_ScalarEngine | _BatchedEngine | _NullReplayEngine | _CompiledNullEngine",
+def _drive(eng: "_ScalarEngine | _BatchedEngine | _CompiledNullEngine",
            n: int,
            sink: "TelemetrySink | None",
            cache: PageCache | ReferencePageCache, queue: PrefetchQueue,
-           prefetcher: Prefetcher) -> bool:
+           prefetcher: Prefetcher) -> None:
     """Run ``eng`` over ``[0, n)``, pausing at the sink's window boundaries.
 
     Without a sink this is exactly one ``run(0, n)`` call — the
-    zero-overhead disabled path.  Returns False when the engine bailed
-    out for the scalar fallback restart (partial state; caller discards).
+    zero-overhead disabled path.
     """
     if sink is None:
-        return eng.run(0, n)
+        eng.run(0, n)
+        return
     start = 0
     for stop in sink.boundaries(n):
-        if not eng.run(start, stop):
-            return False
+        eng.run(start, stop)
         sink.on_window(stop, cache, len(queue), prefetcher)
         start = stop
-    return True
 
 
 class _ScalarEngine:
@@ -398,7 +362,7 @@ class _ScalarEngine:
         self._max_prefetches = config.max_prefetches_per_miss
         self._miss_out = miss_out
 
-    def run(self, start: int, stop: int) -> bool:
+    def run(self, start: int, stop: int) -> None:
         cache = self._cache
         queue = self._queue
         pages = self._pages
@@ -481,7 +445,6 @@ class _ScalarEngine:
                     for predicted in chained:
                         if predicted != page:
                             issue(int(predicted), i)
-        return True
 
 
 class _BatchedEngine:
@@ -560,9 +523,10 @@ class _BatchedEngine:
 
         self._handle_miss = handle_miss
 
-    def run(self, start: int, stop: int) -> bool:
+    def run(self, start: int, stop: int) -> None:
         if self._kern is not None:
-            return self._run_compiled(start, stop)
+            self._run_compiled(start, stop)
+            return
         cache = self._cache
         queue = self._queue
         n = stop
@@ -636,9 +600,8 @@ class _BatchedEngine:
         stats.hits += hits_l
         stats.demand_misses += misses_l
         stats.prefetch_hits += prefetch_hits_l
-        return True
 
-    def _run_compiled(self, start: int, stop: int) -> bool:
+    def _run_compiled(self, start: int, stop: int) -> None:
         """The same event structure with the hit walk as one compiled call.
 
         Landings and misses happen at exactly the same access indices as
@@ -690,7 +653,6 @@ class _BatchedEngine:
         stats.hits += int(state[3])
         state[2] = 0
         state[3] = 0
-        return True
 
 
 class _CompiledNullEngine:
@@ -737,7 +699,7 @@ class _CompiledNullEngine:
             capacity=cache.capacity_pages, miss_idx=self._miss_idx,
             state=state)
 
-    def run(self, start: int, stop: int) -> bool:
+    def run(self, start: int, stop: int) -> None:
         self._run_kern(start, stop, self._record)
         cache = self._cache
         state = self._state
@@ -759,226 +721,6 @@ class _CompiledNullEngine:
             self._miss_out.extend(
                 self._miss_idx[self._flushed:miss_n].tolist())
             self._flushed = miss_n
-        return True
-
-
-class _NullReplayEngine:
-    """Null-prefetcher engine: no prefetches are ever issued, so the
-    landing queue stays empty and both hit runs *and* demand-miss runs
-    resolve in bulk over maximal spans.
-
-    ``run`` returns False (partial state, discard the cache) when
-    ``allow_fallback`` is set and scalar fallbacks dominate — see
-    ``_FALLBACK_SCALAR``.  Materialization state and the fallback
-    account persist across telemetry segments so a windowed run makes
-    the same engine decisions a single-segment run would."""
-
-    def __init__(self, trace: Trace, config: SimConfig, cache: PageCache,
-                 miss_out: list[int] | None, allow_fallback: bool) -> None:
-        self._pages_arr = trace.pages(config.page_size)
-        universe, cids = trace.page_index(config.page_size)
-        cache.attach_universe(universe)
-        self._cache = cache
-        self._cids = cids
-        self._stores_arr = trace.kinds != 0
-        self._n_total = len(cids)
-        self._miss_out = miss_out
-        self._allow_fallback = allow_fallback
-        # Boxing numpy scalars in the fallbacks is fine while rare; once
-        # enough accesses have gone scalar (a short-span-dominated
-        # workload), pay one tolist() and index plain python lists.
-        self._pages_l: list[int] | None = None
-        self._cids_l: list[int] | None = None
-        self._stores_l: list[bool] | None = None
-        self._n_scalar = 0
-        # After materialization, consecutive short spans flip the loop
-        # into a fully inline scalar walk (no per-span function calls at
-        # all); a long span or long miss run flips it back.
-        self._short_mode = False
-        #: Scalar-fallback accesses flushed by earlier segments (the
-        #: fallback heuristic is cumulative over the whole run).
-        self._scalar_accesses = 0
-
-    def run(self, start: int, stop: int) -> bool:
-        cache = self._cache
-        cids = self._cids
-        pages_arr = self._pages_arr
-        stores_arr = self._stores_arr
-        miss_out = self._miss_out
-        allow_fallback = self._allow_fallback
-        n = stop
-        n_total = self._n_total
-        first_nonresident = cache.first_nonresident
-        access_run = cache.access_run
-        miss_run_length = cache.miss_run_length
-        fill_run = cache.fill_run
-        # The null engine guarantees no prefetch ever exists: every page
-        # is in the universe, nothing is ever undemanded, and a demand
-        # access can only be HIT or MISS.  Short spans and short miss runs
-        # therefore skip the scalar access()/fill() protocol and poke the
-        # cache arrays directly — same state transitions, none of the
-        # generality.
-        soc = cache._require_universe()
-        last_use = cache._last_use
-        dirty = cache._dirty
-        page_arr = cache._page
-        cid_of_slot = cache._cid_of_slot
-        free = cache._free
-        capacity = cache.capacity_pages
-        evict = cache._evict_lru
-        stats = cache.stats
-        pages_l = self._pages_l
-        cids_l = self._cids_l
-        stores_l = self._stores_l
-        n_scalar = self._n_scalar
-        short_mode = self._short_mode
-        base_scalar = self._scalar_accesses
-        accesses = hits = misses = 0
-        i = start
-        while i < n:
-            # ``accesses`` counts exactly the scalar-fallback accesses
-            # (bulk paths bypass it): when they dominate, batching is not
-            # paying.
-            if allow_fallback and base_scalar + accesses > _FALLBACK_SCALAR \
-                    and (base_scalar + accesses) * 2 > i:
-                return False
-            if short_mode and cids_l is not None and stores_l is not None \
-                    and pages_l is not None:
-                clock = cache._clock
-                t = i
-                walk_limit = min(n, i + _BULK_MIN_SPAN)
-                while t < walk_limit:
-                    slot = soc[cids_l[t]]
-                    if slot < 0:
-                        break
-                    last_use[slot] = clock
-                    clock += 1
-                    if stores_l[t]:
-                        dirty[slot] = True
-                    t += 1
-                cache._clock = clock
-                span = t - i
-                accesses += span
-                hits += span
-                i = t
-                if i >= n:
-                    break
-                if span >= _BULK_MIN_SPAN:
-                    short_mode = False  # long span emerging: vectorize
-                    continue
-                # ``i`` is a miss.  Resolve it inline when the run is
-                # length 1 (next access resident, duplicate, or absent) —
-                # the common case in scattered-miss workloads.
-                cid = cids_l[i]
-                if capacity > 1 and i + 1 < n_total:
-                    c1 = cids_l[i + 1]
-                    if c1 != cid and soc[c1] < 0:
-                        short_mode = False  # multi-miss run: vectorized
-                        continue
-                accesses += 1
-                misses += 1
-                if cache._n_resident >= capacity:
-                    evict(by_prefetch=False)
-                slot = free.pop()
-                page_arr[slot] = pages_l[i]
-                clock = cache._clock
-                last_use[slot] = clock
-                cache._clock = clock + 1
-                if stores_l[i]:
-                    dirty[slot] = True
-                soc[cid] = slot
-                cid_of_slot[slot] = cid
-                cache._n_resident += 1
-                if miss_out is not None:
-                    miss_out.append(i)
-                i += 1
-                continue
-            j = first_nonresident(cids, i, n)
-            span = j - i
-            if span:
-                if span >= _BULK_MIN_SPAN:
-                    access_run(cids[i:j], stores_arr[i:j])
-                else:
-                    accesses += span
-                    hits += span
-                    clock = cache._clock
-                    if cids_l is not None and stores_l is not None:
-                        for t in range(i, j):
-                            slot = soc[cids_l[t]]
-                            last_use[slot] = clock
-                            clock += 1
-                            if stores_l[t]:
-                                dirty[slot] = True
-                    else:
-                        n_scalar += span
-                        for t in range(i, j):
-                            slot = soc[cids[t]]
-                            last_use[slot] = clock
-                            clock += 1
-                            if stores_arr[t]:
-                                dirty[slot] = True
-                    cache._clock = clock
-                i = j
-            if i >= n:
-                break
-            k = miss_run_length(cids, i, n)
-            if k >= _BULK_MIN_RUN:
-                fill_run(pages_arr[i:i + k], cids[i:i + k],
-                         stores_arr[i:i + k])
-            else:
-                accesses += k
-                misses += k
-                clock = cache._clock
-                if pages_l is not None and cids_l is not None \
-                        and stores_l is not None:
-                    for t in range(i, i + k):
-                        if cache._n_resident >= capacity:
-                            evict(by_prefetch=False)
-                        slot = free.pop()
-                        page_arr[slot] = pages_l[t]
-                        last_use[slot] = clock
-                        clock += 1
-                        if stores_l[t]:
-                            dirty[slot] = True
-                        cid = cids_l[t]
-                        soc[cid] = slot
-                        cid_of_slot[slot] = cid
-                        cache._n_resident += 1
-                else:
-                    n_scalar += k
-                    for t in range(i, i + k):
-                        if cache._n_resident >= capacity:
-                            evict(by_prefetch=False)
-                        slot = free.pop()
-                        page_arr[slot] = pages_arr[t]
-                        last_use[slot] = clock
-                        clock += 1
-                        if stores_arr[t]:
-                            dirty[slot] = True
-                        cid = cids[t]
-                        soc[cid] = slot
-                        cid_of_slot[slot] = cid
-                        cache._n_resident += 1
-                cache._clock = clock
-            if miss_out is not None:
-                miss_out.extend(range(i, i + k))
-            i += k
-            if pages_l is None and n_scalar > _MATERIALIZE_AFTER:
-                pages_l = pages_arr.tolist()
-                cids_l = cids.tolist()
-                stores_l = stores_arr.tolist()
-            short_mode = (pages_l is not None and span < _BULK_MIN_SPAN
-                          and k < _BULK_MIN_RUN)
-        stats.accesses += accesses
-        stats.hits += hits
-        stats.demand_misses += misses
-        self._pages_l = pages_l
-        self._cids_l = cids_l
-        self._stores_l = stores_l
-        self._n_scalar = n_scalar
-        self._short_mode = short_mode
-        self._scalar_accesses = base_scalar + accesses
-        return True
 
 
 def baseline_misses(trace: Trace, config: SimConfig = SimConfig()) -> SimResult:

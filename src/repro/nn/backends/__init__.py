@@ -1,35 +1,30 @@
-"""Backend registry for the compiled hot-path kernels (PR 6).
+"""Backend registry: which names exist, and what each one accelerates.
 
-The bit-identity perf campaign (PRs 1-4) bottomed out at numpy's
-~1-3.5 µs-per-call dispatch floor: for the ~200-element arrays the
-Hebbian readout and the span-batched simulator operate on, Python/numpy
-call overhead — not arithmetic — bounds throughput.  This package breaks
-that floor with interchangeable *backends* for the hot kernels:
+A compiled kernel exists only where a ``python -m bench`` cell shows it
+winning.  That leaves:
 
 ``numpy``
-    The always-available reference: the existing vectorized code paths,
-    untouched.  Every other backend is defined (and tested) as
-    bit-identical to it.
-``numba``
-    ``@njit`` versions of the kernels, available when the optional
-    ``repro[numba]`` extra is installed.  Exercised by the dedicated CI
-    leg; silently skipped everywhere else.
+    The always-available reference: the vectorized simulator engines and
+    the Hebbian network.  The correctness fallback when no compiler is
+    present (one-time ``RuntimeWarning``), not a tuned platform.
 ``c``
-    The same kernels as a small C file compiled on first use with the
-    system C compiler (``cc``/``gcc``) and loaded through ``cffi``'s ABI
-    mode.  Compiled with ``-fno-fast-math -ffp-contract=off`` so the
-    floating-point arithmetic is exactly numpy's (no FMA contraction, no
-    reassociation).
+    The **memsim** membership scans, hit walks and null replay (single
+    lane and fleet) as a small C file compiled on first use with the
+    system C compiler and loaded through ``cffi``'s ABI mode;
+    bit-identical to the numpy engines.  It is a legal name for the
+    network too (one ``--backend`` value flows to both domains) but
+    selects no network kernel: the Hebbian network is numpy arithmetic
+    under every name.
 ``int8``
-    A *serving* mode for the Hebbian readout: scores are read from an
-    int8-quantized mirror of the readout weights while training stays
-    float64.  This is the one backend that is accuracy-bounded rather
-    than bit-identical (see ``nn/quantization.py``); it is never chosen
-    by ``auto``.
+    The one name that changes what the network does: readout scores are
+    read from an int8-quantized mirror of the weights while training
+    stays float64.  Accuracy-bounded rather than bit-identical (see
+    ``nn/quantization.py``); never chosen by ``auto``; no simulator
+    meaning.
 
-Selection is by name or ``"auto"`` (prefer ``numba``, then ``c``, else
-fall back to ``numpy`` with a one-time warning).  Explicitly requesting
-an unavailable backend raises :class:`BackendUnavailableError` — silent
+Selection is by name or ``"auto"`` (``c`` when it is available, else
+``numpy`` with a one-time warning).  Explicitly requesting an
+unavailable backend raises :class:`BackendUnavailableError` — silent
 substitution is reserved for ``auto``.
 
 The registry also carries the *ambient default* that ``"auto"`` resolves
@@ -44,7 +39,7 @@ from __future__ import annotations
 import warnings
 from typing import Any
 
-import numpy as np
+from . import c_backend
 
 __all__ = [
     "BackendUnavailableError",
@@ -53,7 +48,6 @@ __all__ = [
     "available_backends",
     "backend_available",
     "get_default_backend",
-    "hebbian_kernels",
     "resolve_backend",
     "set_default_backend",
     "sim_kernels",
@@ -61,11 +55,8 @@ __all__ = [
 
 #: Legal backend names per domain.  ``int8`` only reinterprets the
 #: Hebbian serving path, so it has no simulator meaning.
-NN_BACKENDS = ("numpy", "numba", "c", "int8")
-SIM_BACKENDS = ("numpy", "numba", "c")
-
-#: ``auto`` preference order among the compiled backends.
-_AUTO_ORDER = ("numba", "c")
+NN_BACKENDS = ("numpy", "c", "int8")
+SIM_BACKENDS = ("numpy", "c")
 
 #: Backends force-disabled for this process (test/CI hook: the
 #: ``REPRO_DISABLE_COMPILED`` conftest fixture fills this to prove the
@@ -78,16 +69,6 @@ _warned_fallback = False
 
 class BackendUnavailableError(RuntimeError):
     """An explicitly requested backend cannot run in this environment."""
-
-
-def _compiled_module(name: str) -> Any:
-    if name == "numba":
-        from . import numba_backend
-        return numba_backend
-    if name == "c":
-        from . import c_backend
-        return c_backend
-    raise ValueError(f"no compiled backend named {name!r}")
 
 
 def _domain_names(domain: str) -> tuple[str, ...]:
@@ -104,8 +85,8 @@ def backend_available(name: str) -> bool:
         return False
     if name in ("numpy", "int8"):
         return True
-    if name in ("numba", "c"):
-        return bool(_compiled_module(name).available())
+    if name == "c":
+        return c_backend.available()
     return False
 
 
@@ -147,8 +128,8 @@ def _warn_fallback() -> None:  # repro-lint: zone=init
     _warned_fallback = True
     warnings.warn(
         "no compiled kernel backend is available; falling back to the "
-        "pure-numpy reference kernels (install the optional 'numba' extra "
-        "or make a C compiler available to remove the dispatch floor)",
+        "pure-numpy reference kernels (make cffi and a C compiler "
+        "available to get the compiled simulator kernels)",
         RuntimeWarning, stacklevel=4)
 
 
@@ -156,8 +137,8 @@ def resolve_backend(name: str = "auto", *, domain: str = "sim") -> str:
     """Resolve a requested backend name to a concrete available one.
 
     ``"auto"`` resolves to the ambient default if one was set, else to
-    the first available compiled backend, else to ``"numpy"`` (with a
-    one-time :class:`RuntimeWarning`).  Explicit names must exist for the
+    ``"c"`` when it is available, else to ``"numpy"`` (with a one-time
+    :class:`RuntimeWarning`).  Explicit names must exist for the
     domain and be available, or this raises — silently substituting a
     different backend than the one the caller pinned would defeat the
     point of pinning.
@@ -167,9 +148,8 @@ def resolve_backend(name: str = "auto", *, domain: str = "sim") -> str:
         ambient = _default_backend
         if ambient != "auto":
             return ambient
-        for candidate in _AUTO_ORDER:
-            if backend_available(candidate):
-                return candidate
+        if backend_available("c"):
+            return "c"
         _warn_fallback()
         return "numpy"
     if name not in names:
@@ -179,27 +159,16 @@ def resolve_backend(name: str = "auto", *, domain: str = "sim") -> str:
     if not backend_available(name):
         raise BackendUnavailableError(
             f"backend {name!r} was requested explicitly but is not "
-            "available in this environment (install the 'numba' extra for "
-            "numba, or ensure a C compiler is on PATH for 'c'); "
-            "backend='auto' falls back to numpy instead of raising")
+            "available in this environment ('c' needs cffi and a C "
+            "compiler on PATH); backend='auto' falls back to numpy "
+            "instead of raising")
     return name
-
-
-def hebbian_kernels(name: str, *, rec_pad: np.ndarray, hidden_dim: int,
-                    vocab_size: int) -> Any | None:
-    """Compiled kernel bundle for one Hebbian network, or None.
-
-    ``None`` means "use the inline numpy code" — both the ``numpy``
-    reference and the ``int8`` serving mode run the numpy arithmetic.
-    """
-    if name in ("numpy", "int8"):
-        return None
-    return _compiled_module(name).make_hebbian_kernels(
-        rec_pad=rec_pad, hidden_dim=hidden_dim, vocab_size=vocab_size)
 
 
 def sim_kernels(name: str) -> Any | None:
     """Compiled simulator kernel bundle, or None for the numpy engines."""
     if name == "numpy":
         return None
-    return _compiled_module(name).make_sim_kernels()
+    if name != "c":
+        raise ValueError(f"no compiled backend named {name!r}")
+    return c_backend.make_sim_kernels()

@@ -1,23 +1,24 @@
-"""C backend: kernels compiled with the system C compiler, loaded via cffi.
+"""C backend: memsim kernels compiled with the system C compiler, loaded
+via cffi.
 
 The kernel source below is embedded as a string, compiled on first use
-into ``_build/reprokernels-<sha16>.so`` (hash of the source, so editing
-a kernel transparently rebuilds), and loaded through cffi's ABI mode —
-no build-time dependency, no setuptools plumbing, and the only runtime
-requirements are ``cffi`` (a numpy build dependency, so effectively
-always present) and a ``cc``/``gcc`` on PATH.  Any failure along that
-path — no compiler, compile error, dlopen error — makes the backend
-report unavailable; nothing raises out of :func:`available`.
+into ``_build/reprokernels-<sha16>.so`` (hash of the source and the
+compile flags, so editing either transparently rebuilds), and loaded
+through cffi's ABI mode — no build-time dependency, no setuptools
+plumbing, and the only runtime requirements are ``cffi`` and a
+``cc``/``gcc`` on PATH.  Any failure along that path — no compiler,
+compile error, dlopen error — makes the backend report unavailable;
+nothing raises out of :func:`available`.
 
-Bit-identity: every kernel reproduces its numpy counterpart's exact
-arithmetic and observable state transitions (see the per-function notes
-in the C source).  The compile flags are part of that contract:
-``-fno-fast-math -ffp-contract=off`` forbid FMA contraction and
-reassociation, so ``a + s * b`` rounds twice exactly like numpy's
-multiply-then-add.  k-WTA selection (``argpartition``) and the softmax
-stay in numpy under every backend: partial-selection tie order is
-implementation-defined and libm's ``exp`` differs from numpy's SIMD
-``exp`` in the last ulp, so compiling either would break bit-identity.
+Only the simulator's membership scans, hit walks and null replay are
+compiled: those are the kernels ``python -m bench`` shows winning
+(null replay 6-50x).  The Hebbian network is numpy arithmetic under
+every backend name — C kernels for it measured no faster than numpy's
+own (``nn.hebbian.step_us.numpy`` vs ``.c``).
+
+Bit-identity: every kernel reproduces its numpy counterpart's
+observable state transitions exactly (see the per-function notes in the
+C source); all of them are integer-only.
 """
 
 from __future__ import annotations
@@ -34,18 +35,15 @@ from typing import Any, Callable
 import numpy as np
 
 _SOURCE = r"""
-/* Compiled hot-path kernels for the repro simulator and Hebbian network.
+/* Compiled hot-path kernels for the repro simulator.
  *
- * Bit-identity contract: every function reproduces the exact arithmetic
- * and observable state transitions of its numpy counterpart (see
- * repro/memsim/pagecache.py and repro/nn/hebbian.py).  Must be compiled
- * with -fno-fast-math -ffp-contract=off so the compiler cannot fuse
- * a + s*b into one fma (which rounds once where numpy rounds twice) or
- * reassociate sums.
+ * Bit-identity contract: every function reproduces the exact observable
+ * state transitions of its numpy counterpart (see
+ * repro/memsim/pagecache.py and repro/memsim/fleet_cache.py).  Integer
+ * arithmetic only.
  */
 
 #include <stdint.h>
-#include <string.h>
 
 typedef long long i64;
 typedef unsigned char u8;
@@ -425,71 +423,6 @@ void rk_fleet_null_run(const i64 *lanes, i64 n_lanes,
         writebacks[t] = wbacks;
     }
 }
-
-/* ------------------------------------------------------------------ */
-/* Hebbian kernels                                                    */
-/* ------------------------------------------------------------------ */
-
-/* hidden_code's recurrent drive: histogram the padded out-neighbor rows
- * of the active set, then pre[j] += scale * count[j].  counts has
- * n + 1 bins; the padding sentinel (index n) lands in the last bin and
- * is never read back — exactly np.bincount(rec_pad[active].ravel())
- * truncated to [:n].  Multiply-then-add rounds like numpy's
- * `pre += scale * counts` (two roundings; no fma under
- * -ffp-contract=off). */
-void rk_pre_accumulate(double *pre, const i64 *rec_pad, i64 width,
-                       const i64 *prev_active, i64 k, double scale,
-                       i64 n, i64 *counts)
-{
-    memset(counts, 0, (size_t)(n + 1) * sizeof(i64));
-    for (i64 r = 0; r < k; r++) {
-        const i64 *row = rec_pad + prev_active[r] * width;
-        for (i64 t = 0; t < width; t++)
-            counts[row[t]]++;
-    }
-    for (i64 j = 0; j < n; j++)
-        pre[j] += scale * (double)counts[j];
-}
-
-/* readout's sparse path: out[cols[t]] += w_flat[flat[t]] in index
- * order — np.bincount(cols, weights=w_flat.take(flat)) accumulates its
- * weights in exactly this input order onto a zeroed output. */
-void rk_readout_sparse(const double *w_flat, const i64 *flat,
-                       const i64 *cols, i64 m, double *out)
-{
-    for (i64 t = 0; t < m; t++)
-        out[cols[t]] += w_flat[flat[t]];
-}
-
-/* _learn / train_pairs weight application: w[flat] = clip(w[flat] +
- * delta, +-wm).  The flat offsets within one call are distinct (one
- * connected column, or disjoint columns of distinct targets), so the
- * in-place update equals numpy's gather -> add -> clip -> scatter.
- * min-then-max ordering matches np.minimum/np.maximum. */
-void rk_learn_apply(double *w_flat, const i64 *flat, const double *delta,
-                    i64 m, double wm)
-{
-    for (i64 t = 0; t < m; t++) {
-        double v = w_flat[flat[t]] + delta[t];
-        if (v > wm)
-            v = wm;
-        if (v < -wm)
-            v = -wm;
-        w_flat[flat[t]] = v;
-    }
-}
-
-/* The error-driven depression term: subtract lr, clip below only. */
-void rk_punish_apply(double *w_flat, const i64 *flat, i64 m, double lr,
-                     double wm)
-{
-    for (i64 t = 0; t < m; t++) {
-        double v = w_flat[flat[t]] - lr;
-        if (v < -wm)
-            v = -wm;
-        w_flat[flat[t]] = v;
-    }
-}
 """
 
 _CDEF = """
@@ -533,20 +466,14 @@ void rk_fleet_null_run(const long long *lanes, long long n_lanes,
                        long long *writebacks, long long *accesses,
                        long long *miss_idx, long long *miss_n,
                        long long record);
-void rk_pre_accumulate(double *pre, const long long *rec_pad,
-                       long long width, const long long *prev_active,
-                       long long k, double scale, long long n,
-                       long long *counts);
-void rk_readout_sparse(const double *w_flat, const long long *flat,
-                       const long long *cols, long long m, double *out);
-void rk_learn_apply(double *w_flat, const long long *flat,
-                    const double *delta, long long m, double wm);
-void rk_punish_apply(double *w_flat, const long long *flat, long long m,
-                     double lr, double wm);
 """
 
-#: Bit-identity depends on these: no fast-math value transformations and
-#: no FMA contraction (fuse = one rounding, numpy = two).
+#: Every kernel left is integer-only, so ``-fno-fast-math`` and
+#: ``-ffp-contract=off`` change no generated code today.  They are kept
+#: as a guard: a float kernel added later must round like numpy (no
+#: reassociation, no FMA contraction) without anyone remembering to put
+#: the flags back.  Part of the ``.so`` cache key, so editing them
+#: rebuilds.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
 _ffi: Any | None = None
@@ -556,6 +483,13 @@ _load_failed = False
 
 def _build_dir() -> Path:
     return Path(__file__).resolve().parent / "_build"
+
+
+def _so_path() -> Path:
+    """Cache path of the library: keyed on everything that shapes it."""
+    key = _SOURCE + "\0" + " ".join(_CFLAGS)
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return _build_dir() / f"reprokernels-{digest}.so"
 
 
 def _compile(out: Path) -> bool:
@@ -587,8 +521,21 @@ def _compile(out: Path) -> bool:
                     os.unlink(leftover)
 
 
+def _dlopen(ffi: Any, path: Path) -> Any | None:
+    try:
+        return ffi.dlopen(str(path))
+    except Exception:  # cffi raises its own error types besides OSError
+        return None
+
+
 def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
-    """(ffi, lib) or None; compile failures latch to unavailable."""
+    """(ffi, lib) or None; compile and load failures latch to unavailable.
+
+    A cached library that exists but cannot be loaded (truncated, or
+    built by another container's toolchain — ``_build/`` lives in the
+    source tree) is recompiled over once before latching; otherwise the
+    bad file would silently pin every later process to numpy.
+    """
     global _ffi, _lib, _load_failed
     if _lib is not None:
         return _ffi, _lib
@@ -599,17 +546,13 @@ def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
     except ImportError:
         _load_failed = True
         return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    out = _build_dir() / f"reprokernels-{digest}.so"
-    if not out.exists() and not _compile(out):
-        _load_failed = True
-        return None
-    try:
-        ffi = FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(str(out))
-    except (OSError, Exception) as exc:  # cffi raises its own error types
-        del exc
+    out = _so_path()
+    ffi = FFI()
+    ffi.cdef(_CDEF)
+    lib = _dlopen(ffi, out) if out.exists() else None
+    if lib is None and _compile(out):
+        lib = _dlopen(ffi, out)
+    if lib is None:
         _load_failed = True
         return None
     _ffi, _lib = ffi, lib
@@ -626,10 +569,6 @@ def _i64(ffi: Any, arr: np.ndarray) -> Any:
 
 def _u8(ffi: Any, arr: np.ndarray) -> Any:
     return ffi.from_buffer("unsigned char[]", arr.view(np.uint8))
-
-
-def _f64(ffi: Any, arr: np.ndarray) -> Any:
-    return ffi.from_buffer("double[]", arr)
 
 
 class CSimKernels:
@@ -773,69 +712,9 @@ class CSimKernels:
         return run
 
 
-class CHebbianKernels:
-    """Hebbian kernel bundle bound to one network's fixed structures.
-
-    Clones share the instance (they share the fixed ``rec_pad``); the
-    ``counts`` scratch is safe to share because every ``pre_accumulate``
-    call fully rewrites it and use is single-threaded.
-    """
-
-    name = "c"
-
-    def __init__(self, ffi: Any, lib: Any, rec_pad: np.ndarray,
-                 hidden_dim: int, vocab_size: int) -> None:
-        self._ffi = ffi
-        self._lib = lib
-        self._rec_pad = np.ascontiguousarray(rec_pad, dtype=np.int64)
-        self._width = int(self._rec_pad.shape[1])
-        self._n = hidden_dim
-        self._vocab = vocab_size
-        self._counts = np.zeros(hidden_dim + 1, dtype=np.int64)
-        self._p_rec = _i64(ffi, self._rec_pad)
-        self._p_counts = _i64(ffi, self._counts)
-
-    def pre_accumulate(self, pre: np.ndarray, prev_active: np.ndarray,
-                       scale: float) -> None:
-        ffi = self._ffi
-        active = np.ascontiguousarray(prev_active, dtype=np.int64)
-        self._lib.rk_pre_accumulate(
-            _f64(ffi, pre), self._p_rec, self._width, _i64(ffi, active),
-            active.size, scale, self._n, self._p_counts)
-
-    def readout_sparse(self, w_flat: np.ndarray, flat: np.ndarray,
-                       cols: np.ndarray) -> np.ndarray:
-        ffi = self._ffi
-        out = np.zeros(self._vocab)
-        self._lib.rk_readout_sparse(_f64(ffi, w_flat), _i64(ffi, flat),
-                                    _i64(ffi, cols), flat.size,
-                                    _f64(ffi, out))
-        return out
-
-    def learn_apply(self, w_flat: np.ndarray, flat: np.ndarray,
-                    delta: np.ndarray, wm: float) -> None:
-        ffi = self._ffi
-        self._lib.rk_learn_apply(_f64(ffi, w_flat), _i64(ffi, flat),
-                                 _f64(ffi, delta), flat.size, wm)
-
-    def punish_apply(self, w_flat: np.ndarray, flat: np.ndarray, lr: float,
-                     wm: float) -> None:
-        ffi = self._ffi
-        self._lib.rk_punish_apply(_f64(ffi, w_flat), _i64(ffi, flat),
-                                  flat.size, lr, wm)
-
-
 def make_sim_kernels() -> CSimKernels:
     loaded = _load()
     if loaded is None:
         raise RuntimeError("C backend is not available")
     return CSimKernels(*loaded)
 
-
-def make_hebbian_kernels(*, rec_pad: np.ndarray, hidden_dim: int,
-                         vocab_size: int) -> CHebbianKernels:
-    loaded = _load()
-    if loaded is None:
-        raise RuntimeError("C backend is not available")
-    return CHebbianKernels(*loaded, rec_pad=rec_pad, hidden_dim=hidden_dim,
-                           vocab_size=vocab_size)

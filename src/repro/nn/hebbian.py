@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import hebbian_kernels, resolve_backend
+from .backends import NN_BACKENDS, resolve_backend
 from .base import evaluate_sequence_probs
 from .quantization import snap_to_grid
 
@@ -106,14 +106,14 @@ class HebbianConfig:
         signature_dim: Input units in signature mode.
         signature_k: Active input units per class in signature mode.
         seed: Mask/initialization seed.
-        backend: Kernel backend for the hot paths — ``"auto"`` (prefer a
-            compiled backend, fall back to numpy), ``"numpy"``,
-            ``"numba"``, ``"c"``, or ``"int8"``.  All backends except
-            ``int8`` are bit-identical to numpy; ``int8`` serves the
-            readout from an int8-quantized weight mirror (training stays
-            float64) with a per-entry score error bounded by half a
-            quantization step per active row — the one accuracy-bounded
-            exception to the bit-identity contract.
+        backend: ``"auto"``, ``"numpy"``, ``"c"`` or ``"int8"``.  The
+            network is numpy arithmetic under every name (``"c"`` is
+            legal because one ``--backend`` value flows to the simulator
+            and the network; it selects no network kernel).  ``int8`` is
+            the one name that changes what the network does: it serves
+            the readout from an int8-quantized weight mirror (training
+            stays float64) with a per-entry score error bounded by half
+            a quantization step per active row.
     """
 
     vocab_size: int = 128
@@ -136,9 +136,9 @@ class HebbianConfig:
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto", "numpy", "numba", "c", "int8"):
+        if self.backend not in ("auto", *NN_BACKENDS):
             raise ValueError(
-                "backend must be 'auto', 'numpy', 'numba', 'c' or 'int8'")
+                f"backend must be one of {('auto', *NN_BACKENDS)}")
         if self.input_mode not in ("onehot", "signature"):
             raise ValueError("input_mode must be 'onehot' or 'signature'")
         if self.input_mode == "signature":
@@ -186,10 +186,10 @@ class SparseHebbianNetwork:
     def __init__(self, config: HebbianConfig = HebbianConfig()) -> None:
         self.config = config
         self.vocab_size = config.vocab_size
-        # Resolve the kernel backend up front (before the first w_out
+        # Resolve the backend name up front (before the first w_out
         # assignment: the setter maintains the serving mirror).  int8
-        # reuses the numpy kernels but serves scores from a quantized
-        # weight mirror with this fixed symmetric scale.
+        # serves scores from a quantized weight mirror with this fixed
+        # symmetric scale; every other name is the same numpy arithmetic.
         self._backend = resolve_backend(config.backend, domain="nn")
         self._q_scale = config.weight_max / 127.0
         rng = np.random.default_rng(config.seed)
@@ -312,12 +312,6 @@ class SparseHebbianNetwork:
         # each row that can be nonzero (see ``readout`` for the
         # bit-identity argument).  Same id-keyed lifecycle as the masks.
         self._readout_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Compiled kernel bundle (None = inline numpy).  Built last: it
-        # captures the fixed ``_rec_pad`` structure.  Clones share it —
-        # its only mutable state is a scratch that every call rewrites.
-        self._kern = hebbian_kernels(self._backend, rec_pad=self._rec_pad,
-                                     hidden_dim=config.hidden_dim,
-                                     vocab_size=config.vocab_size)
 
     @property
     def w_out(self) -> np.ndarray:
@@ -392,12 +386,9 @@ class SparseHebbianNetwork:
             # order units within the input's support without overriding it.
             expected_hits = max(1.0, prev_active.size * config.connectivity_rec)
             scale = config.recurrent_strength / expected_hits
-            if self._kern is not None:
-                self._kern.pre_accumulate(pre, prev_active, scale)
-            else:
-                counts = np.bincount(self._rec_pad[prev_active].ravel(),
-                                     minlength=self._rec_bins)
-                pre += scale * counts[:config.hidden_dim]
+            counts = np.bincount(self._rec_pad[prev_active].ravel(),
+                                 minlength=self._rec_bins)
+            pre += scale * counts[:config.hidden_dim]
         active = pre.argpartition(-self._k)[-self._k:]
         if cache is not None:
             if len(cache) >= _CODE_CACHE_CAP:
@@ -429,8 +420,8 @@ class SparseHebbianNetwork:
             if id(active) not in self._code_masks:
                 # Foreign (non-resident) code: dense row sum, as before.
                 # np.add.reduce is what ndarray.sum calls underneath minus
-                # a dispatch layer.  (Cold path: stays numpy under every
-                # backend; serves from the mirror like the sparse path.)
+                # a dispatch layer.  (Serves from the mirror like the
+                # sparse path.)
                 return np.add.reduce(self._serve_w.take(active, axis=0),
                                      axis=0)
             rows_i, cols = self.mask_out[active].nonzero()
@@ -441,8 +432,6 @@ class SparseHebbianNetwork:
                 self._readout_idx.clear()
             self._readout_idx[id(active)] = entry
         cols, flat = entry
-        if self._kern is not None:
-            return self._kern.readout_sparse(self._serve_flat, flat, cols)
         return np.bincount(cols, weights=self._serve_flat.take(flat),
                            minlength=self.config.vocab_size)
 
@@ -565,16 +554,11 @@ class SparseHebbianNetwork:
         flat = np.concatenate(flats)
         w_flat = self._w_out_flat
         wm = config.weight_max
-        if self._kern is not None:
-            # Distinct targets => disjoint columns => distinct offsets,
-            # so the in-place kernel equals the gather/scatter below.
-            self._kern.learn_apply(w_flat, flat, np.concatenate(deltas), wm)
-        else:
-            vals = w_flat.take(flat)
-            vals += np.concatenate(deltas)
-            np.minimum(vals, wm, out=vals)
-            np.maximum(vals, -wm, out=vals)
-            w_flat[flat] = vals
+        vals = w_flat.take(flat)
+        vals += np.concatenate(deltas)
+        np.minimum(vals, wm, out=vals)
+        np.maximum(vals, -wm, out=vals)
+        w_flat[flat] = vals
         self._sync_serving(flat)
 
     def predict_rollout(self, width: int = 1, length: int = 1
@@ -723,29 +707,21 @@ class SparseHebbianNetwork:
                     self._delta_cache.clear()
                 self._delta_cache[key] = delta
         wm = config.weight_max
-        if self._kern is not None:
-            # In-place update == gather-modify-scatter: the flat offsets
-            # of one connected column are distinct.
-            self._kern.learn_apply(w_flat, flat, delta, wm)
-        else:
-            vals = w_flat.take(flat)
-            vals += delta
-            np.minimum(vals, wm, out=vals)
-            np.maximum(vals, -wm, out=vals)
-            w_flat[flat] = vals
+        vals = w_flat.take(flat)
+        vals += delta
+        np.minimum(vals, wm, out=vals)
+        np.maximum(vals, -wm, out=vals)
+        w_flat[flat] = vals
         self._sync_serving(flat)
 
         if config.punish_wrong and predicted is not None and predicted != target:
             wrong = active[self.mask_out[active, predicted]]
             if wrong.size:
                 wrong_flat = wrong * config.vocab_size + predicted
-                if self._kern is not None:
-                    self._kern.punish_apply(w_flat, wrong_flat, lr, wm)
-                else:
-                    wvals = w_flat.take(wrong_flat)
-                    wvals -= lr
-                    np.maximum(wvals, -wm, out=wvals)
-                    w_flat[wrong_flat] = wvals
+                wvals = w_flat.take(wrong_flat)
+                wvals -= lr
+                np.maximum(wvals, -wm, out=wvals)
+                w_flat[wrong_flat] = wvals
                 self._sync_serving(wrong_flat)
 
     def _adapt_hidden(self, input_class: int, active: np.ndarray,

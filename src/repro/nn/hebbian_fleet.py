@@ -11,17 +11,17 @@ arithmetic:
 
 * **Batched learn** — every lane's Eq. 1 column update (and the
   error-driven punish term) lands in a disjoint block of the flat weight
-  tensor, so the whole fleet applies as one ``learn_apply`` /
-  ``punish_apply`` call per step.
+  tensor, so the whole fleet applies as one gather-update-clip-scatter
+  per step.
 * **Batched readout** — the per-lane connected-entry gathers concatenate
-  into one ``bincount`` (or one ``rk_readout_sparse`` call) over a
-  ``T * vocab`` accumulator, reshaped to per-lane score rows.
+  into one ``bincount`` over a ``T * vocab`` accumulator, reshaped to
+  per-lane score rows.
 * **Batched softmax** — one row-wise max-shifted softmax over the
   ``(T, vocab)`` score matrix.
 
 Every batched path is bit-identical to T independent networks stepping
-the same class streams (``tests/nn/test_hebbian_fleet.py`` pins this per
-backend): lane blocks are disjoint so the update order across lanes
+the same class streams (``tests/nn/test_hebbian_fleet.py`` pins this):
+lane blocks are disjoint so the update order across lanes
 cannot matter, the shared caches are pure memoization over fixed
 structures, and the row softmax performs the same elementwise
 arithmetic as the scalar one.
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import hebbian_kernels
 from .hebbian import (
     _DELTA_CACHE_CAP,
     _READOUT_IDX_CAP,
@@ -130,14 +129,6 @@ class HebbianFleet:
             self.w_out = np.broadcast_to(
                 prototype.w_out, (n_lanes,) + prototype.w_out.shape).copy()
         self._w_flat = self.w_out.reshape(-1)
-        # A second kernel bundle over the widened T*vocab accumulator;
-        # learn/punish are vocab-independent so it serves those too.
-        self._kern = None
-        if prototype._kern is not None:
-            self._kern = hebbian_kernels(
-                prototype._backend, rec_pad=prototype._rec_pad,
-                hidden_dim=self.hidden_dim,
-                vocab_size=n_lanes * self.vocab_size)
         self._prev_class: list[int | None] = [None] * n_lanes
         self._prev_active: list[np.ndarray | None] = [None] * n_lanes
         self._prev_pred: list[int | None] = [None] * n_lanes
@@ -218,11 +209,6 @@ class HebbianFleet:
         w_out[:old] = self.w_out
         self.w_out = w_out
         self._w_flat = self.w_out.reshape(-1)
-        if self._kern is not None:
-            self._kern = hebbian_kernels(
-                self.prototype._backend, rec_pad=self.prototype._rec_pad,
-                hidden_dim=self.hidden_dim,
-                vocab_size=new * self.vocab_size)
         grown = new - old
         self._prev_class.extend([None] * grown)
         self._prev_active.extend([None] * grown)
@@ -382,25 +368,18 @@ class HebbianFleet:
         if flats:
             flat = np.concatenate(flats)
             w_flat = self._w_flat
-            if self._kern is not None:
-                self._kern.learn_apply(w_flat, flat,
-                                       np.concatenate(deltas), wm)
-            else:
-                vals = w_flat.take(flat)
-                vals += np.concatenate(deltas)
-                np.minimum(vals, wm, out=vals)
-                np.maximum(vals, -wm, out=vals)
-                w_flat[flat] = vals
+            vals = w_flat.take(flat)
+            vals += np.concatenate(deltas)
+            np.minimum(vals, wm, out=vals)
+            np.maximum(vals, -wm, out=vals)
+            w_flat[flat] = vals
         if punish_flats:
             wrong_flat = np.concatenate(punish_flats)
             w_flat = self._w_flat
-            if self._kern is not None:
-                self._kern.punish_apply(w_flat, wrong_flat, lr, wm)
-            else:
-                wvals = w_flat.take(wrong_flat)
-                wvals -= lr
-                np.maximum(wvals, -wm, out=wvals)
-                w_flat[wrong_flat] = wvals
+            wvals = w_flat.take(wrong_flat)
+            wvals -= lr
+            np.maximum(wvals, -wm, out=wvals)
+            w_flat[wrong_flat] = wvals
 
     def _readout_lanes(self, lanes: list[int],
                        actives: list[np.ndarray]) -> np.ndarray:
@@ -426,17 +405,9 @@ class HebbianFleet:
         if flats:
             flat_all = np.concatenate(flats)
             cols_all = np.concatenate(cols_list)
-            if self._kern is not None:
-                # The widened bundle's accumulator spans capacity*vocab;
-                # every column index is < L*vocab, so the live scores
-                # are the leading slice.
-                scores = self._kern.readout_sparse(
-                    self._w_flat, flat_all, cols_all)[:n * vocab]
-            else:
-                scores = np.bincount(cols_all,
-                                     weights=self._w_flat.take(flat_all),
-                                     minlength=n * vocab)
-            scores = scores.reshape(n, vocab)
+            scores = np.bincount(cols_all,
+                                 weights=self._w_flat.take(flat_all),
+                                 minlength=n * vocab).reshape(n, vocab)
         else:
             scores = np.zeros((n, vocab))
         for i in dense_rows:
@@ -467,7 +438,7 @@ class HebbianFleet:
         lane that has one, so in-lane pair order (which matters for
         duplicate targets and for punish_wrong's pre-update readout) is
         preserved exactly, while cross-lane updates merge freely into
-        one ``learn_apply``/``punish_apply`` (disjoint weight blocks).
+        one gather-update-scatter (disjoint weight blocks).
         Like the scalar ``train_pairs``, this never touches
         ``train_steps`` or the lanes' sequence context.
         """
@@ -515,31 +486,24 @@ class HebbianFleet:
             if flats:
                 flat = np.concatenate(flats)
                 w_flat = self._w_flat
-                if self._kern is not None:
-                    self._kern.learn_apply(w_flat, flat,
-                                           np.concatenate(deltas), wm)
-                else:
-                    vals = w_flat.take(flat)
-                    vals += np.concatenate(deltas)
-                    np.minimum(vals, wm, out=vals)
-                    np.maximum(vals, -wm, out=vals)
-                    w_flat[flat] = vals
+                vals = w_flat.take(flat)
+                vals += np.concatenate(deltas)
+                np.minimum(vals, wm, out=vals)
+                np.maximum(vals, -wm, out=vals)
+                w_flat[flat] = vals
             if punish_flats:
                 w_flat = self._w_flat
-                # punish_apply takes one scalar lr; group by value so
-                # mixed per-lane lr_scales still fuse per group.
+                # One scalar lr per subtraction: group by value so mixed
+                # per-lane lr_scales still fuse per group.
                 by_lr: dict[float, list[np.ndarray]] = {}
                 for arr, plr in zip(punish_flats, punish_lrs):
                     by_lr.setdefault(plr, []).append(arr)
                 for plr, arrs in by_lr.items():
                     wrong_flat = np.concatenate(arrs)
-                    if self._kern is not None:
-                        self._kern.punish_apply(w_flat, wrong_flat, plr, wm)
-                    else:
-                        wvals = w_flat.take(wrong_flat)
-                        wvals -= plr
-                        np.maximum(wvals, -wm, out=wvals)
-                        w_flat[wrong_flat] = wvals
+                    wvals = w_flat.take(wrong_flat)
+                    wvals -= plr
+                    np.maximum(wvals, -wm, out=wvals)
+                    w_flat[wrong_flat] = wvals
 
     # ------------------------------------------------------------------
     # Batched beam rollout (the predict_rollout mirror)

@@ -46,9 +46,6 @@ class NullTelemetry:
                   queue_depth: int, prefetcher: object) -> None:
         del stop, cache, queue_depth, prefetcher
 
-    def on_fallback_restart(self) -> None:
-        pass
-
     def end_run(self, engine: str, backend: str = "unknown") -> None:
         del engine, backend
 

@@ -97,11 +97,6 @@ class Telemetry(NullTelemetry):
         extra = poll() if callable(poll) else None
         self._acc.emit(stop, cache.stats, len(cache), queue_depth, extra)
 
-    def on_fallback_restart(self) -> None:
-        """The batched engine bailed out; the run restarts from access 0."""
-        self.counter("engine_fallback_restarts")
-        self._acc.reset()
-
     def end_run(self, engine: str, backend: str = "unknown") -> None:
         self._wall_time_s = time.perf_counter() - self._started_at
         self._engine = engine

@@ -78,7 +78,7 @@ class WindowAccumulator:
         return stops
 
     def reset(self) -> None:
-        """Discard all windows and snapshots (engine fallback restart)."""
+        """Discard all windows and snapshots (a new run begins)."""
         self.windows = []
         self._prev_stats = (0,) * len(STAT_FIELDS)
         self._prev_resident = 0

@@ -79,25 +79,10 @@ def test_volatile_flow_into_key_call_triggers_rl101(tree):
     assert any("os.environ" in f.message for f in findings)
 
 
-def test_signature_drift_in_c_backend_triggers_rl102(tree):
-    """A renamed kernel parameter in one backend breaks call-shape
-    parity with the numba and numpy bundles."""
-    mutate(tree, "nn/backends/c_backend.py",
-           "def first_nonresident(self, soc: np.ndarray, cids: np.ndarray,\n"
-           "                          start: int, stop: int) -> int:",
-           "def first_nonresident(self, soc: np.ndarray, cids: np.ndarray,\n"
-           "                          begin: int, stop: int) -> int:")
-    findings = project_findings(tree, "RL102")
-    assert findings, "RL102 did not fire on the drifted signature"
-    assert any("first_nonresident" in f.message for f in findings)
-    assert {f.path.rpartition("/")[2] for f in findings} <= \
-        {"c_backend.py", "numba_backend.py"}
-
-
 def test_dropped_factory_registration_triggers_rl102(tree):
     """Renaming a factory out of existence silently degrades the
     backend to the numpy fallback; the registry contract catches it."""
-    mutate(tree, "nn/backends/numba_backend.py",
+    mutate(tree, "nn/backends/c_backend.py",
            "def make_sim_kernels(", "def build_sim_kernels(")
     findings = project_findings(tree, "RL102")
     assert any("does not define make_sim_kernels" in f.message

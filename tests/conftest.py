@@ -17,10 +17,10 @@ def _disable_compiled_backends() -> None:  # repro-lint: zone=init
     """Honor ``REPRO_DISABLE_COMPILED`` for the whole test session.
 
     ``REPRO_DISABLE_COMPILED=1`` forces every backend resolution to the
-    pure-numpy reference even on machines with a working compiler or
-    numba — the CI leg that proves a numpy-only install passes the full
-    suite sets it.  A comma list (``REPRO_DISABLE_COMPILED=numba,c``)
-    disables just those backends.
+    pure-numpy reference even on machines with a working compiler —
+    the CI leg that proves a numpy-only install passes the full suite
+    sets it.  A comma list (``REPRO_DISABLE_COMPILED=c``) disables just
+    the named backends.
 
     Runs at conftest *import* (before any test module is collected):
     the cross-backend suites snapshot ``available_backends()`` into

@@ -56,25 +56,37 @@ def _config() -> SimConfig:
 # ----------------------------------------------------------------------
 # The span-length probe (PR 4 regression fix)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("app,expected", [
+def _with_null(cases: list[tuple[str, ...]]) -> list:
+    """Each case for the stride prefetcher (ids unchanged) and again for
+    the null prefetcher: on the numpy backend both take the same probe."""
+    return ([pytest.param(StridePrefetcher, *case, id="-".join(case))
+             for case in cases]
+            + [pytest.param(NullPrefetcher, *case,
+                            id="-".join(("null",) + case))
+               for case in cases])
+
+
+@pytest.mark.parametrize("make_prefetcher,app,expected", _with_null([
     ("resnet", "scalar"),      # ~1-access spans: batching is overhead
     ("graph500", "scalar"),    # short spans: same regression family
     ("pagerank", "batched"),   # long resident runs: spans pay off
     ("mcf", "batched"),
-])
-def test_probe_picks_engine_per_span_profile(app: str, expected: str):
-    result = simulate(_trace(app), StridePrefetcher(), _config(),
+]))
+def test_probe_picks_engine_per_span_profile(make_prefetcher, app: str,
+                                             expected: str):
+    result = simulate(_trace(app), make_prefetcher(), _config(),
                       backend="numpy")
     assert result.engine_used == expected
 
 
-@pytest.mark.parametrize("app", ["resnet", "pagerank"])
-def test_auto_bit_identical_to_both_pinned_engines(app: str):
+@pytest.mark.parametrize("make_prefetcher,app",
+                         _with_null([("resnet",), ("pagerank",)]))
+def test_auto_bit_identical_to_both_pinned_engines(make_prefetcher, app: str):
     trace = _trace(app)
-    auto = simulate(trace, StridePrefetcher(), _config(),
+    auto = simulate(trace, make_prefetcher(), _config(),
                     record_miss_indices=True, backend="numpy")
     for engine in ("scalar", "batched"):
-        pinned = simulate(trace, StridePrefetcher(), _config(),
+        pinned = simulate(trace, make_prefetcher(), _config(),
                           record_miss_indices=True, engine=engine,
                           backend="numpy")
         assert auto.stats.as_dict() == pinned.stats.as_dict()
@@ -90,31 +102,31 @@ def test_probe_skipped_for_small_traces():
 
 
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
-@pytest.mark.parametrize("app,expected", [
-    ("resnet", "scalar"),      # spans ~1-2: even compiled dispatch loses
-    ("graph500", "batched"),   # spans ~8: compiled scans win here (the
-                               # numpy threshold would send it scalar)
-    ("pagerank", "batched"),
+@pytest.mark.parametrize("make_prefetcher,app,expected", [
+    # spans ~1-2: even compiled dispatch loses
+    pytest.param(StridePrefetcher, "resnet", "scalar", id="resnet-scalar"),
+    # spans ~8: compiled scans win here (the numpy threshold would send
+    # it scalar)
+    pytest.param(StridePrefetcher, "graph500", "batched",
+                 id="graph500-batched"),
+    pytest.param(StridePrefetcher, "pagerank", "batched",
+                 id="pagerank-batched"),
+    # the compiled null replay has no per-span cost: never probed
+    pytest.param(NullPrefetcher, "resnet", "batched",
+                 id="null-resnet-batched"),
 ])
-def test_compiled_probe_uses_lower_span_threshold(backend: str, app: str,
+def test_compiled_probe_uses_lower_span_threshold(backend: str,
+                                                  make_prefetcher, app: str,
                                                   expected: str):
     """The probe runs for compiled backends too, with a lower crossover:
     compiled spans are ~an order of magnitude cheaper than numpy spans,
     but a span of ~1 access still loses to the per-access loop."""
     if backend == "__none__":
         pytest.skip("no compiled backend available in this environment")
-    result = simulate(_trace(app), StridePrefetcher(), _config(),
+    result = simulate(_trace(app), make_prefetcher(), _config(),
                       backend=backend)
     assert result.engine_used == expected
     assert result.backend_used == backend
-
-
-def test_null_replay_engine_unaffected_by_probe():
-    """Null-prefetcher runs keep the dedicated replay engine: the probe
-    is a stride/CLS-path concern only."""
-    result = simulate(_trace("resnet"), NullPrefetcher(), _config(),
-                      backend="numpy")
-    assert result.engine_used == "batched"
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Backend registry, fallback, and serving-mode contracts (PR 6).
+"""Backend registry, fallback, and serving-mode contracts (PR 6, PR 16).
 
 Three families of claims:
 
 - **registry behavior** — name validation, ``auto`` resolution, the
   explicit-request-raises / auto-falls-back asymmetry, the one-time
-  fallback warning, and the numba-absent import path;
-- **cross-backend bit-identity** — every available compiled backend's
-  Hebbian kernels reproduce the numpy reference exactly, over long
-  randomized streams (the simulator-side twin lives in
-  ``tests/memsim/test_engine_auto.py``);
+  fallback warning, and the C library cache (a corrupt cached ``.so`` is
+  rebuilt, the cache key covers the compile flags);
+- **cross-backend bit-identity** — every compiled backend name is also
+  a legal network name (one ``--backend`` value flows to both domains)
+  and must leave the Hebbian network exactly the numpy one, over long
+  randomized streams.  Since PR 16 no network kernel is compiled, so
+  this pins the name plumbing, not a second implementation (the
+  simulator-side twin, which does compare two implementations, lives
+  in ``tests/memsim/test_engine_auto.py``);
 - **int8 serving contract** — the one deliberate exception to
   bit-identity: training weights stay float64 (identical to numpy when
   learning does not read the served scores), the serving mirror sits on
@@ -22,6 +26,7 @@ manifest's ``env`` (provenance), and never in a ``run_grid`` cache key
 from __future__ import annotations
 
 import dataclasses
+import shutil
 import warnings
 
 import numpy as np
@@ -34,6 +39,7 @@ from repro.nn.backends import (
     BackendUnavailableError,
     available_backends,
     backend_available,
+    c_backend,
     resolve_backend,
 )
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
@@ -62,8 +68,9 @@ def test_numpy_and_int8_always_available():
 
 
 def test_unknown_backend_name_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("cuda")
+    for name in ("cuda", "numba"):  # numba was a backend until PR 16
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(name)
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("int8", domain="sim")  # int8 is nn-only
     with pytest.raises(ValueError, match="backend"):
@@ -75,10 +82,9 @@ def test_auto_never_resolves_to_int8():
 
 
 def test_explicit_unavailable_backend_raises(monkeypatch):
-    monkeypatch.setattr(backends, "_disabled", {"numba", "c"})
-    for name in ("numba", "c"):
-        with pytest.raises(BackendUnavailableError):
-            resolve_backend(name)
+    monkeypatch.setattr(backends, "_disabled", {"c"})
+    with pytest.raises(BackendUnavailableError):
+        resolve_backend("c")
     # The same hard-request contract through the two public surfaces.
     with pytest.raises(BackendUnavailableError):
         SparseHebbianNetwork(HebbianConfig(vocab_size=16, backend="c"))
@@ -89,7 +95,7 @@ def test_explicit_unavailable_backend_raises(monkeypatch):
 
 
 def test_auto_fallback_warns_once(monkeypatch):
-    monkeypatch.setattr(backends, "_disabled", {"numba", "c"})
+    monkeypatch.setattr(backends, "_disabled", {"c"})
     monkeypatch.setattr(backends, "_warned_fallback", False)
     with pytest.warns(RuntimeWarning, match="falling back"):
         assert resolve_backend("auto") == "numpy"
@@ -99,7 +105,7 @@ def test_auto_fallback_warns_once(monkeypatch):
 
 
 def test_set_default_backend_validates(monkeypatch):
-    monkeypatch.setattr(backends, "_disabled", {"numba", "c"})
+    monkeypatch.setattr(backends, "_disabled", {"c"})
     monkeypatch.setattr(backends, "_default_backend", "auto")
     with pytest.raises(BackendUnavailableError):
         backends.set_default_backend("c")
@@ -111,20 +117,24 @@ def test_set_default_backend_validates(monkeypatch):
     assert backends.get_default_backend() == "auto"
 
 
-def test_numba_absent_import_is_clean():
-    """The numba module must import (and report itself unavailable)
-    without numba installed; a hard request then raises, never falls
-    back silently."""
-    from repro.nn.backends import numba_backend
-
-    assert isinstance(numba_backend.available(), bool)
-    if not numba_backend.available():
-        with pytest.raises(RuntimeError):
-            numba_backend.make_sim_kernels()
-        with pytest.raises(RuntimeError):
-            numba_backend.make_hebbian_kernels(
-                rec_pad=np.zeros((4, 2), dtype=np.int64), hidden_dim=4,
-                vocab_size=8)
+def test_corrupt_cached_library_is_rebuilt(monkeypatch, tmp_path):
+    """A cached ``.so`` that exists but cannot be loaded is recompiled
+    over once instead of latching this (and every later) process onto
+    numpy; and the cache key covers the compile flags."""
+    pytest.importorskip("cffi")
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setattr(c_backend, "_build_dir", lambda: tmp_path)
+    for attr, value in (("_ffi", None), ("_lib", None),
+                        ("_load_failed", False)):
+        monkeypatch.setattr(c_backend, attr, value)
+    path = c_backend._so_path()
+    path.write_bytes(b"not an ELF file")
+    assert c_backend.available()
+    rebuilt, _ = c_backend._load()
+    rebuilt.dlopen(str(path))  # the file on disk is a loadable library now
+    monkeypatch.setattr(c_backend, "_CFLAGS", c_backend._CFLAGS + ("-g",))
+    assert c_backend._so_path() != path
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +282,6 @@ def test_run_grid_cache_key_excludes_backend(tmp_path):
 
 
 def test_run_grid_rejects_unavailable_backend(monkeypatch, tmp_path):
-    monkeypatch.setattr(backends, "_disabled", {"numba", "c"})
+    monkeypatch.setattr(backends, "_disabled", {"c"})
     with pytest.raises(BackendUnavailableError):
         run_grid([{"x": 1}], _cell, jobs=1, cache_dir=tmp_path, backend="c")

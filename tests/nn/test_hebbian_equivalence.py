@@ -20,9 +20,12 @@ from repro.nn.hebbian_reference import DenseHebbianReference
 
 N_STEPS = 1000
 
-#: PR 6: the dense-reference equivalence must hold for every available
-#: backend, not just the numpy kernels ("int8" is excluded by design —
-#: it is accuracy-bounded, not bit-identical; see tests/nn/test_backends).
+#: The dense-reference equivalence must hold under every legal network
+#: backend name ("int8" is excluded by design — it is accuracy-bounded,
+#: not bit-identical; see tests/nn/test_backends).  Since PR 16 the
+#: network is numpy arithmetic under every name, so the non-numpy entries
+#: pin the name plumbing only; the list is derived from the registry and
+#: collapses to numpy when "c" leaves NN_BACKENDS.
 BACKENDS = ["numpy"] + [b for b in available_backends("nn")
                         if b not in ("numpy", "int8")]
 

@@ -4,7 +4,8 @@ A :class:`repro.nn.hebbian_fleet.HebbianFleet` stepping T class streams
 must reproduce T independent clones of the prototype stepping the same
 streams — identical probabilities every step, identical learned weights
 at the end, and a materialized ``lane_network`` must continue its lane
-bit-identically — on every float backend.
+bit-identically — under every float backend name (all of them the same
+numpy arithmetic since PR 16; the list follows the registry).
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Differential suite: telemetry must never perturb the simulation.
 
-Three claims, pinned across the four Figure 5 applications:
+Two claims, pinned across the four Figure 5 applications (the null
+replay additionally on a uniform-random trace whose scattered misses
+defeat span batching):
 
 - **engine parity under observation** — the scalar and span-batched
   engines with an *enabled* sink produce identical ``CacheStats``,
@@ -12,9 +14,6 @@ Three claims, pinned across the four Figure 5 applications:
   and every learned CLS weight array (``_probs_buf`` is excluded: it is
   write-before-read scratch and differs even between two identical
   unobserved runs).
-- **fallback restarts are accounted** — when the null-replay engine
-  bails out mid-run, the sink discards its partial windows, counts the
-  restart, and the rewound scalar run's windows match a pure scalar run.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import pytest
 
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim import NullPrefetcher, SimConfig, simulate
+from repro.nn.backends import available_backends
 from repro.patterns.applications import (
     AppSpec,
     graph500,
@@ -105,40 +105,28 @@ def test_observation_is_bit_identical_to_unobserved(app: str, engine: str):
         == bare.stats.demand_misses
 
 
-@pytest.mark.parametrize("app", sorted(APPS))
-def test_null_replay_engine_windows_match_scalar(app: str):
-    trace = _trace(app)
-    sink_b, sink_s = Telemetry(INTERVAL), Telemetry(INTERVAL)
-    batched = simulate(trace, NullPrefetcher(), _config(),
-                       record_miss_indices=True, engine="batched",
-                       telemetry=sink_b)
-    scalar = simulate(trace, NullPrefetcher(), _config(),
-                      record_miss_indices=True, engine="scalar",
-                      telemetry=sink_s)
-    assert batched.stats.as_dict() == scalar.stats.as_dict()
-    assert batched.miss_indices == scalar.miss_indices
-    assert sink_b.windows == sink_s.windows
-
-
-def test_fallback_restart_rewinds_windows():
-    # A random-page trace defeats span batching: the null-replay engine
-    # accumulates scalar fallbacks past its budget and restarts scalar.
-    # Only the numpy backend has this failure mode (compiled backends
-    # replay scattered misses at full speed and never bail), so pin it.
+def _uniform_random() -> Trace:
     rng = np.random.default_rng(7)
     addresses = rng.integers(0, 4_000, size=N).astype(np.int64) * 4096
-    trace = Trace(name="uniform_random", addresses=addresses,
-                  metadata={"seed": 7})
-    sink_auto, sink_s = Telemetry(INTERVAL), Telemetry(INTERVAL)
-    auto = simulate(trace, NullPrefetcher(), _config(),
-                    record_miss_indices=True, backend="numpy",
-                    telemetry=sink_auto)
+    return Trace(name="uniform_random", addresses=addresses,
+                 metadata={"seed": 7})
+
+
+@pytest.mark.parametrize("app", sorted(APPS) + ["uniform"])
+def test_null_replay_engine_windows_match_scalar(app: str):
+    """Null runs agree with the scalar reference — stats, miss indices
+    and telemetry windows — under every engine choice and backend."""
+    trace = _uniform_random() if app == "uniform" else _trace(app)
+    sink_s = Telemetry(INTERVAL)
     scalar = simulate(trace, NullPrefetcher(), _config(),
                       record_miss_indices=True, engine="scalar",
                       backend="numpy", telemetry=sink_s)
-    assert sink_auto.counters.get("engine_fallback_restarts") == 1
-    assert sink_auto.manifest()["engine"] == "scalar"
-    assert auto.stats.as_dict() == scalar.stats.as_dict()
-    assert auto.miss_indices == scalar.miss_indices
-    # The partial pre-fallback windows were discarded, not double-counted.
-    assert sink_auto.windows == sink_s.windows
+    for backend in available_backends("sim"):
+        for engine in ("auto", "batched"):
+            sink = Telemetry(INTERVAL)
+            run = simulate(trace, NullPrefetcher(), _config(),
+                           record_miss_indices=True, engine=engine,
+                           backend=backend, telemetry=sink)
+            assert run.stats.as_dict() == scalar.stats.as_dict()
+            assert run.miss_indices == scalar.miss_indices
+            assert sink.windows == sink_s.windows
