@@ -12,8 +12,7 @@ Three subcommands cover the library's day-to-day uses:
   ``--telemetry-dir`` (see :mod:`repro.telemetry`);
 - ``serve`` — run the online train-and-serve prefetch daemon
   (:mod:`repro.serve`) over a generated multi-tenant miss mix, in
-  deterministic lockstep or on real threads, plus a quick threaded
-  latency probe (``serve bench``).
+  deterministic lockstep or on real threads.
 
 Performance is measured by the repo-root ``bench`` package
 (``python -m bench``), not from here.
@@ -29,7 +28,6 @@ Examples::
     python -m repro simulate --app mcf --model hebbian --telemetry-dir runs/
     python -m repro telemetry summarize runs/
     python -m repro serve run --tenants 8 --n 2000 --threaded
-    python -m repro serve bench --offered-eps 2000
 
 ``--profile`` (before the subcommand) wraps any run in :mod:`cProfile`
 and prints the 25 hottest functions by cumulative time — the same view
@@ -239,15 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run.add_argument("--seed", type=int, default=0)
     serve_run.add_argument("--manifest-dir", default=None,
                            help="write the serve JSONL manifest here")
-    serve_bench = serve_sub.add_parser(
-        "bench", help="quick threaded latency probe: p50/p99 query "
-                      "latency at one offered load")
-    serve_bench.add_argument("--tenants", type=int, default=4)
-    serve_bench.add_argument("--events", type=int, default=2000)
-    serve_bench.add_argument("--offered-eps", type=float, default=2000.0,
-                             help="offered events+queries per second")
-    serve_bench.add_argument("--vocab", type=int, default=128)
-    serve_bench.add_argument("--seed", type=int, default=0)
 
     tel = sub.add_parser("telemetry", help="inspect telemetry output")
     tel_sub = tel.add_subparsers(dest="telemetry_command", required=True)
@@ -461,98 +450,32 @@ def _build_prefetcher(args: argparse.Namespace) -> Prefetcher:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from .harness.fleet import run_fleet, write_fleet_manifest
-    from .harness.runner import resolve_jobs
-    from .memsim.fleet import FleetLaneSpec
+    from .harness.fleet import run_fleet_jobs, write_fleet_manifest
 
     patterns = args.pattern or list(PATTERN_NAMES)
-    workers = resolve_jobs(args.jobs, args.tenants)
-    if workers > 1:
-        # Sharded path: JSON lane jobs, materialized inside each worker
-        # (see harness.fleet.materialize_lane_spec — same lane recipe as
-        # the in-process builder below).
-        from .harness.fleet import run_fleet_jobs, write_fleet_jobs_manifest
-
-        job_kind = ("cls-hebbian" if args.model == "hebbian"
-                    else args.model)
-        lane_jobs = []
-        for tenant in range(args.tenants):
-            job: dict = {
-                "pattern": patterns[tenant % len(patterns)],
-                "n": args.n,
-                "working_set": args.working_set,
-                "seed": args.seed + tenant,
-                "prefetcher": job_kind,
-                "sim": {"memory_fraction": args.memory_fraction,
-                        "prefetch_delay_accesses": args.delay},
-            }
-            if job_kind == "cls-hebbian":
-                job["cls"] = {"vocab": args.vocab, "seed": args.seed}
-            lane_jobs.append(job)
-        jobs_report = run_fleet_jobs(lane_jobs, jobs=workers,
-                                     backend=args.backend,
-                                     max_width=args.width)
-        rollup = jobs_report.rollup()
-        print_table(["metric", "value"],
-                    [[key, value] for key, value in rollup.items()],
-                    title=f"Fleet — {args.tenants} tenants x {args.n} "
-                          f"accesses ({args.model}, "
-                          f"{jobs_report.jobs} jobs)")
-        if args.manifest_dir is not None:
-            path = write_fleet_jobs_manifest(jobs_report,
-                                             args.manifest_dir)
-            print(f"manifest: {path}")
-        return 0
-
-    sim_cfg = SimConfig(memory_fraction=args.memory_fraction,
-                        prefetch_delay_accesses=args.delay)
-    prototype = None
-    if args.model == "hebbian":
-        from .nn.hebbian import SparseHebbianNetwork
-
-        hebbian_cfg = experiment_hebbian_config(args.vocab, args.seed)
-        if args.backend != "auto":
-            hebbian_cfg = dataclasses.replace(hebbian_cfg,
-                                              backend=args.backend)
-        prototype = SparseHebbianNetwork(hebbian_cfg)
-
-    def lane_prefetcher() -> Prefetcher:
-        if args.model == "none":
-            return NullPrefetcher()
-        if args.model == "nextline":
-            return NextLinePrefetcher()
-        if args.model == "stride":
-            return StridePrefetcher()
-        if args.model == "markov":
-            return MarkovPrefetcher()
-        if args.model == "leap":
-            return LeapPrefetcher()
-        assert prototype is not None
-        # All lanes share the prototype's fixed structures and memo
-        # caches via clone(); learned weights stay per-lane.
-        return CLSPrefetcher(CLSPrefetcherConfig(
-            model="hebbian", vocab_size=args.vocab,
-            hebbian=prototype.config, seed=args.seed),
-            model=prototype.clone())
-
-    specs = []
-    for tenant in range(args.tenants):
-        pattern = patterns[tenant % len(patterns)]
-        trace = generate(pattern, PatternSpec(
-            n=args.n, working_set=args.working_set,
-            seed=args.seed + tenant))
-        specs.append(FleetLaneSpec(trace=trace,
-                                   prefetcher=lane_prefetcher(),
-                                   config=sim_cfg))
-    report = run_fleet(specs, backend=args.backend, max_width=args.width)
-    rollup = report.rollup()
+    kind = "cls-hebbian" if args.model == "hebbian" else args.model
+    # One lane recipe for any --jobs (harness.fleet.materialize_lane_spec):
+    # page-sized elements, as `simulate --pattern` defaults to; "cls" is
+    # read by cls-hebbian lanes only.
+    lane_jobs = [{
+        "pattern": patterns[tenant % len(patterns)],
+        "n": args.n,
+        "working_set": args.working_set,
+        "element_size": 4096,
+        "seed": args.seed + tenant,
+        "prefetcher": kind,
+        "sim": {"memory_fraction": args.memory_fraction,
+                "prefetch_delay_accesses": args.delay},
+        "cls": {"vocab": args.vocab, "seed": args.seed},
+    } for tenant in range(args.tenants)]
+    report = run_fleet_jobs(lane_jobs, jobs=args.jobs, backend=args.backend,
+                            max_width=args.width)
     print_table(["metric", "value"],
-                [[key, value] for key, value in rollup.items()],
+                [[key, value] for key, value in report.rollup().items()],
                 title=f"Fleet — {args.tenants} tenants x {args.n} "
-                      f"accesses ({args.model})")
+                      f"accesses ({args.model}, {report.jobs} jobs)")
     if args.manifest_dir is not None:
-        path = write_fleet_manifest(report, args.manifest_dir)
-        print(f"manifest: {path}")
+        print(f"manifest: {write_fleet_manifest(report, args.manifest_dir)}")
     return 0
 
 
@@ -589,81 +512,43 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import PrefetchService, ServeConfig, replay_lockstep
     from .serve.loop import ThreadScheduler
 
-    if args.serve_command == "run":
-        config = ServeConfig(
-            vocab_size=args.vocab, prefetch_length=args.length,
-            prefetch_width=args.width, max_staleness=args.max_staleness,
-            ring_capacity=args.ring_capacity, max_batch=args.max_batch,
-            stacked=not args.scalar, seed=args.seed)
-        service = PrefetchService(config)
-        patterns = args.pattern or list(PATTERN_NAMES)
-        events = _serve_events(args.tenants, patterns, args.n,
-                               args.working_set, args.seed)
-        if args.threaded:
-            sched = ThreadScheduler()
-            for actor in service.actors():
-                sched.add(actor)
-            sched.start()
-            try:
-                for tenant, address, timestamp in events:
-                    service.submit_miss(tenant, address, timestamp)
-                    ticket = service.query(tenant)
-                    if not ticket.wait(30.0):
-                        raise RuntimeError(
-                            f"query {ticket.qid} unanswered after 30 s")
-            finally:
-                sched.stop()
-        else:
-            replay_lockstep(service, events)
-        rows = [[key, value] for key, value in service.counters().items()]
-        rows += [[f"latency_{key}", round(value, 4)]
-                 for key, value in service.latency_percentiles().items()]
-        rows += [[f"swap_pause_{key}", round(value, 4)]
-                 for key, value in service.swap_pause_percentiles().items()]
-        mode = "threaded" if args.threaded else "lockstep"
-        print_table(["metric", "value"], rows,
-                    title=f"Serve — {args.tenants} tenants x {args.n} "
-                          f"events ({mode})")
-        if args.manifest_dir is not None:
-            path = service.write_manifest(args.manifest_dir)
-            print(f"manifest: {path}")
-        return 0
-
-    # serve bench: paced threaded probe at one offered load.
-    import time as _time
-
-    service = PrefetchService(ServeConfig(vocab_size=args.vocab,
-                                          seed=args.seed))
-    sched = ThreadScheduler()
-    for actor in service.actors():
-        sched.add(actor)
-    sched.start()
-    period = 1.0 / args.offered_eps
-    tickets = []
-    try:
-        start = _time.perf_counter()
-        for i in range(args.events):
-            tenant = i % args.tenants
-            service.submit_miss(tenant, 4096 * ((3 * i + tenant) % 64), i)
-            tickets.append(service.query(tenant))
-            deadline = start + (i + 1) * period
-            remaining = deadline - _time.perf_counter()
-            if remaining > 0:
-                _time.sleep(remaining)
-        for ticket in tickets:
-            if not ticket.wait(30.0):
-                raise RuntimeError(
-                    f"query {ticket.qid} unanswered after 30 s")
-    finally:
-        sched.stop()
-    latency = service.latency_percentiles()
-    print_table(["metric", "value"],
-                [["offered_eps", args.offered_eps],
-                 ["queries", int(latency["n"])],
-                 ["p50_ms", round(latency["p50_ms"], 4)],
-                 ["p99_ms", round(latency["p99_ms"], 4)]],
-                title=f"Serve bench — {args.tenants} tenants at "
-                      f"{args.offered_eps:g} events/s offered")
+    config = ServeConfig(
+        vocab_size=args.vocab, prefetch_length=args.length,
+        prefetch_width=args.width, max_staleness=args.max_staleness,
+        ring_capacity=args.ring_capacity, max_batch=args.max_batch,
+        stacked=not args.scalar, seed=args.seed)
+    service = PrefetchService(config)
+    patterns = args.pattern or list(PATTERN_NAMES)
+    events = _serve_events(args.tenants, patterns, args.n,
+                           args.working_set, args.seed)
+    if args.threaded:
+        sched = ThreadScheduler()
+        for actor in service.actors():
+            sched.add(actor)
+        sched.start()
+        try:
+            for tenant, address, timestamp in events:
+                service.submit_miss(tenant, address, timestamp)
+                ticket = service.query(tenant)
+                if not ticket.wait(30.0):
+                    raise RuntimeError(
+                        f"query {ticket.qid} unanswered after 30 s")
+        finally:
+            sched.stop()
+    else:
+        replay_lockstep(service, events)
+    rows = [[key, value] for key, value in service.counters().items()]
+    rows += [[f"latency_{key}", round(value, 4)]
+             for key, value in service.latency_percentiles().items()]
+    rows += [[f"swap_pause_{key}", round(value, 4)]
+             for key, value in service.swap_pause_percentiles().items()]
+    mode = "threaded" if args.threaded else "lockstep"
+    print_table(["metric", "value"], rows,
+                title=f"Serve — {args.tenants} tenants x {args.n} "
+                      f"events ({mode})")
+    if args.manifest_dir is not None:
+        path = service.write_manifest(args.manifest_dir)
+        print(f"manifest: {path}")
     return 0
 
 

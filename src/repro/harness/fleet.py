@@ -1,20 +1,27 @@
 """Shard scheduler and telemetry rollups for fleet simulation.
 
-:func:`run_fleet` packs an arbitrary number of tenant lanes — each an
-independent (trace, prefetcher, config) stream — into vectorized
-:class:`~repro.memsim.fleet.FleetCohort` shards:
+One run path, two entry points.  :func:`run_fleet` packs live tenant
+lanes — each an independent (trace, prefetcher, config) stream — into
+vectorized :class:`~repro.memsim.fleet.FleetCohort` shards:
 
 - Lanes are **grouped by their (hashable) ``SimConfig``** so every
   cohort is homogeneous in page size, delay and capacity policy; cohort
   dimensions are sized over the group once.
 - Each group runs through a **fixed-width cohort** (``max_width`` slots)
-  with drain-and-refill: a finished lane's result is harvested and its
-  slot immediately reloaded from the pending queue, so the batched loop
-  stays full until the tail.
-- The scheduler records a **per-lane latency proxy** — wall-clock from a
-  lane's load to the step on which it finished (step-boundary
-  resolution; lanes share every step's work, so this measures fleet
-  residency, not isolated lane cost) — and aggregate events/sec.
+  with drain-and-refill (:meth:`FleetCohort.drain`): a finished lane's
+  result is harvested and its slot immediately reloaded from the pending
+  queue, so the batched loop stays full until the tail.
+- The scheduler records a **per-lane latency proxy** — wall-clock from
+  the step boundary a lane was admitted on to the step it finished on
+  (lanes share every step's work, so this measures fleet residency, not
+  isolated lane cost) — and aggregate events/sec.
+
+:func:`run_fleet_jobs` takes JSON *lane jobs* instead (live specs don't
+cross a process boundary cheaply), cuts them into contiguous shards,
+runs each shard — :func:`materialize_lane_spec` per job, then
+:func:`run_fleet` — through ``run_grid`` and concatenates the shard
+reports.  Both return a :class:`FleetReport`; how many processes ran it
+shows only in the report's ``jobs`` / ``n_shards``.
 
 Rollups flow out three ways: the returned :class:`FleetReport`, optional
 :class:`~repro.telemetry.Telemetry` counters/timers on a caller-provided
@@ -26,26 +33,37 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ..baselines import (
+    LeapPrefetcher,
+    MarkovPrefetcher,
+    NextLinePrefetcher,
+    NullPrefetcher,
+    StridePrefetcher,
+)
+from ..core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from ..memsim.fleet import FleetCohort, FleetLaneSpec
+from ..memsim.prefetcher import Prefetcher
 from ..memsim.simulator import SimConfig, SimResult
+from ..nn.backends import resolve_backend
+from ..nn.hebbian import SparseHebbianNetwork
+from ..patterns.generators import PatternSpec, generate
 from ..telemetry import Telemetry
 from ..telemetry.manifest import (
     SCHEMA_VERSION,
     environment,
     write_jsonl_atomic,
 )
-from .runner import _init_worker, resolve_jobs
+from .models import experiment_hebbian_config
+from .runner import resolve_jobs, run_grid
 
-__all__ = ["FleetJobsReport", "FleetReport", "LaneOutcome",
-           "materialize_lane_spec", "run_fleet", "run_fleet_jobs",
-           "write_fleet_jobs_manifest", "write_fleet_manifest"]
+__all__ = ["FleetReport", "LaneOutcome", "materialize_lane_spec",
+           "run_fleet", "run_fleet_jobs", "write_fleet_manifest"]
 
 
 @dataclass(frozen=True)
@@ -54,20 +72,23 @@ class LaneOutcome:
 
     result: SimResult
     accesses: int
-    #: Wall-clock seconds from the lane's load to the step it finished
-    #: on.  A *fleet residency* proxy, not an isolated per-lane cost —
-    #: every step advances all co-resident lanes.
+    #: Wall-clock seconds from the lane's admission to the step it
+    #: finished on.  A *fleet residency* proxy, not an isolated per-lane
+    #: cost — every step advances all co-resident lanes.
     wall_time_s: float
 
 
 @dataclass
 class FleetReport:
-    """Aggregate outcome of one :func:`run_fleet` invocation."""
+    """Aggregate outcome of one fleet run, however many processes ran it."""
 
     outcomes: list[LaneOutcome] = field(repr=False)
     backend: str
     n_cohorts: int
     wall_time_s: float
+    #: Worker processes and lane-job shards (:func:`run_fleet_jobs`).
+    jobs: int = 1
+    n_shards: int = 1
 
     @property
     def n_lanes(self) -> int:
@@ -97,6 +118,8 @@ class FleetReport:
         return {
             "n_lanes": self.n_lanes,
             "n_cohorts": self.n_cohorts,
+            "n_shards": self.n_shards,
+            "jobs": self.jobs,
             "backend": self.backend,
             "total_accesses": self.total_accesses,
             "wall_time_s": round(self.wall_time_s, 6),
@@ -133,6 +156,7 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
     """
     if max_width <= 0:
         raise ValueError("max_width must be positive")
+    backend_used = resolve_backend(backend, domain="sim")
     outcomes: list[LaneOutcome | None] = [None] * len(specs)
     # Bucket by config identity first (no dataclass hash per lane — specs
     # overwhelmingly share config instances), then merge equal-but-
@@ -149,55 +173,27 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
         groups.setdefault(config, []).extend(bucket)
 
     started = time.perf_counter()
-    n_cohorts = 0
-    backend_used = backend
     for indices in groups.values():
         group = [specs[i] for i in indices]
         cohort = FleetCohort.for_specs(
-            group, width=min(len(group), max_width), backend=backend,
+            group, width=min(len(group), max_width), backend=backend_used,
             record_miss_indices=record_miss_indices,
             stacked_cls=stacked_cls)
-        backend_used = cohort.backend_used
-        n_cohorts += 1
-        pending = list(zip(indices, group))
-        pending.reverse()
-        slot_spec: dict[int, int] = {}
-        load_at: dict[int, float] = {}
-
-        def refill(slots: list[int]) -> None:
-            batch_slots: list[int] = []
-            batch_specs: list[FleetLaneSpec] = []
-            for slot in slots:
-                if not pending:
-                    break
-                index, spec = pending.pop()
-                slot_spec[slot] = index
-                batch_slots.append(slot)
-                batch_specs.append(spec)
-            # One batched load per step: slot-vector writes and cache
-            # resets amortize across the refill batch (the per-lane load
-            # cost is the fleet's throughput floor at scale).
-            cohort.load_many(batch_slots, batch_specs)
-            stamp = time.perf_counter()
-            for slot in batch_slots:
-                load_at[slot] = stamp
-
-        refill(cohort.free_slots())
-        while cohort.active_count():
-            finished = cohort.step()
+        # drain() admits lanes in group order: a cohort's width now, then
+        # one per freed slot right after the step that freed it — so
+        # admission stamps queue up in group order too.
+        admitted_at = [time.perf_counter()] * cohort.width
+        for done in cohort.drain(group):
             now = time.perf_counter()
-            for slot in finished:
-                index = slot_spec.pop(slot)
-                result = cohort.harvest(slot)
-                accesses = len(specs[index].trace)
-                outcomes[index] = LaneOutcome(
+            for position, result in done:
+                accesses = len(group[position].trace)
+                outcomes[indices[position]] = LaneOutcome(
                     result=result, accesses=accesses,
-                    wall_time_s=now - load_at.pop(slot))
+                    wall_time_s=now - admitted_at[position])
                 if telemetry is not None:
                     telemetry.counter("fleet_lanes_completed")
                     telemetry.counter("fleet_accesses", accesses)
-            if pending and finished:
-                refill(finished)
+            admitted_at.extend([now] * len(done))
     wall = time.perf_counter() - started
     if telemetry is not None:
         telemetry.timers["fleet_wall"] = (
@@ -205,7 +201,7 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
     final = [o for o in outcomes if o is not None]
     assert len(final) == len(specs)
     return FleetReport(outcomes=final, backend=backend_used,
-                       n_cohorts=n_cohorts, wall_time_s=wall)
+                       n_cohorts=len(groups), wall_time_s=wall)
 
 
 def write_fleet_manifest(report: FleetReport,
@@ -214,9 +210,11 @@ def write_fleet_manifest(report: FleetReport,
 
     Line 1 is the aggregate ``fleet_manifest`` record (rollup +
     provenance); each following line is one ``fleet_lane`` per-tenant
-    record.  Written atomically (tmp + rename), named by a content-free
-    timestamp-less scheme: ``fleet-<n_lanes>x-<backend>.jsonl`` —
-    reruns of the same shape overwrite.
+    record (bulk payloads — full stats, miss indices — stay out).
+    Written atomically (tmp + rename), named by a content-free
+    timestamp-less scheme — ``fleet-<n_lanes>x-<backend>.jsonl`` for a
+    one-process run, ``fleet-<n_lanes>x-<jobs>j-<backend>.jsonl`` for
+    more — so reruns of the same shape overwrite.
     """
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,71 +237,20 @@ def write_fleet_manifest(report: FleetReport,
             "prefetch_hits": result.stats.prefetch_hits,
             "wall_time_s": round(outcome.wall_time_s, 6),
         })
-    path = out_dir / f"fleet-{report.n_lanes}x-{report.backend}.jsonl"
+    jobs_tag = f"{report.jobs}j-" if report.jobs > 1 else ""
+    path = out_dir / (f"fleet-{report.n_lanes}x-{jobs_tag}"
+                      f"{report.backend}.jsonl")
     return write_jsonl_atomic(path, [head, *lanes])
 
 
 # ----------------------------------------------------------------------
-# Cross-process cohort sharding.
-#
-# Live lane specs (trace arrays, stateful prefetchers) don't cross a
-# process boundary cheaply, so the sharded entry point takes
-# JSON-serializable *lane jobs* and each worker materializes its shard's
-# specs locally — the same recipe the CLI uses, so `repro fleet --jobs N`
-# and `--jobs 1` build identical lanes.
+# Lane jobs: the JSON-serializable description of a lane that crosses
+# process boundaries (and that `repro fleet` builds for any --jobs).
 
-
-@dataclass
-class FleetJobsReport:
-    """Aggregate outcome of one :func:`run_fleet_jobs` invocation.
-
-    ``lanes`` holds one JSON-ready per-tenant rollup dict per job, in
-    job order (each carries the full ``CacheStats`` under ``"stats"``
-    plus the scheduler-side ``accesses``/``wall_time_s`` measurements).
-    """
-
-    lanes: list[dict] = field(repr=False)
-    backend: str
-    jobs: int
-    n_shards: int
-    wall_time_s: float
-
-    @property
-    def n_lanes(self) -> int:
-        return len(self.lanes)
-
-    @property
-    def total_accesses(self) -> int:
-        return sum(lane["accesses"] for lane in self.lanes)
-
-    @property
-    def events_per_sec(self) -> float:
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.total_accesses / self.wall_time_s
-
-    def lane_latency_percentiles(self) -> tuple[float, float]:
-        """(p50, p99) of the per-lane latency proxy, in seconds."""
-        if not self.lanes:
-            return (0.0, 0.0)
-        latencies = np.array([lane["wall_time_s"] for lane in self.lanes])
-        return (float(np.percentile(latencies, 50)),
-                float(np.percentile(latencies, 99)))
-
-    def rollup(self) -> dict:
-        """JSON-ready aggregate summary (the manifest's headline record)."""
-        p50, p99 = self.lane_latency_percentiles()
-        return {
-            "n_lanes": self.n_lanes,
-            "n_shards": self.n_shards,
-            "jobs": self.jobs,
-            "backend": self.backend,
-            "total_accesses": self.total_accesses,
-            "wall_time_s": round(self.wall_time_s, 6),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "lane_latency_p50_s": round(p50, 6),
-            "lane_latency_p99_s": round(p99, 6),
-        }
+_LANE_PREFETCHERS: dict[str, Callable[[], Prefetcher]] = {
+    "none": NullPrefetcher, "nextline": NextLinePrefetcher,
+    "stride": StridePrefetcher, "markov": MarkovPrefetcher,
+    "leap": LeapPrefetcher}
 
 
 def materialize_lane_spec(job: dict, prototypes: dict,
@@ -313,48 +260,30 @@ def materialize_lane_spec(job: dict, prototypes: dict,
     Job shape::
 
         {"pattern": str, "n": int, "working_set": int, "seed": int,
+         "element_size": int,                        # optional
          "prefetcher": "none" | "nextline" | "stride" | "markov"
                        | "leap" | "cls-hebbian",
          "sim": {...SimConfig kwargs...},            # optional
          "cls": {"vocab": int, "seed": int}}         # cls-hebbian only
 
+    ``element_size`` absent means :class:`PatternSpec`'s default.
     ``prototypes`` is a caller-held cache keyed by the CLS model recipe:
     same-recipe lanes in a shard clone one prototype, so they share
-    fixed structures and memo caches exactly like the CLI's lane
-    builder (and land in one stacked cohort group).
+    fixed structures and memo caches (and land in one stacked cohort
+    group).
     """
-    from ..patterns.generators import PatternSpec, generate
-
-    trace = generate(job["pattern"], PatternSpec(
-        n=int(job["n"]), working_set=int(job.get("working_set", 200)),
-        seed=int(job.get("seed", 0))))
-    config = SimConfig(**job.get("sim", {}))
+    pattern_spec = PatternSpec(n=int(job["n"]),
+                               working_set=int(job.get("working_set", 200)),
+                               seed=int(job.get("seed", 0)))
+    if "element_size" in job:
+        pattern_spec = dataclasses.replace(
+            pattern_spec, element_size=int(job["element_size"]))
+    trace = generate(job["pattern"], pattern_spec)
     kind = job.get("prefetcher", "none")
-    if kind == "none":
-        from ..memsim.prefetcher import NullPrefetcher
-
-        prefetcher: object = NullPrefetcher()
-    elif kind == "nextline":
-        from ..baselines import NextLinePrefetcher
-
-        prefetcher = NextLinePrefetcher()
-    elif kind == "stride":
-        from ..baselines import StridePrefetcher
-
-        prefetcher = StridePrefetcher()
-    elif kind == "markov":
-        from ..baselines import MarkovPrefetcher
-
-        prefetcher = MarkovPrefetcher()
-    elif kind == "leap":
-        from ..baselines import LeapPrefetcher
-
-        prefetcher = LeapPrefetcher()
+    prefetcher: Prefetcher
+    if kind in _LANE_PREFETCHERS:
+        prefetcher = _LANE_PREFETCHERS[kind]()
     elif kind == "cls-hebbian":
-        from ..core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
-        from ..nn.hebbian import SparseHebbianNetwork
-        from .models import experiment_hebbian_config
-
         cls_job = job.get("cls", {})
         vocab = int(cls_job.get("vocab", 256))
         cls_seed = int(cls_job.get("seed", job.get("seed", 0)))
@@ -373,165 +302,62 @@ def materialize_lane_spec(job: dict, prototypes: dict,
             model=prototype.clone())
     else:
         raise ValueError(f"unknown lane-job prefetcher {kind!r}")
-    return FleetLaneSpec(trace=trace, prefetcher=prefetcher,  # type: ignore[arg-type]
-                         config=config)
+    return FleetLaneSpec(trace=trace, prefetcher=prefetcher,
+                         config=SimConfig(**job.get("sim", {})))
 
 
-def _run_fleet_shard(shard_jobs: list[dict], backend: str, max_width: int,
-                     record_miss_indices: bool,
-                     stacked_cls: bool) -> dict:
-    """One shard's worth of lane jobs, run in-process; returns rollups.
+def _run_fleet_shard(shard: dict) -> FleetReport:
+    """One shard's lane jobs, materialized and run in this process.
 
-    Module-level so it pickles to pool workers.  The returned dict is
-    plain JSON-ready data — per-tenant ``LaneOutcome`` rollups stream
-    back over the pool's result pipe, never live simulator objects.
+    Module-level (and one JSON dict in) so ``run_grid`` can hand it to a
+    pool worker; the report's dataclasses pickle back as they are.
     """
     prototypes: dict = {}
-    specs = [materialize_lane_spec(job, prototypes, backend=backend)
-             for job in shard_jobs]
-    report = run_fleet(specs, backend=backend, max_width=max_width,
-                       record_miss_indices=record_miss_indices,
-                       stacked_cls=stacked_cls)
-    lanes = []
-    for outcome in report.outcomes:
-        result = outcome.result
-        lane = {
-            "record": "fleet_lane",
-            "trace": result.trace_name,
-            "prefetcher": result.prefetcher_name,
-            "capacity_pages": result.capacity_pages,
-            "accesses": outcome.accesses,
-            "demand_misses": result.stats.demand_misses,
-            "prefetch_hits": result.stats.prefetch_hits,
-            "wall_time_s": round(outcome.wall_time_s, 6),
-            "stats": result.stats.as_dict(),
-        }
-        if record_miss_indices:
-            lane["miss_indices"] = list(result.miss_indices)
-        lanes.append(lane)
-    return {"backend": report.backend, "lanes": lanes}
+    specs = [materialize_lane_spec(job, prototypes, backend=shard["backend"])
+             for job in shard["lane_jobs"]]
+    return run_fleet(specs, backend=shard["backend"],
+                     max_width=shard["max_width"],
+                     record_miss_indices=shard["record_miss_indices"],
+                     stacked_cls=shard["stacked_cls"])
 
 
 def run_fleet_jobs(lane_jobs: Sequence[dict], *, jobs: int | None = None,
                    backend: str = "auto", max_width: int = 256,
                    record_miss_indices: bool = False,
-                   stacked_cls: bool = True,
-                   trace_cache_dir: str | Path | None = None,
-                   telemetry_dir: str | Path | None = None,
-                   telemetry_interval: int | None = None
-                   ) -> FleetJobsReport:
-    """Shard lane jobs across worker processes, one cohort run per shard.
+                   stacked_cls: bool = True) -> FleetReport:
+    """Run lane jobs as contiguous shards, one :func:`run_fleet` each.
 
-    Reuses ``run_grid``'s worker plumbing: :func:`resolve_jobs` picks
-    the worker count (CPU-affinity aware; anything under two means run
-    serially in-process) and ``_init_worker`` re-establishes each
-    worker's ambient state — trace cache, telemetry sink, kernel
-    backend — exactly as grid cells get it.  Jobs shard contiguously so
-    the flattened per-lane rollups come back in job order; per-shard
-    results are bit-identical to a single-process run (each shard is
-    just :func:`run_fleet` over its own lanes, and lanes never share
-    state).
+    ``run_grid`` supplies the process plumbing: :func:`resolve_jobs`
+    picks the worker count (CPU-affinity aware), under two workers the
+    one shard runs in this process, and an unavailable explicit backend
+    fails here rather than inside a pool worker.  Outcomes come back in
+    job order and are bit-identical for any ``jobs`` (lanes never share
+    learned state, and same-recipe prototypes are rebuilt per shard from
+    the same seed); ``wall_time_s`` covers materialization too.
 
     Args:
         lane_jobs: JSON-serializable lane descriptions (see
             :func:`materialize_lane_spec` for the shape).
         jobs: Worker processes; ``None`` auto-detects.
-        backend: Kernel backend, resolved fail-fast in the caller.
-        stacked_cls: As in :func:`run_fleet`.
-        trace_cache_dir / telemetry_dir / telemetry_interval: Ambient
-            per-process state, plumbed like ``run_grid``.
+        backend / max_width / record_miss_indices / stacked_cls: As in
+            :func:`run_fleet`, applied to every shard.
     """
-    from ..nn import backends
-
-    if backend != "auto":
-        # Fail in the caller, not inside a pool worker.
-        backends.resolve_backend(backend)
     lane_jobs = list(lane_jobs)
     started = time.perf_counter()
-    workers = resolve_jobs(jobs, len(lane_jobs)) if lane_jobs else 1
-    if workers > 1:
-        base, extra = divmod(len(lane_jobs), workers)
-        shards: list[list[dict]] = []
-        pos = 0
-        for index in range(workers):
-            size = base + (1 if index < extra else 0)
-            if size:
-                shards.append(lane_jobs[pos:pos + size])
-                pos += size
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(
-                str(trace_cache_dir)
-                if trace_cache_dir is not None else None,
-                str(telemetry_dir)
-                if telemetry_dir is not None else None,
-                telemetry_interval,
-                backend,
-            ))
-        with pool:
-            futures = [pool.submit(_run_fleet_shard, shard, backend,
-                                   max_width, record_miss_indices,
-                                   stacked_cls)
-                       for shard in shards]
-            shard_results = [future.result() for future in futures]
-        lanes = [lane for shard_result in shard_results
-                 for lane in shard_result["lanes"]]
-        backend_used = (shard_results[0]["backend"] if shard_results
-                        else backend)
-        n_shards = len(shards)
-    else:
-        # Serial fallback: bracket the ambient state around the loop the
-        # same way run_grid's serial path does (backend is passed
-        # explicitly to the shard, so only trace cache and telemetry are
-        # ambient here).
-        from . import trace_cache
-        from .. import telemetry as telemetry_mod
-
-        prev_trace = (trace_cache.configure(trace_cache_dir)
-                      if trace_cache_dir is not None else None)
-        prev_telemetry = (telemetry_mod.configure(telemetry_dir,
-                                                  telemetry_interval)
-                          if telemetry_dir is not None else None)
-        try:
-            shard_result = _run_fleet_shard(lane_jobs, backend, max_width,
-                                            record_miss_indices,
-                                            stacked_cls)
-        finally:
-            if trace_cache_dir is not None:
-                trace_cache.configure(prev_trace)
-            if telemetry_dir is not None:
-                telemetry_mod.configure(prev_telemetry)
-        lanes = shard_result["lanes"]
-        backend_used = shard_result["backend"]
-        n_shards = 1
-    wall = time.perf_counter() - started
-    return FleetJobsReport(lanes=lanes, backend=backend_used,
-                           jobs=workers, n_shards=n_shards,
-                           wall_time_s=wall)
-
-
-def write_fleet_jobs_manifest(report: FleetJobsReport,
-                              directory: str | Path) -> Path:
-    """Write a sharded run's single aggregated JSONL manifest.
-
-    Same schema as :func:`write_fleet_manifest` — one
-    ``fleet_manifest`` head (rollup grows ``jobs``/``n_shards``) plus
-    one ``fleet_lane`` record per tenant, regardless of how many
-    processes produced them.  Named
-    ``fleet-<n_lanes>x-<jobs>j-<backend>.jsonl``.
-    """
-    out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    head = {
-        "record": "fleet_manifest",
-        "schema_version": SCHEMA_VERSION,
-        **report.rollup(),
-        "env": environment(),
-    }
-    lanes = [{key: value for key, value in lane.items()
-              if key not in ("stats", "miss_indices")}
-             for lane in report.lanes]
-    path = (out_dir / f"fleet-{report.n_lanes}x-{report.jobs}j-"
-            f"{report.backend}.jsonl")
-    return write_jsonl_atomic(path, [head, *lanes])
+    workers = resolve_jobs(jobs, len(lane_jobs))
+    cuts = [len(lane_jobs) * i // workers for i in range(workers + 1)]
+    shards = [{"lane_jobs": lane_jobs[lo:hi], "backend": backend,
+               "max_width": max_width,
+               "record_miss_indices": record_miss_indices,
+               "stacked_cls": stacked_cls}
+              for lo, hi in zip(cuts, cuts[1:])]
+    # How lanes are cut follows the worker count, but no cache_dir is
+    # passed: run_grid's keys only dedupe equal shards within this call.
+    reports = run_grid(  # repro-lint: disable=RL101
+        shards, _run_fleet_shard, jobs=workers, backend=backend)
+    return FleetReport(
+        outcomes=[o for report in reports for o in report.outcomes],
+        backend=reports[0].backend,
+        n_cohorts=sum(report.n_cohorts for report in reports),
+        wall_time_s=time.perf_counter() - started,
+        jobs=workers, n_shards=len(shards))

@@ -19,8 +19,9 @@ lane per vectorized operation:
   inside one ``rk_fleet_null_run`` call per cohort step.
 * **Drain and refill.**  Finished lanes report a
   :class:`~repro.memsim.simulator.SimResult` and their slot is free for
-  :meth:`FleetCohort.load` — the shard scheduler in
-  ``repro.harness.fleet`` keeps cohorts full from a pending queue.
+  :meth:`FleetCohort.load` — :meth:`FleetCohort.drain` keeps a cohort
+  full from a pending queue (the one scheduler loop, under both
+  :func:`run_cohort` and ``repro.harness.fleet.run_fleet``).
 
 Bit-identity per lane: round boundaries mirror the scalar engine's event
 order exactly — landings are processed before the access they precede
@@ -35,7 +36,7 @@ calls (``tests/memsim/test_fleet_engine.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,35 +190,21 @@ class FleetCohort:
                 n_undemanded=cache.n_undemanded,
                 prefetch_hits=cache.prefetch_hits, hits=cache.hits,
                 accesses=cache.accesses)
-            if record_miss_indices:
-                # The kernel records into lane rows of a (T, L) matrix
-                # with the trace-matrix stride; without recording the
-                # buffer stays a (T, 1) stub and record=0 never writes.
-                self._null_run = self._kern.bind_fleet_null_run(
-                    lanes_buf=self._lanes_buf, trace_row=self._trace_row,
-                    soc=cache.soc,
-                    cids=self._cids2d, pages=self._pages2d,
-                    stores=self._stores2d, page_of_slot=cache.page_of_slot,
-                    last_use=cache.last_use, dirty=cache.dirty,
-                    cid_of_slot=cache.cid_of_slot, capacity=cache.capacity,
-                    n_len=self._n_len, pos=self._pos, clock=cache.clock,
-                    n_resident=cache.n_resident, hits=cache.hits,
-                    demand_misses=cache.demand_misses,
-                    writebacks=cache.writebacks, accesses=cache.accesses,
-                    miss_idx=self._miss_idx, miss_n=self._miss_n)
-            else:
-                self._null_run = self._kern.bind_fleet_null_run(
-                    lanes_buf=self._lanes_buf, trace_row=self._trace_row,
-                    soc=cache.soc,
-                    cids=self._cids2d, pages=self._pages2d,
-                    stores=self._stores2d, page_of_slot=cache.page_of_slot,
-                    last_use=cache.last_use, dirty=cache.dirty,
-                    cid_of_slot=cache.cid_of_slot, capacity=cache.capacity,
-                    n_len=self._n_len, pos=self._pos, clock=cache.clock,
-                    n_resident=cache.n_resident, hits=cache.hits,
-                    demand_misses=cache.demand_misses,
-                    writebacks=cache.writebacks, accesses=cache.accesses,
-                    miss_idx=self._miss_idx, miss_n=self._miss_n)
+            # The kernel records into lane rows of a (T, L) matrix with
+            # the trace-matrix stride; without recording the buffer stays
+            # a (T, 1) stub and record=0 never writes.
+            self._null_run = self._kern.bind_fleet_null_run(
+                lanes_buf=self._lanes_buf, trace_row=self._trace_row,
+                soc=cache.soc,
+                cids=self._cids2d, pages=self._pages2d,
+                stores=self._stores2d, page_of_slot=cache.page_of_slot,
+                last_use=cache.last_use, dirty=cache.dirty,
+                cid_of_slot=cache.cid_of_slot, capacity=cache.capacity,
+                n_len=self._n_len, pos=self._pos, clock=cache.clock,
+                n_resident=cache.n_resident, hits=cache.hits,
+                demand_misses=cache.demand_misses,
+                writebacks=cache.writebacks, accesses=cache.accesses,
+                miss_idx=self._miss_idx, miss_n=self._miss_n)
 
     @classmethod
     def for_specs(cls, specs: list[FleetLaneSpec], *, width: int | None = None,
@@ -561,6 +548,34 @@ class FleetCohort:
                 results[slot] = self.harvest(slot)
         return results
 
+    def drain(self, specs: Sequence[FleetLaneSpec]
+              ) -> Iterator[list[tuple[int, SimResult]]]:
+        """Run ``specs`` through this cohort, refilling freed slots.
+
+        Yields once per :meth:`step` with the ``(spec index, result)``
+        pairs of the lanes that finished on it.  Lanes are admitted in
+        spec order — as many as there are free slots up front, then one
+        per freed slot right after the step that freed it, each batch
+        through one :meth:`load_many` — so a caller can date every
+        admission from the yields alone (wall clocks stay out of
+        ``memsim``).
+        """
+        pending = list(range(len(specs) - 1, -1, -1))
+        slot_spec: dict[int, int] = {}
+
+        def refill(slots: list[int]) -> None:
+            batch = slots[:len(pending)]
+            indices = [pending.pop() for _ in batch]
+            slot_spec.update(zip(batch, indices))
+            self.load_many(batch, [specs[i] for i in indices])
+
+        refill(self.free_slots())
+        while self.active_count():
+            finished = self.step()
+            yield [(slot_spec.pop(slot), self.harvest(slot))
+                   for slot in finished]
+            refill(finished)
+
 
 def run_cohort(specs: list[FleetLaneSpec], *, backend: str = "auto",
                record_miss_indices: bool = False,
@@ -569,26 +584,13 @@ def run_cohort(specs: list[FleetLaneSpec], *, backend: str = "auto",
     """Run ``specs`` through one cohort; results in spec order.
 
     Convenience wrapper for tests and small fleets — the shard scheduler
-    in ``repro.harness.fleet`` handles drain/refill at scale.
+    in ``repro.harness.fleet`` adds config grouping and timing.
     """
     cohort = FleetCohort.for_specs(specs, width=width, backend=backend,
                                    record_miss_indices=record_miss_indices,
                                    stacked_cls=stacked_cls)
-    pending = list(enumerate(specs))
-    pending.reverse()
-    slot_to_spec: dict[int, int] = {}
     out: list[SimResult | None] = [None] * len(specs)
-    for slot in cohort.free_slots():
-        if not pending:
-            break
-        index, spec = pending.pop()
-        cohort.load(slot, spec)
-        slot_to_spec[slot] = index
-    while cohort.active_count():
-        for slot in cohort.step():
-            out[slot_to_spec.pop(slot)] = cohort.harvest(slot)
-            if pending:
-                index, spec = pending.pop()
-                cohort.load(slot, spec)
-                slot_to_spec[slot] = index
+    for done in cohort.drain(specs):
+        for index, result in done:
+            out[index] = result
     return [r for r in out if r is not None]

@@ -170,6 +170,37 @@ _DELTA_CACHE_CAP = 65536
 _READOUT_IDX_CAP = 4096
 
 
+def select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
+    """One rollout selection step: the top ``width`` classes, descending.
+
+    Shared by ``predict_rollout`` and ``HebbianFleet.rollout_lanes`` so a
+    lane's selection is the same numpy call sequence (hence the same
+    bits) on either path.
+    """
+    if width == 2 and probs.size > 2:
+        # Same selection and ordering as the general branch below, with
+        # the two-element argsort done as one scalar compare:
+        # argsort([v0, v1]) is [0, 1] when v0 <= v1 (numpy's small sorts
+        # are insertion sorts, stable on ties), so reversed descending
+        # order is [1, 0] exactly then.
+        part = probs.argpartition(-2)
+        i0 = part.item(-2)
+        i1 = part.item(-1)
+        v0 = probs.item(i0)
+        v1 = probs.item(i1)
+        if v0 <= v1:
+            return [(i1, v1), (i0, v0)]
+        return [(i0, v0), (i1, v1)]
+    if width < probs.size:
+        # top-width selection, sorted within the slice
+        part = probs.argpartition(-width)[-width:]
+        vals = probs[part]
+        order = vals.argsort()[::-1]
+        return list(zip(part[order].tolist(), vals[order].tolist()))
+    top_arr = probs.argsort()[::-1][:width]
+    return list(zip(top_arr.tolist(), probs[top_arr].tolist()))
+
+
 class SparseHebbianNetwork:
     """Online sparse Hebbian sequence model (implements ``SequenceModel``)."""
 
@@ -415,15 +446,25 @@ class SparseHebbianNetwork:
         update arithmetic cannot produce ``-0.0``), so dropping them
         changes no bits.  Pinned by tests against the dense reference.
         """
+        entry = self._readout_entry(active)
+        if entry is None:
+            # Foreign (non-resident) code: dense row sum, as before.
+            # np.add.reduce is what ndarray.sum calls underneath minus a
+            # dispatch layer.  (Serves from the mirror like the sparse
+            # path.)
+            return np.add.reduce(self._serve_w.take(active, axis=0), axis=0)
+        cols, flat = entry
+        return np.bincount(cols, weights=self._serve_flat.take(flat),
+                           minlength=self.config.vocab_size)
+
+    def _readout_entry(self, active: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Memoized ``(cols, flat)`` sparse-readout indices of a code, or
+        None for a foreign (non-resident) one."""
         entry = self._readout_idx.get(id(active))
         if entry is None:
             if id(active) not in self._code_masks:
-                # Foreign (non-resident) code: dense row sum, as before.
-                # np.add.reduce is what ndarray.sum calls underneath minus
-                # a dispatch layer.  (Serves from the mirror like the
-                # sparse path.)
-                return np.add.reduce(self._serve_w.take(active, axis=0),
-                                     axis=0)
+                return None
             rows_i, cols = self.mask_out[active].nonzero()
             flat = (active[rows_i] * self.config.vocab_size
                     + cols).astype(np.intp)
@@ -431,9 +472,7 @@ class SparseHebbianNetwork:
             if len(self._readout_idx) >= _READOUT_IDX_CAP:
                 self._readout_idx.clear()
             self._readout_idx[id(active)] = entry
-        cols, flat = entry
-        return np.bincount(cols, weights=self._serve_flat.take(flat),
-                           minlength=self.config.vocab_size)
+        return entry
 
     def probabilities(self, scores: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -522,35 +561,14 @@ class SparseHebbianNetwork:
                 self._learn(self.hidden_code(input_class), target_class,
                             None, lr_scale)
             return
-        lr = config.lr * lr_scale
-        neg = -lr * config.negative_scale
-        code_masks = self._code_masks
-        delta_cache = self._delta_cache
-        scratch = self._scratch_active
         flats = []
         deltas = []
         for input_class, target_class in pairs:
             self._check_class(input_class)
             self._check_class(target_class)
-            active = self.hidden_code(input_class)
-            key = (id(active), target_class, lr_scale)
-            delta = delta_cache.get(key)
-            if delta is None:
-                rows = self._out_rows[target_class]
-                mask = code_masks.get(id(active))
-                if mask is not None:
-                    is_active = mask[rows]
-                else:
-                    scratch[active] = True
-                    is_active = scratch[rows]
-                    scratch[active] = False
-                delta = np.where(is_active, lr, neg)
-                if mask is not None:
-                    if len(delta_cache) >= _DELTA_CACHE_CAP:
-                        delta_cache.clear()
-                    delta_cache[key] = delta
             flats.append(self._out_flat[target_class])
-            deltas.append(delta)
+            deltas.append(self._delta(self.hidden_code(input_class),
+                                      target_class, lr_scale))
         flat = np.concatenate(flats)
         w_flat = self._w_out_flat
         wm = config.weight_max
@@ -576,30 +594,7 @@ class SparseHebbianNetwork:
         if probs is None:
             probs = self.probabilities(scores)
         for remaining in range(length - 1, -1, -1):
-            if width == 2 and probs.size > 2:
-                # Same selection and ordering as the general branch below,
-                # with the two-element argsort done as one scalar compare:
-                # argsort([v0, v1]) is [0, 1] when v0 <= v1 (numpy's small
-                # sorts are insertion sorts, stable on ties), so reversed
-                # descending order is [1, 0] exactly then.
-                part = probs.argpartition(-2)
-                i0 = part.item(-2)
-                i1 = part.item(-1)
-                v0 = probs.item(i0)
-                v1 = probs.item(i1)
-                if v0 <= v1:
-                    step = [(i1, v1), (i0, v0)]
-                else:
-                    step = [(i0, v0), (i1, v1)]
-            elif width < probs.size:
-                # top-width selection, sorted within the slice
-                part = probs.argpartition(-width)[-width:]
-                vals = probs[part]
-                order = vals.argsort()[::-1]
-                step = list(zip(part[order].tolist(), vals[order].tolist()))
-            else:
-                top_arr = probs.argsort()[::-1][:width]
-                step = list(zip(top_arr.tolist(), probs[top_arr].tolist()))
+            step = select_topk(probs, width)
             out.append(step)
             if not remaining:
                 break  # the next readout would be discarded
@@ -675,6 +670,30 @@ class SparseHebbianNetwork:
     # ------------------------------------------------------------------
     # Learning rules
     # ------------------------------------------------------------------
+    def _delta(self, active: np.ndarray, target: int,
+               lr_scale: float) -> np.ndarray:
+        """Memoized Eq. 1 delta over ``target``'s connected rows: ``+lr``
+        where the code is active, the depression term elsewhere."""
+        key = (id(active), target, lr_scale)
+        delta = self._delta_cache.get(key)
+        if delta is None:
+            lr = self.config.lr * lr_scale
+            rows = self._out_rows[target]
+            mask = self._code_masks.get(id(active))
+            if mask is not None:
+                is_active = mask[rows]
+            else:
+                scratch = self._scratch_active
+                scratch[active] = True
+                is_active = scratch[rows]
+                scratch[active] = False
+            delta = np.where(is_active, lr, -lr * self.config.negative_scale)
+            if mask is not None:
+                if len(self._delta_cache) >= _DELTA_CACHE_CAP:
+                    self._delta_cache.clear()
+                self._delta_cache[key] = delta
+        return delta
+
     def _learn(self, active: np.ndarray, target: int, predicted: int | None,
                lr_scale: float) -> None:
         """Eq. 1 with the output clamped to the observed next class.
@@ -689,26 +708,9 @@ class SparseHebbianNetwork:
         lr = config.lr * lr_scale
         flat = self._out_flat[target]
         w_flat = self._w_out_flat
-        key = (id(active), target, lr_scale)
-        delta = self._delta_cache.get(key)
-        if delta is None:
-            rows = self._out_rows[target]
-            mask = self._code_masks.get(id(active))
-            if mask is not None:
-                is_active = mask[rows]
-            else:
-                scratch = self._scratch_active
-                scratch[active] = True
-                is_active = scratch[rows]
-                scratch[active] = False
-            delta = np.where(is_active, lr, -lr * config.negative_scale)
-            if mask is not None:
-                if len(self._delta_cache) >= _DELTA_CACHE_CAP:
-                    self._delta_cache.clear()
-                self._delta_cache[key] = delta
         wm = config.weight_max
         vals = w_flat.take(flat)
-        vals += delta
+        vals += self._delta(active, target, lr_scale)
         np.minimum(vals, wm, out=vals)
         np.maximum(vals, -wm, out=vals)
         w_flat[flat] = vals

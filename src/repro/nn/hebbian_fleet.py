@@ -57,38 +57,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hebbian import (
-    _DELTA_CACHE_CAP,
-    _READOUT_IDX_CAP,
-    SparseHebbianNetwork,
-)
+from .hebbian import SparseHebbianNetwork, select_topk
 
 __all__ = ["HebbianFleet"]
-
-
-def _select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
-    """One rollout selection step — verbatim ``predict_rollout`` branches.
-
-    Kept as a module function so the fleet's per-lane selection is the
-    same code shape (and the same numpy call sequence, hence the same
-    bits) as the scalar network's.
-    """
-    if width == 2 and probs.size > 2:
-        part = probs.argpartition(-2)
-        i0 = part.item(-2)
-        i1 = part.item(-1)
-        v0 = probs.item(i0)
-        v1 = probs.item(i1)
-        if v0 <= v1:
-            return [(i1, v1), (i0, v0)]
-        return [(i0, v0), (i1, v1)]
-    if width < probs.size:
-        part = probs.argpartition(-width)[-width:]
-        vals = probs[part]
-        order = vals.argsort()[::-1]
-        return list(zip(part[order].tolist(), vals[order].tolist()))
-    top_arr = probs.argsort()[::-1][:width]
-    return list(zip(top_arr.tolist(), probs[top_arr].tolist()))
 
 
 class HebbianFleet:
@@ -183,6 +154,17 @@ class HebbianFleet:
 
     def release_lane(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Hand a slot's state back to ``net`` and free the slot."""
+        self._export(lane, net)
+        self._prev_class[lane] = None
+        self._prev_active[lane] = None
+        self._prev_pred[lane] = None
+        self._last_active[lane] = None
+        self._has_last[lane] = False
+        self._free.append(lane)
+
+    def _export(self, lane: int, net: SparseHebbianNetwork) -> None:
+        """Install lane ``lane``'s learned weights and sequence state
+        into ``net`` (copies; the slot itself is left as it is)."""
         has_last = self._has_last[lane]
         net.restore_state(
             w_out=self.w_out[lane].copy(),
@@ -193,12 +175,6 @@ class HebbianFleet:
             last_scores=self._scores_rows[lane].copy() if has_last else None,
             last_probs=self._probs_rows[lane].copy() if has_last else None,
             train_steps=int(self.train_steps[lane]))
-        self._prev_class[lane] = None
-        self._prev_active[lane] = None
-        self._prev_pred[lane] = None
-        self._last_active[lane] = None
-        self._has_last[lane] = False
-        self._free.append(lane)
 
     def _grow(self, min_capacity: int) -> None:
         """Double capacity (at least to ``min_capacity``); existing lane
@@ -223,57 +199,6 @@ class HebbianFleet:
             [self.train_steps, np.zeros(grown, dtype=np.int64)])
         self._free.extend(range(new - 1, old - 1, -1))
         self.n_lanes = new
-
-    # ------------------------------------------------------------------
-    # Shared-structure helpers (prototype caches, per-lane offsets)
-    # ------------------------------------------------------------------
-    def _delta_for(self, active: np.ndarray, target: int,
-                   lr_scale: float) -> np.ndarray:
-        """Eq. 1 column delta for (code, target) — same memo as scalar.
-
-        Deltas depend only on the code's membership and the fixed
-        learning-rate constants, never on lane weights, so one cached
-        delta serves every lane.
-        """
-        proto = self.prototype
-        config = proto.config
-        lr = config.lr * lr_scale
-        key = (id(active), target, lr_scale)
-        delta = proto._delta_cache.get(key)
-        if delta is None:
-            rows = proto._out_rows[target]
-            mask = proto._code_masks.get(id(active))
-            if mask is not None:
-                is_active = mask[rows]
-            else:
-                scratch = proto._scratch_active
-                scratch[active] = True
-                is_active = scratch[rows]
-                scratch[active] = False
-            delta = np.where(is_active, lr, -lr * config.negative_scale)
-            if mask is not None:
-                if len(proto._delta_cache) >= _DELTA_CACHE_CAP:
-                    proto._delta_cache.clear()
-                proto._delta_cache[key] = delta
-        return delta
-
-    def _readout_entry(self,
-                       active: np.ndarray) -> tuple[np.ndarray,
-                                                    np.ndarray] | None:
-        """(cols, flat) sparse-readout indices, or None for foreign codes
-        (which take the scalar path's dense row-sum fallback)."""
-        proto = self.prototype
-        entry = proto._readout_idx.get(id(active))
-        if entry is None:
-            if id(active) not in proto._code_masks:
-                return None
-            rows_i, cols = proto.mask_out[active].nonzero()
-            flat = (active[rows_i] * self.vocab_size + cols).astype(np.intp)
-            entry = (cols.astype(np.intp), flat)
-            if len(proto._readout_idx) >= _READOUT_IDX_CAP:
-                proto._readout_idx.clear()
-            proto._readout_idx[id(active)] = entry
-        return entry
 
     # ------------------------------------------------------------------
     # The batched step
@@ -357,7 +282,7 @@ class HebbianFleet:
             prev_active = self._prev_active[t]
             offset = t * self._block
             flats.append(proto._out_flat[target] + offset)
-            deltas.append(self._delta_for(prev_active, target, lr_scale))
+            deltas.append(proto._delta(prev_active, target, lr_scale))
             predicted = self._prev_pred[t]
             if (config.punish_wrong and predicted is not None
                     and predicted != target):
@@ -389,13 +314,14 @@ class HebbianFleet:
         block), accumulator columns the *subset-local* row, so an
         L-lane readout costs O(L), not O(capacity).
         """
+        proto = self.prototype
         vocab = self.vocab_size
         n = len(lanes)
         flats: list[np.ndarray] = []
         cols_list: list[np.ndarray] = []
         dense_rows: list[int] = []
         for i, (t, active) in enumerate(zip(lanes, actives)):
-            entry = self._readout_entry(active)
+            entry = proto._readout_entry(active)
             if entry is None:
                 dense_rows.append(i)
                 continue
@@ -476,7 +402,7 @@ class HebbianFleet:
                 active = actives[row]
                 offset = t * self._block
                 flats.append(proto._out_flat[target] + offset)
-                deltas.append(self._delta_for(active, target, lr_scales[i]))
+                deltas.append(proto._delta(active, target, lr_scales[i]))
                 pred = predicted[row]
                 if punish and pred is not None and pred != target:
                     wrong = active[proto.mask_out[active, pred]]
@@ -514,8 +440,8 @@ class HebbianFleet:
         """Per-lane beam rollouts with one batched readout per depth.
 
         Result ``i`` equals ``lane_network(lanes[i]).predict_rollout(
-        widths[i], lengths[i])`` bit for bit: selection reuses the
-        scalar branch code verbatim, lanes whose beam is exhausted drop
+        widths[i], lengths[i])`` bit for bit: selection is the scalar
+        path's own ``select_topk``, lanes whose beam is exhausted drop
         out *before* the next readout (the scalar early ``break``), and
         never-stepped lanes return ``[]``.
         """
@@ -535,7 +461,7 @@ class HebbianFleet:
         while live:
             survivors: list[int] = []
             for row, i in enumerate(live):
-                step = _select_topk(probs_rows[row], widths[i])
+                step = select_topk(probs_rows[row], widths[i])
                 out[i].append(step)
                 if remaining[row]:
                     survivors.append(row)
@@ -585,14 +511,5 @@ class HebbianFleet:
         lane bit-identically.
         """
         net = self.prototype.clone()
-        has_last = self._has_last[lane]
-        net.restore_state(
-            w_out=self.w_out[lane].copy(),
-            prev_class=self._prev_class[lane],
-            prev_active=self._prev_active[lane],
-            prev_pred=self._prev_pred[lane],
-            last_active=self._last_active[lane],
-            last_scores=self._scores_rows[lane].copy() if has_last else None,
-            last_probs=self._probs_rows[lane].copy() if has_last else None,
-            train_steps=int(self.train_steps[lane]))
+        self._export(lane, net)
         return net

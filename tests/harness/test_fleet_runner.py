@@ -9,15 +9,15 @@ import pytest
 from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.harness.fleet import (
+    FleetReport,
     materialize_lane_spec,
     run_fleet,
     run_fleet_jobs,
-    write_fleet_jobs_manifest,
     write_fleet_manifest,
 )
 from repro.memsim.fleet import FleetLaneSpec
-from repro.memsim.prefetcher import NullPrefetcher
 from repro.memsim.simulator import SimConfig, simulate
+from repro.nn.backends import available_backends
 from repro.nn.hebbian import SparseHebbianNetwork
 from repro.patterns import PatternSpec, generate
 from repro.telemetry import Telemetry
@@ -169,7 +169,7 @@ def test_materialize_lane_spec_matches_inline_recipe() -> None:
 
 
 def test_fleet_jobs_sharded_matches_serial() -> None:
-    """jobs=2 pooled rollups are bit-identical to the serial run, in
+    """jobs=2 pooled outcomes are bit-identical to the serial run, in
     job order, for mixed stride + learned lanes."""
     lane_jobs = _lane_jobs(6)
     serial = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
@@ -179,41 +179,43 @@ def test_fleet_jobs_sharded_matches_serial() -> None:
     assert serial.n_shards == 1 and serial.jobs == 1
     assert sharded.n_shards == 2 and sharded.jobs == 2
     assert serial.n_lanes == sharded.n_lanes == 6
-    strip = ("wall_time_s",)
-    for lane_a, lane_b in zip(serial.lanes, sharded.lanes):
-        trimmed_a = {k: v for k, v in lane_a.items() if k not in strip}
-        trimmed_b = {k: v for k, v in lane_b.items() if k not in strip}
-        assert trimmed_a == trimmed_b
+    for lane_a, lane_b in zip(serial.outcomes, sharded.outcomes):
+        assert lane_a.accesses == lane_b.accesses
+        assert lane_a.result == lane_b.result
     # And both match per-lane simulate() references.
     prototypes: dict = {}
-    for job, lane in zip(lane_jobs, serial.lanes):
+    for job, lane in zip(lane_jobs, serial.outcomes):
         spec = materialize_lane_spec(job, prototypes, backend="numpy")
         reference = simulate(spec.trace, spec.prefetcher,
                              config=spec.config, backend="numpy",
                              record_miss_indices=True)
-        assert lane["stats"] == reference.stats.as_dict()
-        assert lane["miss_indices"] == reference.miss_indices
+        assert lane.result.stats.as_dict() == reference.stats.as_dict()
+        assert lane.result.miss_indices == reference.miss_indices
 
 
 def test_fleet_jobs_scalar_escape_hatch_identical() -> None:
-    """stacked_cls=False yields the same rollups (zero-regression)."""
+    """stacked_cls=False yields the same outcomes (zero-regression)."""
     lane_jobs = _lane_jobs(4, learned_every=2)
     stacked = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy")
     scalar = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
                             stacked_cls=False)
-    for lane_a, lane_b in zip(stacked.lanes, scalar.lanes):
-        assert lane_a["stats"] == lane_b["stats"]
+    for lane_a, lane_b in zip(stacked.outcomes, scalar.outcomes):
+        assert lane_a.result.stats == lane_b.result.stats
+
+
+def _manifest(report, directory) -> tuple[str, dict, list[dict]]:
+    path = write_fleet_manifest(report, directory)
+    lines = [json.loads(line)
+             for line in path.read_text().strip().splitlines()]
+    return path.name, lines[0], lines[1:]
 
 
 def test_fleet_jobs_manifest_round_trip(tmp_path) -> None:
     lane_jobs = _lane_jobs(4)
     report = run_fleet_jobs(lane_jobs, jobs=2, backend="numpy",
                             record_miss_indices=True)
-    path = write_fleet_jobs_manifest(report, tmp_path)
-    assert path.name == "fleet-4x-2j-numpy.jsonl"
-    lines = [json.loads(line)
-             for line in path.read_text().strip().splitlines()]
-    head, lanes = lines[0], lines[1:]
+    name, head, lanes = _manifest(report, tmp_path)
+    assert name == "fleet-4x-2j-numpy.jsonl"
     assert head["record"] == "fleet_manifest"
     assert head["n_lanes"] == 4
     assert head["jobs"] == 2
@@ -224,3 +226,40 @@ def test_fleet_jobs_manifest_round_trip(tmp_path) -> None:
         assert lane["record"] == "fleet_lane"
         # Bulk payloads stay out of the manifest.
         assert "stats" not in lane and "miss_indices" not in lane
+
+
+def test_report_and_manifest_do_not_depend_on_jobs(tmp_path) -> None:
+    """One process or two: same report type, same manifest head keys,
+    same ``fleet_lane`` records apart from the wall-clock proxy."""
+    lane_jobs = _lane_jobs(5)
+    one = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy")
+    two = run_fleet_jobs(lane_jobs, jobs=2, backend="numpy")
+    assert type(one) is type(two) is FleetReport
+    assert (one.jobs, two.jobs) == (1, 2)
+    name_one, head_one, lanes_one = _manifest(one, tmp_path)
+    name_two, head_two, lanes_two = _manifest(two, tmp_path)
+    assert name_one == "fleet-5x-numpy.jsonl"
+    assert name_two == "fleet-5x-2j-numpy.jsonl"
+    assert head_one.keys() == head_two.keys()
+    assert {"n_cohorts", "n_shards", "jobs"} <= head_one.keys()
+    for lane in lanes_one + lanes_two:
+        del lane["wall_time_s"]
+    assert lanes_one == lanes_two
+
+
+def test_empty_fleet_reports_a_resolved_backend() -> None:
+    for report in (run_fleet([]), run_fleet_jobs([], jobs=2)):
+        assert report.backend in available_backends("sim")
+        assert report.jobs == report.n_shards == 1
+        assert report.n_lanes == 0 and report.outcomes == []
+
+
+def test_lane_job_element_size_is_optional() -> None:
+    """Absent means PatternSpec's default; the CLI's jobs carry 4096."""
+    job = {"pattern": "stride", "n": 300, "working_set": 200,
+           "sim": {"memory_fraction": 0.5}}
+    small = materialize_lane_spec(job, {})
+    paged = materialize_lane_spec({**job, "element_size": 4096}, {})
+    default = generate("stride", PatternSpec(n=300, working_set=200))
+    assert (small.trace.addresses == default.addresses).all()
+    assert paged.config.resolve_capacity(paged.trace) == 100

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -99,6 +101,30 @@ class TestCommands:
         assert "2 jobs" in output
         manifests = list(tmp_path.glob("fleet-4x-2j-*.jsonl"))
         assert len(manifests) == 1
+
+    def test_fleet_prints_same_metric_rows_for_any_jobs(self, capsys):
+        rows = []
+        for jobs in ("1", "2"):
+            assert main(["fleet", "--tenants", "4", "--n", "300",
+                         "--model", "stride", "--backend", "numpy",
+                         "--jobs", jobs]) == 0
+            title, _, _, *table = capsys.readouterr().out.strip().splitlines()
+            assert f"{jobs} jobs" in title
+            rows.append([line.split()[0] for line in table])
+        assert rows[0] == rows[1]
+        assert {"n_cohorts", "n_shards", "jobs"} <= set(rows[0])
+
+    def test_fleet_lanes_are_page_granular(self, tmp_path):
+        """At the CLI defaults (working set 200, memory fraction 0.5) a
+        lane holds 100 pages, for every Table 1 pattern."""
+        assert main(["fleet", "--tenants", "5", "--jobs", "1",
+                     "--backend", "numpy",
+                     "--manifest-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "fleet-5x-numpy.jsonl"
+        lanes = [json.loads(line)
+                 for line in manifest.read_text().splitlines()[1:]]
+        assert len({lane["trace"] for lane in lanes}) == 5
+        assert [lane["capacity_pages"] for lane in lanes] == [100] * 5
 
     def test_serve_run_lockstep_with_manifest(self, tmp_path, capsys):
         assert main(["serve", "run", "--tenants", "2", "--n", "150",
