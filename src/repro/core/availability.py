@@ -53,7 +53,7 @@ class ShadowModelManager:
         if self.max_staleness < 1:
             raise ValueError("max_staleness must be >= 1")
         self.live = self.model
-        self.shadow = self.model.clone()
+        self.shadow = _fork(self.model)
 
     def infer(self, input_class: int) -> np.ndarray:
         """Serve a prediction from the live copy (never trains it)."""
@@ -89,13 +89,32 @@ class ShadowModelManager:
         return (self.confidence_ema < self.redeploy_below
                 or self._staleness >= self.max_staleness)
 
-    def redeploy(self) -> None:
-        """Promote the shadow to live; fork a fresh shadow from it."""
-        self.live = self.shadow
-        self.shadow = self.live.clone()
+    def redeploy(self) -> np.ndarray | None:
+        """Promote the shadow to live; fork a fresh shadow from it.
+
+        A flip plus a patch: the shadow becomes live by pointer, and a
+        plain Hebbian pair recycles the retired live network as the new
+        shadow by copying in only the readout entries training wrote
+        since the fork (:meth:`SparseHebbianNetwork.sync_from`) — the
+        same weights, sequence state and ``train_steps`` as
+        ``live.clone()``, which every other model still pays.  Returns
+        the flat ``w_out`` offsets at which the new live copy may differ
+        from the retired one, None when that is not known (treat as
+        everywhere) — what a holder of the old live weights, like
+        serve's fleet slot, has to move.
+        """
+        retired, self.live = self.live, self.shadow
+        if (type(retired) is SparseHebbianNetwork
+                and type(self.live) is SparseHebbianNetwork):
+            changed = retired.sync_from(self.live)
+            self.shadow = retired
+        else:
+            changed = None
+            self.shadow = self.live.clone()
         self.redeploys += 1
         self._staleness = 0
         self.confidence_ema = max(self.confidence_ema, self.redeploy_below)
+        return changed
 
     def discard_shadow(self) -> None:
         """Throw the shadow's training away; refork it from live.
@@ -106,13 +125,22 @@ class ShadowModelManager:
         from its weights.  Resets the staleness backstop — the discarded
         steps no longer count toward a forced redeploy.
         """
-        self.shadow = self.live.clone()
+        self.shadow = _fork(self.live)
         self._staleness = 0
 
     @property
     def staleness(self) -> int:
         """Training steps absorbed by the shadow since the last swap."""
         return self._staleness
+
+
+def _fork(model: SequenceModel) -> SequenceModel:
+    """A training copy of ``model``; a plain Hebbian pair also starts
+    the (empty) write log that lets :meth:`ShadowModelManager.redeploy`
+    move only what training changed."""
+    if type(model) is SparseHebbianNetwork:
+        return model.fork()
+    return model.clone()
 
 
 def weights_finite(model: SequenceModel) -> bool:

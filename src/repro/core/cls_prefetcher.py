@@ -524,14 +524,16 @@ class CLSPrefetcher:
             manager.note_confidence(float(self._last_probs[class_id]))
         return manager.should_redeploy()
 
-    def redeploy(self) -> None:
-        """Promote the shadow to live (§5.5)."""
+    def redeploy(self) -> np.ndarray | None:
+        """Promote the shadow to live (§5.5); returns
+        :meth:`ShadowModelManager.redeploy`'s changed offsets."""
         manager = self.manager
         assert manager is not None
-        manager.redeploy()
+        changed = manager.redeploy()
         manager.live.reset_state()  # state re-warms within a few misses
         self.stats.redeploys = manager.redeploys
         self._ema_top = None  # its top-k came from the replaced model
+        return changed
 
     def advance(self, seen: Observation, probs: np.ndarray) -> None:
         """*Advance*: adopt the probabilities the live model's step on

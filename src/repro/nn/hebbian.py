@@ -201,6 +201,20 @@ def select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
     return list(zip(top_arr.tolist(), probs[top_arr].tolist()))
 
 
+class _WriteLog:
+    """The flat ``w_out`` offsets a fork pair (see
+    :meth:`SparseHebbianNetwork.fork`) has written since the two were
+    last level: index arrays kept by reference and their total length.
+    Bounded: once ``count`` passes ``w_out.size`` the arrays are dropped
+    and the log just means "everything"."""
+
+    __slots__ = ("parts", "count")
+
+    def __init__(self) -> None:
+        self.parts: list[np.ndarray] = []
+        self.count = 0
+
+
 class SparseHebbianNetwork:
     """Online sparse Hebbian sequence model (implements ``SequenceModel``)."""
 
@@ -250,6 +264,10 @@ class SparseHebbianNetwork:
             self._sig_mu = degree * p
             self._sig_sigma = np.sqrt(np.maximum(degree * p * (1 - p), 1e-6))
         self.w_rec = self.mask_rec.astype(np.float64)
+        # The write log shared with a fork partner; None (no logging)
+        # until ``fork()``.  Set before the first w_out assignment: the
+        # setter marks it.
+        self._written: _WriteLog | None = None
         self.w_out = np.zeros((n, v))
         # Fixed per-unit jitter breaks k-WTA ties deterministically.
         self._tiebreak = rng.uniform(0.0, 1e-3, size=n)
@@ -346,6 +364,13 @@ class SparseHebbianNetwork:
 
     @property
     def w_out(self) -> np.ndarray:
+        """The learned readout weights, ``(hidden, vocab)``.
+
+        They change only through this network's methods or by assigning
+        a whole array here — never write ``net.w_out[...]`` in place: an
+        in-place write skips the int8 serving mirror and the write log
+        that :meth:`sync_from` moves a fork's changes by.
+        """
         return self._w_out
 
     @w_out.setter
@@ -356,6 +381,9 @@ class SparseHebbianNetwork:
         arr = np.ascontiguousarray(value, dtype=np.float64)
         self._w_out = arr
         self._w_out_flat = arr.reshape(-1)
+        if self._written is not None:
+            self._written.parts.clear()
+            self._written.count = arr.size + 1  # every entry may differ
         if self._backend == "int8":
             # Serving mirror: the readout scores from these quantized
             # values while training keeps updating the float64 weights.
@@ -366,12 +394,20 @@ class SparseHebbianNetwork:
             self._serve_w = arr
             self._serve_flat = self._w_out_flat
 
-    def _sync_serving(self, flat: np.ndarray) -> None:
-        """Refresh the int8 serving mirror at just-written flat offsets.
-
-        A no-op unless the mirror is a distinct array (``backend="int8"``);
-        every weight-write site calls this after its scatter.
+    def _note_written(self, flat: np.ndarray) -> None:
+        """Every weight-write site calls this after its scatter to
+        ``flat``: log the offsets for the fork partner (when there is
+        one) and refresh the int8 serving mirror (when it is a distinct
+        array, ``backend="int8"``).  ``flat`` is kept by reference — the
+        write sites pass fixed index tables or fresh arrays.
         """
+        log = self._written
+        if log is not None:
+            log.count += flat.size
+            if log.count > self._w_out_flat.size:
+                log.parts.clear()
+            else:
+                log.parts.append(flat)
         if self._serve_flat is self._w_out_flat:
             return
         vals = self._w_out_flat.take(flat)
@@ -577,7 +613,7 @@ class SparseHebbianNetwork:
         np.minimum(vals, wm, out=vals)
         np.maximum(vals, -wm, out=vals)
         w_flat[flat] = vals
-        self._sync_serving(flat)
+        self._note_written(flat)
 
     def predict_rollout(self, width: int = 1, length: int = 1
                         ) -> list[list[tuple[int, float]]]:
@@ -621,24 +657,71 @@ class SparseHebbianNetwork:
         """
         twin = object.__new__(SparseHebbianNetwork)
         twin.__dict__.update(self.__dict__)
-        twin.w_in = self.w_in.copy()
+        twin._written = None  # a clone has no fork partner (see fork())
         twin.w_out = self._w_out.copy()  # setter rebuilds the flat alias
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
         if self.config.plastic_hidden:
-            # Plastic clones diverge; give each its own (disabled) cache
-            # and recompute the input drive from the copied weights.
+            # Plastic clones diverge (only ``_adapt_hidden`` writes
+            # ``w_in``); give each its own input weights and (disabled)
+            # cache, and recompute the input drive from the copy.
+            twin.w_in = self.w_in.copy()
             twin._code_cache = None
             twin._code_masks = {}
             twin._delta_cache = {}
             twin._readout_idx = {}
-        for src, attr in ((self._prev_active, "_prev_active"),
-                          (self._last_scores, "_last_scores"),
-                          (self._last_active, "_last_active"),
-                          (self._last_probs, "_last_probs")):
-            setattr(twin, attr, None if src is None else src.copy())
+        twin._copy_stream_state(self)
         return twin
+
+    def fork(self) -> "SparseHebbianNetwork":
+        """:meth:`clone`, with the two copies sharing one log of their
+        weight writes from here on, so a later ``a.sync_from(b)`` moves
+        only what changed.  A network has one fork partner at a time:
+        forking again pairs it with the new twin."""
+        twin = self.clone()
+        twin._written = self._written = _WriteLog()
+        return twin
+
+    def sync_from(self, source: "SparseHebbianNetwork") -> np.ndarray | None:
+        """Make this network what ``source.clone()`` would return —
+        weights, sequence state, ``train_steps`` — in place.
+
+        Between fork partners only the readout entries either has
+        written since the two were last level are copied; returns those
+        flat ``w_out`` offsets (duplicates possible) and restarts the
+        log.  Returns None after copying the whole array: not partners,
+        or a log that outgrew the weights.
+        """
+        log = self._written
+        if log is not source._written:
+            log = None  # not partners: nothing is known about the gap
+        offsets: np.ndarray | None = None
+        if log is not None and log.count <= self._w_out_flat.size:
+            offsets = np.concatenate(
+                [np.empty(0, dtype=np.intp), *log.parts])
+            self._w_out_flat[offsets] = source._w_out_flat.take(offsets)
+            if self._serve_flat is not self._w_out_flat:
+                self._serve_flat[offsets] = source._serve_flat.take(offsets)
+        else:
+            self.w_out = source._w_out.copy()
+        if log is not None:
+            log.parts.clear()
+            log.count = 0
+        if self.config.plastic_hidden:
+            np.copyto(self.w_in, source.w_in)
+        self._copy_stream_state(source)
+        return offsets
+
+    def _copy_stream_state(self, source: "SparseHebbianNetwork") -> None:
+        """Private copies of ``source``'s sequence state and step count."""
+        self._prev_class = source._prev_class
+        self._prev_pred = source._prev_pred
+        for attr in ("_prev_active", "_last_scores", "_last_active",
+                     "_last_probs"):
+            src = getattr(source, attr)
+            setattr(self, attr, None if src is None else src.copy())
+        self.train_steps = source.train_steps
 
     def restore_state(self, *, w_out: np.ndarray, prev_class: int | None,
                       prev_active: np.ndarray | None, prev_pred: int | None,
@@ -714,7 +797,7 @@ class SparseHebbianNetwork:
         np.minimum(vals, wm, out=vals)
         np.maximum(vals, -wm, out=vals)
         w_flat[flat] = vals
-        self._sync_serving(flat)
+        self._note_written(flat)
 
         if config.punish_wrong and predicted is not None and predicted != target:
             wrong = active[self.mask_out[active, predicted]]
@@ -724,7 +807,7 @@ class SparseHebbianNetwork:
                 wvals -= lr
                 np.maximum(wvals, -wm, out=wvals)
                 w_flat[wrong_flat] = wvals
-                self._sync_serving(wrong_flat)
+                self._note_written(wrong_flat)
 
     def _adapt_hidden(self, input_class: int, active: np.ndarray,
                       lr_scale: float) -> None:

@@ -33,6 +33,8 @@ cohort round advance):
 * ``acquire_lane``/``release_lane`` adopt a live scalar network into a
   fleet slot and hand its (bit-identical) state back out, so lanes can
   join and leave mid-run as cohort lanes drain and refill.
+* ``redeploy_lane`` re-points a resident slot at a network that differs
+  from it at a known few weights (serve's hot swap), moving only those.
 * ``step_lanes`` steps an arbitrary lane subset with per-lane train
   flags — the batched mirror of ``SparseHebbianNetwork.step``.
 * ``train_pairs_lanes`` replays per-lane episode batches — the batched
@@ -155,12 +157,34 @@ class HebbianFleet:
     def release_lane(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Hand a slot's state back to ``net`` and free the slot."""
         self._export(lane, net)
+        self._clear_sequence_state(lane)
+        self._free.append(lane)
+
+    def redeploy_lane(self, lane: int, net: SparseHebbianNetwork,
+                      changed: np.ndarray | None) -> None:
+        """Re-point a resident slot at ``net``, a freshly reset network
+        whose weights differ from the slot's at most at the flat
+        ``w_out`` offsets ``changed`` (None: anywhere).
+
+        Leaves the slot as ``release_lane`` then ``acquire_lane(net)``
+        would — ``net``'s weights and step count, no sequence state, the
+        same slot index — moving only the changed entries.
+        """
+        if changed is None:
+            self.w_out[lane] = net.w_out
+        else:
+            # ndarray.take without an axis indexes the flattened array
+            self._w_flat[changed + lane * self._block] = net.w_out.take(
+                changed)
+        self._clear_sequence_state(lane)
+        self.train_steps[lane] = net.train_steps
+
+    def _clear_sequence_state(self, lane: int) -> None:
         self._prev_class[lane] = None
         self._prev_active[lane] = None
         self._prev_pred[lane] = None
         self._last_active[lane] = None
         self._has_last[lane] = False
-        self._free.append(lane)
 
     def _export(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Install lane ``lane``'s learned weights and sequence state
@@ -483,11 +507,7 @@ class HebbianFleet:
     def reset_state(self) -> None:
         """Clear every lane's sequence context (weights are kept)."""
         for t in range(self.n_lanes):
-            self._prev_class[t] = None
-            self._prev_active[t] = None
-            self._prev_pred[t] = None
-            self._last_active[t] = None
-            self._has_last[t] = False
+            self._clear_sequence_state(t)
 
     def lane_weights(self, lane: int) -> np.ndarray:
         """Lane ``lane``'s learned-weight block, as a read-only view.
@@ -496,7 +516,7 @@ class HebbianFleet:
         from exactly one deployed weight snapshot (never a torn mix);
         a view keeps that check allocation-free.  Callers must not
         write through it — mutation goes through ``step_lanes`` /
-        ``acquire_lane``.
+        ``acquire_lane`` / ``redeploy_lane``.
         """
         view = self.w_out[lane]
         view.flags.writeable = False

@@ -59,6 +59,11 @@ from .loop import Actor
 from .ring import EventRing
 
 
+#: Latency / swap-pause samples kept per series; percentiles are over
+#: this most recent window, so a long-running daemon's memory is flat.
+SAMPLE_WINDOW = 65_536
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything configurable about one service instance.
@@ -182,7 +187,7 @@ class TenantLane:
         self.last_address = 0   # the miss a later query is answered for
         self.swaps = 0
         self.swaps_rejected = 0
-        self.swap_pauses: list[float] = []
+        self.swap_pauses: deque[float] = deque(maxlen=SAMPLE_WINDOW)
         self.checksum_history: list[str] = []
 
     @property
@@ -243,9 +248,12 @@ class TenantLane:
         """Hot-swap: promote the shadow to live (§5.5 redeploy).
 
         A shadow with non-finite weights is rejected and discarded — the
-        live copy keeps serving.  In stacked mode the swap is a lane
-        release/re-acquire around the redeploy; the weight copy in and
-        out of the fleet block is the measured "swap pause".
+        live copy keeps serving.  The admission scan reads every weight;
+        the swap after it is a flip plus a patch: the redeploy moves only
+        the readout entries training wrote since the fork, and in
+        stacked mode the lane's fleet slot is patched at the same
+        offsets.  That motion (not the scan) is the measured "swap
+        pause".
         """
         manager = self.manager
         if not weights_finite(manager.shadow):
@@ -253,11 +261,9 @@ class TenantLane:
             self.swaps_rejected += 1
             return
         start = clock.now()
+        changed = self.prefetcher.redeploy()
         if fleet is not None:
-            fleet.release_lane(self.slot, self.live_net())
-        self.prefetcher.redeploy()
-        if fleet is not None:
-            self.slot = fleet.acquire_lane(self.live_net())
+            fleet.redeploy_lane(self.slot, self.live_net(), changed)
         self.swap_pauses.append(clock.now() - start)
         self.swaps += 1
         if self.record_checksums:
@@ -378,7 +384,7 @@ class PrefetchService:
         self.forced_swaps = 0
         self.poison_injected = 0
         self.total_trained = 0
-        self.latencies: list[float] = []
+        self.latencies: deque[float] = deque(maxlen=SAMPLE_WINDOW)
 
     # -- client surface ---------------------------------------------------
     def submit_miss(self, tenant: int, address: int,
@@ -566,11 +572,13 @@ class PrefetchService:
         }
 
     def latency_percentiles(self) -> dict[str, float]:
-        """p50/p99 query latency in milliseconds (clock units)."""
+        """p50/p99 query latency in milliseconds (clock units), over the
+        most recent :data:`SAMPLE_WINDOW` queries."""
         return _percentiles_ms(self.latencies)
 
     def swap_pause_percentiles(self) -> dict[str, float]:
-        """p50/p99 hot-swap pause in milliseconds (clock units)."""
+        """p50/p99 hot-swap pause in milliseconds (clock units), over
+        each lane's most recent :data:`SAMPLE_WINDOW` swaps."""
         pauses = [p for lane in self._lanes.values()
                   for p in lane.swap_pauses]
         return _percentiles_ms(pauses)

@@ -61,10 +61,36 @@ class TestShadowModelManager:
     def test_redeploy_forks_fresh_shadow(self):
         manager = ShadowModelManager(small_hebbian())
         manager.train_shadow(1, 2)
-        old_shadow = manager.shadow
-        manager.redeploy()
+        old_live, old_shadow = manager.live, manager.shadow
+        changed = manager.redeploy()
         assert manager.live is old_shadow
         assert manager.shadow is not old_shadow
+        # The retired live network is recycled as the new shadow, level
+        # with the new live copy after moving only what training wrote.
+        assert manager.shadow is old_live
+        assert changed is not None and 0 < changed.size < old_live.w_out.size
+        assert np.array_equal(manager.shadow.w_out, manager.live.w_out)
+        assert not np.shares_memory(manager.shadow.w_out, manager.live.w_out)
+
+    def test_other_models_still_redeploy_by_clone(self):
+        """Only a plain Hebbian pair is recycled: the LSTM and any
+        proxy/subclass keep the ``clone()`` fork."""
+        class Proxy(SparseHebbianNetwork):
+            def clone(self) -> "Proxy":
+                twin = Proxy(self.config)
+                twin.w_out = self.w_out.copy()
+                return twin
+
+        lstm = OnlineLSTM(LSTMConfig(vocab_size=8, embed_dim=4,
+                                     hidden_dim=8, seed=0))
+        for model in (lstm, Proxy(HebbianConfig(vocab_size=16,
+                                                hidden_dim=150))):
+            manager = ShadowModelManager(model)
+            manager.train_shadow(1, 2)
+            old_live, old_shadow = manager.live, manager.shadow
+            assert manager.redeploy() is None
+            assert manager.live is old_shadow
+            assert manager.shadow not in (old_live, old_shadow)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,6 +158,9 @@ class TestShadowModelManager:
         assert manager.shadow is not trained_shadow
         assert manager.staleness == 0
         assert np.array_equal(manager.shadow.w_out, manager.live.w_out)
+        # The fresh shadow starts with an empty write log: the discarded
+        # steps are not carried into the next redeploy's patch.
+        assert manager.redeploy().size == 0
         # The discarded training really is gone.
         live_probs = manager.live.step(1, train=False)
         shadow_probs = manager.shadow.step(1, train=False)

@@ -150,6 +150,21 @@ class TestCloneAndEval:
             twin.step(7)
         assert tiny_hebbian.evaluate_sequence([2] * 10) > 0.8
 
+    def test_clone_shares_fixed_input_weights(self, tiny_hebbian):
+        """Nothing writes ``w_in`` without ``plastic_hidden``, so clones
+        share it like the other fixed structures."""
+        assert tiny_hebbian.clone().w_in is tiny_hebbian.w_in
+
+    def test_plastic_clones_diverge(self):
+        net = SparseHebbianNetwork(HebbianConfig(
+            vocab_size=16, hidden_dim=200, plastic_hidden=True, seed=3))
+        twin = net.clone()
+        before = net.w_in.copy()
+        for _ in range(50):
+            twin.step(2)
+        np.testing.assert_array_equal(net.w_in, before)
+        assert twin.w_in.sum() > before.sum()
+
     def test_evaluate_does_not_train(self, tiny_hebbian):
         for _ in range(30):
             tiny_hebbian.step(2)
@@ -167,3 +182,70 @@ def test_property_kwta_always_exact(class_id, ctx_class):
     code = net.hidden_code(class_id, prev_active=ctx)
     assert len(code) == net.config.k_winners
     assert len(set(code.tolist())) == net.config.k_winners
+
+
+def _state(net: SparseHebbianNetwork) -> list:
+    """Everything ``clone()`` copies, as comparable values."""
+    arrays = [net._prev_active, net._last_scores, net._last_active,
+              net._last_probs]
+    return [net.w_out.tolist(), net._serve_w.tolist(), net.w_in.tolist(),
+            net._prev_class, net._prev_pred, net.train_steps,
+            [None if a is None else a.tolist() for a in arrays]]
+
+
+class TestWriteLog:
+    """``fork()`` / ``sync_from()``: a fork pair moves what it wrote."""
+
+    def test_off_without_a_fork_partner(self, tiny_hebbian):
+        for _ in range(20):
+            tiny_hebbian.step(2)
+        assert tiny_hebbian._written is None
+        assert tiny_hebbian.clone()._written is None
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"punish_wrong": False}, {"backend": "int8"},
+        {"plastic_hidden": True}], ids=["default", "no-punish", "int8",
+                                        "plastic"])
+    def test_sync_equals_clone(self, overrides):
+        net = SparseHebbianNetwork(HebbianConfig(
+            vocab_size=16, hidden_dim=200, seed=3, **overrides))
+        for c in [1, 4, 2, 7] * 5:
+            net.step(c)
+        twin = net.fork()
+        twin.train_pairs([(1, 4), (4, 2), (2, 7)], lr_scale=0.1)
+        twin.train_pair(7, 1)
+        net.step(9)                       # the stale side wrote too
+        offsets = net.sync_from(twin)
+        assert offsets is not None and 0 < offsets.size < net.w_out.size
+        assert _state(net) == _state(twin.clone())
+        assert not np.shares_memory(net.w_out, twin.w_out)
+        # Level again: the next sync has nothing to move.
+        assert net.sync_from(twin).size == 0
+
+    def test_log_is_bounded_and_collapses_to_a_full_copy(self, tiny_hebbian):
+        twin = tiny_hebbian.fork()
+        log = twin._written
+        for _ in range(400):              # far more offsets than weights
+            twin.train_pair(1, 2)
+        assert log.count > twin.w_out.size and not log.parts
+        assert tiny_hebbian.sync_from(twin) is None
+        np.testing.assert_array_equal(tiny_hebbian.w_out, twin.w_out)
+        assert log.count == 0
+
+    def test_setter_marks_everything(self, tiny_hebbian):
+        twin = tiny_hebbian.fork()
+        twin.w_out = twin.w_out + 1.0
+        assert tiny_hebbian.sync_from(twin) is None
+        np.testing.assert_array_equal(tiny_hebbian.w_out, twin.w_out)
+        assert not np.shares_memory(tiny_hebbian.w_out, twin.w_out)
+
+    def test_non_partner_gets_a_full_copy(self, tiny_hebbian):
+        first = tiny_hebbian.fork()
+        second = tiny_hebbian.fork()      # re-pairs; ``first`` is orphaned
+        first.train_pair(1, 2)
+        second.train_pair(3, 4)
+        assert tiny_hebbian.sync_from(first) is None
+        np.testing.assert_array_equal(tiny_hebbian.w_out, first.w_out)
+        # ...and the copy counts as a write against the live pairing.
+        assert second.sync_from(tiny_hebbian) is None
+        np.testing.assert_array_equal(second.w_out, first.w_out)

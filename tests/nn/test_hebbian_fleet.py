@@ -249,6 +249,44 @@ def test_acquire_release_round_trip(backend: str) -> None:
     assert recycled in slots
 
 
+@pytest.mark.parametrize("logged", [True, False],
+                         ids=["patch", "full-copy"])
+def test_redeploy_lane_equals_release_then_acquire(logged: bool) -> None:
+    """Re-pointing a resident slot at a fork that trained apart leaves
+    the fleet as the release → acquire round trip does."""
+    proto = _prototype("numpy")
+    streams = _streams(7)
+    fleets, slots = [], []
+    for _ in range(2):
+        fleet = HebbianFleet(proto, 2, reserve=True)
+        fleet.acquire_lane(proto.clone())             # a bystander lane
+        slots.append(fleet.acquire_lane(proto.clone()))
+        fleets.append(fleet)
+    live = proto.clone()
+    shadow = live.fork()
+    for step in range(20):
+        for fleet, slot in zip(fleets, slots):
+            fleet.step_lanes([slot], [int(streams[step, 0])], [False])
+        shadow.train_pair(int(streams[step, 1]), int(streams[step, 2]))
+    changed = live.sync_from(shadow) if logged else None
+    assert logged == (changed is not None)
+    shadow.reset_state()
+    patched, reference = fleets
+    patched.redeploy_lane(slots[0], shadow, changed)
+    reference.release_lane(slots[1], proto.clone())
+    assert reference.acquire_lane(shadow) == slots[1]
+    assert np.array_equal(patched.w_out, reference.w_out)
+    assert np.array_equal(patched.lane_weights(slots[0]), shadow.w_out)
+    assert np.array_equal(patched.train_steps, reference.train_steps)
+    for step in range(20, 40):
+        classes = [int(streams[step, 0])] * 2
+        got = patched.step_lanes([0, slots[0]], classes, [True, True])
+        want = reference.step_lanes([0, slots[1]], classes, [True, True])
+        assert np.array_equal(got, want), step
+    assert patched.rollout_lanes([slots[0]], [2], [3]) == \
+        reference.rollout_lanes([slots[1]], [2], [3])
+
+
 def test_acquire_rejects_config_mismatch() -> None:
     proto = _prototype("numpy")
     fleet = HebbianFleet(proto, 1, reserve=True)

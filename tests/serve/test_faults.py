@@ -17,6 +17,10 @@ service's exact counters:
                           outlives the model it was computed from.
 - poisoned shadow      → the swap path rejects and discards it; live
                           weights stay finite; answers keep flowing.
+- flip-plus-patch swap → after every swap the fleet slot, the live
+                          network and the admitted shadow hold the same
+                          weights; admission still reads every weight;
+                          no swap clones a model or cycles a fleet slot.
 """
 
 from __future__ import annotations
@@ -26,9 +30,12 @@ import pytest
 
 from repro.core.availability import weights_finite
 from repro.core.cls_prefetcher import CLSPrefetcher
+from repro.nn.hebbian import SparseHebbianNetwork
+from repro.nn.hebbian_fleet import HebbianFleet
 from repro.serve import FaultPlan, PrefetchService, ServeConfig
 from repro.serve.clock import VirtualClock
 from repro.serve.loop import VirtualScheduler
+from repro.serve.service import TenantLane
 
 VOCAB = 64
 
@@ -187,6 +194,94 @@ def test_poisoned_shadow_rejected_live_stays_finite() -> None:
         assert weights_finite(lane.manager.shadow)
     assert counters["queries_answered"] == len(events)
     assert all(t.done for t in client.tickets)
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["forced", "ema"])
+@pytest.mark.parametrize("stacked", [True, False],
+                         ids=["stacked", "scalar"])
+def test_every_swap_deploys_exactly_the_admitted_weights(
+        stacked: bool, forced: bool,
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """A swap moves only the entries training wrote, so pin the result
+    against the whole block: the weights queries are answered from, the
+    live network's and the recycled shadow's all equal the shadow's
+    weights as admitted."""
+    swap_locked = TenantLane._swap_locked
+    checked = 0
+
+    def checking_swap(self: TenantLane, fleet, clock) -> None:
+        nonlocal checked
+        admitted = self.manager.shadow.w_out.copy()
+        swaps = self.swaps
+        swap_locked(self, fleet, clock)
+        if self.swaps == swaps:
+            return                      # rejected at admission
+        checked += 1
+        assert (fleet is not None) == stacked
+        if fleet is not None:
+            assert np.array_equal(fleet.lane_weights(self.slot), admitted)
+        assert np.array_equal(self.manager.live.w_out, admitted)
+        assert np.array_equal(self.manager.shadow.w_out, admitted)
+
+    monkeypatch.setattr(TenantLane, "_swap_locked", checking_swap)
+    service = PrefetchService(
+        ServeConfig(vocab_size=VOCAB, max_staleness=8, stacked=stacked,
+                    seed=3),
+        clock=VirtualClock(), faults=FaultPlan(swap_on_query=forced))
+    _run(service, _events(240))
+    counters = service.counters()
+    assert checked == counters["swaps"] > 0
+    assert (counters["forced_swaps"] > 0) == forced
+
+
+@pytest.mark.parametrize("stacked", [True, False],
+                         ids=["stacked", "scalar"])
+def test_poison_at_an_untrained_offset_is_rejected(stacked: bool) -> None:
+    """Admission reads every weight of the shadow, not only the entries
+    the write log names: a NaN assigned at an offset no training step
+    ever touches (an unconnected readout entry) never goes live."""
+    service = PrefetchService(
+        ServeConfig(vocab_size=VOCAB, stacked=stacked, seed=4),
+        clock=VirtualClock())
+    _run(service, _events(60, tenants=1))
+    lane = service.lane(0)
+    shadow = lane.manager.shadow
+    assert isinstance(shadow, SparseHebbianNetwork)
+    untrained = int(np.flatnonzero(~shadow.mask_out.reshape(-1))[0])
+    assert shadow.w_out.reshape(-1)[untrained] == 0.0
+    w_out = shadow.w_out.copy()
+    w_out.reshape(-1)[untrained] = np.nan
+    shadow.w_out = w_out
+    serving = lane.serving_checksum(service._fleet)
+    lane.force_swap(service._fleet, service.clock)
+    assert (lane.swaps_rejected, lane.manager.shadow is shadow) == (1, False)
+    assert lane.serving_checksum(service._fleet) == serving
+    assert weights_finite(lane.manager.live)
+    assert weights_finite(lane.manager.shadow)
+    # The refork is clean: the next swap is admitted.
+    swaps = lane.swaps
+    lane.force_swap(service._fleet, service.clock)
+    assert lane.swaps == swaps + 1
+
+
+def test_swaps_clone_no_model_and_cycle_no_fleet_slot(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    service = PrefetchService(ServeConfig(vocab_size=VOCAB, seed=3),
+                              clock=VirtualClock(),
+                              faults=FaultPlan(swap_on_query=True))
+    for tenant in range(2):
+        service.lane(tenant)            # onboarding clones and acquires
+    calls = {"clone": 0, "release_lane": 0, "acquire_lane": 0}
+    for owner, name in ((SparseHebbianNetwork, "clone"),
+                        (HebbianFleet, "release_lane"),
+                        (HebbianFleet, "acquire_lane")):
+        def counting(*args, _name=name, _real=getattr(owner, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counting)
+    _run(service, _events(160))
+    assert service.counters()["swaps"] >= 100
+    assert calls == {"clone": 0, "release_lane": 0, "acquire_lane": 0}
 
 
 def test_fault_plan_validation() -> None:
