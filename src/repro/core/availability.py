@@ -94,14 +94,15 @@ class ShadowModelManager:
 
         A flip plus a patch: the shadow becomes live by pointer, and a
         plain Hebbian pair recycles the retired live network as the new
-        shadow by copying in only the readout entries training wrote
+        shadow by copying in only the readout values training wrote
         since the fork (:meth:`SparseHebbianNetwork.sync_from`) — the
         same weights, sequence state and ``train_steps`` as
         ``live.clone()``, which every other model still pays.  Returns
-        the flat ``w_out`` offsets at which the new live copy may differ
-        from the retired one, None when that is not known (treat as
-        everywhere) — what a holder of the old live weights, like
-        serve's fleet slot, has to move.
+        the offsets into the connected-only value vector
+        (:attr:`SparseHebbianNetwork.readout_values`) at which the new
+        live copy may differ from the retired one, None when that is not
+        known (treat as everywhere) — what a holder of the old live
+        values, like serve's fleet slot, has to move.
         """
         retired, self.live = self.live, self.shadow
         if (type(retired) is SparseHebbianNetwork
@@ -148,13 +149,15 @@ def weights_finite(model: SequenceModel) -> bool:
 
     The swap admission check of the serving layer: a shadow that picked
     up a NaN/inf (hardware fault, poisoned update) must never be
-    promoted to live.
+    promoted to live.  A Hebbian network's learned weights are its
+    connected-only value vector — nothing else is stored — so the scan
+    reads ``n_connected`` values, not ``hidden * vocab``.
     """
     if isinstance(model, OnlineLSTM):
         return all(bool(np.isfinite(values).all())
                    for values in model.net.params.values())
     if isinstance(model, SparseHebbianNetwork):
-        return bool(np.isfinite(model.w_out).all())
+        return bool(np.isfinite(model.readout_values).all())
     raise TypeError(f"don't know how to validate {type(model).__name__}")
 
 
@@ -164,7 +167,10 @@ def perturb_weights(model: SequenceModel, sigma: float,
 
     ``sigma`` is relative: each weight tensor is perturbed by
     ``N(0, sigma * std(tensor))``, so the same setting is meaningful for
-    both model families.
+    both model families.  For the Hebbian readout the tensor is the
+    *dense* ``(hidden, vocab)`` view, structural zeros included — the
+    scale §5.5 / A-series results were measured with — and only
+    connected entries receive noise.
     """
     if not isinstance(model, (OnlineLSTM, SparseHebbianNetwork)):
         raise TypeError(f"don't know how to perturb {type(model).__name__}")
@@ -175,9 +181,10 @@ def perturb_weights(model: SequenceModel, sigma: float,
             scale = sigma * (float(values.std()) or 1.0)
             twin.net.params[key] = values + rng.normal(0.0, scale, size=values.shape)
     elif isinstance(twin, SparseHebbianNetwork):
-        scale = sigma * (float(twin.w_out.std()) or 1.0)
-        noise = rng.normal(0.0, scale, size=twin.w_out.shape)
-        twin.w_out = np.where(twin.mask_out, twin.w_out + noise, twin.w_out)
+        dense = twin.w_out
+        scale = sigma * (float(dense.std()) or 1.0)
+        noise = rng.normal(0.0, scale, size=dense.shape)
+        twin.w_out = np.where(twin.mask_out, dense + noise, dense)
     return twin
 
 

@@ -213,7 +213,8 @@ class CLSPrefetcher:
     _PHASE_REGION_BITS = 12
 
     def __init__(self, config: CLSPrefetcherConfig = CLSPrefetcherConfig(),
-                 *, model: SequenceModel | None = None) -> None:
+                 *, model: SequenceModel | None = None,
+                 manager: ShadowModelManager | None = None) -> None:
         self.config = config
         self.name = f"cls-{config.model}"
         self.encoder = make_encoder(config.encoder, config.vocab_size,
@@ -222,7 +223,11 @@ class CLSPrefetcher:
         # prototype so thousands of lanes share the fixed structures
         # (masks, index lists, memo caches) instead of re-deriving them
         # per lane.  The caller owns making the instance independent
-        # (e.g. ``prototype.clone()``).
+        # (e.g. ``prototype.clone()``).  ``manager`` injects a prebuilt
+        # §5.5 manager (serve sets thresholds the config lacks); its
+        # model is then the prefetcher's.
+        if manager is not None:
+            model = manager.model
         self.model: SequenceModel = model if model is not None \
             else config.build_model()
         self.history = MissHistory(capacity=max(16, config.prefetch_length + 2))
@@ -246,8 +251,8 @@ class CLSPrefetcher:
             # within a phase and distinct across phases.
             self.phase_detector = OnlinePhaseDetector(
                 vocab_size=self._PHASE_FEATURE_BINS)
-        self.manager: ShadowModelManager | None = None
-        if config.availability:
+        self.manager: ShadowModelManager | None = manager
+        if manager is None and config.availability:
             self.manager = ShadowModelManager(self.model)
         self.recall_memory: HippocampalRecall | None = None
         self.recall_stats = RecallStats()

@@ -31,15 +31,28 @@ that cost profile: the projections are stored as precomputed index lists
   ``(k, hidden)`` gather-and-sum),
 - a per-class connected-row update of the readout column (instead of
   full ``(hidden,)`` temporaries), and
-- a ``(k, vocab)`` readout gather.
+- a gather of the connected entries of the ``k`` active readout rows.
+
+The readout is *stored* the way it is addressed: one ``(n_connected,)``
+float64 value vector per network (``readout_values``), holding exactly
+the ``mask_out.sum()`` weights Eq. 1 can ever move, in class-major order
+— target 0's connected rows ascending, then target 1's, ... — so a
+target's column update is one contiguous range.  A fixed
+``(vocab, hidden)`` lookup shared by all clones maps a ``(class, row)``
+to its slot in the vector (``-1``: unconnected).  There
+is no dense ``(hidden, vocab)`` weight array: ``w_out`` is a property
+whose getter *materialises* one (``+0.0`` at unconnected entries) for
+oracles, digests and tests, and whose setter gathers the connected
+entries of a dense array into the network's own vector (DESIGN.md §6).
 
 Hidden codes are additionally memoized per ``(input class, context)``:
 the fixed projections make the k-WTA code a pure function of those two,
 and real miss streams revisit the same transitions constantly (the same
 regularity the prefetcher itself exploits), so steady-state inference
 skips the projection entirely.  ``repro.nn.hebbian_reference`` keeps the
-original dense masked-array implementation; the kernels here are
-bit-identical to it (see ``tests/nn/test_hebbian_equivalence.py``).
+original dense masked-array implementation (and dense storage); the
+kernels here are bit-identical to it (see
+``tests/nn/test_hebbian_equivalence.py``).
 
 Default configuration: vocab 128, hidden 1000, 12.5% in/out connectivity,
 1.7% recurrent connectivity — 49k connected weights, the paper's Table 2
@@ -202,11 +215,11 @@ def select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
 
 
 class _WriteLog:
-    """The flat ``w_out`` offsets a fork pair (see
+    """The value-vector offsets a fork pair (see
     :meth:`SparseHebbianNetwork.fork`) has written since the two were
     last level: index arrays kept by reference and their total length.
-    Bounded: once ``count`` passes ``w_out.size`` the arrays are dropped
-    and the log just means "everything"."""
+    Bounded: once ``count`` passes the vector's size the arrays are
+    dropped and the log just means "everything"."""
 
     __slots__ = ("parts", "count")
 
@@ -231,10 +244,9 @@ class SparseHebbianNetwork:
     def __init__(self, config: HebbianConfig = HebbianConfig()) -> None:
         self.config = config
         self.vocab_size = config.vocab_size
-        # Resolve the backend name up front (before the first w_out
-        # assignment: the setter maintains the serving mirror).  int8
-        # serves scores from a quantized weight mirror with this fixed
-        # symmetric scale; every other name is the same numpy arithmetic.
+        # int8 serves scores from a quantized weight mirror with this
+        # fixed symmetric scale; every other name is the same numpy
+        # arithmetic.
         self._backend = resolve_backend(config.backend, domain="nn")
         self._q_scale = config.weight_max / 127.0
         rng = np.random.default_rng(config.seed)
@@ -265,10 +277,15 @@ class SparseHebbianNetwork:
             self._sig_sigma = np.sqrt(np.maximum(degree * p * (1 - p), 1e-6))
         self.w_rec = self.mask_rec.astype(np.float64)
         # The write log shared with a fork partner; None (no logging)
-        # until ``fork()``.  Set before the first w_out assignment: the
-        # setter marks it.
+        # until ``fork()``.
         self._written: _WriteLog | None = None
-        self.w_out = np.zeros((n, v))
+        # The learned state: one value per connected readout entry, in
+        # class-major order (see ``_build_kernels``).  The int8 serving
+        # mirror is a second vector; under every other backend it is
+        # the same object.
+        self._w_vals = np.zeros(int(self.mask_out.sum()))
+        self._serve_vals = (np.zeros_like(self._w_vals)
+                            if self._backend == "int8" else self._w_vals)
         # Fixed per-unit jitter breaks k-WTA ties deterministically.
         self._tiebreak = rng.uniform(0.0, 1e-3, size=n)
         # Readout scores span roughly +-k * connectivity_out * weight_max at
@@ -302,10 +319,18 @@ class SparseHebbianNetwork:
         - ``_pre_base``: per-class feed-forward drive with the tie-break
           jitter folded in — the input projection is fixed (unless
           ``plastic_hidden``), so the k-WTA input term is a row copy.
-        - ``_out_rows`` / ``_out_flat``: per-class connected-hidden indices
-          of ``w_out`` (and their flattened offsets), so Eq. 1 updates
-          touch only the ~``hidden * connectivity_out`` connected entries
-          of the target column.
+        - ``_out_rows`` / ``_out_flat``: per-class connected-hidden
+          indices of the readout and their offsets in the value vector.
+          The vector is class-major, so a target's offsets are one
+          contiguous range and Eq. 1 updates touch only those
+          ~``hidden * connectivity_out`` values.
+        - ``_dense_flat`` / ``_slot_of``: the two directions of the
+          storage map — each value's flat offset in a dense
+          ``(hidden, vocab)`` array, and the ``(vocab, hidden)`` lookup
+          from a ``(class, row)`` to its value offset (``-1`` where
+          unconnected; class-major like the vector, so the punish term
+          gathers within one contiguous row).  Fixed, so clones share
+          them like the masks.
         """
         config = self.config
         v, n = config.vocab_size, config.hidden_dim
@@ -335,8 +360,14 @@ class SparseHebbianNetwork:
 
         self._out_rows = tuple(np.flatnonzero(self.mask_out[:, t])
                                for t in range(v))
-        self._out_flat = tuple((rows * v + t).astype(np.intp)
-                               for t, rows in enumerate(self._out_rows))
+        starts = np.cumsum([0] + [rows.size for rows in self._out_rows])
+        self._out_flat = tuple(
+            np.arange(starts[t], starts[t + 1], dtype=np.intp)
+            for t in range(v))
+        targets, rows = np.nonzero(self.mask_out.T)  # class-major
+        self._dense_flat = rows * v + targets
+        self._slot_of = np.full((v, n), -1, dtype=np.intp)
+        self._slot_of[targets, rows] = np.arange(targets.size)
         self._scratch_active = np.zeros(n, dtype=bool)
         self._probs_buf = np.empty(v)
         # (class, context) -> k-WTA code; valid because the projections the
@@ -355,63 +386,87 @@ class SparseHebbianNetwork:
         # are reusable verbatim.  Only cache-resident codes are keyed (the
         # cache keeps them alive, making ids stable); cleared with it.
         self._delta_cache: dict[tuple[int, int, float], np.ndarray] = {}
-        # id(code) -> (cols, flat) index arrays over the *connected*
-        # entries of the code's rows, in row-major order.  Lets the
-        # readout gather+accumulate only the ~connectivity_out fraction of
-        # each row that can be nonzero (see ``readout`` for the
-        # bit-identity argument).  Same id-keyed lifecycle as the masks.
+        # id(code) -> (cols, flat): the classes and value-vector offsets
+        # of the *connected* entries of the code's rows, in row-major
+        # order — what the readout gathers and accumulates (see
+        # ``readout`` for the bit-identity argument).  Same id-keyed
+        # lifecycle as the masks.
         self._readout_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
-    def w_out(self) -> np.ndarray:
-        """The learned readout weights, ``(hidden, vocab)``.
+    def readout_values(self) -> np.ndarray:
+        """The learned state itself: the ``(n_connected,)`` readout
+        values in class-major order, as a read-only view."""
+        view = self._w_vals.view()
+        view.flags.writeable = False
+        return view
 
-        They change only through this network's methods or by assigning
-        a whole array here — never write ``net.w_out[...]`` in place: an
-        in-place write skips the int8 serving mirror and the write log
-        that :meth:`sync_from` moves a fork's changes by.
+    @property
+    def w_out(self) -> np.ndarray:
+        """The readout weights as a dense ``(hidden, vocab)`` array.
+
+        A *view for oracles* (the dense reference, digests,
+        ``perturb_weights``, tests), not the storage: every read
+        materialises a fresh array from the value vector, with ``+0.0``
+        at unconnected entries, so writing into it changes nothing.
+        Weights change only through this network's methods or by
+        assigning a whole dense array here.  The setter gathers the
+        connected entries into the network's own vector — it never
+        adopts the caller's array, so two networks cannot share weights
+        (``a.w_out = b.w_out`` leaves two independent copies, each with
+        its own coherent int8 mirror) — and marks the whole write log.
+        An unconnected entry cannot be stored: a non-zero or non-finite
+        value there raises ``ValueError``.
         """
-        return self._w_out
+        return self._dense(self._w_vals)
 
     @w_out.setter
     def w_out(self, value: np.ndarray) -> None:
-        # Keep the flat alias (used by the sparse column update) in sync
-        # when callers replace the weights wholesale (e.g. the §5.5 noise
-        # robustness probe assigns a perturbed copy).
-        arr = np.ascontiguousarray(value, dtype=np.float64)
-        self._w_out = arr
-        self._w_out_flat = arr.reshape(-1)
-        if self._written is not None:
-            self._written.parts.clear()
-            self._written.count = arr.size + 1  # every entry may differ
-        if self._backend == "int8":
-            # Serving mirror: the readout scores from these quantized
-            # values while training keeps updating the float64 weights.
-            mirror = snap_to_grid(arr, self._q_scale)
-            self._serve_w = mirror
-            self._serve_flat = mirror.reshape(-1)
-        else:
-            self._serve_w = arr
-            self._serve_flat = self._w_out_flat
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape != self.mask_out.shape:
+            raise ValueError(f"w_out must have shape {self.mask_out.shape}, "
+                             f"got {arr.shape}")
+        if arr[~self.mask_out].any():  # NaN and inf are truthy
+            raise ValueError("w_out has a non-zero or non-finite value at "
+                             "an unconnected entry")
+        self._set_values(arr.reshape(-1).take(self._dense_flat))
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (value-vector layout) scattered into a fresh dense
+        ``(hidden, vocab)`` array of zeros."""
+        dense = np.zeros(self.mask_out.shape)
+        dense.reshape(-1)[self._dense_flat] = values
+        return dense
+
+    def _set_values(self, values: np.ndarray) -> None:
+        """Overwrite every learned value (a private copy of ``values``);
+        the wholesale counterpart of :meth:`_note_written`."""
+        np.copyto(self._w_vals, values)
+        log = self._written
+        if log is not None:
+            log.parts.clear()
+            log.count = values.size + 1  # every entry may differ
+        if self._serve_vals is not self._w_vals:
+            self._serve_vals[:] = snap_to_grid(self._w_vals, self._q_scale)
 
     def _note_written(self, flat: np.ndarray) -> None:
         """Every weight-write site calls this after its scatter to
         ``flat``: log the offsets for the fork partner (when there is
         one) and refresh the int8 serving mirror (when it is a distinct
-        array, ``backend="int8"``).  ``flat`` is kept by reference — the
+        vector, ``backend="int8"``).  ``flat`` is kept by reference — the
         write sites pass fixed index tables or fresh arrays.
         """
         log = self._written
         if log is not None:
             log.count += flat.size
-            if log.count > self._w_out_flat.size:
+            if log.count > self._w_vals.size:
                 log.parts.clear()
             else:
                 log.parts.append(flat)
-        if self._serve_flat is self._w_out_flat:
+        if self._serve_vals is self._w_vals:
             return
-        vals = self._w_out_flat.take(flat)
-        self._serve_flat[flat] = snap_to_grid(vals, self._q_scale)
+        vals = self._w_vals.take(flat)
+        self._serve_vals[flat] = snap_to_grid(vals, self._q_scale)
 
     # ------------------------------------------------------------------
     # Forward pieces
@@ -472,42 +527,38 @@ class SparseHebbianNetwork:
     def readout(self, active: np.ndarray) -> np.ndarray:
         """Class scores from an active hidden set.
 
-        Cache-resident codes take a sparse path: gather only the
-        *connected* entries of the active rows and accumulate them per
-        class with ``np.bincount``.  This is bit-identical to the dense
-        row sum: ``np.add.reduce`` over axis 0 adds the rows elementwise
-        in order, bincount adds the row-major-ordered connected values per
-        column in the same row order, and the skipped entries are exactly
-        ``+0.0`` (``_learn`` never touches unconnected entries and the
-        update arithmetic cannot produce ``-0.0``), so dropping them
-        changes no bits.  Pinned by tests against the dense reference.
+        Gathers only the *connected* entries of the active rows — the
+        only ones stored — and accumulates them per class with
+        ``np.bincount``.  This is bit-identical to the dense row sum of
+        the reference: ``np.add.reduce`` over axis 0 adds the rows
+        elementwise in order, bincount adds the row-major-ordered
+        connected values per column in the same row order, and the
+        entries the dense sum has on top are exactly ``+0.0`` (``_learn``
+        never touches unconnected entries and the update arithmetic
+        cannot produce ``-0.0``), so dropping them changes no bits.
+        Pinned by tests against the dense reference.
         """
-        entry = self._readout_entry(active)
-        if entry is None:
-            # Foreign (non-resident) code: dense row sum, as before.
-            # np.add.reduce is what ndarray.sum calls underneath minus a
-            # dispatch layer.  (Serves from the mirror like the sparse
-            # path.)
-            return np.add.reduce(self._serve_w.take(active, axis=0), axis=0)
-        cols, flat = entry
-        return np.bincount(cols, weights=self._serve_flat.take(flat),
+        cols, flat = self._readout_entry(active)
+        return np.bincount(cols, weights=self._serve_vals.take(flat),
                            minlength=self.config.vocab_size)
 
     def _readout_entry(self, active: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Memoized ``(cols, flat)`` sparse-readout indices of a code, or
-        None for a foreign (non-resident) one."""
-        entry = self._readout_idx.get(id(active))
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(cols, flat)`` sparse-readout indices of a code:
+        memoized for a cache-resident one, computed per call for a
+        foreign one (no stable id to key it by)."""
+        key = id(active)
+        entry = self._readout_idx.get(key)
         if entry is None:
-            if id(active) not in self._code_masks:
-                return None
-            rows_i, cols = self.mask_out[active].nonzero()
-            flat = (active[rows_i] * self.config.vocab_size
-                    + cols).astype(np.intp)
-            entry = (cols.astype(np.intp), flat)
-            if len(self._readout_idx) >= _READOUT_IDX_CAP:
-                self._readout_idx.clear()
-            self._readout_idx[id(active)] = entry
+            # the active rows' slots in (row, class) order: a connected
+            # entry's class is its position modulo the vocabulary
+            slots = self._slot_of[:, active].T.ravel()
+            keep = (slots >= 0).nonzero()[0]
+            entry = (keep % self.config.vocab_size, slots.take(keep))
+            if key in self._code_masks:
+                if len(self._readout_idx) >= _READOUT_IDX_CAP:
+                    self._readout_idx.clear()
+                self._readout_idx[key] = entry
         return entry
 
     def probabilities(self, scores: np.ndarray,
@@ -606,7 +657,7 @@ class SparseHebbianNetwork:
             deltas.append(self._delta(self.hidden_code(input_class),
                                       target_class, lr_scale))
         flat = np.concatenate(flats)
-        w_flat = self._w_out_flat
+        w_flat = self._w_vals
         wm = config.weight_max
         vals = w_flat.take(flat)
         vals += np.concatenate(deltas)
@@ -658,7 +709,9 @@ class SparseHebbianNetwork:
         twin = object.__new__(SparseHebbianNetwork)
         twin.__dict__.update(self.__dict__)
         twin._written = None  # a clone has no fork partner (see fork())
-        twin.w_out = self._w_out.copy()  # setter rebuilds the flat alias
+        twin._w_vals = self._w_vals.copy()
+        twin._serve_vals = (twin._w_vals if self._serve_vals is self._w_vals
+                            else self._serve_vals.copy())
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
@@ -687,24 +740,24 @@ class SparseHebbianNetwork:
         """Make this network what ``source.clone()`` would return —
         weights, sequence state, ``train_steps`` — in place.
 
-        Between fork partners only the readout entries either has
+        Between fork partners only the readout values either has
         written since the two were last level are copied; returns those
-        flat ``w_out`` offsets (duplicates possible) and restarts the
-        log.  Returns None after copying the whole array: not partners,
+        value-vector offsets (duplicates possible) and restarts the
+        log.  Returns None after copying the whole vector: not partners,
         or a log that outgrew the weights.
         """
         log = self._written
         if log is not source._written:
             log = None  # not partners: nothing is known about the gap
         offsets: np.ndarray | None = None
-        if log is not None and log.count <= self._w_out_flat.size:
+        if log is not None and log.count <= self._w_vals.size:
             offsets = np.concatenate(
                 [np.empty(0, dtype=np.intp), *log.parts])
-            self._w_out_flat[offsets] = source._w_out_flat.take(offsets)
-            if self._serve_flat is not self._w_out_flat:
-                self._serve_flat[offsets] = source._serve_flat.take(offsets)
+            self._w_vals[offsets] = source._w_vals.take(offsets)
+            if self._serve_vals is not self._w_vals:
+                self._serve_vals[offsets] = source._serve_vals.take(offsets)
         else:
-            self.w_out = source._w_out.copy()
+            self._set_values(source._w_vals)
         if log is not None:
             log.parts.clear()
             log.count = 0
@@ -723,7 +776,7 @@ class SparseHebbianNetwork:
             setattr(self, attr, None if src is None else src.copy())
         self.train_steps = source.train_steps
 
-    def restore_state(self, *, w_out: np.ndarray, prev_class: int | None,
+    def restore_state(self, *, values: np.ndarray, prev_class: int | None,
                       prev_active: np.ndarray | None, prev_pred: int | None,
                       last_active: np.ndarray | None,
                       last_scores: np.ndarray | None,
@@ -734,10 +787,10 @@ class SparseHebbianNetwork:
         The hand-back half of the :class:`~repro.nn.hebbian_fleet.
         HebbianFleet` adoption protocol: a fleet slot carries this
         network's weights and sequence context while batched stepping
-        owns the lane, and returns them here when the lane leaves.  The
-        ``w_out`` setter rebuilds the flat (and serving) aliases.
+        owns the lane, and returns them here when the lane leaves.
+        ``values`` is in :attr:`readout_values` layout and is copied.
         """
-        self.w_out = w_out
+        self._set_values(values)
         self._prev_class = prev_class
         self._prev_active = prev_active
         self._prev_pred = prev_pred
@@ -790,7 +843,7 @@ class SparseHebbianNetwork:
         config = self.config
         lr = config.lr * lr_scale
         flat = self._out_flat[target]
-        w_flat = self._w_out_flat
+        w_flat = self._w_vals
         wm = config.weight_max
         vals = w_flat.take(flat)
         vals += self._delta(active, target, lr_scale)
@@ -800,14 +853,20 @@ class SparseHebbianNetwork:
         self._note_written(flat)
 
         if config.punish_wrong and predicted is not None and predicted != target:
-            wrong = active[self.mask_out[active, predicted]]
-            if wrong.size:
-                wrong_flat = wrong * config.vocab_size + predicted
+            wrong_flat = self._punish_flat(active, predicted)
+            if wrong_flat.size:
                 wvals = w_flat.take(wrong_flat)
                 wvals -= lr
                 np.maximum(wvals, -wm, out=wvals)
                 w_flat[wrong_flat] = wvals
                 self._note_written(wrong_flat)
+
+    def _punish_flat(self, active: np.ndarray, predicted: int) -> np.ndarray:
+        """Value-vector offsets of the error-driven depression: the
+        entries of the wrongly predicted class that ``active`` connects
+        to, in ``active``'s order."""
+        slots = self._slot_of[predicted][active]
+        return slots[slots >= 0]
 
     def _adapt_hidden(self, input_class: int, active: np.ndarray,
                       lr_scale: float) -> None:

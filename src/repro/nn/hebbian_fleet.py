@@ -2,17 +2,17 @@
 
 :class:`HebbianFleet` stacks T independent copies of one
 :class:`~repro.nn.hebbian.SparseHebbianNetwork` prototype into a single
-lane-major weight tensor and advances *all* lanes per vectorized
-operation.  The fixed structures — projection masks, CSR index lists,
-the hidden-code memo, and the Eq. 1 delta cache — are shared with the
-prototype (they are identical across lanes by construction), so the
-per-step work that remains per lane is exactly the learned-weight
-arithmetic:
+lane-major ``(lanes, n_connected)`` slab of readout values — the
+prototype's connected-only layout, one row per lane — and advances *all*
+lanes per vectorized operation.  The fixed structures — projection
+masks, CSR index lists, the storage map, the hidden-code memo, and the
+Eq. 1 delta cache — are shared with the prototype (they are identical
+across lanes by construction), so the per-step work that remains per
+lane is exactly the learned-weight arithmetic:
 
 * **Batched learn** — every lane's Eq. 1 column update (and the
-  error-driven punish term) lands in a disjoint block of the flat weight
-  tensor, so the whole fleet applies as one gather-update-clip-scatter
-  per step.
+  error-driven punish term) lands in a disjoint row of the value slab,
+  so the whole fleet applies as one gather-update-clip-scatter per step.
 * **Batched readout** — the per-lane connected-entry gathers concatenate
   into one ``bincount`` over a ``T * vocab`` accumulator, reshaped to
   per-lane score rows.
@@ -21,7 +21,7 @@ arithmetic:
 
 Every batched path is bit-identical to T independent networks stepping
 the same class streams (``tests/nn/test_hebbian_fleet.py`` pins this):
-lane blocks are disjoint so the update order across lanes
+lane rows are disjoint so the update order across lanes
 cannot matter, the shared caches are pure memoization over fixed
 structures, and the row softmax performs the same elementwise
 arithmetic as the scalar one.
@@ -47,8 +47,8 @@ Adopted networks may come from *different* :class:`SparseHebbianNetwork`
 instances built from an equal config: the fixed structures are then
 value-identical (construction is seeded by the config) even though the
 cache dicts differ.  The hidden-code memo is content-keyed, and every
-id-keyed cache miss (delta, readout indices) falls back to the same
-arithmetic it would have cached, so adoption preserves bit-identity.
+id-keyed cache miss (delta, readout indices) computes the same indices
+it would have cached, so adoption preserves bit-identity.
 
 Out of scope (both raise at construction): ``plastic_hidden`` lanes
 diverge in their *fixed* projections, and the ``int8`` serving mirror
@@ -92,16 +92,16 @@ class HebbianFleet:
         self.prototype = prototype
         self.n_lanes = n_lanes
         self.vocab_size = config.vocab_size
-        self.hidden_dim = config.hidden_dim
-        self._block = self.hidden_dim * self.vocab_size
-        # Lane-major stacked weights; the flat alias is what every
+        values = prototype.readout_values
+        self._block = values.size
+        # Lane-major stacked value vectors; the flat alias is what every
         # batched update and readout indexes with +t*block offsets.
         if reserve:
-            self.w_out = np.zeros((n_lanes,) + prototype.w_out.shape)
+            self._w_vals = np.zeros((n_lanes, self._block))
         else:
-            self.w_out = np.broadcast_to(
-                prototype.w_out, (n_lanes,) + prototype.w_out.shape).copy()
-        self._w_flat = self.w_out.reshape(-1)
+            self._w_vals = np.broadcast_to(
+                values, (n_lanes, self._block)).copy()
+        self._w_flat = self._w_vals.reshape(-1)
         self._prev_class: list[int | None] = [None] * n_lanes
         self._prev_active: list[np.ndarray | None] = [None] * n_lanes
         self._prev_pred: list[int | None] = [None] * n_lanes
@@ -137,7 +137,7 @@ class HebbianFleet:
         if not self._free:
             self._grow(self.n_lanes + 1)
         t = self._free.pop()
-        self.w_out[t] = net.w_out
+        self._w_vals[t] = net.readout_values
         self._prev_class[t] = net._prev_class
         self._prev_active[t] = net._prev_active
         self._prev_pred[t] = net._prev_pred
@@ -163,19 +163,18 @@ class HebbianFleet:
     def redeploy_lane(self, lane: int, net: SparseHebbianNetwork,
                       changed: np.ndarray | None) -> None:
         """Re-point a resident slot at ``net``, a freshly reset network
-        whose weights differ from the slot's at most at the flat
-        ``w_out`` offsets ``changed`` (None: anywhere).
+        whose weights differ from the slot's at most at the
+        value-vector offsets ``changed`` (None: anywhere).
 
         Leaves the slot as ``release_lane`` then ``acquire_lane(net)``
         would — ``net``'s weights and step count, no sequence state, the
         same slot index — moving only the changed entries.
         """
+        values = net.readout_values
         if changed is None:
-            self.w_out[lane] = net.w_out
+            self._w_vals[lane] = values
         else:
-            # ndarray.take without an axis indexes the flattened array
-            self._w_flat[changed + lane * self._block] = net.w_out.take(
-                changed)
+            self._w_flat[changed + lane * self._block] = values.take(changed)
         self._clear_sequence_state(lane)
         self.train_steps[lane] = net.train_steps
 
@@ -191,7 +190,7 @@ class HebbianFleet:
         into ``net`` (copies; the slot itself is left as it is)."""
         has_last = self._has_last[lane]
         net.restore_state(
-            w_out=self.w_out[lane].copy(),
+            values=self._w_vals[lane],
             prev_class=self._prev_class[lane],
             prev_active=self._prev_active[lane],
             prev_pred=self._prev_pred[lane],
@@ -205,10 +204,10 @@ class HebbianFleet:
         state is preserved, new slots join the free list."""
         old = self.n_lanes
         new = max(old * 2, min_capacity)
-        w_out = np.zeros((new,) + self.w_out.shape[1:])
-        w_out[:old] = self.w_out
-        self.w_out = w_out
-        self._w_flat = self.w_out.reshape(-1)
+        w_vals = np.zeros((new, self._block))
+        w_vals[:old] = self._w_vals
+        self._w_vals = w_vals
+        self._w_flat = w_vals.reshape(-1)
         grown = new - old
         self._prev_class.extend([None] * grown)
         self._prev_active.extend([None] * grown)
@@ -250,7 +249,7 @@ class HebbianFleet:
         Row ``i`` of the result is lane ``lanes[i]`` consuming
         ``classes[i]`` with its own train flag — the batched mirror of
         per-lane ``step(classes[i], train[i], lr_scale)`` calls, bit for
-        bit (learn order across lanes is free: disjoint weight blocks).
+        bit (learn order across lanes is free: disjoint slab rows).
         """
         proto = self.prototype
         config = proto.config
@@ -298,7 +297,6 @@ class HebbianFleet:
         config = proto.config
         lr = config.lr * lr_scale
         wm = config.weight_max
-        vocab = self.vocab_size
         flats: list[np.ndarray] = []
         deltas: list[np.ndarray] = []
         punish_flats: list[np.ndarray] = []
@@ -310,10 +308,9 @@ class HebbianFleet:
             predicted = self._prev_pred[t]
             if (config.punish_wrong and predicted is not None
                     and predicted != target):
-                wrong = prev_active[proto.mask_out[prev_active, predicted]]
-                if wrong.size:
-                    punish_flats.append(
-                        wrong * vocab + predicted + offset)
+                wrong_flat = proto._punish_flat(prev_active, predicted)
+                if wrong_flat.size:
+                    punish_flats.append(wrong_flat + offset)
         if flats:
             flat = np.concatenate(flats)
             w_flat = self._w_flat
@@ -334,36 +331,24 @@ class HebbianFleet:
                        actives: list[np.ndarray]) -> np.ndarray:
         """(L, vocab) scores via one concatenated sparse accumulation.
 
-        Flat weight offsets use the *global* lane index (each lane's
-        block), accumulator columns the *subset-local* row, so an
-        L-lane readout costs O(L), not O(capacity).
+        Value offsets use the *global* lane index (each lane's slab
+        row), accumulator columns the *subset-local* row, so an L-lane
+        readout costs O(L), not O(capacity).
         """
         proto = self.prototype
         vocab = self.vocab_size
         n = len(lanes)
+        if not n:
+            return np.zeros((0, vocab))
         flats: list[np.ndarray] = []
         cols_list: list[np.ndarray] = []
-        dense_rows: list[int] = []
         for i, (t, active) in enumerate(zip(lanes, actives)):
-            entry = proto._readout_entry(active)
-            if entry is None:
-                dense_rows.append(i)
-                continue
-            cols, flat = entry
+            cols, flat = proto._readout_entry(active)
             flats.append(flat + t * self._block)
             cols_list.append(cols + i * vocab)
-        if flats:
-            flat_all = np.concatenate(flats)
-            cols_all = np.concatenate(cols_list)
-            scores = np.bincount(cols_all,
-                                 weights=self._w_flat.take(flat_all),
-                                 minlength=n * vocab).reshape(n, vocab)
-        else:
-            scores = np.zeros((n, vocab))
-        for i in dense_rows:
-            scores[i] = np.add.reduce(
-                self.w_out[lanes[i]].take(actives[i], axis=0), axis=0)
-        return scores
+        return np.bincount(np.concatenate(cols_list),
+                           weights=self._w_flat.take(np.concatenate(flats)),
+                           minlength=n * vocab).reshape(n, vocab)
 
     def _probabilities_rows(self, scores: np.ndarray) -> np.ndarray:
         """Row-wise max-shifted softmax, same arithmetic as the scalar
@@ -388,7 +373,7 @@ class HebbianFleet:
         lane that has one, so in-lane pair order (which matters for
         duplicate targets and for punish_wrong's pre-update readout) is
         preserved exactly, while cross-lane updates merge freely into
-        one gather-update-scatter (disjoint weight blocks).
+        one gather-update-scatter (disjoint slab rows).
         Like the scalar ``train_pairs``, this never touches
         ``train_steps`` or the lanes' sequence context.
         """
@@ -396,7 +381,6 @@ class HebbianFleet:
         config = proto.config
         punish = config.punish_wrong
         wm = config.weight_max
-        vocab = self.vocab_size
         for pairs in pairs_per_lane:
             for input_class, target_class in pairs:
                 proto._check_class(input_class)
@@ -429,9 +413,9 @@ class HebbianFleet:
                 deltas.append(proto._delta(active, target, lr_scales[i]))
                 pred = predicted[row]
                 if punish and pred is not None and pred != target:
-                    wrong = active[proto.mask_out[active, pred]]
-                    if wrong.size:
-                        punish_flats.append(wrong * vocab + pred + offset)
+                    wrong_flat = proto._punish_flat(active, pred)
+                    if wrong_flat.size:
+                        punish_flats.append(wrong_flat + offset)
                         punish_lrs.append(config.lr * lr_scales[i])
             if flats:
                 flat = np.concatenate(flats)
@@ -509,8 +493,21 @@ class HebbianFleet:
         for t in range(self.n_lanes):
             self._clear_sequence_state(t)
 
+    @property
+    def w_out(self) -> np.ndarray:
+        """Every lane's readout as a fresh dense ``(lanes, hidden,
+        vocab)`` array — the oracle view (see
+        :attr:`SparseHebbianNetwork.w_out`), not the storage."""
+        return np.stack([self.lane_weights(t) for t in range(self.n_lanes)])
+
     def lane_weights(self, lane: int) -> np.ndarray:
-        """Lane ``lane``'s learned-weight block, as a read-only view.
+        """Lane ``lane``'s readout as a fresh dense ``(hidden, vocab)``
+        array, for comparing against a network's ``w_out``."""
+        return self.prototype._dense(self._w_vals[lane])
+
+    def lane_values(self, lane: int) -> np.ndarray:
+        """Lane ``lane``'s learned values (``readout_values`` layout),
+        as a read-only view.
 
         The serving layer checksums this to prove a query was answered
         from exactly one deployed weight snapshot (never a torn mix);
@@ -518,7 +515,7 @@ class HebbianFleet:
         write through it — mutation goes through ``step_lanes`` /
         ``acquire_lane`` / ``redeploy_lane``.
         """
-        view = self.w_out[lane]
+        view = self._w_vals[lane]
         view.flags.writeable = False
         return view
 

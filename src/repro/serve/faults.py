@@ -67,9 +67,10 @@ class FaultPlan:
 def poison_weights(model: SparseHebbianNetwork) -> None:  # repro-lint: zone=fault-injection
     """Corrupt one weight with NaN — the poisoned-update fault body.
 
+    The first *connected* readout entry: an unconnected one is not
+    stored, so it cannot be corrupted (the ``w_out`` setter refuses).
     Deliberately writes another class's state (that is the fault); the
     caller owns holding the lane lock around it."""
-    w_out = model.w_out.copy()
-    flat = w_out.reshape(-1)
-    flat[0] = np.nan
+    w_out = model.w_out
+    w_out.reshape(-1)[np.flatnonzero(model.mask_out)[0]] = np.nan
     model.w_out = w_out

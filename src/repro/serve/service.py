@@ -248,12 +248,12 @@ class TenantLane:
         """Hot-swap: promote the shadow to live (§5.5 redeploy).
 
         A shadow with non-finite weights is rejected and discarded — the
-        live copy keeps serving.  The admission scan reads every weight;
-        the swap after it is a flip plus a patch: the redeploy moves only
-        the readout entries training wrote since the fork, and in
-        stacked mode the lane's fleet slot is patched at the same
-        offsets.  That motion (not the scan) is the measured "swap
-        pause".
+        live copy keeps serving.  The admission scan reads every stored
+        weight (the connected-only value vector); the swap after it is
+        a flip plus a patch: the redeploy moves only the readout entries
+        training wrote since the fork, and in stacked mode the lane's
+        fleet slot is patched at the same offsets.  That motion (not
+        the scan) is the measured "swap pause".
         """
         manager = self.manager
         if not weights_finite(manager.shadow):
@@ -272,11 +272,10 @@ class TenantLane:
     def serving_checksum(self, fleet: HebbianFleet | None) -> str:
         """Digest of the weights queries are currently answered from."""
         if fleet is not None and self.slot >= 0:
-            weights = fleet.lane_weights(self.slot)
+            values = fleet.lane_values(self.slot)
         else:
-            weights = self.live_net().w_out
-        return hashlib.blake2b(np.ascontiguousarray(weights).tobytes(),
-                               digest_size=16).hexdigest()
+            values = self.live_net().readout_values
+        return hashlib.blake2b(values, digest_size=16).hexdigest()
 
     def live_net(self) -> SparseHebbianNetwork:
         live = self.manager.live
@@ -611,13 +610,14 @@ class PrefetchService:
 
     def _make_lane(self, tenant: int) -> TenantLane:
         config = self.config
+        # The §5.5 thresholds are serve options the offline config lacks,
+        # so serve builds the manager (one fork per onboarding).
+        manager = ShadowModelManager(
+            self._prototype.clone(), redeploy_below=config.redeploy_below,
+            ema_alpha=config.ema_alpha, max_staleness=config.max_staleness)
         prefetcher = CLSPrefetcher(
             config.prefetcher_config(self._lane_seed(tenant)),
-            model=self._prototype.clone())
-        # The §5.5 thresholds are serve options the offline config lacks.
-        prefetcher.manager = ShadowModelManager(
-            prefetcher.model, redeploy_below=config.redeploy_below,
-            ema_alpha=config.ema_alpha, max_staleness=config.max_staleness)
+            manager=manager)
         lane = TenantLane(tenant, prefetcher, config.record_checksums)
         if self._fleet is not None:
             lane.adopt(self._fleet)

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.nn import backends
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
@@ -35,6 +36,15 @@ def _disable_compiled_backends() -> None:  # repro-lint: zone=init
 
 
 _disable_compiled_backends()
+
+# Tier-1 is the same program on every run: ``tier1`` (the default) draws
+# each property test's examples from a hash of the test, and reads no
+# example database.  ``HYPOTHESIS_PROFILE=explore`` draws fresh examples
+# and keeps failures (and ``patches/`` that pin them as ``@example``)
+# under ``.hypothesis/`` — CI's non-gating exploring leg uploads that.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

@@ -70,7 +70,8 @@ class TestShadowModelManager:
         assert manager.shadow is old_live
         assert changed is not None and 0 < changed.size < old_live.w_out.size
         assert np.array_equal(manager.shadow.w_out, manager.live.w_out)
-        assert not np.shares_memory(manager.shadow.w_out, manager.live.w_out)
+        assert not np.shares_memory(manager.shadow.readout_values,
+                                    manager.live.readout_values)
 
     def test_other_models_still_redeploy_by_clone(self):
         """Only a plain Hebbian pair is recycled: the LSTM and any
@@ -171,8 +172,8 @@ class TestWeightsFinite:
     def test_hebbian_true_then_false_after_nan(self):
         model = small_hebbian()
         assert weights_finite(model)
-        w_out = model.w_out.copy()
-        w_out.reshape(-1)[0] = np.nan
+        w_out = model.w_out
+        w_out[tuple(np.argwhere(model.mask_out)[-1])] = np.nan
         model.w_out = w_out
         assert not weights_finite(model)
 

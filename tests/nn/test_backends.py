@@ -220,14 +220,14 @@ def test_int8_training_weights_identical_serving_on_grid():
     np.testing.assert_array_equal(ref.w_out, quant.w_out)
     scale = quant._q_scale
     # The mirror is exactly the grid snap of the live weights...
-    np.testing.assert_array_equal(quant._serve_w,
-                                  snap_to_grid(quant.w_out, scale))
+    np.testing.assert_array_equal(
+        quant._serve_vals, snap_to_grid(quant.readout_values, scale))
     # ...every mirror value is an integer multiple of the scale...
-    steps = quant._serve_w / scale
+    steps = quant._serve_vals / scale
     np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
     assert float(np.abs(steps).max()) <= 127.0
     # ...and the elementwise serving error is bounded by scale / 2.
-    assert float(np.abs(quant._serve_w - quant.w_out).max()) \
+    assert float(np.abs(quant._serve_vals - quant.readout_values).max()) \
         <= scale / 2 + 1e-12
 
 

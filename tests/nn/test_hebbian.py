@@ -188,7 +188,7 @@ def _state(net: SparseHebbianNetwork) -> list:
     """Everything ``clone()`` copies, as comparable values."""
     arrays = [net._prev_active, net._last_scores, net._last_active,
               net._last_probs]
-    return [net.w_out.tolist(), net._serve_w.tolist(), net.w_in.tolist(),
+    return [net.w_out.tolist(), net._serve_vals.tolist(), net.w_in.tolist(),
             net._prev_class, net._prev_pred, net.train_steps,
             [None if a is None else a.tolist() for a in arrays]]
 
@@ -216,9 +216,10 @@ class TestWriteLog:
         twin.train_pair(7, 1)
         net.step(9)                       # the stale side wrote too
         offsets = net.sync_from(twin)
-        assert offsets is not None and 0 < offsets.size < net.w_out.size
+        assert offsets is not None
+        assert 0 < offsets.size < net.readout_values.size
         assert _state(net) == _state(twin.clone())
-        assert not np.shares_memory(net.w_out, twin.w_out)
+        assert not np.shares_memory(net.readout_values, twin.readout_values)
         # Level again: the next sync has nothing to move.
         assert net.sync_from(twin).size == 0
 
@@ -227,17 +228,17 @@ class TestWriteLog:
         log = twin._written
         for _ in range(400):              # far more offsets than weights
             twin.train_pair(1, 2)
-        assert log.count > twin.w_out.size and not log.parts
+        assert log.count > twin.readout_values.size and not log.parts
         assert tiny_hebbian.sync_from(twin) is None
         np.testing.assert_array_equal(tiny_hebbian.w_out, twin.w_out)
         assert log.count == 0
 
     def test_setter_marks_everything(self, tiny_hebbian):
         twin = tiny_hebbian.fork()
-        twin.w_out = twin.w_out + 1.0
+        twin.w_out = twin.w_out + twin.mask_out
         assert tiny_hebbian.sync_from(twin) is None
         np.testing.assert_array_equal(tiny_hebbian.w_out, twin.w_out)
-        assert not np.shares_memory(tiny_hebbian.w_out, twin.w_out)
+        np.testing.assert_array_equal(twin.w_out, twin.mask_out)
 
     def test_non_partner_gets_a_full_copy(self, tiny_hebbian):
         first = tiny_hebbian.fork()

@@ -237,9 +237,11 @@ def test_every_swap_deploys_exactly_the_admitted_weights(
 @pytest.mark.parametrize("stacked", [True, False],
                          ids=["stacked", "scalar"])
 def test_poison_at_an_untrained_offset_is_rejected(stacked: bool) -> None:
-    """Admission reads every weight of the shadow, not only the entries
-    the write log names: a NaN assigned at an offset no training step
-    ever touches (an unconnected readout entry) never goes live."""
+    """Admission reads every stored weight of the shadow, not only the
+    entries training wrote (which is all a scan of the write log could
+    vouch for): a NaN at a connected entry no training step has written
+    never goes live.  Eq. 1 moves every connected entry of its target's
+    column, so a column still entirely zero has never been written."""
     service = PrefetchService(
         ServeConfig(vocab_size=VOCAB, stacked=stacked, seed=4),
         clock=VirtualClock())
@@ -247,10 +249,11 @@ def test_poison_at_an_untrained_offset_is_rejected(stacked: bool) -> None:
     lane = service.lane(0)
     shadow = lane.manager.shadow
     assert isinstance(shadow, SparseHebbianNetwork)
-    untrained = int(np.flatnonzero(~shadow.mask_out.reshape(-1))[0])
-    assert shadow.w_out.reshape(-1)[untrained] == 0.0
-    w_out = shadow.w_out.copy()
-    w_out.reshape(-1)[untrained] = np.nan
+    w_out = shadow.w_out
+    assert w_out.any(), "the shadow never trained"
+    unwritten = int(np.flatnonzero(~w_out.any(axis=0))[0])
+    row = int(np.flatnonzero(shadow.mask_out[:, unwritten])[0])
+    w_out[row, unwritten] = np.nan
     shadow.w_out = w_out
     serving = lane.serving_checksum(service._fleet)
     lane.force_swap(service._fleet, service.clock)
