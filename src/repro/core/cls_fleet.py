@@ -48,6 +48,11 @@ class CLSFleetGroup:
         self._fleet = HebbianFleet(model, max(capacity, 1), reserve=True)
         self._members: dict[int, CLSPrefetcher] = {}
 
+    def reserve(self, lanes: int) -> None:
+        """Capacity hint: ``lanes`` adoptions are coming (the constructor's
+        ``capacity``, for a group that already exists)."""
+        self._fleet.reserve(lanes)
+
     def adopt(self, prefetcher: CLSPrefetcher) -> int:
         """Move a lane's model into the fleet; returns its slot."""
         model = prefetcher.model

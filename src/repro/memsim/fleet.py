@@ -307,6 +307,7 @@ class FleetCohort:
                     "fleet engine cannot drive per-access observers; run "
                     "wants_accesses prefetchers through simulate() instead")
             packs.append(self._packed(spec))
+        groups = self._cls_groups_for(specs)
         lanes = np.asarray(slots, dtype=np.int64)
         self.cache.attach_lanes(
             lanes,
@@ -315,7 +316,7 @@ class FleetCohort:
             [p.cid_of for p in packs])
         nulls: list[bool] = []
         rows: list[int] = []
-        for slot, spec, packed in zip(slots, specs, packs):
+        for slot, spec, packed, group in zip(slots, specs, packs, groups):
             trace = spec.trace
             prefetcher = spec.prefetcher
             row = self._row_of.get(id(packed))
@@ -348,19 +349,9 @@ class FleetCohort:
                 max_prefetches=spec.config.max_prefetches_per_miss,
                 addresses=addresses, stream_ids=stream_ids,
                 timestamps=timestamps)
-            if self._stacked_cls:
-                steppable = getattr(prefetcher, "fleet_steppable", None)
-                if steppable is not None and steppable():
-                    # Deferred import: core.cls_fleet imports back into
-                    # this package for the prefetcher types.
-                    from ..core.cls_fleet import CLSFleetGroup
-                    group_key = prefetcher.fleet_group_key()
-                    group = self._cls_groups.get(group_key)
-                    if group is None:
-                        group = CLSFleetGroup(prefetcher)
-                        self._cls_groups[group_key] = group
-                    lane.cls_group = group
-                    lane.cls_slot = group.adopt(prefetcher)
+            if group is not None:
+                lane.cls_group = group
+                lane.cls_slot = group.adopt(prefetcher)
             self._lanes[slot] = lane
             self._results[slot] = None
         self._trace_row[lanes] = rows
@@ -372,6 +363,35 @@ class FleetCohort:
         if self._kern is not None:
             self._miss_n[lanes] = 0
         self._active[lanes] = True
+
+    def _cls_groups_for(self, specs: list[FleetLaneSpec]) -> list[Any]:
+        """Each spec's :class:`CLSFleetGroup` (None: the scalar callback
+        path), every group sized once for the lanes this batch brings it
+        — one grow, not a doubling chain that copies the group's weight
+        slab and state arrays each time."""
+        groups: list[Any] = [None] * len(specs)
+        if not self._stacked_cls:
+            return groups
+        # Deferred import: core.cls_fleet imports back into this package
+        # for the prefetcher types.
+        from ..core.cls_fleet import CLSFleetGroup
+        members: dict[Any, list[int]] = {}
+        for i, spec in enumerate(specs):
+            steppable = getattr(spec.prefetcher, "fleet_steppable", None)
+            if steppable is not None and steppable():
+                members.setdefault(spec.prefetcher.fleet_group_key(),
+                                   []).append(i)
+        for group_key, rows in members.items():
+            group = self._cls_groups.get(group_key)
+            if group is None:
+                group = CLSFleetGroup(specs[rows[0]].prefetcher,
+                                      capacity=len(rows))
+                self._cls_groups[group_key] = group
+            else:
+                group.reserve(len(rows))
+            for i in rows:
+                groups[i] = group
+        return groups
 
     def harvest(self, slot: int) -> SimResult:
         """Take the finished lane's result, freeing the slot for reuse."""

@@ -365,6 +365,12 @@ class SparseHebbianNetwork:
             np.arange(starts[t], starts[t + 1], dtype=np.intp)
             for t in range(v))
         targets, rows = np.nonzero(self.mask_out.T)  # class-major
+        # The same lists as two flat tables (CSR): target ``t``'s slots
+        # are ``_out_start[t]:_out_start[t + 1]``, slot ``s`` sits in
+        # hidden row ``_slot_row[s]`` — what a fleet gathers from when it
+        # updates many lanes' columns in one call.
+        self._out_start = starts
+        self._slot_row = rows
         self._dense_flat = rows * v + targets
         self._slot_of = np.full((v, n), -1, dtype=np.intp)
         self._slot_of[targets, rows] = np.arange(targets.size)

@@ -4,27 +4,56 @@
 :class:`~repro.nn.hebbian.SparseHebbianNetwork` prototype into a single
 lane-major ``(lanes, n_connected)`` slab of readout values — the
 prototype's connected-only layout, one row per lane — and advances *all*
-lanes per vectorized operation.  The fixed structures — projection
-masks, CSR index lists, the storage map, the hidden-code memo, and the
-Eq. 1 delta cache — are shared with the prototype (they are identical
-across lanes by construction), so the per-step work that remains per
-lane is exactly the learned-weight arithmetic:
+lanes per vectorized operation: a call on L lanes costs a fixed number
+of numpy calls, not O(L) interpreter iterations.
 
+What is shared with the prototype (identical across lanes by
+construction, never copied): the projection masks, the CSR tables of
+the readout (``_out_start`` / ``_slot_row`` / ``_slot_of``), and the
+memo dicts — the hidden-code memo, the readout index memo and the Eq. 1
+delta cache.
+
+What the fleet adds is a **code book** (:class:`_CodeBook`) that gives
+every hidden code the fleet has met an integer id, so that lane state
+and the memo lookups become arrays.  The book *indexes* the prototype's
+memo, it is not a second one: it keeps the code arrays and their
+``(cols, flat)`` readout indices by reference, and adds three tables a
+whole call can gather from — the codes as rows of a ``(cap, k)`` table,
+their membership masks as rows of a ``(cap, hidden)`` table, and the
+transition table ``next[prev_id + 1, class]`` (``-1``: not met yet;
+such an entry is filled once from the scalar ``hidden_code``).  Lane
+sequence state is five ``(lanes,)`` arrays of classes, code ids and
+flags.  With those, per call:
+
+* **Hidden codes** — one ``next[prev + 1, class]`` gather.
 * **Batched learn** — every lane's Eq. 1 column update (and the
-  error-driven punish term) lands in a disjoint row of the value slab,
-  so the whole fleet applies as one gather-update-clip-scatter per step.
-* **Batched readout** — the per-lane connected-entry gathers concatenate
-  into one ``bincount`` over a ``T * vocab`` accumulator, reshaped to
-  per-lane score rows.
+  error-driven punish term) lands in a disjoint row of the value slab.
+  A target's slots are one contiguous class-major range, so the
+  offsets are an ``arange`` plus ``lane * block``, potentiation against
+  depression is one 2-D gather from the mask table, and the whole fleet
+  applies as one gather-update-clip-scatter per step.
+* **Batched readout** — the per-code connected-entry indices concatenate
+  by id, lane and row offsets are added with two ``np.repeat``\\ s, and
+  one ``bincount`` over a ``L * vocab`` accumulator gives the per-lane
+  score rows.
 * **Batched softmax** — one row-wise max-shifted softmax over the
-  ``(T, vocab)`` score matrix.
+  ``(L, vocab)`` score matrix.
+* **Batched selection** — a rollout of uniform width picks every lane's
+  top classes with one row-wise ``argpartition``.
+
+Calls on fewer than ``_ARRAY_MIN_LANES`` lanes build the same index
+arrays with a per-lane loop over the same state arrays and the same
+book (a few dozen numpy calls cost more than a few loop iterations;
+the constant is measured, DESIGN.md §6); both builders feed one
+learn/readout tail.
 
 Every batched path is bit-identical to T independent networks stepping
 the same class streams (``tests/nn/test_hebbian_fleet.py`` pins this):
 lane rows are disjoint so the update order across lanes
-cannot matter, the shared caches are pure memoization over fixed
-structures, and the row softmax performs the same elementwise
-arithmetic as the scalar one.
+cannot matter, the shared caches and the book are pure memoization over
+fixed structures, the per-row ``np.where`` forms the same float64
+products the scalar delta does, and the row softmax and row selection
+perform the same elementwise arithmetic as the scalar ones.
 
 Beyond the lockstep ``step_all``, the fleet exposes the *subset* entry
 points the cohort miss path needs (only the lanes that missed this
@@ -43,12 +72,17 @@ cohort round advance):
 * ``rollout_lanes`` runs per-lane beam rollouts with one batched
   readout per depth — the mirror of ``predict_rollout``.
 
+The three kernels reject a lane list that names a free slot or one lane
+twice before touching any state.
+
 Adopted networks may come from *different* :class:`SparseHebbianNetwork`
 instances built from an equal config: the fixed structures are then
 value-identical (construction is seeded by the config) even though the
-cache dicts differ.  The hidden-code memo is content-keyed, and every
-id-keyed cache miss (delta, readout indices) computes the same indices
-it would have cached, so adoption preserves bit-identity.
+cache dicts differ.  The book, like the hidden-code memo, is
+content-keyed, so element-equal codes from different instances share
+one id, and every id-keyed cache miss (delta, readout indices) computes
+the same indices it would have cached, so adoption preserves
+bit-identity.
 
 Out of scope (both raise at construction): ``plastic_hidden`` lanes
 diverge in their *fixed* projections, and the ``int8`` serving mirror
@@ -57,11 +91,187 @@ would need a per-lane quantized shadow.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import chain
+
 import numpy as np
 
-from .hebbian import SparseHebbianNetwork, select_topk
+from .hebbian import (
+    _CODE_CACHE_CAP,
+    _READOUT_IDX_CAP,
+    SparseHebbianNetwork,
+    select_topk,
+)
 
 __all__ = ["HebbianFleet"]
+
+#: Calls on fewer lanes than this keep the per-lane loop.  Measured, not
+#: an option: the array form's fixed cost is a few dozen numpy calls, and the
+#: forms cross at 8-16 lanes on vocab 24 / hidden 64 and on vocab 64 /
+#: hidden 1000 alike (``nn.hebbian_fleet.step_lanes_us_per_lane.n1``: the
+#: loop wins; ``.n1000``: the arrays win).
+_ARRAY_MIN_LANES = 12
+
+#: Codes the book holds before it is rebuilt from the ones resident lanes
+#: still reference — the tighter of the caps on the memo it indexes, so
+#: it never keeps more index arrays alive than that memo may.
+_BOOK_CAP = min(_CODE_CACHE_CAP, _READOUT_IDX_CAP)
+
+#: Table rows a book starts with (doubled as codes arrive).
+_BOOK_ROWS = 64
+
+#: A code's readout indices before their first use (``_entry_size`` -1).
+_UNFETCHED = np.empty(0, dtype=np.intp)
+
+
+def _widened(old: np.ndarray, rows: int, fill: int) -> np.ndarray:
+    """``old`` with its first axis extended to ``rows``, new rows holding
+    ``fill`` (zero rows stay untouched pages)."""
+    new = np.zeros((rows, *old.shape[1:]), dtype=old.dtype)
+    new[:old.shape[0]] = old
+    if fill:
+        new[old.shape[0]:] = fill
+    return new
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that hands a single part back as it is (a call
+    on one lane has nothing to join; callers only read the result)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _select_topk_rows(probs: np.ndarray, width: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``select_topk`` on every row of ``probs`` at once, for ``0 < width
+    < vocab``: the ``(rows, width)`` classes and their probabilities,
+    descending — per row the same ``argpartition`` and ``argsort`` the
+    scalar selection runs, so the same permutation, ties included."""
+    part = probs.argpartition(-width, axis=1)[:, -width:]
+    each = np.arange(len(probs))[:, None]
+    vals = probs[each, part]
+    order = vals.argsort(axis=1)[:, ::-1]
+    return part[each, order], vals[each, order]
+
+
+class _CodeBook:
+    """Integer ids for the hidden codes one fleet has met.
+
+    ``codes[i]`` is code ``i`` (the array the prototype's memo returned,
+    kept by reference); :meth:`tables` has the same codes as rows of a
+    ``(cap, k)`` table and their membership masks as rows of a ``(cap,
+    hidden)`` one; ``next[p + 1, c]`` is the id of ``hidden_code(c,
+    codes[p])`` (row 0: no context; ``-1``: not met yet).  Ids are dense
+    and stable until :meth:`rebuild`.
+    """
+
+    def __init__(self, proto: SparseHebbianNetwork) -> None:
+        self._proto = proto
+        self.limit = _BOOK_CAP
+        self._reset()
+
+    def _reset(self) -> None:
+        config = self._proto.config
+        rows = _BOOK_ROWS
+        self.codes: list[np.ndarray] = []
+        self._ids: dict[bytes, int] = {}
+        # ``_proto._readout_entry(codes[i])`` and its length, fetched on
+        # first use (until then: ``_UNFETCHED``, -1).
+        self._cols: list[np.ndarray] = []
+        self._flat: list[np.ndarray] = []
+        self._entry_size = np.full(rows, -1, dtype=np.int64)
+        self.next = np.full((rows + 1, config.vocab_size), -1,
+                            dtype=np.int64)
+        # Filled by ``tables`` for codes[:_tabled].
+        self._active = np.zeros((0, self._proto._k), dtype=np.intp)
+        self._mask = np.zeros((0, config.hidden_dim), dtype=bool)
+        self._tabled = 0
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def intern(self, active: np.ndarray) -> int:
+        """The id of ``active``, by content (like ``hidden_code``'s memo:
+        element-equal arrays from different networks are one code)."""
+        key = active.tobytes()
+        cid = self._ids.get(key)
+        if cid is None:
+            if active.shape != self._active.shape[1:]:
+                raise ValueError(
+                    f"hidden code of shape {active.shape}, expected "
+                    f"{self._active.shape[1:]}")
+            cid = len(self.codes)
+            rows = self._entry_size.size
+            if cid == rows:
+                self.next = _widened(self.next, 2 * rows + 1, -1)
+                self._entry_size = _widened(self._entry_size, 2 * rows, -1)
+            self.codes.append(active)
+            self._cols.append(_UNFETCHED)
+            self._flat.append(_UNFETCHED)
+            self._ids[key] = cid
+        return cid
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(active, mask)``: row ``i`` of each is code ``i`` — its
+        indices, its membership mask.  Rows are written here, a batch at
+        a time, so a fleet that only ever makes small calls (which read
+        ``codes``) never pays for them."""
+        done, met = self._tabled, len(self.codes)
+        if done < met:
+            if met > len(self._active):
+                rows = self._entry_size.size
+                self._active = _widened(self._active, rows, 0)
+                self._mask = _widened(self._mask, rows, 0)
+            fresh = np.array(self.codes[done:met])
+            self._active[done:met] = fresh
+            self._mask[np.arange(done, met)[:, None], fresh] = True
+            self._tabled = met
+        return self._active, self._mask
+
+    def fill(self, prev: int, input_class: int) -> int:
+        """Resolve one unmet transition through the prototype's scalar
+        ``hidden_code`` and record it."""
+        context = self.codes[prev] if prev >= 0 else None
+        cid = self.intern(self._proto.hidden_code(input_class, context))
+        self.next[prev + 1, input_class] = cid
+        return cid
+
+    def entry(self, cid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Code ``cid``'s ``(cols, flat)`` sparse-readout indices."""
+        if self._cols[cid] is _UNFETCHED:
+            cols, flat = self._proto._readout_entry(self.codes[cid])
+            self._cols[cid] = cols
+            self._flat[cid] = flat
+            self._entry_size[cid] = cols.size
+        return self._cols[cid], self._flat[cid]
+
+    def entries(self, ids: np.ndarray
+                ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """The readout indices of many codes: the ``cols`` arrays, the
+        ``flat`` arrays, and their lengths."""
+        sizes = self._entry_size[ids]
+        if sizes.min() < 0:
+            for cid in np.unique(ids[sizes < 0]).tolist():
+                self.entry(cid)
+            sizes = self._entry_size[ids]
+        cols_of, flat_of = self._cols, self._flat
+        picked = ids.tolist()
+        return ([cols_of[c] for c in picked], [flat_of[c] for c in picked],
+                sizes)
+
+    def rebuild(self, keep: np.ndarray) -> np.ndarray:
+        """Forget every code but ``keep`` (ids, unique).  Returns the
+        old-id → new-id map with one extra trailing ``-1``, so indexing
+        it with ``-1`` ("no code") gives ``-1``.  Transitions and readout
+        indices are dropped and refill from the prototype's memo."""
+        old = self.codes
+        remap = np.full(len(old) + 1, -1, dtype=np.int64)
+        self._reset()
+        for cid in keep.tolist():
+            remap[cid] = self.intern(old[cid])
+        # Amortized: a fleet whose lanes pin more codes than the cap is
+        # rebuilt once per doubling, not once per call.
+        self.limit = max(_BOOK_CAP, 2 * len(self))
+        return remap
 
 
 class HebbianFleet:
@@ -102,22 +312,30 @@ class HebbianFleet:
             self._w_vals = np.broadcast_to(
                 values, (n_lanes, self._block)).copy()
         self._w_flat = self._w_vals.reshape(-1)
-        self._prev_class: list[int | None] = [None] * n_lanes
-        self._prev_active: list[np.ndarray | None] = [None] * n_lanes
-        self._prev_pred: list[int | None] = [None] * n_lanes
-        self._last_active: list[np.ndarray | None] = [None] * n_lanes
+        self._book = _CodeBook(prototype)
+        # Per-lane sequence state (the scalar net's ``_prev_class`` /
+        # ``_prev_active`` / ``_prev_pred`` / ``_last_active``), codes as
+        # book ids, ``-1`` for None.
+        self._prev_class = np.full(n_lanes, -1, dtype=np.int64)
+        self._prev_code = np.full(n_lanes, -1, dtype=np.int64)
+        self._prev_pred = np.full(n_lanes, -1, dtype=np.int64)
+        self._last_code = np.full(n_lanes, -1, dtype=np.int64)
         # Per-lane rollout anchors (the scalar net's ``_last_scores`` /
         # ``_last_probs``), stored as rows so subset steps update only
         # their own lanes.  ``_has_last[t]`` distinguishes "never
         # stepped" (scalar: ``_last_scores is None``) from a zero row.
         self._scores_rows = np.zeros((n_lanes, self.vocab_size))
         self._probs_rows = np.zeros((n_lanes, self.vocab_size))
-        self._has_last = [False] * n_lanes
+        self._has_last = np.zeros(n_lanes, dtype=bool)
         # Lanes continue the prototype's training history, as clones do.
         self.train_steps = np.full(
             n_lanes, 0 if reserve else prototype.train_steps, dtype=np.int64)
         self._free: list[int] = list(range(n_lanes - 1, -1, -1)) if reserve \
             else []
+        # Slots holding a lane (the complement of ``_free``), and the
+        # scratch the kernels mark a lane list's positions in.
+        self._resident = np.full(n_lanes, not reserve, dtype=bool)
+        self._mark = np.zeros(n_lanes, dtype=np.intp)
 
     # ------------------------------------------------------------------
     # Lane adoption (cohort drain/refill)
@@ -136,12 +354,19 @@ class HebbianFleet:
                              "fleet prototype's")
         if not self._free:
             self._grow(self.n_lanes + 1)
+        book = self._book
+        if len(book) + 2 > book.limit:
+            self._shrink_book(np.empty(0, dtype=np.int64))
         t = self._free.pop()
         self._w_vals[t] = net.readout_values
-        self._prev_class[t] = net._prev_class
-        self._prev_active[t] = net._prev_active
-        self._prev_pred[t] = net._prev_pred
-        self._last_active[t] = net._last_active
+        prev_class, prev_active = net._prev_class, net._prev_active
+        prev_pred, last_active = net._prev_pred, net._last_active
+        self._prev_class[t] = -1 if prev_class is None else prev_class
+        self._prev_code[t] = (-1 if prev_active is None
+                              else book.intern(prev_active))
+        self._prev_pred[t] = -1 if prev_pred is None else prev_pred
+        self._last_code[t] = (-1 if last_active is None
+                              else book.intern(last_active))
         if net._last_scores is not None:
             self._scores_rows[t] = net._last_scores
             probs = net._last_probs
@@ -152,12 +377,14 @@ class HebbianFleet:
         else:
             self._has_last[t] = False
         self.train_steps[t] = net.train_steps
+        self._resident[t] = True
         return t
 
     def release_lane(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Hand a slot's state back to ``net`` and free the slot."""
         self._export(lane, net)
         self._clear_sequence_state(lane)
+        self._resident[lane] = False
         self._free.append(lane)
 
     def redeploy_lane(self, lane: int, net: SparseHebbianNetwork,
@@ -178,23 +405,36 @@ class HebbianFleet:
         self._clear_sequence_state(lane)
         self.train_steps[lane] = net.train_steps
 
+    def reserve(self, lanes: int) -> None:
+        """Capacity hint: ``lanes`` acquisitions are coming.  Grows once
+        to fit them instead of doubling (and copying the slab and every
+        state array) along the way."""
+        short = lanes - len(self._free)
+        if short > 0:
+            self._grow(self.n_lanes + short)
+
     def _clear_sequence_state(self, lane: int) -> None:
-        self._prev_class[lane] = None
-        self._prev_active[lane] = None
-        self._prev_pred[lane] = None
-        self._last_active[lane] = None
+        self._prev_class[lane] = -1
+        self._prev_code[lane] = -1
+        self._prev_pred[lane] = -1
+        self._last_code[lane] = -1
         self._has_last[lane] = False
 
     def _export(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Install lane ``lane``'s learned weights and sequence state
         into ``net`` (copies; the slot itself is left as it is)."""
-        has_last = self._has_last[lane]
+        has_last = bool(self._has_last[lane])
+        codes = self._book.codes
+        prev_class = int(self._prev_class[lane])
+        prev_code = int(self._prev_code[lane])
+        prev_pred = int(self._prev_pred[lane])
+        last_code = int(self._last_code[lane])
         net.restore_state(
             values=self._w_vals[lane],
-            prev_class=self._prev_class[lane],
-            prev_active=self._prev_active[lane],
-            prev_pred=self._prev_pred[lane],
-            last_active=self._last_active[lane],
+            prev_class=prev_class if prev_class >= 0 else None,
+            prev_active=codes[prev_code] if prev_code >= 0 else None,
+            prev_pred=prev_pred if prev_pred >= 0 else None,
+            last_active=codes[last_code] if last_code >= 0 else None,
             last_scores=self._scores_rows[lane].copy() if has_last else None,
             last_probs=self._probs_rows[lane].copy() if has_last else None,
             train_steps=int(self.train_steps[lane]))
@@ -204,24 +444,76 @@ class HebbianFleet:
         state is preserved, new slots join the free list."""
         old = self.n_lanes
         new = max(old * 2, min_capacity)
-        w_vals = np.zeros((new, self._block))
-        w_vals[:old] = self._w_vals
-        self._w_vals = w_vals
-        self._w_flat = w_vals.reshape(-1)
-        grown = new - old
-        self._prev_class.extend([None] * grown)
-        self._prev_active.extend([None] * grown)
-        self._prev_pred.extend([None] * grown)
-        self._last_active.extend([None] * grown)
-        self._scores_rows = np.vstack(
-            [self._scores_rows, np.zeros((grown, self.vocab_size))])
-        self._probs_rows = np.vstack(
-            [self._probs_rows, np.zeros((grown, self.vocab_size))])
-        self._has_last.extend([False] * grown)
-        self.train_steps = np.concatenate(
-            [self.train_steps, np.zeros(grown, dtype=np.int64)])
+        self._w_vals = _widened(self._w_vals, new, 0)
+        self._w_flat = self._w_vals.reshape(-1)
+        self._scores_rows = _widened(self._scores_rows, new, 0)
+        self._probs_rows = _widened(self._probs_rows, new, 0)
+        self._prev_class = _widened(self._prev_class, new, -1)
+        self._prev_code = _widened(self._prev_code, new, -1)
+        self._prev_pred = _widened(self._prev_pred, new, -1)
+        self._last_code = _widened(self._last_code, new, -1)
+        self._has_last = _widened(self._has_last, new, 0)
+        self.train_steps = _widened(self.train_steps, new, 0)
+        self._resident = _widened(self._resident, new, 0)
+        self._mark = _widened(self._mark, new, 0)
         self._free.extend(range(new - 1, old - 1, -1))
         self.n_lanes = new
+
+    # ------------------------------------------------------------------
+    # Argument checks (before any state is touched)
+    # ------------------------------------------------------------------
+    def _lane_index(self, lanes: Sequence[int]) -> np.ndarray:
+        """``lanes`` as an index array, once each is known to be a
+        resident slot named once — a free slot would train while staying
+        on the free list, and a duplicate's fused scatter would keep one
+        of its two updates."""
+        idx = np.asarray(lanes, dtype=np.intp)
+        # Read as unsigned, a negative id is a huge one: one compare
+        # covers both ends.
+        outside = idx.view(np.uintp) >= self.n_lanes
+        if outside.any():
+            raise ValueError(f"lane {int(idx[outside][0])} outside "
+                             f"[0, {self.n_lanes})")
+        resident = self._resident[idx]
+        if not resident.all():
+            raise ValueError(
+                f"lane {int(idx[~resident][0])} is a free slot")
+        order = np.arange(idx.size)
+        mark = self._mark
+        mark[idx] = order
+        twice = mark[idx] != order
+        if twice.any():
+            raise ValueError(
+                f"lane {int(idx[twice][0])} listed more than once")
+        return idx
+
+    def _check_lanes(self, lanes: Sequence[int]) -> None:
+        """:meth:`_lane_index`'s checks for a small call."""
+        resident = self._resident
+        for t in lanes:
+            if not 0 <= t < self.n_lanes:
+                raise ValueError(f"lane {t} outside [0, {self.n_lanes})")
+            if not resident[t]:
+                raise ValueError(f"lane {t} is a free slot")
+        if len(set(lanes)) != len(lanes):
+            twice = [t for i, t in enumerate(lanes) if t in lanes[:i]]
+            raise ValueError(f"lane {twice[0]} listed more than once")
+
+    def _class_index(self, classes: Sequence[int] | np.ndarray
+                     ) -> np.ndarray:
+        cls = np.asarray(classes, dtype=np.int64)
+        outside = cls.view(np.uint64) >= self.vocab_size  # as _lane_index
+        if outside.any():
+            raise ValueError(f"class {int(cls[outside][0])} outside vocab "
+                             f"[0, {self.vocab_size})")
+        return cls
+
+    def _check_classes(self, classes: Sequence[int]) -> None:
+        for input_class in classes:
+            if not 0 <= input_class < self.vocab_size:
+                raise ValueError(
+                    f"class {input_class} outside vocab "
+                    f"[0, {self.vocab_size})")
 
     # ------------------------------------------------------------------
     # The batched step
@@ -250,105 +542,252 @@ class HebbianFleet:
         ``classes[i]`` with its own train flag — the batched mirror of
         per-lane ``step(classes[i], train[i], lr_scale)`` calls, bit for
         bit (learn order across lanes is free: disjoint slab rows).
+        ``lanes`` must name resident slots, each once.
         """
-        proto = self.prototype
-        config = proto.config
-        cls = [int(c) for c in classes]
-        for input_class in cls:
-            if not 0 <= input_class < self.vocab_size:
-                raise ValueError(
-                    f"class {input_class} outside vocab "
-                    f"[0, {self.vocab_size})")
-        trained = [(t, c) for t, c, flag in zip(lanes, cls, train)
-                   if flag and self._prev_active[t] is not None]
-        if trained:
-            self._learn_lanes(trained, lr_scale)
-            for t, _ in trained:
-                self.train_steps[t] += 1
+        n = len(lanes)
+        if not n == len(classes) == len(train):
+            raise ValueError("step_lanes needs one class and one train "
+                             "flag per lane")
+        if n < _ARRAY_MIN_LANES:
+            return self._step_loop(lanes, [int(c) for c in classes], train,
+                                   lr_scale)
+        idx = self._lane_index(lanes)
+        cls = self._class_index(classes)
+        punish = self.prototype.config.punish_wrong
+        prev = self._prev_code[idx]
+        learn = (np.asarray(train, dtype=bool) & (prev >= 0)).nonzero()[0]
+        if learn.size:
+            learners = idx[learn]
+            self._apply_learn(*self._learn_arrays(
+                learners, cls[learn], prev[learn],
+                self._prev_pred[learners],
+                np.full(learn.size, self.prototype.config.lr * lr_scale)))
+            self.train_steps[learners] += 1
 
-        actives = [proto.hidden_code(input_class, self._prev_active[t])
-                   for t, input_class in zip(lanes, cls)]
-        scores = self._readout_lanes(lanes, actives)
+        codes = self._codes(prev, cls)
+        scores = self._readout_arrays(idx, codes)
         probs = self._probabilities_rows(scores)
 
-        punish = config.punish_wrong
-        arg = scores.argmax(axis=1) if punish else None
-        for i, (t, input_class) in enumerate(zip(lanes, cls)):
-            self._prev_class[t] = input_class
-            self._prev_active[t] = actives[i]
-            self._prev_pred[t] = int(arg[i]) if punish else None
-            self._last_active[t] = actives[i]
-            self._has_last[t] = True
-        idx = np.asarray(lanes, dtype=np.intp)
+        self._prev_class[idx] = cls
+        self._prev_code[idx] = codes
+        self._prev_pred[idx] = scores.argmax(axis=1) if punish else -1
+        self._last_code[idx] = codes
+        self._has_last[idx] = True
         self._scores_rows[idx] = scores
         self._probs_rows[idx] = probs
         return probs
 
-    def _learn_lanes(self, trained: list[tuple[int, int]],
-                     lr_scale: float) -> None:
-        """One fused Eq. 1 (+punish) application across trained lanes.
+    def _step_loop(self, lanes: list[int], cls: list[int],
+                   train: list[bool], lr_scale: float) -> np.ndarray:
+        """:meth:`step_lanes` for a small call."""
+        self._check_lanes(lanes)
+        self._check_classes(cls)
+        prev_code, prev_pred = self._prev_code, self._prev_pred
+        prev = [prev_code.item(t) for t in lanes]
+        learn = [(t, target, code, prev_pred.item(t), lr_scale)
+                 for t, target, code, flag in zip(lanes, cls, prev, train)
+                 if flag and code >= 0]
+        if learn:
+            self._apply_learn(*self._learn_loop(learn))
+            train_steps = self.train_steps
+            for row in learn:
+                train_steps[row[0]] += 1
 
-        Per-lane offsets live in disjoint ``t * block`` ranges and a
-        lane's target and punished columns are distinct, so applying all
-        potentiation/depression updates, then all punish updates, equals
-        the scalar per-lane interleaving.
+        codes = self._codes_loop(prev, cls)
+        scores = self._readout_loop(lanes, codes)
+        probs = self._probabilities_rows(scores)
+
+        if self.prototype.config.punish_wrong:
+            preds = scores.argmax(axis=1).tolist()
+        else:
+            preds = [-1] * len(lanes)
+        prev_class, last_code = self._prev_class, self._last_code
+        has_last = self._has_last
+        scores_rows, probs_rows = self._scores_rows, self._probs_rows
+        for i, t in enumerate(lanes):
+            prev_class[t] = cls[i]
+            prev_code[t] = last_code[t] = codes[i]
+            prev_pred[t] = preds[i]
+            has_last[t] = True
+            scores_rows[t] = scores[i]
+            probs_rows[t] = probs[i]
+        return probs
+
+    # ------------------------------------------------------------------
+    # Hidden codes
+    # ------------------------------------------------------------------
+    def _codes(self, prev: np.ndarray, cls: np.ndarray) -> np.ndarray:
+        """Ids of ``hidden_code(cls[i], code prev[i])``: one gather from
+        the transition table; entries met for the first time go through
+        the scalar path once.  May rebuild the book: code ids the caller
+        holds other than the returned ones are stale afterwards."""
+        book = self._book
+        ids = book.next[prev + 1, cls]
+        if ids.min() < 0:
+            unmet = (ids < 0).nonzero()[0]
+            if len(book) + unmet.size > book.limit:
+                prev = self._shrink_book(prev)
+                unmet = np.arange(ids.size)
+            for i in unmet.tolist():
+                ids[i] = book.fill(int(prev[i]), int(cls[i]))
+        return ids
+
+    def _codes_loop(self, prev: list[int], cls: list[int]) -> list[int]:
+        """:meth:`_codes` for a small call."""
+        book = self._book
+        table = book.next
+        ids = [table.item(p + 1, c) for p, c in zip(prev, cls)]
+        if ids and min(ids) < 0:
+            if len(book) + len(ids) > book.limit:
+                return self._codes(np.asarray(prev, dtype=np.int64),
+                                   np.asarray(cls, dtype=np.int64)).tolist()
+            ids = [cid if cid >= 0 else book.fill(p, c)
+                   for cid, p, c in zip(ids, prev, cls)]
+        return ids
+
+    def _shrink_book(self, held: np.ndarray) -> np.ndarray:
+        """Rebuild the book from the codes resident lanes reference
+        (free slots hold ``-1``) plus the ids ``held`` by a kernel in
+        flight; lane state is renumbered in place, ``held`` returned
+        renumbered."""
+        keep = np.unique(np.concatenate(
+            [self._prev_code, self._last_code, held]))
+        remap = self._book.rebuild(keep[keep >= 0])
+        self._prev_code[:] = remap[self._prev_code]
+        self._last_code[:] = remap[self._last_code]
+        return remap[held]
+
+    # ------------------------------------------------------------------
+    # Learn: two index builders, one tail
+    # ------------------------------------------------------------------
+    def _learn_arrays(self, idx: np.ndarray, targets: np.ndarray,
+                      codes: np.ndarray, preds: np.ndarray, lrs: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray,
+                                 np.ndarray | None, np.ndarray | float]:
+        """Index arrays of one fused Eq. 1 (+punish) application: lane
+        ``idx[i]`` learns ``targets[i]`` from code ``codes[i]`` at rate
+        ``lrs[i]``, having predicted ``preds[i]`` (``-1``: nothing).
+
+        Returns ``(flat, delta, wrong_flat, wrong_lr)``: add ``delta`` at
+        slab offsets ``flat``, subtract ``wrong_lr`` at ``wrong_flat``.
         """
         proto = self.prototype
-        config = proto.config
-        lr = config.lr * lr_scale
-        wm = config.weight_max
+        active, mask = self._book.tables()
+        offsets = idx * self._block
+        start = proto._out_start
+        first = start[targets]
+        counts = start[targets + 1] - first
+        ends = counts.cumsum()
+        # A target's slots are one contiguous (class-major) range.
+        slot = np.arange(ends[-1]) + (first - (ends - counts)).repeat(counts)
+        is_active = mask[codes.repeat(counts), proto._slot_row[slot]]
+        lr_rows = lrs.repeat(counts)
+        # The same float64 products the scalar ``_delta`` forms.
+        delta = np.where(is_active, lr_rows,
+                         -lr_rows * proto.config.negative_scale)
+        flat = slot + offsets.repeat(counts)
+
+        wrong = ((preds >= 0) & (preds != targets)).nonzero()[0]
+        if not wrong.size:
+            return flat, delta, None, 0.0
+        # (wrong, k) slots of the wrongly predicted class the code's rows
+        # connect to; ``nonzero`` walks them row-major: lane-major,
+        # active order.
+        slots = proto._slot_of[preds[wrong][:, None], active[codes[wrong]]]
+        row, col = (slots >= 0).nonzero()
+        lane = wrong[row]
+        return flat, delta, slots[row, col] + offsets[lane], lrs[lane]
+
+    def _learn_loop(self, rows: list[tuple[int, int, int, int, float]]
+                    ) -> tuple[np.ndarray, np.ndarray,
+                               np.ndarray | None, np.ndarray | float]:
+        """:meth:`_learn_arrays` for a small call: ``rows`` of ``(lane,
+        target, code, pred, lr_scale)`` — rates as scales of
+        ``config.lr``, the key of the prototype's delta memo."""
+        proto = self.prototype
+        code_of = self._book.codes
+        lr = proto.config.lr
         flats: list[np.ndarray] = []
         deltas: list[np.ndarray] = []
-        punish_flats: list[np.ndarray] = []
-        for t, target in trained:
-            prev_active = self._prev_active[t]
+        wrong_flats: list[np.ndarray] = []
+        wrong_lrs: list[float] = []
+        for t, target, code, pred, lr_scale in rows:
+            active = code_of[code]
             offset = t * self._block
             flats.append(proto._out_flat[target] + offset)
-            deltas.append(proto._delta(prev_active, target, lr_scale))
-            predicted = self._prev_pred[t]
-            if (config.punish_wrong and predicted is not None
-                    and predicted != target):
-                wrong_flat = proto._punish_flat(prev_active, predicted)
-                if wrong_flat.size:
-                    punish_flats.append(wrong_flat + offset)
-        if flats:
-            flat = np.concatenate(flats)
-            w_flat = self._w_flat
-            vals = w_flat.take(flat)
-            vals += np.concatenate(deltas)
-            np.minimum(vals, wm, out=vals)
-            np.maximum(vals, -wm, out=vals)
-            w_flat[flat] = vals
-        if punish_flats:
-            wrong_flat = np.concatenate(punish_flats)
-            w_flat = self._w_flat
+            deltas.append(proto._delta(active, target, lr_scale))
+            if pred >= 0 and pred != target:
+                wrong_flats.append(proto._punish_flat(active, pred) + offset)
+                wrong_lrs.append(lr * lr_scale)
+        flat, delta = _joined(flats), _joined(deltas)
+        if not wrong_flats:
+            return flat, delta, None, 0.0
+        if len(wrong_flats) == 1:
+            return flat, delta, wrong_flats[0], wrong_lrs[0]
+        return (flat, delta, np.concatenate(wrong_flats),
+                np.repeat(wrong_lrs, [w.size for w in wrong_flats]))
+
+    def _apply_learn(self, flat: np.ndarray, delta: np.ndarray,
+                     wrong_flat: np.ndarray | None,
+                     wrong_lr: np.ndarray | float) -> None:
+        """Per-lane offsets live in disjoint ``t * block`` ranges and a
+        lane's target and punished columns are distinct, so applying all
+        potentiation/depression updates, then all punish updates, equals
+        the scalar per-lane interleaving."""
+        wm = self.prototype.config.weight_max
+        w_flat = self._w_flat
+        vals = w_flat.take(flat)
+        vals += delta
+        np.minimum(vals, wm, out=vals)
+        np.maximum(vals, -wm, out=vals)
+        w_flat[flat] = vals
+        if wrong_flat is not None:
             wvals = w_flat.take(wrong_flat)
-            wvals -= lr
+            wvals -= wrong_lr
             np.maximum(wvals, -wm, out=wvals)
             w_flat[wrong_flat] = wvals
 
-    def _readout_lanes(self, lanes: list[int],
-                       actives: list[np.ndarray]) -> np.ndarray:
-        """(L, vocab) scores via one concatenated sparse accumulation.
+    # ------------------------------------------------------------------
+    # Readout: two index builders, one tail
+    # ------------------------------------------------------------------
+    def _readout_arrays(self, idx: np.ndarray,
+                        codes: np.ndarray) -> np.ndarray:
+        """(L, vocab) scores of lanes ``idx`` under codes ``codes``."""
+        n = idx.size
+        cols_list, flats, sizes = self._book.entries(codes)
+        cols = np.concatenate(cols_list)
+        cols += np.arange(0, n * self.vocab_size,
+                          self.vocab_size).repeat(sizes)
+        flat = np.concatenate(flats)
+        flat += (idx * self._block).repeat(sizes)
+        return self._accumulate(cols, flat, n)
 
-        Value offsets use the *global* lane index (each lane's slab
-        row), accumulator columns the *subset-local* row, so an L-lane
-        readout costs O(L), not O(capacity).
-        """
-        proto = self.prototype
-        vocab = self.vocab_size
+    def _readout_loop(self, lanes: list[int],
+                      codes: list[int]) -> np.ndarray:
+        """:meth:`_readout_arrays` for a small call."""
         n = len(lanes)
         if not n:
-            return np.zeros((0, vocab))
-        flats: list[np.ndarray] = []
+            return np.zeros((0, self.vocab_size))
+        entry = self._book.entry
+        vocab = self.vocab_size
         cols_list: list[np.ndarray] = []
-        for i, (t, active) in enumerate(zip(lanes, actives)):
-            cols, flat = proto._readout_entry(active)
-            flats.append(flat + t * self._block)
+        flats: list[np.ndarray] = []
+        for i, (t, code) in enumerate(zip(lanes, codes)):
+            cols, flat = entry(code)
             cols_list.append(cols + i * vocab)
-        return np.bincount(np.concatenate(cols_list),
-                           weights=self._w_flat.take(np.concatenate(flats)),
-                           minlength=n * vocab).reshape(n, vocab)
+            flats.append(flat + t * self._block)
+        return self._accumulate(_joined(cols_list), _joined(flats), n)
+
+    def _accumulate(self, cols: np.ndarray, flat: np.ndarray,
+                    n: int) -> np.ndarray:
+        """One concatenated sparse accumulation.  Value offsets use the
+        *global* lane index (each lane's slab row), accumulator columns
+        the *subset-local* row, so an L-lane readout costs O(L), not
+        O(capacity); entries stay in lane, row, class order, so each bin
+        sums in the scalar readout's order."""
+        return np.bincount(cols, weights=self._w_flat.take(flat),
+                           minlength=n * self.vocab_size
+                           ).reshape(n, self.vocab_size)
 
     def _probabilities_rows(self, scores: np.ndarray) -> np.ndarray:
         """Row-wise max-shifted softmax, same arithmetic as the scalar
@@ -376,68 +815,67 @@ class HebbianFleet:
         one gather-update-scatter (disjoint slab rows).
         Like the scalar ``train_pairs``, this never touches
         ``train_steps`` or the lanes' sequence context.
+        ``lanes`` must name resident slots, each once.
         """
-        proto = self.prototype
-        config = proto.config
-        punish = config.punish_wrong
-        wm = config.weight_max
-        for pairs in pairs_per_lane:
-            for input_class, target_class in pairs:
-                proto._check_class(input_class)
-                proto._check_class(target_class)
-        depth = max((len(p) for p in pairs_per_lane), default=0)
-        for j in range(depth):
-            live = [i for i, pairs in enumerate(pairs_per_lane)
-                    if len(pairs) > j]
-            actives = [proto.hidden_code(pairs_per_lane[i][j][0], None)
-                       for i in live]
-            predicted: list[int | None] = [None] * len(live)
+        n = len(lanes)
+        if not n == len(pairs_per_lane) == len(lr_scales):
+            raise ValueError("train_pairs_lanes needs one pair batch and "
+                             "one lr_scale per lane")
+        if n < _ARRAY_MIN_LANES:
+            self._train_pairs_loop(lanes, pairs_per_lane, lr_scales)
+            return
+        idx = self._lane_index(lanes)
+        lens = np.fromiter(map(len, pairs_per_lane), dtype=np.int64, count=n)
+        total = int(lens.sum())
+        # (total, 2) rows of (input, target); lane i's j-th pair is row
+        # first[i] + j.
+        pairs = self._class_index(np.fromiter(
+            chain.from_iterable(chain.from_iterable(pairs_per_lane)),
+            dtype=np.int64, count=2 * total)).reshape(total, 2)
+        first = np.cumsum(lens) - lens
+        punish = self.prototype.config.punish_wrong
+        lrs = self.prototype.config.lr * np.asarray(lr_scales,
+                                                    dtype=np.float64)
+        for j in range(int(lens.max())):
+            live = (lens > j).nonzero()[0]
+            rows = pairs[first[live] + j]
+            targets = rows[:, 1]
+            subset = idx[live]
+            codes = self._codes(np.full(live.size, -1), rows[:, 0])
             if punish:
                 # train_pair reads out (and argmaxes) *before* learning;
                 # the softmax confidence it computes is discarded and
                 # writes no state, so it is skipped here.
-                sub = [lanes[i] for i in live]
-                scores = self._readout_lanes(sub, actives)
-                arg = scores.argmax(axis=1)
-                predicted = [int(a) for a in arg]
-            flats: list[np.ndarray] = []
-            deltas: list[np.ndarray] = []
-            punish_flats: list[np.ndarray] = []
-            punish_lrs: list[float] = []
-            for row, i in enumerate(live):
-                t = lanes[i]
-                target = pairs_per_lane[i][j][1]
-                active = actives[row]
-                offset = t * self._block
-                flats.append(proto._out_flat[target] + offset)
-                deltas.append(proto._delta(active, target, lr_scales[i]))
-                pred = predicted[row]
-                if punish and pred is not None and pred != target:
-                    wrong_flat = proto._punish_flat(active, pred)
-                    if wrong_flat.size:
-                        punish_flats.append(wrong_flat + offset)
-                        punish_lrs.append(config.lr * lr_scales[i])
-            if flats:
-                flat = np.concatenate(flats)
-                w_flat = self._w_flat
-                vals = w_flat.take(flat)
-                vals += np.concatenate(deltas)
-                np.minimum(vals, wm, out=vals)
-                np.maximum(vals, -wm, out=vals)
-                w_flat[flat] = vals
-            if punish_flats:
-                w_flat = self._w_flat
-                # One scalar lr per subtraction: group by value so mixed
-                # per-lane lr_scales still fuse per group.
-                by_lr: dict[float, list[np.ndarray]] = {}
-                for arr, plr in zip(punish_flats, punish_lrs):
-                    by_lr.setdefault(plr, []).append(arr)
-                for plr, arrs in by_lr.items():
-                    wrong_flat = np.concatenate(arrs)
-                    wvals = w_flat.take(wrong_flat)
-                    wvals -= plr
-                    np.maximum(wvals, -wm, out=wvals)
-                    w_flat[wrong_flat] = wvals
+                preds = self._readout_arrays(subset, codes).argmax(axis=1)
+            else:
+                preds = np.full(live.size, -1)
+            self._apply_learn(*self._learn_arrays(
+                subset, targets, codes, preds, lrs[live]))
+
+    def _train_pairs_loop(self, lanes: list[int],
+                          pairs_per_lane: list[list[tuple[int, int]]],
+                          lr_scales: list[float]) -> None:
+        """:meth:`train_pairs_lanes` for a small call."""
+        self._check_lanes(lanes)
+        for pairs in pairs_per_lane:
+            for pair in pairs:
+                self._check_classes(pair)
+        punish = self.prototype.config.punish_wrong
+        depth = max((len(p) for p in pairs_per_lane), default=0)
+        for j in range(depth):
+            live = [i for i, pairs in enumerate(pairs_per_lane)
+                    if len(pairs) > j]
+            codes = self._codes_loop(
+                [-1] * len(live), [pairs_per_lane[i][j][0] for i in live])
+            if punish:
+                preds = self._readout_loop([lanes[i] for i in live], codes
+                                           ).argmax(axis=1).tolist()
+            else:
+                preds = [-1] * len(live)
+            self._apply_learn(*self._learn_loop(
+                [(lanes[i], pairs_per_lane[i][j][1], code, pred,
+                  lr_scales[i])
+                 for i, code, pred in zip(live, codes, preds)]))
 
     # ------------------------------------------------------------------
     # Batched beam rollout (the predict_rollout mirror)
@@ -449,21 +887,70 @@ class HebbianFleet:
 
         Result ``i`` equals ``lane_network(lanes[i]).predict_rollout(
         widths[i], lengths[i])`` bit for bit: selection is the scalar
-        path's own ``select_topk``, lanes whose beam is exhausted drop
-        out *before* the next readout (the scalar early ``break``), and
-        never-stepped lanes return ``[]``.
+        path's own ``select_topk`` (or, when every lane asks for the
+        same width below the vocabulary, its row-wise form — the same
+        ``argpartition`` and ``argsort`` per row), lanes whose beam is
+        exhausted drop out *before* the next readout (the scalar early
+        ``break``), and never-stepped lanes return ``[]``.
+        ``lanes`` must name resident slots, each once.
         """
-        proto = self.prototype
+        n = len(lanes)
+        if not n == len(widths) == len(lengths):
+            raise ValueError("rollout_lanes needs one width and one length "
+                             "per lane")
+        if n < _ARRAY_MIN_LANES:
+            return self._rollout_loop(lanes, widths, lengths)
+        idx = self._lane_index(lanes)
+        out: list[list[list[tuple[int, float]]]] = [[] for _ in lanes]
+        steps = np.asarray(lengths, dtype=np.int64)
+        rows = (self._has_last[idx] & (steps >= 1)).nonzero()[0]
+        width = widths[0]
+        uniform = 0 < width < self.vocab_size and \
+            widths.count(width) == n
+        live = idx[rows]
+        codes = self._last_code[live]
+        probs = self._probs_rows[live]
+        remaining = steps[rows] - 1
+        while rows.size:
+            if uniform:
+                top, top_vals = _select_topk_rows(probs, width)
+                picks = list(zip(top.ravel().tolist(),
+                                 top_vals.ravel().tolist()))
+                for i, lo in zip(rows.tolist(),
+                                 range(0, len(picks), width)):
+                    out[i].append(picks[lo:lo + width])
+                heads = top[:, 0]
+            else:
+                for i, row in zip(rows.tolist(), probs):
+                    out[i].append(select_topk(row, widths[i]))
+                heads = np.fromiter((out[i][-1][0][0] for i in rows.tolist()),
+                                    dtype=np.int64, count=rows.size)
+            keep = remaining.nonzero()[0]
+            if not keep.size:
+                break
+            rows = rows[keep]
+            live = live[keep]
+            remaining = remaining[keep] - 1
+            codes = self._codes(codes[keep], heads[keep])
+            probs = self._probabilities_rows(
+                self._readout_arrays(live, codes))
+        return out
+
+    def _rollout_loop(self, lanes: list[int], widths: list[int],
+                      lengths: list[int]
+                      ) -> list[list[list[tuple[int, float]]]]:
+        """:meth:`rollout_lanes` for a small call."""
+        self._check_lanes(lanes)
         out: list[list[list[tuple[int, float]]]] = [[] for _ in lanes]
         live: list[int] = []      # indices into ``lanes``
-        actives: list[np.ndarray] = []
+        codes: list[int] = []
         remaining: list[int] = []
         probs_rows: list[np.ndarray] = []
         for i, t in enumerate(lanes):
             if not self._has_last[t] or lengths[i] < 1:
                 continue
             live.append(i)
-            actives.append(self._last_active[t])
+            codes.append(self._last_code.item(t))
             remaining.append(lengths[i] - 1)
             probs_rows.append(self._probs_rows[t])
         while live:
@@ -476,13 +963,11 @@ class HebbianFleet:
             if not survivors:
                 break
             live = [live[r] for r in survivors]
-            actives = [proto.hidden_code(out[live_i][-1][0][0], actives[r])
-                       for r, live_i in zip(survivors, live)]
+            codes = self._codes_loop([codes[r] for r in survivors],
+                                     [out[i][-1][0][0] for i in live])
             remaining = [remaining[r] - 1 for r in survivors]
-            sub = [lanes[i] for i in live]
-            scores = self._readout_lanes(sub, actives)
-            probs = self._probabilities_rows(scores)
-            probs_rows = [probs[r] for r in range(len(live))]
+            probs_rows = list(self._probabilities_rows(self._readout_loop(
+                [lanes[i] for i in live], codes)))
         return out
 
     # ------------------------------------------------------------------
@@ -490,8 +975,11 @@ class HebbianFleet:
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
         """Clear every lane's sequence context (weights are kept)."""
-        for t in range(self.n_lanes):
-            self._clear_sequence_state(t)
+        self._prev_class.fill(-1)
+        self._prev_code.fill(-1)
+        self._prev_pred.fill(-1)
+        self._last_code.fill(-1)
+        self._has_last.fill(False)
 
     @property
     def w_out(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
-from repro.memsim.fleet import FleetLaneSpec, run_cohort
+from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.prefetcher import NullPrefetcher
 from repro.memsim.simulator import SimConfig, simulate
 from repro.nn.backends import available_backends
@@ -114,3 +114,29 @@ def test_mixed_learned_cohort_bit_identity(backend: str,
                                   want_w)
             assert (spec.prefetcher.stats.replayed_pairs
                     == reference_prefetcher.stats.replayed_pairs)
+
+
+def test_admission_batch_sizes_each_group_once() -> None:
+    """``load_many`` tells a group how many lanes it is about to adopt:
+    the group's fleet is exactly that wide after the batch (no doubling
+    chain past it), a later batch grows it once more, and the lanes
+    still finish bit-identical to ``simulate()``."""
+    config = SimConfig()
+    kinds = ["cls0"] * 21 + ["cls1"] * 3 + ["null"]
+    trace = _BASE_TRACES[0].slice(0, 300, name="short")
+    specs = [FleetLaneSpec(trace=trace, prefetcher=_build_prefetcher(kind),
+                           config=config) for kind in kinds]
+    cohort = FleetCohort.for_specs(specs, backend="numpy")
+    cohort.load_many(list(range(10)), specs[:10])
+    (group,) = cohort._cls_groups.values()
+    assert group._fleet.n_lanes == 10
+    cohort.load_many(list(range(10, len(specs))), specs[10:])
+    sizes = sorted(g._fleet.n_lanes for g in cohort._cls_groups.values())
+    assert sizes == [3, 21]
+    while cohort.active_count():
+        for slot in cohort.step():
+            cohort.harvest(slot)
+    want_prefetcher = _build_prefetcher("cls0")
+    simulate(trace, want_prefetcher, config=config, backend="numpy")
+    assert np.array_equal(specs[0].prefetcher.model.w_out,
+                          want_prefetcher.model.w_out)

@@ -6,15 +6,27 @@ streams — identical probabilities every step, identical learned weights
 at the end, and a materialized ``lane_network`` must continue its lane
 bit-identically — under every float backend name (all of them the same
 numpy arithmetic since PR 16; the list follows the registry).
+
+The kernels build their index arrays two ways — a per-lane loop below
+``_ARRAY_MIN_LANES`` lanes a call, array programs from there on — so the
+bit-identity cases also run at call widths on both sides of that
+constant (``CALL_WIDTHS``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.nn import hebbian, hebbian_fleet
 from repro.nn.backends import available_backends
-from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
+from repro.nn.hebbian import (
+    HebbianConfig,
+    SparseHebbianNetwork,
+    select_topk,
+)
 from repro.nn.hebbian_fleet import HebbianFleet
 from repro.seeding import child_rng
 
@@ -24,6 +36,10 @@ BACKENDS = [b for b in available_backends("nn") if b != "int8"]
 N_LANES = 5
 VOCAB = 48
 ROUNDS = 160
+
+#: Lanes per call around the loop/array constant W: {1, W-1, W, W+1, 64}.
+_W = hebbian_fleet._ARRAY_MIN_LANES
+CALL_WIDTHS = sorted({1, _W - 1, _W, _W + 1, 64})
 
 
 def _prototype(backend: str, *, punish: bool = True,
@@ -38,14 +54,14 @@ def _prototype(backend: str, *, punish: bool = True,
     return net
 
 
-def _streams(seed_stream: int) -> np.ndarray:
+def _streams(seed_stream: int, n_lanes: int = N_LANES) -> np.ndarray:
     rng = child_rng(30481, seed_stream)
     # Skewed per-lane streams: lane t cycles mostly within its own band
     # so transitions repeat (exercising the shared memo) but lanes learn
     # different weights.
-    base = rng.integers(0, VOCAB, size=(ROUNDS, N_LANES))
-    band = (np.arange(N_LANES) * 7) % VOCAB
-    mix = rng.integers(0, 4, size=(ROUNDS, N_LANES)) > 0
+    base = rng.integers(0, VOCAB, size=(ROUNDS, n_lanes))
+    band = (np.arange(n_lanes) * 7) % VOCAB
+    mix = rng.integers(0, 4, size=(ROUNDS, n_lanes)) > 0
     return np.where(mix, (base % 11) + band[None, :], base) % VOCAB
 
 
@@ -53,10 +69,14 @@ def _streams(seed_stream: int) -> np.ndarray:
 @pytest.mark.parametrize("punish", [True, False])
 def test_fleet_matches_independent_clones(backend: str,
                                           punish: bool) -> None:
+    _check_lockstep(backend, punish, N_LANES)
+
+
+def _check_lockstep(backend: str, punish: bool, n_lanes: int) -> None:
     proto = _prototype(backend, punish=punish)
-    fleet = HebbianFleet(proto, N_LANES)
-    clones = [proto.clone() for _ in range(N_LANES)]
-    streams = _streams(0)
+    fleet = HebbianFleet(proto, n_lanes)
+    clones = [proto.clone() for _ in range(n_lanes)]
+    streams = _streams(0, n_lanes)
     for step in range(ROUNDS):
         probs = fleet.step_all(streams[step])
         for t, clone in enumerate(clones):
@@ -132,14 +152,18 @@ def test_rollout_from_lane_network_matches() -> None:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_step_lanes_subset_matches_clones(backend: str) -> None:
     """Stepping a changing subset each round equals per-clone steps."""
+    _check_subset_steps(backend, N_LANES)
+
+
+def _check_subset_steps(backend: str, n_lanes: int) -> None:
     proto = _prototype(backend)
-    fleet = HebbianFleet(proto, N_LANES)
-    clones = [proto.clone() for _ in range(N_LANES)]
-    streams = _streams(3)
+    fleet = HebbianFleet(proto, n_lanes)
+    clones = [proto.clone() for _ in range(n_lanes)]
+    streams = _streams(3, n_lanes)
     rng = child_rng(30482, 0)
     for step in range(ROUNDS):
-        k = int(rng.integers(1, N_LANES + 1))
-        lanes = sorted(rng.choice(N_LANES, size=k, replace=False).tolist())
+        k = int(rng.integers(1, n_lanes + 1))
+        lanes = sorted(rng.choice(n_lanes, size=k, replace=False).tolist())
         classes = [int(streams[step, t]) for t in lanes]
         trains = [bool(rng.integers(0, 2)) for _ in lanes]
         probs = fleet.step_lanes(lanes, classes, trains)
@@ -156,10 +180,14 @@ def test_step_lanes_subset_matches_clones(backend: str) -> None:
 def test_train_pairs_lanes_matches_clones(backend: str,
                                           punish: bool) -> None:
     """Batched replay application equals per-clone train_pairs calls."""
+    _check_train_pairs(backend, punish, N_LANES)
+
+
+def _check_train_pairs(backend: str, punish: bool, n_lanes: int) -> None:
     proto = _prototype(backend, punish=punish)
-    fleet = HebbianFleet(proto, N_LANES)
-    clones = [proto.clone() for _ in range(N_LANES)]
-    streams = _streams(4)
+    fleet = HebbianFleet(proto, n_lanes)
+    clones = [proto.clone() for _ in range(n_lanes)]
+    streams = _streams(4, n_lanes)
     rng = child_rng(30483, 0)
     for step in range(80):
         fleet.step_all(streams[step])
@@ -170,7 +198,7 @@ def test_train_pairs_lanes_matches_clones(backend: str,
         lanes = []
         pairs_per_lane = []
         scales = []
-        for t in range(N_LANES):
+        for t in range(n_lanes):
             if rng.integers(0, 2) == 0:
                 continue
             count = int(rng.integers(1, 5))
@@ -193,25 +221,31 @@ def test_train_pairs_lanes_matches_clones(backend: str,
 def test_rollout_lanes_matches_clones(backend: str) -> None:
     """Batched rollouts equal each clone's predict_rollout, including
     lanes with no scored step yet (empty rollout)."""
+    _check_rollouts(backend, N_LANES, [2, 3, 1, 4, 2])
+
+
+def _check_rollouts(backend: str, n_lanes: int, widths: list[int]) -> None:
+    """``widths`` cycles over the lanes (one value: the uniform-width
+    row-wise selection; ``VOCAB`` and up: the full-sort branch)."""
     proto = _prototype(backend)
-    fleet = HebbianFleet(proto, N_LANES)
-    clones = [proto.clone() for _ in range(N_LANES)]
-    streams = _streams(5)
-    # Leave lane N_LANES-1 unstepped: its rollout must be [].
-    stepped = list(range(N_LANES - 1))
+    fleet = HebbianFleet(proto, n_lanes)
+    clones = [proto.clone() for _ in range(n_lanes)]
+    streams = _streams(5, n_lanes)
+    # Leave the last lane unstepped: its rollout must be [].
+    stepped = list(range(n_lanes - 1))
     for step in range(60):
         classes = [int(streams[step, t]) for t in stepped]
         fleet.step_lanes(stepped, classes, [True] * len(stepped))
         for i, t in enumerate(stepped):
             clones[t].step(classes[i])
-    widths = [2, 3, 1, 4, 2][:N_LANES]
-    lengths = [3, 2, 4, 1, 3][:N_LANES]
-    rollouts = fleet.rollout_lanes(list(range(N_LANES)), widths, lengths)
-    for t in range(N_LANES):
+    widths = [widths[t % len(widths)] for t in range(n_lanes)]
+    lengths = [[3, 2, 4, 1, 3][t % 5] for t in range(n_lanes)]
+    rollouts = fleet.rollout_lanes(list(range(n_lanes)), widths, lengths)
+    for t in range(n_lanes):
         want = clones[t].predict_rollout(width=widths[t],
                                          length=lengths[t])
         assert rollouts[t] == want, (backend, t)
-    assert rollouts[N_LANES - 1] == []
+    assert rollouts[n_lanes - 1] == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -294,3 +328,240 @@ def test_acquire_rejects_config_mismatch() -> None:
         vocab_size=VOCAB, hidden_dim=200, seed=11, backend="numpy"))
     with pytest.raises(ValueError, match="config"):
         fleet.acquire_lane(other)
+
+
+# ----------------------------------------------------------------------
+# Both index builders: call widths around the loop/array constant
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
+@pytest.mark.parametrize("punish", [True, False])
+def test_lockstep_bit_identity_at_call_width(n_lanes: int,
+                                             punish: bool) -> None:
+    _check_lockstep("numpy", punish, n_lanes)
+
+
+@pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
+def test_subset_steps_bit_identity_at_call_width(n_lanes: int) -> None:
+    _check_subset_steps("numpy", n_lanes)
+
+
+@pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
+@pytest.mark.parametrize("punish", [True, False])
+def test_train_pairs_bit_identity_at_call_width(n_lanes: int,
+                                                punish: bool) -> None:
+    _check_train_pairs("numpy", punish, n_lanes)
+
+
+@pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
+@pytest.mark.parametrize("widths", [[2], [1], [4], [2, 3, 1, 4, 2],
+                                    [VOCAB], [2, VOCAB + 3]],
+                         ids=["w2", "w1", "w4", "mixed", "vocab", "over"])
+def test_rollouts_bit_identity_at_call_width(n_lanes: int,
+                                             widths: list[int]) -> None:
+    _check_rollouts("numpy", n_lanes, widths)
+
+
+_ROW_KINDS = ("uniform", "duplicated", "random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab=st.integers(3, 192), width=st.integers(1, 4),
+       kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_topk_equals_select_topk_per_row(vocab: int, width: int,
+                                             kinds: list[str],
+                                             seed: int) -> None:
+    """The row-wise selection is ``select_topk`` on every row: the same
+    classes in the same order with the same values, ties included."""
+    width = min(width, vocab - 1)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "uniform":
+            row = np.full(vocab, 1.0 / vocab)
+        elif kind == "duplicated":
+            levels = rng.random(int(rng.integers(1, 4)))
+            row = levels[rng.integers(0, levels.size, size=vocab)]
+        else:
+            row = rng.random(vocab)
+        rows.append(row / row.sum())
+    probs = np.array(rows)
+    top, vals = hebbian_fleet._select_topk_rows(probs, width)
+    for r in range(len(kinds)):
+        assert list(zip(top[r].tolist(), vals[r].tolist())) == \
+            select_topk(probs[r], width), (kinds[r], r)
+
+
+# ----------------------------------------------------------------------
+# Lane-list validation
+# ----------------------------------------------------------------------
+def _fleet_state(fleet: HebbianFleet) -> list[bytes]:
+    return [arr.tobytes() for arr in (
+        fleet._w_vals, fleet._prev_class, fleet._prev_code,
+        fleet._prev_pred, fleet._last_code, fleet._has_last,
+        fleet._scores_rows, fleet._probs_rows, fleet.train_steps)]
+
+
+@pytest.mark.parametrize("n_lanes", [3, _W - 1, _W, 32])
+def test_kernels_reject_free_duplicate_and_foreign_lanes(
+        n_lanes: int) -> None:
+    """A free slot, a lane named twice or an id outside the fleet raises
+    before any state moves — on the loop and on the array side."""
+    proto = _prototype("numpy")
+    fleet = HebbianFleet(proto, n_lanes + 1, reserve=True)
+    slots = [fleet.acquire_lane(proto.clone()) for _ in range(n_lanes)]
+    (free,) = set(range(n_lanes + 1)) - set(slots)
+    streams = _streams(8, n_lanes)
+    for step in range(4):
+        fleet.step_lanes(slots, streams[step].tolist(), [True] * n_lanes)
+    before = _fleet_state(fleet)
+    classes = streams[4].tolist()
+    pairs = [[(1, 2)]] * n_lanes
+    for bad, message in ((slots[:-1] + [free], "free slot"),
+                         (slots[:-1] + [slots[0]], "more than once"),
+                         (slots[:-1] + [-1], "outside"),
+                         (slots[:-1] + [n_lanes + 1], "outside")):
+        with pytest.raises(ValueError, match=message):
+            fleet.step_lanes(bad, classes, [True] * n_lanes)
+        with pytest.raises(ValueError, match=message):
+            fleet.train_pairs_lanes(bad, pairs, [1.0] * n_lanes)
+        with pytest.raises(ValueError, match=message):
+            fleet.rollout_lanes(bad, [2] * n_lanes, [2] * n_lanes)
+    with pytest.raises(ValueError, match="outside vocab"):
+        fleet.step_lanes(slots, classes[:-1] + [VOCAB], [True] * n_lanes)
+    with pytest.raises(ValueError, match="outside vocab"):
+        fleet.train_pairs_lanes(slots, [[(1, 2)]] * (n_lanes - 1)
+                                + [[(0, 1), (-1, 2)]], [1.0] * n_lanes)
+    with pytest.raises(ValueError, match="one class and one train"):
+        fleet.step_lanes(slots, classes[:-1], [True] * n_lanes)
+    assert _fleet_state(fleet) == before
+    # A released slot is free again.
+    fleet.release_lane(slots[0], proto.clone())
+    with pytest.raises(ValueError, match="free slot"):
+        fleet.step_lanes(slots, classes, [True] * n_lanes)
+
+
+# ----------------------------------------------------------------------
+# The code book
+# ----------------------------------------------------------------------
+BOOK_LANES = 16
+
+
+@pytest.mark.parametrize("squeeze", ["book-cap-8", "book-cap-64",
+                                     "memo-cap-8"])
+def test_small_caps_stay_bit_identical(monkeypatch: pytest.MonkeyPatch,
+                                       squeeze: str) -> None:
+    """200 random steps, replays and rollouts on 16 lanes against 16
+    scalar networks, while the book overflows (and is rebuilt from what
+    the lanes still reference) or the prototype's memo clears under it."""
+    cap = hebbian_fleet._BOOK_CAP
+    if squeeze.startswith("book"):
+        cap = int(squeeze.rsplit("-", 1)[1])
+        monkeypatch.setattr(hebbian_fleet, "_BOOK_CAP", cap)
+    else:
+        monkeypatch.setattr(hebbian, "_CODE_CACHE_CAP", 8)
+    proto = _prototype("numpy")
+    fleet = HebbianFleet(proto, 2, reserve=True)
+    twins = [proto.clone() for _ in range(BOOK_LANES)]
+    slots = [fleet.acquire_lane(twin.clone()) for twin in twins]
+    book = fleet._book
+    rebuilds = []
+    rebuild = book.rebuild
+    monkeypatch.setattr(book, "rebuild",
+                        lambda keep: rebuilds.append(len(keep))
+                        or rebuild(keep))
+    # The cap, or what the lanes pin when that is more: a rebuild keeps
+    # at most two codes a lane plus one a lane in flight, and the call
+    # that triggered it adds at most one a lane.
+    bound = max(cap, 4 * BOOK_LANES)
+    rng = child_rng(30484, 0)
+    for _ in range(200):
+        k = int(rng.integers(1, BOOK_LANES + 1))
+        picked = rng.choice(BOOK_LANES, size=k, replace=False).tolist()
+        lanes = [slots[i] for i in picked]
+        op = int(rng.integers(0, 3))
+        if op == 0:
+            classes = rng.integers(0, VOCAB, size=k).tolist()
+            trains = (rng.integers(0, 4, size=k) > 0).tolist()
+            probs = fleet.step_lanes(lanes, classes, trains)
+            for row, i in enumerate(picked):
+                want = twins[i].step(classes[row], train=trains[row])
+                assert np.array_equal(probs[row], want)
+        elif op == 1:
+            batches = [[(int(a), int(b)) for a, b in
+                        rng.integers(0, VOCAB, size=(rng.integers(1, 4), 2))]
+                       for _ in picked]
+            scales = rng.choice([0.25, 1.0], size=k).tolist()
+            fleet.train_pairs_lanes(lanes, batches, scales)
+            for i, pairs, scale in zip(picked, batches, scales):
+                twins[i].train_pairs(pairs, lr_scale=scale)
+        else:
+            rollouts = fleet.rollout_lanes(lanes, [2] * k, [3] * k)
+            for i, rollout in zip(picked, rollouts):
+                assert rollout == twins[i].predict_rollout(2, 3)
+        assert len(book) <= bound
+    assert bool(rebuilds) == squeeze.startswith("book")
+    for slot, twin in zip(slots, twins):
+        assert np.array_equal(fleet.lane_weights(slot), twin.w_out)
+        lane = fleet.lane_network(slot)
+        for input_class in (3, 7, 3):
+            assert np.array_equal(lane.step(input_class),
+                                  twin.step(input_class))
+
+
+def test_equal_config_prototypes_share_code_ids() -> None:
+    """Lanes adopted from two different equal-config networks (equal
+    fixed structures, separate memo dicts, so element-equal codes in
+    distinct arrays) get the same code ids and stay bit-identical."""
+    ours = _prototype("numpy")
+    theirs = _prototype("numpy")
+    assert ours._code_cache is not theirs._code_cache
+    nets = [ours.clone(), theirs.clone(), ours.clone(), theirs.clone()]
+    warmup = [5, 9, 5, 9, 14]
+    for net in nets:
+        for input_class in warmup:
+            net.step(input_class)
+    assert nets[0]._prev_active is not nets[1]._prev_active
+    twins = [net.clone() for net in nets]
+    fleet = HebbianFleet(ours, 4, reserve=True)
+    slots = [fleet.acquire_lane(net) for net in nets]
+    assert len(set(fleet._prev_code[slots].tolist())) == 1
+    assert len(fleet._book) == 1
+    streams = _streams(9)
+    for step in range(40):
+        classes = [int(streams[step, 0])] * 2 + \
+            [int(c) for c in streams[step, 1:3]]
+        probs = fleet.step_lanes(slots, classes, [True] * 4)
+        assert fleet._prev_code[slots[0]] == fleet._prev_code[slots[1]]
+        for row, twin in enumerate(twins):
+            assert np.array_equal(probs[row], twin.step(classes[row]))
+    for slot, net, twin in zip(slots, nets, twins):
+        fleet.release_lane(slot, net)
+        assert np.array_equal(net.w_out, twin.w_out)
+        assert np.array_equal(net.step(2), twin.step(2))
+
+
+# ----------------------------------------------------------------------
+# Capacity
+# ----------------------------------------------------------------------
+def test_reserve_grows_once_and_keeps_lane_state() -> None:
+    proto = _prototype("numpy")
+    fleet = HebbianFleet(proto, 2, reserve=True)
+    twin = proto.clone()
+    slot = fleet.acquire_lane(proto.clone())
+    for input_class in (4, 8, 4):
+        fleet.step_lanes([slot], [input_class], [True])
+        twin.step(input_class)
+    fleet.reserve(100)
+    assert fleet.n_lanes == 101
+    slots = [fleet.acquire_lane(proto.clone()) for _ in range(100)]
+    assert fleet.n_lanes == 101 and slot not in slots
+    fleet.reserve(0)
+    assert fleet.n_lanes == 101
+    assert np.array_equal(fleet.step_lanes([slot], [8], [True])[0],
+                          twin.step(8))
+    assert fleet.rollout_lanes([slot], [2], [3]) == [
+        twin.predict_rollout(2, 3)]
+    fleet.reset_state()
+    assert fleet.rollout_lanes(slots[:20], [2] * 20, [2] * 20) == [[]] * 20
+    assert fleet.rollout_lanes([slot], [2], [2]) == [[]]
