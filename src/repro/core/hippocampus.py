@@ -20,13 +20,25 @@ variants live in ``repro.core.replay``.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Any, NamedTuple
 
 import numpy as np
 
+#: Draws :meth:`EpisodicStore.sample` spends per requested pick; the
+#: array form of replay (``core/cls_fleet.py``) makes the same draws.
+MAX_ATTEMPTS_PER_PICK = 8
 
-@dataclass(frozen=True)
-class Episode:
+#: Raw 32-bit draws :class:`LaneDraws` takes from a generator at a time
+#: (one refill per 16 replays of one episode).
+_RAW_BLOCK = 128
+
+_LOW32 = 0xFFFFFFFF
+
+
+class Episode(NamedTuple):
     """One stored miss transition.
 
     Attributes:
@@ -93,6 +105,29 @@ class EpisodicStore:
         counts[episode.phase_id] = counts.get(episode.phase_id, 0) + 1
         self.stored_total += 1
 
+    def extend(self, episodes: Sequence[Episode]) -> None:
+        """Bulk :meth:`store`: the same contents, counters and phase
+        occupancy as storing each episode in order."""
+        phases = [episode.phase_id for episode in episodes]
+        evicted = 0
+        if self.capacity is not None:
+            evicted = max(0, len(self._episodes) + len(phases)
+                          - self.capacity)
+        counts = self._phase_counts
+        for phase in phases:
+            counts[phase] = counts.get(phase, 0) + 1
+        # FIFO: the oldest go first, and a long batch evicts its own head.
+        for phase in islice(chain(self._phase_ids, phases), evicted):
+            left = counts[phase] - 1
+            if left:
+                counts[phase] = left
+            else:
+                del counts[phase]
+        self._episodes.extend(episodes)
+        self._phase_ids.extend(phases)
+        self.stored_total += len(phases)
+        self.evicted_total += evicted
+
     def telemetry_counters(self) -> dict[str, int | float]:
         """Named counters for the telemetry sink (ints: monotone; floats:
         gauges)."""
@@ -112,7 +147,8 @@ class EpisodicStore:
 
     def sample(self, rng: np.random.Generator, n: int,
                exclude_phase: int | None = None,
-               max_attempts_per_pick: int = 8) -> list[Episode]:
+               max_attempts_per_pick: int = MAX_ATTEMPTS_PER_PICK
+               ) -> list[Episode]:
         """Sample up to ``n`` episodes uniformly, rejecting one phase.
 
         Rejection attempts are bounded, so when nearly everything stored
@@ -143,6 +179,150 @@ class EpisodicStore:
                 if len(out) == n:
                     break
         return out
+
+
+class LaneDraws:
+    """:meth:`EpisodicStore.sample`'s draw for many generators a call.
+
+    ``draw`` returns, per lane, the values ``rng.integers(0, size,
+    size=attempts)`` would return on that lane's generator, and
+    :meth:`detach` leaves the generator where those calls would have.
+    It rests on how numpy draws a bounded integer: for a bound below
+    2**32 ``Generator.integers`` is Lemire's rejection method over the
+    bit generator's 32-bit stream, and ``integers(0, 2**32, dtype=uint32)``
+    hands out that stream as it is.  So each lane keeps a block of raw
+    draws and the arithmetic is done here, a whole call at a time:
+
+    * ``size == 1`` consumes nothing (numpy returns the offset);
+    * otherwise ``m = raw * size`` in 64 bits and the value is ``m >> 32``,
+      unless the low half of ``m`` is below ``size``: then the draw is
+      repeated while the low half is below ``(2**32 - size) % size``.
+
+    A row with a candidate for rejection (about ``attempts * size / 2**32``
+    of them) is drawn value by value, and only then consumes more than
+    ``attempts`` raws.  ``tests/core/test_hippocampus.py`` holds this
+    against ``Generator.integers`` on the supported numpy range.
+    """
+
+    #: The most draws one call may ask of a lane.
+    max_attempts = _RAW_BLOCK
+
+    def __init__(self, lanes: int) -> None:
+        self._raws = np.zeros((lanes, _RAW_BLOCK), dtype=np.uint32)
+        # Next unread raw of each block (``_RAW_BLOCK``: none left), and
+        # the raws a lane has consumed since :meth:`attach`.
+        self._at = np.full(lanes, _RAW_BLOCK, dtype=np.int64)
+        self._used = np.zeros(lanes, dtype=np.int64)
+        self._rngs: list[np.random.Generator | None] = [None] * lanes
+        # ``bit_generator.state`` before a lane's first block.
+        self._states: list[dict[str, Any] | None] = [None] * lanes
+
+    def grow(self, lanes: int) -> None:
+        """Make room for ``lanes`` lanes (attached lanes keep their state)."""
+        extra = lanes - len(self._rngs)
+        if extra <= 0:
+            return
+        self._raws = np.concatenate(
+            [self._raws, np.zeros((extra, _RAW_BLOCK), dtype=np.uint32)])
+        self._at = np.concatenate(
+            [self._at, np.full(extra, _RAW_BLOCK, dtype=np.int64)])
+        self._used = np.concatenate(
+            [self._used, np.zeros(extra, dtype=np.int64)])
+        self._rngs.extend([None] * extra)
+        self._states.extend([None] * extra)
+
+    def attach(self, lane: int, rng: np.random.Generator) -> None:
+        """Draw lane ``lane`` from ``rng`` until :meth:`detach`; ``rng``
+        must not be used in between."""
+        if self._rngs[lane] is not None:
+            raise ValueError(f"lane {lane} already has a generator")
+        self._rngs[lane] = rng
+
+    def detach(self, lane: int) -> None:
+        """Give the lane's generator back, advanced by exactly the raws
+        its draws consumed (a bit generator's buffered half-word
+        included: the same 32-bit reads are made again)."""
+        rng = self._rngs[lane]
+        if rng is None:
+            raise ValueError(f"lane {lane} has no generator")
+        state = self._states[lane]
+        if state is not None:
+            rng.bit_generator.state = state
+            used = int(self._used[lane])
+            if used:
+                rng.integers(0, 2**32, size=used, dtype=np.uint32)
+        self._rngs[lane] = None
+        self._states[lane] = None
+        self._at[lane] = _RAW_BLOCK
+        self._used[lane] = 0
+
+    def _refill(self, lane: int) -> None:
+        """Move the lane's unread raws to the front of its block and draw
+        the rest of the block after them."""
+        rng = self._rngs[lane]
+        if rng is None:
+            raise ValueError(f"lane {lane} has no generator")
+        if self._states[lane] is None:
+            self._states[lane] = rng.bit_generator.state
+        block = self._raws[lane]
+        at = int(self._at[lane])
+        left = _RAW_BLOCK - at
+        block[:left] = block[at:]
+        block[left:] = rng.integers(0, 2**32, size=at, dtype=np.uint32)
+        self._at[lane] = 0
+
+    def _next_raw(self, lane: int) -> int:
+        if self._at[lane] == _RAW_BLOCK:
+            self._refill(lane)
+        at = self._at[lane]
+        self._at[lane] = at + 1
+        self._used[lane] += 1
+        return self._raws.item(lane, at)
+
+    def _draw_exact(self, lane: int, size: int, attempts: int) -> list[int]:
+        """One lane's draw, value by value (numpy's own loop)."""
+        threshold = (2**32 - size) % size
+        out = []
+        for _ in range(attempts):
+            m = self._next_raw(lane) * size
+            if m & _LOW32 < size:
+                while m & _LOW32 < threshold:
+                    m = self._next_raw(lane) * size
+            out.append(m >> 32)
+        return out
+
+    def draw(self, lanes: np.ndarray, sizes: np.ndarray,
+             attempts: int) -> np.ndarray:
+        """``(len(lanes), attempts)`` values: row ``i`` is what lane
+        ``lanes[i]``'s generator would return for ``integers(0, sizes[i],
+        size=attempts)``.  Lanes are attached and named once; sizes lie
+        in ``[1, 2**32)``."""
+        if not 0 < attempts <= _RAW_BLOCK:
+            raise ValueError(f"attempts must be in [1, {_RAW_BLOCK}]")
+        if sizes.min() < 1 or sizes.max() > _LOW32:
+            raise ValueError("sizes must be in [1, 2**32)")
+        at = self._at[lanes]
+        short = (at > _RAW_BLOCK - attempts).nonzero()[0]
+        if short.size:
+            for lane in lanes[short].tolist():
+                self._refill(lane)
+            at = self._at[lanes]
+        raws = self._raws[lanes[:, None], at[:, None] + np.arange(attempts)]
+        bound = sizes.astype(np.uint64)[:, None]
+        m = raws * bound
+        values = (m >> np.uint64(32)).astype(np.int64)
+        drawn = sizes > 1
+        redo = (((m & np.uint64(_LOW32)) < bound).any(axis=1)
+                & drawn).nonzero()[0]
+        if redo.size:
+            drawn[redo] = False
+            for i in redo.tolist():
+                values[i] = self._draw_exact(int(lanes[i]), int(sizes[i]),
+                                             attempts)
+        took = lanes[drawn]
+        self._at[took] += attempts
+        self._used[took] += attempts
+        return values
 
 
 class SparseAssociativeMemory:

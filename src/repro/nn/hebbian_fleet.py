@@ -1007,6 +1007,15 @@ class HebbianFleet:
         view.flags.writeable = False
         return view
 
+    @property
+    def probs_rows(self) -> np.ndarray:
+        """Every slot's last-step probabilities, ``(n_lanes, vocab)`` —
+        the storage itself, for gathers across lanes; a row means
+        something only for a lane that has stepped.  Callers must not
+        write through it, and must read it anew after an adoption (growth
+        reallocates it)."""
+        return self._probs_rows
+
     def lane_network(self, lane: int) -> SparseHebbianNetwork:
         """Materialize lane ``lane`` as a standalone scalar network.
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hippocampus import Episode, EpisodicStore, SparseAssociativeMemory
+from repro.core.hippocampus import (
+    MAX_ATTEMPTS_PER_PICK,
+    Episode,
+    EpisodicStore,
+    LaneDraws,
+    SparseAssociativeMemory,
+)
 
 
 def ep(i: int, phase: int = 0, conf: float = 0.0) -> Episode:
@@ -59,6 +65,128 @@ class TestEpisodicStore:
             store.store(ep(i, phase=1))
         # everything excluded: returns few/none rather than spinning
         assert store.sample(rng, 4, exclude_phase=1) == []
+
+    def test_episode_is_an_immutable_record(self):
+        episode = Episode(3, 4, 1, 0.5, 70)
+        assert episode == Episode(input_class=3, target_class=4, phase_id=1,
+                                  confidence=0.5, timestamp=70)
+        assert episode != ep(3, phase=1, conf=0.5)  # timestamp differs
+        assert hash(episode) == hash(Episode(3, 4, 1, 0.5, 70))
+        assert Episode(1, 2) == Episode(1, 2, -1, 0.0, 0)
+        with pytest.raises(AttributeError):
+            episode.phase_id = 2
+
+    @pytest.mark.parametrize("capacity", [None, 3, 10])
+    @pytest.mark.parametrize("held", [0, 2, 10])
+    @pytest.mark.parametrize("batch", [0, 1, 4, 25])
+    def test_extend_is_store_in_bulk(self, capacity, held, batch):
+        one_by_one = EpisodicStore(capacity=capacity)
+        bulk = EpisodicStore(capacity=capacity)
+        for i in range(held):
+            one_by_one.store(ep(i, phase=i % 3))
+            bulk.store(ep(i, phase=i % 3))
+        fresh = [ep(100 + i, phase=(i // 2) % 4) for i in range(batch)]
+        for episode in fresh:
+            one_by_one.store(episode)
+        bulk.extend(fresh)
+        assert bulk.episodes() == one_by_one.episodes()
+        assert list(bulk._phase_ids) == list(one_by_one._phase_ids)
+        assert bulk._phase_counts == one_by_one._phase_counts
+        assert bulk.stored_total == one_by_one.stored_total
+        assert bulk.evicted_total == one_by_one.evicted_total
+
+
+#: Bounds on either side of every branch of numpy's bounded draw: no
+#: draw at all (1), powers of two and not, and bounds near 2**31 / 2**32
+#: where a quarter to a half of the raw draws are rejected.
+DRAW_SIZES = [1, 2, 3, 37, 1000, 2**31 - 5, 2**31 + 1, 3 * 2**30 + 7,
+              2**32 - 2]
+
+draw_call = st.tuples(
+    st.sampled_from([MAX_ATTEMPTS_PER_PICK, 2 * MAX_ATTEMPTS_PER_PICK,
+                     3 * MAX_ATTEMPTS_PER_PICK]),
+    st.lists(st.one_of(st.none(), st.sampled_from(DRAW_SIZES)),
+             min_size=3, max_size=3))
+
+
+def _replay_calls(seed: int, calls: list) -> tuple[LaneDraws, list]:
+    """Run ``calls`` — ``(attempts, size per lane or None)`` — through a
+    ``LaneDraws`` over three generators, each value checked against a
+    reference generator's ``integers``."""
+    draws = LaneDraws(2)
+    draws.grow(3)
+    mine = [np.random.default_rng([seed, lane]) for lane in range(3)]
+    reference = [np.random.default_rng([seed, lane]) for lane in range(3)]
+    for lane, generator in enumerate(mine):
+        draws.attach(lane, generator)
+    for attempts, sizes in calls:
+        lanes = [lane for lane, size in enumerate(sizes) if size is not None]
+        if not lanes:
+            continue
+        got = draws.draw(np.array(lanes),
+                         np.array([sizes[lane] for lane in lanes]), attempts)
+        assert got.shape == (len(lanes), attempts)
+        for row, lane in zip(got, lanes):
+            want = reference[lane].integers(0, sizes[lane], size=attempts)
+            assert row.tolist() == want.tolist()
+    return draws, list(zip(mine, reference))
+
+
+class TestLaneDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(draw_call, min_size=1, max_size=24))
+    def test_draws_equal_generator_integers(self, seed, calls):
+        """Value for value over consecutive calls with sizes mixed between
+        them, and the generator is handed back where the reference is."""
+        draws, generators = _replay_calls(seed, calls)
+        for lane, (mine, reference) in enumerate(generators):
+            draws.detach(lane)
+            assert mine.bit_generator.state == reference.bit_generator.state
+            # ... and stays in step afterwards.
+            assert mine.integers(0, 1000) == reference.integers(0, 1000)
+
+    def test_an_odd_number_of_raws_leaves_the_half_word_buffered(self):
+        """PCG64 yields two 32-bit draws per step and buffers the second;
+        a lane that consumed an odd number must hand that buffer back."""
+        calls = [(8, [3 * 2**30 + 7, 2**31 + 1, 37])] * 5
+        for seed in range(4):
+            draws, generators = _replay_calls(seed, calls)
+            used = draws._used.tolist()
+            assert used[2] == 40 and min(used[:2]) > 40  # rejections redrew
+            if any(n % 2 for n in used):
+                break
+        else:
+            pytest.fail("no lane consumed an odd number of raws")
+        for lane, (mine, reference) in enumerate(generators):
+            draws.detach(lane)
+            state = mine.bit_generator.state
+            assert state == reference.bit_generator.state
+            assert state["has_uint32"] == used[lane] % 2
+
+    def test_blocks_refill_in_stream_order(self):
+        """Many more draws than one block holds, with a leftover carried
+        across every refill (24 does not divide the block)."""
+        draws, generators = _replay_calls(5, [(24, [1000, None, 3])] * 40)
+        draws.detach(0)
+        mine, reference = generators[0]
+        assert mine.bit_generator.state == reference.bit_generator.state
+
+    def test_rejects_what_the_32_bit_path_cannot_draw(self):
+        draws = LaneDraws(1)
+        draws.attach(0, np.random.default_rng(0))
+        lanes = np.array([0])
+        with pytest.raises(ValueError, match="sizes"):
+            draws.draw(lanes, np.array([2**32]), 8)
+        with pytest.raises(ValueError, match="sizes"):
+            draws.draw(lanes, np.array([0]), 8)
+        with pytest.raises(ValueError, match="attempts"):
+            draws.draw(lanes, np.array([5]), LaneDraws.max_attempts + 1)
+        with pytest.raises(ValueError, match="already"):
+            draws.attach(0, np.random.default_rng(1))
+        draws.detach(0)
+        with pytest.raises(ValueError, match="no generator"):
+            draws.detach(0)
 
 
 class TestSparseAssociativeMemory:

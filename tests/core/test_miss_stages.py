@@ -23,6 +23,7 @@ from repro.memsim.simulator import SimConfig, simulate
 from repro.nn.backends import available_backends
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, generate
+from repro.patterns.phases import Phase, build_phased_trace
 from repro.seeding import spawn_seeds
 from repro.serve import PrefetchService, ServeConfig, replay_lockstep
 from repro.serve.clock import VirtualClock
@@ -98,6 +99,96 @@ def _assert_same_lane(got: CLSPrefetcher, want: CLSPrefetcher,
         for side in ("live", "shadow"):
             assert np.array_equal(getattr(got.manager, side).w_out,
                                   getattr(want.manager, side).w_out)
+
+
+def assert_released_like(got: CLSPrefetcher, want: CLSPrefetcher) -> None:
+    """Release fidelity: ``got`` left a cohort holding everything its
+    ``simulate()`` twin ``want`` holds — not only the outcome
+    (:func:`_assert_same_lane`) but every piece of per-miss state a later
+    miss would read."""
+    _assert_same_lane(got, want)
+    assert got._prev_class == want._prev_class
+    assert (got._last_probs is None) == (want._last_probs is None)
+    if want._last_probs is not None:
+        assert np.array_equal(got._last_probs, want._last_probs)
+    assert list(got.history._window) == list(want.history._window)
+    for side in ("considered", "trained"):
+        assert (getattr(got.training_policy, side)
+                == getattr(want.training_policy, side))
+    if want.scheduler is not None:
+        assert got.scheduler is not None
+        assert (got.scheduler._rng.bit_generator.state
+                == want.scheduler._rng.bit_generator.state)
+        assert got.scheduler.invocations == want.scheduler.invocations
+        assert got.scheduler.replayed_total == want.scheduler.replayed_total
+        store = getattr(want.scheduler.policy, "store", None)
+        if store is not None:
+            mine = got.scheduler.policy.store
+            assert mine.episodes() == store.episodes()
+            assert list(mine._phase_ids) == list(store._phase_ids)
+            assert mine._phase_counts == store._phase_counts
+            assert mine.stored_total == store.stored_total
+            assert mine.evicted_total == store.evicted_total
+    if want.phase_detector is not None:
+        mine, theirs = got.phase_detector, want.phase_detector
+        assert mine.current_phase == theirs.current_phase
+        assert mine.transitions == theirs.transitions
+        assert list(mine._recent) == list(theirs._recent)
+        assert len(mine._centroids) == len(theirs._centroids)
+        for a, b in zip(mine._centroids, theirs._centroids):
+            assert np.array_equal(a, b)
+
+
+#: replay policy (+ kwargs) of the lanes of the release-fidelity cohort:
+#: an unbounded store, a ring small enough to evict (and to end up
+#: holding nothing but the excluded phase), a confidence-filtered store.
+STORES = [("full", {}), ("ring", {"capacity": 24}),
+          ("confidence", {"confidence_threshold": 0.2})]
+
+
+def _replaying_prefetcher(lane: int) -> CLSPrefetcher:
+    policy, kwargs = STORES[lane % len(STORES)]
+    return CLSPrefetcher(CLSPrefetcherConfig(
+        vocab_size=VOCAB, hebbian=HebbianConfig(vocab_size=VOCAB, seed=7),
+        seed=100 + lane, replay_policy=policy, replay_kwargs=kwargs,
+        replay_per_step=2, prefetch_width=2, prefetch_length=2,
+        min_accuracy=0.05 if lane % 2 else 0.3))
+
+
+def test_release_hands_back_what_simulate_leaves() -> None:
+    """24+ lanes whose rounds run on the lane-state arrays, with every
+    array-side stage in play: two replayed pairs a step, phases from the
+    detector (so replay excludes, and the small ring ends up all
+    excluded), an evicting ring, a filtered store, both gates."""
+    config = SimConfig(memory_fraction=0.5)
+    lanes = 27
+    traces = [build_phased_trace(
+        [Phase("pointer_chase", 260 + 10 * (lane % 5)), Phase("stride", 220),
+         Phase("pointer_chase", 200)],
+        PatternSpec(working_set=50, element_size=4096), seed=lane).trace
+        for lane in range(lanes)]
+    specs = [FleetLaneSpec(trace=trace, prefetcher=_replaying_prefetcher(lane),
+                           config=config)
+             for lane, trace in enumerate(traces)]
+    results = run_cohort(specs, backend="numpy", record_miss_indices=True)
+    phases: set[int] = set()
+    evicted = gated = partial = 0
+    for lane, (spec, got) in enumerate(zip(specs, results)):
+        reference = _replaying_prefetcher(lane)
+        want = simulate(spec.trace, reference, config=config,
+                        backend="numpy", record_miss_indices=True)
+        assert got.stats.as_dict() == want.stats.as_dict(), lane
+        assert got.miss_indices == want.miss_indices, lane
+        assert_released_like(spec.prefetcher, reference)
+        store = reference.scheduler.policy.store
+        phases.update(e.phase_id for e in store.episodes())
+        evicted += store.evicted_total
+        gated += reference.stats.suppressed_low_confidence
+        # Fewer pairs than 2 per invocation: rejections ran out of draws.
+        partial += (2 * reference.scheduler.invocations
+                    - reference.scheduler.replayed_total)
+        assert reference.stats.replayed_pairs > 0
+    assert {0, 1} <= phases and evicted > 0 and gated > 0 and partial > 0
 
 
 @pytest.mark.parametrize("availability", [False, True],
