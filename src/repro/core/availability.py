@@ -82,7 +82,13 @@ class ShadowModelManager:
 
     def train_shadow(self, input_class: int, target_class: int,
                      lr_scale: float = 1.0) -> None:
-        self.shadow.train_pair(input_class, target_class, lr_scale=lr_scale)
+        shadow = self.shadow
+        if isinstance(shadow, SparseHebbianNetwork):
+            # The confidence train_pair returns is dropped here: take the
+            # same update without its softmax.
+            shadow.learn_pair(input_class, target_class, lr_scale=lr_scale)
+        else:
+            shadow.train_pair(input_class, target_class, lr_scale=lr_scale)
         self._staleness += 1
 
     def should_redeploy(self) -> bool:

@@ -19,23 +19,31 @@ The stages around the three kernels come in two forms:
   ``replay`` / ``advance`` / ``gated`` / ``decode`` on each lane's own
   prefetcher.  Python per lane, nothing to set up.
 * **Lane-state arrays** — the group holds the state those stages touch
-  (:class:`_LaneArrays`: accuracy EMA, previous class, the replay store
-  as a slab, the miss history as a ring, counters as deltas) the way
-  ``HebbianFleet`` holds the weights, and a round is a fixed number of
-  numpy calls; Python per lane is left only where the state is a
-  per-lane object by nature (the encoder's vocabulary, the phase
-  detector, ``_emit``'s candidate loop).  Replay's draws come from
-  per-lane blocks of each generator's raw stream
-  (:class:`~repro.core.hippocampus.LaneDraws`).  :meth:`release` hands
-  everything back, so the prefetcher leaves the cohort exactly as
+  (:class:`_LaneArrays`: accuracy EMA, previous class, the delta
+  encoder's vocabulary as a table row, the replay store as a slab, the
+  miss history as a ring, counters as deltas) the way ``HebbianFleet``
+  holds the weights, and a round is a fixed number of numpy calls from
+  the misses coming in to the pages going out; Python per lane is left
+  only where the state is a per-lane object by nature (the phase
+  detector, the phase hint).  Replay's draws come from per-lane blocks
+  of each generator's raw stream
+  (:class:`~repro.core.hippocampus.LaneDraws`).  :meth:`release_many`
+  hands everything back, so the prefetcher leaves the cohort exactly as
   ``simulate()`` would have left it.
+
+A round's seams are arrays as well (:meth:`CLSFleetGroup.miss_round`):
+the misses come in as four columns, and the pages go out as one ragged
+pair ``(pages, owner)`` — ``pages[k]`` is a prefetch of the round's row
+``owner[k]``, rows ascending, a row's pages in the order
+``on_miss_fast`` would have listed them.  :meth:`handle_misses` is the
+same round on lists.
 
 A lane's state moves into the arrays the first time it takes part in a
 round of at least ``_RESIDENT_MIN_LANES`` lanes (some sixty small numpy
 calls cost more than a few lanes of stage methods); until then, and for
 lanes whose state the arrays do not model (a recall memory, a replay
-policy that is not an ``EpisodicStore``), the round calls the stage
-methods.
+policy that is not an ``EpisodicStore``, an encoder that is not the
+delta vocabulary), the round calls the stage methods.
 
 Eligibility is decided by :meth:`CLSPrefetcher.fleet_steppable` and
 grouping by :meth:`CLSPrefetcher.fleet_group_key`; ineligible lanes
@@ -51,7 +59,8 @@ import numpy as np
 
 from ..nn.hebbian import SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
-from .cls_prefetcher import CLSPrefetcher, Observation, Rollout
+from .cls_prefetcher import CLSPrefetcher, Observation
+from .encoding import DeltaVocabEncoder
 from .hippocampus import (
     MAX_ATTEMPTS_PER_PICK,
     Episode,
@@ -81,6 +90,13 @@ _SLAB_COLUMNS = 16
 #: "No capacity": an unbounded store's ring never wraps.
 _UNBOUNDED = np.iinfo(np.int64).max
 
+#: A round's column: what the cohort gathers, or what a caller listed.
+Column = Sequence[int] | np.ndarray
+
+#: A round, or a part of one, that prefetches nothing.
+_NO_PAGES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
+
+
 def _episodic_store(scheduler: ReplayScheduler) -> EpisodicStore | None:
     """The store a scheduler replays from, when its policy is one whose
     ``select`` is that store's ``sample`` (what the slab reproduces)."""
@@ -98,6 +114,22 @@ def _wider(old: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return new
 
 
+def _listed(column: Column) -> Sequence[int]:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _ring_tail(rows: np.ndarray, count: np.ndarray, kept: np.ndarray,
+               cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Where the last ``kept[i]`` of the ``count[i]`` entries written to
+    ring ``rows[i]`` (capacity ``cap[i]``) are, oldest first: ``(row,
+    column)`` of every entry, ring after ring, and where each ring's run
+    ends in them."""
+    ends = kept.cumsum()
+    nth = np.arange(ends[-1]) - (ends - kept).repeat(kept)
+    column = ((count - kept).repeat(kept) + nth) % cap.repeat(kept)
+    return rows.repeat(kept), column, ends.tolist()
+
+
 class _LaneArrays:
     """The per-miss state of array-resident lanes, indexed by fleet slot.
 
@@ -106,7 +138,8 @@ class _LaneArrays:
     Episodes are a slab row per lane used as a ring — logical episode
     ``i`` (0: oldest) of a store holding ``size`` of ``count`` written is
     at column ``(count - size + i) % capacity`` — and the miss history is
-    a ring the same way.
+    a ring the same way.  The encoder's vocabulary is a row of the
+    class → delta table ``enc_delta`` (classes ``1 ..= enc_known``).
     """
 
     def __init__(self, lanes: int) -> None:
@@ -122,11 +155,22 @@ class _LaneArrays:
         # and whether it is of the lane's current ``_last_probs``.
         self.memo = np.zeros((lanes, 1), dtype=np.int64)
         self.memo_ok = np.zeros(lanes, dtype=bool)
+        # The DeltaVocabEncoder: its vocabulary (column 0, the OOV class,
+        # names no delta) and its stream position.
+        self.enc_delta = np.zeros((lanes, 1), dtype=np.int64)
+        self.enc_known = np.zeros(lanes, dtype=np.int64)
+        self.enc_limit = np.zeros(lanes, dtype=np.int64)  # vocab_size - 1
+        self.enc_unit = np.zeros(lanes, dtype=np.int64)   # _prev_unit ...
+        self.enc_started = np.zeros(lanes, dtype=bool)    # ... is not None
+        self.enc_shift = np.zeros(lanes, dtype=np.int64)
+        self.enc_collapse = np.zeros(lanes, dtype=bool)
         # Per-lane configuration.
         self.alpha = np.zeros(lanes)
         self.min_accuracy = np.zeros(lanes)
+        self.min_confidence = np.zeros(lanes)
         self.width = np.zeros(lanes, dtype=np.int64)
         self.length = np.zeros(lanes, dtype=np.int64)
+        self.page_shift = np.zeros(lanes, dtype=np.int64)
         self.region_shift = np.zeros(lanes, dtype=np.int64)
         self.train_always = np.zeros(lanes, dtype=bool)
         self.has_detector = np.zeros(lanes, dtype=bool)
@@ -139,6 +183,7 @@ class _LaneArrays:
         self.trained = np.zeros(lanes, dtype=np.int64)
         self.replayed = np.zeros(lanes, dtype=np.int64)
         self.suppressed = np.zeros(lanes, dtype=np.int64)
+        self.emitted = np.zeros(lanes, dtype=np.int64)
         self.invocations = np.zeros(lanes, dtype=np.int64)
         self.always = np.zeros(lanes, dtype=np.int64)  # TrainAlways' two counters
         self.detected = np.zeros(lanes, dtype=bool)    # the phase detector ran
@@ -157,12 +202,9 @@ class _LaneArrays:
         self.hist_cap = np.zeros(lanes, dtype=np.int64)
         self.history = np.zeros((lanes, 2, 3), dtype=np.int64)
         self.draws = LaneDraws(lanes)
-        # Per-lane objects, by nature (slot -> bound method): the encoder,
-        # the phase detector where there is one, the candidate loop.
-        self.encode: dict[int, Callable[[int], int | None]] = {}
+        # A per-lane object by nature (slot -> bound method): the phase
+        # detector, where there is one.
         self.detect: dict[int, Callable[[int], int]] = {}
-        self.emit: dict[int, Callable[[Rollout, int, int, list[int]],
-                                      list[int]]] = {}
 
     def grow(self, lanes: int) -> None:
         if lanes <= self.lanes:
@@ -190,6 +232,11 @@ class _LaneArrays:
         """True when the arrays model everything the stages of ``p`` touch
         (``last_probs``: its fleet slot's row)."""
         if p.recall_memory is not None:
+            return False
+        # Only the delta vocabulary is a table a row compare can search:
+        # the page encoder's is as wide as the footprint, the region
+        # encoder's cursors are a dict per lane.
+        if type(p.encoder) is not DeltaVocabEncoder:
             return False
         scheduler = p.scheduler
         if scheduler is not None and (
@@ -222,17 +269,34 @@ class _LaneArrays:
             self.memo[slot] = -1
             self.memo[slot, :len(memo[1])] = memo[1]
             self.memo_ok[slot] = True
+
+        encoder = p.encoder
+        assert isinstance(encoder, DeltaVocabEncoder)
+        deltas, prev_unit = encoder.table()
+        if encoder.vocab_size > self.enc_delta.shape[1]:
+            self.enc_delta = _wider(self.enc_delta,
+                                    (self.lanes, encoder.vocab_size))
+        self.enc_delta[slot, 1:len(deltas) + 1] = deltas
+        self.enc_known[slot] = len(deltas)
+        self.enc_limit[slot] = encoder.vocab_size - 1
+        self.enc_started[slot] = prev_unit is not None
+        self.enc_unit[slot] = 0 if prev_unit is None else prev_unit
+        self.enc_shift[slot] = encoder.granularity.bit_length() - 1
+        self.enc_collapse[slot] = encoder.collapse_repeats
+
         self.alpha[slot] = p._alpha
         self.min_accuracy[slot] = p._min_accuracy
+        self.min_confidence[slot] = p._min_confidence
         self.width[slot] = width
         self.length[slot] = p._length
+        self.page_shift[slot] = p._page_shift
         self.region_shift[slot] = p._region_shift
         self.train_always[slot] = type(p.training_policy) is TrainAlways
         detector = p.phase_detector
         self.has_detector[slot] = detector is not None
         for counter in (self.misses, self.trained, self.replayed,
-                        self.suppressed, self.invocations, self.always,
-                        self.detected):
+                        self.suppressed, self.emitted, self.invocations,
+                        self.always, self.detected):
             counter[slot] = 0
 
         scheduler = p.scheduler
@@ -268,82 +332,114 @@ class _LaneArrays:
         self.hist_cap[slot] = history.capacity
         self.hist_count[slot] = 0
 
-        self.encode[slot] = p._encoder_observe
         if detector is not None:
             self.detect[slot] = detector.observe
-        self.emit[slot] = p._emit
 
-    def hand_back(self, slot: int, p: CLSPrefetcher,  # repro-lint: zone=lane-release
+    def hand_back(self, slots: np.ndarray,  # repro-lint: zone=lane-release
+                  prefetchers: Sequence[CLSPrefetcher],
                   last_probs: np.ndarray) -> None:
-        """Move row ``slot`` back into its prefetcher ``p``: what a scalar
-        run of the same misses would have left there (``last_probs``:
-        the slot's fleet row).  The one place that writes a prefetcher's
-        per-miss state from outside it — :meth:`admit`'s inverse."""
-        p.accuracy_ema = self.ema.item(slot)
-        prev = self.prev.item(slot)
-        p._prev_class = prev if prev >= 0 else None
-        p._last_probs = last_probs.copy() if self.scored[slot] else None
-        p._ema_top = None
-        if self.memo_ok[slot]:
-            assert p._last_probs is not None
-            top = self.memo[slot]
-            p._ema_top = (p._last_probs, top[top >= 0].tolist())
+        """Move rows ``slots`` back into their ``prefetchers``: what a
+        scalar run of the same misses would have left there
+        (``last_probs``: the fleet's rows, by slot).  One gather and one
+        ``tolist`` per column for all the lanes leaving; the one place
+        that writes a prefetcher's per-miss state from outside it —
+        :meth:`admit`'s inverse."""
+        def column(values: np.ndarray) -> list[Any]:
+            return values[slots].tolist()
 
-        stats = p.stats
-        stats.misses_seen += self.misses.item(slot)
-        stats.trained_steps += self.trained.item(slot)
-        replayed = self.replayed.item(slot)
-        stats.replayed_pairs += replayed
-        stats.suppressed_low_confidence += self.suppressed.item(slot)
-        if self.detected[slot]:
-            assert p.phase_detector is not None
-            stats.phases_seen = p.phase_detector.n_phases
-        if self.train_always[slot]:
-            p.training_policy.considered += self.always.item(slot)
-            p.training_policy.trained += self.always.item(slot)
+        probs = list(last_probs[slots])  # rows of one gathered copy
+        memos = column(self.memo)
+        tables = column(self.enc_delta)
+        for p, ema, prev, scored, memo_ok, memo, table, known, started, \
+                unit, last in zip(
+                    prefetchers, column(self.ema), column(self.prev),
+                    column(self.scored), column(self.memo_ok), memos, tables,
+                    column(self.enc_known), column(self.enc_started),
+                    column(self.enc_unit), probs):
+            p.accuracy_ema = ema
+            p._prev_class = prev if prev >= 0 else None
+            p._last_probs = last if scored else None
+            p._ema_top = ((last, [c for c in memo if c >= 0])
+                          if memo_ok else None)
+            encoder = p.encoder
+            assert isinstance(encoder, DeltaVocabEncoder)
+            encoder.restore(table[1:known + 1], unit if started else None)
 
-        scheduler = p.scheduler
-        if scheduler is not None:
-            scheduler.invocations += self.invocations.item(slot)
-            scheduler.replayed_total += replayed
-            self.draws.detach(slot)
-            store = _episodic_store(scheduler)
-            assert store is not None
-            count = self.ep_count.item(slot)
-            fresh = count - self.ep_first.item(slot)
-            cap = self.ep_cap.item(slot)
-            kept = min(fresh, cap)
-            at = np.arange(count - kept, count) % cap
-            store.extend(list(map(
-                Episode,
-                self.ep_input[slot, at].tolist(),
-                self.ep_target[slot, at].tolist(),
-                self.ep_phase[slot, at].tolist(),
-                self.ep_confidence[slot, at].tolist(),
-                self.ep_timestamp[slot, at].tolist())))
-            # A ring that wrapped within the residency overwrote these:
-            # stored, and evicted again.
-            store.stored_total += fresh - kept
-            store.evicted_total += fresh - kept
+        for p, misses, trained, replayed, suppressed, emitted, detected, \
+                always_on, always, invocations in zip(
+                    prefetchers, column(self.misses), column(self.trained),
+                    column(self.replayed), column(self.suppressed),
+                    column(self.emitted), column(self.detected),
+                    column(self.train_always), column(self.always),
+                    column(self.invocations)):
+            stats = p.stats
+            stats.misses_seen += misses
+            stats.trained_steps += trained
+            stats.replayed_pairs += replayed
+            stats.suppressed_low_confidence += suppressed
+            stats.prefetches_emitted += emitted
+            if detected:
+                assert p.phase_detector is not None
+                stats.phases_seen = p.phase_detector.n_phases
+            if always_on:
+                p.training_policy.considered += always
+                p.training_policy.trained += always
+            scheduler = p.scheduler
+            if scheduler is not None:
+                scheduler.invocations += invocations
+                scheduler.replayed_total += replayed
 
-        count = self.hist_count.item(slot)
-        cap = self.hist_cap.item(slot)
-        at = np.arange(count - min(count, cap), count) % cap
-        push = p.history.push
-        for class_id, address, timestamp in self.history[slot, at].tolist():
-            push(MissRecord(class_id, address, timestamp))
+        storing = self.has_store[slots].nonzero()[0]
+        if storing.size:
+            rows = slots[storing]
+            count = self.ep_count[rows]
+            fresh = count - self.ep_first[rows]
+            cap = self.ep_cap[rows]
+            kept = np.minimum(fresh, cap)
+            episodes: list[Episode] = []
+            ends = [0] * storing.size
+            if kept.any():
+                row, at, ends = _ring_tail(rows, count, kept, cap)
+                episodes = list(map(Episode._make, zip(
+                    self.ep_input[row, at].tolist(),
+                    self.ep_target[row, at].tolist(),
+                    self.ep_phase[row, at].tolist(),
+                    self.ep_confidence[row, at].tolist(),
+                    self.ep_timestamp[row, at].tolist())))
+            # A ring that wrapped within the residency overwrote the
+            # rest: stored, and evicted again.
+            for i, slot, lo, hi, lost in zip(
+                    storing.tolist(), rows.tolist(), [0, *ends], ends,
+                    (fresh - kept).tolist()):
+                scheduler = prefetchers[i].scheduler
+                assert scheduler is not None
+                self.draws.detach(slot)
+                store = _episodic_store(scheduler)
+                assert store is not None
+                store.extend(episodes[lo:hi])
+                store.stored_total += lost
+                store.evicted_total += lost
 
-        self.resident[slot] = False
-        del self.encode[slot], self.emit[slot]
-        self.detect.pop(slot, None)
+        count = self.hist_count[slots]
+        kept = np.minimum(count, self.hist_cap[slots])
+        if kept.any():
+            row, at, ends = _ring_tail(slots, count, kept, self.hist_cap[slots])
+            records = list(map(MissRecord._make,
+                               self.history[row, at].tolist()))
+            for p, lo, hi in zip(prefetchers, [0, *ends], ends):
+                p.history.extend(records[lo:hi])
+
+        self.resident[slots] = False
+        for slot in slots.tolist():
+            self.detect.pop(slot, None)
 
 
 class CLSFleetGroup:
     """Same-config CLS lanes stepped through one :class:`HebbianFleet`.
 
     Members adopt their live networks into fleet slots (:meth:`adopt`)
-    and take them back, bit-identical, when their lane finishes
-    (:meth:`release`); in between, :meth:`handle_misses` drives each
+    and take them back, bit-identical, when their lanes finish
+    (:meth:`release_many`); in between, :meth:`miss_round` drives each
     cohort round's stalled-lane misses through the stacked path.
     """
 
@@ -384,61 +480,110 @@ class CLSFleetGroup:
 
     def release(self, slot: int, prefetcher: CLSPrefetcher) -> None:
         """Hand the slot's state back to the lane's own prefetcher."""
-        if self._members.get(slot) is not prefetcher:
-            raise ValueError(
-                f"slot {slot} does not hold the prefetcher it is released to")
-        model = prefetcher.model
-        assert isinstance(model, SparseHebbianNetwork)
-        if self._state.resident[slot]:
-            self._state.hand_back(slot, prefetcher,
-                                  self._fleet.probs_rows[slot])
-            self._n_resident -= 1
-        self._fleet.release_lane(slot, model)
-        del self._members[slot]
-        self._member_ids.remove(id(prefetcher))
-        self._waiting.discard(slot)
+        self.release_many([slot], [prefetcher])
+
+    def release_many(self, slots: Sequence[int],
+                     prefetchers: Sequence[CLSPrefetcher]) -> None:
+        """Hand each slot's state back to the prefetcher it came from,
+        all the lanes leaving at once; nothing moves unless every slot
+        holds the prefetcher it is released to."""
+        members = self._members
+        if len(slots) != len(prefetchers) or len(set(slots)) != len(slots):
+            raise ValueError("release needs one prefetcher per slot, "
+                             "each slot once")
+        for slot, prefetcher in zip(slots, prefetchers):
+            if members.get(slot) is not prefetcher:
+                raise ValueError(f"slot {slot} does not hold the "
+                                 "prefetcher it is released to")
+        idx = np.asarray(slots, dtype=np.intp)
+        resident = self._state.resident[idx].nonzero()[0]
+        if resident.size:
+            self._state.hand_back(
+                idx[resident], [prefetchers[i] for i in resident.tolist()],
+                self._fleet.probs_rows)
+            self._n_resident -= resident.size
+        for slot, prefetcher in zip(slots, prefetchers):
+            model = prefetcher.model
+            assert isinstance(model, SparseHebbianNetwork)
+            self._fleet.release_lane(slot, model)
+            del members[slot]
+            self._member_ids.remove(id(prefetcher))
+            self._waiting.discard(slot)
 
     def handle_misses(self, slots: list[int], addresses: list[int],
                       pages: list[int],
                       timestamps: list[int]) -> list[list[int]]:
-        """One cohort round of misses, stacked; returns per-lane pages.
+        """:meth:`miss_round` on lists; returns per-lane pages.
 
         ``slots[i]`` missed on ``addresses[i]`` (page ``pages[i]``) at
         ``timestamps[i]``; the result row ``i`` equals what
         ``on_miss_fast`` would have returned for that lane.
         """
+        found, owner = self._round(slots, addresses, pages, timestamps)
         results: list[list[int]] = [[] for _ in slots]
-        members = self._members
-        if len(slots) >= _RESIDENT_MIN_LANES and self._waiting:
-            for slot in self._waiting.intersection(slots):
-                self._state.admit(slot, members[slot])
-                self._waiting.remove(slot)
-                self._n_resident += 1
-        rows = range(len(slots))
-        if not self._n_resident:
-            self._stage_round(rows, slots, addresses, pages, timestamps,
-                              results)
-            return results
-        resident = self._state.resident[slots]
-        if resident.all():
-            self._array_round(rows, slots, addresses, pages, timestamps,
-                              results)
-            return results
-        for mine, round_of in ((resident, self._array_round),
-                               (~resident, self._stage_round)):
-            some = mine.nonzero()[0].tolist()
-            if some:
-                round_of(some, *_picked(some, slots, addresses, pages,
-                                        timestamps), results)
+        for row, page in zip(_listed(owner), _listed(found)):
+            results[row].append(page)
         return results
 
-    def _stage_round(self, rows: Sequence[int], slots: list[int],
-                     addresses: list[int], pages: list[int],
-                     timestamps: list[int],
-                     results: list[list[int]]) -> None:
-        """A round on the lanes' own stage methods; ``results[rows[i]]``
-        is filled for ``slots[i]``."""
+    def miss_round(self, slots: Column, addresses: Column, pages: Column,
+                   timestamps: Column) -> tuple[np.ndarray, np.ndarray]:
+        """One cohort round of misses, stacked.
+
+        Row ``i`` of the round: slot ``slots[i]`` missed on
+        ``addresses[i]`` (page ``pages[i]``) at ``timestamps[i]``.
+        Returns the round's prefetches as one ragged pair ``(pages,
+        owner)``: ``pages[owner == i]`` is what ``on_miss_fast`` would
+        have returned for row ``i``, in its order; ``owner`` ascends.
+        The round is checked before any state moves: ``ValueError`` for
+        columns of unequal length, a slot that holds no member, a slot
+        named twice.
+        """
+        found, owner = self._round(slots, addresses, pages, timestamps)
+        return (np.asarray(found, dtype=np.int64),
+                np.asarray(owner, dtype=np.intp))
+
+    def _round(self, slots: Column, addresses: Column, pages: Column,
+               timestamps: Column) -> tuple[Column, Column]:
+        """:meth:`miss_round`, the pair as the form that ran produced it
+        (arrays from the lane-state arrays, lists from the stage
+        methods)."""
+        n = len(slots)
+        if not n == len(addresses) == len(pages) == len(timestamps):
+            raise ValueError("a round needs one address, one page and one "
+                             "timestamp per slot")
+        idx = self._fleet.lane_index(slots)
+        if n >= _RESIDENT_MIN_LANES and self._waiting:
+            for slot in self._waiting.intersection(idx.tolist()):
+                self._state.admit(slot, self._members[slot])
+                self._waiting.remove(slot)
+                self._n_resident += 1
+        if not self._n_resident:
+            return self._stage_round(slots, addresses, pages, timestamps)
+        resident = self._state.resident[idx]
+        if resident.all():
+            return self._array_round(idx, addresses, pages, timestamps)
+        columns = [np.asarray(column, dtype=np.int64)
+                   for column in (addresses, pages, timestamps)]
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        for mine, round_of in ((resident, self._array_round),
+                               (~resident, self._stage_round)):
+            some = mine.nonzero()[0]
+            if some.size:
+                found, owner = round_of(
+                    idx[some], *(column[some] for column in columns))
+                parts.append((np.asarray(found, dtype=np.int64),
+                              some[np.asarray(owner, dtype=np.intp)]))
+        found = np.concatenate([part[0] for part in parts])
+        owner = np.concatenate([part[1] for part in parts])
+        order = owner.argsort(kind="stable")
+        return found[order], owner[order]
+
+    def _stage_round(self, slots: Column, addresses: Column, pages: Column,
+                     timestamps: Column) -> tuple[Column, Column]:
+        """A round on the lanes' own stage methods."""
         fleet = self._fleet
+        slots, addresses, pages, timestamps = map(
+            _listed, (slots, addresses, pages, timestamps))
         live: list[tuple[int, CLSPrefetcher, Observation]] = []
         for i, slot in enumerate(slots):
             p = self._members[slot]
@@ -448,7 +593,7 @@ class CLSFleetGroup:
             p.remember(seen)
             live.append((i, p, seen))
         if not live:
-            return
+            return _NO_PAGES
 
         lanes = [slots[i] for i, _, _ in live]
         probs = fleet.step_lanes(lanes,
@@ -473,40 +618,61 @@ class CLSFleetGroup:
 
         rolling = [(lanes[j], i, p) for j, (i, p, _) in enumerate(live)
                    if not p.gated()]
-        if rolling:
-            rollouts = fleet.rollout_lanes(
-                [lane for lane, _, _ in rolling],
-                [p.config.prefetch_width for _, _, p in rolling],
-                [p.config.prefetch_length for _, _, p in rolling])
-            for (_, i, p), rollout in zip(rolling, rollouts):
-                results[rows[i]] = p.decode(addresses[i], pages[i], rollout)
+        if not rolling:
+            return _NO_PAGES
+        rollouts = fleet.rollout_lanes(
+            [lane for lane, _, _ in rolling],
+            [p.config.prefetch_width for _, _, p in rolling],
+            [p.config.prefetch_length for _, _, p in rolling])
+        found: list[int] = []
+        owner: list[int] = []
+        for (_, i, p), rollout in zip(rolling, rollouts):
+            mine = p.decode(addresses[i], pages[i], rollout)
+            found += mine
+            owner += [i] * len(mine)
+        return found, owner
 
-    def _array_round(self, rows: Sequence[int], slots: list[int],
-                     addresses: list[int], pages: list[int],
-                     timestamps: list[int],
-                     results: list[list[int]]) -> None:
-        """The same round on the lane-state arrays (every lane of
-        ``slots`` is resident), stage by stage in scalar order."""
+    def _array_round(self, idx: np.ndarray, addresses: Column, pages: Column,
+                     timestamps: Column) -> tuple[Column, Column]:
+        """The same round on the lane-state arrays (every lane of ``idx``
+        is resident), stage by stage in scalar order."""
         s = self._state
         fleet = self._fleet
-        idx = np.asarray(slots, dtype=np.intp)
+        address = np.asarray(addresses, dtype=np.int64)
+        page = np.asarray(pages, dtype=np.int64)
+        timestamp = np.asarray(timestamps, dtype=np.int64)
 
         # observe: count, encode; lanes without a class stop here.
         s.misses[idx] += 1
-        encode = s.encode
-        classes = [encode[slot](address)
-                   for slot, address in zip(slots, addresses)]
-        if None in classes:
-            keep = [i for i, c in enumerate(classes) if c is not None]
-            if not keep:
-                return
-            rows = [rows[i] for i in keep]
-            slots, addresses, pages, timestamps, classes = _picked(
-                keep, slots, addresses, pages, timestamps, classes)
-            idx = idx[keep]
-        cls = np.asarray(classes, dtype=np.int64)
-        address = np.asarray(addresses, dtype=np.int64)
-        timestamp = np.asarray(timestamps, dtype=np.int64)
+        unit = address >> s.enc_shift[idx]
+        before = s.enc_unit[idx]
+        started = s.enc_started[idx]
+        classed = started & ~(s.enc_collapse[idx] & (unit == before))
+        s.enc_unit[idx] = np.where(classed | ~started, unit, before)
+        s.enc_started[idx] = True
+        rows = None
+        if not classed.all():
+            rows = classed.nonzero()[0]
+            if not rows.size:
+                return _NO_PAGES
+            idx, address, page, timestamp, unit, before = (
+                a[rows] for a in (idx, address, page, timestamp, unit,
+                                  before))
+        delta = unit - before
+        known = s.enc_known[idx]
+        table = s.enc_delta[idx]
+        match = table == delta[:, None]
+        match &= np.arange(table.shape[1]) <= known[:, None]
+        match[:, 0] = False
+        cls = match.argmax(axis=1)  # 0: no class has this delta (yet)
+        fresh = ((cls == 0) & (known < s.enc_limit[idx])).nonzero()[0]
+        if fresh.size:
+            # First met: the next free class, while there is one; after
+            # that, out of vocabulary (class 0).
+            cls[fresh] = known[fresh] + 1
+            s.enc_delta[idx[fresh], cls[fresh]] = delta[fresh]
+            s.enc_known[idx[fresh]] = cls[fresh]
+        slots = idx.tolist()
 
         # observe: the phase — a hint wins over the detector.
         members = self._members
@@ -573,7 +739,7 @@ class CLSFleetGroup:
             s.ep_timestamp[lanes, at] = timestamp[kept]
             s.ep_count[lanes] = count + 1
 
-        fleet.step_lanes(slots, classes, train.tolist())
+        fleet.step_lanes(slots, cls, train.tolist())
         s.trained[idx[train]] += 1
 
         # replay: draw per lane, train in one call.
@@ -596,21 +762,26 @@ class CLSFleetGroup:
         s.suppressed[idx[gated]] += 1
         rolling = (~gated).nonzero()[0]
         if not rolling.size:
-            return
+            return _NO_PAGES
         lanes = idx[rolling]
-        rollouts = fleet.rollout_lanes(lanes.tolist(),
-                                       s.width[lanes].tolist(),
-                                       s.length[lanes].tolist())
-        emit = s.emit
-        for i, rollout in zip(rolling.tolist(), rollouts):
-            results[rows[i]] = emit[slots[i]](rollout, addresses[i],
-                                              pages[i], [])
-        self._memoize(lanes, rollouts)
+        classes, probs, depth = fleet.rollout_arrays(
+            lanes, s.width[lanes], s.length[lanes])
+        found, owner = self._decode(lanes, unit[rolling], page[rolling],
+                                    classes, probs, depth)
+        # *Decode*'s memo: a rollout's first step names the top-width
+        # classes of the lane's new ``_last_probs``.
+        s.memo[lanes] = -1
+        if depth.any():
+            s.memo[lanes, :classes.shape[2]] = classes[:, 0]
+        s.memo_ok[lanes] = depth > 0
+        owner = rolling[owner]
+        return found, owner if rows is None else rows[owner]
 
     def _replay(self, lanes: np.ndarray, phase: np.ndarray) -> None:
         """*Replay* for ``lanes``, which trained this round in ``phase``
         (below 0: no phase to exclude): :meth:`EpisodicStore.sample`'s
-        draws and rejection per lane, then one ``train_pairs_lanes``."""
+        draws and rejection per lane, then one ``train_pairs_columns``
+        per replay rate."""
         s = self._state
         s.invocations[lanes] += 1
         count = s.ep_count[lanes]
@@ -628,8 +799,6 @@ class CLSFleetGroup:
         else:
             groups = [(per_step == n).nonzero()[0]
                       for n in np.unique(per_step).tolist()]
-        replay_lanes: list[int] = []
-        replay_pairs: list[list[tuple[int, int]]] = []
         for sel in groups:
             some = lanes[sel]
             n = int(per_step[sel][0])
@@ -639,39 +808,71 @@ class CLSFleetGroup:
                   % cap[sel][:, None])
             exclude = phase[sel][:, None]
             wanted = (s.ep_phase[each, at] != exclude) | (exclude < 0)
-            picked = wanted & (wanted.cumsum(axis=1) <= n)
-            picks = picked.sum(axis=1)
+            nth = wanted.cumsum(axis=1)
+            picked = wanted & (nth <= n)
+            s.replayed[some] += picked.sum(axis=1)
             lane_of = np.broadcast_to(each, picked.shape)[picked]
             column = at[picked]
-            flat = list(zip(s.ep_input[lane_of, column].tolist(),
-                            s.ep_target[lane_of, column].tolist()))
-            s.replayed[some] += picks
-            ends = picks.cumsum().tolist()
-            for lane, lo, hi in zip(some.tolist(), [0, *ends], ends):
-                if hi > lo:
-                    replay_lanes.append(lane)
-                    replay_pairs.append(flat[lo:hi])
-        if replay_lanes:
-            self._fleet.train_pairs_lanes(
-                replay_lanes, replay_pairs,
-                s.lr_scale[replay_lanes].tolist())
+            self._fleet.train_pairs_columns(
+                lane_of, s.ep_input[lane_of, column],
+                s.ep_target[lane_of, column], nth[picked] - 1,
+                s.lr_scale[lane_of])
 
-    def _memoize(self, lanes: np.ndarray, rollouts: list[Rollout]) -> None:
-        """*Decode*'s memo: each rollout's first step names the top-width
-        classes of the lane's new ``_last_probs``."""
+    def _decode(self, lanes: np.ndarray, unit: np.ndarray,
+                miss_page: np.ndarray, classes: np.ndarray,
+                probs: np.ndarray, depth: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """*Decode* for ``lanes`` (which missed on unit ``unit``, page
+        ``miss_page``) from ``rollout_arrays``' result: the candidate
+        loop of :meth:`CLSPrefetcher._emit` as one array program, step by
+        step over the rollout, every lane and pick of a step at once.
+        Returns ``(pages, owner)``, ``owner`` indexing ``lanes``."""
         s = self._state
-        firsts = [rollout[0] if rollout else () for rollout in rollouts]
-        lens = np.fromiter(map(len, firsts), dtype=np.int64,
-                           count=len(firsts))
-        total = int(lens.sum())
-        top = np.fromiter((c for first in firsts for c, _ in first),
-                          dtype=np.int64, count=total)
-        s.memo[lanes] = -1
-        starts = lens.cumsum() - lens
-        s.memo[lanes.repeat(lens), np.arange(total) - starts.repeat(lens)] = top
-        s.memo_ok[lanes] = lens > 0
-
-
-def _picked(keep: list[int], *lists: list[Any]) -> tuple[list[Any], ...]:
-    """Each of ``lists`` at the positions ``keep``."""
-    return tuple([values[i] for i in keep] for values in lists)
+        n, deep, _ = classes.shape
+        each = lanes[:, None]
+        known = s.enc_known[lanes][:, None]
+        shift = s.enc_shift[lanes][:, None]
+        page_shift = s.page_shift[lanes][:, None]
+        floor = s.min_confidence[lanes][:, None]
+        target_page = miss_page[:, None]
+        base = unit
+        going = np.ones(n, dtype=bool)
+        low_total = np.zeros(n, dtype=np.int64)
+        oks: list[np.ndarray] = []
+        candidates: list[np.ndarray] = []
+        for step in range(deep):
+            picks = classes[:, step]
+            live = going & (depth > step)
+            picked = (picks >= 0) & live[:, None]
+            low = picked & (probs[:, step] < floor)
+            low_total += low.sum(axis=1)
+            # Decodable: a class the vocabulary has met (so never OOV),
+            # landing on a unit that exists.
+            named = (picks > 0) & (picks <= known)
+            target = base[:, None] + s.enc_delta[each, np.maximum(picks, 0)]
+            named &= target >= 0
+            candidate = (target << shift) >> page_shift
+            oks.append(picked & ~low & named & (candidate != target_page))
+            candidates.append(candidate)
+            # The next step's base follows the top-1 prediction, whatever
+            # its confidence; one that does not decode ends the lane.
+            going = live & named[:, 0]
+            base = np.where(going, target[:, 0], base)
+        s.suppressed[lanes] += low_total
+        if not oks:
+            return _NO_PAGES
+        ok = np.concatenate(oks, axis=1)   # emission order along a row
+        owner, nth = ok.nonzero()
+        found = np.concatenate(candidates, axis=1)[owner, nth]
+        if ok.shape[1] > 1 and found.size > 1:
+            # In-lane dedupe, the first emission wins: stable-sort by
+            # (lane, page), keep each run's head, restore emission order.
+            order = np.lexsort((found, owner))
+            lane_sorted, page_sorted = owner[order], found[order]
+            head = np.ones(order.size, dtype=bool)
+            head[1:] = ((lane_sorted[1:] != lane_sorted[:-1])
+                        | (page_sorted[1:] != page_sorted[:-1]))
+            first = np.sort(order[head])
+            owner, found = owner[first], found[first]
+        s.emitted[lanes] += np.bincount(owner, minlength=n)
+        return found, owner

@@ -112,6 +112,27 @@ class DeltaVocabEncoder:
     def known_deltas(self) -> int:
         return len(self._delta_to_class)
 
+    # The vocabulary is a table: class ``c`` (1 ..= known_deltas) names
+    # the ``c``-th first-met delta.  A driver that encodes many streams a
+    # call (``core/cls_fleet.py``) takes it out as one row per stream and
+    # puts it back when it is done.
+    def table(self) -> tuple[list[int], int | None]:
+        """``(deltas, prev_unit)``: the delta of class ``c`` at
+        ``deltas[c - 1]``, and the stream position (None: none yet)."""
+        return list(self._class_to_delta.values()), self._prev_unit
+
+    def restore(self, deltas: list[int], prev_unit: int | None) -> None:
+        """Become the encoder whose :meth:`table` is ``(deltas,
+        prev_unit)``."""
+        if len(deltas) > self.vocab_size - 1 or len(set(deltas)) != len(deltas):
+            raise ValueError(
+                "a vocabulary holds each delta once, "
+                f"at most {self.vocab_size - 1} of them")
+        classes = range(1, len(deltas) + 1)
+        self._class_to_delta = dict(zip(classes, deltas))
+        self._delta_to_class = dict(zip(deltas, classes))
+        self._prev_unit = prev_unit
+
 
 @dataclass
 class PageVocabEncoder:

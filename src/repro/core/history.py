@@ -10,11 +10,12 @@ window and the lagged training pairs it induces.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MissRecord:
+class MissRecord(NamedTuple):
     """One encoded miss."""
 
     class_id: int
@@ -44,6 +45,10 @@ class MissHistory:
 
     def push(self, record: MissRecord) -> None:
         self._window.append(record)
+
+    def extend(self, records: Iterable[MissRecord]) -> None:
+        """Bulk :meth:`push`, oldest first."""
+        self._window.extend(records)
 
     def last(self, n: int = 1) -> list[MissRecord]:
         if n <= 0:

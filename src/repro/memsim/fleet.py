@@ -11,9 +11,12 @@ lane per vectorized operation:
   hit runs at once (``FleetPageCache.hit_walk``, or one compiled
   ``rk_fleet_hit_walk`` call routed through ``repro.nn.backends``), then
   resolves the stalled lanes' demand misses with one batched
-  ``fill_step``.  Miss *handling* (prefetcher callbacks, queue issues)
-  stays scalar per lane so every prefetcher sees the exact callback
-  sequence of the single-tenant engines.
+  ``fill_step``.  Miss *handling* keeps every prefetcher's callback
+  sequence that of the single-tenant engines: a lane with a prefetcher
+  of its own gets its callback, scalar; the lanes of a stacked CLS group
+  (``core/cls_fleet.py``) go to the group as four gathered columns and
+  come back as one ragged ``(pages, owner)`` pair, issued only where
+  there are pages.
 * **Null lanes run to completion.**  Lanes with the null prefetcher
   never issue, so with a compiled backend each is replayed start-to-end
   inside one ``rk_fleet_null_run`` call per cohort step.
@@ -49,6 +52,12 @@ from .prefetcher import Prefetcher
 from .simulator import SimConfig, SimResult
 
 __all__ = ["FleetCohort", "FleetLaneSpec"]
+
+#: ``FleetCohort._group_of`` values below the stacked groups' indices: a
+#: lane whose misses call its own prefetcher, a lane whose misses call
+#: nothing (the null prefetcher).
+_OWN_CALLBACK = -1
+_NO_CALLBACK = -2
 
 
 @dataclass(frozen=True)
@@ -96,19 +105,9 @@ class _Lane:
 
     spec: FleetLaneSpec
     queue: PrefetchQueue
-    miss_indices: list[int] | None
-    is_null: bool
     on_miss_fast: Any
     on_miss: Any
-    max_prefetches: int
-    addresses: np.ndarray | None
     stream_ids: np.ndarray | None
-    timestamps: np.ndarray | None
-    # Stacked-CLS membership: the lane's misses route through one
-    # batched CLSFleetGroup call per round instead of per-lane model
-    # steps (None/-1 = the scalar callback path).
-    cls_group: Any = None
-    cls_slot: int = -1
 
 
 class FleetCohort:
@@ -145,6 +144,10 @@ class FleetCohort:
         self._cids2d = np.zeros(shape, dtype=np.int64)
         self._pages2d = np.zeros(shape, dtype=np.int64)
         self._stores2d = np.zeros(shape, dtype=bool)
+        # What a miss tells its prefetcher, by trace row like the pages:
+        # a round's misses are one gather per column.
+        self._addresses2d = np.zeros(shape, dtype=np.int64)
+        self._timestamps2d = np.zeros(shape, dtype=np.int64)
         # Trace-row indirection: lane t reads trace row _trace_row[t], so
         # lanes replaying the same (trace, config) share one packed row
         # and a refill of a pooled trace copies nothing.  Rows are
@@ -163,6 +166,12 @@ class FleetCohort:
         self._lanes: list[_Lane | None] = [None] * width
         self._results: list[SimResult | None] = [None] * width
         self._record = record_miss_indices
+        # Lane t's recorded miss indices are _miss_idx[t, :_miss_n[t]]
+        # (the compiled null replay writes the same rows); without
+        # recording the matrix stays a (T, 1) stub nothing writes.
+        self._miss_n = np.zeros(width, dtype=np.int64)
+        self._miss_idx = np.zeros(
+            shape if record_miss_indices else (width, 1), dtype=np.int64)
         # page -> cid dicts shared across lanes replaying the same trace
         # (keyed by the memoized universe array's identity; the array is
         # kept in the value so the id stays live).
@@ -170,17 +179,20 @@ class FleetCohort:
         # Packed per-(trace, config) load data, shared across lanes
         # replaying the same trace (identity-keyed; see _PackedTrace).
         self._pack_cache: dict[tuple[int, int], _PackedTrace] = {}
-        # fleet_group_key -> CLSFleetGroup for stacked learned lanes.
+        # Stacked learned lanes: fleet_group_key -> CLSFleetGroup, the
+        # groups by index, and per slot the lane's group index (or one
+        # of the two callback codes) and its slot inside that group.
         self._stacked_cls = stacked_cls
         self._cls_groups: dict[Any, Any] = {}
+        self._groups: list[Any] = []
+        self._group_of = np.full(width, _NO_CALLBACK, dtype=np.int64)
+        self._cls_slot = np.zeros(width, dtype=np.intp)
+        self._max_prefetches = np.zeros(width, dtype=np.int64)
         self._hit_walk: Callable[[int], None] | None = None
         self._null_run: Callable[[int, int], None] | None = None
         if self._kern is not None:
             cache = self.cache
             self._lanes_buf = np.zeros(width, dtype=np.int64)
-            self._miss_n = np.zeros(width, dtype=np.int64)
-            self._miss_idx = np.zeros(
-                shape if record_miss_indices else (width, 1), dtype=np.int64)
             self._hit_walk = self._kern.bind_fleet_hit_walk(
                 lanes_buf=self._lanes_buf, trace_row=self._trace_row,
                 soc=cache.soc, cids=self._cids2d,
@@ -190,9 +202,8 @@ class FleetCohort:
                 n_undemanded=cache.n_undemanded,
                 prefetch_hits=cache.prefetch_hits, hits=cache.hits,
                 accesses=cache.accesses)
-            # The kernel records into lane rows of a (T, L) matrix with
-            # the trace-matrix stride; without recording the buffer stays
-            # a (T, 1) stub and record=0 never writes.
+            # The kernel records into lane rows of _miss_idx with the
+            # trace-matrix stride (record=0 never writes).
             self._null_run = self._kern.bind_fleet_null_run(
                 lanes_buf=self._lanes_buf, trace_row=self._trace_row,
                 soc=cache.soc,
@@ -307,7 +318,7 @@ class FleetCohort:
                     "fleet engine cannot drive per-access observers; run "
                     "wants_accesses prefetchers through simulate() instead")
             packs.append(self._packed(spec))
-        groups = self._cls_groups_for(specs)
+        group_of = self._cls_groups_for(specs)
         lanes = np.asarray(slots, dtype=np.int64)
         self.cache.attach_lanes(
             lanes,
@@ -316,7 +327,8 @@ class FleetCohort:
             [p.cid_of for p in packs])
         nulls: list[bool] = []
         rows: list[int] = []
-        for slot, spec, packed, group in zip(slots, specs, packs, groups):
+        cls_slots: list[int] = []
+        for i, (slot, spec, packed) in enumerate(zip(slots, specs, packs)):
             trace = spec.trace
             prefetcher = spec.prefetcher
             row = self._row_of.get(id(packed))
@@ -326,50 +338,47 @@ class FleetCohort:
                 self._cids2d[row, :n] = packed.cids
                 self._pages2d[row, :n] = packed.pages
                 self._stores2d[row, :n] = packed.stores
+                self._addresses2d[row, :n] = trace.addresses
+                self._timestamps2d[row, :n] = trace.timestamps
                 self._row_of[id(packed)] = row
                 self._row_key[row] = id(packed)
             self._row_refs[row] += 1
             rows.append(row)
             is_null = bool(getattr(prefetcher, "is_null", False))
             nulls.append(is_null)
-            if is_null:
-                addresses = stream_ids = timestamps = None
-            else:
-                addresses = trace.addresses
-                stream_ids = trace.stream_ids
-                timestamps = trace.timestamps
-            lane = _Lane(
+            own = group_of[i] < 0 and not is_null
+            if own:
+                group_of[i] = _OWN_CALLBACK
+            self._lanes[slot] = _Lane(
                 spec=spec,
                 queue=PrefetchQueue(
                     delay_accesses=spec.config.prefetch_delay_accesses),
-                miss_indices=[] if self._record else None,
-                is_null=is_null,
                 on_miss_fast=getattr(prefetcher, "on_miss_fast", None),
                 on_miss=prefetcher.on_miss,
-                max_prefetches=spec.config.max_prefetches_per_miss,
-                addresses=addresses, stream_ids=stream_ids,
-                timestamps=timestamps)
-            if group is not None:
-                lane.cls_group = group
-                lane.cls_slot = group.adopt(prefetcher)
-            self._lanes[slot] = lane
+                stream_ids=trace.stream_ids if own else None)
+            cls_slots.append(self._groups[group_of[i]].adopt(prefetcher)
+                             if group_of[i] >= 0 else 0)
             self._results[slot] = None
+        self._group_of[lanes] = group_of
+        self._cls_slot[lanes] = cls_slots
+        self._max_prefetches[lanes] = [
+            spec.config.max_prefetches_per_miss for spec in specs]
         self._trace_row[lanes] = rows
         self._n_len[lanes] = [p.n for p in packs]
         self._pos[lanes] = 0
         self._limit[lanes] = 0
         self._next_landing[lanes] = NO_PENDING
         self._is_null[lanes] = nulls
-        if self._kern is not None:
-            self._miss_n[lanes] = 0
+        self._miss_n[lanes] = 0
         self._active[lanes] = True
 
-    def _cls_groups_for(self, specs: list[FleetLaneSpec]) -> list[Any]:
-        """Each spec's :class:`CLSFleetGroup` (None: the scalar callback
-        path), every group sized once for the lanes this batch brings it
-        — one grow, not a doubling chain that copies the group's weight
-        slab and state arrays each time."""
-        groups: list[Any] = [None] * len(specs)
+    def _cls_groups_for(self, specs: list[FleetLaneSpec]) -> list[int]:
+        """Each spec's :class:`CLSFleetGroup`, as its index in
+        ``_groups`` (``_NO_CALLBACK``: none — not a stackable lane),
+        every group sized once for the lanes this batch brings it — one
+        grow, not a doubling chain that copies the group's weight slab
+        and state arrays each time."""
+        groups = [_NO_CALLBACK] * len(specs)
         if not self._stacked_cls:
             return groups
         # Deferred import: core.cls_fleet imports back into this package
@@ -387,11 +396,18 @@ class FleetCohort:
                 group = CLSFleetGroup(specs[rows[0]].prefetcher,
                                       capacity=len(rows))
                 self._cls_groups[group_key] = group
+                self._groups.append(group)
             else:
                 group.reserve(len(rows))
+            index = self._groups.index(group)
             for i in rows:
-                groups[i] = group
+                groups[i] = index
         return groups
+
+    def _lane(self, slot: int) -> _Lane:
+        lane = self._lanes[slot]
+        assert lane is not None
+        return lane
 
     def harvest(self, slot: int) -> SimResult:
         """Take the finished lane's result, freeing the slot for reuse."""
@@ -406,19 +422,23 @@ class FleetCohort:
         lanes = np.asarray(slots, dtype=np.int64)
         stats = self.cache.lanes_stats(lanes)
         capacities = self.cache.capacity[lanes].tolist()
-        for slot, lane_stats, capacity in zip(slots, stats, capacities):
-            lane = self._lanes[slot]
-            assert lane is not None
-            if lane.cls_group is not None:
-                # Hand the stacked model state back so the prefetcher
-                # leaves the cohort exactly as simulate() would have
-                # left it (learned weights included).
-                lane.cls_group.release(lane.cls_slot, lane.spec.prefetcher)
-                lane.cls_group = None
-                lane.cls_slot = -1
-            spec = lane.spec
-            miss_indices = lane.miss_indices \
-                if lane.miss_indices is not None else []
+        # Hand the stacked model state back, a group's leaving lanes at a
+        # time, so every prefetcher leaves the cohort exactly as
+        # simulate() would have left it (learned weights included).
+        group_of = self._group_of[lanes]
+        for index, group in enumerate(self._groups):
+            leaving = lanes[group_of == index].tolist()
+            if leaving:
+                group.release_many(
+                    self._cls_slot[leaving].tolist(),
+                    [self._lane(slot).spec.prefetcher for slot in leaving])
+        self._group_of[lanes] = _NO_CALLBACK
+        recorded = self._miss_n[lanes].tolist() if self._record \
+            else [0] * len(slots)
+        for slot, lane_stats, capacity, n_missed in zip(
+                slots, stats, capacities, recorded):
+            spec = self._lane(slot).spec
+            miss_indices = self._miss_idx[slot, :n_missed].tolist()
             self._results[slot] = SimResult(
                 trace_name=spec.trace.name,
                 prefetcher_name=spec.prefetcher.name,
@@ -442,13 +462,34 @@ class FleetCohort:
                predictions: list[int]) -> None:
         """Queue one miss's predictions — identical for both miss paths."""
         if predictions:
-            if len(predictions) > lane.max_prefetches:
-                predictions = predictions[:lane.max_prefetches]
+            limit = lane.spec.config.max_prefetches_per_miss
+            if len(predictions) > limit:
+                predictions = predictions[:limit]
             queue = lane.queue
             for predicted in predictions:
                 if predicted != page:
                     queue.issue(int(predicted), i)
             self._next_landing[slot] = queue.next_landing
+
+    def _issue_ragged(self, slots: np.ndarray, index: np.ndarray,
+                      found: np.ndarray, owner: np.ndarray) -> None:
+        """:meth:`_issue` for a stacked group's round: ``found[k]`` is a
+        prediction of the miss of ``slots[owner[k]]`` at access
+        ``index[owner[k]]`` (``owner`` ascending; a group never predicts
+        the missed page itself).  Touches only lanes that have pages."""
+        counts = np.bincount(owner, minlength=slots.size)
+        limit = self._max_prefetches[slots]
+        if (counts > limit).any():
+            nth = np.arange(owner.size) - (counts.cumsum() - counts)[owner]
+            kept = nth < limit[owner]
+            found, owner = found[kept], owner[kept]
+        lane = self._lane
+        for slot, i, page in zip(slots[owner].tolist(),
+                                 index[owner].tolist(), found.tolist()):
+            lane(slot).queue.issue(page, i)
+        issued = slots[counts.nonzero()[0]]
+        self._next_landing[issued] = [
+            lane(slot).queue.next_landing for slot in issued.tolist()]
 
     # ------------------------------------------------------------------
     # The batched loop
@@ -458,9 +499,10 @@ class FleetCohort:
 
         A round is: due landings -> lockstep hit walk (limit = next
         landing or end-of-trace) -> one batched fill for every stalled
-        lane -> scalar prefetcher callbacks for those misses.  Null
-        lanes skip the round structure entirely on compiled backends
-        (one ``rk_fleet_null_run`` drives each to completion).
+        lane -> those misses to their prefetchers: a scalar callback per
+        lane that has one of its own, one ``miss_round`` per stacked CLS
+        group.  Null lanes skip the round structure entirely on compiled
+        backends (one ``rk_fleet_null_run`` drives each to completion).
         """
         finished: list[int] = []
         act = np.flatnonzero(self._active)
@@ -472,14 +514,6 @@ class FleetCohort:
                 self._lanes_buf[:null_lanes.size] = null_lanes
                 self._null_run(int(null_lanes.size), int(self._record))
                 null_slots = null_lanes.tolist()
-                if self._record:
-                    for slot in null_slots:
-                        lane = self._lanes[slot]
-                        assert lane is not None \
-                            and lane.miss_indices is not None
-                        lane.miss_indices.extend(
-                            self._miss_idx[slot, :self._miss_n[slot]]
-                            .tolist())
                 self._finish_many(null_slots)
                 finished.extend(null_slots)
                 act = act[~self._is_null[act]]
@@ -490,9 +524,7 @@ class FleetCohort:
         cache = self.cache
         due = act[next_landing[act] <= pos[act]]
         for slot in due.tolist():
-            lane = self._lanes[slot]
-            assert lane is not None
-            queue = lane.queue
+            queue = self._lane(slot).queue
             for page in queue.landed(int(pos[slot])):
                 cache.insert_prefetch(slot, page)
             next_landing[slot] = queue.next_landing
@@ -512,47 +544,40 @@ class FleetCohort:
             pages = self._pages2d[rows_m, p]
             stores = self._stores2d[rows_m, p]
             cache.fill_step(missed, cids, pages, stores)
-            # group -> (slot, i, page, lane) rows gathered for one
-            # stacked call after the scalar lanes are served.
-            stacked: dict[Any, list[tuple[int, int, int, _Lane]]] = {}
-            for slot, i, page in zip(missed.tolist(), p.tolist(),
-                                     pages.tolist()):
-                lane = self._lanes[slot]
-                assert lane is not None
-                if lane.miss_indices is not None:
-                    lane.miss_indices.append(i)
-                if lane.is_null:
-                    continue
-                if lane.cls_group is not None:
-                    stacked.setdefault(id(lane.cls_group), []).append(
-                        (slot, i, page, lane))
-                    continue
-                assert lane.addresses is not None
+            if self._record:
+                n_missed = self._miss_n[missed]
+                self._miss_idx[missed, n_missed] = p
+                self._miss_n[missed] = n_missed + 1
+            group_of = self._group_of[missed]
+            addresses = self._addresses2d[rows_m, p]
+            timestamps = self._timestamps2d[rows_m, p]
+            own = (group_of == _OWN_CALLBACK).nonzero()[0]
+            for slot, i, page, address, timestamp in zip(
+                    missed[own].tolist(), p[own].tolist(),
+                    pages[own].tolist(), addresses[own].tolist(),
+                    timestamps[own].tolist()):
+                lane = self._lane(slot)
                 assert lane.stream_ids is not None
-                assert lane.timestamps is not None
+                stream_id = int(lane.stream_ids[i])
                 if lane.on_miss_fast is not None:
                     predictions = lane.on_miss_fast(
-                        i, int(lane.addresses[i]), page,
-                        int(lane.stream_ids[i]), int(lane.timestamps[i]))
+                        i, address, page, stream_id, timestamp)
                 else:
                     predictions = lane.on_miss(MissEvent(
-                        index=i, address=int(lane.addresses[i]), page=page,
-                        stream_id=int(lane.stream_ids[i]),
-                        timestamp=int(lane.timestamps[i])))
+                        index=i, address=address, page=page,
+                        stream_id=stream_id, timestamp=timestamp))
                 self._issue(slot, lane, i, page, predictions)
-            for rows in stacked.values():
-                group = rows[0][3].cls_group
-                addresses = [int(lane.addresses[i])  # type: ignore[index]
-                             for _, i, _, lane in rows]
-                timestamps = [int(lane.timestamps[i])  # type: ignore[index]
-                              for _, i, _, lane in rows]
-                predictions_rows = group.handle_misses(
-                    [lane.cls_slot for _, _, _, lane in rows],
-                    addresses, [page for _, _, page, _ in rows],
-                    timestamps)
-                for (slot, i, page, lane), predictions in zip(
-                        rows, predictions_rows):
-                    self._issue(slot, lane, i, page, predictions)
+            # One stacked call per group, after the scalar lanes.
+            for index, group in enumerate(self._groups):
+                rows = (group_of == index).nonzero()[0]
+                if not rows.size:
+                    continue
+                slots = missed[rows]
+                found, owner = group.miss_round(
+                    self._cls_slot[slots], addresses[rows], pages[rows],
+                    timestamps[rows])
+                if found.size:
+                    self._issue_ragged(slots, p[rows], found, owner)
             pos[missed] = p + 1
         done = act[pos[act] >= self._n_len[act]].tolist()
         if done:

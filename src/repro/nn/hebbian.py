@@ -615,12 +615,32 @@ class SparseHebbianNetwork:
         active = self.hidden_code(input_class, prev_active=None)
         scores = self.readout(active)
         confidence = float(self.probabilities(scores)[target_class])
-        predicted = (int(scores.argmax())
-                     if self.config.punish_wrong else None)
+        self._learn_pair(input_class, target_class, active, scores, lr_scale)
+        return confidence
+
+    def learn_pair(self, input_class: int, target_class: int,
+                   lr_scale: float = 1.0) -> None:
+        """:meth:`train_pair` for a caller that drops the confidence: the
+        same update, bit for bit, without the softmax (which writes no
+        state) — and without the readout when nothing reads it."""
+        self._check_class(input_class)
+        self._check_class(target_class)
+        active = self.hidden_code(input_class, prev_active=None)
+        scores = self.readout(active) if self.config.punish_wrong else None
+        self._learn_pair(input_class, target_class, active, scores, lr_scale)
+
+    def _learn_pair(self, input_class: int, target_class: int,
+                    active: np.ndarray, scores: np.ndarray | None,
+                    lr_scale: float) -> None:
+        """The update of one replayed transition (``scores``: the
+        pre-update readout, read only under ``punish_wrong``)."""
+        predicted = None
+        if self.config.punish_wrong:
+            assert scores is not None
+            predicted = int(scores.argmax())
         self._learn(active, target_class, predicted, lr_scale)
         if self.config.plastic_hidden:
             self._adapt_hidden(input_class, active, lr_scale)
-        return confidence
 
     def train_pairs(self, pairs: list[tuple[int, int]],
                     lr_scale: float = 1.0) -> None:
@@ -636,15 +656,16 @@ class SparseHebbianNetwork:
         readout/softmax (whose confidences a batch discards anyway) is
         skipped entirely.  Duplicate targets fall back to sequential
         ``_learn`` calls, and punish_wrong/plastic_hidden configurations
-        fall back to the full ``train_pair`` loop, so every path matches
-        the reference element for element.  (The only divergence is on
+        fall back to the ``learn_pair`` loop (``train_pair`` minus its
+        discarded softmax), so every path matches the reference element
+        for element.  (The only divergence is on
         *invalid* input: the vectorized path validates the whole batch
         before applying any update.)
         """
         config = self.config
         if config.punish_wrong or config.plastic_hidden:
             for input_class, target_class in pairs:
-                self.train_pair(input_class, target_class, lr_scale=lr_scale)
+                self.learn_pair(input_class, target_class, lr_scale=lr_scale)
             return
         targets = [t for _, t in pairs]
         if len(pairs) < 2 or len(set(targets)) != len(targets):

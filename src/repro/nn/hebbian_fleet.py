@@ -142,10 +142,14 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 def _select_topk_rows(probs: np.ndarray, width: int
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """``select_topk`` on every row of ``probs`` at once, for ``0 < width
-    < vocab``: the ``(rows, width)`` classes and their probabilities,
-    descending — per row the same ``argpartition`` and ``argsort`` the
-    scalar selection runs, so the same permutation, ties included."""
+    """``select_topk`` on every row of ``probs`` at once, for ``width >
+    0``: the ``(rows, min(width, vocab))`` classes and their
+    probabilities, descending — per row the same ``argpartition`` and
+    ``argsort`` the scalar selection runs (from the vocabulary up: its
+    full descending sort), so the same permutation, ties included."""
+    if width >= probs.shape[1]:
+        top = probs.argsort(axis=1)[:, ::-1]
+        return top, np.take_along_axis(probs, top, axis=1)
     part = probs.argpartition(-width, axis=1)[:, -width:]
     each = np.arange(len(probs))[:, None]
     vals = probs[each, part]
@@ -462,7 +466,18 @@ class HebbianFleet:
     # ------------------------------------------------------------------
     # Argument checks (before any state is touched)
     # ------------------------------------------------------------------
-    def _lane_index(self, lanes: Sequence[int]) -> np.ndarray:
+    def lane_index(self, lanes: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``lanes`` as an index array; ``ValueError`` unless each is a
+        resident slot named once.  What every kernel checks of its lane
+        list before touching state, for a driver that has state of its
+        own to move first."""
+        if len(lanes) < _ARRAY_MIN_LANES:
+            idx = np.asarray(lanes, dtype=np.intp)
+            self._check_lanes(idx.tolist())
+            return idx
+        return self._lane_index(lanes)
+
+    def _lane_index(self, lanes: Sequence[int] | np.ndarray) -> np.ndarray:
         """``lanes`` as an index array, once each is known to be a
         resident slot named once — a free slot would train while staying
         on the free list, and a duplicate's fused scatter would keep one
@@ -824,33 +839,51 @@ class HebbianFleet:
         if n < _ARRAY_MIN_LANES:
             self._train_pairs_loop(lanes, pairs_per_lane, lr_scales)
             return
-        idx = self._lane_index(lanes)
+        idx = self._lane_index(lanes)  # a lane without pairs included
         lens = np.fromiter(map(len, pairs_per_lane), dtype=np.int64, count=n)
         total = int(lens.sum())
-        # (total, 2) rows of (input, target); lane i's j-th pair is row
-        # first[i] + j.
-        pairs = self._class_index(np.fromiter(
+        # (total, 2) rows of (input, target), lane by lane.
+        pairs = np.fromiter(
             chain.from_iterable(chain.from_iterable(pairs_per_lane)),
-            dtype=np.int64, count=2 * total)).reshape(total, 2)
+            dtype=np.int64, count=2 * total).reshape(total, 2)
         first = np.cumsum(lens) - lens
+        self.train_pairs_columns(
+            idx.repeat(lens),
+            pairs[:, 0], pairs[:, 1],
+            np.arange(total) - first.repeat(lens),
+            np.asarray(lr_scales, dtype=np.float64).repeat(lens))
+
+    def train_pairs_columns(self, lanes: np.ndarray, inputs: np.ndarray,
+                            targets: np.ndarray, rounds: np.ndarray,
+                            lr_scales: np.ndarray) -> None:
+        """:meth:`train_pairs_lanes` on columns, one entry per pair: lane
+        ``lanes[i]`` learns ``inputs[i]`` → ``targets[i]`` at
+        ``lr_scales[i]`` as its ``rounds[i]``-th pair (0: first).  A
+        round may name a resident slot once; every round is checked
+        before the first is applied.  The array form at any size."""
+        inputs = self._class_index(inputs)
+        targets = self._class_index(targets)
+        if not inputs.size:
+            return
+        depth = int(rounds.max()) + 1
+        if depth == 1:
+            picks: list[np.ndarray | slice] = [slice(None)]
+        else:
+            picks = [(rounds == j).nonzero()[0] for j in range(depth)]
+        subsets = [self._lane_index(lanes[pick]) for pick in picks]
         punish = self.prototype.config.punish_wrong
-        lrs = self.prototype.config.lr * np.asarray(lr_scales,
-                                                    dtype=np.float64)
-        for j in range(int(lens.max())):
-            live = (lens > j).nonzero()[0]
-            rows = pairs[first[live] + j]
-            targets = rows[:, 1]
-            subset = idx[live]
-            codes = self._codes(np.full(live.size, -1), rows[:, 0])
+        lrs = self.prototype.config.lr * lr_scales
+        for pick, subset in zip(picks, subsets):
+            codes = self._codes(np.full(subset.size, -1), inputs[pick])
             if punish:
                 # train_pair reads out (and argmaxes) *before* learning;
                 # the softmax confidence it computes is discarded and
                 # writes no state, so it is skipped here.
                 preds = self._readout_arrays(subset, codes).argmax(axis=1)
             else:
-                preds = np.full(live.size, -1)
+                preds = np.full(subset.size, -1)
             self._apply_learn(*self._learn_arrays(
-                subset, targets, codes, preds, lrs[live]))
+                subset, targets[pick], codes, preds, lrs[pick]))
 
     def _train_pairs_loop(self, lanes: list[int],
                           pairs_per_lane: list[list[tuple[int, int]]],
@@ -900,41 +933,82 @@ class HebbianFleet:
                              "per lane")
         if n < _ARRAY_MIN_LANES:
             return self._rollout_loop(lanes, widths, lengths)
+        classes, probs, depth = self.rollout_arrays(lanes, widths, lengths)
+        deep, span = classes.shape[1:]
+        if not deep:
+            return [[] for _ in lanes]
+        # Every pick of the call as one list of pairs; a lane's step is a
+        # slice of it.
+        picks = list(zip(classes.ravel().tolist(), probs.ravel().tolist()))
+        return [[picks[at:at + min(width, span)]
+                 for at in range(lane, lane + steps * span, span)]
+                for lane, steps, width
+                in zip(range(0, n * deep * span, deep * span),
+                       depth.tolist(), widths)]
+
+    def rollout_arrays(self, lanes: Sequence[int] | np.ndarray,
+                       widths: Sequence[int] | np.ndarray,
+                       lengths: Sequence[int] | np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`rollout_lanes` as arrays — the array form at any size.
+
+        Returns ``(classes, probs, depth)``: ``classes[i, d, j]`` and
+        ``probs[i, d, j]`` are pick ``j`` of step ``d`` of lane
+        ``lanes[i]``, for ``d < depth[i]`` and ``j < min(widths[i],
+        vocab)``; everywhere else the class is ``-1``.  The arrays span
+        the deepest lane and the widest selection of the call.
+        """
         idx = self._lane_index(lanes)
-        out: list[list[list[tuple[int, float]]]] = [[] for _ in lanes]
-        steps = np.asarray(lengths, dtype=np.int64)
-        rows = (self._has_last[idx] & (steps >= 1)).nonzero()[0]
-        width = widths[0]
-        uniform = 0 < width < self.vocab_size and \
-            widths.count(width) == n
+        width = np.asarray(widths, dtype=np.int64)
+        if idx.size and width.min() < 1:
+            raise ValueError("rollout widths must be at least 1")
+        depth = np.where(self._has_last[idx],
+                         np.asarray(lengths, dtype=np.int64), 0)
+        np.maximum(depth, 0, out=depth)
+        deep = int(depth.max(initial=0))
+        span = min(int(width.max(initial=0)), self.vocab_size)
+        classes = np.full((idx.size, deep, span), -1, dtype=np.int64)
+        probs = np.zeros((idx.size, deep, span))
+        rows = depth.nonzero()[0]
         live = idx[rows]
         codes = self._last_code[live]
-        probs = self._probs_rows[live]
-        remaining = steps[rows] - 1
-        while rows.size:
-            if uniform:
-                top, top_vals = _select_topk_rows(probs, width)
-                picks = list(zip(top.ravel().tolist(),
-                                 top_vals.ravel().tolist()))
-                for i, lo in zip(rows.tolist(),
-                                 range(0, len(picks), width)):
-                    out[i].append(picks[lo:lo + width])
-                heads = top[:, 0]
+        now = self._probs_rows[live]
+        for step in range(deep):
+            top, vals = self._select_rows(now, width[rows], span)
+            if rows.size == idx.size:
+                classes[:, step] = top
+                probs[:, step] = vals
             else:
-                for i, row in zip(rows.tolist(), probs):
-                    out[i].append(select_topk(row, widths[i]))
-                heads = np.fromiter((out[i][-1][0][0] for i in rows.tolist()),
-                                    dtype=np.int64, count=rows.size)
-            keep = remaining.nonzero()[0]
+                classes[rows, step] = top
+                probs[rows, step] = vals
+            keep = (depth[rows] > step + 1).nonzero()[0]
             if not keep.size:
                 break
-            rows = rows[keep]
-            live = live[keep]
-            remaining = remaining[keep] - 1
-            codes = self._codes(codes[keep], heads[keep])
-            probs = self._probabilities_rows(
+            # Lanes whose rollout ends here drop out before the readout.
+            if keep.size < rows.size:
+                rows, live, codes, top = (
+                    a[keep] for a in (rows, live, codes, top))
+            codes = self._codes(codes, top[:, 0])
+            now = self._probabilities_rows(
                 self._readout_arrays(live, codes))
-        return out
+        return classes, probs, depth
+
+    def _select_rows(self, probs: np.ndarray, widths: np.ndarray,
+                     span: int) -> tuple[np.ndarray, np.ndarray]:
+        """``select_topk(probs[i], widths[i])`` for every row, as ``(rows,
+        span)`` classes and probabilities (a narrower row padded with
+        class ``-1``).  One row-wise selection per distinct width."""
+        width = int(widths[0])
+        if (widths == width).all() and min(width, self.vocab_size) == span:
+            return _select_topk_rows(probs, width)
+        classes = np.full((len(probs), span), -1, dtype=np.int64)
+        values = np.zeros((len(probs), span))
+        for width in np.unique(widths).tolist():
+            pick = (widths == width).nonzero()[0]
+            top, vals = _select_topk_rows(probs[pick], width)
+            classes[pick, :top.shape[1]] = top
+            values[pick, :top.shape[1]] = vals
+        return classes, values
 
     def _rollout_loop(self, lanes: list[int], widths: list[int],
                       lengths: list[int]

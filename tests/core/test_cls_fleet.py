@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import cls_fleet
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
+from repro.core.encoding import DeltaVocabEncoder
+from repro.memsim.fleet import FleetLaneSpec, run_cohort
+from repro.memsim.simulator import SimConfig, simulate
 from repro.nn.hebbian import HebbianConfig
+from repro.patterns import PatternSpec, generate
 from tests.core.test_miss_stages import assert_released_like
 
 VOCAB = 48
@@ -61,6 +67,7 @@ class Lanes:
         self.members: dict[int, tuple[int, CLSPrefetcher, CLSPrefetcher]] = {}
         self.cursor: dict[int, int] = {}
         self.streams: dict[int, list[tuple[int, int, int]]] = {}
+        self.members_left: dict[int, CLSPrefetcher] = {}
 
     def join(self, lane: int, mine: CLSPrefetcher, twin: CLSPrefetcher,
              stream: list[tuple[int, int, int]] | None = None) -> None:
@@ -88,6 +95,7 @@ class Lanes:
         slot, mine, twin = self.members.pop(lane)
         self.group.release(slot, mine)
         assert_released_like(mine, twin)
+        self.members_left[lane] = mine
 
     def resident(self, lane: int) -> bool:
         assert self.group is not None
@@ -262,3 +270,278 @@ def test_release_and_adopt_check_whose_state_they_move() -> None:
     assert_released_like(mine, twin)
     with pytest.raises(ValueError, match="does not hold"):
         group.release(slot, mine)
+
+
+# ----------------------------------------------------------------------
+# The seams of a wide round: misses in as columns, pages out as one
+# ragged (pages, owner) pair, lanes released a batch at a time.
+
+TINY = 4  # a vocabulary of three deltas and the OOV class
+
+
+def _tiny(lane: int, **overrides) -> CLSPrefetcher:
+    """A lane of the four-class group (its own fleet group: the group
+    key is the model config)."""
+    return CLSPrefetcher(CLSPrefetcherConfig(
+        vocab_size=TINY,
+        hebbian=HebbianConfig(vocab_size=TINY, hidden_dim=120, seed=9),
+        seed=70 + lane, **overrides))
+
+
+def _near_zero(lane: int, n: int = 160) -> list[tuple[int, int, int]]:
+    """Misses on pages 0..5: an A-B-A-B shuttle (so a rollout walks back
+    onto the page that missed, and onto the same page twice), then a
+    walk with more deltas than the vocabulary names (saturation, OOV)
+    that keeps stepping down towards page 0 (negative units)."""
+    rng = np.random.default_rng(900 + lane)
+    a, b = (0, 2) if lane % 2 else (1, 3)
+    shuttle = [a, b] * (n // 4)
+    walk = rng.integers(0, 6, size=n - len(shuttle)).tolist()
+    return [(4096 * page + 8 * (i % 5), page, 10 * i)
+            for i, page in enumerate(shuttle + walk)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_ragged_egress_is_the_candidate_loop(width: int, length: int) -> None:
+    """``miss_round``'s ``(pages, owner)`` against ``on_miss_fast`` twins
+    where decode has something to refuse: a confidence floor, the OOV
+    class, a class the vocabulary has not met, a unit below zero, the
+    page that missed, a page already listed."""
+    overrides = [dict(prefetch_width=width, prefetch_length=length,
+                      min_confidence=floor, phase_detection=False)
+                 for floor in (0.0, 0.3, 0.6)]
+    lanes = list(range(W + 1))
+    pairs = [(_tiny(lane, **overrides[lane % 3]),
+              _tiny(lane, **overrides[lane % 3])) for lane in lanes]
+    group = CLSFleetGroup(pairs[0][0], capacity=len(lanes))
+    slots = np.array([group.adopt(mine) for mine, _ in pairs])
+    streams = [_near_zero(lane) for lane in lanes]
+    refused = {"negative unit": 0, "unmet class": 0, "missed page": 0,
+               "listed twice": 0}
+    for r in range(len(streams[0])):
+        misses = np.array([stream[r] for stream in streams])
+        found, owner = group.miss_round(slots, *misses.T)
+        assert (np.diff(owner) >= 0).all()
+        for i, (_, twin) in enumerate(pairs):
+            address, page, ts = misses[i].tolist()
+            decoded: list[int | None] = []
+            decode = twin.encoder.decode
+            twin._encoder_decode = lambda c, base: (
+                decoded.append(decode(c, base)) or decoded[-1])
+            want = twin.on_miss_fast(0, address, page, 0, ts)
+            assert found[owner == i].tolist() == want, (r, i)
+            named = [a >> 12 for a in decoded if a is not None]
+            refused["missed page"] += page in named
+            refused["listed twice"] += len(set(named)) < len(named)
+            refused["unmet class"] += (
+                None in decoded and twin.encoder.known_deltas < TINY - 1)
+            refused["negative unit"] += (
+                None in decoded and twin.encoder.known_deltas == TINY - 1)
+    twins = [twin for _, twin in pairs]
+    # Every refusal happened (the last two need a second pick or step).
+    assert refused["negative unit"] and refused["unmet class"]
+    if length > 1:
+        assert refused["missed page"] and refused["listed twice"]
+    assert all(twin.encoder.known_deltas == TINY - 1 for twin in twins)
+    assert all(0 in twin.history.classes() for twin in twins)
+    assert any(twin.stats.suppressed_low_confidence for twin in twins)
+    assert any(twin.stats.prefetches_emitted for twin in twins)
+    group.release_many(slots.tolist(), [mine for mine, _ in pairs])
+    for mine, twin in pairs:
+        twin._encoder_decode = twin.encoder.decode
+        assert_released_like(mine, twin)
+
+
+def test_the_cohort_caps_a_ragged_round_per_miss() -> None:
+    """``max_prefetches_per_miss`` = 1 against three picks a step: the
+    cohort keeps each row's first page, as ``simulate()`` does."""
+    config = SimConfig(max_prefetches_per_miss=1, memory_fraction=0.4)
+    traces = [generate("pointer_chase", PatternSpec(
+        n=220, working_set=30, element_size=4096, seed=seed))
+        for seed in range(4)]
+
+    def lane(i: int) -> CLSPrefetcher:
+        return _prefetcher(i, prefetch_width=3, prefetch_length=2,
+                           min_accuracy=0.0)
+
+    specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=lane(i),
+                           config=config) for i in range(W + 2)]
+    results = run_cohort(specs, backend="numpy", record_miss_indices=True)
+    capped = 0
+    for i, (spec, got) in enumerate(zip(specs, results)):
+        twin = lane(i)
+        want = simulate(spec.trace, twin, config=config, backend="numpy",
+                        record_miss_indices=True)
+        assert got.stats.as_dict() == want.stats.as_dict()
+        assert got.miss_indices == want.miss_indices
+        assert_released_like(spec.prefetcher, twin)
+        capped += (twin.stats.prefetches_emitted
+                   > want.stats.as_dict()["prefetches_issued"])
+    assert capped  # the cap did cut rows short
+
+
+@settings(max_examples=20, deadline=None)
+@given(units=st.lists(st.lists(st.integers(0, 9), min_size=30, max_size=30),
+                      min_size=W, max_size=W),
+       collapse=st.booleans(), vocab=st.sampled_from([3, TINY, 8]),
+       pause=st.integers(1, 28))
+def test_the_encoder_table_is_the_delta_vocabulary(
+        units: list[list[int]], collapse: bool, vocab: int,
+        pause: int) -> None:
+    """The ``(lanes, vocab)`` class → delta table against
+    ``DeltaVocabEncoder``, value for value after every round: the first
+    observation (no class), repeats with ``collapse_repeats`` on and
+    off, first-met deltas up to saturation, and a ``reset_stream``
+    between two residencies."""
+    def lane(i: int) -> CLSPrefetcher:
+        p = CLSPrefetcher(CLSPrefetcherConfig(
+            vocab_size=vocab, seed=i, phase_detection=False,
+            hebbian=HebbianConfig(vocab_size=vocab, hidden_dim=60, seed=2)))
+        p.encoder.collapse_repeats = collapse
+        return p
+
+    pairs = [(lane(i), lane(i)) for i in range(W)]
+    group = CLSFleetGroup(pairs[0][0], capacity=W)
+    state = group._state
+    for rounds in (range(pause), range(pause, 30)):
+        slots = np.array([group.adopt(mine) for mine, _ in pairs])
+        for r in rounds:
+            addresses = np.array([4096 * lane_units[r] + 8
+                                  for lane_units in units])
+            found, owner = group.miss_round(slots, addresses,
+                                            addresses >> 12, addresses)
+            for i, (_, twin) in enumerate(pairs):
+                address = int(addresses[i])
+                assert (found[owner == i].tolist() == twin.on_miss_fast(
+                    0, address, address >> 12, 0, address))
+                deltas, prev_unit = twin.encoder.table()
+                slot = slots[i]
+                assert state.enc_known[slot] == len(deltas)
+                assert (state.enc_delta[slot, 1:len(deltas) + 1].tolist()
+                        == deltas)
+                assert state.enc_started[slot]
+                assert state.enc_unit[slot] == prev_unit
+        group.release_many(slots.tolist(), [mine for mine, _ in pairs])
+        for mine, twin in pairs:
+            assert_released_like(mine, twin)
+            mine.reset_stream()
+            twin.reset_stream()
+
+
+def test_release_many_is_release_lane_by_lane() -> None:
+    """One ``release_many`` against sequential ``release`` of the same
+    lanes: stores whose ring wrapped inside the residency, a lane that
+    never saw a wide round (never admitted), a lane with no misses."""
+    def lane(i: int) -> CLSPrefetcher:
+        return _prefetcher(i, replay_policy="ring",
+                           replay_kwargs={"capacity": 6 + i % 5})
+
+    everyone = list(range(W + 2))
+    quiet, late = W, W + 1
+    batch, single, twins = Lanes(), Lanes(), {}
+    for side in (batch, single):
+        for i in everyone:
+            twins[i] = lane(i)
+            side.join(i, lane(i), twins[i])
+    for side in (batch, single):
+        for r in range(70):
+            side.round([i for i in everyone if i not in (quiet, late)])
+        for _ in range(3):
+            side.round([late])  # a narrow round: the stage methods
+        assert not side.resident(late) and not side.resident(quiet)
+        assert side.resident(0)
+    assert twins[0].scheduler.policy.store.evicted_total > 0
+
+    assert batch.group is not None
+    batch.group.release_many([batch.members[i][0] for i in everyone],
+                             [batch.members[i][1] for i in everyone])
+    for i in everyone:
+        single.leave(i)  # release(), and assert_released_like
+        assert_released_like(batch.members[i][1], single.members_left[i])
+    assert batch.group._n_resident == 0 and not batch.group._members
+
+
+def test_a_round_is_checked_before_it_moves_anything() -> None:
+    lanes = Lanes()
+    everyone = list(range(W))
+    for i in everyone:
+        lanes.join(i, _prefetcher(i), _prefetcher(i))
+    for _ in range(5):
+        lanes.round(everyone)
+    group = lanes.group
+    assert group is not None
+    slots = [lanes.members[i][0] for i in everyone]
+    misses = [lanes.streams[i][lanes.cursor[i]] for i in everyone]
+    columns = [list(column) for column in zip(*misses)]
+    free = max(slots) + 1
+    for bad, message in (
+            (slots[:-1] + [slots[0]], "more than once"),
+            (slots[:-1] + [free], "free slot|outside"),
+            (slots[:3] + [slots[0]], "more than once"),    # a narrow round
+            (slots[:3] + [free], "free slot|outside")):
+        with pytest.raises(ValueError, match=message):
+            group.handle_misses(bad, *(c[:len(bad)] for c in columns))
+    with pytest.raises(ValueError, match="one address"):
+        group.handle_misses(slots, columns[0][:-1], *columns[1:])
+    # Nothing moved: the lanes continue like their twins, and leave so.
+    for _ in range(20):
+        lanes.round(everyone)
+    for i in everyone:
+        lanes.leave(i)
+
+
+@pytest.mark.parametrize("encoder", ["page", "region"])
+def test_an_encoder_without_a_table_keeps_the_stage_methods(
+        encoder: str) -> None:
+    """A page- or region-encoded lane shares the group (and its rounds)
+    with table lanes, on its own stage methods."""
+    lanes = Lanes()
+    everyone = list(range(W + 2))
+    odd = {1: dict(encoder=encoder), W: dict(encoder=encoder)}
+    for i in everyone:
+        lanes.join(i, _prefetcher(i, **odd.get(i, {})),
+                   _prefetcher(i, **odd.get(i, {})))
+    for _ in range(120):
+        lanes.round(everyone)
+    assert [i for i in everyone if not lanes.resident(i)] == sorted(odd)
+    assert lanes.members[1][2].stats.prefetches_emitted > 0
+    for i in everyone:
+        lanes.leave(i)
+
+
+def test_a_wide_round_has_no_per_lane_python_at_its_seams(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """The claim as a test: with the lanes resident, a round calls
+    neither the encoder nor the candidate loop of any lane."""
+    lanes = Lanes()
+    everyone = list(range(W))
+    for i in everyone:
+        lanes.join(i, _prefetcher(i), _prefetcher(i))
+    for _ in range(3):
+        lanes.round(everyone)
+    assert all(lanes.resident(i) for i in everyone)
+    twins = {id(lanes.members[i][2]) for i in everyone}
+    twin_encoders = {id(lanes.members[i][2].encoder) for i in everyone}
+    emit, observe = CLSPrefetcher._emit, DeltaVocabEncoder.observe
+
+    def no_emit(self, *args):
+        assert id(self) in twins, "_emit on a resident lane"
+        return emit(self, *args)
+
+    def no_observe(self, address):
+        assert id(self) in twin_encoders, "observe on a resident lane"
+        return observe(self, address)
+
+    monkeypatch.setattr(CLSPrefetcher, "_emit", no_emit)
+    monkeypatch.setattr(DeltaVocabEncoder, "observe", no_observe)
+    for i in everyone:  # the twins bound their encoder's method at birth
+        twin = lanes.members[i][2]
+        twin._encoder_observe = twin.encoder.observe
+    for _ in range(60):
+        lanes.round(everyone)
+    assert any(lanes.members[i][2].stats.prefetches_emitted
+               for i in everyone)
+    monkeypatch.undo()
+    for i in everyone:
+        lanes.leave(i)

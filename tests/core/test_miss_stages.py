@@ -112,6 +112,8 @@ def assert_released_like(got: CLSPrefetcher, want: CLSPrefetcher) -> None:
     if want._last_probs is not None:
         assert np.array_equal(got._last_probs, want._last_probs)
     assert list(got.history._window) == list(want.history._window)
+    # The encoder's vocabulary and stream position (dataclass equality).
+    assert got.encoder == want.encoder
     for side in ("considered", "trained"):
         assert (getattr(got.training_policy, side)
                 == getattr(want.training_policy, side))
