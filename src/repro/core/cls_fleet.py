@@ -13,23 +13,20 @@ round keeps every within-lane ordering of the scalar composition
 ``CLSPrefetcher._ingest`` → ``_predict`` (cross-lane order is free:
 lanes share no mutable state, and the prototype's memo caches are pure
 memoization over fixed structures).  That is the bit-identity contract.
-The stages around the three kernels come in two forms:
 
-* **Stage methods** — the round calls ``observe`` / ``remember`` /
-  ``replay`` / ``advance`` / ``gated`` / ``decode`` on each lane's own
-  prefetcher.  Python per lane, nothing to set up.
-* **Lane-state arrays** — the group holds the state those stages touch
-  (:class:`_LaneArrays`: accuracy EMA, previous class, the delta
-  encoder's vocabulary as a table row, the replay store as a slab, the
-  miss history as a ring, counters as deltas) the way ``HebbianFleet``
-  holds the weights, and a round is a fixed number of numpy calls from
-  the misses coming in to the pages going out; Python per lane is left
-  only where the state is a per-lane object by nature (the phase
-  detector, the phase hint).  Replay's draws come from per-lane blocks
-  of each generator's raw stream
-  (:class:`~repro.core.hippocampus.LaneDraws`).  :meth:`release_many`
-  hands everything back, so the prefetcher leaves the cohort exactly as
-  ``simulate()`` would have left it.
+A round has one form, at every width.  While a lane is a member, the
+group holds the state its stages touch (:class:`_LaneArrays`: accuracy
+EMA, previous class, the delta encoder's vocabulary as a table row, the
+replay store as a slab, the miss history as a ring, counters as deltas)
+the way ``HebbianFleet`` holds the weights, and a round is a fixed
+number of numpy calls from the misses coming in to the pages going out;
+Python per lane is left only where the state is a per-lane object by
+nature (the phase detector, the phase hint).  Replay's draws come from
+per-lane blocks of each generator's raw stream
+(:class:`~repro.core.hippocampus.LaneDraws`).  :meth:`CLSFleetGroup.adopt`
+moves a lane's state in, :meth:`CLSFleetGroup.release_many` hands it all
+back, so the prefetcher leaves the cohort exactly as ``simulate()`` would
+have left it.
 
 A round's seams are arrays as well (:meth:`CLSFleetGroup.miss_round`):
 the misses come in as four columns, and the pages go out as one ragged
@@ -38,16 +35,10 @@ pair ``(pages, owner)`` — ``pages[k]`` is a prefetch of the round's row
 ``on_miss_fast`` would have listed them.  :meth:`handle_misses` is the
 same round on lists.
 
-A lane's state moves into the arrays the first time it takes part in a
-round of at least ``_RESIDENT_MIN_LANES`` lanes (some sixty small numpy
-calls cost more than a few lanes of stage methods); until then, and for
-lanes whose state the arrays do not model (a recall memory, a replay
-policy that is not an ``EpisodicStore``, an encoder that is not the
-delta vocabulary), the round calls the stage methods.
-
-Eligibility is decided by :meth:`CLSPrefetcher.fleet_steppable` and
-grouping by :meth:`CLSPrefetcher.fleet_group_key`; ineligible lanes
-keep the scalar per-miss path in the cohort.
+Who may be a member is decided by :meth:`CLSPrefetcher.fleet_steppable`
+(the model kernels) and :meth:`CLSFleetGroup.admits` (the lane-state
+arrays), grouping by :meth:`CLSPrefetcher.fleet_group_key`; every other
+lane keeps the scalar per-miss path in the cohort.
 """
 
 from __future__ import annotations
@@ -59,7 +50,7 @@ import numpy as np
 
 from ..nn.hebbian import SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
-from .cls_prefetcher import CLSPrefetcher, Observation
+from .cls_prefetcher import CLSPrefetcher
 from .encoding import DeltaVocabEncoder
 from .hippocampus import (
     MAX_ATTEMPTS_PER_PICK,
@@ -77,12 +68,6 @@ from .replay import (
 from .sampling import TrainAlways
 
 __all__ = ["CLSFleetGroup"]
-
-#: A lane's state moves into the arrays in its first round of at least
-#: this many lanes.  Measured, not an option: the two forms of a round
-#: cross between 16 and 32 lanes (``core.cls_fleet.miss_us.n1``: the stage
-#: methods win; ``.n100`` / ``.n1000``: the arrays win; DESIGN.md §6).
-_RESIDENT_MIN_LANES = 24
 
 #: Episode-slab columns a group starts with (doubled as stores fill).
 _SLAB_COLUMNS = 16
@@ -114,10 +99,6 @@ def _wider(old: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return new
 
 
-def _listed(column: Column) -> Sequence[int]:
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
 def _ring_tail(rows: np.ndarray, count: np.ndarray, kept: np.ndarray,
                cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Where the last ``kept[i]`` of the ``count[i]`` entries written to
@@ -131,7 +112,7 @@ def _ring_tail(rows: np.ndarray, count: np.ndarray, kept: np.ndarray,
 
 
 class _LaneArrays:
-    """The per-miss state of array-resident lanes, indexed by fleet slot.
+    """The per-miss state of a group's members, indexed by fleet slot.
 
     :meth:`admit` moves a prefetcher's state in, :meth:`hand_back` moves
     it out again; in between the prefetcher's own copies are stale.
@@ -145,8 +126,8 @@ class _LaneArrays:
     def __init__(self, lanes: int) -> None:
         self.lanes = lanes
         # Every array's first axis is the slot; a row means something
-        # only while ``resident``, and :meth:`admit` writes all of it.
-        self.resident = np.zeros(lanes, dtype=bool)
+        # only while the slot holds a member, and :meth:`admit` writes
+        # all of it.
         # Stream position and self-monitoring.
         self.ema = np.zeros(lanes)                     # accuracy_ema
         self.prev = np.zeros(lanes, dtype=np.int64)    # _prev_class, -1: None
@@ -227,34 +208,8 @@ class _LaneArrays:
             self.ep_confidence = _wider(self.ep_confidence, shape)
             self.ep_timestamp = _wider(self.ep_timestamp, shape)
 
-    @staticmethod
-    def covers(p: CLSPrefetcher, last_probs: np.ndarray) -> bool:
-        """True when the arrays model everything the stages of ``p`` touch
-        (``last_probs``: its fleet slot's row)."""
-        if p.recall_memory is not None:
-            return False
-        # Only the delta vocabulary is a table a row compare can search:
-        # the page encoder's is as wide as the footprint, the region
-        # encoder's cursors are a dict per lane.
-        if type(p.encoder) is not DeltaVocabEncoder:
-            return False
-        scheduler = p.scheduler
-        if scheduler is not None and (
-                _episodic_store(scheduler) is None
-                or (scheduler.per_step * MAX_ATTEMPTS_PER_PICK
-                    > LaneDraws.max_attempts)):
-            return False
-        # The scored prediction is read from the fleet's row, so it has
-        # to be the lane's own last step.
-        scored = p._last_probs
-        model = p.model
-        assert isinstance(model, SparseHebbianNetwork)
-        return scored is None or (model._last_scores is not None
-                                  and np.array_equal(scored, last_probs))
-
     def admit(self, slot: int, p: CLSPrefetcher) -> None:
         """Move ``p``'s per-miss state into row ``slot``."""
-        self.resident[slot] = True
         self.ema[slot] = p.accuracy_ema
         self.prev[slot] = -1 if p._prev_class is None else p._prev_class
         self.scored[slot] = p._last_probs is not None
@@ -429,7 +384,6 @@ class _LaneArrays:
             for p, lo, hi in zip(prefetchers, [0, *ends], ends):
                 p.history.extend(records[lo:hi])
 
-        self.resident[slots] = False
         for slot in slots.tolist():
             self.detect.pop(slot, None)
 
@@ -454,9 +408,33 @@ class CLSFleetGroup:
         self._members: dict[int, CLSPrefetcher] = {}
         self._member_ids: set[int] = set()
         self._state = _LaneArrays(self._fleet.n_lanes)
-        # Members the arrays cover that have not been in a wide round yet.
-        self._waiting: set[int] = set()
-        self._n_resident = 0
+
+    @staticmethod
+    def admits(prefetcher: CLSPrefetcher) -> bool:
+        """True when the lane-state arrays model everything the stages of
+        ``prefetcher`` touch — what a member needs on top of
+        :meth:`CLSPrefetcher.fleet_steppable`.  A lane refused here keeps
+        its own ``on_miss_fast`` in the cohort."""
+        model = prefetcher.model
+        if (not isinstance(model, SparseHebbianNetwork)
+                or prefetcher.recall_memory is not None):
+            return False
+        # Only the delta vocabulary is a table a row compare can search:
+        # the page encoder's is as wide as the footprint, the region
+        # encoder's cursors are a dict per lane.
+        if type(prefetcher.encoder) is not DeltaVocabEncoder:
+            return False
+        scheduler = prefetcher.scheduler
+        if scheduler is not None and (
+                _episodic_store(scheduler) is None
+                or (scheduler.per_step * MAX_ATTEMPTS_PER_PICK
+                    > LaneDraws.max_attempts)):
+            return False
+        # The scored prediction is read from the fleet's row, so it has
+        # to be the model's own last step.
+        scored, own = prefetcher._last_probs, model._last_probs
+        return scored is None or (own is not None
+                                  and np.array_equal(scored, own))
 
     def reserve(self, lanes: int) -> None:
         """Capacity hint: ``lanes`` adoptions are coming (the constructor's
@@ -465,17 +443,21 @@ class CLSFleetGroup:
         self._state.grow(self._fleet.n_lanes)
 
     def adopt(self, prefetcher: CLSPrefetcher) -> int:
-        """Move a lane's model into the fleet; returns its slot."""
+        """Move a lane's model and per-miss state into the group; returns
+        its slot.  ``ValueError`` for a member, or a lane :meth:`admits`
+        refuses."""
         if id(prefetcher) in self._member_ids:
             raise ValueError("prefetcher is already a member of this group")
+        if not self.admits(prefetcher):
+            raise ValueError("the lane-state arrays do not model this "
+                             "prefetcher (see CLSFleetGroup.admits)")
         model = prefetcher.model
         assert isinstance(model, SparseHebbianNetwork)
         slot = self._fleet.acquire_lane(model)
         self._state.grow(self._fleet.n_lanes)
+        self._state.admit(slot, prefetcher)
         self._members[slot] = prefetcher
         self._member_ids.add(id(prefetcher))
-        if _LaneArrays.covers(prefetcher, self._fleet.probs_rows[slot]):
-            self._waiting.add(slot)
         return slot
 
     def release(self, slot: int, prefetcher: CLSPrefetcher) -> None:
@@ -495,20 +477,14 @@ class CLSFleetGroup:
             if members.get(slot) is not prefetcher:
                 raise ValueError(f"slot {slot} does not hold the "
                                  "prefetcher it is released to")
-        idx = np.asarray(slots, dtype=np.intp)
-        resident = self._state.resident[idx].nonzero()[0]
-        if resident.size:
-            self._state.hand_back(
-                idx[resident], [prefetchers[i] for i in resident.tolist()],
-                self._fleet.probs_rows)
-            self._n_resident -= resident.size
+        self._state.hand_back(np.asarray(slots, dtype=np.intp), prefetchers,
+                              self._fleet.probs_rows)
         for slot, prefetcher in zip(slots, prefetchers):
             model = prefetcher.model
             assert isinstance(model, SparseHebbianNetwork)
             self._fleet.release_lane(slot, model)
             del members[slot]
             self._member_ids.remove(id(prefetcher))
-            self._waiting.discard(slot)
 
     def handle_misses(self, slots: list[int], addresses: list[int],
                       pages: list[int],
@@ -519,9 +495,9 @@ class CLSFleetGroup:
         ``timestamps[i]``; the result row ``i`` equals what
         ``on_miss_fast`` would have returned for that lane.
         """
-        found, owner = self._round(slots, addresses, pages, timestamps)
+        found, owner = self.miss_round(slots, addresses, pages, timestamps)
         results: list[list[int]] = [[] for _ in slots]
-        for row, page in zip(_listed(owner), _listed(found)):
+        for row, page in zip(owner.tolist(), found.tolist()):
             results[row].append(page)
         return results
 
@@ -538,104 +514,16 @@ class CLSFleetGroup:
         columns of unequal length, a slot that holds no member, a slot
         named twice.
         """
-        found, owner = self._round(slots, addresses, pages, timestamps)
-        return (np.asarray(found, dtype=np.int64),
-                np.asarray(owner, dtype=np.intp))
-
-    def _round(self, slots: Column, addresses: Column, pages: Column,
-               timestamps: Column) -> tuple[Column, Column]:
-        """:meth:`miss_round`, the pair as the form that ran produced it
-        (arrays from the lane-state arrays, lists from the stage
-        methods)."""
-        n = len(slots)
-        if not n == len(addresses) == len(pages) == len(timestamps):
+        if not len(slots) == len(addresses) == len(pages) == len(timestamps):
             raise ValueError("a round needs one address, one page and one "
                              "timestamp per slot")
-        idx = self._fleet.lane_index(slots)
-        if n >= _RESIDENT_MIN_LANES and self._waiting:
-            for slot in self._waiting.intersection(idx.tolist()):
-                self._state.admit(slot, self._members[slot])
-                self._waiting.remove(slot)
-                self._n_resident += 1
-        if not self._n_resident:
-            return self._stage_round(slots, addresses, pages, timestamps)
-        resident = self._state.resident[idx]
-        if resident.all():
-            return self._array_round(idx, addresses, pages, timestamps)
-        columns = [np.asarray(column, dtype=np.int64)
-                   for column in (addresses, pages, timestamps)]
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        for mine, round_of in ((resident, self._array_round),
-                               (~resident, self._stage_round)):
-            some = mine.nonzero()[0]
-            if some.size:
-                found, owner = round_of(
-                    idx[some], *(column[some] for column in columns))
-                parts.append((np.asarray(found, dtype=np.int64),
-                              some[np.asarray(owner, dtype=np.intp)]))
-        found = np.concatenate([part[0] for part in parts])
-        owner = np.concatenate([part[1] for part in parts])
-        order = owner.argsort(kind="stable")
-        return found[order], owner[order]
+        return self._round(self._fleet.lane_index(slots), addresses, pages,
+                           timestamps)
 
-    def _stage_round(self, slots: Column, addresses: Column, pages: Column,
-                     timestamps: Column) -> tuple[Column, Column]:
-        """A round on the lanes' own stage methods."""
-        fleet = self._fleet
-        slots, addresses, pages, timestamps = map(
-            _listed, (slots, addresses, pages, timestamps))
-        live: list[tuple[int, CLSPrefetcher, Observation]] = []
-        for i, slot in enumerate(slots):
-            p = self._members[slot]
-            seen = p.observe(addresses[i], timestamps[i])
-            if seen is None:
-                continue  # scalar: _ingest returns False -> []
-            p.remember(seen)
-            live.append((i, p, seen))
-        if not live:
-            return _NO_PAGES
-
-        lanes = [slots[i] for i, _, _ in live]
-        probs = fleet.step_lanes(lanes,
-                                 [seen.class_id for _, _, seen in live],
-                                 [seen.train for _, _, seen in live])
-
-        replay_lanes: list[int] = []
-        replay_pairs: list[list[tuple[int, int]]] = []
-        replay_scales: list[float] = []
-        for j, (_, p, seen) in enumerate(live):
-            if seen.train:
-                pairs = p.replay(seen)
-                if pairs:
-                    assert p.scheduler is not None
-                    replay_lanes.append(lanes[j])
-                    replay_pairs.append(pairs)
-                    replay_scales.append(p.scheduler.lr_scale)
-            p.advance(seen, probs[j])
-        if replay_lanes:
-            fleet.train_pairs_lanes(replay_lanes, replay_pairs,
-                                    replay_scales)
-
-        rolling = [(lanes[j], i, p) for j, (i, p, _) in enumerate(live)
-                   if not p.gated()]
-        if not rolling:
-            return _NO_PAGES
-        rollouts = fleet.rollout_lanes(
-            [lane for lane, _, _ in rolling],
-            [p.config.prefetch_width for _, _, p in rolling],
-            [p.config.prefetch_length for _, _, p in rolling])
-        found: list[int] = []
-        owner: list[int] = []
-        for (_, i, p), rollout in zip(rolling, rollouts):
-            mine = p.decode(addresses[i], pages[i], rollout)
-            found += mine
-            owner += [i] * len(mine)
-        return found, owner
-
-    def _array_round(self, idx: np.ndarray, addresses: Column, pages: Column,
-                     timestamps: Column) -> tuple[Column, Column]:
-        """The same round on the lane-state arrays (every lane of ``idx``
-        is resident), stage by stage in scalar order."""
+    def _round(self, idx: np.ndarray, addresses: Column, pages: Column,
+               timestamps: Column) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`miss_round` on checked slots ``idx``: the stages on the
+        lane-state arrays, one by one in scalar order."""
         s = self._state
         fleet = self._fleet
         address = np.asarray(addresses, dtype=np.int64)

@@ -342,7 +342,8 @@ class CLSPrefetcher:
         availability manager, no batch-accumulate training policy, and
         a replay scheduler (if any) whose ``step`` reduces to
         ``train_pairs`` (non-generative, no ``on_replayed`` hook).
-        Everything else keeps the scalar per-miss path.
+        :meth:`CLSFleetGroup.admits` asks the rest of what a member needs;
+        everything else keeps the scalar per-miss path.
         """
         model = self.model
         scheduler = self.scheduler
@@ -403,8 +404,8 @@ class CLSPrefetcher:
     # ------------------------------------------------------------------
     # The per-miss pipeline, one stage per method (DESIGN.md §5 has the
     # stage table).  ``_ingest``/``_predict`` compose the stages in
-    # scalar order; ``CLSFleetGroup`` and serve's ``TenantLane`` call the
-    # same stages around stacked kernels and across actors.
+    # scalar order; serve's ``TenantLane`` calls the same stages across
+    # actors, and ``CLSFleetGroup`` mirrors them as array programs.
     def observe(self, address: int, timestamp: int,
                 miss: bool = True) -> Observation | None:
         """*Observe*: encode, detect the phase, score the prediction made
@@ -499,25 +500,17 @@ class CLSPrefetcher:
             self.model.train_pair(*seen.transition)
             self.replay(seen, self.model)
 
-    def replay(self, seen: Observation,
-               model: SequenceModel | None = None) -> list[tuple[int, int]]:
-        """*Replay bookkeeping* after a trained step: count it and draw
-        the interleaved replay.  With ``model`` the scheduler retrains it
-        in place; without, the drawn pairs are returned for the caller's
-        stacked ``train_pairs_lanes`` (same RNG draws, same counters)."""
+    def replay(self, seen: Observation, model: SequenceModel) -> None:
+        """*Replay* after a trained step: count it, and let the scheduler
+        retrain ``model`` on the interleaved replay it draws."""
         self.stats.trained_steps += 1
         scheduler = self.scheduler
         if scheduler is None:
-            return []
+            return
         # phase -1 means "no phase information": replay everything rather
         # than excluding the (only) phase, which would disable replay.
         exclude = seen.phase if seen.phase >= 0 else None
-        if model is not None:
-            self.stats.replayed_pairs += scheduler.step(model, exclude)
-            return []
-        pairs = scheduler.select_pairs(exclude)
-        self.stats.replayed_pairs += len(pairs)
-        return pairs
+        self.stats.replayed_pairs += scheduler.step(model, exclude)
 
     def redeploy_due(self, class_id: int) -> bool:
         """*Redeploy check* (§5.5): fold the live model's confidence on

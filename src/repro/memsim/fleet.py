@@ -374,10 +374,11 @@ class FleetCohort:
 
     def _cls_groups_for(self, specs: list[FleetLaneSpec]) -> list[int]:
         """Each spec's :class:`CLSFleetGroup`, as its index in
-        ``_groups`` (``_NO_CALLBACK``: none — not a stackable lane),
-        every group sized once for the lanes this batch brings it — one
-        grow, not a doubling chain that copies the group's weight slab
-        and state arrays each time."""
+        ``_groups`` (``_NO_CALLBACK``: none — the model kernels or the
+        lane-state arrays cannot step the lane), every group sized once
+        for the lanes this batch brings it — one grow, not a doubling
+        chain that copies the group's weight slab and state arrays each
+        time."""
         groups = [_NO_CALLBACK] * len(specs)
         if not self._stacked_cls:
             return groups
@@ -387,7 +388,8 @@ class FleetCohort:
         members: dict[Any, list[int]] = {}
         for i, spec in enumerate(specs):
             steppable = getattr(spec.prefetcher, "fleet_steppable", None)
-            if steppable is not None and steppable():
+            if (steppable is not None and steppable()
+                    and CLSFleetGroup.admits(spec.prefetcher)):
                 members.setdefault(spec.prefetcher.fleet_group_key(),
                                    []).append(i)
         for group_key, rows in members.items():

@@ -41,11 +41,8 @@ flags.  With those, per call:
 * **Batched selection** — a rollout of uniform width picks every lane's
   top classes with one row-wise ``argpartition``.
 
-Calls on fewer than ``_ARRAY_MIN_LANES`` lanes build the same index
-arrays with a per-lane loop over the same state arrays and the same
-book (a few dozen numpy calls cost more than a few loop iterations;
-the constant is measured, DESIGN.md §6); both builders feed one
-learn/readout tail.
+A call has that one form at every width, a call on one lane (or none)
+included.
 
 Every batched path is bit-identical to T independent networks stepping
 the same class streams (``tests/nn/test_hebbian_fleet.py`` pins this):
@@ -100,17 +97,9 @@ from .hebbian import (
     _CODE_CACHE_CAP,
     _READOUT_IDX_CAP,
     SparseHebbianNetwork,
-    select_topk,
 )
 
 __all__ = ["HebbianFleet"]
-
-#: Calls on fewer lanes than this keep the per-lane loop.  Measured, not
-#: an option: the array form's fixed cost is a few dozen numpy calls, and the
-#: forms cross at 8-16 lanes on vocab 24 / hidden 64 and on vocab 64 /
-#: hidden 1000 alike (``nn.hebbian_fleet.step_lanes_us_per_lane.n1``: the
-#: loop wins; ``.n1000``: the arrays win).
-_ARRAY_MIN_LANES = 12
 
 #: Codes the book holds before it is rebuilt from the ones resident lanes
 #: still reference — the tighter of the caps on the memo it indexes, so
@@ -132,12 +121,6 @@ def _widened(old: np.ndarray, rows: int, fill: int) -> np.ndarray:
     if fill:
         new[old.shape[0]:] = fill
     return new
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """``np.concatenate`` that hands a single part back as it is (a call
-    on one lane has nothing to join; callers only read the result)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _select_topk_rows(probs: np.ndarray, width: int
@@ -217,8 +200,8 @@ class _CodeBook:
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``(active, mask)``: row ``i`` of each is code ``i`` — its
         indices, its membership mask.  Rows are written here, a batch at
-        a time, so a fleet that only ever makes small calls (which read
-        ``codes``) never pays for them."""
+        a time, by the learn calls that read them, so a fleet that never
+        learns never pays for them."""
         done, met = self._tabled, len(self.codes)
         if done < met:
             if met > len(self._active):
@@ -468,20 +451,11 @@ class HebbianFleet:
     # ------------------------------------------------------------------
     def lane_index(self, lanes: Sequence[int] | np.ndarray) -> np.ndarray:
         """``lanes`` as an index array; ``ValueError`` unless each is a
-        resident slot named once.  What every kernel checks of its lane
-        list before touching state, for a driver that has state of its
-        own to move first."""
-        if len(lanes) < _ARRAY_MIN_LANES:
-            idx = np.asarray(lanes, dtype=np.intp)
-            self._check_lanes(idx.tolist())
-            return idx
-        return self._lane_index(lanes)
-
-    def _lane_index(self, lanes: Sequence[int] | np.ndarray) -> np.ndarray:
-        """``lanes`` as an index array, once each is known to be a
         resident slot named once — a free slot would train while staying
         on the free list, and a duplicate's fused scatter would keep one
-        of its two updates."""
+        of its two updates.  What every kernel checks of its lane list
+        before touching state, for a caller that has state of its own to
+        move first."""
         idx = np.asarray(lanes, dtype=np.intp)
         # Read as unsigned, a negative id is a huge one: one compare
         # covers both ends.
@@ -502,33 +476,14 @@ class HebbianFleet:
                 f"lane {int(idx[twice][0])} listed more than once")
         return idx
 
-    def _check_lanes(self, lanes: Sequence[int]) -> None:
-        """:meth:`_lane_index`'s checks for a small call."""
-        resident = self._resident
-        for t in lanes:
-            if not 0 <= t < self.n_lanes:
-                raise ValueError(f"lane {t} outside [0, {self.n_lanes})")
-            if not resident[t]:
-                raise ValueError(f"lane {t} is a free slot")
-        if len(set(lanes)) != len(lanes):
-            twice = [t for i, t in enumerate(lanes) if t in lanes[:i]]
-            raise ValueError(f"lane {twice[0]} listed more than once")
-
     def _class_index(self, classes: Sequence[int] | np.ndarray
                      ) -> np.ndarray:
         cls = np.asarray(classes, dtype=np.int64)
-        outside = cls.view(np.uint64) >= self.vocab_size  # as _lane_index
+        outside = cls.view(np.uint64) >= self.vocab_size  # as lane_index
         if outside.any():
             raise ValueError(f"class {int(cls[outside][0])} outside vocab "
                              f"[0, {self.vocab_size})")
         return cls
-
-    def _check_classes(self, classes: Sequence[int]) -> None:
-        for input_class in classes:
-            if not 0 <= input_class < self.vocab_size:
-                raise ValueError(
-                    f"class {input_class} outside vocab "
-                    f"[0, {self.vocab_size})")
 
     # ------------------------------------------------------------------
     # The batched step
@@ -563,10 +518,7 @@ class HebbianFleet:
         if not n == len(classes) == len(train):
             raise ValueError("step_lanes needs one class and one train "
                              "flag per lane")
-        if n < _ARRAY_MIN_LANES:
-            return self._step_loop(lanes, [int(c) for c in classes], train,
-                                   lr_scale)
-        idx = self._lane_index(lanes)
+        idx = self.lane_index(lanes)
         cls = self._class_index(classes)
         punish = self.prototype.config.punish_wrong
         prev = self._prev_code[idx]
@@ -592,42 +544,6 @@ class HebbianFleet:
         self._probs_rows[idx] = probs
         return probs
 
-    def _step_loop(self, lanes: list[int], cls: list[int],
-                   train: list[bool], lr_scale: float) -> np.ndarray:
-        """:meth:`step_lanes` for a small call."""
-        self._check_lanes(lanes)
-        self._check_classes(cls)
-        prev_code, prev_pred = self._prev_code, self._prev_pred
-        prev = [prev_code.item(t) for t in lanes]
-        learn = [(t, target, code, prev_pred.item(t), lr_scale)
-                 for t, target, code, flag in zip(lanes, cls, prev, train)
-                 if flag and code >= 0]
-        if learn:
-            self._apply_learn(*self._learn_loop(learn))
-            train_steps = self.train_steps
-            for row in learn:
-                train_steps[row[0]] += 1
-
-        codes = self._codes_loop(prev, cls)
-        scores = self._readout_loop(lanes, codes)
-        probs = self._probabilities_rows(scores)
-
-        if self.prototype.config.punish_wrong:
-            preds = scores.argmax(axis=1).tolist()
-        else:
-            preds = [-1] * len(lanes)
-        prev_class, last_code = self._prev_class, self._last_code
-        has_last = self._has_last
-        scores_rows, probs_rows = self._scores_rows, self._probs_rows
-        for i, t in enumerate(lanes):
-            prev_class[t] = cls[i]
-            prev_code[t] = last_code[t] = codes[i]
-            prev_pred[t] = preds[i]
-            has_last[t] = True
-            scores_rows[t] = scores[i]
-            probs_rows[t] = probs[i]
-        return probs
-
     # ------------------------------------------------------------------
     # Hidden codes
     # ------------------------------------------------------------------
@@ -638,26 +554,13 @@ class HebbianFleet:
         holds other than the returned ones are stale afterwards."""
         book = self._book
         ids = book.next[prev + 1, cls]
-        if ids.min() < 0:
+        if ids.size and ids.min() < 0:
             unmet = (ids < 0).nonzero()[0]
             if len(book) + unmet.size > book.limit:
                 prev = self._shrink_book(prev)
                 unmet = np.arange(ids.size)
             for i in unmet.tolist():
                 ids[i] = book.fill(int(prev[i]), int(cls[i]))
-        return ids
-
-    def _codes_loop(self, prev: list[int], cls: list[int]) -> list[int]:
-        """:meth:`_codes` for a small call."""
-        book = self._book
-        table = book.next
-        ids = [table.item(p + 1, c) for p, c in zip(prev, cls)]
-        if ids and min(ids) < 0:
-            if len(book) + len(ids) > book.limit:
-                return self._codes(np.asarray(prev, dtype=np.int64),
-                                   np.asarray(cls, dtype=np.int64)).tolist()
-            ids = [cid if cid >= 0 else book.fill(p, c)
-                   for cid, p, c in zip(ids, prev, cls)]
         return ids
 
     def _shrink_book(self, held: np.ndarray) -> np.ndarray:
@@ -673,7 +576,7 @@ class HebbianFleet:
         return remap[held]
 
     # ------------------------------------------------------------------
-    # Learn: two index builders, one tail
+    # Learn
     # ------------------------------------------------------------------
     def _learn_arrays(self, idx: np.ndarray, targets: np.ndarray,
                       codes: np.ndarray, preds: np.ndarray, lrs: np.ndarray
@@ -713,35 +616,6 @@ class HebbianFleet:
         lane = wrong[row]
         return flat, delta, slots[row, col] + offsets[lane], lrs[lane]
 
-    def _learn_loop(self, rows: list[tuple[int, int, int, int, float]]
-                    ) -> tuple[np.ndarray, np.ndarray,
-                               np.ndarray | None, np.ndarray | float]:
-        """:meth:`_learn_arrays` for a small call: ``rows`` of ``(lane,
-        target, code, pred, lr_scale)`` — rates as scales of
-        ``config.lr``, the key of the prototype's delta memo."""
-        proto = self.prototype
-        code_of = self._book.codes
-        lr = proto.config.lr
-        flats: list[np.ndarray] = []
-        deltas: list[np.ndarray] = []
-        wrong_flats: list[np.ndarray] = []
-        wrong_lrs: list[float] = []
-        for t, target, code, pred, lr_scale in rows:
-            active = code_of[code]
-            offset = t * self._block
-            flats.append(proto._out_flat[target] + offset)
-            deltas.append(proto._delta(active, target, lr_scale))
-            if pred >= 0 and pred != target:
-                wrong_flats.append(proto._punish_flat(active, pred) + offset)
-                wrong_lrs.append(lr * lr_scale)
-        flat, delta = _joined(flats), _joined(deltas)
-        if not wrong_flats:
-            return flat, delta, None, 0.0
-        if len(wrong_flats) == 1:
-            return flat, delta, wrong_flats[0], wrong_lrs[0]
-        return (flat, delta, np.concatenate(wrong_flats),
-                np.repeat(wrong_lrs, [w.size for w in wrong_flats]))
-
     def _apply_learn(self, flat: np.ndarray, delta: np.ndarray,
                      wrong_flat: np.ndarray | None,
                      wrong_lr: np.ndarray | float) -> None:
@@ -763,43 +637,25 @@ class HebbianFleet:
             w_flat[wrong_flat] = wvals
 
     # ------------------------------------------------------------------
-    # Readout: two index builders, one tail
+    # Readout
     # ------------------------------------------------------------------
     def _readout_arrays(self, idx: np.ndarray,
                         codes: np.ndarray) -> np.ndarray:
         """(L, vocab) scores of lanes ``idx`` under codes ``codes``."""
         n = idx.size
+        if not n:
+            return np.zeros((0, self.vocab_size))
         cols_list, flats, sizes = self._book.entries(codes)
         cols = np.concatenate(cols_list)
         cols += np.arange(0, n * self.vocab_size,
                           self.vocab_size).repeat(sizes)
         flat = np.concatenate(flats)
         flat += (idx * self._block).repeat(sizes)
-        return self._accumulate(cols, flat, n)
-
-    def _readout_loop(self, lanes: list[int],
-                      codes: list[int]) -> np.ndarray:
-        """:meth:`_readout_arrays` for a small call."""
-        n = len(lanes)
-        if not n:
-            return np.zeros((0, self.vocab_size))
-        entry = self._book.entry
-        vocab = self.vocab_size
-        cols_list: list[np.ndarray] = []
-        flats: list[np.ndarray] = []
-        for i, (t, code) in enumerate(zip(lanes, codes)):
-            cols, flat = entry(code)
-            cols_list.append(cols + i * vocab)
-            flats.append(flat + t * self._block)
-        return self._accumulate(_joined(cols_list), _joined(flats), n)
-
-    def _accumulate(self, cols: np.ndarray, flat: np.ndarray,
-                    n: int) -> np.ndarray:
-        """One concatenated sparse accumulation.  Value offsets use the
-        *global* lane index (each lane's slab row), accumulator columns
-        the *subset-local* row, so an L-lane readout costs O(L), not
-        O(capacity); entries stay in lane, row, class order, so each bin
-        sums in the scalar readout's order."""
+        # One concatenated sparse accumulation.  Value offsets use the
+        # *global* lane index (each lane's slab row), accumulator columns
+        # the *subset-local* row, so an L-lane readout costs O(L), not
+        # O(capacity); entries stay in lane, row, class order, so each bin
+        # sums in the scalar readout's order.
         return np.bincount(cols, weights=self._w_flat.take(flat),
                            minlength=n * self.vocab_size
                            ).reshape(n, self.vocab_size)
@@ -836,10 +692,7 @@ class HebbianFleet:
         if not n == len(pairs_per_lane) == len(lr_scales):
             raise ValueError("train_pairs_lanes needs one pair batch and "
                              "one lr_scale per lane")
-        if n < _ARRAY_MIN_LANES:
-            self._train_pairs_loop(lanes, pairs_per_lane, lr_scales)
-            return
-        idx = self._lane_index(lanes)  # a lane without pairs included
+        idx = self.lane_index(lanes)  # a lane without pairs included
         lens = np.fromiter(map(len, pairs_per_lane), dtype=np.int64, count=n)
         total = int(lens.sum())
         # (total, 2) rows of (input, target), lane by lane.
@@ -860,7 +713,7 @@ class HebbianFleet:
         ``lanes[i]`` learns ``inputs[i]`` → ``targets[i]`` at
         ``lr_scales[i]`` as its ``rounds[i]``-th pair (0: first).  A
         round may name a resident slot once; every round is checked
-        before the first is applied.  The array form at any size."""
+        before the first is applied."""
         inputs = self._class_index(inputs)
         targets = self._class_index(targets)
         if not inputs.size:
@@ -870,7 +723,7 @@ class HebbianFleet:
             picks: list[np.ndarray | slice] = [slice(None)]
         else:
             picks = [(rounds == j).nonzero()[0] for j in range(depth)]
-        subsets = [self._lane_index(lanes[pick]) for pick in picks]
+        subsets = [self.lane_index(lanes[pick]) for pick in picks]
         punish = self.prototype.config.punish_wrong
         lrs = self.prototype.config.lr * lr_scales
         for pick, subset in zip(picks, subsets):
@@ -885,31 +738,6 @@ class HebbianFleet:
             self._apply_learn(*self._learn_arrays(
                 subset, targets[pick], codes, preds, lrs[pick]))
 
-    def _train_pairs_loop(self, lanes: list[int],
-                          pairs_per_lane: list[list[tuple[int, int]]],
-                          lr_scales: list[float]) -> None:
-        """:meth:`train_pairs_lanes` for a small call."""
-        self._check_lanes(lanes)
-        for pairs in pairs_per_lane:
-            for pair in pairs:
-                self._check_classes(pair)
-        punish = self.prototype.config.punish_wrong
-        depth = max((len(p) for p in pairs_per_lane), default=0)
-        for j in range(depth):
-            live = [i for i, pairs in enumerate(pairs_per_lane)
-                    if len(pairs) > j]
-            codes = self._codes_loop(
-                [-1] * len(live), [pairs_per_lane[i][j][0] for i in live])
-            if punish:
-                preds = self._readout_loop([lanes[i] for i in live], codes
-                                           ).argmax(axis=1).tolist()
-            else:
-                preds = [-1] * len(live)
-            self._apply_learn(*self._learn_loop(
-                [(lanes[i], pairs_per_lane[i][j][1], code, pred,
-                  lr_scales[i])
-                 for i, code, pred in zip(live, codes, preds)]))
-
     # ------------------------------------------------------------------
     # Batched beam rollout (the predict_rollout mirror)
     # ------------------------------------------------------------------
@@ -920,19 +748,17 @@ class HebbianFleet:
 
         Result ``i`` equals ``lane_network(lanes[i]).predict_rollout(
         widths[i], lengths[i])`` bit for bit: selection is the scalar
-        path's own ``select_topk`` (or, when every lane asks for the
-        same width below the vocabulary, its row-wise form — the same
-        ``argpartition`` and ``argsort`` per row), lanes whose beam is
-        exhausted drop out *before* the next readout (the scalar early
-        ``break``), and never-stepped lanes return ``[]``.
-        ``lanes`` must name resident slots, each once.
+        ``select_topk``'s row-wise form (the same ``argpartition`` and
+        ``argsort`` per row), lanes whose beam is exhausted drop out
+        *before* the next readout (the scalar early ``break``), and
+        never-stepped lanes return ``[]``.  The list form of
+        :meth:`rollout_arrays`; ``lanes`` must name resident slots, each
+        once.
         """
         n = len(lanes)
         if not n == len(widths) == len(lengths):
             raise ValueError("rollout_lanes needs one width and one length "
                              "per lane")
-        if n < _ARRAY_MIN_LANES:
-            return self._rollout_loop(lanes, widths, lengths)
         classes, probs, depth = self.rollout_arrays(lanes, widths, lengths)
         deep, span = classes.shape[1:]
         if not deep:
@@ -950,7 +776,7 @@ class HebbianFleet:
                        widths: Sequence[int] | np.ndarray,
                        lengths: Sequence[int] | np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`rollout_lanes` as arrays — the array form at any size.
+        """:meth:`rollout_lanes` as arrays.
 
         Returns ``(classes, probs, depth)``: ``classes[i, d, j]`` and
         ``probs[i, d, j]`` are pick ``j`` of step ``d`` of lane
@@ -958,7 +784,7 @@ class HebbianFleet:
         vocab)``; everywhere else the class is ``-1``.  The arrays span
         the deepest lane and the widest selection of the call.
         """
-        idx = self._lane_index(lanes)
+        idx = self.lane_index(lanes)
         width = np.asarray(widths, dtype=np.int64)
         if idx.size and width.min() < 1:
             raise ValueError("rollout widths must be at least 1")
@@ -1009,40 +835,6 @@ class HebbianFleet:
             classes[pick, :top.shape[1]] = top
             values[pick, :top.shape[1]] = vals
         return classes, values
-
-    def _rollout_loop(self, lanes: list[int], widths: list[int],
-                      lengths: list[int]
-                      ) -> list[list[list[tuple[int, float]]]]:
-        """:meth:`rollout_lanes` for a small call."""
-        self._check_lanes(lanes)
-        out: list[list[list[tuple[int, float]]]] = [[] for _ in lanes]
-        live: list[int] = []      # indices into ``lanes``
-        codes: list[int] = []
-        remaining: list[int] = []
-        probs_rows: list[np.ndarray] = []
-        for i, t in enumerate(lanes):
-            if not self._has_last[t] or lengths[i] < 1:
-                continue
-            live.append(i)
-            codes.append(self._last_code.item(t))
-            remaining.append(lengths[i] - 1)
-            probs_rows.append(self._probs_rows[t])
-        while live:
-            survivors: list[int] = []
-            for row, i in enumerate(live):
-                step = select_topk(probs_rows[row], widths[i])
-                out[i].append(step)
-                if remaining[row]:
-                    survivors.append(row)
-            if not survivors:
-                break
-            live = [live[r] for r in survivors]
-            codes = self._codes_loop([codes[r] for r in survivors],
-                                     [out[i][-1][0][0] for i in live])
-            remaining = [remaining[r] - 1 for r in survivors]
-            probs_rows = list(self._probabilities_rows(self._readout_loop(
-                [lanes[i] for i in live], codes)))
-        return out
 
     # ------------------------------------------------------------------
     # Lane extraction

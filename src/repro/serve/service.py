@@ -422,11 +422,11 @@ class PrefetchService:
         if self._staged:
             self._finish_round()
             return True
-        if self._stage_round():
+        if self._start_round():
             return True
         return self._answer_round()
 
-    def _stage_round(self) -> bool:
+    def _start_round(self) -> bool:
         backlog = self._backlog
         if not backlog:
             backlog.extend(self.ring.pop_up_to(self.config.max_batch))

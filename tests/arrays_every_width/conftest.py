@@ -1,13 +1,13 @@
-"""Arrays at every width: the differential stack, re-run with both
-measured width constants forced to 1.
+"""Arrays at every width, on a squeezed code book: four cohort suites
+re-run with every fleet's code book capped at eight codes.
 
-Most suites run cohorts narrower than ``_RESIDENT_MIN_LANES`` (24) and
-kernel calls narrower than ``_ARRAY_MIN_LANES`` (12), i.e. the stage
-methods and the per-lane loops.  The modules of this package import the
-tests of four of those suites unchanged; the fixture below sends every
-round of theirs, down to a round of one lane, through the lane-state
-arrays and the array kernels — the seams (encoder table, ragged egress,
-``release_many``) included.
+A cohort round of any width, a round of one lane included, runs on the
+lane-state arrays and the array kernels.  The modules of this package
+import the tests of four cohort suites unchanged; the fixture below caps
+``nn/hebbian_fleet.py``'s code book so far below what the lanes pin that
+it is rebuilt over and over — on adoption, between the kernels of a
+round and in the middle of a rollout, with lanes draining and refilling
+— while those suites hold every lane to ``simulate()``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ from collections.abc import Iterator
 
 import pytest
 
-from repro.core import cls_fleet
 from repro.nn import hebbian_fleet
+
+#: Codes a squeezed book holds before it is rebuilt.
+SQUEEZED_BOOK = 8
 
 
 @pytest.fixture(autouse=True)
-def arrays_at_every_width() -> Iterator[None]:
+def squeezed_code_book() -> Iterator[None]:
     # Not the ``monkeypatch`` fixture: a hypothesis test must not take
     # function-scoped fixtures.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cls_fleet, "_RESIDENT_MIN_LANES", 1)
-        patch.setattr(hebbian_fleet, "_ARRAY_MIN_LANES", 1)
+        patch.setattr(hebbian_fleet, "_BOOK_CAP", SQUEEZED_BOOK)
         yield

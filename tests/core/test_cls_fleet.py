@@ -2,10 +2,9 @@
 
 The cohort suites reach the group through ``FleetCohort``; this one
 calls ``adopt`` / ``handle_misses`` / ``release`` itself, so it can pick
-every round's width — on both sides of ``_RESIDENT_MIN_LANES``, where a
-lane's per-miss state moves from its prefetcher into the group's arrays
-— and the moments lanes join and leave.  The oracle is always a twin
-prefetcher fed the same misses through ``on_miss_fast``.
+every round's width — none, one, two, 64 lanes — and the moments lanes
+join and leave.  The oracle is always a twin prefetcher fed the same
+misses through ``on_miss_fast``.
 """
 
 from __future__ import annotations
@@ -15,18 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import cls_fleet
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.core.encoding import DeltaVocabEncoder
-from repro.memsim.fleet import FleetLaneSpec, run_cohort
+from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, generate
 from tests.core.test_miss_stages import assert_released_like
 
 VOCAB = 48
-W = cls_fleet._RESIDENT_MIN_LANES
+
+#: Lanes in a group, where a test has no width of its own to pick.
+LANES = 24
 
 #: Per-lane variety inside one fleet group (the group key is the model
 #: config only): replay policy, replay rate, rollout shape, gate.
@@ -97,34 +97,37 @@ class Lanes:
         assert_released_like(mine, twin)
         self.members_left[lane] = mine
 
-    def resident(self, lane: int) -> bool:
-        assert self.group is not None
-        return bool(self.group._state.resident[self.members[lane][0]])
 
-
-@pytest.mark.parametrize("width", [1, W - 1, W, W + 1, 64])
-def test_round_widths_around_the_residency_constant(width: int) -> None:
+@pytest.mark.parametrize("width", [0, 1, 2, 64])
+def test_round_widths(width: int) -> None:
+    """Rounds of ``width`` lanes, and now and then a round of none: it
+    prefetches nothing and moves nothing (a width-0 group's lane leaves
+    as it came)."""
     lanes = Lanes()
-    for lane in range(width):
+    everyone = list(range(max(width, 1)))
+    for lane in everyone:
         lanes.join(lane, _prefetcher(lane), _prefetcher(lane))
-    for _ in range(200):
-        lanes.round(list(range(width)))
-    # The form a round took is the one its width selects.
-    assert all(lanes.resident(lane) == (width >= W) for lane in range(width))
-    for lane in range(width):
+    assert lanes.group is not None
+    for r in range(200):
+        lanes.round(everyone[:width])
+        if r % 40 == 0:
+            assert lanes.group.handle_misses([], [], [], []) == []
+            found, owner = lanes.group.miss_round([], [], [], [])
+            assert found.size == owner.size == 0
+    for lane in everyone:
         lanes.leave(lane)
 
 
 def test_lanes_join_and_leave_around_resident_ones() -> None:
-    """Refill after residency, departures mid-run, and rounds too narrow
-    to admit the newcomers: resident and visiting lanes share rounds."""
+    """Refill mid-run, departures mid-stream, and rounds whose membership
+    changes every time — one lane, two, none — around lanes whose state
+    has long been in the arrays."""
     lanes = Lanes()
-    first = list(range(W + 2))
+    first = list(range(LANES + 2))
     for lane in first:
         lanes.join(lane, _prefetcher(lane), _prefetcher(lane))
     for _ in range(90):
         lanes.round(first)
-    assert all(lanes.resident(lane) for lane in first)
 
     # Most leave mid-stream; their slots refill with fresh lanes.
     for lane in first[5:]:
@@ -133,18 +136,16 @@ def test_lanes_join_and_leave_around_resident_ones() -> None:
     for lane in late:
         lanes.join(lane, _prefetcher(lane), _prefetcher(lane))
     narrow = first[:5] + late
-    for _ in range(60):
+    for r in range(60):
         lanes.round(narrow)
-    assert all(lanes.resident(lane) for lane in first[:5])
-    assert not any(lanes.resident(lane) for lane in late)
+        at = r % len(narrow)
+        lanes.round(narrow[at:at + r % 3])
 
-    # A wide round again: the newcomers move in mid-stream.
-    more = list(range(200, 200 + W))
+    more = list(range(200, 200 + LANES))
     for lane in more:
         lanes.join(lane, _prefetcher(lane), _prefetcher(lane))
     for _ in range(80):
         lanes.round(narrow + more)
-    assert all(lanes.resident(lane) for lane in narrow + more)
     for lane in narrow + more:
         lanes.leave(lane)
 
@@ -159,13 +160,13 @@ def test_a_wider_rollout_joins_resident_lanes() -> None:
         return [(4096 * page, page, 10 * i) for i, page in enumerate(pages)]
 
     lanes = Lanes()
-    narrow = list(range(W))
+    narrow = list(range(LANES))
     for lane in narrow:
         lanes.join(lane, _prefetcher(lane, prefetch_width=1),
                    _prefetcher(lane, prefetch_width=1), scattered(lane))
     for _ in range(90):
         lanes.round(narrow)
-    wide = list(range(W, 2 * W))
+    wide = list(range(LANES, 2 * LANES))
     for lane in wide:
         lanes.join(lane, _prefetcher(lane, prefetch_width=3),
                    _prefetcher(lane, prefetch_width=3), scattered(lane))
@@ -177,23 +178,42 @@ def test_a_wider_rollout_joins_resident_lanes() -> None:
         lanes.leave(lane)
 
 
-def test_lanes_the_arrays_do_not_model_share_the_group() -> None:
-    """A recall lane and a ``prototype``-policy lane are steppable but keep
-    their stage methods, in the same rounds as array-resident lanes."""
-    lanes = Lanes()
+def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
+    """A recall lane, a page- and a region-encoded lane and a
+    ``prototype``-policy lane are steppable, but the arrays do not model
+    them: in a cohort next to table lanes they are no group members, and
+    every lane ends as ``simulate()`` leaves it."""
+    config = SimConfig(memory_fraction=0.4)
+    traces = [generate("pointer_chase", PatternSpec(
+        n=400, working_set=40, element_size=4096, seed=seed))
+        for seed in range(5)]
     odd = {0: dict(recall=True, recall_max_confidence=0.9),
-           1: dict(replay_policy="prototype", replay_kwargs={})}
-    everyone = list(range(W + 4))
-    for lane in everyone:
-        lanes.join(lane, _prefetcher(lane, **odd.get(lane, {})),
-                   _prefetcher(lane, **odd.get(lane, {})))
-        assert lanes.members[lane][1].fleet_steppable()
-    for _ in range(200):
-        lanes.round(everyone)
-    assert [lane for lane in everyone if not lanes.resident(lane)] == [0, 1]
-    assert lanes.members[0][1].recall_stats.answered > 0
-    for lane in everyone:
-        lanes.leave(lane)
+           3: dict(encoder="page"), 4: dict(encoder="region"),
+           7: dict(replay_policy="prototype", replay_kwargs={})}
+
+    def lane(i: int) -> CLSPrefetcher:
+        return _prefetcher(i, **odd.get(i, {}))
+
+    specs = [FleetLaneSpec(trace=traces[i % 5], prefetcher=lane(i),
+                           config=config) for i in range(10)]
+    assert all(spec.prefetcher.fleet_steppable() for spec in specs)
+    cohort = FleetCohort.for_specs(specs, backend="numpy",
+                                   record_miss_indices=True)
+    cohort.load_many(list(range(len(specs))), specs)
+    (group,) = cohort._groups
+    members = {id(p) for p in group._members.values()}
+    assert [i for i, spec in enumerate(specs)
+            if id(spec.prefetcher) not in members] == sorted(odd)
+    results = cohort.run_to_completion()
+    for i, spec in enumerate(specs):
+        twin = lane(i)
+        want = simulate(spec.trace, twin, config=config, backend="numpy",
+                        record_miss_indices=True)
+        assert results[i].stats.as_dict() == want.stats.as_dict(), i
+        assert results[i].miss_indices == want.miss_indices, i
+        assert_released_like(spec.prefetcher, twin)
+    assert specs[0].prefetcher.recall_stats.answered > 0
+    assert specs[3].prefetcher.stats.prefetches_emitted > 0
 
 
 def test_a_lane_with_a_past_continues_in_the_arrays() -> None:
@@ -201,7 +221,7 @@ def test_a_lane_with_a_past_continues_in_the_arrays() -> None:
     prediction; no ``reset_stream``) is admitted with all of it."""
     lanes = Lanes()
     veterans = [1, 2, 3]
-    for lane in range(W + 3):
+    for lane in range(LANES + 3):
         mine, twin = _prefetcher(lane), _prefetcher(lane)
         stream = _stream(lane, 400)
         if lane in veterans:
@@ -214,9 +234,8 @@ def test_a_lane_with_a_past_continues_in_the_arrays() -> None:
             lanes.cursor[lane] = 150
         lanes.join(lane, mine, twin, stream)
     for _ in range(220):
-        lanes.round(list(range(W + 3)))
-    assert all(lanes.resident(lane) for lane in veterans)
-    for lane in range(W + 3):
+        lanes.round(list(range(LANES + 3)))
+    for lane in range(LANES + 3):
         lanes.leave(lane)
 
 
@@ -224,7 +243,7 @@ def test_hints_reach_the_episodes() -> None:
     """A hint set before the run and one changed between two rounds both
     become the ``phase_id`` of the episodes stored under them."""
     lanes = Lanes()
-    everyone = list(range(W))
+    everyone = list(range(LANES))
     for lane in everyone:
         lanes.join(lane, _prefetcher(lane), _prefetcher(lane))
     for side in (1, 2):
@@ -261,6 +280,8 @@ def test_release_and_adopt_check_whose_state_they_move() -> None:
         group.release(slot, other)
     with pytest.raises(ValueError, match="does not hold"):
         group.release(slot + 1, mine)
+    with pytest.raises(ValueError, match="do not model"):
+        group.adopt(_prefetcher(2, recall=True))
     # Nothing moved: the lane still runs, and releases to its owner.
     twin = _prefetcher(0)
     for address, page, ts in _stream(0)[:30]:
@@ -273,8 +294,8 @@ def test_release_and_adopt_check_whose_state_they_move() -> None:
 
 
 # ----------------------------------------------------------------------
-# The seams of a wide round: misses in as columns, pages out as one
-# ragged (pages, owner) pair, lanes released a batch at a time.
+# The seams of a round: misses in as columns, pages out as one ragged
+# (pages, owner) pair, lanes released a batch at a time.
 
 TINY = 4  # a vocabulary of three deltas and the OOV class
 
@@ -311,7 +332,7 @@ def test_ragged_egress_is_the_candidate_loop(width: int, length: int) -> None:
     overrides = [dict(prefetch_width=width, prefetch_length=length,
                       min_confidence=floor, phase_detection=False)
                  for floor in (0.0, 0.3, 0.6)]
-    lanes = list(range(W + 1))
+    lanes = list(range(LANES + 1))
     pairs = [(_tiny(lane, **overrides[lane % 3]),
               _tiny(lane, **overrides[lane % 3])) for lane in lanes]
     group = CLSFleetGroup(pairs[0][0], capacity=len(lanes))
@@ -366,7 +387,7 @@ def test_the_cohort_caps_a_ragged_round_per_miss() -> None:
                            min_accuracy=0.0)
 
     specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=lane(i),
-                           config=config) for i in range(W + 2)]
+                           config=config) for i in range(LANES + 2)]
     results = run_cohort(specs, backend="numpy", record_miss_indices=True)
     capped = 0
     for i, (spec, got) in enumerate(zip(specs, results)):
@@ -383,7 +404,7 @@ def test_the_cohort_caps_a_ragged_round_per_miss() -> None:
 
 @settings(max_examples=20, deadline=None)
 @given(units=st.lists(st.lists(st.integers(0, 9), min_size=30, max_size=30),
-                      min_size=W, max_size=W),
+                      min_size=LANES, max_size=LANES),
        collapse=st.booleans(), vocab=st.sampled_from([3, TINY, 8]),
        pause=st.integers(1, 28))
 def test_the_encoder_table_is_the_delta_vocabulary(
@@ -401,8 +422,8 @@ def test_the_encoder_table_is_the_delta_vocabulary(
         p.encoder.collapse_repeats = collapse
         return p
 
-    pairs = [(lane(i), lane(i)) for i in range(W)]
-    group = CLSFleetGroup(pairs[0][0], capacity=W)
+    pairs = [(lane(i), lane(i)) for i in range(LANES)]
+    group = CLSFleetGroup(pairs[0][0], capacity=LANES)
     state = group._state
     for rounds in (range(pause), range(pause, 30)):
         slots = np.array([group.adopt(mine) for mine, _ in pairs])
@@ -431,14 +452,14 @@ def test_the_encoder_table_is_the_delta_vocabulary(
 
 def test_release_many_is_release_lane_by_lane() -> None:
     """One ``release_many`` against sequential ``release`` of the same
-    lanes: stores whose ring wrapped inside the residency, a lane that
-    never saw a wide round (never admitted), a lane with no misses."""
+    lanes: stores whose ring wrapped inside the group, a lane that only
+    saw rounds of its own, a lane with no misses."""
     def lane(i: int) -> CLSPrefetcher:
         return _prefetcher(i, replay_policy="ring",
                            replay_kwargs={"capacity": 6 + i % 5})
 
-    everyone = list(range(W + 2))
-    quiet, late = W, W + 1
+    everyone = list(range(LANES + 2))
+    quiet, late = LANES, LANES + 1
     batch, single, twins = Lanes(), Lanes(), {}
     for side in (batch, single):
         for i in everyone:
@@ -448,9 +469,7 @@ def test_release_many_is_release_lane_by_lane() -> None:
         for r in range(70):
             side.round([i for i in everyone if i not in (quiet, late)])
         for _ in range(3):
-            side.round([late])  # a narrow round: the stage methods
-        assert not side.resident(late) and not side.resident(quiet)
-        assert side.resident(0)
+            side.round([late])
     assert twins[0].scheduler.policy.store.evicted_total > 0
 
     assert batch.group is not None
@@ -459,12 +478,12 @@ def test_release_many_is_release_lane_by_lane() -> None:
     for i in everyone:
         single.leave(i)  # release(), and assert_released_like
         assert_released_like(batch.members[i][1], single.members_left[i])
-    assert batch.group._n_resident == 0 and not batch.group._members
+    assert not batch.group._members
 
 
 def test_a_round_is_checked_before_it_moves_anything() -> None:
     lanes = Lanes()
-    everyone = list(range(W))
+    everyone = list(range(LANES))
     for i in everyone:
         lanes.join(i, _prefetcher(i), _prefetcher(i))
     for _ in range(5):
@@ -478,7 +497,7 @@ def test_a_round_is_checked_before_it_moves_anything() -> None:
     for bad, message in (
             (slots[:-1] + [slots[0]], "more than once"),
             (slots[:-1] + [free], "free slot|outside"),
-            (slots[:3] + [slots[0]], "more than once"),    # a narrow round
+            (slots[:3] + [slots[0]], "more than once"),
             (slots[:3] + [free], "free slot|outside")):
         with pytest.raises(ValueError, match=message):
             group.handle_misses(bad, *(c[:len(bad)] for c in columns))
@@ -494,43 +513,41 @@ def test_a_round_is_checked_before_it_moves_anything() -> None:
 @pytest.mark.parametrize("encoder", ["page", "region"])
 def test_an_encoder_without_a_table_keeps_the_stage_methods(
         encoder: str) -> None:
-    """A page- or region-encoded lane shares the group (and its rounds)
-    with table lanes, on its own stage methods."""
-    lanes = Lanes()
-    everyone = list(range(W + 2))
-    odd = {1: dict(encoder=encoder), W: dict(encoder=encoder)}
-    for i in everyone:
-        lanes.join(i, _prefetcher(i, **odd.get(i, {})),
-                   _prefetcher(i, **odd.get(i, {})))
-    for _ in range(120):
-        lanes.round(everyone)
-    assert [i for i in everyone if not lanes.resident(i)] == sorted(odd)
-    assert lanes.members[1][2].stats.prefetches_emitted > 0
-    for i in everyone:
-        lanes.leave(i)
+    """A page- or region-encoded lane is steppable, but ``admits`` refuses
+    it and ``adopt`` raises before anything moves: the lane goes on with
+    its own stage methods, as its twin does."""
+    mine, twin = (_prefetcher(1, encoder=encoder) for _ in range(2))
+    assert mine.fleet_steppable() and not CLSFleetGroup.admits(mine)
+    group = CLSFleetGroup(_prefetcher(0))
+    with pytest.raises(ValueError, match="do not model"):
+        group.adopt(mine)
+    assert not group._members
+    for address, page, ts in _stream(1)[:120]:
+        assert (mine.on_miss_fast(0, address, page, 0, ts)
+                == twin.on_miss_fast(0, address, page, 0, ts))
+    assert twin.stats.prefetches_emitted > 0
 
 
 def test_a_wide_round_has_no_per_lane_python_at_its_seams(
         monkeypatch: pytest.MonkeyPatch) -> None:
-    """The claim as a test: with the lanes resident, a round calls
-    neither the encoder nor the candidate loop of any lane."""
+    """The claim as a test: a round calls neither the encoder nor the
+    candidate loop of any member."""
     lanes = Lanes()
-    everyone = list(range(W))
+    everyone = list(range(LANES))
     for i in everyone:
         lanes.join(i, _prefetcher(i), _prefetcher(i))
     for _ in range(3):
         lanes.round(everyone)
-    assert all(lanes.resident(i) for i in everyone)
     twins = {id(lanes.members[i][2]) for i in everyone}
     twin_encoders = {id(lanes.members[i][2].encoder) for i in everyone}
     emit, observe = CLSPrefetcher._emit, DeltaVocabEncoder.observe
 
     def no_emit(self, *args):
-        assert id(self) in twins, "_emit on a resident lane"
+        assert id(self) in twins, "_emit on a member"
         return emit(self, *args)
 
     def no_observe(self, address):
-        assert id(self) in twin_encoders, "observe on a resident lane"
+        assert id(self) in twin_encoders, "observe on a member"
         return observe(self, address)
 
     monkeypatch.setattr(CLSPrefetcher, "_emit", no_emit)

@@ -2,8 +2,8 @@
 
 ``CLSPrefetcher`` defines the miss pipeline once, as stage methods
 (DESIGN.md §5); ``on_miss_fast`` composes them in scalar order,
-``CLSFleetGroup`` calls them around stacked kernels and serve's
-``TenantLane`` across two actors.  The older differential suites only
+``CLSFleetGroup`` mirrors them as array programs around stacked kernels
+and serve's ``TenantLane`` calls them across two actors.  The older differential suites only
 ever send default configs down the stacked and serving paths; this one
 sends the config families with stage-specific state — recall memory,
 both selectivity gates, a hinted phase, a training policy that skips —
@@ -158,7 +158,7 @@ def _replaying_prefetcher(lane: int) -> CLSPrefetcher:
 
 
 def test_release_hands_back_what_simulate_leaves() -> None:
-    """24+ lanes whose rounds run on the lane-state arrays, with every
+    """A cohort of lanes on the lane-state arrays, with every
     array-side stage in play: two replayed pairs a step, phases from the
     detector (so replay excludes, and the small ring ends up all
     excluded), an evicting ring, a filtered store, both gates."""
@@ -231,8 +231,9 @@ def test_stages_by_hand_equal_on_miss_fast(family: str,
 @pytest.mark.parametrize("backend", list(available_backends("sim")))
 def test_cohort_round_schedules_the_same_stages(backend: str) -> None:
     """Every family as one lane of a single cohort.  Equal model configs
-    put all four in one fleet group, so the lanes differ only in per-lane
-    stage state — and each equals its own ``simulate()``."""
+    put the three the lane-state arrays model in one fleet group (the
+    recall lane keeps its own callback), so the lanes differ only in
+    per-lane stage state — and each equals its own ``simulate()``."""
     config = SimConfig(memory_fraction=0.5)
     traces = [generate(pattern, PatternSpec(n=900, working_set=60,
                                             element_size=4096, seed=seed))

@@ -7,10 +7,9 @@ at the end, and a materialized ``lane_network`` must continue its lane
 bit-identically — under every float backend name (all of them the same
 numpy arithmetic since PR 16; the list follows the registry).
 
-The kernels build their index arrays two ways — a per-lane loop below
-``_ARRAY_MIN_LANES`` lanes a call, array programs from there on — so the
-bit-identity cases also run at call widths on both sides of that
-constant (``CALL_WIDTHS``).
+A kernel call is one array program at every width, so the bit-identity
+cases also run at a spread of call widths (``CALL_WIDTHS``), and a call
+on no lane at all is pinned as a no-op.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ N_LANES = 5
 VOCAB = 48
 ROUNDS = 160
 
-#: Lanes per call around the loop/array constant W: {1, W-1, W, W+1, 64}.
-_W = hebbian_fleet._ARRAY_MIN_LANES
-CALL_WIDTHS = sorted({1, _W - 1, _W, _W + 1, 64})
+#: Lanes per call: one, two, a dozen either side, and 64.
+CALL_WIDTHS = [1, 2, 11, 12, 13, 64]
 
 
 def _prototype(backend: str, *, punish: bool = True,
@@ -331,7 +329,7 @@ def test_acquire_rejects_config_mismatch() -> None:
 
 
 # ----------------------------------------------------------------------
-# Both index builders: call widths around the loop/array constant
+# Call widths
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
 @pytest.mark.parametrize("punish", [True, False])
@@ -402,11 +400,11 @@ def _fleet_state(fleet: HebbianFleet) -> list[bytes]:
         fleet._scores_rows, fleet._probs_rows, fleet.train_steps)]
 
 
-@pytest.mark.parametrize("n_lanes", [3, _W - 1, _W, 32])
+@pytest.mark.parametrize("n_lanes", [3, 11, 12, 32])
 def test_kernels_reject_free_duplicate_and_foreign_lanes(
         n_lanes: int) -> None:
     """A free slot, a lane named twice or an id outside the fleet raises
-    before any state moves — on the loop and on the array side."""
+    before any state moves."""
     proto = _prototype("numpy")
     fleet = HebbianFleet(proto, n_lanes + 1, reserve=True)
     slots = [fleet.acquire_lane(proto.clone()) for _ in range(n_lanes)]
@@ -439,6 +437,26 @@ def test_kernels_reject_free_duplicate_and_foreign_lanes(
     fleet.release_lane(slots[0], proto.clone())
     with pytest.raises(ValueError, match="free slot"):
         fleet.step_lanes(slots, classes, [True] * n_lanes)
+
+
+def test_a_call_on_no_lane_is_a_no_op() -> None:
+    """Width 0: every kernel accepts an empty lane list, returns an empty
+    result of its usual shape and moves no state."""
+    proto = _prototype("numpy")
+    fleet = HebbianFleet(proto, 3, reserve=True)
+    slots = [fleet.acquire_lane(proto.clone()) for _ in range(2)]
+    for step in range(3):
+        fleet.step_lanes(slots, [step, step + 1], [True, True])
+    before = _fleet_state(fleet)
+    assert fleet.step_lanes([], [], []).shape == (0, VOCAB)
+    fleet.train_pairs_lanes([], [], [])
+    empty = np.empty(0, dtype=np.int64)
+    fleet.train_pairs_columns(empty, empty, empty, empty, np.empty(0))
+    assert fleet.rollout_lanes([], [], []) == []
+    classes, probs, depth = fleet.rollout_arrays([], [], [])
+    assert classes.shape == probs.shape == (0, 0, 0) and depth.shape == (0,)
+    assert fleet.lane_index([]).shape == (0,)
+    assert _fleet_state(fleet) == before
 
 
 # ----------------------------------------------------------------------
