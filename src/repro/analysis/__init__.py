@@ -24,8 +24,6 @@ def-use chains, inter-procedural taint):
 ========  ============================================================
 RL101     volatile data (env, clock, ids, ambient backend/telemetry
           state) flowing into ``spec_key``/cache-key computation
-RL102     compiled-backend kernel signature/registration drift vs the
-          numpy reference; reference imports from hot paths
 RL103     shared mutable module globals, ambient state writes outside
           ``zone=init`` functions, cross-class attribute writes
 ========  ============================================================

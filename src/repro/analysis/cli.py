@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Determinism & contract static analysis for the repro "
                     "codebase (per-file rules RL001-RL007, whole-program "
-                    "dataflow rules RL101-RL103).")
+                    "dataflow rules RL101, RL103).")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "
                              "(default: src/repro)")

@@ -139,9 +139,3 @@ class ModuleTable:
     def modules(self) -> list[ModuleInfo]:
         """All modules, sorted by dotted name for deterministic output."""
         return [self._by_name[name] for name in sorted(self._by_name)]
-
-    def in_package(self, package: str) -> list[ModuleInfo]:
-        """Modules whose dotted name sits directly under ``package``."""
-        return [info for info in self.modules()
-                if info.name == package
-                or info.name.rpartition(".")[0] == package]

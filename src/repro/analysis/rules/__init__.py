@@ -18,7 +18,6 @@ from .rl005_spec_fields import SpecFieldRule
 from .rl006_annotations import AnnotationRule
 from .rl007_exceptions import SwallowedExceptionRule
 from .rl101_cachekey_purity import CacheKeyPurityRule
-from .rl102_backend_parity import BackendParityRule
 from .rl103_concurrency import ConcurrencyHazardRule
 
 ALL_RULES: tuple[type[Rule], ...] = (
@@ -33,7 +32,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
 
 PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     CacheKeyPurityRule,
-    BackendParityRule,
     ConcurrencyHazardRule,
 )
 

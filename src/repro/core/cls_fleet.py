@@ -35,8 +35,8 @@ pair ``(pages, owner)`` — ``pages[k]`` is a prefetch of the round's row
 ``on_miss_fast`` would have listed them.  :meth:`handle_misses` is the
 same round on lists.
 
-Who may be a member is decided by :meth:`CLSPrefetcher.fleet_steppable`
-(the model kernels) and :meth:`CLSFleetGroup.admits` (the lane-state
+Who may be a member is decided here alone, by
+:meth:`CLSFleetGroup.admits` (the model kernels and the lane-state
 arrays), grouping by :meth:`CLSPrefetcher.fleet_group_key`; every other
 lane keeps the scalar per-miss path in the cohort.
 """
@@ -44,7 +44,7 @@ lane keeps the scalar per-miss path in the cohort.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import Any, TypeGuard
 
 import numpy as np
 
@@ -410,20 +410,31 @@ class CLSFleetGroup:
         self._state = _LaneArrays(self._fleet.n_lanes)
 
     @staticmethod
-    def admits(prefetcher: CLSPrefetcher) -> bool:
-        """True when the lane-state arrays model everything the stages of
-        ``prefetcher`` touch — what a member needs on top of
-        :meth:`CLSPrefetcher.fleet_steppable`.  A lane refused here keeps
-        its own ``on_miss_fast`` in the cohort."""
+    def admits(prefetcher: object) -> TypeGuard[CLSPrefetcher]:
+        """True when ``prefetcher`` may be a member: a CLS prefetcher
+        whose model the fleet kernels step and whose stages the
+        lane-state arrays model in full.  A lane refused here keeps its
+        own ``on_miss_fast`` in the cohort."""
+        if not isinstance(prefetcher, CLSPrefetcher):
+            return False
+        # The kernels step a float-served Hebbian network; the stages
+        # have no availability manager, batch-accumulate training or
+        # per-access observer to mirror, and no recall memory.
         model = prefetcher.model
         if (not isinstance(model, SparseHebbianNetwork)
+                or model._backend == "int8"
+                or prefetcher.manager is not None
+                or prefetcher._batch_policy is not None
+                or prefetcher.wants_accesses
                 or prefetcher.recall_memory is not None):
             return False
         # Only the delta vocabulary is a table a row compare can search:
-        # the page encoder's is as wide as the footprint, the region
-        # encoder's cursors are a dict per lane.
+        # the page encoder's is as wide as the footprint (and direct mode
+        # requires it), the region encoder's cursors are a dict per lane.
         if type(prefetcher.encoder) is not DeltaVocabEncoder:
             return False
+        # Replay must sample an episodic store (no generative or
+        # ``on_replayed`` policy) within the raw block's attempts.
         scheduler = prefetcher.scheduler
         if scheduler is not None and (
                 _episodic_store(scheduler) is None

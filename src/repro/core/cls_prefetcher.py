@@ -333,31 +333,6 @@ class CLSPrefetcher:
             counters.update(self.scheduler.telemetry_counters())
         return counters
 
-    def fleet_steppable(self) -> bool:
-        """True when the fleet engine may batch this prefetcher's misses.
-
-        The stacked path (``core/cls_fleet.py``) replaces the kernel
-        calls of ``_ingest``'s rollout-mode branch: a Hebbian model
-        with fixed hidden projections and a float serving path, no
-        availability manager, no batch-accumulate training policy, and
-        a replay scheduler (if any) whose ``step`` reduces to
-        ``train_pairs`` (non-generative, no ``on_replayed`` hook).
-        :meth:`CLSFleetGroup.admits` asks the rest of what a member needs;
-        everything else keeps the scalar per-miss path.
-        """
-        model = self.model
-        scheduler = self.scheduler
-        return (isinstance(model, SparseHebbianNetwork)
-                and not model.config.plastic_hidden
-                and model._backend != "int8"
-                and self.manager is None
-                and not self._direct
-                and self._batch_policy is None
-                and not self.wants_accesses
-                and (scheduler is None
-                     or (scheduler._generate is None
-                         and scheduler._on_replayed is None)))
-
     def fleet_group_key(self) -> tuple[HebbianConfig, str]:
         """Lanes with equal keys may share one :class:`HebbianFleet`:
         equal configs build value-identical fixed structures (the

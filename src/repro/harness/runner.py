@@ -48,8 +48,9 @@ def resolve_jobs(jobs: int | None, n_cells: int) -> int:
     grid only adds spawn cost).  Explicit values are likewise capped at
     ``n_cells``.  Anything that resolves to fewer than two workers means
     "run serially" — on a single-core machine process fan-out is pure
-    IPC overhead (measured 0.85x at PR 1, EXPERIMENTS.md), so auto-detection
-    deliberately falls back to the in-process loop there.
+    IPC overhead (``jobs=4`` ran a 16-cell grid at 0.85x of the serial
+    loop on one core), so auto-detection deliberately falls back to the
+    in-process loop there.
     """
     if jobs is None:
         try:

@@ -387,11 +387,9 @@ class FleetCohort:
         from ..core.cls_fleet import CLSFleetGroup
         members: dict[Any, list[int]] = {}
         for i, spec in enumerate(specs):
-            steppable = getattr(spec.prefetcher, "fleet_steppable", None)
-            if (steppable is not None and steppable()
-                    and CLSFleetGroup.admits(spec.prefetcher)):
-                members.setdefault(spec.prefetcher.fleet_group_key(),
-                                   []).append(i)
+            prefetcher = spec.prefetcher
+            if CLSFleetGroup.admits(prefetcher):
+                members.setdefault(prefetcher.fleet_group_key(), []).append(i)
         for group_key, rows in members.items():
             group = self._cls_groups.get(group_key)
             if group is None:
@@ -437,7 +435,7 @@ class FleetCohort:
         self._group_of[lanes] = _NO_CALLBACK
         recorded = self._miss_n[lanes].tolist() if self._record \
             else [0] * len(slots)
-        for slot, lane_stats, capacity, n_missed in zip(
+        for slot, cache_stats, capacity, n_missed in zip(
                 slots, stats, capacities, recorded):
             spec = self._lane(slot).spec
             miss_indices = self._miss_idx[slot, :n_missed].tolist()
@@ -445,7 +443,7 @@ class FleetCohort:
                 trace_name=spec.trace.name,
                 prefetcher_name=spec.prefetcher.name,
                 capacity_pages=capacity,
-                stats=lane_stats,
+                stats=cache_stats,
                 config=spec.config,
                 miss_indices=miss_indices,
                 engine_used="fleet",

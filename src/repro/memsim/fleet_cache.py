@@ -17,9 +17,11 @@ Every lane behaves exactly like an independent single-tenant
 ``PageCache`` (and therefore like the ``OrderedDict``
 ``memsim/pagecache_reference.py`` specification):
 
-* The scalar entry points (:meth:`access`, :meth:`fill`,
-  :meth:`insert_prefetch`) are line-for-line ports of the single-tenant
-  methods with a leading lane index.
+* The entry points are the ones the cohort calls: :meth:`hit_walk`
+  (every lane's hit run, lockstep) and :meth:`fill_step` (one demand
+  miss per lane) are the tenant-axis forms of ``PageCache.access`` and
+  ``PageCache.fill``, and :meth:`insert_prefetch` (a landing) is
+  ``PageCache.insert_prefetch`` with a leading lane index.
 * The batched lazy-LRU victim queue keeps one ``(stamp, slot)`` snapshot
   row per lane (refilled by a per-tenant ``argpartition`` over the 2-D
   stamp matrix) and pops with the same stale-stamp skip: a matching
@@ -34,9 +36,10 @@ Every lane behaves exactly like an independent single-tenant
   same operation, so LRU order, residency, and every counter are
   unaffected.
 
-``tests/memsim/test_fleet_cache.py`` fuzz-pins randomized per-lane
-operation interleavings against ``ReferencePageCache`` counter-for-
-counter after every operation.
+``tests/memsim/test_fleet_cache.py`` fuzz-pins randomized interleavings
+of those entry points against ``ReferencePageCache`` counter-for-counter
+after every operation, read back through :meth:`lanes_stats`,
+:meth:`resident_pages` and ``n_resident``.
 
 Like the single-tenant bulk API, demand residency is authoritative in
 ``soc`` (demand pages always come from the trace's page universe);
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pagecache import HIT, MISS, PREFETCH_HIT, CacheStats, _FREE, _VICTIM_BATCH
+from .pagecache import _FREE, _VICTIM_BATCH, CacheStats
 
 __all__ = ["FleetPageCache"]
 
@@ -113,32 +116,12 @@ class FleetPageCache:
     # ------------------------------------------------------------------
     # Lane lifecycle (load / drain / refill)
     # ------------------------------------------------------------------
-    def attach_lane(self, lane: int, capacity: int, universe: np.ndarray,
-                    cid_of: dict[int, int] | None = None) -> None:
-        """Reset ``lane`` and bind it to a page universe and capacity.
-
-        ``cid_of`` optionally shares a prebuilt ``page -> cid`` dict
-        (lanes replaying the same trace share one instead of paying the
-        O(universe) dict build per lane).
-        """
-        if not 0 < capacity <= self.slot_capacity:
-            raise ValueError(
-                f"lane capacity {capacity} outside (0, {self.slot_capacity}]")
-        if len(universe) > self.universe_capacity:
-            raise ValueError(
-                f"universe of {len(universe)} pages exceeds fleet width "
-                f"{self.universe_capacity}")
-        self.reset_lane(lane)
-        self.capacity[lane] = capacity
-        if cid_of is None:
-            cid_of = {int(p): i for i, p in enumerate(universe.tolist())}
-        self._cid_of[lane] = cid_of
-
     def attach_lanes(self, lanes: np.ndarray, capacities: np.ndarray,
                      universe_sizes: np.ndarray,
                      cid_ofs: list[dict[int, int]]) -> None:
-        """Batched :meth:`attach_lane`: one vectorized reset + bind for a
-        whole refill batch instead of ~16 small numpy writes per lane.
+        """Reset ``lanes`` and bind each to a capacity and a page universe,
+        for a whole refill batch at once.  Lanes replaying the same trace
+        share one prebuilt ``page -> cid`` dict in ``cid_ofs``.
 
         ``universe_sizes`` carries each lane's page-universe size (the
         caller holds the prebuilt ``cid_ofs`` dicts, so the arrays
@@ -160,25 +143,9 @@ class FleetPageCache:
         for lane, cid_of in zip(lanes.tolist(), cid_ofs):
             self._cid_of[lane] = cid_of
 
-    def reset_lane(self, lane: int) -> None:
-        """Return ``lane`` to the empty-cache state (drain before refill)."""
-        self.last_use[lane] = _FREE
-        self.undemanded[lane] = False
-        self.dirty[lane] = False
-        self.cid_of_slot[lane] = -1
-        self.soc[lane] = -1
-        self.clock[lane] = 0
-        self.n_resident[lane] = 0
-        self.n_undemanded[lane] = 0
-        for name in _STAT_FIELDS:
-            getattr(self, name)[lane] = 0
-        self.vq_idx[lane] = 0
-        self.vq_len[lane] = 0
-        self._cid_of[lane] = {}
-        self._extra[lane] = {}
-
     def reset_lanes(self, lanes: np.ndarray) -> None:
-        """Vectorized :meth:`reset_lane` over a lane-index array."""
+        """Return ``lanes`` to the empty-cache state (drain before
+        refill)."""
         self.last_use[lanes] = _FREE
         self.undemanded[lanes] = False
         self.dirty[lanes] = False
@@ -195,94 +162,42 @@ class FleetPageCache:
             self._cid_of[lane] = {}
             self._extra[lane] = {}
 
-    def lane_stats(self, lane: int) -> CacheStats:
-        """Materialize one lane's counters as a ``CacheStats`` block."""
-        return CacheStats(
-            accesses=int(self.accesses[lane]),
-            hits=int(self.hits[lane]),
-            demand_misses=int(self.demand_misses[lane]),
-            prefetch_hits=int(self.prefetch_hits[lane]),
-            prefetches_issued=int(self.prefetches_issued[lane]),
-            prefetches_redundant=int(self.prefetches_redundant[lane]),
-            prefetches_evicted_unused=int(
-                self.prefetches_evicted_unused[lane]),
-            demand_evictions_by_prefetch=int(
-                self.demand_evictions_by_prefetch[lane]),
-            writebacks=int(self.writebacks[lane]),
-        )
-
     def lanes_stats(self, lanes: np.ndarray) -> list[CacheStats]:
-        """Batched :meth:`lane_stats`: nine vector gathers for the whole
-        batch instead of nine scalar fancy-index reads per lane."""
+        """Each lane's counters as a ``CacheStats`` block: nine vector
+        gathers for the whole batch."""
         columns = [getattr(self, name)[lanes].tolist()
                    for name in _STAT_FIELDS]
         return [CacheStats(*row) for row in zip(*columns)]
 
-    def lane_len(self, lane: int) -> int:
-        return int(self.n_resident[lane])
-
     # ------------------------------------------------------------------
-    # Scalar API (per-lane ports of PageCache.access/fill/insert_prefetch)
+    # Landings (PageCache.insert_prefetch with a leading lane index)
     # ------------------------------------------------------------------
-    def _lookup(self, lane: int, page: int) -> int | None:
-        cid = self._cid_of[lane].get(page, -1)
-        if cid >= 0:
-            slot = self.soc[lane, cid]
-            return int(slot) if slot >= 0 else None
-        return self._extra[lane].get(page)
-
-    def access(self, lane: int, page: int, store: bool = False) -> str:
-        """A demand access on ``lane``: ``HIT``, ``PREFETCH_HIT`` or
-        ``MISS`` (the caller fills on a miss, as with ``PageCache``)."""
-        self.accesses[lane] += 1
-        slot = self._lookup(lane, page)
-        if slot is None:
-            self.demand_misses[lane] += 1
-            return MISS
-        self.last_use[lane, slot] = self.clock[lane]
-        self.clock[lane] += 1
-        self.hits[lane] += 1
-        if store:
-            self.dirty[lane, slot] = True
-        if self.n_undemanded[lane] and self.undemanded[lane, slot]:
-            self.undemanded[lane, slot] = False
-            self.n_undemanded[lane] -= 1
-            self.prefetch_hits[lane] += 1
-            return PREFETCH_HIT
-        return HIT
-
-    def fill(self, lane: int, page: int, store: bool = False) -> None:
-        """Install a page on demand (after a miss) on ``lane``."""
-        slot = self._lookup(lane, page)
-        if slot is not None:
-            if self.n_undemanded[lane] and self.undemanded[lane, slot]:
-                self.undemanded[lane, slot] = False
-                self.n_undemanded[lane] -= 1
-            if store:
-                self.dirty[lane, slot] = True
-            self.last_use[lane, slot] = self.clock[lane]
-            self.clock[lane] += 1
-            return
-        if self.n_resident[lane] >= self.capacity[lane]:
-            slot = self._evict_lru(lane, by_prefetch=False)
-        else:
-            slot = int(self.n_resident[lane])
-        self._install(lane, slot, page, undemanded=False, dirty=store)
-
     def insert_prefetch(self, lane: int, page: int) -> bool:
         """Install a prefetched page on ``lane``; False if redundant."""
         self.prefetches_issued[lane] += 1
-        slot = self._lookup(lane, page)
-        if slot is not None:
+        cid = self._cid_of[lane].get(page, -1)
+        slot = (int(self.soc[lane, cid]) if cid >= 0
+                else self._extra[lane].get(page, -1))
+        if slot >= 0:
             self.prefetches_redundant[lane] += 1
             self.last_use[lane, slot] = self.clock[lane]
             self.clock[lane] += 1
             return False
         if self.n_resident[lane] >= self.capacity[lane]:
-            slot = self._evict_lru(lane, by_prefetch=True)
+            slot = self._evict_lru(lane)
         else:
             slot = int(self.n_resident[lane])
-        self._install(lane, slot, page, undemanded=True, dirty=False)
+        self.page_of_slot[lane, slot] = page
+        self.last_use[lane, slot] = self.clock[lane]
+        self.clock[lane] += 1
+        self.undemanded[lane, slot] = True
+        self.n_undemanded[lane] += 1
+        self.n_resident[lane] += 1
+        if cid >= 0:
+            self.soc[lane, cid] = slot
+            self.cid_of_slot[lane, slot] = cid
+        else:
+            self._extra[lane][page] = slot
         return True
 
     def resident_pages(self, lane: int) -> list[int]:
@@ -292,29 +207,9 @@ class FleetPageCache:
         order = occupied[np.argsort(row[occupied])]
         return [int(p) for p in self.page_of_slot[lane, order]]
 
-    # ------------------------------------------------------------------
-    # Scalar internals
-    # ------------------------------------------------------------------
-    def _install(self, lane: int, slot: int, page: int, undemanded: bool,
-                 dirty: bool) -> None:
-        self.page_of_slot[lane, slot] = page
-        self.last_use[lane, slot] = self.clock[lane]
-        self.clock[lane] += 1
-        if undemanded:
-            self.undemanded[lane, slot] = True
-            self.n_undemanded[lane] += 1
-        if dirty:
-            self.dirty[lane, slot] = True
-        self.n_resident[lane] += 1
-        cid = self._cid_of[lane].get(page, -1)
-        if cid >= 0:
-            self.soc[lane, cid] = slot
-            self.cid_of_slot[lane, slot] = cid
-        else:
-            self._extra[lane][page] = slot
-
-    def _evict_lru(self, lane: int, by_prefetch: bool) -> int:
-        """Evict ``lane``'s LRU page; returns the freed slot."""
+    def _evict_lru(self, lane: int) -> int:
+        """Evict ``lane``'s LRU page for a landing; returns the freed
+        slot."""
         while True:
             idx = int(self.vq_idx[lane])
             if idx >= self.vq_len[lane]:
@@ -332,7 +227,7 @@ class FleetPageCache:
             self.prefetches_evicted_unused[lane] += 1
             self.undemanded[lane, slot] = False
             self.n_undemanded[lane] -= 1
-        elif by_prefetch:
+        else:
             self.demand_evictions_by_prefetch[lane] += 1
         self.last_use[lane, slot] = _FREE
         self.n_resident[lane] -= 1
@@ -397,7 +292,7 @@ class FleetPageCache:
         """Advance every lane through its hit run, all lanes per step.
 
         For each lane ``t`` in ``lanes``, replays demand accesses
-        ``cids2d[t, pos[t]:]`` with exact per-access ``access()``
+        ``cids2d[t, pos[t]:]`` with exact per-access ``PageCache.access``
         semantics until the first non-resident access (the lane's next
         miss) or ``limit[t]``, updating ``pos`` in place.  When
         ``trace_row`` is given, lane ``t`` reads trace row
@@ -446,12 +341,13 @@ class FleetPageCache:
                   pages: np.ndarray, stores: np.ndarray) -> None:
         """Resolve one demand miss per lane, for many lanes at once.
 
-        Equivalent to ``access()`` returning MISS followed by ``fill()``
-        on each lane (each lane appears at most once per call; the pages
-        are known non-resident and in-universe).  Evictions drain the
-        batched victim queue, with the same accounting order as the
-        scalar path: writeback, then unused-prefetch pollution (the
-        demand path never counts ``demand_evictions_by_prefetch``).
+        Equivalent to ``PageCache.access`` returning MISS followed by
+        ``PageCache.fill`` on each lane (each lane appears at most once
+        per call; the pages are known non-resident and in-universe).
+        Evictions drain the batched victim queue, with the same
+        accounting order as a landing's eviction: writeback, then
+        unused-prefetch pollution (the demand path never counts
+        ``demand_evictions_by_prefetch``).
         """
         self.accesses[lanes] += 1
         self.demand_misses[lanes] += 1

@@ -16,7 +16,8 @@ implementation stamps ``last_use[slot]`` with a fresh clock value, so
 ``page -> slot`` dict, or — once :meth:`PageCache.attach_universe` maps
 the trace's pages to compact ids — a cid-indexed slot array, which makes
 residency over a trace chunk a single vectorized gather (the heart of
-the span-batched engine's ``first_nonresident`` scan).
+the ``first_nonresident`` scan, and the table the compiled hit walk of
+the span-batched engine reads).
 
 Eviction is lazy-LRU by minimum timestamp: an ``argpartition`` over
 ``last_use`` snapshots the ``_VICTIM_BATCH`` oldest slots into a victim
@@ -29,7 +30,8 @@ time and can only have grown younger since — i.e. the same victim the
 
 The bulk APIs account a whole hit run (:meth:`PageCache.access_run`) or
 demand-miss run (:meth:`PageCache.fill_run`) in a handful of vectorized
-operations.  The retained ``OrderedDict`` implementation lives in
+operations; the auto-engine probe runs on them, and they are the numpy
+reference the compiled scans are fuzzed against.  The retained ``OrderedDict`` implementation lives in
 ``pagecache_reference.py``; ``tests/memsim/test_pagecache_fuzz.py`` pins
 this class against it counter-for-counter after every operation.
 """
@@ -355,7 +357,7 @@ class PageCache:
             del self._slot[int(self._page[slot])]
 
     # ------------------------------------------------------------------
-    # Bulk API (span-batched simulation engine)
+    # Bulk API (the auto-engine probe; the compiled scans' reference)
     # ------------------------------------------------------------------
     def attach_universe(self, universe: np.ndarray) -> None:
         """Enable the bulk APIs for a known page universe.

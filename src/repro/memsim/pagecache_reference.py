@@ -7,8 +7,10 @@ it on the hot path.  ``tests/memsim/test_pagecache_fuzz.py`` drives both
 implementations through randomized access/fill/insert_prefetch
 interleavings and asserts every :class:`~repro.memsim.pagecache.CacheStats`
 counter — including the writeback and pollution paths — is equal after
-every single operation, the same contract PR 1 established for
-``nn/hebbian_reference.py``.
+every single operation, the same contract the dense Hebbian reference
+under ``tests/nn/`` holds the network's kernels to.  It is also the
+cache of ``simulate()``'s scalar engine, the one engine without the
+compiled kernels.
 
 Do not optimize this file; its value is being obviously correct.
 """

@@ -5,32 +5,30 @@ sized as a fraction of the trace footprint (Figure 5 uses 50%), feeding
 every demand miss to a prefetcher and installing its predictions after a
 configurable timeliness delay.
 
-Three engines produce bit-identical results (same ``CacheStats``, same
+Two engines produce bit-identical results (same ``CacheStats``, same
 miss indices, same prefetcher interaction order):
 
 * ``scalar`` — the retained per-access event loop, running on the seed's
   OrderedDict :class:`~repro.memsim.pagecache_reference.ReferencePageCache`
-  (the reference semantics *and* the reference constant factors), and the
-  only engine able to drive per-access observers (``wants_accesses``
-  prefetchers).
-* ``batched`` — the PR 4 span-batched engine on the array-backed
-  :class:`~repro.memsim.pagecache.PageCache`.  Between two
-  membership-changing events (a demand fill or a prefetch landing) the
-  resident set is constant, so the next miss is found by a vectorized
-  membership scan and the whole hit run is accounted in one
-  ``PageCache.access_run`` call (with compiled kernels: one C hit walk
-  per span).  Misses stay scalar so the prefetcher sees the exact same
-  callback sequence.
-* the compiled null replay — with the C kernels a null-prefetcher run is
-  one kernel call per segment (reported as ``batched``).
+  (the reference semantics *and* the reference constant factors).  It is
+  the only engine able to drive per-access observers (``wants_accesses``
+  prefetchers) and the only engine without the compiled kernels.
+* ``batched`` — the span-batched engine on the array-backed
+  :class:`~repro.memsim.pagecache.PageCache`, which needs the compiled
+  kernels.  Between two membership-changing events (a demand fill or a
+  prefetch landing) the resident set is constant, so the whole hit run up
+  to the next miss is one compiled hit walk.  Misses stay scalar so the
+  prefetcher sees the exact same callback sequence.  A null-prefetcher
+  run is one compiled replay call per segment instead (also reported as
+  ``batched``).
 
-``engine="auto"`` (the default) picks ``batched`` whenever the prefetcher
-does not observe per-access events, which covers every Figure 5
-configuration in the repo, unless one up-front probe of the trace prefix
-(``_probe_prefers_scalar``) shows spans too short to amortize the
-per-span dispatch; the compiled null replay has no per-span cost and
-skips the probe.  Without the C kernels a null prefetcher takes the same
-route as every other prefetcher.
+``engine="auto"`` (the default) picks ``batched`` whenever the kernels
+are available and the prefetcher does not observe per-access events,
+which covers every Figure 5 configuration in the repo, unless one
+up-front probe of the trace prefix (``_probe_prefers_scalar``) shows
+spans too short to amortize the per-span dispatch; the compiled null
+replay has no per-span cost and skips the probe.  Without the kernels
+``auto`` is the scalar engine, unprobed.
 
 All engines are *segment-capable* (PR 5): each exposes
 ``run(start, stop)`` and ``simulate`` drives the run as a sequence of
@@ -39,11 +37,10 @@ segments.  With telemetry disabled there is exactly one segment,
 sink stays free.  With an enabled :class:`repro.telemetry.Telemetry`
 sink, segments end at window boundaries and the sink snapshots counters
 between them.  Segmentation cannot change results: a boundary merely
-clips the current hit span or miss run, and splitting a bulk
-``access_run``/``fill_run`` is splitting a sequence of scalar
-operations that were already defined element-wise (same clock order,
-same LRU stamps, same victims) — pinned by
-``tests/telemetry/test_engine_parity.py``.
+clips the current hit span or miss run, and splitting a compiled walk or
+replay is splitting a sequence of scalar operations that were already
+defined element-wise (same clock order, same LRU stamps, same victims) —
+pinned by ``tests/telemetry/test_engine_parity.py``.
 """
 
 from __future__ import annotations
@@ -64,23 +61,16 @@ from .prefetcher import Prefetcher
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..telemetry.nullsink import NullTelemetry as TelemetrySink
 
-#: Below this many accesses, a span is replayed scalar even in the batched
-#: engine: a handful of numpy windowed calls (~1 µs each) costs more than
-#: the per-access loop for short spans (miss-dense regions, short delays).
-_BULK_MIN_SPAN = 24
-
-#: Spans at least this long still pay for the batched engine when the
-#: membership scans are compiled: the per-span cost drops from ~3 numpy
-#: windowed calls to one C call, moving the scalar/batched
-#: crossover from ~24 accesses down to a handful (measured on
-#: stride-resnet, spans ~1-2: compiled-batched 0.20 M/s vs scalar
-#: 0.38 M/s; stride-graph500, spans ~8: compiled-batched 1.65 M/s vs
-#: scalar 1.04 M/s).
-_BULK_MIN_SPAN_COMPILED = 3
+#: Spans at least this long pay for the batched engine's per-span cost
+#: (one compiled hit walk plus the landing bookkeeping) over the
+#: per-access loop (measured on stride-resnet, spans ~1-2: batched
+#: 0.20 M/s vs scalar 0.38 M/s; stride-graph500, spans ~8: batched
+#: 1.65 M/s vs scalar 1.04 M/s).
+_PROBE_MIN_SPAN = 3
 
 #: The auto-engine probe replays at most this many leading accesses (null,
-#: bulk APIs only) to estimate steady-state span lengths before committing
-#: a run to the batched engine.
+#: bulk cache APIs on the compiled scans) to estimate steady-state span
+#: lengths before committing a run to the batched engine.
 _PROBE_PREFIX = 32_768
 
 #: Below this many accesses the probe is skipped (the run is too short for
@@ -165,23 +155,24 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
              telemetry: "TelemetrySink | None" = None) -> SimResult:
     """Replay ``trace`` through a page cache attached to ``prefetcher``.
 
-    ``engine`` is ``"auto"`` (batched when the prefetcher permits it),
-    ``"batched"`` or ``"scalar"``; the engines are bit-identical, so the
-    explicit values exist for equivalence tests and debugging.
+    ``engine`` is ``"auto"`` (batched when the kernels and the prefetcher
+    permit it), ``"batched"`` or ``"scalar"``; the engines are
+    bit-identical, so the explicit values exist for equivalence tests and
+    debugging.  ``"batched"`` raises ``ValueError`` for a
+    ``wants_accesses`` prefetcher and on the numpy backend.
 
-    ``backend`` selects the kernel backend for the batched engine's inner
-    loops — ``"auto"`` (the C kernels when available, else numpy with a
-    one-time warning), ``"numpy"`` or ``"c"`` (see
-    ``repro.nn.backends``).  The backends are bit-identical; requesting
-    an unavailable one explicitly raises ``BackendUnavailableError``.
-    The scalar reference engine never touches the kernels.
+    ``backend`` selects the kernels — ``"auto"`` (the C kernels when
+    available, else numpy with a one-time warning), ``"numpy"`` or
+    ``"c"`` (see ``repro.nn.backends``).  Requesting an unavailable one
+    explicitly raises ``BackendUnavailableError``.  On ``"numpy"`` every
+    run is the scalar reference engine, which never touches the kernels.
 
-    ``engine="auto"`` additionally probes the trace (a bulk null replay
-    of a short prefix) and picks the scalar engine for short-span
-    workloads whose per-access misses would make span batching a net
-    loss (the PR 4 stride-resnet regression); the span threshold is
-    lower when the scans are compiled.  The compiled null replay skips
-    the probe — it has no per-span cost.
+    With the kernels, ``engine="auto"`` additionally probes the trace (a
+    bulk null replay of a short prefix) and picks the scalar engine for
+    short-span workloads whose per-access misses would make span
+    batching a net loss (stride on resnet, where most spans are one or
+    two accesses).  The compiled null replay skips the probe — it has no
+    per-span cost.
 
     ``telemetry`` optionally attaches a :class:`repro.telemetry.Telemetry`
     sink.  An enabled sink partitions the run into window-aligned
@@ -207,18 +198,19 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
         raise ValueError(
             "batched engine cannot drive per-access observers; "
             "use engine='scalar' (or 'auto') for wants_accesses prefetchers")
-    use_batched = engine == "batched" or (engine == "auto" and on_access is None)
+    if engine == "batched" and kern is None:
+        raise ValueError(
+            "batched engine needs the compiled kernels; "
+            "use engine='scalar' (or 'auto') on the numpy backend")
     compiled_null = (kern is not None
                      and getattr(prefetcher, "is_null", False))
-    if (use_batched and engine == "auto" and not compiled_null
-            and _probe_prefers_scalar(trace, config, capacity, kern)):
-        # Short-span workload: per-span dispatch (numpy calls, or the
-        # kernel-call + landing bookkeeping of the compiled walk) costs
-        # more than the reference per-access loop (auto must be at least
-        # as good as the better explicit engine choice).  The compiled
-        # threshold is lower — compiled spans are an order of magnitude
-        # cheaper — but spans of ~1 access still lose.
-        use_batched = False
+    # A short-span workload pays more for the per-span kernel call and
+    # landing bookkeeping than for the reference per-access loop (auto
+    # must be at least as good as the better explicit engine choice).
+    use_batched = engine == "batched" or (
+        engine == "auto" and kern is not None and on_access is None
+        and (compiled_null
+             or not _probe_prefers_scalar(trace, config, capacity, kern)))
     sink = telemetry if telemetry is not None and telemetry.enabled else None
     if sink is not None:
         sink.begin_run(trace, prefetcher.name, config, capacity)
@@ -256,20 +248,18 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
 
 
 def _probe_prefers_scalar(trace: Trace, config: SimConfig,
-                          capacity: int, kern: Any = None) -> bool:
+                          capacity: int, kern: Any) -> bool:
     """Cheap span-length probe for the auto engine choice.
 
     Replays a short prefix of the trace with no prefetcher through the
     bulk cache APIs and measures the steady-state inter-miss gap — only
     misses in the *second half* of the prefix count, so compulsory
     (first-touch) misses of small-footprint workloads don't masquerade as
-    short spans.  A gap below the backend's span threshold
-    (``_BULK_MIN_SPAN`` for numpy, ``_BULK_MIN_SPAN_COMPILED`` when the
-    scans are compiled) means the batched engine would pay per-span
-    dispatch for most spans and lose to the reference loop.
-    Deterministic, allocation-light (the page index is memoized on the
-    trace), and ~prefix/trace_length of a full run; with compiled
-    kernels the probe itself scans through them.
+    short spans.  A gap below ``_PROBE_MIN_SPAN`` means the batched
+    engine would pay per-span dispatch for most spans and lose to the
+    reference loop.  Deterministic, allocation-light (the page index is
+    memoized on the trace), and ~prefix/trace_length of a full run; the
+    probe itself scans through the compiled kernels.
     """
     n = len(trace)
     prefix = min(n, _PROBE_PREFIX)
@@ -280,8 +270,7 @@ def _probe_prefers_scalar(trace: Trace, config: SimConfig,
     stores = np.zeros(prefix, dtype=bool)
     cache = PageCache(capacity_pages=capacity)
     cache.attach_universe(universe)
-    if kern is not None:
-        cache.attach_kernels(kern)
+    cache.attach_kernels(kern)
     half = prefix // 2
     late_misses = 0
     i = 0
@@ -299,8 +288,7 @@ def _probe_prefers_scalar(trace: Trace, config: SimConfig,
         i += k
     if not late_misses:
         return False
-    min_span = _BULK_MIN_SPAN if kern is None else _BULK_MIN_SPAN_COMPILED
-    return (prefix - half) / late_misses < min_span
+    return (prefix - half) / late_misses < _PROBE_MIN_SPAN
 
 
 def _drive(eng: "_ScalarEngine | _BatchedEngine | _CompiledNullEngine",
@@ -448,45 +436,41 @@ class _ScalarEngine:
 
 
 class _BatchedEngine:
-    """Span-batched engine: bulk hit runs between membership events.
+    """Span-batched engine: one compiled hit walk per span.
 
     Residency is constant between two membership-changing events (a
-    demand fill or a prefetch landing), so the next miss is found by a
-    vectorized membership scan and whole hit runs are accounted via
-    ``PageCache.access_run``.  Misses stay scalar so the prefetcher sees
-    the exact callback sequence of the scalar engine.  A telemetry
-    boundary merely clips the current span — splitting an ``access_run``
-    is splitting a bulk of identical scalar accesses, so segmented runs
-    are bit-identical to the single-segment run.
+    demand fill or a prefetch landing), so the whole hit run up to the
+    next miss is one kernel call; spans never contain a landing by
+    construction.  Landings and misses happen at exactly the scalar
+    engine's access indices and misses stay scalar, so the prefetcher
+    sees the exact callback sequence of the scalar engine — every stat
+    and learned weight is bit-identical.  A telemetry boundary merely
+    clips the current span (a hit run is a sequence of identical scalar
+    accesses), so segmented runs are bit-identical to the single-segment
+    run.
     """
 
     def __init__(self, trace: Trace, prefetcher: Prefetcher,
                  config: SimConfig, cache: PageCache, queue: PrefetchQueue,
-                 miss_out: list[int] | None, kern: Any = None) -> None:
-        pages_arr = trace.pages(config.page_size)
+                 miss_out: list[int] | None, kern: Any) -> None:
         universe, cids = trace.page_index(config.page_size)
         cache.attach_universe(universe)
+        cache.attach_kernels(kern)
+        stores = trace.kinds != 0
         self._cache = cache
         self._queue = queue
-        self._cids = cids
-        self._stores_arr = trace.kinds != 0
-        self._pages: list[int] = pages_arr.tolist()
-        self._stores: list[bool] = self._stores_arr.tolist()
-        self._cids_t: list[int] = cids.tolist()
-        self._kern = kern
-        if kern is not None:
-            # Route the membership scans through the compiled kernels and
-            # bind the hit-walk closure to the cache's state arrays (the
-            # arrays are allocated once; landings/misses mutate them in
-            # place, so the bound pointers stay valid for the whole run).
-            cache.attach_kernels(kern)
-            self._walk_state = np.zeros(4, dtype=np.int64)
-            self._walk = kern.bind_hit_walk(
-                soc=cache._require_universe(),
-                cids=np.ascontiguousarray(cids, dtype=np.int64),
-                stores=self._stores_arr, last_use=cache._last_use,
-                dirty=cache._dirty, undemanded=cache._undemanded,
-                state=self._walk_state)
+        self._pages: list[int] = trace.pages(config.page_size).tolist()
+        self._stores: list[bool] = stores.tolist()
+        # The walk is bound to the cache's state arrays: they are
+        # allocated once and landings/misses mutate them in place, so the
+        # bound pointers stay valid for the whole run.
+        self._walk_state = np.zeros(4, dtype=np.int64)
+        self._walk = kern.bind_hit_walk(
+            soc=cache._require_universe(),
+            cids=np.ascontiguousarray(cids, dtype=np.int64),
+            stores=stores, last_use=cache._last_use,
+            dirty=cache._dirty, undemanded=cache._undemanded,
+            state=self._walk_state)
 
         addresses = trace.addresses
         stream_ids = trace.stream_ids
@@ -524,94 +508,6 @@ class _BatchedEngine:
         self._handle_miss = handle_miss
 
     def run(self, start: int, stop: int) -> None:
-        if self._kern is not None:
-            self._run_compiled(start, stop)
-            return
-        cache = self._cache
-        queue = self._queue
-        n = stop
-        pages = self._pages
-        stores = self._stores
-        cids = self._cids
-        cids_t = self._cids_t
-        stores_arr = self._stores_arr
-        handle_miss = self._handle_miss
-        insert_prefetch = cache.insert_prefetch
-        first_nonresident = cache.first_nonresident
-        access_run = cache.access_run
-        landed = queue.landed
-        # Demand pages always come from the trace, so they are in the
-        # universe and the cid-indexed slot table is their authoritative
-        # residency index: scalar stretches poke the cache arrays directly
-        # instead of paying the general access() protocol per access.
-        soc = cache._require_universe()
-        last_use = cache._last_use
-        dirty = cache._dirty
-        undemanded = cache._undemanded
-        stats = cache.stats
-        accesses_l = hits_l = misses_l = prefetch_hits_l = 0
-
-        i = start
-        while i < n:
-            if queue.next_landing <= i:
-                for landed_page in landed(i):
-                    insert_prefetch(landed_page)
-            # Residency is constant until the next landing or demand fill:
-            # batch hits up to whichever comes first (or the segment end).
-            span_stop = queue.next_landing
-            if span_stop > n:
-                span_stop = n
-            if span_stop - i < _BULK_MIN_SPAN:
-                # Short span: the scalar loop wins.  Landings issued inside
-                # the span (e.g. delay 0) are handled by the per-access
-                # check.
-                while i < span_stop:
-                    if queue.next_landing <= i:
-                        for landed_page in landed(i):
-                            insert_prefetch(landed_page)
-                    accesses_l += 1
-                    slot = soc[cids_t[i]]
-                    if slot >= 0:
-                        hits_l += 1
-                        clock = cache._clock
-                        last_use[slot] = clock
-                        cache._clock = clock + 1
-                        if stores[i]:
-                            dirty[slot] = True
-                        if cache._n_undemanded and undemanded[slot]:
-                            undemanded[slot] = False
-                            cache._n_undemanded -= 1
-                            prefetch_hits_l += 1
-                    else:
-                        misses_l += 1
-                        handle_miss(i, pages[i], stores[i])
-                    i += 1
-                continue
-            j = first_nonresident(cids, i, span_stop)
-            if j > i:
-                access_run(cids[i:j], stores_arr[i:j])
-                i = j
-            if i < span_stop:
-                accesses_l += 1
-                misses_l += 1  # membership known: first_nonresident stopped
-                handle_miss(i, pages[i], stores[i])
-                i += 1
-        stats.accesses += accesses_l
-        stats.hits += hits_l
-        stats.demand_misses += misses_l
-        stats.prefetch_hits += prefetch_hits_l
-
-    def _run_compiled(self, start: int, stop: int) -> None:
-        """The same event structure with the hit walk as one compiled call.
-
-        Landings and misses happen at exactly the same access indices as
-        the numpy path (the walk stops at the first non-resident access;
-        spans never contain a landing by construction), so the prefetcher
-        interaction order — and therefore every stat and learned weight —
-        is bit-identical.  The per-span numpy windowing disappears, which
-        is the whole point: short-span workloads stop paying the dispatch
-        floor per span.
-        """
         cache = self._cache
         queue = self._queue
         n = stop
@@ -630,6 +526,8 @@ class _BatchedEngine:
             if queue.next_landing <= i:
                 for landed_page in landed(i):
                     insert_prefetch(landed_page)
+            # Residency is constant until the next landing or demand fill:
+            # walk hits up to whichever comes first (or the segment end).
             span_stop = queue.next_landing
             if span_stop > n:
                 span_stop = n
@@ -664,8 +562,8 @@ class _CompiledNullEngine:
     Undemanded flags and the out-of-universe overlay are provably
     untouched (nothing is ever prefetched), and the kernel's batched
     victim snapshot selects exactly the scalar loop's LRU victims (see
-    the kernel source), so results are bit-identical to both numpy
-    engines.
+    the kernel source), so results are bit-identical to the scalar
+    engine.
     """
 
     def __init__(self, trace: Trace, config: SimConfig, cache: PageCache,
@@ -738,7 +636,7 @@ def span_length_stats(trace: Trace, prefetcher: Prefetcher,
     stream into maximal runs of consecutive hits (the spans the batched
     engine accounts in bulk).  Returns mean/median/max span length plus
     the hit/miss totals — the numbers that explain where span batching
-    pays (EXPERIMENTS.md PR 4).
+    pays (``memsim.simulate.span_len_mean`` of ``python -m bench trace``).
     """
     result = simulate(trace, prefetcher, config, record_miss_indices=True)
     n = len(trace)

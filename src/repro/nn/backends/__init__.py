@@ -4,14 +4,15 @@ A compiled kernel exists only where a ``python -m bench`` cell shows it
 winning.  That leaves:
 
 ``numpy``
-    The always-available reference: the vectorized simulator engines and
-    the Hebbian network.  The correctness fallback when no compiler is
+    The always-available reference: ``simulate()`` runs the scalar
+    reference engine, the fleet its numpy walk, and the Hebbian network
+    its numpy arithmetic.  The correctness fallback when no compiler is
     present (one-time ``RuntimeWarning``), not a tuned platform.
 ``c``
     The **memsim** membership scans, hit walks and null replay (single
     lane and fleet) as a small C file compiled on first use with the
     system C compiler and loaded through ``cffi``'s ABI mode;
-    bit-identical to the numpy engines.  It is a legal name for the
+    bit-identical to the numpy reference.  It is a legal name for the
     network too (one ``--backend`` value flows to both domains) but
     selects no network kernel: the Hebbian network is numpy arithmetic
     under every name.
@@ -166,7 +167,7 @@ def resolve_backend(name: str = "auto", *, domain: str = "sim") -> str:
 
 
 def sim_kernels(name: str) -> Any | None:
-    """Compiled simulator kernel bundle, or None for the numpy engines."""
+    """Compiled simulator kernel bundle, or None on the numpy backend."""
     if name == "numpy":
         return None
     if name != "c":

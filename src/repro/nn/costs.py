@@ -216,7 +216,8 @@ class LatencyModel:
 DEFAULT_LATENCY_MODEL = LatencyModel()
 
 #: The paper's published anchors (microseconds), used by tests and
-#: EXPERIMENTS.md to check the calibrated model stays faithful.
+#: EXPERIMENTS.md's Figure 2 section to check the calibrated model stays
+#: faithful.
 PAPER_ANCHORS_US = {
     "lstm_inference_fp32": 150.0,     # "&gt;150 us per inference"
     "lstm_inference_int8": 60.0,      # "still takes &gt;60 us"

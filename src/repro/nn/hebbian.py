@@ -49,10 +49,11 @@ Hidden codes are additionally memoized per ``(input class, context)``:
 the fixed projections make the k-WTA code a pure function of those two,
 and real miss streams revisit the same transitions constantly (the same
 regularity the prefetcher itself exploits), so steady-state inference
-skips the projection entirely.  ``repro.nn.hebbian_reference`` keeps the
-original dense masked-array implementation (and dense storage); the
-kernels here are bit-identical to it (see
-``tests/nn/test_hebbian_equivalence.py``).
+skips the projection entirely.  The memo is always on: only the readout
+learns (§3.1), so nothing ever changes a code.  The original dense
+masked-array implementation (and dense storage) is kept under
+``tests/nn/`` as the oracle; the kernels here are bit-identical to it
+(see ``tests/nn/test_hebbian_equivalence.py``).
 
 Default configuration: vocab 128, hidden 1000, 12.5% in/out connectivity,
 1.7% recurrent connectivity — 49k connected weights, the paper's Table 2
@@ -103,8 +104,6 @@ class HebbianConfig:
             contexts (pattern completion) while codes for different classes
             stay nearly disjoint (pattern separation).
         punish_wrong: Apply the error-driven depression of a wrong argmax.
-        plastic_hidden: Also adapt input/recurrent weights Hebbian-style
-            (off by default: the paper's prototype learns the readout).
         input_mode: "onehot" (one input unit per class — input weights grow
             with the vocabulary) or "signature" (each class activates
             ``signature_k`` of ``signature_dim`` input units via fixed
@@ -141,7 +140,6 @@ class HebbianConfig:
     recurrent_strength: float = 0.5
     input_gain: float = 2.0
     punish_wrong: bool = True
-    plastic_hidden: bool = False
     input_mode: str = "onehot"
     signature_dim: int = 256
     signature_k: int = 8
@@ -275,7 +273,6 @@ class SparseHebbianNetwork:
             p = config.signature_k / config.signature_dim
             self._sig_mu = degree * p
             self._sig_sigma = np.sqrt(np.maximum(degree * p * (1 - p), 1e-6))
-        self.w_rec = self.mask_rec.astype(np.float64)
         # The write log shared with a fork partner; None (no logging)
         # until ``fork()``.
         self._written: _WriteLog | None = None
@@ -314,11 +311,11 @@ class SparseHebbianNetwork:
           ``mask_rec``, padded to the max out-degree with a sentinel column
           (index ``hidden_dim``) so a whole active set gathers in one
           fancy-index + ``bincount``.  The recurrent projection is binary
-          and fixed, so edge *counts* reproduce the dense
+          and fixed, so edge *counts* reproduce the dense reference's
           ``w_rec[active].sum(axis=0)`` exactly.
         - ``_pre_base``: per-class feed-forward drive with the tie-break
-          jitter folded in — the input projection is fixed (unless
-          ``plastic_hidden``), so the k-WTA input term is a row copy.
+          jitter folded in — the input projection is fixed (only the
+          readout learns, §3.1), so the k-WTA input term is a row copy.
         - ``_out_rows`` / ``_out_flat``: per-class connected-hidden
           indices of the readout and their offsets in the value vector.
           The vector is class-major, so a target's offsets are one
@@ -346,10 +343,7 @@ class SparseHebbianNetwork:
         self._rec_pad = rec_pad
         self._rec_bins = n + 1  # one sentinel bin for the padding
 
-        if config.plastic_hidden:
-            # The input projection adapts online; recompute it per call.
-            self._pre_base = None
-        elif self._signatures is not None:
+        if self._signatures is not None:
             hits = np.stack([self.w_in[sig].sum(axis=0)
                              for sig in self._signatures])
             z = (hits - self._sig_mu) / self._sig_sigma
@@ -377,9 +371,8 @@ class SparseHebbianNetwork:
         self._scratch_active = np.zeros(n, dtype=bool)
         self._probs_buf = np.empty(v)
         # (class, context) -> k-WTA code; valid because the projections the
-        # code depends on are fixed.  Disabled under plastic_hidden.
-        self._code_cache: dict | None = (
-            None if config.plastic_hidden else {})
+        # code depends on are fixed.
+        self._code_cache: dict[tuple[int, bytes | None], np.ndarray] = {}
         # id(cache-resident code) -> its boolean membership mask.  Doubles
         # as the registry that lets a cached code serve as a context *key*
         # by object identity instead of a 400-byte ``tobytes()`` hash: ids
@@ -486,28 +479,16 @@ class SparseHebbianNetwork:
         """
         has_context = prev_active is not None and prev_active.size
         cache = self._code_cache
-        if cache is not None:
-            # Content-keyed on purpose: element-equal codes reach here as
-            # distinct array objects, and identity keys would fragment the
-            # cache into one entry per object.
-            key = (input_class,
-                   prev_active.tobytes() if has_context else None)
-            code = cache.get(key)
-            if code is not None:
-                return code
+        # Content-keyed on purpose: element-equal codes reach here as
+        # distinct array objects, and identity keys would fragment the
+        # cache into one entry per object.
+        key = (input_class, prev_active.tobytes() if has_context else None)
+        code = cache.get(key)
+        if code is not None:
+            return code
         config = self.config
-        base = self._pre_base
-        if base is not None:
-            pre = self._pre_buf
-            np.copyto(pre, base[input_class])
-        elif self._signatures is not None:
-            hits = self.w_in[self._signatures[input_class]].sum(axis=0)
-            # standardized overlap: signature-specific, hub-neutral; scaled
-            # so the strongest winners sit around input_gain like one-hot
-            z = (hits - self._sig_mu) / self._sig_sigma
-            pre = (config.input_gain / 3.0) * z + self._tiebreak
-        else:
-            pre = config.input_gain * self.w_in[input_class] + self._tiebreak
+        pre = self._pre_buf
+        np.copyto(pre, self._pre_base[input_class])
         if has_context:
             # Normalize by the expected number of recurrent hits per unit so
             # the recurrent term peaks around ``recurrent_strength`` and can
@@ -518,16 +499,15 @@ class SparseHebbianNetwork:
                                  minlength=self._rec_bins)
             pre += scale * counts[:config.hidden_dim]
         active = pre.argpartition(-self._k)[-self._k:]
-        if cache is not None:
-            if len(cache) >= _CODE_CACHE_CAP:
-                cache.clear()
-                self._code_masks.clear()
-                self._delta_cache.clear()
-                self._readout_idx.clear()
-            cache[key] = active
-            mask = np.zeros(config.hidden_dim, dtype=bool)
-            mask[active] = True
-            self._code_masks[id(active)] = mask
+        if len(cache) >= _CODE_CACHE_CAP:
+            cache.clear()
+            self._code_masks.clear()
+            self._delta_cache.clear()
+            self._readout_idx.clear()
+        cache[key] = active
+        mask = np.zeros(config.hidden_dim, dtype=bool)
+        mask[active] = True
+        self._code_masks[id(active)] = mask
         return active
 
     def readout(self, active: np.ndarray) -> np.ndarray:
@@ -589,8 +569,6 @@ class SparseHebbianNetwork:
         prev_active = self._prev_active
         if train and prev_active is not None:
             self._learn(prev_active, input_class, self._prev_pred, lr_scale)
-            if self.config.plastic_hidden and self._prev_class is not None:
-                self._adapt_hidden(self._prev_class, prev_active, lr_scale)
             self.train_steps += 1
 
         active = self.hidden_code(input_class, prev_active)
@@ -615,7 +593,7 @@ class SparseHebbianNetwork:
         active = self.hidden_code(input_class, prev_active=None)
         scores = self.readout(active)
         confidence = float(self.probabilities(scores)[target_class])
-        self._learn_pair(input_class, target_class, active, scores, lr_scale)
+        self._learn_pair(target_class, active, scores, lr_scale)
         return confidence
 
     def learn_pair(self, input_class: int, target_class: int,
@@ -627,11 +605,10 @@ class SparseHebbianNetwork:
         self._check_class(target_class)
         active = self.hidden_code(input_class, prev_active=None)
         scores = self.readout(active) if self.config.punish_wrong else None
-        self._learn_pair(input_class, target_class, active, scores, lr_scale)
+        self._learn_pair(target_class, active, scores, lr_scale)
 
-    def _learn_pair(self, input_class: int, target_class: int,
-                    active: np.ndarray, scores: np.ndarray | None,
-                    lr_scale: float) -> None:
+    def _learn_pair(self, target_class: int, active: np.ndarray,
+                    scores: np.ndarray | None, lr_scale: float) -> None:
         """The update of one replayed transition (``scores``: the
         pre-update readout, read only under ``punish_wrong``)."""
         predicted = None
@@ -639,31 +616,29 @@ class SparseHebbianNetwork:
             assert scores is not None
             predicted = int(scores.argmax())
         self._learn(active, target_class, predicted, lr_scale)
-        if self.config.plastic_hidden:
-            self._adapt_hidden(input_class, active, lr_scale)
 
     def train_pairs(self, pairs: list[tuple[int, int]],
                     lr_scale: float = 1.0) -> None:
         """Batched training, bit-identical to the per-pair loop.
 
         Eq. 1 updates are local — each pair touches only its target's
-        connected column entries — so with the error-driven term and the
-        plastic hidden layer off, a pair's update is a pure function of
-        its (fixed) hidden code and the pre-batch weights of that column.
+        connected column entries — so with the error-driven term off, a
+        pair's update is a pure function of its (fixed) hidden code and
+        the pre-batch weights of that column.
         When every target in the batch is distinct, the touched flat
         offsets are disjoint, update order can't matter, and the whole
         batch applies as one gather-update-clip-scatter; the per-pair
         readout/softmax (whose confidences a batch discards anyway) is
         skipped entirely.  Duplicate targets fall back to sequential
-        ``_learn`` calls, and punish_wrong/plastic_hidden configurations
-        fall back to the ``learn_pair`` loop (``train_pair`` minus its
-        discarded softmax), so every path matches the reference element
-        for element.  (The only divergence is on
+        ``_learn`` calls, and a punish_wrong configuration falls back to
+        the ``learn_pair`` loop (``train_pair`` minus its discarded
+        softmax), so every path matches the reference element for
+        element.  (The only divergence is on
         *invalid* input: the vectorized path validates the whole batch
         before applying any update.)
         """
         config = self.config
-        if config.punish_wrong or config.plastic_hidden:
+        if config.punish_wrong:
             for input_class, target_class in pairs:
                 self.learn_pair(input_class, target_class, lr_scale=lr_scale)
             return
@@ -742,15 +717,6 @@ class SparseHebbianNetwork:
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
-        if self.config.plastic_hidden:
-            # Plastic clones diverge (only ``_adapt_hidden`` writes
-            # ``w_in``); give each its own input weights and (disabled)
-            # cache, and recompute the input drive from the copy.
-            twin.w_in = self.w_in.copy()
-            twin._code_cache = None
-            twin._code_masks = {}
-            twin._delta_cache = {}
-            twin._readout_idx = {}
         twin._copy_stream_state(self)
         return twin
 
@@ -788,8 +754,6 @@ class SparseHebbianNetwork:
         if log is not None:
             log.parts.clear()
             log.count = 0
-        if self.config.plastic_hidden:
-            np.copyto(self.w_in, source.w_in)
         self._copy_stream_state(source)
         return offsets
 
@@ -894,17 +858,6 @@ class SparseHebbianNetwork:
         to, in ``active``'s order."""
         slots = self._slot_of[predicted][active]
         return slots[slots >= 0]
-
-    def _adapt_hidden(self, input_class: int, active: np.ndarray,
-                      lr_scale: float) -> None:
-        """Optional Hebbian strengthening of the hidden projection."""
-        lr = 0.01 * self.config.lr * lr_scale
-        rows = (self._signatures[input_class] if self._signatures is not None
-                else np.array([input_class]))
-        for row in rows:
-            connected = active[self.mask_in[row, active]]
-            self.w_in[row, connected] = np.minimum(
-                self.w_in[row, connected] + lr, 2.0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -81,8 +81,7 @@ one id, and every id-keyed cache miss (delta, readout indices) computes
 the same indices it would have cached, so adoption preserves
 bit-identity.
 
-Out of scope (both raise at construction): ``plastic_hidden`` lanes
-diverge in their *fixed* projections, and the ``int8`` serving mirror
+Out of scope (raises at construction): the ``int8`` serving mirror
 would need a per-lane quantized shadow.
 """
 
@@ -279,10 +278,6 @@ class HebbianFleet:
         if n_lanes <= 0:
             raise ValueError("n_lanes must be positive")
         config = prototype.config
-        if config.plastic_hidden:
-            raise ValueError(
-                "HebbianFleet requires fixed hidden projections "
-                "(plastic_hidden lanes diverge structurally)")
         if prototype._backend == "int8":
             raise ValueError(
                 "HebbianFleet does not support the int8 serving mirror")

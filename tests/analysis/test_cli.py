@@ -51,7 +51,7 @@ class TestOutput:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL004", "RL007", "RL101", "RL102", "RL103"):
+        for code in ("RL001", "RL004", "RL007", "RL101", "RL103"):
             assert code in out
 
     def test_select_flag(self, capsys):
@@ -79,7 +79,7 @@ class TestSarif:
         log = json.loads(capsys.readouterr().out)
         ids = [r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]]
         assert ids == sorted(ids)
-        for code in ("RL001", "RL007", "RL101", "RL102", "RL103"):
+        for code in ("RL001", "RL007", "RL101", "RL103"):
             assert code in ids
 
     def test_sarif_result_links_rule_index(self, capsys):

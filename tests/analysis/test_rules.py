@@ -1,4 +1,4 @@
-"""Each rule RL001-RL007 and RL101-RL103: one positive fixture (exactly
+"""Each rule RL001-RL007, RL101 and RL103: one positive fixture (exactly
 one finding, the right code) and the shared clean fixture as the
 negative case."""
 
@@ -25,7 +25,6 @@ POSITIVE_FIXTURES = {
     "rl006_bad.py": "RL006",
     "memsim/rl007_bad.py": "RL007",
     "rl101_bad.py": "RL101",
-    "rl102_pkg": "RL102",
     "rl103_bad.py": "RL103",
 }
 

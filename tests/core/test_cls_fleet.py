@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.core.encoding import DeltaVocabEncoder
@@ -180,9 +181,9 @@ def test_a_wider_rollout_joins_resident_lanes() -> None:
 
 def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
     """A recall lane, a page- and a region-encoded lane and a
-    ``prototype``-policy lane are steppable, but the arrays do not model
-    them: in a cohort next to table lanes they are no group members, and
-    every lane ends as ``simulate()`` leaves it."""
+    ``prototype``-policy lane are Hebbian lanes the arrays do not model:
+    in a cohort next to table lanes they are no group members, and every
+    lane ends as ``simulate()`` leaves it."""
     config = SimConfig(memory_fraction=0.4)
     traces = [generate("pointer_chase", PatternSpec(
         n=400, working_set=40, element_size=4096, seed=seed))
@@ -196,7 +197,8 @@ def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
 
     specs = [FleetLaneSpec(trace=traces[i % 5], prefetcher=lane(i),
                            config=config) for i in range(10)]
-    assert all(spec.prefetcher.fleet_steppable() for spec in specs)
+    assert [i for i, spec in enumerate(specs)
+            if not CLSFleetGroup.admits(spec.prefetcher)] == sorted(odd)
     cohort = FleetCohort.for_specs(specs, backend="numpy",
                                    record_miss_indices=True)
     cohort.load_many(list(range(len(specs))), specs)
@@ -510,14 +512,36 @@ def test_a_round_is_checked_before_it_moves_anything() -> None:
         lanes.leave(i)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(backend="int8"),
+    dict(availability=True),
+    dict(training="batch"),
+    dict(observe_hits=True),
+    dict(model="lstm"),
+], ids=["int8", "manager", "batch-policy", "per-access", "lstm"])
+def test_admits_is_the_one_membership_predicate(overrides: dict) -> None:
+    """The lanes the model kernels cannot step are refused by the same
+    predicate as the lanes the arrays do not model, and so is a
+    prefetcher that is not a CLS one."""
+    settings = dict(overrides)
+    backend = settings.pop("backend", "auto")
+    refused = CLSPrefetcher(CLSPrefetcherConfig(
+        vocab_size=VOCAB, seed=50,
+        hebbian=HebbianConfig(vocab_size=VOCAB, seed=3, backend=backend),
+        **settings))
+    assert CLSFleetGroup.admits(_prefetcher(0))
+    assert not CLSFleetGroup.admits(refused)
+    assert not CLSFleetGroup.admits(StridePrefetcher())
+
+
 @pytest.mark.parametrize("encoder", ["page", "region"])
 def test_an_encoder_without_a_table_keeps_the_stage_methods(
         encoder: str) -> None:
-    """A page- or region-encoded lane is steppable, but ``admits`` refuses
-    it and ``adopt`` raises before anything moves: the lane goes on with
-    its own stage methods, as its twin does."""
+    """``admits`` refuses a page- or region-encoded lane and ``adopt``
+    raises before anything moves: the lane goes on with its own stage
+    methods, as its twin does."""
     mine, twin = (_prefetcher(1, encoder=encoder) for _ in range(2))
-    assert mine.fleet_steppable() and not CLSFleetGroup.admits(mine)
+    assert not CLSFleetGroup.admits(mine)
     group = CLSFleetGroup(_prefetcher(0))
     with pytest.raises(ValueError, match="do not model"):
         group.adopt(mine)

@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.fleet import FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
@@ -243,7 +244,8 @@ def test_cohort_round_schedules_the_same_stages(backend: str) -> None:
     specs = [FleetLaneSpec(trace=trace, prefetcher=_prefetcher(family),
                            config=config)
              for trace, family in zip(traces, FAMILIES)]
-    assert all(spec.prefetcher.fleet_steppable() for spec in specs)
+    assert [CLSFleetGroup.admits(spec.prefetcher) for spec in specs] \
+        == [family != "recall" for family in FAMILIES]
     results = run_cohort(specs, backend=backend, record_miss_indices=True)
     for spec, family, got in zip(specs, FAMILIES, results):
         reference = _prefetcher(family)

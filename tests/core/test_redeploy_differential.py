@@ -59,8 +59,6 @@ CONFIGS = [
                   punish_wrong=False, seed=6),
     HebbianConfig(vocab_size=VOCAB, hidden_dim=HIDDEN, connectivity_out=0.4,
                   backend="int8", seed=7),
-    HebbianConfig(vocab_size=VOCAB, hidden_dim=HIDDEN, connectivity_out=0.4,
-                  plastic_hidden=True, seed=8),
 ]
 
 classes = st.integers(0, VOCAB - 1)

@@ -5,7 +5,9 @@ PR 4's span-batched engine regressed the always-in-flight workloads
 span, so batching is pure overhead.  PR 6 adds a cheap bulk probe to
 ``simulate(engine="auto")`` that measures the steady-state span length
 on a trace prefix and picks the scalar engine for short-span workloads.
-These tests pin the choice structurally — the probe must send
+The batched engine is the compiled hit walk, so the probe runs only with
+the compiled kernels; on the numpy backend ``auto`` is the scalar engine,
+unprobed.  These tests pin the choice structurally — the probe must send
 stride-resnet to the scalar engine and stride-pagerank to the batched
 one, and whichever engine ``auto`` picks must be bit-identical to both
 pinned engines (so ``auto`` can never do worse than the better of the
@@ -56,9 +58,16 @@ def _config() -> SimConfig:
 # ----------------------------------------------------------------------
 # The span-length probe (PR 4 regression fix)
 # ----------------------------------------------------------------------
+def _compiled() -> str:
+    """The backend the probe runs on; skips the test without one."""
+    if not COMPILED:
+        pytest.skip("no compiled backend available in this environment")
+    return COMPILED[0]
+
+
 def _with_null(cases: list[tuple[str, ...]]) -> list:
     """Each case for the stride prefetcher (ids unchanged) and again for
-    the null prefetcher: on the numpy backend both take the same probe."""
+    the null prefetcher, whose compiled replay skips the probe."""
     return ([pytest.param(StridePrefetcher, *case, id="-".join(case))
              for case in cases]
             + [pytest.param(NullPrefetcher, *case,
@@ -66,38 +75,44 @@ def _with_null(cases: list[tuple[str, ...]]) -> list:
                for case in cases])
 
 
-@pytest.mark.parametrize("make_prefetcher,app,expected", _with_null([
-    ("resnet", "scalar"),      # ~1-access spans: batching is overhead
-    ("graph500", "scalar"),    # short spans: same regression family
-    ("pagerank", "batched"),   # long resident runs: spans pay off
-    ("mcf", "batched"),
-]))
-def test_probe_picks_engine_per_span_profile(make_prefetcher, app: str,
-                                             expected: str):
-    result = simulate(_trace(app), make_prefetcher(), _config(),
-                      backend="numpy")
-    assert result.engine_used == expected
-
-
 @pytest.mark.parametrize("make_prefetcher,app",
                          _with_null([("resnet",), ("pagerank",)]))
 def test_auto_bit_identical_to_both_pinned_engines(make_prefetcher, app: str):
+    backend = _compiled()
     trace = _trace(app)
     auto = simulate(trace, make_prefetcher(), _config(),
-                    record_miss_indices=True, backend="numpy")
+                    record_miss_indices=True, backend=backend)
     for engine in ("scalar", "batched"):
         pinned = simulate(trace, make_prefetcher(), _config(),
                           record_miss_indices=True, engine=engine,
-                          backend="numpy")
+                          backend=backend)
         assert auto.stats.as_dict() == pinned.stats.as_dict()
         assert auto.miss_indices == pinned.miss_indices
+
+
+@pytest.mark.parametrize("make_prefetcher,app", _with_null(
+    [(app,) for app in sorted(APPS)]))
+def test_auto_on_numpy_is_the_unprobed_scalar_engine(make_prefetcher,
+                                                     app: str):
+    """Without the kernels there is one engine: ``auto`` reports it and
+    equals the pinned scalar run, long spans (pagerank, mcf) included."""
+    trace = _trace(app)
+    auto = simulate(trace, make_prefetcher(), _config(),
+                    record_miss_indices=True, backend="numpy")
+    pinned = simulate(trace, make_prefetcher(), _config(),
+                      record_miss_indices=True, engine="scalar",
+                      backend="numpy")
+    assert auto.engine_used == "scalar"
+    assert auto.stats.as_dict() == pinned.stats.as_dict()
+    assert auto.miss_indices == pinned.miss_indices
 
 
 def test_probe_skipped_for_small_traces():
     """Below the probe's minimum prefix the auto choice stays batched
     (the probe cannot measure steady state on a cold cache)."""
     trace = resnet_training(AppSpec(n=2000, seed=1))
-    result = simulate(trace, StridePrefetcher(), _config(), backend="numpy")
+    result = simulate(trace, StridePrefetcher(), _config(),
+                      backend=_compiled())
     assert result.engine_used == "batched"
 
 
@@ -105,12 +120,13 @@ def test_probe_skipped_for_small_traces():
 @pytest.mark.parametrize("make_prefetcher,app,expected", [
     # spans ~1-2: even compiled dispatch loses
     pytest.param(StridePrefetcher, "resnet", "scalar", id="resnet-scalar"),
-    # spans ~8: compiled scans win here (the numpy threshold would send
-    # it scalar)
+    # spans ~8: compiled walks win here
     pytest.param(StridePrefetcher, "graph500", "batched",
                  id="graph500-batched"),
+    # long resident runs: spans pay off
     pytest.param(StridePrefetcher, "pagerank", "batched",
                  id="pagerank-batched"),
+    pytest.param(StridePrefetcher, "mcf", "batched", id="mcf-batched"),
     # the compiled null replay has no per-span cost: never probed
     pytest.param(NullPrefetcher, "resnet", "batched",
                  id="null-resnet-batched"),
@@ -118,9 +134,9 @@ def test_probe_skipped_for_small_traces():
 def test_compiled_probe_uses_lower_span_threshold(backend: str,
                                                   make_prefetcher, app: str,
                                                   expected: str):
-    """The probe runs for compiled backends too, with a lower crossover:
-    compiled spans are ~an order of magnitude cheaper than numpy spans,
-    but a span of ~1 access still loses to the per-access loop."""
+    """The probe's one span threshold is the compiled crossover: a
+    compiled span is cheap, but a span of ~1 access still loses to the
+    per-access loop."""
     if backend == "__none__":
         pytest.skip("no compiled backend available in this environment")
     result = simulate(_trace(app), make_prefetcher(), _config(),

@@ -2,16 +2,19 @@
 
 Every lane of :class:`repro.memsim.fleet_cache.FleetPageCache` must be
 observationally identical to an independent
-:class:`repro.memsim.ReferencePageCache`: same scalar return values,
-same residency order, and every ``CacheStats`` counter equal after every
-operation — under arbitrary cross-lane interleavings (lanes share the
-victim-queue matrices and the batched refill path, so interleaving is
-exactly what could break isolation).
+:class:`repro.memsim.ReferencePageCache`: same residency order and every
+``CacheStats`` counter equal after every operation — under arbitrary
+cross-lane interleavings (lanes share the victim-queue matrices and the
+batched refill path, so interleaving is exactly what could break
+isolation).
 
-The vectorized entry points (``hit_walk`` / ``fill_step``) are checked
-against per-access scalar replays of the same streams on reference
-caches, and a hypothesis sweep drives randomized op sequences through a
-lane wedged between two noisy neighbors.
+The cache is driven only through the entry points the cohort calls —
+``attach_lanes``, ``hit_walk``, ``fill_step`` and ``insert_prefetch`` —
+and read back through ``lanes_stats``, ``resident_pages`` and
+``n_resident``.  A demand access is the cohort's protocol: a hit walk,
+then a ``fill_step`` for the lanes the walk stopped at.  A hypothesis
+sweep drives randomized op sequences through a lane wedged between two
+noisy neighbors.
 """
 
 from __future__ import annotations
@@ -28,63 +31,87 @@ from repro.seeding import child_rng
 
 #: Tight page universe relative to capacity so evictions, redundant
 #: prefetches and prefetch hits occur constantly (as in the single-tenant
-#: fuzz suite).
+#: fuzz suite).  Universe ids are the pages themselves.
 N_PAGES = 24
 #: Prefetches draw from a wider range so the out-of-universe dict overlay
 #: (speculative prefetch pages) is exercised too.
 N_PREFETCH_PAGES = N_PAGES + 8
 CAPACITIES = (8, 3, 8, 5, 1)
 N_OPS = 1_500
+CID_OF = {page: page for page in range(N_PAGES)}
 
 
 def _counters(stats: CacheStats) -> dict:
     return stats.as_dict()
 
 
+def _attach(fleet: FleetPageCache, lanes: list[int],
+            capacities: list[int]) -> None:
+    fleet.attach_lanes(np.array(lanes, dtype=np.int64),
+                       np.array(capacities, dtype=np.int64),
+                       np.full(len(lanes), N_PAGES, dtype=np.int64),
+                       [CID_OF] * len(lanes))
+
+
 def _make_fleet() -> tuple[FleetPageCache, list[ReferencePageCache]]:
     fleet = FleetPageCache(len(CAPACITIES), slot_capacity=max(CAPACITIES),
                           universe_capacity=N_PAGES)
-    universe = np.arange(N_PAGES, dtype=np.int64)
-    refs = []
-    for lane, cap in enumerate(CAPACITIES):
-        fleet.attach_lane(lane, cap, universe)
-        refs.append(ReferencePageCache(cap))
-    return fleet, refs
+    _attach(fleet, list(range(len(CAPACITIES))), list(CAPACITIES))
+    return fleet, [ReferencePageCache(cap) for cap in CAPACITIES]
+
+
+def _demand(fleet: FleetPageCache, lanes: list[int], pages: list[int],
+            stores: list[bool]) -> list[bool]:
+    """One demand access per lane, as a cohort round resolves it: one hit
+    walk over every lane's next access, then one ``fill_step`` for the
+    lanes it stopped at.  Returns which accesses hit."""
+    lane_arr = np.array(lanes, dtype=np.int64)
+    cids2d = np.array(pages, dtype=np.int64)[:, None]
+    stores2d = np.array(stores, dtype=bool)[:, None]
+    trace_row = np.zeros(fleet.n_lanes, dtype=np.int64)
+    trace_row[lane_arr] = np.arange(len(lanes))
+    pos = np.zeros(fleet.n_lanes, dtype=np.int64)
+    limit = np.ones(fleet.n_lanes, dtype=np.int64)
+    fleet.hit_walk(lane_arr, cids2d, stores2d, pos, limit, trace_row)
+    hit = pos[lane_arr] == 1
+    if not hit.all():
+        missed = ~hit
+        fleet.fill_step(lane_arr[missed], cids2d[missed, 0],
+                        cids2d[missed, 0], stores2d[missed, 0])
+    return hit.tolist()
+
+
+def _reference_demand(ref: ReferencePageCache, page: int,
+                      store: bool) -> bool:
+    if ref.access(page, store) == MISS:
+        ref.fill(page, store)
+        return False
+    return True
 
 
 def _random_op(rng: np.random.Generator, fleet: FleetPageCache, lane: int,
                ref: ReferencePageCache) -> None:
-    op = int(rng.integers(0, 4))
-    store = bool(rng.integers(0, 2))
-    if op == 0:  # demand access (miss left unfilled: cold re-probe)
+    if int(rng.integers(0, 3)):  # demand access (walk, fill on a miss)
         page = int(rng.integers(0, N_PAGES))
-        assert fleet.access(lane, page, store) == ref.access(page, store)
-    elif op == 1:  # access-then-fill, the simulator's miss protocol
-        page = int(rng.integers(0, N_PAGES))
-        got = fleet.access(lane, page, store)
-        want = ref.access(page, store)
-        assert got == want
-        if want == MISS:
-            fleet.fill(lane, page, store)
-            ref.fill(page, store)
-    elif op == 2:  # bare fill (refresh path when already resident)
-        page = int(rng.integers(0, N_PAGES))
-        fleet.fill(lane, page, store)
-        ref.fill(page, store)
-    else:  # prefetch insert, possibly out-of-universe (overlay path)
+        store = bool(rng.integers(0, 2))
+        assert (_demand(fleet, [lane], [page], [store])
+                == [_reference_demand(ref, page, store)])
+    else:  # landing, possibly out-of-universe (overlay path)
         page = int(rng.integers(0, N_PREFETCH_PAGES))
         assert fleet.insert_prefetch(lane, page) == ref.insert_prefetch(page)
 
 
 def _assert_lane_matches(fleet: FleetPageCache, lane: int,
                          ref: ReferencePageCache) -> None:
-    assert _counters(fleet.lane_stats(lane)) == _counters(ref.stats)
+    (stats,) = fleet.lanes_stats(np.array([lane], dtype=np.int64))
+    assert _counters(stats) == _counters(ref.stats)
     assert fleet.resident_pages(lane) == ref.resident_pages()
-    assert fleet.lane_len(lane) == len(ref)
+    assert int(fleet.n_resident[lane]) == len(ref)
 
 
 @pytest.mark.parametrize("stream", range(6))
 def test_fuzz_interleaved_scalar_ops_match_reference(stream: int) -> None:
+    """One lane's operation at a time, lanes picked at random."""
     rng = child_rng(20480, stream)
     fleet, refs = _make_fleet()
     for _ in range(N_OPS):
@@ -153,49 +180,41 @@ def test_fuzz_vectorized_steps_match_reference(stream: int) -> None:
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, N_PAGES + 3),
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, N_PAGES + 3),
                               st.booleans()),
                     min_size=1, max_size=120),
        capacity=st.integers(1, 6))
 def test_hypothesis_lane_matches_reference(
-        ops: list[tuple[int, int, bool]], capacity: int) -> None:
-    """A lane wedged between two busy neighbors stays bit-identical."""
+        ops: list[tuple[bool, int, bool]], capacity: int) -> None:
+    """A lane wedged between two busy neighbors stays bit-identical.
+
+    Lane 0 demands a page in the same walk and fill as lane 1's demands;
+    lane 2 takes a landing before every op of lane 1."""
     fleet = FleetPageCache(3, slot_capacity=8, universe_capacity=N_PAGES)
-    universe = np.arange(N_PAGES, dtype=np.int64)
-    for lane, cap in enumerate((8, capacity, 4)):
-        fleet.attach_lane(lane, cap, universe)
+    _attach(fleet, [0, 1, 2], [8, capacity, 4])
     ref = ReferencePageCache(capacity)
-    noise = 0
-    for op, page, store in ops:
+    for noise, (landing, page, store) in enumerate(ops):
         # Neighbor churn on lanes 0 and 2: must not leak into lane 1.
-        fleet.fill(0, noise % N_PAGES, store=bool(noise % 2))
         fleet.insert_prefetch(2, noise % (N_PAGES + 3))
-        noise += 1
-        if op == 0:
-            assert fleet.access(1, page, store) == ref.access(page, store)
-        elif op == 1:
-            got = fleet.access(1, page, store)
-            want = ref.access(page, store)
-            assert got == want
-            if want == MISS:
-                fleet.fill(1, page, store)
-                ref.fill(page, store)
-        elif op == 2:
-            fleet.fill(1, page, store)
-            ref.fill(page, store)
-        else:
+        if landing:
+            _demand(fleet, [0], [noise % N_PAGES], [bool(noise % 2)])
             assert fleet.insert_prefetch(1, page) == ref.insert_prefetch(page)
+        else:
+            page %= N_PAGES
+            hits = _demand(fleet, [0, 1], [noise % N_PAGES, page],
+                           [bool(noise % 2), store])
+            assert hits[1] == _reference_demand(ref, page, store)
         _assert_lane_matches(fleet, 1, ref)
 
 
 def test_reset_lane_reuses_slot_cleanly() -> None:
-    """Drain-and-refill: a reset lane behaves like a fresh cache."""
+    """Drain-and-refill: a re-attached lane behaves like a fresh cache."""
     fleet, refs = _make_fleet()
     rng = child_rng(20482, 0)
     for _ in range(300):
         lane = int(rng.integers(0, len(CAPACITIES)))
         _random_op(rng, fleet, lane, refs[lane])
-    fleet.attach_lane(2, 4, np.arange(N_PAGES, dtype=np.int64))
+    _attach(fleet, [2], [4])
     ref = ReferencePageCache(4)
     for _ in range(300):
         _random_op(rng, fleet, 2, ref)
@@ -207,11 +226,10 @@ def test_reset_lane_reuses_slot_cleanly() -> None:
 
 def test_attach_lane_validates_dimensions() -> None:
     fleet = FleetPageCache(2, slot_capacity=4, universe_capacity=8)
-    with pytest.raises(ValueError):
-        fleet.attach_lane(0, 5, np.arange(8, dtype=np.int64))
-    with pytest.raises(ValueError):
-        fleet.attach_lane(0, 0, np.arange(8, dtype=np.int64))
-    with pytest.raises(ValueError):
-        fleet.attach_lane(0, 4, np.arange(9, dtype=np.int64))
+    lanes = np.array([0], dtype=np.int64)
+    for capacity, universe in ((5, 8), (0, 8), (4, 9)):
+        with pytest.raises(ValueError):
+            fleet.attach_lanes(lanes, np.array([capacity], dtype=np.int64),
+                               np.array([universe], dtype=np.int64), [{}])
     with pytest.raises(ValueError):
         FleetPageCache(0, 1, 1)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.classic import StridePrefetcher
+from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.prefetcher import NullPrefetcher
@@ -142,7 +143,7 @@ def test_rejects_cls_per_access_observer_with_full_message() -> None:
     prefetcher = CLSPrefetcher(CLSPrefetcherConfig(seed=1,
                                                    observe_hits=True))
     assert prefetcher.wants_accesses
-    assert not prefetcher.fleet_steppable()
+    assert not CLSFleetGroup.admits(prefetcher)
     trace = _traces(n=600)[0]
     specs = [FleetLaneSpec(trace=trace, prefetcher=prefetcher)]
     with pytest.raises(ValueError) as excinfo:

@@ -1,12 +1,14 @@
 """Bit-identity: span-batched engine vs the scalar reference engine.
 
-The PR 4 batched engine must be indistinguishable from the retained
-per-access event loop: identical ``CacheStats`` dicts, identical miss
-indices, and — because misses stay scalar and landings interleave at the
-same access indices — identical prefetcher interaction order, asserted
-via the CLS prefetcher's learned weights.  Exercised across the four
-Figure 5 application traces with delay ∈ {0, 4} per the PR 4 acceptance
-criteria.
+The batched engine (one compiled hit walk per span) must be
+indistinguishable from the retained per-access event loop: identical
+``CacheStats`` dicts, identical miss indices, and — because misses stay
+scalar and landings interleave at the same access indices — identical
+prefetcher interaction order, asserted via the CLS prefetcher's learned
+weights.  Exercised across the four Figure 5 application traces with
+delay ∈ {0, 4}.  The batched engine needs the compiled kernels, so its
+cases skip without them; on the numpy backend ``simulate()`` is the
+scalar engine, and asking for ``"batched"`` there raises.
 """
 
 from __future__ import annotations
@@ -49,12 +51,20 @@ def _config(delay: int) -> SimConfig:
     return SimConfig(memory_fraction=0.5, prefetch_delay_accesses=delay)
 
 
+def _compiled() -> str:
+    """A backend the batched engine runs on; skips the test without one."""
+    if not COMPILED:
+        pytest.skip("the batched engine needs a compiled backend")
+    return COMPILED[0]
+
+
 def _assert_identical(trace, make_prefetcher, delay: int):
     config = _config(delay)
     batched_pf = make_prefetcher()
     scalar_pf = make_prefetcher()
     batched = simulate(trace, batched_pf, config,
-                       record_miss_indices=True, engine="batched")
+                       record_miss_indices=True, engine="batched",
+                       backend=_compiled())
     scalar = simulate(trace, scalar_pf, config,
                       record_miss_indices=True, engine="scalar")
     assert batched.stats.as_dict() == scalar.stats.as_dict()
@@ -91,8 +101,9 @@ def test_cls_bit_identical_including_learned_weights(app: str, delay: int):
 @pytest.mark.parametrize("delay", [0, 4])
 def test_compiled_backend_bit_identical_to_numpy(app: str, delay: int,
                                                  backend: str):
-    """Compiled null-replay + hit-walk kernels vs the numpy engines:
-    identical stats and miss indices on the full Figure 5 grid."""
+    """Compiled null-replay + hit-walk kernels vs the numpy backend (the
+    scalar reference engine): identical stats and miss indices on the
+    full Figure 5 grid."""
     if backend == "__none__":
         pytest.skip("no compiled backend available in this environment")
     trace = _trace(app)
@@ -135,7 +146,8 @@ def test_compiled_backend_cls_weights_match_numpy(app: str, backend: str):
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
 def test_compiled_backend_fuzz_random_traces(backend: str):
     """Randomized page streams (uniform, zipf-ish, strided bursts) stay
-    bit-identical between the compiled and numpy backends."""
+    bit-identical between the compiled and numpy backends (the batched
+    and the scalar engine)."""
     if backend == "__none__":
         pytest.skip("no compiled backend available in this environment")
     rng = np.random.default_rng(77)
@@ -178,6 +190,12 @@ def test_auto_engine_rejects_batched_for_access_observers():
         _config(0), record_miss_indices=True, engine="scalar")
     assert auto.stats.as_dict() == scalar.stats.as_dict()
     assert auto.miss_indices == scalar.miss_indices
+
+
+def test_batched_engine_needs_the_compiled_kernels():
+    with pytest.raises(ValueError, match="compiled kernels"):
+        simulate(_trace("resnet"), StridePrefetcher(), _config(4),
+                 engine="batched", backend="numpy")
 
 
 def test_unknown_engine_rejected():

@@ -104,15 +104,6 @@ class TestLearning:
             tiny_hebbian.readout(tiny_hebbian.hidden_code(1)))
         assert probs[3] > probs[2]
 
-    def test_plastic_hidden_strengthens_input_weights(self):
-        cfg = HebbianConfig(vocab_size=16, hidden_dim=200, plastic_hidden=True,
-                            seed=3)
-        net = SparseHebbianNetwork(cfg)
-        before = net.w_in.sum()
-        for _ in range(50):
-            net.step(2)
-        assert net.w_in.sum() > before
-
     def test_rejects_out_of_vocab(self, tiny_hebbian):
         with pytest.raises(ValueError):
             tiny_hebbian.step(99)
@@ -151,19 +142,9 @@ class TestCloneAndEval:
         assert tiny_hebbian.evaluate_sequence([2] * 10) > 0.8
 
     def test_clone_shares_fixed_input_weights(self, tiny_hebbian):
-        """Nothing writes ``w_in`` without ``plastic_hidden``, so clones
+        """Only the readout learns, so nothing writes ``w_in`` and clones
         share it like the other fixed structures."""
         assert tiny_hebbian.clone().w_in is tiny_hebbian.w_in
-
-    def test_plastic_clones_diverge(self):
-        net = SparseHebbianNetwork(HebbianConfig(
-            vocab_size=16, hidden_dim=200, plastic_hidden=True, seed=3))
-        twin = net.clone()
-        before = net.w_in.copy()
-        for _ in range(50):
-            twin.step(2)
-        np.testing.assert_array_equal(net.w_in, before)
-        assert twin.w_in.sum() > before.sum()
 
     def test_evaluate_does_not_train(self, tiny_hebbian):
         for _ in range(30):
@@ -203,9 +184,8 @@ class TestWriteLog:
         assert tiny_hebbian.clone()._written is None
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"punish_wrong": False}, {"backend": "int8"},
-        {"plastic_hidden": True}], ids=["default", "no-punish", "int8",
-                                        "plastic"])
+        {}, {"punish_wrong": False}, {"backend": "int8"}],
+        ids=["default", "no-punish", "int8"])
     def test_sync_equals_clone(self, overrides):
         net = SparseHebbianNetwork(HebbianConfig(
             vocab_size=16, hidden_dim=200, seed=3, **overrides))

@@ -1,7 +1,7 @@
 """Bit-exactness of the sparse Hebbian kernels against the dense reference.
 
 The CSR-style kernels in ``repro.nn.hebbian`` must reproduce the dense
-masked-array implementation (``repro.nn.hebbian_reference``) exactly:
+masked-array implementation (``tests/nn/hebbian_reference.py``) exactly:
 same ``step()`` probabilities, same learned weights, same recurrent
 trajectory — over long random sequences, in both input modes, and across
 ``clone()`` round-trips.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.nn.backends import available_backends
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
-from repro.nn.hebbian_reference import DenseHebbianReference
+from tests.nn.hebbian_reference import DenseHebbianReference
 
 N_STEPS = 1000
 

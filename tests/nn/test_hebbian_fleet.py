@@ -118,11 +118,6 @@ def test_fleet_starts_from_prototype_weights() -> None:
 
 
 def test_rejects_unsupported_prototypes() -> None:
-    plastic = SparseHebbianNetwork(HebbianConfig(
-        vocab_size=16, hidden_dim=64, plastic_hidden=True,
-        backend="numpy"))
-    with pytest.raises(ValueError, match="plastic_hidden"):
-        HebbianFleet(plastic, 2)
     int8 = SparseHebbianNetwork(HebbianConfig(
         vocab_size=16, hidden_dim=64, backend="int8"))
     with pytest.raises(ValueError, match="int8"):

@@ -65,13 +65,6 @@ class TestLearning:
                 net.step(c)
         assert net.evaluate_sequence(perm * 2) > 0.3
 
-    def test_plastic_hidden_runs(self):
-        net = SparseHebbianNetwork(sig_config(plastic_hidden=True))
-        before = net.w_in.sum()
-        for _ in range(40):
-            net.step(3)
-        assert net.w_in.sum() > before
-
 
 class TestResourceScaling:
     def test_input_layer_vocab_independent(self):

@@ -8,7 +8,8 @@ defeat span batching):
   engines with an *enabled* sink produce identical ``CacheStats``,
   identical miss indices, and byte-identical windowed series (the
   segmented engines stop at the same boundaries, so every window delta
-  agrees).
+  agrees).  The batched engine is the compiled hit walk, so its cases
+  skip without a compiled backend.
 - **observation is free of side effects** — a run with telemetry ON is
   bit-identical to the same run with telemetry OFF: stats, miss indices,
   and every learned CLS weight array (``_probs_buf`` is excluded: it is
@@ -58,6 +59,17 @@ def _config() -> SimConfig:
     return SimConfig(memory_fraction=0.5, prefetch_delay_accesses=4)
 
 
+def _backend(engine: str) -> str:
+    """The backend ``engine`` runs on: the batched engine needs compiled
+    kernels (the test skips without them); the scalar engine uses none."""
+    if engine == "scalar":
+        return "numpy"
+    compiled = [b for b in available_backends("sim") if b != "numpy"]
+    if not compiled:
+        pytest.skip("the batched engine needs a compiled backend")
+    return compiled[0]
+
+
 def _weight_arrays(prefetcher: CLSPrefetcher) -> dict[str, np.ndarray]:
     """Every learned/stateful model array except write-only scratch."""
     return {name: value for name, value in vars(prefetcher.model).items()
@@ -69,7 +81,8 @@ def test_windowed_series_identical_across_engines(app: str):
     trace = _trace(app)
     sink_b, sink_s = Telemetry(INTERVAL), Telemetry(INTERVAL)
     batched = simulate(trace, _cls(), _config(), record_miss_indices=True,
-                       engine="batched", telemetry=sink_b)
+                       engine="batched", backend=_backend("batched"),
+                       telemetry=sink_b)
     scalar = simulate(trace, _cls(), _config(), record_miss_indices=True,
                       engine="scalar", telemetry=sink_s)
     assert batched.stats.as_dict() == scalar.stats.as_dict()
@@ -85,13 +98,14 @@ def test_windowed_series_identical_across_engines(app: str):
 @pytest.mark.parametrize("engine", ["scalar", "batched"])
 def test_observation_is_bit_identical_to_unobserved(app: str, engine: str):
     trace = _trace(app)
+    backend = _backend(engine)
     observed_pf, bare_pf = _cls(), _cls()
     sink = Telemetry(INTERVAL)
     observed = simulate(trace, observed_pf, _config(),
                         record_miss_indices=True, engine=engine,
-                        telemetry=sink)
+                        backend=backend, telemetry=sink)
     bare = simulate(trace, bare_pf, _config(),
-                    record_miss_indices=True, engine=engine)
+                    record_miss_indices=True, engine=engine, backend=backend)
     assert observed.stats.as_dict() == bare.stats.as_dict()
     assert observed.miss_indices == bare.miss_indices
     assert observed.capacity_pages == bare.capacity_pages
@@ -115,14 +129,15 @@ def _uniform_random() -> Trace:
 @pytest.mark.parametrize("app", sorted(APPS) + ["uniform"])
 def test_null_replay_engine_windows_match_scalar(app: str):
     """Null runs agree with the scalar reference — stats, miss indices
-    and telemetry windows — under every engine choice and backend."""
+    and telemetry windows — under every engine choice and backend that
+    runs it (``batched`` needs the compiled kernels)."""
     trace = _uniform_random() if app == "uniform" else _trace(app)
     sink_s = Telemetry(INTERVAL)
     scalar = simulate(trace, NullPrefetcher(), _config(),
                       record_miss_indices=True, engine="scalar",
                       backend="numpy", telemetry=sink_s)
     for backend in available_backends("sim"):
-        for engine in ("auto", "batched"):
+        for engine in ("auto", "batched") if backend != "numpy" else ("auto",):
             sink = Telemetry(INTERVAL)
             run = simulate(trace, NullPrefetcher(), _config(),
                            record_miss_indices=True, engine=engine,

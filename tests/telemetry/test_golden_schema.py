@@ -1,7 +1,8 @@
 """Golden-schema regression test for the telemetry JSONL layout.
 
 ``fixtures/golden_run.jsonl`` is a pinned, committed run (pagerank,
-n=5000, trace seed 5, CLS-hebbian seed 3, interval 1000).  The test
+n=5000, trace seed 5, CLS-hebbian seed 3, interval 1000, the batched
+engine on the C kernels; regenerating it needs them).  The test
 regenerates the identical run and compares every record field-for-field
 against the fixture, masking only the declared-volatile fields
 (``wall_time_s``, ``env``, summary ``timers``).  Any change to the
@@ -19,8 +20,11 @@ import copy
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim import SimConfig, simulate
+from repro.nn.backends import backend_available
 from repro.patterns.applications import AppSpec, pagerank_graphchi
 from repro.telemetry import SCHEMA_VERSION, Telemetry, load_run
 
@@ -37,7 +41,7 @@ def _golden_sink() -> Telemetry:
     sink = Telemetry(interval=1000)
     simulate(trace, prefetcher,
              SimConfig(memory_fraction=0.5, prefetch_delay_accesses=4),
-             telemetry=sink)
+             backend="c", telemetry=sink)
     return sink
 
 
@@ -61,6 +65,9 @@ def _fixture_records() -> list[dict]:
         return [json.loads(line) for line in handle]
 
 
+@pytest.mark.skipif(not backend_available("c"),
+                    reason="the fixture pins the batched engine, which "
+                           "needs the C kernels")
 def test_regenerated_run_matches_fixture_exactly():
     produced = _stable(_golden_sink().records())
     pinned = _stable(_fixture_records())
