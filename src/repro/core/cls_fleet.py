@@ -21,8 +21,9 @@ replay store as a slab, the miss history as a ring, counters as deltas)
 the way ``HebbianFleet`` holds the weights, and a round is a fixed
 number of numpy calls from the misses coming in to the pages going out;
 Python per lane is left only where the state is a per-lane object by
-nature (the phase detector, the phase hint).  Replay's draws come from
-per-lane blocks of each generator's raw stream
+nature: the phase hint, and a phase detector's clustering, which runs
+when a lane's window of features (a row of the arrays) fills.  Replay's
+draws come from per-lane blocks of each generator's raw stream
 (:class:`~repro.core.hippocampus.LaneDraws`).  :meth:`CLSFleetGroup.adopt`
 moves a lane's state in, :meth:`CLSFleetGroup.release_many` hands it all
 back, so the prefetcher leaves the cohort exactly as ``simulate()`` would
@@ -43,7 +44,7 @@ lane keeps the scalar per-miss path in the cohort.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import Any, TypeGuard
 
 import numpy as np
@@ -120,7 +121,10 @@ class _LaneArrays:
     ``i`` (0: oldest) of a store holding ``size`` of ``count`` written is
     at column ``(count - size + i) % capacity`` — and the miss history is
     a ring the same way.  The encoder's vocabulary is a row of the
-    class → delta table ``enc_delta`` (classes ``1 ..= enc_known``).
+    class → delta table ``enc_delta`` (classes ``1 ..= enc_known``).  A
+    phase detector's open window is a row of ``phase_window``; its
+    centroids, transitions and current phase stay on the detector, which
+    ``close_window`` updates as the scalar ``observe`` would.
     """
 
     def __init__(self, lanes: int) -> None:
@@ -183,9 +187,12 @@ class _LaneArrays:
         self.hist_cap = np.zeros(lanes, dtype=np.int64)
         self.history = np.zeros((lanes, 2, 3), dtype=np.int64)
         self.draws = LaneDraws(lanes)
-        # A per-lane object by nature (slot -> bound method): the phase
-        # detector, where there is one.
-        self.detect: dict[int, Callable[[int], int]] = {}
+        # The phase detector's open window: its features so far, how many,
+        # how many close it, and the phase the last one closed in.
+        self.phase_window = np.zeros((lanes, 0), dtype=np.int64)
+        self.phase_fill = np.zeros(lanes, dtype=np.int64)
+        self.phase_span = np.zeros(lanes, dtype=np.int64)
+        self.phase = np.zeros(lanes, dtype=np.int64)
 
     def grow(self, lanes: int) -> None:
         if lanes <= self.lanes:
@@ -288,7 +295,14 @@ class _LaneArrays:
         self.hist_count[slot] = 0
 
         if detector is not None:
-            self.detect[slot] = detector.observe
+            if detector.window > self.phase_window.shape[1]:
+                self.phase_window = _wider(self.phase_window,
+                                           (self.lanes, detector.window))
+            recent = list(detector._recent)
+            self.phase_window[slot, :len(recent)] = recent
+            self.phase_fill[slot] = len(recent)
+            self.phase_span[slot] = detector.window
+            self.phase[slot] = detector.current_phase
 
     def hand_back(self, slots: np.ndarray,  # repro-lint: zone=lane-release
                   prefetchers: Sequence[CLSPrefetcher],
@@ -384,8 +398,18 @@ class _LaneArrays:
             for p, lo, hi in zip(prefetchers, [0, *ends], ends):
                 p.history.extend(records[lo:hi])
 
-        for slot in slots.tolist():
-            self.detect.pop(slot, None)
+        detecting = self.has_detector[slots].nonzero()[0]
+        if detecting.size:
+            rows = slots[detecting]
+            fill = self.phase_fill[rows]
+            open_ = np.arange(self.phase_window.shape[1]) < fill[:, None]
+            features = self.phase_window[rows][open_].tolist()
+            ends = fill.cumsum().tolist()
+            for i, lo, hi in zip(detecting.tolist(), [0, *ends], ends):
+                detector = prefetchers[i].phase_detector
+                assert detector is not None
+                detector._recent.clear()
+                detector._recent.extend(features[lo:hi])
 
 
 class CLSFleetGroup:
@@ -576,22 +600,16 @@ class CLSFleetGroup:
         # observe: the phase — a hint wins over the detector.
         members = self._members
         hints = [members[slot]._hinted_phase for slot in slots]
-        features = ((address >> s.region_shift[idx])
-                    % CLSPrefetcher._PHASE_FEATURE_BINS).tolist()
-        detect = s.detect
-        ran = s.has_detector[idx]
-        if hints.count(None) == len(hints):
-            phases = [-1 if (observe := detect.get(slot)) is None
-                      else observe(feature)
-                      for slot, feature in zip(slots, features)]
-        else:
-            phases = [hint if hint is not None
-                      else -1 if (observe := detect.get(slot)) is None
-                      else observe(feature)
-                      for slot, feature, hint in zip(slots, features, hints)]
-            ran = ran & np.array([hint is None for hint in hints])
-        s.detected[idx[ran]] = True
-        phase = np.asarray(phases, dtype=np.int64)
+        detecting = s.has_detector[idx]
+        hinted = None
+        if hints.count(None) != len(hints):
+            hinted = np.array([hint is not None for hint in hints])
+            detecting &= ~hinted
+        if detecting.any():
+            self._detect(idx[detecting], address[detecting])
+        phase = np.where(detecting, s.phase[idx], -1)
+        if hinted is not None:
+            phase[hinted] = [hint for hint in hints if hint is not None]
 
         # observe: score the prediction made for this miss.
         confidence = np.zeros(idx.size)
@@ -675,6 +693,25 @@ class CLSFleetGroup:
         s.memo_ok[lanes] = depth > 0
         owner = rolling[owner]
         return found, owner if rows is None else rows[owner]
+
+    def _detect(self, lanes: np.ndarray, address: np.ndarray) -> None:
+        """*Observe*'s phase detector for ``lanes``, which missed on
+        ``address``: every lane's feature into its open window at once,
+        and each lane whose window that fills through its detector's
+        ``close_window``."""
+        s = self._state
+        fill = s.phase_fill[lanes]
+        s.phase_window[lanes, fill] = ((address >> s.region_shift[lanes])
+                                       % CLSPrefetcher._PHASE_FEATURE_BINS)
+        fill += 1
+        full = fill == s.phase_span[lanes]
+        for lane in lanes[full].tolist():
+            detector = self._members[lane].phase_detector
+            assert detector is not None
+            s.phase[lane] = detector.close_window(
+                s.phase_window[lane, :detector.window])
+        s.phase_fill[lanes] = np.where(full, 0, fill)
+        s.detected[lanes] = True
 
     def _replay(self, lanes: np.ndarray, phase: np.ndarray) -> None:
         """*Replay* for ``lanes``, which trained this round in ``phase``

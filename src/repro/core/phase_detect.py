@@ -18,6 +18,13 @@ sliding ones.  A sliding window morphs gradually through a phase switch,
 and any centroid-updating clusterer simply tracks the morphing signature
 and never splits; tumbling windows jump discretely from one phase's
 signature to the next, which the similarity threshold catches.
+
+A window is fed one feature at a time through :meth:`observe`, or
+collected by the caller and matched through
+:meth:`OnlinePhaseDetector.close_window` — what ``observe`` does when
+its window fills.  A cohort of CLS lanes (``core/cls_fleet.py``) keeps
+every member's open window as a row of its lane arrays and calls a
+lane's detector only when that row fills.
 """
 
 from __future__ import annotations
@@ -82,19 +89,23 @@ class OnlinePhaseDetector:
         if len(self._recent) < self.window:
             return self.current_phase
 
-        signature = self._signature()
+        window = np.fromiter(self._recent, dtype=np.int64, count=self.window)
         self._recent.clear()  # tumbling window: start fresh
-        phase = self._match(signature)
+        return self.close_window(window)
+
+    def close_window(self, window: np.ndarray) -> int:
+        """Match one completed window of features (``window`` of them,
+        each inside the vocabulary) and move to its phase; returns the
+        phase id.  What :meth:`observe` does when its window fills, for a
+        caller that collects the features itself."""
+        hist = np.bincount(window, minlength=self.vocab_size).astype(
+            np.float64)
+        total = hist.sum()
+        phase = self._match(hist / total if total else hist)
         if phase != self.current_phase:
             self.transitions += 1
             self.current_phase = phase
-        return self.current_phase
-
-    def _signature(self) -> np.ndarray:
-        hist = np.bincount(np.fromiter(self._recent, dtype=np.int64, count=len(self._recent)),
-                           minlength=self.vocab_size).astype(np.float64)
-        total = hist.sum()
-        return hist / total if total else hist
+        return phase
 
     def _match(self, signature: np.ndarray) -> int:
         if not self._centroids:

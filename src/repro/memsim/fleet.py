@@ -6,9 +6,10 @@ runs up to ``width`` independent lanes against a single
 :class:`~repro.memsim.fleet_cache.FleetPageCache`, advancing *every*
 lane per vectorized operation:
 
-* **Lockstep rounds.**  Each :meth:`FleetCohort.step` processes due
-  prefetch landings per lane, then walks all active lanes through their
-  hit runs at once (``FleetPageCache.hit_walk``, or one compiled
+* **Lockstep rounds.**  Each :meth:`FleetCohort.step` lands the due
+  prefetches — one ``FleetPageCache.land`` call takes every lane's
+  *j*-th due landing — then walks all active lanes through their hit
+  runs at once (``FleetPageCache.hit_walk``, or one compiled
   ``rk_fleet_hit_walk`` call routed through ``repro.nn.backends``), then
   resolves the stalled lanes' demand misses with one batched
   ``fill_step``.  Miss *handling* keeps every prefetcher's callback
@@ -17,6 +18,12 @@ lane per vectorized operation:
   (``core/cls_fleet.py``) go to the group as four gathered columns and
   come back as one ragged ``(pages, owner)`` pair, issued only where
   there are pages.
+* **In-flight prefetches are arrays.**  Each lane's queue is a FIFO ring
+  of (landing index, cid, page) rows in the cohort's own matrices, with
+  head / tail counts: a lane's delay is constant and it issues at
+  non-decreasing access indices, so issue order is landing order (as
+  ``PrefetchQueue`` notes) and ``next_landing`` is the ring head's.
+  A round's predictions are pushed with one scatter.
 * **Null lanes run to completion.**  Lanes with the null prefetcher
   never issue, so with a compiled backend each is replayed start-to-end
   inside one ``rk_fleet_null_run`` call per cohort step.
@@ -47,7 +54,7 @@ from ..nn.backends import resolve_backend, sim_kernels
 from ..patterns.trace import Trace
 from .events import MissEvent
 from .fleet_cache import FleetPageCache
-from .prefetch_queue import NO_PENDING, PrefetchQueue
+from .prefetch_queue import NO_PENDING
 from .prefetcher import Prefetcher
 from .simulator import SimConfig, SimResult
 
@@ -58,6 +65,10 @@ __all__ = ["FleetCohort", "FleetLaneSpec"]
 #: nothing (the null prefetcher).
 _OWN_CALLBACK = -1
 _NO_CALLBACK = -2
+
+#: Columns of every lane's in-flight ring at first (doubled as needed;
+#: a power of two, so a count maps to its column with a mask).
+_RING_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,6 @@ class _Lane:
     """Mutable per-slot state while a lane is in flight."""
 
     spec: FleetLaneSpec
-    queue: PrefetchQueue
     on_miss_fast: Any
     on_miss: Any
     stream_ids: np.ndarray | None
@@ -161,6 +171,15 @@ class FleetCohort:
         self._pos = np.zeros(width, dtype=np.int64)
         self._limit = np.zeros(width, dtype=np.int64)
         self._next_landing = np.full(width, NO_PENDING, dtype=np.int64)
+        # In-flight prefetches: lane t's queue is entries _ring_head[t] ..
+        # _ring_tail[t] - 1 (counts, column = count & mask) of the rows of
+        # _ring_at (landing index), _ring_cid and _ring_page.
+        self._delay = np.zeros(width, dtype=np.int64)
+        self._ring_head = np.zeros(width, dtype=np.int64)
+        self._ring_tail = np.zeros(width, dtype=np.int64)
+        self._ring_at = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
+        self._ring_cid = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
+        self._ring_page = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
         self._active = np.zeros(width, dtype=bool)
         self._is_null = np.zeros(width, dtype=bool)
         self._lanes: list[_Lane | None] = [None] * width
@@ -190,9 +209,14 @@ class FleetCohort:
         self._max_prefetches = np.zeros(width, dtype=np.int64)
         self._hit_walk: Callable[[int], None] | None = None
         self._null_run: Callable[[int, int], None] | None = None
+        self._lanes_buf = np.zeros(width, dtype=np.int64)
+        self._bind_kernels()
+
+    def _bind_kernels(self) -> None:
+        """Bind the compiled walks to the cohort's arrays — again whenever
+        the cache reallocates ``soc`` (:meth:`_push`)."""
         if self._kern is not None:
             cache = self.cache
-            self._lanes_buf = np.zeros(width, dtype=np.int64)
             self._hit_walk = self._kern.bind_fleet_hit_walk(
                 lanes_buf=self._lanes_buf, trace_row=self._trace_row,
                 soc=cache.soc, cids=self._cids2d,
@@ -317,6 +341,8 @@ class FleetCohort:
                 raise ValueError(
                     "fleet engine cannot drive per-access observers; run "
                     "wants_accesses prefetchers through simulate() instead")
+            if spec.config.prefetch_delay_accesses < 0:
+                raise ValueError("prefetch_delay_accesses must be >= 0")
             packs.append(self._packed(spec))
         group_of = self._cls_groups_for(specs)
         lanes = np.asarray(slots, dtype=np.int64)
@@ -351,8 +377,6 @@ class FleetCohort:
                 group_of[i] = _OWN_CALLBACK
             self._lanes[slot] = _Lane(
                 spec=spec,
-                queue=PrefetchQueue(
-                    delay_accesses=spec.config.prefetch_delay_accesses),
                 on_miss_fast=getattr(prefetcher, "on_miss_fast", None),
                 on_miss=prefetcher.on_miss,
                 stream_ids=trace.stream_ids if own else None)
@@ -363,6 +387,10 @@ class FleetCohort:
         self._cls_slot[lanes] = cls_slots
         self._max_prefetches[lanes] = [
             spec.config.max_prefetches_per_miss for spec in specs]
+        self._delay[lanes] = [
+            spec.config.prefetch_delay_accesses for spec in specs]
+        self._ring_head[lanes] = 0
+        self._ring_tail[lanes] = 0
         self._trace_row[lanes] = rows
         self._n_len[lanes] = [p.n for p in packs]
         self._pos[lanes] = 0
@@ -458,38 +486,95 @@ class FleetCohort:
                 self._row_key[row] = None
                 self._free_rows.append(row)
 
-    def _issue(self, slot: int, lane: _Lane, i: int, page: int,
+    def _issue(self, slot: int, i: int, page: int,
                predictions: list[int]) -> None:
         """Queue one miss's predictions — identical for both miss paths."""
         if predictions:
-            limit = lane.spec.config.max_prefetches_per_miss
+            limit = self._max_prefetches.item(slot)
             if len(predictions) > limit:
                 predictions = predictions[:limit]
-            queue = lane.queue
-            for predicted in predictions:
-                if predicted != page:
-                    queue.issue(int(predicted), i)
-            self._next_landing[slot] = queue.next_landing
+            kept = [int(p) for p in predictions if p != page]
+            if kept:
+                self._push(np.array([slot]), np.array([len(kept)]),
+                           np.full(len(kept), i, dtype=np.int64),
+                           np.array(kept, dtype=np.int64))
 
     def _issue_ragged(self, slots: np.ndarray, index: np.ndarray,
                       found: np.ndarray, owner: np.ndarray) -> None:
         """:meth:`_issue` for a stacked group's round: ``found[k]`` is a
         prediction of the miss of ``slots[owner[k]]`` at access
         ``index[owner[k]]`` (``owner`` ascending; a group never predicts
-        the missed page itself).  Touches only lanes that have pages."""
+        the missed page itself)."""
         counts = np.bincount(owner, minlength=slots.size)
         limit = self._max_prefetches[slots]
         if (counts > limit).any():
             nth = np.arange(owner.size) - (counts.cumsum() - counts)[owner]
             kept = nth < limit[owner]
             found, owner = found[kept], owner[kept]
-        lane = self._lane
-        for slot, i, page in zip(slots[owner].tolist(),
-                                 index[owner].tolist(), found.tolist()):
-            lane(slot).queue.issue(page, i)
-        issued = slots[counts.nonzero()[0]]
-        self._next_landing[issued] = [
-            lane(slot).queue.next_landing for slot in issued.tolist()]
+            counts = np.minimum(counts, limit)
+        rows = counts.nonzero()[0]
+        self._push(slots[rows], counts[rows], index[owner], found)
+
+    def _push(self, lanes: np.ndarray, counts: np.ndarray, at: np.ndarray,
+              pages: np.ndarray) -> None:
+        """Append ``counts[j]`` prefetches to lane ``lanes[j]``'s ring
+        (distinct lanes; the entries lane by lane, in issue order), the
+        ``k``-th issued at access ``at[k]`` for page ``pages[k]``."""
+        owner = lanes.repeat(counts)
+        width = self.cache.soc.shape[1]
+        cids = self.cache.cids_of(owner, pages)
+        if self.cache.soc.shape[1] != width:
+            self._bind_kernels()
+        need = int((self._ring_tail[lanes] + counts
+                    - self._ring_head[lanes]).max())
+        if need > self._ring_at.shape[1]:
+            self._grow_rings(need)
+        tail = self._ring_tail[lanes]
+        first = counts.cumsum() - counts
+        column = ((tail - first).repeat(counts) + np.arange(owner.size)) \
+            & (self._ring_at.shape[1] - 1)
+        self._ring_at[owner, column] = at + self._delay[owner]
+        self._ring_cid[owner, column] = cids
+        self._ring_page[owner, column] = pages
+        self._ring_tail[lanes] = tail + counts
+        head = self._ring_head[lanes] & (self._ring_at.shape[1] - 1)
+        self._next_landing[lanes] = self._ring_at[lanes, head]
+
+    def _grow_rings(self, need: int) -> None:
+        """Double the rings until ``need`` entries fit, every lane's queue
+        moved to columns ``0 ..`` in order."""
+        old = self._ring_at.shape[1]
+        new = old
+        while new < need:
+            new *= 2
+        rows = np.arange(self.width)[:, None]
+        column = (self._ring_head[:, None] + np.arange(old)) & (old - 1)
+        for name in ("_ring_at", "_ring_cid", "_ring_page"):
+            ring = np.zeros((self.width, new), dtype=np.int64)
+            ring[:, :old] = getattr(self, name)[rows, column]
+            setattr(self, name, ring)
+        self._ring_tail -= self._ring_head
+        self._ring_head[:] = 0
+
+    def _land(self, due: np.ndarray) -> None:
+        """Land every prefetch due on lanes ``due`` (each has one at
+        least): round ``j`` is the ``j``-th due landing of each lane, so a
+        lane's landings keep their order and its duplicates fall into
+        separate rounds."""
+        pos = self._pos
+        head, tail = self._ring_head, self._ring_tail
+        ring_at = self._ring_at
+        mask = ring_at.shape[1] - 1
+        lanes = due
+        while lanes.size:
+            column = head[lanes] & mask
+            self.cache.land(lanes, self._ring_cid[lanes, column],
+                            self._ring_page[lanes, column])
+            head[lanes] += 1
+            lanes = lanes[head[lanes] < tail[lanes]]
+            lanes = lanes[ring_at[lanes, head[lanes] & mask] <= pos[lanes]]
+        self._next_landing[due] = np.where(
+            head[due] < tail[due], ring_at[due, head[due] & mask], NO_PENDING)
 
     # ------------------------------------------------------------------
     # The batched loop
@@ -523,11 +608,8 @@ class FleetCohort:
         next_landing = self._next_landing
         cache = self.cache
         due = act[next_landing[act] <= pos[act]]
-        for slot in due.tolist():
-            queue = self._lane(slot).queue
-            for page in queue.landed(int(pos[slot])):
-                cache.insert_prefetch(slot, page)
-            next_landing[slot] = queue.next_landing
+        if due.size:
+            self._land(due)
         self._limit[act] = np.minimum(self._n_len[act], next_landing[act])
         limit_view = self._limit
         if self._hit_walk is not None:
@@ -566,7 +648,7 @@ class FleetCohort:
                     predictions = lane.on_miss(MissEvent(
                         index=i, address=address, page=page,
                         stream_id=stream_id, timestamp=timestamp))
-                self._issue(slot, lane, i, page, predictions)
+                self._issue(slot, i, page, predictions)
             # One stacked call per group, after the scalar lanes.
             for index, group in enumerate(self._groups):
                 rows = (group_of == index).nonzero()[0]

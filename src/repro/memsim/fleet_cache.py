@@ -4,9 +4,10 @@ One :class:`~repro.memsim.pagecache.PageCache` holds one tenant's
 residency in per-slot arrays.  :class:`FleetPageCache` stacks N such
 caches into (tenant, slot) matrices — ``last_use`` / ``page_of_slot`` /
 ``undemanded`` / ``dirty`` / ``cid_of_slot`` of shape ``(T, S)`` and the
-cid-indexed slot table ``soc`` of shape ``(T, U)`` — plus per-lane
-``(T,)`` vectors for every :class:`~repro.memsim.pagecache.CacheStats`
-counter, the LRU clock, and the residency counts.  The fleet engine
+cid-indexed slot table ``soc`` of shape ``(T, U + extension)`` — plus
+per-lane ``(T,)`` vectors for every
+:class:`~repro.memsim.pagecache.CacheStats` counter, the LRU clock, and
+the residency counts.  The fleet engine
 (``memsim/fleet.py``) then advances *all* lanes with a handful of
 vectorized operations per lockstep round instead of paying the Python
 dispatch floor once per lane per event.
@@ -18,10 +19,12 @@ Every lane behaves exactly like an independent single-tenant
 ``memsim/pagecache_reference.py`` specification):
 
 * The entry points are the ones the cohort calls: :meth:`hit_walk`
-  (every lane's hit run, lockstep) and :meth:`fill_step` (one demand
-  miss per lane) are the tenant-axis forms of ``PageCache.access`` and
-  ``PageCache.fill``, and :meth:`insert_prefetch` (a landing) is
-  ``PageCache.insert_prefetch`` with a leading lane index.
+  (every lane's hit run, lockstep), :meth:`fill_step` (one demand miss
+  per lane) and :meth:`land` (one landed prefetch per lane) are the
+  tenant-axis forms of ``PageCache.access``, ``PageCache.fill`` and
+  ``PageCache.insert_prefetch``; :meth:`cids_of` names a lane's
+  prefetched pages when they are issued.  A lane with several landings
+  due takes them in rounds, one :meth:`land` call each.
 * The batched lazy-LRU victim queue keeps one ``(stamp, slot)`` snapshot
   row per lane (refilled by a per-tenant ``argpartition`` over the 2-D
   stamp matrix) and pops with the same stale-stamp skip: a matching
@@ -41,10 +44,13 @@ of those entry points against ``ReferencePageCache`` counter-for-counter
 after every operation, read back through :meth:`lanes_stats`,
 :meth:`resident_pages` and ``n_resident``.
 
-Like the single-tenant bulk API, demand residency is authoritative in
-``soc`` (demand pages always come from the trace's page universe);
-out-of-universe pages (speculative prefetches) live in a per-lane dict
-overlay that bulk scans never need to consult.
+Residency lives in ``soc`` alone.  Demand pages always come from the
+trace's page universe; a prefetched page outside it (a speculative
+prediction) gets an *extension* cid from the lane's universe size up
+when :meth:`cids_of` first meets it, kept in a per-lane page → cid dict
+that is read only at issue.  ``soc`` is widened (a new array: callers
+that bound the old one rebind) when an extension cid falls outside it,
+so its width follows what lanes use.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ class FleetPageCache:
         n_lanes: Number of tenant lanes (T).
         slot_capacity: Slot matrix width (S) — the maximum per-lane
             ``capacity_pages`` this fleet can host.
-        universe_capacity: Slot-table width (U) — the maximum per-lane
-            page-universe size.
+        universe_capacity: The maximum per-lane page-universe size (U),
+            and the width ``soc`` starts at.
     """
 
     def __init__(self, n_lanes: int, slot_capacity: int,
@@ -108,10 +114,12 @@ class FleetPageCache:
         self.vq_slot = np.zeros((n_lanes, _VICTIM_BATCH), dtype=np.int64)
         self.vq_idx = np.zeros(n_lanes, dtype=np.int64)
         self.vq_len = np.zeros(n_lanes, dtype=np.int64)
-        # Per-lane page -> cid map (shared across lanes replaying the same
-        # trace) and the out-of-universe overlay.
+        # Per-lane page -> cid maps: the universe's (shared across lanes
+        # replaying the same trace), and the lane's own extension, which
+        # names out-of-universe pages from the universe size up.
         self._cid_of: list[dict[int, int]] = [{} for _ in range(n_lanes)]
-        self._extra: list[dict[int, int]] = [{} for _ in range(n_lanes)]
+        self._ext_of: list[dict[int, int]] = [{} for _ in range(n_lanes)]
+        self._ext_base = [0] * n_lanes
 
     # ------------------------------------------------------------------
     # Lane lifecycle (load / drain / refill)
@@ -123,9 +131,8 @@ class FleetPageCache:
         for a whole refill batch at once.  Lanes replaying the same trace
         share one prebuilt ``page -> cid`` dict in ``cid_ofs``.
 
-        ``universe_sizes`` carries each lane's page-universe size (the
-        caller holds the prebuilt ``cid_ofs`` dicts, so the arrays
-        themselves are not needed here — only the width check).
+        ``universe_sizes`` carries each lane's page-universe size: the
+        width check, and where the lane's extension cids start.
         """
         if np.any((capacities <= 0) | (capacities > self.slot_capacity)):
             bad = int(capacities[(capacities <= 0)
@@ -140,8 +147,10 @@ class FleetPageCache:
                 f"{self.universe_capacity}")
         self.reset_lanes(lanes)
         self.capacity[lanes] = capacities
-        for lane, cid_of in zip(lanes.tolist(), cid_ofs):
+        for lane, cid_of, size in zip(lanes.tolist(), cid_ofs,
+                                      universe_sizes.tolist()):
             self._cid_of[lane] = cid_of
+            self._ext_base[lane] = size
 
     def reset_lanes(self, lanes: np.ndarray) -> None:
         """Return ``lanes`` to the empty-cache state (drain before
@@ -160,7 +169,7 @@ class FleetPageCache:
         self.vq_len[lanes] = 0
         for lane in lanes.tolist():
             self._cid_of[lane] = {}
-            self._extra[lane] = {}
+            self._ext_of[lane] = {}
 
     def lanes_stats(self, lanes: np.ndarray) -> list[CacheStats]:
         """Each lane's counters as a ``CacheStats`` block: nine vector
@@ -170,35 +179,61 @@ class FleetPageCache:
         return [CacheStats(*row) for row in zip(*columns)]
 
     # ------------------------------------------------------------------
-    # Landings (PageCache.insert_prefetch with a leading lane index)
+    # Landings (PageCache.insert_prefetch, a round of lanes at a time)
     # ------------------------------------------------------------------
-    def insert_prefetch(self, lane: int, page: int) -> bool:
-        """Install a prefetched page on ``lane``; False if redundant."""
-        self.prefetches_issued[lane] += 1
-        cid = self._cid_of[lane].get(page, -1)
-        slot = (int(self.soc[lane, cid]) if cid >= 0
-                else self._extra[lane].get(page, -1))
-        if slot >= 0:
-            self.prefetches_redundant[lane] += 1
-            self.last_use[lane, slot] = self.clock[lane]
-            self.clock[lane] += 1
-            return False
-        if self.n_resident[lane] >= self.capacity[lane]:
-            slot = self._evict_lru(lane)
-        else:
-            slot = int(self.n_resident[lane])
-        self.page_of_slot[lane, slot] = page
-        self.last_use[lane, slot] = self.clock[lane]
-        self.clock[lane] += 1
-        self.undemanded[lane, slot] = True
-        self.n_undemanded[lane] += 1
-        self.n_resident[lane] += 1
-        if cid >= 0:
-            self.soc[lane, cid] = slot
-            self.cid_of_slot[lane, slot] = cid
-        else:
-            self._extra[lane][page] = slot
-        return True
+    def cids_of(self, lanes: np.ndarray, pages: np.ndarray) -> np.ndarray:
+        """The cid of page ``pages[i]`` on lane ``lanes[i]``.  A page
+        outside the lane's universe gets the lane's next extension cid
+        the first time it is asked for; ``soc`` is reallocated wider
+        when one falls outside it."""
+        cid_of, ext_of, ext_base = self._cid_of, self._ext_of, self._ext_base
+        found = []
+        for lane, page in zip(lanes.tolist(), pages.tolist()):
+            cid = cid_of[lane].get(page)
+            if cid is None:
+                ext = ext_of[lane]
+                cid = ext.get(page)
+                if cid is None:
+                    cid = ext[page] = ext_base[lane] + len(ext)
+            found.append(cid)
+        cids = np.array(found, dtype=np.int64)
+        width = self.soc.shape[1]
+        if cids.size and int(cids.max()) >= width:
+            wider = np.full((self.n_lanes,
+                             max(int(cids.max()) + 1, width + width // 4)),
+                            -1, dtype=np.int64)
+            wider[:, :width] = self.soc
+            self.soc = wider
+        return cids
+
+    def land(self, lanes: np.ndarray, cids: np.ndarray,
+             pages: np.ndarray) -> None:
+        """Install one landed prefetch per lane, for many lanes at once:
+        page ``pages[i]`` (cid ``cids[i]``) on lane ``lanes[i]``, each
+        lane at most once per call.  A resident page is redundant and
+        only refreshed; otherwise a full lane first evicts its LRU page —
+        ``PageCache.insert_prefetch``'s accounting, lane by lane."""
+        self.prefetches_issued[lanes] += 1
+        slots = self.soc[lanes, cids]
+        resident = slots >= 0
+        if resident.any():
+            again = lanes[resident]
+            self.prefetches_redundant[again] += 1
+            clk = self.clock[again]
+            self.last_use[again, slots[resident]] = clk
+            self.clock[again] = clk + 1
+            fresh = ~resident
+            lanes, cids, pages = lanes[fresh], cids[fresh], pages[fresh]
+        slots = self._install_slots(lanes, by_prefetch=True)
+        self.page_of_slot[lanes, slots] = pages
+        clk = self.clock[lanes]
+        self.last_use[lanes, slots] = clk
+        self.clock[lanes] = clk + 1
+        self.undemanded[lanes, slots] = True
+        self.n_undemanded[lanes] += 1
+        self.n_resident[lanes] += 1
+        self.soc[lanes, cids] = slots
+        self.cid_of_slot[lanes, slots] = cids
 
     def resident_pages(self, lane: int) -> list[int]:
         """Lane residents in LRU-to-MRU order (the reference dict order)."""
@@ -207,37 +242,32 @@ class FleetPageCache:
         order = occupied[np.argsort(row[occupied])]
         return [int(p) for p in self.page_of_slot[lane, order]]
 
-    def _evict_lru(self, lane: int) -> int:
-        """Evict ``lane``'s LRU page for a landing; returns the freed
-        slot."""
-        while True:
-            idx = int(self.vq_idx[lane])
-            if idx >= self.vq_len[lane]:
-                self._refill_rows(np.array([lane], dtype=np.int64))
-                idx = 0
-            stamp = int(self.vq_stamp[lane, idx])
-            slot = int(self.vq_slot[lane, idx])
-            self.vq_idx[lane] = idx + 1
-            if self.last_use[lane, slot] == stamp:
-                break
-        if self.dirty[lane, slot]:
-            self.writebacks[lane] += 1
-            self.dirty[lane, slot] = False
-        if self.undemanded[lane, slot]:
-            self.prefetches_evicted_unused[lane] += 1
-            self.undemanded[lane, slot] = False
-            self.n_undemanded[lane] -= 1
-        else:
-            self.demand_evictions_by_prefetch[lane] += 1
-        self.last_use[lane, slot] = _FREE
-        self.n_resident[lane] -= 1
-        cid = int(self.cid_of_slot[lane, slot])
-        if cid >= 0:
-            self.soc[lane, cid] = -1
-            self.cid_of_slot[lane, slot] = -1
-        else:
-            del self._extra[lane][int(self.page_of_slot[lane, slot])]
-        return slot
+    def _install_slots(self, lanes: np.ndarray,
+                       by_prefetch: bool) -> np.ndarray:
+        """The slot each lane installs its next page into: its next
+        virgin slot below capacity, else its LRU victim, evicted here —
+        a writeback if dirty, then an unused prefetch, or (for a
+        landing) a demand page evicted by a prefetch."""
+        slots = self.n_resident[lanes]
+        full = (slots >= self.capacity[lanes]).nonzero()[0]
+        if full.size:
+            ev_lanes = lanes[full]
+            vslots = self._take_victims(ev_lanes)
+            was_dirty = self.dirty[ev_lanes, vslots]
+            self.writebacks[ev_lanes] += was_dirty
+            self.dirty[ev_lanes, vslots] = False
+            was_und = self.undemanded[ev_lanes, vslots]
+            self.prefetches_evicted_unused[ev_lanes] += was_und
+            self.undemanded[ev_lanes, vslots] = False
+            self.n_undemanded[ev_lanes] -= was_und
+            if by_prefetch:
+                self.demand_evictions_by_prefetch[ev_lanes] += ~was_und
+            self.last_use[ev_lanes, vslots] = _FREE
+            self.soc[ev_lanes, self.cid_of_slot[ev_lanes, vslots]] = -1
+            self.cid_of_slot[ev_lanes, vslots] = -1
+            self.n_resident[ev_lanes] -= 1
+            slots[full] = vslots
+        return slots
 
     # ------------------------------------------------------------------
     # Batched victim queue
@@ -351,34 +381,7 @@ class FleetPageCache:
         """
         self.accesses[lanes] += 1
         self.demand_misses[lanes] += 1
-        need = self.n_resident[lanes] >= self.capacity[lanes]
-        slots = np.empty(lanes.size, dtype=np.int64)
-        if need.any():
-            ev_lanes = lanes[need]
-            vslots = self._take_victims(ev_lanes)
-            was_dirty = self.dirty[ev_lanes, vslots]
-            self.writebacks[ev_lanes] += was_dirty
-            self.dirty[ev_lanes, vslots] = False
-            was_und = self.undemanded[ev_lanes, vslots]
-            self.prefetches_evicted_unused[ev_lanes] += was_und
-            self.undemanded[ev_lanes, vslots] = False
-            self.n_undemanded[ev_lanes] -= was_und
-            self.last_use[ev_lanes, vslots] = _FREE
-            old_cids = self.cid_of_slot[ev_lanes, vslots]
-            in_uni = old_cids >= 0
-            self.soc[ev_lanes[in_uni], old_cids[in_uni]] = -1
-            self.cid_of_slot[ev_lanes, vslots] = -1
-            if not in_uni.all():
-                out_lanes = ev_lanes[~in_uni]
-                out_slots = vslots[~in_uni]
-                out_pages = self.page_of_slot[out_lanes, out_slots]
-                for t, page in zip(out_lanes.tolist(), out_pages.tolist()):
-                    del self._extra[t][int(page)]
-            self.n_resident[ev_lanes] -= 1
-            slots[need] = vslots
-        fresh = ~need
-        if fresh.any():
-            slots[fresh] = self.n_resident[lanes[fresh]]
+        slots = self._install_slots(lanes, by_prefetch=False)
         self.page_of_slot[lanes, slots] = pages
         clk = self.clock[lanes]
         self.last_use[lanes, slots] = clk

@@ -25,7 +25,9 @@ such an entry is filled once from the scalar ``hidden_code``).  Lane
 sequence state is five ``(lanes,)`` arrays of classes, code ids and
 flags.  With those, per call:
 
-* **Hidden codes** — one ``next[prev + 1, class]`` gather.
+* **Hidden codes** — one ``next[prev + 1, class]`` gather; a call's
+  unmet entries are one ``np.unique`` of their keys, each distinct
+  transition filled once and scattered back.
 * **Batched learn** — every lane's Eq. 1 column update (and the
   error-driven punish term) lands in a disjoint row of the value slab.
   A target's slots are one contiguous class-major range, so the
@@ -544,19 +546,35 @@ class HebbianFleet:
     # ------------------------------------------------------------------
     def _codes(self, prev: np.ndarray, cls: np.ndarray) -> np.ndarray:
         """Ids of ``hidden_code(cls[i], code prev[i])``: one gather from
-        the transition table; entries met for the first time go through
-        the scalar path once.  May rebuild the book: code ids the caller
-        holds other than the returned ones are stale afterwards."""
+        the transition table; each distinct transition met for the first
+        time goes through the scalar path once, in the order the rows
+        first name it (so ids are those of filling row by row).  May
+        rebuild the book: code ids the caller holds other than the
+        returned ones are stale afterwards."""
         book = self._book
         ids = book.next[prev + 1, cls]
         if ids.size and ids.min() < 0:
             unmet = (ids < 0).nonzero()[0]
-            if len(book) + unmet.size > book.limit:
+            keys, first, inverse = self._transitions(prev[unmet], cls[unmet])
+            if len(book) + keys.size > book.limit:
                 prev = self._shrink_book(prev)
                 unmet = np.arange(ids.size)
-            for i in unmet.tolist():
-                ids[i] = book.fill(int(prev[i]), int(cls[i]))
+                keys, first, inverse = self._transitions(prev, cls)
+            order = first.argsort()
+            vocab = self.vocab_size
+            filled = np.empty(keys.size, dtype=np.int64)
+            filled[order] = [book.fill(key // vocab - 1, key % vocab)
+                             for key in keys[order].tolist()]
+            ids[unmet] = filled[inverse]
         return ids
+
+    def _transitions(self, prev: np.ndarray, cls: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct ``(prev, cls)`` pairs as ``next``-table keys
+        ``(prev + 1) * vocab + cls``, where each first occurs, and the
+        key of every pair as an index into them."""
+        return np.unique((prev + 1) * self.vocab_size + cls,
+                         return_index=True, return_inverse=True)
 
     def _shrink_book(self, held: np.ndarray) -> np.ndarray:
         """Rebuild the book from the codes resident lanes reference

@@ -18,10 +18,12 @@ from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.core.encoding import DeltaVocabEncoder
+from repro.core.phase_detect import OnlinePhaseDetector
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, generate
+from repro.patterns.phases import Phase, build_phased_trace
 from tests.core.test_miss_stages import assert_released_like
 
 VOCAB = 48
@@ -586,3 +588,65 @@ def test_a_wide_round_has_no_per_lane_python_at_its_seams(
     monkeypatch.undo()
     for i in everyone:
         lanes.leave(i)
+
+
+def test_the_phase_window_is_a_row_of_the_arrays(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """Detector lanes in a cohort against ``simulate()`` twins, phases
+    seen, transitions, centroids and the open window included: lanes
+    that close two windows and more while resident, veterans admitted
+    with a part-filled window (warmed through ``on_miss_fast``), lanes
+    released mid-window.  While resident, a member's detector is called
+    only as its window closes — never ``observe``."""
+    config = SimConfig(memory_fraction=0.3)
+    n = LANES + 2
+    traces = [build_phased_trace(
+        [Phase("pointer_chase", 300 + 7 * lane), Phase("stride", 200),
+         Phase("pointer_chase", 150)],
+        PatternSpec(working_set=60, element_size=4096), seed=lane).trace
+        for lane in range(n)]
+    veterans = (1, 7, 14)
+
+    def lane(i: int) -> CLSPrefetcher:
+        p = _prefetcher(i)
+        if i in veterans:
+            for address, page, ts in _stream(i)[:40 + 11 * i]:
+                p.on_miss_fast(0, address, page, 0, ts)
+        return p
+
+    specs = [FleetLaneSpec(trace=traces[i], prefetcher=lane(i),
+                           config=config) for i in range(n)]
+    detectors = {id(spec.prefetcher.phase_detector): i
+                 for i, spec in enumerate(specs)
+                 if spec.prefetcher.phase_detector is not None}
+    assert all(0 < len(specs[i].prefetcher.phase_detector._recent) < 64
+               for i in veterans)
+    closed = [0] * n
+    close_window = OnlinePhaseDetector.close_window
+
+    def counted(self, window):
+        closed[detectors[id(self)]] += 1
+        return close_window(self, window)
+
+    def no_observe(self, feature):
+        raise AssertionError("observe on a member's detector")
+
+    monkeypatch.setattr(OnlinePhaseDetector, "close_window", counted)
+    monkeypatch.setattr(OnlinePhaseDetector, "observe", no_observe)
+    results = run_cohort(specs, backend="numpy", record_miss_indices=True)
+    monkeypatch.undo()
+
+    mid_window = 0
+    for i, (spec, got) in enumerate(zip(specs, results)):
+        twin = lane(i)
+        want = simulate(spec.trace, twin, config=config, backend="numpy",
+                        record_miss_indices=True)
+        assert got.stats.as_dict() == want.stats.as_dict(), i
+        assert got.miss_indices == want.miss_indices, i
+        assert_released_like(spec.prefetcher, twin)
+        detector = twin.phase_detector
+        if detector is not None:
+            assert closed[i] >= 2, i
+            assert detector.transitions >= 1
+            mid_window += 0 < len(detector._recent)
+    assert mid_window >= 2

@@ -74,3 +74,26 @@ class TestDetector:
             OnlinePhaseDetector(vocab_size=0)
         with pytest.raises(ValueError):
             OnlinePhaseDetector(vocab_size=4, similarity_threshold=1.0)
+
+    def test_close_window_is_observe_at_a_full_window(self):
+        """One stream fed feature by feature through ``observe`` and
+        window by window through ``close_window``: the same phase after
+        every window, and the same clusters at the end."""
+        rng = np.random.default_rng(5)
+        blocks = [rng.integers(0, 4, 50), 8 + rng.integers(0, 4, 70),
+                  rng.integers(0, 4, 60), rng.integers(0, 16, 45)]
+        stream = np.concatenate(blocks).tolist()
+        fed, closed = self.make(), self.make()
+        window: list[int] = []
+        for feature in stream:
+            phase = fed.observe(feature)
+            window.append(feature)
+            if len(window) == closed.window:
+                assert closed.close_window(np.array(window)) == phase
+                window.clear()
+            assert closed.current_phase == phase
+        assert list(fed._recent) == window
+        assert fed.transitions == closed.transitions >= 2
+        assert fed.n_phases == closed.n_phases >= 2
+        for ours, theirs in zip(fed._centroids, closed._centroids):
+            assert np.array_equal(ours, theirs)

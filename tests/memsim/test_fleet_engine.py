@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.classic import StridePrefetcher
+from repro.baselines.classic import MarkovPrefetcher, StridePrefetcher
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
@@ -78,6 +78,28 @@ def test_cls_fleet_matches_sequential_including_weights(
             if fleet_w is not None:
                 assert np.array_equal(fleet_w,
                                       getattr(reference_model, attr))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("delay", [1, 5])
+def test_landing_rounds_match_sequential(backend: str, delay: int) -> None:
+    """Lanes with prefetches of several misses in flight at once: a deep
+    stride lane (pages past the trace's universe too) and a Markov lane,
+    so a step lands several rounds, some redundant, while the landings
+    of later misses wait their turn."""
+    config = SimConfig(prefetch_delay_accesses=delay, memory_fraction=0.6)
+    traces = _traces(n=1500, working_set=120)
+
+    def lane(i: int):
+        return StridePrefetcher(degree=6) if i % 2 else MarkovPrefetcher(
+            degree=3)
+
+    specs = [FleetLaneSpec(trace=traces[i % len(traces)], prefetcher=lane(i),
+                           config=config) for i in range(2 * len(traces))]
+    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    for i, (spec, got) in enumerate(zip(specs, results)):
+        _assert_matches(got, _reference(spec, lane(i)))
+    assert any(got.stats.prefetches_redundant for got in results)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -554,6 +554,83 @@ def test_equal_config_prototypes_share_code_ids() -> None:
         assert np.array_equal(net.step(2), twin.step(2))
 
 
+#: A book-fill call: 64 lanes in three groups, each warmed on its own
+#: class and then stepped on the next one — three transitions the book
+#: has not met, shared by every lane of a group.  The call lists the
+#: groups last to first, so the order rows first name the transitions in
+#: is not the order of their keys.
+FILL_LANES = 64
+WARM = (5, 9, 14)
+NEXT = (7, 7, 30)
+FILL_ROWS = np.concatenate([np.arange(group, FILL_LANES, 3)
+                            for group in (2, 1, 0)])
+
+
+def _fill_fleet(extra_codes: int) -> HebbianFleet:
+    """The lanes of a book-fill call, in a book also holding
+    ``extra_codes`` codes no lane references."""
+    proto = _prototype("numpy")
+    fleet = HebbianFleet(proto, FILL_LANES, reserve=True)
+    for lane in range(FILL_LANES):
+        net = proto.clone()
+        net.step(WARM[lane % 3])
+        fleet.acquire_lane(net)
+    for input_class in range(extra_codes):
+        fleet._book.intern(proto.hidden_code(input_class, None))
+    return fleet
+
+
+def _resolve_row_by_row(fleet: HebbianFleet, prev: np.ndarray,
+                        cls: np.ndarray) -> list[int]:
+    """The ids of resolving one row at a time: a row whose transition is
+    still unmet when its turn comes fills it (after the same rebuild
+    decision as ``_codes``)."""
+    book = fleet._book
+    unmet = book.next[prev + 1, cls] < 0
+    new = set(zip(prev[unmet].tolist(), cls[unmet].tolist()))
+    if len(book) + len(new) > book.limit:
+        prev = fleet._shrink_book(prev)
+    ids = []
+    for p, c in zip(prev.tolist(), cls.tolist()):
+        cid = int(book.next[p + 1, c])
+        ids.append(cid if cid >= 0 else book.fill(p, c))
+    return ids
+
+
+@pytest.mark.parametrize("cap", [None, 8], ids=["book", "book-cap-8"])
+def test_a_call_fills_each_new_transition_once(
+        monkeypatch: pytest.MonkeyPatch, cap: int | None) -> None:
+    """One ``_codes`` call over 64 lanes sharing three unmet transitions
+    computes three scalar hidden codes and returns the ids of resolving
+    row by row — also when the book is squeezed to eight codes, so that
+    it is rebuilt inside the call."""
+    if cap is not None:
+        monkeypatch.setattr(hebbian_fleet, "_BOOK_CAP", cap)
+    extra = 0 if cap is None else 3
+    fleet, twin = _fill_fleet(extra), _fill_fleet(extra)
+    prev = fleet._prev_code[FILL_ROWS]
+    cls = np.array(NEXT)[FILL_ROWS % 3]
+    assert (fleet._book.next[prev + 1, cls] < 0).all()
+    assert len(set(zip(prev.tolist(), cls.tolist()))) == 3
+    proto = fleet.prototype
+    computed = []
+    hidden_code = proto.hidden_code
+    monkeypatch.setattr(proto, "hidden_code", lambda *args: (
+        computed.append(args) or hidden_code(*args)))
+    rebuilds = []
+    rebuild = fleet._book.rebuild
+    monkeypatch.setattr(fleet._book, "rebuild",
+                        lambda keep: rebuilds.append(keep) or rebuild(keep))
+    ids = fleet._codes(prev, cls)
+    assert len(computed) == 3
+    assert len(rebuilds) == (cap is not None)
+    assert ids.tolist() == _resolve_row_by_row(
+        twin, twin._prev_code[FILL_ROWS], cls)
+    assert len(fleet._book) == len(twin._book)
+    for ours, theirs in zip(fleet._book.codes, twin._book.codes):
+        assert np.array_equal(ours, theirs)
+
+
 # ----------------------------------------------------------------------
 # Capacity
 # ----------------------------------------------------------------------
