@@ -36,20 +36,23 @@ pair ``(pages, owner)`` — ``pages[k]`` is a prefetch of the round's row
 ``on_miss_fast`` would have listed them.  :meth:`handle_misses` is the
 same round on lists.
 
-Who may be a member is decided here alone, by
-:meth:`CLSFleetGroup.admits` (the model kernels and the lane-state
-arrays), grouping by :meth:`CLSPrefetcher.fleet_group_key`; every other
-lane keeps the scalar per-miss path in the cohort.
+Who may be a member, and of which group, is decided here alone, by
+:meth:`CLSFleetGroup.group_key`: ``None`` for a lane the model kernels
+or the lane-state arrays cannot step (it keeps the scalar per-miss path
+in the cohort), else every value a round reads as configuration — the
+model's config and backend, and each stage's setting.  A group holds
+one key, so a round reads its configuration as scalars, and the arrays
+hold only what differs between lanes: their per-miss state.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any, TypeGuard
+from typing import Any, NamedTuple, TypeGuard
 
 import numpy as np
 
-from ..nn.hebbian import SparseHebbianNetwork
+from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
 from .cls_prefetcher import CLSPrefetcher
 from .encoding import DeltaVocabEncoder
@@ -93,6 +96,29 @@ def _episodic_store(scheduler: ReplayScheduler) -> EpisodicStore | None:
     return None
 
 
+class _GroupKey(NamedTuple):
+    """Everything a round reads as configuration: one value per group."""
+
+    config: HebbianConfig   # equal configs build equal fixed structures,
+    backend: str            # and the backend picks the kernel bundle
+    alpha: float            # the accuracy EMA's rate
+    min_accuracy: float
+    min_confidence: float
+    width: int
+    length: int
+    page_shift: int
+    train_always: bool      # no per-lane training decision to ask for
+    phase_span: int         # the detector's window; 0: no detector
+    enc_limit: int          # the encoder's last class (vocab_size - 1)
+    enc_shift: int          # log2 of its granularity
+    enc_collapse: bool
+    hist_cap: int
+    ep_cap: int             # the replay store's ring; 0: no store
+    threshold: float        # ... which remembers below this confidence
+    per_step: int           # replayed pairs a trained step; 0: none
+    lr_scale: float
+
+
 def _wider(old: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``old`` extended with zeros to ``shape`` (no axis shrinks)."""
     new = np.zeros(shape, dtype=old.dtype)
@@ -101,14 +127,14 @@ def _wider(old: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _ring_tail(rows: np.ndarray, count: np.ndarray, kept: np.ndarray,
-               cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+               cap: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Where the last ``kept[i]`` of the ``count[i]`` entries written to
-    ring ``rows[i]`` (capacity ``cap[i]``) are, oldest first: ``(row,
+    ring ``rows[i]`` (capacity ``cap``) are, oldest first: ``(row,
     column)`` of every entry, ring after ring, and where each ring's run
     ends in them."""
     ends = kept.cumsum()
     nth = np.arange(ends[-1]) - (ends - kept).repeat(kept)
-    column = ((count - kept).repeat(kept) + nth) % cap.repeat(kept)
+    column = ((count - kept).repeat(kept) + nth) % cap
     return rows.repeat(kept), column, ends.tolist()
 
 
@@ -124,10 +150,12 @@ class _LaneArrays:
     class → delta table ``enc_delta`` (classes ``1 ..= enc_known``).  A
     phase detector's open window is a row of ``phase_window``; its
     centroids, transitions and current phase stay on the detector, which
-    ``close_window`` updates as the scalar ``observe`` would.
+    ``close_window`` updates as the scalar ``observe`` would.  Nothing
+    here is configuration: that is the group's key, whose widths the
+    tables take at construction.
     """
 
-    def __init__(self, lanes: int) -> None:
+    def __init__(self, lanes: int, key: _GroupKey) -> None:
         self.lanes = lanes
         # Every array's first axis is the slot; a row means something
         # only while the slot holds a member, and :meth:`admit` writes
@@ -138,31 +166,14 @@ class _LaneArrays:
         self.scored = np.zeros(lanes, dtype=bool)      # _last_probs is set
         # The _ema_top memo — a lane's top-``width`` classes, -1 padded —
         # and whether it is of the lane's current ``_last_probs``.
-        self.memo = np.zeros((lanes, 1), dtype=np.int64)
+        self.memo = np.zeros((lanes, key.width), dtype=np.int64)
         self.memo_ok = np.zeros(lanes, dtype=bool)
         # The DeltaVocabEncoder: its vocabulary (column 0, the OOV class,
         # names no delta) and its stream position.
-        self.enc_delta = np.zeros((lanes, 1), dtype=np.int64)
+        self.enc_delta = np.zeros((lanes, key.enc_limit + 1), dtype=np.int64)
         self.enc_known = np.zeros(lanes, dtype=np.int64)
-        self.enc_limit = np.zeros(lanes, dtype=np.int64)  # vocab_size - 1
         self.enc_unit = np.zeros(lanes, dtype=np.int64)   # _prev_unit ...
         self.enc_started = np.zeros(lanes, dtype=bool)    # ... is not None
-        self.enc_shift = np.zeros(lanes, dtype=np.int64)
-        self.enc_collapse = np.zeros(lanes, dtype=bool)
-        # Per-lane configuration.
-        self.alpha = np.zeros(lanes)
-        self.min_accuracy = np.zeros(lanes)
-        self.min_confidence = np.zeros(lanes)
-        self.width = np.zeros(lanes, dtype=np.int64)
-        self.length = np.zeros(lanes, dtype=np.int64)
-        self.page_shift = np.zeros(lanes, dtype=np.int64)
-        self.region_shift = np.zeros(lanes, dtype=np.int64)
-        self.train_always = np.zeros(lanes, dtype=bool)
-        self.has_detector = np.zeros(lanes, dtype=bool)
-        self.has_store = np.zeros(lanes, dtype=bool)
-        self.threshold = np.zeros(lanes)      # store only below this confidence
-        self.per_step = np.zeros(lanes, dtype=np.int64)
-        self.lr_scale = np.zeros(lanes)
         # Counters, as deltas since admission.
         self.misses = np.zeros(lanes, dtype=np.int64)
         self.trained = np.zeros(lanes, dtype=np.int64)
@@ -172,11 +183,10 @@ class _LaneArrays:
         self.invocations = np.zeros(lanes, dtype=np.int64)
         self.always = np.zeros(lanes, dtype=np.int64)  # TrainAlways' two counters
         self.detected = np.zeros(lanes, dtype=bool)    # the phase detector ran
-        # The episode slab: episodes ever written to the row, how many of
-        # them were copied in at admission, the ring capacity.
+        # The episode slab: episodes ever written to the row, and how many
+        # of them were copied in at admission.
         self.ep_count = np.zeros(lanes, dtype=np.int64)
         self.ep_first = np.zeros(lanes, dtype=np.int64)
-        self.ep_cap = np.zeros(lanes, dtype=np.int64)
         self.ep_input = np.zeros((lanes, 0), dtype=np.int32)
         self.ep_target = np.zeros((lanes, 0), dtype=np.int32)
         self.ep_phase = np.zeros((lanes, 0), dtype=np.int64)
@@ -184,14 +194,12 @@ class _LaneArrays:
         self.ep_timestamp = np.zeros((lanes, 0), dtype=np.int64)
         # (class, address, timestamp) of the latest misses.
         self.hist_count = np.zeros(lanes, dtype=np.int64)
-        self.hist_cap = np.zeros(lanes, dtype=np.int64)
-        self.history = np.zeros((lanes, 2, 3), dtype=np.int64)
+        self.history = np.zeros((lanes, key.hist_cap, 3), dtype=np.int64)
         self.draws = LaneDraws(lanes)
         # The phase detector's open window: its features so far, how many,
-        # how many close it, and the phase the last one closed in.
-        self.phase_window = np.zeros((lanes, 0), dtype=np.int64)
+        # and the phase the last one closed in.
+        self.phase_window = np.zeros((lanes, key.phase_span), dtype=np.int64)
         self.phase_fill = np.zeros(lanes, dtype=np.int64)
-        self.phase_span = np.zeros(lanes, dtype=np.int64)
         self.phase = np.zeros(lanes, dtype=np.int64)
 
     def grow(self, lanes: int) -> None:
@@ -220,60 +228,31 @@ class _LaneArrays:
         self.ema[slot] = p.accuracy_ema
         self.prev[slot] = -1 if p._prev_class is None else p._prev_class
         self.scored[slot] = p._last_probs is not None
-        width = p._width
-        have = self.memo.shape[1]
-        if width > have:
-            self.memo = _wider(self.memo, (self.lanes, width))
-            self.memo[:, have:] = -1  # zero is a class
         memo = p._ema_top
         self.memo_ok[slot] = False
         if memo is not None and memo[0] is p._last_probs:
-            self.memo[slot] = -1
+            self.memo[slot] = -1  # zero is a class
             self.memo[slot, :len(memo[1])] = memo[1]
             self.memo_ok[slot] = True
 
         encoder = p.encoder
         assert isinstance(encoder, DeltaVocabEncoder)
         deltas, prev_unit = encoder.table()
-        if encoder.vocab_size > self.enc_delta.shape[1]:
-            self.enc_delta = _wider(self.enc_delta,
-                                    (self.lanes, encoder.vocab_size))
         self.enc_delta[slot, 1:len(deltas) + 1] = deltas
         self.enc_known[slot] = len(deltas)
-        self.enc_limit[slot] = encoder.vocab_size - 1
         self.enc_started[slot] = prev_unit is not None
         self.enc_unit[slot] = 0 if prev_unit is None else prev_unit
-        self.enc_shift[slot] = encoder.granularity.bit_length() - 1
-        self.enc_collapse[slot] = encoder.collapse_repeats
 
-        self.alpha[slot] = p._alpha
-        self.min_accuracy[slot] = p._min_accuracy
-        self.min_confidence[slot] = p._min_confidence
-        self.width[slot] = width
-        self.length[slot] = p._length
-        self.page_shift[slot] = p._page_shift
-        self.region_shift[slot] = p._region_shift
-        self.train_always[slot] = type(p.training_policy) is TrainAlways
-        detector = p.phase_detector
-        self.has_detector[slot] = detector is not None
         for counter in (self.misses, self.trained, self.replayed,
                         self.suppressed, self.emitted, self.invocations,
                         self.always, self.detected):
             counter[slot] = 0
 
         scheduler = p.scheduler
-        self.has_store[slot] = scheduler is not None
-        self.per_step[slot] = 0
         self.ep_count[slot] = self.ep_first[slot] = 0
         if scheduler is not None:
             store = _episodic_store(scheduler)
             assert store is not None
-            self.threshold[slot] = getattr(
-                scheduler.policy, "confidence_threshold", np.inf)
-            self.per_step[slot] = scheduler.per_step
-            self.lr_scale[slot] = scheduler.lr_scale
-            self.ep_cap[slot] = (_UNBOUNDED if store.capacity is None
-                                 else store.capacity)
             held = store.episodes()
             if held:
                 n = len(held)
@@ -286,33 +265,25 @@ class _LaneArrays:
                 self.ep_timestamp[slot, :n] = columns[4]
                 self.ep_count[slot] = self.ep_first[slot] = n
             self.draws.attach(slot, scheduler._rng)
-
-        history = p.history
-        if history.capacity > self.history.shape[1]:
-            self.history = _wider(self.history,
-                                  (self.lanes, history.capacity, 3))
-        self.hist_cap[slot] = history.capacity
         self.hist_count[slot] = 0
 
+        detector = p.phase_detector
         if detector is not None:
-            if detector.window > self.phase_window.shape[1]:
-                self.phase_window = _wider(self.phase_window,
-                                           (self.lanes, detector.window))
             recent = list(detector._recent)
             self.phase_window[slot, :len(recent)] = recent
             self.phase_fill[slot] = len(recent)
-            self.phase_span[slot] = detector.window
             self.phase[slot] = detector.current_phase
 
     def hand_back(self, slots: np.ndarray,  # repro-lint: zone=lane-release
                   prefetchers: Sequence[CLSPrefetcher],
-                  last_probs: np.ndarray) -> None:
+                  last_probs: np.ndarray, key: _GroupKey) -> None:
         """Move rows ``slots`` back into their ``prefetchers``: what a
         scalar run of the same misses would have left there
-        (``last_probs``: the fleet's rows, by slot).  One gather and one
-        ``tolist`` per column for all the lanes leaving; the one place
-        that writes a prefetcher's per-miss state from outside it —
-        :meth:`admit`'s inverse."""
+        (``last_probs``: the fleet's rows, by slot; ``key``: the group's,
+        so a store, a detector or ``TrainAlways`` is every lane's or
+        none's).  One gather and one ``tolist`` per column for all the
+        lanes leaving; the one place that writes a prefetcher's per-miss
+        state from outside it — :meth:`admit`'s inverse."""
         def column(values: np.ndarray) -> list[Any]:
             return values[slots].tolist()
 
@@ -335,12 +306,11 @@ class _LaneArrays:
             encoder.restore(table[1:known + 1], unit if started else None)
 
         for p, misses, trained, replayed, suppressed, emitted, detected, \
-                always_on, always, invocations in zip(
+                always, invocations in zip(
                     prefetchers, column(self.misses), column(self.trained),
                     column(self.replayed), column(self.suppressed),
                     column(self.emitted), column(self.detected),
-                    column(self.train_always), column(self.always),
-                    column(self.invocations)):
+                    column(self.always), column(self.invocations)):
             stats = p.stats
             stats.misses_seen += misses
             stats.trained_steps += trained
@@ -350,7 +320,7 @@ class _LaneArrays:
             if detected:
                 assert p.phase_detector is not None
                 stats.phases_seen = p.phase_detector.n_phases
-            if always_on:
+            if key.train_always:
                 p.training_policy.considered += always
                 p.training_policy.trained += always
             scheduler = p.scheduler
@@ -358,17 +328,14 @@ class _LaneArrays:
                 scheduler.invocations += invocations
                 scheduler.replayed_total += replayed
 
-        storing = self.has_store[slots].nonzero()[0]
-        if storing.size:
-            rows = slots[storing]
-            count = self.ep_count[rows]
-            fresh = count - self.ep_first[rows]
-            cap = self.ep_cap[rows]
-            kept = np.minimum(fresh, cap)
+        if key.ep_cap:
+            count = self.ep_count[slots]
+            fresh = count - self.ep_first[slots]
+            kept = np.minimum(fresh, key.ep_cap)
             episodes: list[Episode] = []
-            ends = [0] * storing.size
+            ends = [0] * slots.size
             if kept.any():
-                row, at, ends = _ring_tail(rows, count, kept, cap)
+                row, at, ends = _ring_tail(slots, count, kept, key.ep_cap)
                 episodes = list(map(Episode._make, zip(
                     self.ep_input[row, at].tolist(),
                     self.ep_target[row, at].tolist(),
@@ -377,10 +344,10 @@ class _LaneArrays:
                     self.ep_timestamp[row, at].tolist())))
             # A ring that wrapped within the residency overwrote the
             # rest: stored, and evicted again.
-            for i, slot, lo, hi, lost in zip(
-                    storing.tolist(), rows.tolist(), [0, *ends], ends,
+            for p, slot, lo, hi, lost in zip(
+                    prefetchers, slots.tolist(), [0, *ends], ends,
                     (fresh - kept).tolist()):
-                scheduler = prefetchers[i].scheduler
+                scheduler = p.scheduler
                 assert scheduler is not None
                 self.draws.detach(slot)
                 store = _episodic_store(scheduler)
@@ -390,57 +357,67 @@ class _LaneArrays:
                 store.evicted_total += lost
 
         count = self.hist_count[slots]
-        kept = np.minimum(count, self.hist_cap[slots])
+        kept = np.minimum(count, key.hist_cap)
         if kept.any():
-            row, at, ends = _ring_tail(slots, count, kept, self.hist_cap[slots])
+            row, at, ends = _ring_tail(slots, count, kept, key.hist_cap)
             records = list(map(MissRecord._make,
                                self.history[row, at].tolist()))
             for p, lo, hi in zip(prefetchers, [0, *ends], ends):
                 p.history.extend(records[lo:hi])
 
-        detecting = self.has_detector[slots].nonzero()[0]
-        if detecting.size:
-            rows = slots[detecting]
-            fill = self.phase_fill[rows]
-            open_ = np.arange(self.phase_window.shape[1]) < fill[:, None]
-            features = self.phase_window[rows][open_].tolist()
+        if key.phase_span:
+            fill = self.phase_fill[slots]
+            open_ = np.arange(key.phase_span) < fill[:, None]
+            features = self.phase_window[slots][open_].tolist()
             ends = fill.cumsum().tolist()
-            for i, lo, hi in zip(detecting.tolist(), [0, *ends], ends):
-                detector = prefetchers[i].phase_detector
+            for p, lo, hi in zip(prefetchers, [0, *ends], ends):
+                detector = p.phase_detector
                 assert detector is not None
                 detector._recent.clear()
                 detector._recent.extend(features[lo:hi])
 
 
 class CLSFleetGroup:
-    """Same-config CLS lanes stepped through one :class:`HebbianFleet`.
+    """CLS lanes of one configuration stepped through one
+    :class:`HebbianFleet`.
 
     Members adopt their live networks into fleet slots (:meth:`adopt`)
     and take them back, bit-identical, when their lanes finish
     (:meth:`release_many`); in between, :meth:`miss_round` drives each
-    cohort round's stalled-lane misses through the stacked path.
+    cohort round's stalled-lane misses through the stacked path.  The
+    group's configuration is its first member's :meth:`group_key`, and
+    every member's.
     """
 
     def __init__(self, prefetcher: CLSPrefetcher,
                  capacity: int = 16) -> None:
+        key = self.group_key(prefetcher)
+        if key is None:
+            raise ValueError("the lane-state arrays do not model this "
+                             "prefetcher (see CLSFleetGroup.group_key)")
         model = prefetcher.model
         assert isinstance(model, SparseHebbianNetwork)
         # The prototype contributes only fixed structures and memo
         # caches (reserve mode never reads its weights), so the first
         # member's model serves as-is.
         self._fleet = HebbianFleet(model, max(capacity, 1), reserve=True)
+        self._key = key
         self._members: dict[int, CLSPrefetcher] = {}
         self._member_ids: set[int] = set()
-        self._state = _LaneArrays(self._fleet.n_lanes)
+        self._state = _LaneArrays(self._fleet.n_lanes, key)
 
     @staticmethod
-    def admits(prefetcher: object) -> TypeGuard[CLSPrefetcher]:
-        """True when ``prefetcher`` may be a member: a CLS prefetcher
-        whose model the fleet kernels step and whose stages the
-        lane-state arrays model in full.  A lane refused here keeps its
-        own ``on_miss_fast`` in the cohort."""
+    def group_key(prefetcher: object) -> _GroupKey | None:
+        """The group ``prefetcher`` belongs in: every value a round
+        reads as configuration, from the objects its stages read it
+        from.  ``None`` for a lane no group may hold — not a CLS
+        prefetcher whose model the fleet kernels step and whose stages
+        the lane-state arrays model in full; such a lane keeps its own
+        ``on_miss_fast`` in the cohort.  Lanes of one key differ in
+        per-miss state alone (``seed`` reaches a lane only through its
+        replay generator)."""
         if not isinstance(prefetcher, CLSPrefetcher):
-            return False
+            return None
         # The kernels step a float-served Hebbian network; the stages
         # have no availability manager, batch-accumulate training or
         # per-access observer to mirror, and no recall memory.
@@ -451,25 +428,47 @@ class CLSFleetGroup:
                 or prefetcher._batch_policy is not None
                 or prefetcher.wants_accesses
                 or prefetcher.recall_memory is not None):
-            return False
+            return None
         # Only the delta vocabulary is a table a row compare can search:
         # the page encoder's is as wide as the footprint (and direct mode
         # requires it), the region encoder's cursors are a dict per lane.
-        if type(prefetcher.encoder) is not DeltaVocabEncoder:
-            return False
+        encoder = prefetcher.encoder
+        if type(encoder) is not DeltaVocabEncoder:
+            return None
         # Replay must sample an episodic store (no generative or
         # ``on_replayed`` policy) within the raw block's attempts.
+        ep_cap, threshold, per_step, lr_scale = 0, 0.0, 0, 0.0
         scheduler = prefetcher.scheduler
-        if scheduler is not None and (
-                _episodic_store(scheduler) is None
-                or (scheduler.per_step * MAX_ATTEMPTS_PER_PICK
-                    > LaneDraws.max_attempts)):
-            return False
+        if scheduler is not None:
+            store = _episodic_store(scheduler)
+            if (store is None or scheduler.per_step * MAX_ATTEMPTS_PER_PICK
+                    > LaneDraws.max_attempts):
+                return None
+            ep_cap = _UNBOUNDED if store.capacity is None else store.capacity
+            threshold = getattr(scheduler.policy, "confidence_threshold",
+                                np.inf)
+            per_step, lr_scale = scheduler.per_step, scheduler.lr_scale
         # The scored prediction is read from the fleet's row, so it has
         # to be the model's own last step.
         scored, own = prefetcher._last_probs, model._last_probs
-        return scored is None or (own is not None
-                                  and np.array_equal(scored, own))
+        if scored is not None and (own is None
+                                   or not np.array_equal(scored, own)):
+            return None
+        detector = prefetcher.phase_detector
+        return _GroupKey(
+            model.config, model._backend, prefetcher._alpha,
+            prefetcher._min_accuracy, prefetcher._min_confidence,
+            prefetcher._width, prefetcher._length, prefetcher._page_shift,
+            type(prefetcher.training_policy) is TrainAlways,
+            0 if detector is None else detector.window,
+            encoder.vocab_size - 1, encoder.granularity.bit_length() - 1,
+            encoder.collapse_repeats, prefetcher.history.capacity, ep_cap,
+            threshold, per_step, lr_scale)
+
+    @staticmethod
+    def admits(prefetcher: object) -> TypeGuard[CLSPrefetcher]:
+        """True when ``prefetcher`` may be a member of some group."""
+        return CLSFleetGroup.group_key(prefetcher) is not None
 
     def reserve(self, lanes: int) -> None:
         """Capacity hint: ``lanes`` adoptions are coming (the constructor's
@@ -479,13 +478,18 @@ class CLSFleetGroup:
 
     def adopt(self, prefetcher: CLSPrefetcher) -> int:
         """Move a lane's model and per-miss state into the group; returns
-        its slot.  ``ValueError`` for a member, or a lane :meth:`admits`
-        refuses."""
+        its slot.  ``ValueError``, before anything moves, for a member, a
+        lane no group may hold, or one whose :meth:`group_key` is not
+        the group's."""
         if id(prefetcher) in self._member_ids:
             raise ValueError("prefetcher is already a member of this group")
-        if not self.admits(prefetcher):
+        key = self.group_key(prefetcher)
+        if key is None:
             raise ValueError("the lane-state arrays do not model this "
-                             "prefetcher (see CLSFleetGroup.admits)")
+                             "prefetcher (see CLSFleetGroup.group_key)")
+        if key != self._key:
+            raise ValueError("the prefetcher's configuration is not the "
+                             "group's (see CLSFleetGroup.group_key)")
         model = prefetcher.model
         assert isinstance(model, SparseHebbianNetwork)
         slot = self._fleet.acquire_lane(model)
@@ -513,7 +517,7 @@ class CLSFleetGroup:
                 raise ValueError(f"slot {slot} does not hold the "
                                  "prefetcher it is released to")
         self._state.hand_back(np.asarray(slots, dtype=np.intp), prefetchers,
-                              self._fleet.probs_rows)
+                              self._fleet.probs_rows, self._key)
         for slot, prefetcher in zip(slots, prefetchers):
             model = prefetcher.model
             assert isinstance(model, SparseHebbianNetwork)
@@ -560,6 +564,7 @@ class CLSFleetGroup:
         """:meth:`miss_round` on checked slots ``idx``: the stages on the
         lane-state arrays, one by one in scalar order."""
         s = self._state
+        k = self._key
         fleet = self._fleet
         address = np.asarray(addresses, dtype=np.int64)
         page = np.asarray(pages, dtype=np.int64)
@@ -567,10 +572,10 @@ class CLSFleetGroup:
 
         # observe: count, encode; lanes without a class stop here.
         s.misses[idx] += 1
-        unit = address >> s.enc_shift[idx]
+        unit = address >> k.enc_shift
         before = s.enc_unit[idx]
         started = s.enc_started[idx]
-        classed = started & ~(s.enc_collapse[idx] & (unit == before))
+        classed = started & (unit != before) if k.enc_collapse else started
         s.enc_unit[idx] = np.where(classed | ~started, unit, before)
         s.enc_started[idx] = True
         rows = None
@@ -588,7 +593,7 @@ class CLSFleetGroup:
         match &= np.arange(table.shape[1]) <= known[:, None]
         match[:, 0] = False
         cls = match.argmax(axis=1)  # 0: no class has this delta (yet)
-        fresh = ((cls == 0) & (known < s.enc_limit[idx])).nonzero()[0]
+        fresh = ((cls == 0) & (known < k.enc_limit)).nonzero()[0]
         if fresh.size:
             # First met: the next free class, while there is one; after
             # that, out of vocabulary (class 0).
@@ -600,7 +605,7 @@ class CLSFleetGroup:
         # observe: the phase — a hint wins over the detector.
         members = self._members
         hints = [members[slot]._hinted_phase for slot in slots]
-        detecting = s.has_detector[idx]
+        detecting = np.full(idx.size, k.phase_span > 0)
         hinted = None
         if hints.count(None) != len(hints):
             hinted = np.array([hint is not None for hint in hints])
@@ -624,30 +629,27 @@ class CLSFleetGroup:
             if stale.size:
                 # No rollout partitioned these vectors (the lane was
                 # gated): the scalar stage's own argpartition, row-wise.
-                widths = s.width[lanes[stale]]
-                for width in np.unique(widths).tolist():
-                    some = stale[widths == width]
-                    top = probs_rows[lanes[some]].argpartition(
-                        -width, axis=1)[:, -width:]
-                    covered[some] = (top == seen[some][:, None]).any(axis=1)
-            alpha = s.alpha[lanes]
-            s.ema[lanes] = (1 - alpha) * s.ema[lanes] + alpha * covered
+                top = probs_rows[lanes[stale]].argpartition(
+                    -k.width, axis=1)[:, -k.width:]
+                covered[stale] = (top == seen[stale][:, None]).any(axis=1)
+            s.ema[lanes] = (1 - k.alpha) * s.ema[lanes] + k.alpha * covered
 
         # observe: the training decision.
         prev = s.prev[idx]
         paired = prev >= 0
-        train = paired & s.train_always[idx]
-        s.always[idx[train]] += 1
-        for i in (paired & ~s.train_always[idx]).nonzero()[0].tolist():
-            train[i] = members[slots[i]]._should_train(confidence.item(i))
+        train = paired.copy()
+        if k.train_always:
+            s.always[idx[train]] += 1
+        else:
+            for i in paired.nonzero()[0].tolist():
+                train[i] = members[slots[i]]._should_train(confidence.item(i))
 
         # remember: one scatter into the slab.
-        kept = (paired & s.has_store[idx]
-                & (confidence < s.threshold[idx])).nonzero()[0]
-        if kept.size:
+        kept = (paired & (confidence < k.threshold)).nonzero()[0]
+        if k.ep_cap and kept.size:
             lanes = idx[kept]
             count = s.ep_count[lanes]
-            at = count % s.ep_cap[lanes]
+            at = count % k.ep_cap
             s.fit_episodes(int(at.max()) + 1)
             s.ep_input[lanes, at] = prev[kept]
             s.ep_target[lanes, at] = cls[kept]
@@ -660,29 +662,27 @@ class CLSFleetGroup:
         s.trained[idx[train]] += 1
 
         # replay: draw per lane, train in one call.
-        replaying = (train & (s.per_step[idx] > 0)).nonzero()[0]
-        if replaying.size:
-            self._replay(idx[replaying], phase[replaying])
+        if k.per_step and train.any():
+            self._replay(idx[train], phase[train])
 
         # advance.
         s.scored[idx] = True
         s.prev[idx] = cls
         s.memo_ok[idx] = False
         count = s.hist_count[idx]
-        s.history[idx, count % s.hist_cap[idx]] = np.stack(
+        s.history[idx, count % k.hist_cap] = np.stack(
             [cls, address, timestamp], axis=1)
         s.hist_count[idx] = count + 1
 
         # gate, rollout, decode.
-        floor = s.min_accuracy[idx]
-        gated = (floor > 0) & (s.ema[idx] < floor)
+        gated = (k.min_accuracy > 0) & (s.ema[idx] < k.min_accuracy)
         s.suppressed[idx[gated]] += 1
         rolling = (~gated).nonzero()[0]
         if not rolling.size:
             return _NO_PAGES
         lanes = idx[rolling]
         classes, probs, depth = fleet.rollout_arrays(
-            lanes, s.width[lanes], s.length[lanes])
+            lanes, np.full(lanes.size, k.width), np.full(lanes.size, k.length))
         found, owner = self._decode(lanes, unit[rolling], page[rolling],
                                     classes, probs, depth)
         # *Decode*'s memo: a rollout's first step names the top-width
@@ -700,59 +700,49 @@ class CLSFleetGroup:
         and each lane whose window that fills through its detector's
         ``close_window``."""
         s = self._state
+        span = self._key.phase_span
+        region_shift = self._key.page_shift + CLSPrefetcher._PHASE_REGION_BITS
         fill = s.phase_fill[lanes]
-        s.phase_window[lanes, fill] = ((address >> s.region_shift[lanes])
+        s.phase_window[lanes, fill] = ((address >> region_shift)
                                        % CLSPrefetcher._PHASE_FEATURE_BINS)
         fill += 1
-        full = fill == s.phase_span[lanes]
+        full = fill == span
         for lane in lanes[full].tolist():
             detector = self._members[lane].phase_detector
             assert detector is not None
-            s.phase[lane] = detector.close_window(
-                s.phase_window[lane, :detector.window])
+            s.phase[lane] = detector.close_window(s.phase_window[lane])
         s.phase_fill[lanes] = np.where(full, 0, fill)
         s.detected[lanes] = True
 
     def _replay(self, lanes: np.ndarray, phase: np.ndarray) -> None:
         """*Replay* for ``lanes``, which trained this round in ``phase``
         (below 0: no phase to exclude): :meth:`EpisodicStore.sample`'s
-        draws and rejection per lane, then one ``train_pairs_columns``
-        per replay rate."""
+        draws and rejection per lane, then one ``train_pairs_columns``."""
         s = self._state
+        k = self._key
         s.invocations[lanes] += 1
         count = s.ep_count[lanes]
-        cap = s.ep_cap[lanes]
-        size = np.minimum(count, cap)
+        size = np.minimum(count, k.ep_cap)
         stocked = size > 0
         if not stocked.all():
-            lanes, phase, count, cap, size = (
-                a[stocked] for a in (lanes, phase, count, cap, size))
+            lanes, phase, count, size = (
+                a[stocked] for a in (lanes, phase, count, size))
             if not lanes.size:
                 return
-        per_step = s.per_step[lanes]
-        if (per_step == per_step[0]).all():
-            groups: list[Any] = [slice(None)]
-        else:
-            groups = [(per_step == n).nonzero()[0]
-                      for n in np.unique(per_step).tolist()]
-        for sel in groups:
-            some = lanes[sel]
-            n = int(per_step[sel][0])
-            each = some[:, None]
-            draws = s.draws.draw(some, size[sel], n * MAX_ATTEMPTS_PER_PICK)
-            at = (((count[sel] - size[sel])[:, None] + draws)
-                  % cap[sel][:, None])
-            exclude = phase[sel][:, None]
-            wanted = (s.ep_phase[each, at] != exclude) | (exclude < 0)
-            nth = wanted.cumsum(axis=1)
-            picked = wanted & (nth <= n)
-            s.replayed[some] += picked.sum(axis=1)
-            lane_of = np.broadcast_to(each, picked.shape)[picked]
-            column = at[picked]
-            self._fleet.train_pairs_columns(
-                lane_of, s.ep_input[lane_of, column],
-                s.ep_target[lane_of, column], nth[picked] - 1,
-                s.lr_scale[lane_of])
+        each = lanes[:, None]
+        draws = s.draws.draw(lanes, size, k.per_step * MAX_ATTEMPTS_PER_PICK)
+        at = ((count - size)[:, None] + draws) % k.ep_cap
+        exclude = phase[:, None]
+        wanted = (s.ep_phase[each, at] != exclude) | (exclude < 0)
+        nth = wanted.cumsum(axis=1)
+        picked = wanted & (nth <= k.per_step)
+        s.replayed[lanes] += picked.sum(axis=1)
+        lane_of = np.broadcast_to(each, picked.shape)[picked]
+        column = at[picked]
+        self._fleet.train_pairs_columns(
+            lane_of, s.ep_input[lane_of, column],
+            s.ep_target[lane_of, column], nth[picked] - 1,
+            np.full(lane_of.size, k.lr_scale))
 
     def _decode(self, lanes: np.ndarray, unit: np.ndarray,
                 miss_page: np.ndarray, classes: np.ndarray,
@@ -764,12 +754,10 @@ class CLSFleetGroup:
         step over the rollout, every lane and pick of a step at once.
         Returns ``(pages, owner)``, ``owner`` indexing ``lanes``."""
         s = self._state
+        k = self._key
         n, deep, _ = classes.shape
         each = lanes[:, None]
         known = s.enc_known[lanes][:, None]
-        shift = s.enc_shift[lanes][:, None]
-        page_shift = s.page_shift[lanes][:, None]
-        floor = s.min_confidence[lanes][:, None]
         target_page = miss_page[:, None]
         base = unit
         going = np.ones(n, dtype=bool)
@@ -780,14 +768,14 @@ class CLSFleetGroup:
             picks = classes[:, step]
             live = going & (depth > step)
             picked = (picks >= 0) & live[:, None]
-            low = picked & (probs[:, step] < floor)
+            low = picked & (probs[:, step] < k.min_confidence)
             low_total += low.sum(axis=1)
             # Decodable: a class the vocabulary has met (so never OOV),
             # landing on a unit that exists.
             named = (picks > 0) & (picks <= known)
             target = base[:, None] + s.enc_delta[each, np.maximum(picks, 0)]
             named &= target >= 0
-            candidate = (target << shift) >> page_shift
+            candidate = (target << k.enc_shift) >> k.page_shift
             oks.append(picked & ~low & named & (candidate != target_page))
             candidates.append(candidate)
             # The next step's base follows the top-1 prediction, whatever

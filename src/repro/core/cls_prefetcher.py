@@ -333,15 +333,6 @@ class CLSPrefetcher:
             counters.update(self.scheduler.telemetry_counters())
         return counters
 
-    def fleet_group_key(self) -> tuple[HebbianConfig, str]:
-        """Lanes with equal keys may share one :class:`HebbianFleet`:
-        equal configs build value-identical fixed structures (the
-        construction is seeded by the config), and the backend decides
-        which kernel bundle steps them."""
-        model = self.model
-        assert isinstance(model, SparseHebbianNetwork)
-        return (model.config, model._backend)
-
     def on_miss(self, event: MissEvent) -> list[int]:
         """Observe a demand miss; return pages to prefetch."""
         return self.on_miss_fast(event.index, event.address, event.page,

@@ -198,11 +198,13 @@ class FleetCohort:
         # Packed per-(trace, config) load data, shared across lanes
         # replaying the same trace (identity-keyed; see _PackedTrace).
         self._pack_cache: dict[tuple[int, int], _PackedTrace] = {}
-        # Stacked learned lanes: fleet_group_key -> CLSFleetGroup, the
-        # groups by index, and per slot the lane's group index (or one
-        # of the two callback codes) and its slot inside that group.
+        # Stacked learned lanes: CLSFleetGroup.group_key -> its group and
+        # that group's index, the groups by index, and per slot the lane's
+        # group index (or one of the two callback codes) and its slot
+        # inside that group.
         self._stacked_cls = stacked_cls
         self._cls_groups: dict[Any, Any] = {}
+        self._group_index: dict[Any, int] = {}
         self._groups: list[Any] = []
         self._group_of = np.full(width, _NO_CALLBACK, dtype=np.int64)
         self._cls_slot = np.zeros(width, dtype=np.intp)
@@ -403,7 +405,9 @@ class FleetCohort:
     def _cls_groups_for(self, specs: list[FleetLaneSpec]) -> list[int]:
         """Each spec's :class:`CLSFleetGroup`, as its index in
         ``_groups`` (``_NO_CALLBACK``: none — the model kernels or the
-        lane-state arrays cannot step the lane), every group sized once
+        lane-state arrays cannot step the lane).  Lanes group by
+        :meth:`CLSFleetGroup.group_key`, so a group's lanes share every
+        value a round reads as configuration.  Every group is sized once
         for the lanes this batch brings it — one grow, not a doubling
         chain that copies the group's weight slab and state arrays each
         time."""
@@ -415,19 +419,20 @@ class FleetCohort:
         from ..core.cls_fleet import CLSFleetGroup
         members: dict[Any, list[int]] = {}
         for i, spec in enumerate(specs):
-            prefetcher = spec.prefetcher
-            if CLSFleetGroup.admits(prefetcher):
-                members.setdefault(prefetcher.fleet_group_key(), []).append(i)
-        for group_key, rows in members.items():
-            group = self._cls_groups.get(group_key)
+            key = CLSFleetGroup.group_key(spec.prefetcher)
+            if key is not None:
+                members.setdefault(key, []).append(i)
+        for key, rows in members.items():
+            group = self._cls_groups.get(key)
             if group is None:
                 group = CLSFleetGroup(specs[rows[0]].prefetcher,
                                       capacity=len(rows))
-                self._cls_groups[group_key] = group
+                self._cls_groups[key] = group
+                self._group_index[key] = len(self._groups)
                 self._groups.append(group)
             else:
                 group.reserve(len(rows))
-            index = self._groups.index(group)
+            index = self._group_index[key]
             for i in rows:
                 groups[i] = index
         return groups

@@ -2,12 +2,17 @@
 
 The cohort suites reach the group through ``FleetCohort``; this one
 calls ``adopt`` / ``handle_misses`` / ``release`` itself, so it can pick
-every round's width — none, one, two, 64 lanes — and the moments lanes
+every round's width — none, one, two, 64 lanes split over their groups —
+and the moments lanes
 join and leave.  The oracle is always a twin prefetcher fed the same
-misses through ``on_miss_fast``.
+misses through ``on_miss_fast``.  A group holds one configuration
+(``CLSFleetGroup.group_key``), so lanes of different configurations are
+different groups here too.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -18,21 +23,26 @@ from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.core.encoding import DeltaVocabEncoder
+from repro.core.history import MissHistory
 from repro.core.phase_detect import OnlinePhaseDetector
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
+from repro.nn.backends import available_backends
 from repro.nn.hebbian import HebbianConfig
-from repro.patterns import PatternSpec, generate
+from repro.patterns import PatternSpec, Trace, generate
 from repro.patterns.phases import Phase, build_phased_trace
 from tests.core.test_miss_stages import assert_released_like
 
 VOCAB = 48
 
-#: Lanes in a group, where a test has no width of its own to pick.
+#: Lanes of a test (four a variant), where it has no width of its own
+#: to pick.
 LANES = 24
 
-#: Per-lane variety inside one fleet group (the group key is the model
-#: config only): replay policy, replay rate, rollout shape, gate.
+#: Per-lane variety across a test's lanes: replay policy, replay rate,
+#: rollout shape, gate.  Each variant is a configuration of its own, so
+#: a fleet group of its own (``CLSFleetGroup.group_key``); lanes of one
+#: variant differ only in ``seed``.
 VARIANTS: list[dict] = [
     dict(),
     dict(replay_per_step=2, prefetch_width=2, prefetch_length=2),
@@ -46,8 +56,9 @@ VARIANTS: list[dict] = [
 
 
 def _prefetcher(lane: int, **overrides) -> CLSPrefetcher:
+    hebbian = overrides.pop("hebbian", HebbianConfig(vocab_size=VOCAB, seed=3))
     return CLSPrefetcher(CLSPrefetcherConfig(
-        vocab_size=VOCAB, hebbian=HebbianConfig(vocab_size=VOCAB, seed=3),
+        vocab_size=VOCAB, hebbian=hebbian,
         seed=50 + lane, **{**VARIANTS[lane % len(VARIANTS)], **overrides}))
 
 
@@ -62,29 +73,40 @@ def _stream(lane: int, n: int = 260) -> list[tuple[int, int, int]]:
     return [(a, a >> 12, 10 * i + lane) for i, a in enumerate(addresses)]
 
 
+Member = tuple[int, CLSPrefetcher, CLSPrefetcher, CLSFleetGroup]
+
+
 class Lanes:
-    """Group members next to their scalar twins, checked miss by miss."""
+    """Group members next to their scalar twins, checked miss by miss;
+    one group per configuration (``CLSFleetGroup.group_key``)."""
 
     def __init__(self) -> None:
-        self.group: CLSFleetGroup | None = None
-        self.members: dict[int, tuple[int, CLSPrefetcher, CLSPrefetcher]] = {}
+        self.groups: dict[object, CLSFleetGroup] = {}
+        self.members: dict[int, Member] = {}  # slot, mine, twin, group
         self.cursor: dict[int, int] = {}
         self.streams: dict[int, list[tuple[int, int, int]]] = {}
         self.members_left: dict[int, CLSPrefetcher] = {}
 
     def join(self, lane: int, mine: CLSPrefetcher, twin: CLSPrefetcher,
              stream: list[tuple[int, int, int]] | None = None) -> None:
-        if self.group is None:
-            self.group = CLSFleetGroup(mine, capacity=4)
-        self.members[lane] = (self.group.adopt(mine), mine, twin)
+        key = CLSFleetGroup.group_key(mine)
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = CLSFleetGroup(mine, capacity=4)
+        self.members[lane] = (group.adopt(mine), mine, twin, group)
         self.streams[lane] = stream if stream is not None else _stream(lane)
         self.cursor.setdefault(lane, 0)
 
     def round(self, lanes: list[int]) -> None:
-        """One ``handle_misses`` over ``lanes``' next misses."""
-        assert self.group is not None
+        """``lanes``' next misses: one ``handle_misses`` per group."""
+        for group in self.groups.values():
+            mine = [lane for lane in lanes if self.members[lane][3] is group]
+            if mine:
+                self._group_round(group, mine)
+
+    def _group_round(self, group: CLSFleetGroup, lanes: list[int]) -> None:
         misses = [self.streams[lane][self.cursor[lane]] for lane in lanes]
-        got = self.group.handle_misses(
+        got = group.handle_misses(
             [self.members[lane][0] for lane in lanes],
             [m[0] for m in misses], [m[1] for m in misses],
             [m[2] for m in misses])
@@ -94,29 +116,30 @@ class Lanes:
             self.cursor[lane] += 1
 
     def leave(self, lane: int) -> None:
-        assert self.group is not None
-        slot, mine, twin = self.members.pop(lane)
-        self.group.release(slot, mine)
+        slot, mine, twin, group = self.members.pop(lane)
+        group.release(slot, mine)
         assert_released_like(mine, twin)
         self.members_left[lane] = mine
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 64])
 def test_round_widths(width: int) -> None:
-    """Rounds of ``width`` lanes, and now and then a round of none: it
-    prefetches nothing and moves nothing (a width-0 group's lane leaves
-    as it came)."""
+    """Rounds of ``width`` lanes — one lane, two lanes of two variants'
+    groups, or eleven lanes or so in each group — and now and then a
+    round of none: it prefetches nothing and moves nothing (a width-0
+    group's lane leaves as it came)."""
     lanes = Lanes()
     everyone = list(range(max(width, 1)))
     for lane in everyone:
         lanes.join(lane, _prefetcher(lane), _prefetcher(lane))
-    assert lanes.group is not None
+    assert len(lanes.groups) == min(len(everyone), len(VARIANTS))
     for r in range(200):
         lanes.round(everyone[:width])
         if r % 40 == 0:
-            assert lanes.group.handle_misses([], [], [], []) == []
-            found, owner = lanes.group.miss_round([], [], [], [])
-            assert found.size == owner.size == 0
+            for group in lanes.groups.values():
+                assert group.handle_misses([], [], [], []) == []
+                found, owner = group.miss_round([], [], [], [])
+                assert found.size == owner.size == 0
     for lane in everyone:
         lanes.leave(lane)
 
@@ -153,32 +176,38 @@ def test_lanes_join_and_leave_around_resident_ones() -> None:
         lanes.leave(lane)
 
 
-def test_a_wider_rollout_joins_resident_lanes() -> None:
-    """The memo table widens under lanes whose memo is in use — on
+def test_width_one_and_three_lanes_run_as_two_groups() -> None:
+    """Width-1 and width-3 lanes in one cohort are two groups, each with
+    a memo table as wide as its rollout, against ``simulate()`` — on
     streams with more deltas than classes, so the padding's neighbour,
     class 0 (out of vocabulary), is a class these lanes do score."""
-    def scattered(lane: int) -> list[tuple[int, int, int]]:
-        rng = np.random.default_rng(lane)
-        pages = rng.integers(0, 400, size=200).tolist()
-        return [(4096 * page, page, 10 * i) for i, page in enumerate(pages)]
+    config = SimConfig(memory_fraction=0.2)
+    rng = np.random.default_rng(5)
+    traces = [Trace(name=f"scattered-{i}",
+                    addresses=4096 * rng.integers(0, 400, size=300))
+              for i in range(4)]
 
-    lanes = Lanes()
-    narrow = list(range(LANES))
-    for lane in narrow:
-        lanes.join(lane, _prefetcher(lane, prefetch_width=1),
-                   _prefetcher(lane, prefetch_width=1), scattered(lane))
-    for _ in range(90):
-        lanes.round(narrow)
-    wide = list(range(LANES, 2 * LANES))
-    for lane in wide:
-        lanes.join(lane, _prefetcher(lane, prefetch_width=3),
-                   _prefetcher(lane, prefetch_width=3), scattered(lane))
-    for _ in range(90):
-        lanes.round(narrow + wide)
-    assert any(0 in lanes.members[lane][2].history.classes()
-               for lane in narrow)
-    for lane in narrow + wide:
-        lanes.leave(lane)
+    def lane(i: int) -> CLSPrefetcher:
+        return _prefetcher(len(VARIANTS) * i, prefetch_width=1 + 2 * (i % 2))
+
+    specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=lane(i),
+                           config=config) for i in range(LANES)]
+    cohort = FleetCohort.for_specs(specs, backend="numpy",
+                                   record_miss_indices=True)
+    cohort.load_many(list(range(LANES)), specs)
+    assert sorted(group._state.memo.shape[1]
+                  for group in cohort._groups) == [1, 3]
+    results = cohort.run_to_completion()
+    narrow_oov = False
+    for i, spec in enumerate(specs):
+        twin = lane(i)
+        want = simulate(spec.trace, twin, config=config, backend="numpy",
+                        record_miss_indices=True)
+        assert results[i].stats.as_dict() == want.stats.as_dict(), i
+        assert results[i].miss_indices == want.miss_indices, i
+        assert_released_like(spec.prefetcher, twin)
+        narrow_oov |= i % 2 == 0 and 0 in twin.history.classes()
+    assert narrow_oov
 
 
 def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
@@ -204,8 +233,8 @@ def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
     cohort = FleetCohort.for_specs(specs, backend="numpy",
                                    record_miss_indices=True)
     cohort.load_many(list(range(len(specs))), specs)
-    (group,) = cohort._groups
-    members = {id(p) for p in group._members.values()}
+    members = {id(p) for group in cohort._groups
+               for p in group._members.values()}
     assert [i for i, spec in enumerate(specs)
             if id(spec.prefetcher) not in members] == sorted(odd)
     results = cohort.run_to_completion()
@@ -297,6 +326,139 @@ def test_release_and_adopt_check_whose_state_they_move() -> None:
         group.release(slot, mine)
 
 
+def _collapse_off(p: CLSPrefetcher) -> None:
+    p.encoder.collapse_repeats = False
+
+
+def _narrow_vocabulary(p: CLSPrefetcher) -> None:  # repro-lint: zone=key-cases
+    p.encoder = DeltaVocabEncoder(vocab_size=VOCAB - 8)
+    p._encoder_observe, p._encoder_decode = p.encoder.observe, p.encoder.decode
+
+
+def _short_window(p: CLSPrefetcher) -> None:  # repro-lint: zone=key-cases
+    p.phase_detector = OnlinePhaseDetector(
+        vocab_size=CLSPrefetcher._PHASE_FEATURE_BINS, window=32)
+
+
+def _long_history(p: CLSPrefetcher) -> None:  # repro-lint: zone=key-cases
+    p.history = MissHistory(capacity=20)
+    p._history_push = p.history.push
+
+
+def _other_backend(p: CLSPrefetcher) -> None:
+    # Otherwise a function of the config within one process.
+    p.model._backend = "numpy" if p.model._backend != "numpy" else "c"
+
+
+#: name -> (both lanes' overrides, the second lane's overrides, a change
+#: made to the second lane after construction).
+KEY_CASES: dict[str, tuple[dict, dict,
+                           Callable[[CLSPrefetcher], None] | None]] = {
+    "width": ({}, dict(prefetch_width=2), None),
+    "length": ({}, dict(prefetch_length=2), None),
+    "ema-alpha": ({}, dict(accuracy_ema_alpha=0.05), None),
+    "min-accuracy": ({}, dict(min_accuracy=0.2), None),
+    "min-confidence": ({}, dict(min_confidence=0.1), None),
+    "training-kind": ({}, dict(training="every_k",
+                               training_kwargs={"k": 3}), None),
+    "detector": ({}, dict(phase_detection=False), None),
+    "detector-window": ({}, {}, _short_window),
+    "replay-policy": ({}, dict(replay_policy=None), None),
+    "replay-rate": ({}, dict(replay_per_step=2), None),
+    "replay-lr-scale": ({}, dict(replay_lr_scale=0.2), None),
+    "ring-capacity": (dict(replay_policy="ring", replay_kwargs={"capacity": 20}),
+                      dict(replay_kwargs={"capacity": 30}), None),
+    "confidence-threshold": (
+        dict(replay_policy="confidence",
+             replay_kwargs={"confidence_threshold": 0.3}),
+        dict(replay_kwargs={"confidence_threshold": 0.5}), None),
+    "history-capacity": ({}, {}, _long_history),
+    "granularity": ({}, dict(granularity=64), None),
+    "page-size": ({}, dict(page_size=8192), None),
+    "collapse-repeats": ({}, {}, _collapse_off),
+    "vocabulary": ({}, {}, _narrow_vocabulary),
+    "model-config": ({}, dict(hebbian=HebbianConfig(vocab_size=VOCAB,
+                                                    seed=4)), None),
+    "kernel-backend": ({}, {}, _other_backend),
+}
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_the_group_key_names_every_constant_of_a_round(case: str) -> None:
+    """Two lanes equal but for one value a round reads as configuration
+    get different keys, and the second cannot join the first's group —
+    refused before anything moves.  Lanes that differ only in ``seed``
+    share a key and a group."""
+    both, changed, change = KEY_CASES[case]
+    mine, seed_twin = _prefetcher(0, **both), _prefetcher(6, **both)
+    other = _prefetcher(0, **{**both, **changed})
+    if change is not None:
+        change(other)
+    key = CLSFleetGroup.group_key
+    assert mine.config.seed != seed_twin.config.seed
+    assert key(mine) == key(seed_twin) and key(other) is not None
+    assert key(other) != key(mine)
+
+    group = CLSFleetGroup(mine)
+    slot = group.adopt(mine)
+    group.adopt(seed_twin)
+    with pytest.raises(ValueError, match="not the group's"):
+        group.adopt(other)
+    assert len(group._members) == 2 and id(other) not in group._member_ids
+    twin = _prefetcher(0, **both)
+    for address, page, ts in _stream(0)[:30]:
+        assert (group.handle_misses([slot], [address], [page], [ts])
+                == [twin.on_miss_fast(0, address, page, 0, ts)])
+    group.release(slot, mine)
+    assert_released_like(mine, twin)
+
+
+@pytest.mark.parametrize("backend", list(available_backends("sim")))
+def test_a_cohort_of_mixed_configurations_is_a_group_per_configuration(
+        backend: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    """Every variant, two seeds each, interleaved in one ``run_cohort``:
+    one group per configuration, the two seeds of a variant in the same
+    one, and every lane as ``simulate()`` leaves it."""
+    config = SimConfig(memory_fraction=0.4)
+    traces = [generate("pointer_chase", PatternSpec(
+        n=400, working_set=40, element_size=4096, seed=seed))
+        for seed in range(4)]
+    n = 2 * len(VARIANTS)  # lane i is variant i % 6, seed 50 + i
+    specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=_prefetcher(i),
+                           config=config) for i in range(n)]
+    cohorts: list[FleetCohort] = []
+    joined: dict[int, CLSFleetGroup] = {}
+    for_specs, adopt = FleetCohort.for_specs, CLSFleetGroup.adopt
+
+    def spied_for_specs(cls, *args, **kwargs):
+        cohorts.append(for_specs(*args, **kwargs))
+        return cohorts[-1]
+
+    def spied_adopt(self, prefetcher):
+        joined[id(prefetcher)] = self
+        return adopt(self, prefetcher)
+
+    monkeypatch.setattr(FleetCohort, "for_specs", classmethod(spied_for_specs))
+    monkeypatch.setattr(CLSFleetGroup, "adopt", spied_adopt)
+    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    monkeypatch.undo()
+
+    (cohort,) = cohorts
+    assert len(cohort._groups) == len(VARIANTS)
+    assert len(joined) == n and set(map(id, joined.values())) == set(
+        map(id, cohort._groups))
+    for v in range(len(VARIANTS)):
+        assert (joined[id(specs[v].prefetcher)]
+                is joined[id(specs[v + len(VARIANTS)].prefetcher)])
+    for i, (spec, got) in enumerate(zip(specs, results)):
+        twin = _prefetcher(i)
+        want = simulate(spec.trace, twin, config=config, backend="numpy",
+                        record_miss_indices=True)
+        assert got.stats.as_dict() == want.stats.as_dict(), i
+        assert got.miss_indices == want.miss_indices, i
+        assert_released_like(spec.prefetcher, twin)
+
+
 # ----------------------------------------------------------------------
 # The seams of a round: misses in as columns, pages out as one ragged
 # (pages, owner) pair, lanes released a batch at a time.
@@ -305,8 +467,9 @@ TINY = 4  # a vocabulary of three deltas and the OOV class
 
 
 def _tiny(lane: int, **overrides) -> CLSPrefetcher:
-    """A lane of the four-class group (its own fleet group: the group
-    key is the model config)."""
+    """A lane of the four-class model (a model config of its own, so a
+    fleet group apart from ``_prefetcher``'s lanes even where the stage
+    settings are equal)."""
     return CLSPrefetcher(CLSPrefetcherConfig(
         vocab_size=TINY,
         hebbian=HebbianConfig(vocab_size=TINY, hidden_dim=120, seed=9),
@@ -332,37 +495,45 @@ def test_ragged_egress_is_the_candidate_loop(width: int, length: int) -> None:
     """``miss_round``'s ``(pages, owner)`` against ``on_miss_fast`` twins
     where decode has something to refuse: a confidence floor, the OOV
     class, a class the vocabulary has not met, a unit below zero, the
-    page that missed, a page already listed."""
+    page that missed, a page already listed.  Each confidence floor is
+    a group of its own."""
+    floors = (0.0, 0.3, 0.6)
     overrides = [dict(prefetch_width=width, prefetch_length=length,
                       min_confidence=floor, phase_detection=False)
-                 for floor in (0.0, 0.3, 0.6)]
+                 for floor in floors]
     lanes = list(range(LANES + 1))
     pairs = [(_tiny(lane, **overrides[lane % 3]),
               _tiny(lane, **overrides[lane % 3])) for lane in lanes]
-    group = CLSFleetGroup(pairs[0][0], capacity=len(lanes))
-    slots = np.array([group.adopt(mine) for mine, _ in pairs])
+    groups = [CLSFleetGroup(pairs[f][0], capacity=len(lanes))
+              for f in range(len(floors))]
+    rows = [lanes[f::len(floors)] for f in range(len(floors))]
+    slots = np.array([groups[lane % 3].adopt(mine)
+                      for lane, (mine, _) in enumerate(pairs)])
     streams = [_near_zero(lane) for lane in lanes]
     refused = {"negative unit": 0, "unmet class": 0, "missed page": 0,
                "listed twice": 0}
     for r in range(len(streams[0])):
         misses = np.array([stream[r] for stream in streams])
-        found, owner = group.miss_round(slots, *misses.T)
-        assert (np.diff(owner) >= 0).all()
-        for i, (_, twin) in enumerate(pairs):
-            address, page, ts = misses[i].tolist()
-            decoded: list[int | None] = []
-            decode = twin.encoder.decode
-            twin._encoder_decode = lambda c, base: (
-                decoded.append(decode(c, base)) or decoded[-1])
-            want = twin.on_miss_fast(0, address, page, 0, ts)
-            assert found[owner == i].tolist() == want, (r, i)
-            named = [a >> 12 for a in decoded if a is not None]
-            refused["missed page"] += page in named
-            refused["listed twice"] += len(set(named)) < len(named)
-            refused["unmet class"] += (
-                None in decoded and twin.encoder.known_deltas < TINY - 1)
-            refused["negative unit"] += (
-                None in decoded and twin.encoder.known_deltas == TINY - 1)
+        for group, some in zip(groups, rows):
+            found, owner = group.miss_round(slots[some], *misses[some].T)
+            assert (np.diff(owner) >= 0).all()
+            for row, i in enumerate(some):
+                twin = pairs[i][1]
+                address, page, ts = misses[i].tolist()
+                decoded: list[int | None] = []
+                decode = twin.encoder.decode
+                twin._encoder_decode = lambda c, base: (
+                    decoded.append(decode(c, base)) or decoded[-1])
+                want = twin.on_miss_fast(0, address, page, 0, ts)
+                assert found[owner == row].tolist() == want, (r, i)
+                named = [a >> 12 for a in decoded if a is not None]
+                refused["missed page"] += page in named
+                refused["listed twice"] += len(set(named)) < len(named)
+                refused["unmet class"] += (
+                    None in decoded and twin.encoder.known_deltas < TINY - 1)
+                refused["negative unit"] += (
+                    None in decoded
+                    and twin.encoder.known_deltas == TINY - 1)
     twins = [twin for _, twin in pairs]
     # Every refusal happened (the last two need a second pick or step).
     assert refused["negative unit"] and refused["unmet class"]
@@ -372,7 +543,8 @@ def test_ragged_egress_is_the_candidate_loop(width: int, length: int) -> None:
     assert all(0 in twin.history.classes() for twin in twins)
     assert any(twin.stats.suppressed_low_confidence for twin in twins)
     assert any(twin.stats.prefetches_emitted for twin in twins)
-    group.release_many(slots.tolist(), [mine for mine, _ in pairs])
+    for group, some in zip(groups, rows):
+        group.release_many(slots[some].tolist(), [pairs[i][0] for i in some])
     for mine, twin in pairs:
         twin._encoder_decode = twin.encoder.decode
         assert_released_like(mine, twin)
@@ -476,13 +648,14 @@ def test_release_many_is_release_lane_by_lane() -> None:
             side.round([late])
     assert twins[0].scheduler.policy.store.evicted_total > 0
 
-    assert batch.group is not None
-    batch.group.release_many([batch.members[i][0] for i in everyone],
-                             [batch.members[i][1] for i in everyone])
+    for group in batch.groups.values():
+        mine = [i for i in everyone if batch.members[i][3] is group]
+        group.release_many([batch.members[i][0] for i in mine],
+                           [batch.members[i][1] for i in mine])
     for i in everyone:
         single.leave(i)  # release(), and assert_released_like
         assert_released_like(batch.members[i][1], single.members_left[i])
-    assert not batch.group._members
+    assert not any(group._members for group in batch.groups.values())
 
 
 def test_a_round_is_checked_before_it_moves_anything() -> None:
@@ -492,10 +665,10 @@ def test_a_round_is_checked_before_it_moves_anything() -> None:
         lanes.join(i, _prefetcher(i), _prefetcher(i))
     for _ in range(5):
         lanes.round(everyone)
-    group = lanes.group
-    assert group is not None
-    slots = [lanes.members[i][0] for i in everyone]
-    misses = [lanes.streams[i][lanes.cursor[i]] for i in everyone]
+    group = lanes.members[0][3]
+    some = [i for i in everyone if lanes.members[i][3] is group]
+    slots = [lanes.members[i][0] for i in some]
+    misses = [lanes.streams[i][lanes.cursor[i]] for i in some]
     columns = [list(column) for column in zip(*misses)]
     free = max(slots) + 1
     for bad, message in (

@@ -231,10 +231,11 @@ def test_stages_by_hand_equal_on_miss_fast(family: str,
 
 @pytest.mark.parametrize("backend", list(available_backends("sim")))
 def test_cohort_round_schedules_the_same_stages(backend: str) -> None:
-    """Every family as one lane of a single cohort.  Equal model configs
-    put the three the lane-state arrays model in one fleet group (the
-    recall lane keeps its own callback), so the lanes differ only in
-    per-lane stage state — and each equals its own ``simulate()``."""
+    """Every family as one lane of a single cohort.  The three the
+    lane-state arrays model share a model config but differ in stage
+    settings, so each is a fleet group of one lane (a group holds one
+    configuration; the recall lane keeps its own callback) — and each
+    equals its own ``simulate()``."""
     config = SimConfig(memory_fraction=0.5)
     traces = [generate(pattern, PatternSpec(n=900, working_set=60,
                                             element_size=4096, seed=seed))
