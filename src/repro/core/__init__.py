@@ -15,7 +15,6 @@ from .encoding import (
     make_encoder,
 )
 from .hippocampus import Episode, EpisodicStore, SparseAssociativeMemory
-from .history import MissHistory, MissRecord
 from .metrics import (
     ConfidenceCurve,
     InterferenceSummary,
@@ -60,8 +59,6 @@ __all__ = [
     "Episode",
     "EpisodicStore",
     "SparseAssociativeMemory",
-    "MissHistory",
-    "MissRecord",
     "ConfidenceCurve",
     "InterferenceSummary",
     "PrefetchSummary",

@@ -17,7 +17,7 @@ memoization over fixed structures).  That is the bit-identity contract.
 A round has one form, at every width.  While a lane is a member, the
 group holds the state its stages touch (:class:`_LaneArrays`: accuracy
 EMA, previous class, the delta encoder's vocabulary as a table row, the
-replay store as a slab, the miss history as a ring, counters as deltas)
+replay store as a slab, counters as deltas)
 the way ``HebbianFleet`` holds the weights, and a round is a fixed
 number of numpy calls from the misses coming in to the pages going out;
 Python per lane is left only where the state is a per-lane object by
@@ -62,7 +62,6 @@ from .hippocampus import (
     EpisodicStore,
     LaneDraws,
 )
-from .history import MissRecord
 from .replay import (
     ConfidenceFilteredReplay,
     FullReplay,
@@ -112,7 +111,6 @@ class _GroupKey(NamedTuple):
     enc_limit: int          # the encoder's last class (vocab_size - 1)
     enc_shift: int          # log2 of its granularity
     enc_collapse: bool
-    hist_cap: int
     ep_cap: int             # the replay store's ring; 0: no store
     threshold: float        # ... which remembers below this confidence
     per_step: int           # replayed pairs a trained step; 0: none
@@ -145,14 +143,13 @@ class _LaneArrays:
     it out again; in between the prefetcher's own copies are stale.
     Episodes are a slab row per lane used as a ring — logical episode
     ``i`` (0: oldest) of a store holding ``size`` of ``count`` written is
-    at column ``(count - size + i) % capacity`` — and the miss history is
-    a ring the same way.  The encoder's vocabulary is a row of the
-    class → delta table ``enc_delta`` (classes ``1 ..= enc_known``).  A
-    phase detector's open window is a row of ``phase_window``; its
-    centroids, transitions and current phase stay on the detector, which
-    ``close_window`` updates as the scalar ``observe`` would.  Nothing
-    here is configuration: that is the group's key, whose widths the
-    tables take at construction.
+    at column ``(count - size + i) % capacity``.  The encoder's vocabulary
+    is a row of the class → delta table ``enc_delta`` (classes ``1 ..=
+    enc_known``).  A phase detector's open window is a row of
+    ``phase_window``; its centroids, transitions and current phase stay
+    on the detector, which ``close_window`` updates as the scalar
+    ``observe`` would.  Nothing here is configuration: that is the
+    group's key, whose widths the tables take at construction.
     """
 
     def __init__(self, lanes: int, key: _GroupKey) -> None:
@@ -192,9 +189,6 @@ class _LaneArrays:
         self.ep_phase = np.zeros((lanes, 0), dtype=np.int64)
         self.ep_confidence = np.zeros((lanes, 0))
         self.ep_timestamp = np.zeros((lanes, 0), dtype=np.int64)
-        # (class, address, timestamp) of the latest misses.
-        self.hist_count = np.zeros(lanes, dtype=np.int64)
-        self.history = np.zeros((lanes, key.hist_cap, 3), dtype=np.int64)
         self.draws = LaneDraws(lanes)
         # The phase detector's open window: its features so far, how many,
         # and the phase the last one closed in.
@@ -265,7 +259,6 @@ class _LaneArrays:
                 self.ep_timestamp[slot, :n] = columns[4]
                 self.ep_count[slot] = self.ep_first[slot] = n
             self.draws.attach(slot, scheduler._rng)
-        self.hist_count[slot] = 0
 
         detector = p.phase_detector
         if detector is not None:
@@ -355,15 +348,6 @@ class _LaneArrays:
                 store.extend(episodes[lo:hi])
                 store.stored_total += lost
                 store.evicted_total += lost
-
-        count = self.hist_count[slots]
-        kept = np.minimum(count, key.hist_cap)
-        if kept.any():
-            row, at, ends = _ring_tail(slots, count, kept, key.hist_cap)
-            records = list(map(MissRecord._make,
-                               self.history[row, at].tolist()))
-            for p, lo, hi in zip(prefetchers, [0, *ends], ends):
-                p.history.extend(records[lo:hi])
 
         if key.phase_span:
             fill = self.phase_fill[slots]
@@ -462,7 +446,7 @@ class CLSFleetGroup:
             type(prefetcher.training_policy) is TrainAlways,
             0 if detector is None else detector.window,
             encoder.vocab_size - 1, encoder.granularity.bit_length() - 1,
-            encoder.collapse_repeats, prefetcher.history.capacity, ep_cap,
+            encoder.collapse_repeats, ep_cap,
             threshold, per_step, lr_scale)
 
     @staticmethod
@@ -669,10 +653,6 @@ class CLSFleetGroup:
         s.scored[idx] = True
         s.prev[idx] = cls
         s.memo_ok[idx] = False
-        count = s.hist_count[idx]
-        s.history[idx, count % k.hist_cap] = np.stack(
-            [cls, address, timestamp], axis=1)
-        s.hist_count[idx] = count + 1
 
         # gate, rollout, decode.
         gated = (k.min_accuracy > 0) & (s.ema[idx] < k.min_accuracy)

@@ -34,7 +34,6 @@ from ..nn.lstm import LSTMConfig, OnlineLSTM
 from .availability import ShadowModelManager
 from .encoding import OOV_CLASS, make_encoder
 from .hippocampus import Episode
-from .history import MissHistory, MissRecord
 from .phase_detect import OnlinePhaseDetector
 from .recall import HippocampalRecall, RecallConfig, RecallStats
 from .replay import ReplayScheduler, make_replay_policy
@@ -62,10 +61,11 @@ class CLSPrefetcherConfig:
             "rollout" feeds the model its own top-1 prediction
             ``prefetch_length`` times (costs one inference per step, and
             errors compound); "direct" trains the model on lag-L
-            transition pairs from the miss history ("the prefetch length
-            determines a minimum history size") and predicts the miss L
-            steps ahead in a single inference.  Direct mode names absolute
-            units, so it requires the "page" encoder.
+            transition pairs from a window of the last L misses ("the
+            prefetch length determines a minimum history size") and
+            predicts the miss L steps ahead in a single inference.
+            Direct mode names absolute units, so it requires the "page"
+            encoder.
         min_confidence: Candidates below this probability are suppressed
             (the "highly selective" operating point for network-bound
             systems, §5.2).
@@ -196,7 +196,6 @@ class Observation(NamedTuple):
     every later stage of that miss."""
 
     class_id: int
-    address: int
     timestamp: int
     phase: int                          # -1: no phase information
     confidence: float                   # scored prediction's p(class_id)
@@ -230,7 +229,6 @@ class CLSPrefetcher:
             model = manager.model
         self.model: SequenceModel = model if model is not None \
             else config.build_model()
-        self.history = MissHistory(capacity=max(16, config.prefetch_length + 2))
         self.training_policy = make_training_policy(config.training,
                                                     **config.training_kwargs)
         self.scheduler: ReplayScheduler | None = None
@@ -266,9 +264,10 @@ class CLSPrefetcher:
         self._page_shift = config.page_size.bit_length() - 1
         self._prev_class: int | None = None
         self._last_probs: np.ndarray | None = None
-        # Direct mode scores the observation against the prediction made L
-        # steps earlier, so keep the last L probability vectors.
-        self._probs_history: deque[np.ndarray] = deque(
+        # Direct mode trains on the pair (class L misses ago, class now)
+        # and scores against the prediction made then, so it keeps the
+        # last L (class, probabilities) pairs; rollout mode keeps none.
+        self._lag_window: deque[tuple[int, np.ndarray]] = deque(
             maxlen=config.prefetch_length)
         # Self-monitored top-1 accuracy (starts pessimistic: no prefetching
         # until the model has demonstrated it tracks the stream).
@@ -277,7 +276,7 @@ class CLSPrefetcher:
 
         # Per-miss invariants, hoisted off the hot path.  Only objects
         # that are never swapped for the prefetcher's lifetime are bound
-        # (the encoder, history, and policies persist across
+        # (the encoder and policies persist across
         # ``reset_stream``; the live model does not under availability).
         self._direct = config.prediction_mode == "direct"
         self._width = config.prefetch_width
@@ -291,7 +290,6 @@ class CLSPrefetcher:
         self._should_train = self.training_policy.should_train
         self._encoder_observe = self.encoder.observe
         self._encoder_decode = self.encoder.decode
-        self._history_push = self.history.push
         self._region_shift = self._page_shift + self._PHASE_REGION_BITS
         # (probs object, its top-width classes) memoized by the rollout so
         # the accuracy EMA's argpartition isn't recomputed on the same
@@ -394,10 +392,14 @@ class CLSPrefetcher:
             self.stats.phases_seen = detector.n_phases
 
         if self._direct:
-            # Score against the prediction made prefetch_length steps ago.
-            full = len(self._probs_history) == self._length
-            scored_probs = self._probs_history[0] if full else None
-            transition = self._direct_pair(class_id)
+            # Train on, and score against, the miss prefetch_length steps
+            # ago (§5.2: "the prefetch length determines a minimum
+            # history size").
+            scored_probs: np.ndarray | None = None
+            transition: tuple[int, int] | None = None
+            if len(self._lag_window) == self._length:
+                past, scored_probs = self._lag_window[0]
+                transition = (past, class_id)
         else:
             scored_probs = self._last_probs
             transition = (None if self._prev_class is None
@@ -421,18 +423,8 @@ class CLSPrefetcher:
         # its policy is still consulted so its counters keep moving.
         train = (transition is not None and self._should_train(confidence)
                  and self._batch_policy is None)
-        return Observation(class_id, address, timestamp, phase, confidence,
+        return Observation(class_id, timestamp, phase, confidence,
                            transition, train)
-
-    def _direct_pair(self, class_id: int) -> tuple[int, int] | None:
-        """The lag-L training pair (class at t-L, class at t), if the miss
-        history is deep enough (§5.2: "the prefetch length determines a
-        minimum history size")."""
-        lag = self.config.prefetch_length
-        if len(self.history) < lag:
-            return None
-        past = self.history.last(lag)[0]
-        return past.class_id, class_id
 
     def remember(self, seen: Observation) -> None:
         """*Remember*: file the transition as a hippocampal episode (the
@@ -504,9 +496,7 @@ class CLSPrefetcher:
         ``seen.class_id`` produced, and move the stream position."""
         self._last_probs = probs
         if self._direct:
-            self._probs_history.append(probs)
-        self._history_push(MissRecord(seen.class_id, seen.address,
-                                      seen.timestamp))
+            self._lag_window.append((seen.class_id, probs))
         self._prev_class = seen.class_id
 
     def gated(self) -> bool:
@@ -674,9 +664,8 @@ class CLSPrefetcher:
         """Forget stream position (e.g., between traces) but keep learning."""
         self.encoder.reset_stream()
         self._live.reset_state()
-        self.history.clear()
         self._prev_class = None
         self._last_probs = None
         # Predictions made for the old stream must not score the new one.
-        self._probs_history.clear()
+        self._lag_window.clear()
         self._ema_top = None

@@ -332,10 +332,17 @@ class FleetCohort:
             raise ValueError("load_many needs one spec per slot")
         if not slots:
             return
+        if len(set(slots)) != len(slots):
+            raise ValueError("load_many names a slot more than once")
         packs: list[_PackedTrace] = []
         for slot, spec in zip(slots, specs):
+            if not 0 <= slot < self.width:
+                raise ValueError(f"slot {slot} outside [0, {self.width})")
             if self._active[slot]:
                 raise ValueError(f"slot {slot} is still active")
+            if self._results[slot] is not None:
+                raise ValueError(f"slot {slot} holds a result not yet "
+                                 "harvested")
             prefetcher = spec.prefetcher
             on_access = getattr(prefetcher, "on_access", None)
             if on_access is not None and getattr(prefetcher,

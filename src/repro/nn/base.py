@@ -51,7 +51,8 @@ class SequenceModel(Protocol):
                         ) -> list[list[tuple[int, float]]]:
         """Predict ``length`` future steps; at each step return the top
         ``width`` (class, probability) candidates.  The rollout follows the
-        greedy (top-1) path and must not mutate the streaming state."""
+        greedy (top-1) path and must not mutate the streaming state.
+        ``ValueError`` for a ``width`` below 1."""
         ...
 
     def reset_state(self) -> None:

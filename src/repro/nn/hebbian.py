@@ -293,11 +293,10 @@ class SparseHebbianNetwork:
 
         self._build_kernels()
 
-        self._prev_class: int | None = None
+        # The sequence state: the last step's hidden code, its argmax and
+        # its probabilities (the rollout's first step).
         self._prev_active: np.ndarray | None = None
         self._prev_pred: int | None = None
-        self._last_scores: np.ndarray | None = None
-        self._last_active: np.ndarray | None = None
         self._last_probs: np.ndarray | None = None
         self.train_steps = 0
 
@@ -575,14 +574,11 @@ class SparseHebbianNetwork:
         scores = self.readout(active)
         probs = self.probabilities(scores)
 
-        self._prev_class = input_class
         self._prev_active = active
         # The argmax only feeds the error-driven depression term; without
         # it, ``_learn`` never reads the prediction.
         self._prev_pred = (int(scores.argmax())
                            if self.config.punish_wrong else None)
-        self._last_scores = scores
-        self._last_active = active
         self._last_probs = probs
         return probs
 
@@ -670,18 +666,16 @@ class SparseHebbianNetwork:
 
     def predict_rollout(self, width: int = 1, length: int = 1
                         ) -> list[list[tuple[int, float]]]:
-        if self._last_scores is None:
-            return []
-        out: list[list[tuple[int, float]]] = []
-        scores = self._last_scores
-        active = self._last_active
-        # Fused with step(): the first rollout step reuses the softmax
-        # step() just computed over these exact (frozen) scores, so even
-        # if training touched the weights in between the result is the
-        # same, bit for bit.  Later steps softmax into a scratch buffer.
+        if width < 1:
+            raise ValueError("rollout width must be at least 1")
         probs = self._last_probs
         if probs is None:
-            probs = self.probabilities(scores)
+            return []
+        out: list[list[tuple[int, float]]] = []
+        active = self._prev_active
+        # The first rollout step is the softmax step() computed, so even
+        # if training touched the weights in between the result is the
+        # same, bit for bit.  Later steps softmax into a scratch buffer.
         for remaining in range(length - 1, -1, -1):
             step = select_topk(probs, width)
             out.append(step)
@@ -693,11 +687,8 @@ class SparseHebbianNetwork:
         return out
 
     def reset_state(self) -> None:
-        self._prev_class = None
         self._prev_active = None
         self._prev_pred = None
-        self._last_scores = None
-        self._last_active = None
         self._last_probs = None
 
     def clone(self) -> "SparseHebbianNetwork":
@@ -759,18 +750,14 @@ class SparseHebbianNetwork:
 
     def _copy_stream_state(self, source: "SparseHebbianNetwork") -> None:
         """Private copies of ``source``'s sequence state and step count."""
-        self._prev_class = source._prev_class
         self._prev_pred = source._prev_pred
-        for attr in ("_prev_active", "_last_scores", "_last_active",
-                     "_last_probs"):
+        for attr in ("_prev_active", "_last_probs"):
             src = getattr(source, attr)
             setattr(self, attr, None if src is None else src.copy())
         self.train_steps = source.train_steps
 
-    def restore_state(self, *, values: np.ndarray, prev_class: int | None,
+    def restore_state(self, *, values: np.ndarray,
                       prev_active: np.ndarray | None, prev_pred: int | None,
-                      last_active: np.ndarray | None,
-                      last_scores: np.ndarray | None,
                       last_probs: np.ndarray | None,
                       train_steps: int) -> None:
         """Install externally-held learned state wholesale.
@@ -782,11 +769,8 @@ class SparseHebbianNetwork:
         ``values`` is in :attr:`readout_values` layout and is copied.
         """
         self._set_values(values)
-        self._prev_class = prev_class
         self._prev_active = prev_active
         self._prev_pred = prev_pred
-        self._last_active = last_active
-        self._last_scores = last_scores
         self._last_probs = last_probs
         self.train_steps = train_steps
 

@@ -22,8 +22,10 @@ whole call can gather from — the codes as rows of a ``(cap, k)`` table,
 their membership masks as rows of a ``(cap, hidden)`` table, and the
 transition table ``next[prev_id + 1, class]`` (``-1``: not met yet;
 such an entry is filled once from the scalar ``hidden_code``).  Lane
-sequence state is five ``(lanes,)`` arrays of classes, code ids and
-flags.  With those, per call:
+sequence state is the scalar network's three fields: the last code's id
+and the last argmax as ``(lanes,)`` arrays (``-1``: none; a lane with
+no code has not stepped), the last probabilities as a ``(lanes,
+vocab)`` slab.  With those, per call:
 
 * **Hidden codes** — one ``next[prev + 1, class]`` gather; a call's
   unmet entries are one ``np.unique`` of their keys, each distinct
@@ -297,20 +299,13 @@ class HebbianFleet:
                 values, (n_lanes, self._block)).copy()
         self._w_flat = self._w_vals.reshape(-1)
         self._book = _CodeBook(prototype)
-        # Per-lane sequence state (the scalar net's ``_prev_class`` /
-        # ``_prev_active`` / ``_prev_pred`` / ``_last_active``), codes as
-        # book ids, ``-1`` for None.
-        self._prev_class = np.full(n_lanes, -1, dtype=np.int64)
+        # Per-lane sequence state (the scalar net's ``_prev_active`` /
+        # ``_prev_pred`` / ``_last_probs``), codes as book ids, ``-1`` for
+        # None.  A probability row means something only while the lane's
+        # code is not ``-1``.
         self._prev_code = np.full(n_lanes, -1, dtype=np.int64)
         self._prev_pred = np.full(n_lanes, -1, dtype=np.int64)
-        self._last_code = np.full(n_lanes, -1, dtype=np.int64)
-        # Per-lane rollout anchors (the scalar net's ``_last_scores`` /
-        # ``_last_probs``), stored as rows so subset steps update only
-        # their own lanes.  ``_has_last[t]`` distinguishes "never
-        # stepped" (scalar: ``_last_scores is None``) from a zero row.
-        self._scores_rows = np.zeros((n_lanes, self.vocab_size))
         self._probs_rows = np.zeros((n_lanes, self.vocab_size))
-        self._has_last = np.zeros(n_lanes, dtype=bool)
         # Lanes continue the prototype's training history, as clones do.
         self.train_steps = np.full(
             n_lanes, 0 if reserve else prototype.train_steps, dtype=np.int64)
@@ -339,27 +334,19 @@ class HebbianFleet:
         if not self._free:
             self._grow(self.n_lanes + 1)
         book = self._book
-        if len(book) + 2 > book.limit:
+        if len(book) >= book.limit:
             self._shrink_book(np.empty(0, dtype=np.int64))
         t = self._free.pop()
         self._w_vals[t] = net.readout_values
-        prev_class, prev_active = net._prev_class, net._prev_active
-        prev_pred, last_active = net._prev_pred, net._last_active
-        self._prev_class[t] = -1 if prev_class is None else prev_class
-        self._prev_code[t] = (-1 if prev_active is None
-                              else book.intern(prev_active))
-        self._prev_pred[t] = -1 if prev_pred is None else prev_pred
-        self._last_code[t] = (-1 if last_active is None
-                              else book.intern(last_active))
-        if net._last_scores is not None:
-            self._scores_rows[t] = net._last_scores
-            probs = net._last_probs
-            if probs is None:
-                probs = net.probabilities(net._last_scores.copy())
-            self._probs_rows[t] = probs
-            self._has_last[t] = True
+        prev_active, prev_pred = net._prev_active, net._prev_pred
+        if prev_active is None:
+            self._prev_code[t] = -1
         else:
-            self._has_last[t] = False
+            probs = net._last_probs
+            assert probs is not None  # set by the step that set the code
+            self._prev_code[t] = book.intern(prev_active)
+            self._probs_rows[t] = probs
+        self._prev_pred[t] = -1 if prev_pred is None else prev_pred
         self.train_steps[t] = net.train_steps
         self._resident[t] = True
         return t
@@ -398,29 +385,20 @@ class HebbianFleet:
             self._grow(self.n_lanes + short)
 
     def _clear_sequence_state(self, lane: int) -> None:
-        self._prev_class[lane] = -1
         self._prev_code[lane] = -1
         self._prev_pred[lane] = -1
-        self._last_code[lane] = -1
-        self._has_last[lane] = False
 
     def _export(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Install lane ``lane``'s learned weights and sequence state
         into ``net`` (copies; the slot itself is left as it is)."""
-        has_last = bool(self._has_last[lane])
-        codes = self._book.codes
-        prev_class = int(self._prev_class[lane])
         prev_code = int(self._prev_code[lane])
         prev_pred = int(self._prev_pred[lane])
-        last_code = int(self._last_code[lane])
+        stepped = prev_code >= 0
         net.restore_state(
             values=self._w_vals[lane],
-            prev_class=prev_class if prev_class >= 0 else None,
-            prev_active=codes[prev_code] if prev_code >= 0 else None,
+            prev_active=self._book.codes[prev_code] if stepped else None,
             prev_pred=prev_pred if prev_pred >= 0 else None,
-            last_active=codes[last_code] if last_code >= 0 else None,
-            last_scores=self._scores_rows[lane].copy() if has_last else None,
-            last_probs=self._probs_rows[lane].copy() if has_last else None,
+            last_probs=self._probs_rows[lane].copy() if stepped else None,
             train_steps=int(self.train_steps[lane]))
 
     def _grow(self, min_capacity: int) -> None:
@@ -430,13 +408,9 @@ class HebbianFleet:
         new = max(old * 2, min_capacity)
         self._w_vals = _widened(self._w_vals, new, 0)
         self._w_flat = self._w_vals.reshape(-1)
-        self._scores_rows = _widened(self._scores_rows, new, 0)
         self._probs_rows = _widened(self._probs_rows, new, 0)
-        self._prev_class = _widened(self._prev_class, new, -1)
         self._prev_code = _widened(self._prev_code, new, -1)
         self._prev_pred = _widened(self._prev_pred, new, -1)
-        self._last_code = _widened(self._last_code, new, -1)
-        self._has_last = _widened(self._has_last, new, 0)
         self.train_steps = _widened(self.train_steps, new, 0)
         self._resident = _widened(self._resident, new, 0)
         self._mark = _widened(self._mark, new, 0)
@@ -532,12 +506,8 @@ class HebbianFleet:
         scores = self._readout_arrays(idx, codes)
         probs = self._probabilities_rows(scores)
 
-        self._prev_class[idx] = cls
         self._prev_code[idx] = codes
         self._prev_pred[idx] = scores.argmax(axis=1) if punish else -1
-        self._last_code[idx] = codes
-        self._has_last[idx] = True
-        self._scores_rows[idx] = scores
         self._probs_rows[idx] = probs
         return probs
 
@@ -581,11 +551,9 @@ class HebbianFleet:
         (free slots hold ``-1``) plus the ids ``held`` by a kernel in
         flight; lane state is renumbered in place, ``held`` returned
         renumbered."""
-        keep = np.unique(np.concatenate(
-            [self._prev_code, self._last_code, held]))
+        keep = np.unique(np.concatenate([self._prev_code, held]))
         remap = self._book.rebuild(keep[keep >= 0])
         self._prev_code[:] = remap[self._prev_code]
-        self._last_code[:] = remap[self._last_code]
         return remap[held]
 
     # ------------------------------------------------------------------
@@ -801,7 +769,7 @@ class HebbianFleet:
         width = np.asarray(widths, dtype=np.int64)
         if idx.size and width.min() < 1:
             raise ValueError("rollout widths must be at least 1")
-        depth = np.where(self._has_last[idx],
+        depth = np.where(self._prev_code[idx] >= 0,
                          np.asarray(lengths, dtype=np.int64), 0)
         np.maximum(depth, 0, out=depth)
         deep = int(depth.max(initial=0))
@@ -810,7 +778,7 @@ class HebbianFleet:
         probs = np.zeros((idx.size, deep, span))
         rows = depth.nonzero()[0]
         live = idx[rows]
-        codes = self._last_code[live]
+        codes = self._prev_code[live]
         now = self._probs_rows[live]
         for step in range(deep):
             top, vals = self._select_rows(now, width[rows], span)
@@ -854,11 +822,8 @@ class HebbianFleet:
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
         """Clear every lane's sequence context (weights are kept)."""
-        self._prev_class.fill(-1)
         self._prev_code.fill(-1)
         self._prev_pred.fill(-1)
-        self._last_code.fill(-1)
-        self._has_last.fill(False)
 
     @property
     def w_out(self) -> np.ndarray:

@@ -264,6 +264,8 @@ class OnlineLSTM:
 
     def predict_rollout(self, width: int = 1, length: int = 1
                         ) -> list[list[tuple[int, float]]]:
+        if width < 1:
+            raise ValueError("rollout width must be at least 1")
         if self._last_probs is None:
             return []
         out: list[list[tuple[int, float]]] = []

@@ -23,7 +23,6 @@ from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.core.encoding import DeltaVocabEncoder
-from repro.core.history import MissHistory
 from repro.core.phase_detect import OnlinePhaseDetector
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
@@ -71,6 +70,12 @@ def _stream(lane: int, n: int = 260) -> list[tuple[int, int, int]]:
     stride = [(1 << 24) + 4096 * (i + lane) for i in range(n // 4)]
     addresses = chase + stride + chase[:n - len(chase) - len(stride)]
     return [(a, a >> 12, 10 * i + lane) for i, a in enumerate(addresses)]
+
+
+def _targets(p: CLSPrefetcher) -> set[int]:
+    """The classes of a lane's stream after its first: the targets of its
+    episodes (a ``full`` store keeps every transition)."""
+    return {e.target_class for e in p.scheduler.policy.store.episodes()}
 
 
 Member = tuple[int, CLSPrefetcher, CLSPrefetcher, CLSFleetGroup]
@@ -206,7 +211,7 @@ def test_width_one_and_three_lanes_run_as_two_groups() -> None:
         assert results[i].stats.as_dict() == want.stats.as_dict(), i
         assert results[i].miss_indices == want.miss_indices, i
         assert_released_like(spec.prefetcher, twin)
-        narrow_oov |= i % 2 == 0 and 0 in twin.history.classes()
+        narrow_oov |= i % 2 == 0 and 0 in _targets(twin)
     assert narrow_oov
 
 
@@ -250,7 +255,7 @@ def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
 
 
 def test_a_lane_with_a_past_continues_in_the_arrays() -> None:
-    """A prefetcher that already ran (episodes, history, memo, a scored
+    """A prefetcher that already ran (episodes, memo, a scored
     prediction; no ``reset_stream``) is admitted with all of it."""
     lanes = Lanes()
     veterans = [1, 2, 3]
@@ -262,7 +267,6 @@ def test_a_lane_with_a_past_continues_in_the_arrays() -> None:
                 assert (mine.on_miss_fast(0, address, page, 0, ts)
                         == twin.on_miss_fast(0, address, page, 0, ts))
             assert mine._last_probs is not None and mine._ema_top is not None
-            assert len(mine.history) == mine.history.capacity
             assert mine.scheduler.policy.store.stored_total > 0
             lanes.cursor[lane] = 150
         lanes.join(lane, mine, twin, stream)
@@ -340,11 +344,6 @@ def _short_window(p: CLSPrefetcher) -> None:  # repro-lint: zone=key-cases
         vocab_size=CLSPrefetcher._PHASE_FEATURE_BINS, window=32)
 
 
-def _long_history(p: CLSPrefetcher) -> None:  # repro-lint: zone=key-cases
-    p.history = MissHistory(capacity=20)
-    p._history_push = p.history.push
-
-
 def _other_backend(p: CLSPrefetcher) -> None:
     # Otherwise a function of the config within one process.
     p.model._backend = "numpy" if p.model._backend != "numpy" else "c"
@@ -372,7 +371,6 @@ KEY_CASES: dict[str, tuple[dict, dict,
         dict(replay_policy="confidence",
              replay_kwargs={"confidence_threshold": 0.3}),
         dict(replay_kwargs={"confidence_threshold": 0.5}), None),
-    "history-capacity": ({}, {}, _long_history),
     "granularity": ({}, dict(granularity=64), None),
     "page-size": ({}, dict(page_size=8192), None),
     "collapse-repeats": ({}, {}, _collapse_off),
@@ -540,7 +538,7 @@ def test_ragged_egress_is_the_candidate_loop(width: int, length: int) -> None:
     if length > 1:
         assert refused["missed page"] and refused["listed twice"]
     assert all(twin.encoder.known_deltas == TINY - 1 for twin in twins)
-    assert all(0 in twin.history.classes() for twin in twins)
+    assert all(0 in _targets(twin) for twin in twins)
     assert any(twin.stats.suppressed_low_confidence for twin in twins)
     assert any(twin.stats.prefetches_emitted for twin in twins)
     for group, some in zip(groups, rows):

@@ -141,7 +141,7 @@ class TestOnMiss:
             prefetcher.on_miss(miss(i, (i % 5) * 4096))
         assert prefetcher.accuracy_ema > 0
         prefetcher.reset_stream()
-        assert len(prefetcher._probs_history) == 0
+        assert len(prefetcher._lag_window) == 0
         before = prefetcher.accuracy_ema
         prefetcher.on_miss(miss(61, 0x900000))
         assert prefetcher.accuracy_ema == before

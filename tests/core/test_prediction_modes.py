@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
@@ -59,6 +60,35 @@ class TestDirectPrediction:
         assert prefetcher.stats.trained_steps == 0  # history too shallow
         prefetcher.on_miss(miss(4, 5))
         assert prefetcher.stats.trained_steps == 1
+
+    def test_trains_on_the_lag_pairs_of_the_class_stream(self, monkeypatch):
+        """Direct mode trains on exactly ``(class[t - L], class[t])`` for
+        every ``t >= L`` of the class stream, and ``reset_stream()``
+        restarts that: the new stream's first L classes train nothing."""
+        length = 3
+        prefetcher = CLSPrefetcher(direct_config(prefetch_length=length,
+                                                 replay_policy=None))
+        model = prefetcher.model
+        classes: list[int] = []
+        pairs: list[tuple[int, int]] = []
+        step, train_pair = model.step, model.train_pair
+        monkeypatch.setattr(model, "step", lambda c, **kw: (
+            classes.append(c), step(c, **kw))[1])
+        monkeypatch.setattr(model, "train_pair", lambda a, b: (
+            pairs.append((a, b)), train_pair(a, b))[1])
+        rng = np.random.default_rng(4)
+        index = 0
+        for n in (40, 25):
+            classes.clear()
+            pairs.clear()
+            for page in rng.integers(1, 12, size=n).tolist():
+                prefetcher.on_miss(miss(index, page))
+                index += 1
+            # A repeated page has no class (the encoder collapses it).
+            assert 2 * length < len(classes) < n
+            assert pairs == [(classes[t - length], classes[t])
+                             for t in range(length, len(classes))]
+            prefetcher.reset_stream()
 
     def test_direct_beats_rollout_under_delay(self):
         """A landing delay beyond the rollout horizon favours direct mode

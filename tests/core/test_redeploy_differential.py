@@ -113,11 +113,9 @@ def _snapshot(manager: ShadowModelManager) -> list:
                                   manager.shadow.readout_values)]
     for net in (manager.live, manager.shadow):
         assert type(net) is SparseHebbianNetwork
-        arrays = [net._prev_active, net._last_scores, net._last_active,
-                  net._last_probs]
+        arrays = [net._prev_active, net._last_probs]
         out.append([net.w_out.tobytes(), net._serve_vals.tobytes(),
-                    net.w_in.tobytes(), net._prev_class, net._prev_pred,
-                    net.train_steps,
+                    net.w_in.tobytes(), net._prev_pred, net.train_steps,
                     [None if a is None else a.tobytes() for a in arrays]])
     return out
 

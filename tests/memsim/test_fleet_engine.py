@@ -188,6 +188,45 @@ def test_load_validates_slot_and_trace() -> None:
         cohort.load(0, long_spec)
 
 
+def test_load_refuses_a_slot_outside_the_cohort() -> None:
+    """A negative slot would index a real one from the end."""
+    spec = FleetLaneSpec(trace=_traces(n=600)[0], prefetcher=NullPrefetcher())
+    cohort = FleetCohort.for_specs([spec], width=2)
+    for slot in (-1, 2):
+        with pytest.raises(ValueError, match="outside"):
+            cohort.load_many([0, slot], [spec, spec])
+    assert cohort.active_count() == 0 and cohort.free_slots() == [0, 1]
+
+
+def test_load_refuses_a_slot_named_twice() -> None:
+    """The first of the two lanes would be adopted into its CLS group and
+    never released; nothing is adopted."""
+    trace = _traces(n=600)[0]
+    specs = [FleetLaneSpec(trace=trace, prefetcher=CLSPrefetcher(
+        CLSPrefetcherConfig(seed=seed))) for seed in range(2)]
+    cohort = FleetCohort.for_specs(specs, width=2)
+    with pytest.raises(ValueError, match="more than once"):
+        cohort.load_many([1, 1], specs)
+    assert cohort.active_count() == 0
+    assert not any(group._members for group in cohort._groups)
+    cohort.load_many([0, 1], specs)
+    assert sum(len(group._members) for group in cohort._groups) == 2
+
+
+def test_load_refuses_a_slot_whose_result_is_not_harvested() -> None:
+    """Loading over a finished lane would drop its result."""
+    spec = FleetLaneSpec(trace=_traces(n=600)[0], prefetcher=NullPrefetcher())
+    cohort = FleetCohort.for_specs([spec], width=1, backend="numpy",
+                                   record_miss_indices=True)
+    cohort.load(0, spec)
+    while cohort.active_count():
+        cohort.step()
+    with pytest.raises(ValueError, match="not yet harvested"):
+        cohort.load(0, spec)
+    _assert_matches(cohort.harvest(0), _reference(spec, NullPrefetcher()))
+    cohort.load(0, spec)
+
+
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
 def test_compiled_and_numpy_fleets_agree(backend: str) -> None:
     """Cross-backend equivalence of the fleet itself (not just vs the

@@ -167,10 +167,9 @@ def test_property_kwta_always_exact(class_id, ctx_class):
 
 def _state(net: SparseHebbianNetwork) -> list:
     """Everything ``clone()`` copies, as comparable values."""
-    arrays = [net._prev_active, net._last_scores, net._last_active,
-              net._last_probs]
+    arrays = [net._prev_active, net._last_probs]
     return [net.w_out.tolist(), net._serve_vals.tolist(), net.w_in.tolist(),
-            net._prev_class, net._prev_pred, net.train_steps,
+            net._prev_pred, net.train_steps,
             [None if a is None else a.tolist() for a in arrays]]
 
 

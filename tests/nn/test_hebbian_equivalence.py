@@ -123,11 +123,11 @@ def test_rollout_matches_reference_on_learned_cycle():
 def test_rollout_fused_first_step_matches_recompute():
     """The fused path (reusing step()'s softmax) equals recomputing it.
 
-    ``predict_rollout`` normally reuses the probabilities ``step()`` just
-    produced for the frozen ``_last_scores``; clearing the memo forces
-    the unfused recompute, which must agree bit for bit — including
-    after training mutates the weights in between (the rollout's first
-    step is defined over the frozen scores, not the live weights).
+    ``predict_rollout`` starts from the probabilities ``step()`` just
+    produced; recomputing them from the step's code and the same weights
+    must agree bit for bit.  Training in between does not move the
+    rollout's first step: it is defined over the step's scores, not the
+    live weights.
     """
     config = _configs()["onehot"]
     net = SparseHebbianNetwork(config)
@@ -135,15 +135,16 @@ def test_rollout_fused_first_step_matches_recompute():
     for class_id in rng.integers(0, config.vocab_size, size=300):
         net.step(int(class_id))
     fused = net.predict_rollout(width=2, length=3)
-    net._last_probs = None  # drop the memo: recompute from _last_scores
+    recomputed = net.probabilities(net.readout(net._prev_active))
+    assert np.array_equal(recomputed, net._last_probs)
+    net._last_probs = recomputed
     assert net.predict_rollout(width=2, length=3) == fused
 
-    # Only the first step is frozen; later steps read the live weights
-    # (in both paths), so compare length=1 across a weight mutation.
+    # Only the first step is frozen; later steps read the live weights,
+    # so compare length=1 across a weight mutation.
     net.step(5)
     fused = net.predict_rollout(width=2, length=1)
     net.train_pairs([(9, 30), (4, 17)], lr_scale=0.1)  # mutate weights
-    net._last_probs = None
     assert net.predict_rollout(width=2, length=1) == fused
 
 

@@ -27,6 +27,7 @@ from repro.nn.hebbian import (
     select_topk,
 )
 from repro.nn.hebbian_fleet import HebbianFleet
+from repro.nn.lstm import LSTMConfig, OnlineLSTM
 from repro.seeding import child_rng
 
 #: int8 serves from a quantized mirror the fleet deliberately rejects.
@@ -390,9 +391,8 @@ def test_row_topk_equals_select_topk_per_row(vocab: int, width: int,
 # ----------------------------------------------------------------------
 def _fleet_state(fleet: HebbianFleet) -> list[bytes]:
     return [arr.tobytes() for arr in (
-        fleet._w_vals, fleet._prev_class, fleet._prev_code,
-        fleet._prev_pred, fleet._last_code, fleet._has_last,
-        fleet._scores_rows, fleet._probs_rows, fleet.train_steps)]
+        fleet._w_vals, fleet._prev_code, fleet._prev_pred,
+        fleet._probs_rows, fleet.train_steps)]
 
 
 @pytest.mark.parametrize("n_lanes", [3, 11, 12, 32])
@@ -452,6 +452,59 @@ def test_a_call_on_no_lane_is_a_no_op() -> None:
     assert classes.shape == probs.shape == (0, 0, 0) and depth.shape == (0,)
     assert fleet.lane_index([]).shape == (0,)
     assert _fleet_state(fleet) == before
+
+
+def test_a_rollout_of_width_zero_is_refused_by_every_model() -> None:
+    """A rollout picks at least one class a step: the scalar network,
+    the LSTM and the fleet all raise ``ValueError`` below width 1."""
+    net = _prototype("numpy").clone()
+    lstm = OnlineLSTM(LSTMConfig(vocab_size=VOCAB, embed_dim=8,
+                                 hidden_dim=8, seed=0))
+    fleet = HebbianFleet(net, 1, reserve=True)
+    slot = fleet.acquire_lane(net.clone())
+    for model in (net, lstm):
+        model.step(3)
+    fleet.step_lanes([slot], [3], [True])
+    for width in (0, -1):
+        for model in (net, lstm):
+            with pytest.raises(ValueError, match="at least 1"):
+                model.predict_rollout(width=width, length=2)
+        with pytest.raises(ValueError, match="at least 1"):
+            fleet.rollout_lanes([slot], [width], [2])
+    assert len(net.predict_rollout(width=1, length=2)) == 2
+    assert len(lstm.predict_rollout(width=1, length=2)) == 2
+
+
+def test_a_slot_without_a_step_rolls_out_nothing() -> None:
+    """A slot's code id doubles as its "has stepped" flag: right after
+    ``redeploy_lane``, and after acquiring a ``reset_state()`` network,
+    the slot rolls out ``[]`` as the scalar network does; one step later
+    it rolls out what the scalar network does."""
+    proto = _prototype("numpy")
+    streams = _streams(9)
+    warm = proto.clone()
+    for step in range(12):
+        warm.step(int(streams[step, 0]))
+    reset = warm.clone()
+    reset.reset_state()
+    fleet = HebbianFleet(proto, 2, reserve=True)
+    redeployed = fleet.acquire_lane(warm)
+    fresh = fleet.acquire_lane(reset)
+    assert fleet.rollout_lanes([redeployed], [2], [3]) == [
+        warm.predict_rollout(2, 3)] != [[]]
+    shadow = warm.clone()
+    shadow.reset_state()
+    fleet.redeploy_lane(redeployed, shadow, None)
+    assert reset.predict_rollout(2, 3) == []
+    assert fleet.rollout_lanes([redeployed, fresh], [2, 2], [3, 3]) == [
+        [], []]
+    assert fleet.lane_network(redeployed).predict_rollout(2, 3) == []
+    for slot, twin in ((redeployed, shadow), (fresh, reset)):
+        input_class = int(streams[12, 1])
+        fleet.step_lanes([slot], [input_class], [True])
+        twin.step(input_class)
+        assert fleet.rollout_lanes([slot], [2], [3]) == [
+            twin.predict_rollout(2, 3)]
 
 
 # ----------------------------------------------------------------------
