@@ -57,16 +57,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pagecache import _FREE, _VICTIM_BATCH, CacheStats
+from .pagecache import _FREE, _STAT_FIELDS, _VICTIM_BATCH, CacheStats
 
 __all__ = ["FleetPageCache"]
-
-#: Names of the per-lane counter vectors, in ``CacheStats`` field order.
-_STAT_FIELDS = (
-    "accesses", "hits", "demand_misses", "prefetch_hits",
-    "prefetches_issued", "prefetches_redundant", "prefetches_evicted_unused",
-    "demand_evictions_by_prefetch", "writebacks",
-)
 
 
 class FleetPageCache:

@@ -16,8 +16,8 @@ implementation stamps ``last_use[slot]`` with a fresh clock value, so
 ``page -> slot`` dict, or — once :meth:`PageCache.attach_universe` maps
 the trace's pages to compact ids — a cid-indexed slot array, which makes
 residency over a trace chunk a single vectorized gather (the heart of
-the ``first_nonresident`` scan, and the table the compiled hit walk of
-the span-batched engine reads).
+the ``first_nonresident`` scan, and the table ``simulate()``'s compiled
+engine reads).
 
 Eviction is lazy-LRU by minimum timestamp: an ``argpartition`` over
 ``last_use`` snapshots the ``_VICTIM_BATCH`` oldest slots into a victim
@@ -30,7 +30,7 @@ time and can only have grown younger since — i.e. the same victim the
 
 The bulk APIs account a whole hit run (:meth:`PageCache.access_run`) or
 demand-miss run (:meth:`PageCache.fill_run`) in a handful of vectorized
-operations; the auto-engine probe runs on them, and they are the numpy
+operations; ``bench/layers.py`` times them, and they are the numpy
 reference the compiled scans are fuzzed against.  The retained ``OrderedDict`` implementation lives in
 ``pagecache_reference.py``; ``tests/memsim/test_pagecache_fuzz.py`` pins
 this class against it counter-for-counter after every operation.
@@ -127,6 +127,15 @@ class CacheStats:
             "prefetch_accuracy": self.prefetch_accuracy,
             "coverage": self.coverage,
         }
+
+
+#: ``CacheStats``' counters in field order (the order the compiled
+#: kernels keep them in).
+_STAT_FIELDS = (
+    "accesses", "hits", "demand_misses", "prefetch_hits",
+    "prefetches_issued", "prefetches_redundant", "prefetches_evicted_unused",
+    "demand_evictions_by_prefetch", "writebacks",
+)
 
 
 @dataclass
@@ -357,7 +366,7 @@ class PageCache:
             del self._slot[int(self._page[slot])]
 
     # ------------------------------------------------------------------
-    # Bulk API (the auto-engine probe; the compiled scans' reference)
+    # Bulk API (timed by bench/layers.py; the compiled scans' reference)
     # ------------------------------------------------------------------
     def attach_universe(self, universe: np.ndarray) -> None:
         """Enable the bulk APIs for a known page universe.

@@ -52,11 +52,11 @@ class FastPathPrefetcher(Prefetcher, Protocol):
     access in that configuration).
 
     ``wants_accesses`` also gates engine selection (PR 4): the
-    span-batched engine never delivers per-access callbacks, so a
+    compiled engine never delivers per-access callbacks, so a
     prefetcher that wants them is always simulated on the scalar
     reference engine.  Miss-driven prefetchers see the identical miss
-    stream under either engine — the batched engine resolves hit runs
-    in bulk but stops at every demand miss and prefetch landing, so
+    stream under either engine — the compiled kernel replays hits and
+    landings itself but returns at every demand miss, so
     ``on_miss``/``on_miss_fast`` fire at the same indices with the same
     cache state as the scalar loop.
     """
@@ -76,8 +76,8 @@ class NullPrefetcher:
 
     ``is_null`` lets the scalar engine skip constructing
     :class:`MissEvent` objects entirely — this policy never reads them —
-    and, with the C kernels, selects the compiled null replay (the whole
-    run in one kernel call per segment).
+    and, with the C kernels, runs the compiled engine in null mode (the
+    whole run in one kernel call per segment).
     """
 
     name = "none"

@@ -13,33 +13,29 @@ miss indices, same prefetcher interaction order):
   (the reference semantics *and* the reference constant factors).  It is
   the only engine able to drive per-access observers (``wants_accesses``
   prefetchers) and the only engine without the compiled kernels.
-* ``batched`` — the span-batched engine on the array-backed
-  :class:`~repro.memsim.pagecache.PageCache`, which needs the compiled
-  kernels.  Between two membership-changing events (a demand fill or a
-  prefetch landing) the resident set is constant, so the whole hit run up
-  to the next miss is one compiled hit walk.  Misses stay scalar so the
-  prefetcher sees the exact same callback sequence.  A null-prefetcher
-  run is one compiled replay call per segment instead (also reported as
-  ``batched``).
+* ``batched`` — the compiled engine on the array-backed
+  :class:`~repro.memsim.pagecache.PageCache`: one C kernel runs the
+  whole per-access algorithm (hits, demand fills with LRU eviction, the
+  in-flight prefetch queue and its landings) and returns to Python only
+  at a demand miss, for the prefetcher; a null-prefetcher run never
+  returns early, so it is one call per segment.
 
 ``engine="auto"`` (the default) picks ``batched`` whenever the kernels
 are available and the prefetcher does not observe per-access events,
 which covers every Figure 5 configuration in the repo, unless one
 up-front probe of the trace prefix (``_probe_prefers_scalar``) shows
-spans too short to amortize the per-span dispatch; the compiled null
-replay has no per-span cost and skips the probe.  Without the kernels
-``auto`` is the scalar engine, unprobed.
+spans shorter than ``_PROBE_MIN_SPAN``; a null run skips the probe.
+Without the kernels ``auto`` is the scalar engine, unprobed.
 
-All engines are *segment-capable* (PR 5): each exposes
+Both engines are *segment-capable* (PR 5): each exposes
 ``run(start, stop)`` and ``simulate`` drives the run as a sequence of
 segments.  With telemetry disabled there is exactly one segment,
 ``[0, n)``, through the identical code path — which is how the null
 sink stays free.  With an enabled :class:`repro.telemetry.Telemetry`
 sink, segments end at window boundaries and the sink snapshots counters
 between them.  Segmentation cannot change results: a boundary merely
-clips the current hit span or miss run, and splitting a compiled walk or
-replay is splitting a sequence of scalar operations that were already
-defined element-wise (same clock order, same LRU stamps, same victims) —
+splits a sequence of per-access operations that were already defined
+element-wise (same clock order, same LRU stamps, same victims) —
 pinned by ``tests/telemetry/test_engine_parity.py``.
 """
 
@@ -53,24 +49,25 @@ import numpy as np
 from ..nn.backends import resolve_backend, sim_kernels
 from ..patterns.trace import Trace
 from .events import AccessEvent, MissEvent
-from .pagecache import MISS, CacheStats, PageCache
+from .pagecache import _STAT_FIELDS, _VICTIM_BATCH, MISS, CacheStats, PageCache
 from .pagecache_reference import ReferencePageCache
 from .prefetch_queue import PrefetchQueue
-from .prefetcher import Prefetcher
+from .prefetcher import NullPrefetcher, Prefetcher
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..telemetry.nullsink import NullTelemetry as TelemetrySink
 
-#: Spans at least this long pay for the batched engine's per-span cost
-#: (one compiled hit walk plus the landing bookkeeping) over the
-#: per-access loop (measured on stride-resnet, spans ~1-2: batched
-#: 0.20 M/s vs scalar 0.38 M/s; stride-graph500, spans ~8: batched
-#: 1.65 M/s vs scalar 1.04 M/s).
+#: ``auto`` sends a trace whose probed spans are shorter than this to the
+#: scalar engine.  The threshold was the crossover of a per-span engine
+#: that no longer exists; the compiled engine has no per-span cost, and
+#: the threshold stays only to keep the engine choice the benchmark
+#: goldens pin (``engine: scalar`` on the stride / Markov / Leap resnet
+#: cells).
 _PROBE_MIN_SPAN = 3
 
-#: The auto-engine probe replays at most this many leading accesses (null,
-#: bulk cache APIs on the compiled scans) to estimate steady-state span
-#: lengths before committing a run to the batched engine.
+#: The auto-engine probe replays at most this many leading accesses (a
+#: null run of the compiled engine) to estimate steady-state span lengths
+#: before committing a run to the batched engine.
 _PROBE_PREFIX = 32_768
 
 #: Below this many accesses the probe is skipped (the run is too short for
@@ -168,11 +165,10 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
     run is the scalar reference engine, which never touches the kernels.
 
     With the kernels, ``engine="auto"`` additionally probes the trace (a
-    bulk null replay of a short prefix) and picks the scalar engine for
-    short-span workloads whose per-access misses would make span
-    batching a net loss (stride on resnet, where most spans are one or
-    two accesses).  The compiled null replay skips the probe — it has no
-    per-span cost.
+    null replay of a short prefix) and picks the scalar engine for
+    short-span workloads (stride on resnet, where most spans are one or
+    two accesses) — the choice the benchmark goldens pin.  A null run
+    skips the probe.
 
     ``telemetry`` optionally attaches a :class:`repro.telemetry.Telemetry`
     sink.  An enabled sink partitions the run into window-aligned
@@ -187,7 +183,6 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
     backend_used = resolve_backend(backend, domain="sim")
     kern = sim_kernels(backend_used)
     capacity = config.resolve_capacity(trace)
-    queue = PrefetchQueue(delay_accesses=config.prefetch_delay_accesses)
     on_access = getattr(prefetcher, "on_access", None)
     if on_access is not None and not getattr(prefetcher, "wants_accesses", True):
         # Fast-path protocol: the prefetcher declares it ignores the
@@ -202,37 +197,28 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
         raise ValueError(
             "batched engine needs the compiled kernels; "
             "use engine='scalar' (or 'auto') on the numpy backend")
-    compiled_null = (kern is not None
-                     and getattr(prefetcher, "is_null", False))
-    # A short-span workload pays more for the per-span kernel call and
-    # landing bookkeeping than for the reference per-access loop (auto
-    # must be at least as good as the better explicit engine choice).
     use_batched = engine == "batched" or (
         engine == "auto" and kern is not None and on_access is None
-        and (compiled_null
+        and (getattr(prefetcher, "is_null", False)
              or not _probe_prefers_scalar(trace, config, capacity, kern)))
     sink = telemetry if telemetry is not None and telemetry.enabled else None
     if sink is not None:
         sink.begin_run(trace, prefetcher.name, config, capacity)
-    n = len(trace)
     miss_indices: list[int] = []
     miss_out = miss_indices if record_miss_indices else None
-    eng: _ScalarEngine | _BatchedEngine | _CompiledNullEngine
+    eng: _ScalarEngine | _CompiledEngine
     cache: PageCache | ReferencePageCache
     if use_batched:
         cache = PageCache(capacity_pages=capacity)
-        if compiled_null:
-            eng = _CompiledNullEngine(trace, config, cache, miss_out, kern)
-        else:
-            eng = _BatchedEngine(trace, prefetcher, config, cache, queue,
-                                 miss_out, kern)
+        eng = _CompiledEngine(trace, prefetcher, config, cache, miss_out,
+                              kern)
         engine_used = "batched"
     else:
         cache = ReferencePageCache(capacity_pages=capacity)
-        eng = _ScalarEngine(trace, prefetcher, config, cache, queue,
-                            on_access, miss_out)
+        eng = _ScalarEngine(trace, prefetcher, config, cache, on_access,
+                            miss_out)
         engine_used = "scalar"
-    _drive(eng, n, sink, cache, queue, prefetcher)
+    _drive(eng, len(trace), sink, cache, prefetcher)
     if sink is not None:
         sink.end_run(engine_used, backend_used)
     return SimResult(
@@ -249,52 +235,40 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
 
 def _probe_prefers_scalar(trace: Trace, config: SimConfig,
                           capacity: int, kern: Any) -> bool:
-    """Cheap span-length probe for the auto engine choice.
+    """Span-length probe for the auto engine choice.
 
-    Replays a short prefix of the trace with no prefetcher through the
-    bulk cache APIs and measures the steady-state inter-miss gap — only
-    misses in the *second half* of the prefix count, so compulsory
-    (first-touch) misses of small-footprint workloads don't masquerade as
-    short spans.  A gap below ``_PROBE_MIN_SPAN`` means the batched
-    engine would pay per-span dispatch for most spans and lose to the
-    reference loop.  Deterministic, allocation-light (the page index is
-    memoized on the trace), and ~prefix/trace_length of a full run; the
-    probe itself scans through the compiled kernels.
+    Replays a short prefix of the trace with no prefetcher — the
+    compiled engine in null mode, one call per half — and measures the
+    steady-state inter-miss gap: only misses in the *second half* of the
+    prefix count, so compulsory (first-touch) misses of small-footprint
+    workloads don't masquerade as short spans.  A gap below
+    ``_PROBE_MIN_SPAN`` picks the scalar engine.  Deterministic; costs
+    one null replay of at most ``_PROBE_PREFIX`` accesses (well under a
+    millisecond per run on the Figure 5 traces).
     """
-    n = len(trace)
-    prefix = min(n, _PROBE_PREFIX)
+    prefix = min(len(trace), _PROBE_PREFIX)
     if prefix < _PROBE_MIN:
         return False
-    universe, cids = trace.page_index(config.page_size)
-    pages = trace.pages(config.page_size)
-    stores = np.zeros(prefix, dtype=bool)
+    late_misses = _late_misses(trace, config, capacity, kern, prefix)
+    return bool(late_misses) and (
+        (prefix - prefix // 2) / late_misses < _PROBE_MIN_SPAN)
+
+
+def _late_misses(trace: Trace, config: SimConfig, capacity: int, kern: Any,
+                 prefix: int) -> int:
+    """Demand misses in ``[prefix // 2, prefix)`` of a null replay."""
     cache = PageCache(capacity_pages=capacity)
-    cache.attach_universe(universe)
-    cache.attach_kernels(kern)
-    half = prefix // 2
-    late_misses = 0
-    i = 0
-    while i < prefix:
-        j = cache.first_nonresident(cids, i, prefix)
-        if j > i:
-            cache.access_run(cids[i:j], stores[: j - i])
-            i = j
-        if i >= prefix:
-            break
-        k = cache.miss_run_length(cids, i, prefix)
-        cache.fill_run(pages[i:i + k], cids[i:i + k], stores[:k])
-        if i + k > half:
-            late_misses += (i + k) - max(i, half)
-        i += k
-    if not late_misses:
-        return False
-    return (prefix - half) / late_misses < _PROBE_MIN_SPAN
+    probe = _CompiledEngine(trace, NullPrefetcher(), config, cache, None,
+                            kern)
+    probe.run(0, prefix // 2)
+    early_misses = cache.stats.demand_misses
+    probe.run(prefix // 2, prefix)
+    return cache.stats.demand_misses - early_misses
 
 
-def _drive(eng: "_ScalarEngine | _BatchedEngine | _CompiledNullEngine",
-           n: int,
+def _drive(eng: "_ScalarEngine | _CompiledEngine", n: int,
            sink: "TelemetrySink | None",
-           cache: PageCache | ReferencePageCache, queue: PrefetchQueue,
+           cache: PageCache | ReferencePageCache,
            prefetcher: Prefetcher) -> None:
     """Run ``eng`` over ``[0, n)``, pausing at the sink's window boundaries.
 
@@ -307,7 +281,7 @@ def _drive(eng: "_ScalarEngine | _BatchedEngine | _CompiledNullEngine",
     start = 0
     for stop in sink.boundaries(n):
         eng.run(start, stop)
-        sink.on_window(stop, cache, len(queue), prefetcher)
+        sink.on_window(stop, cache, eng.queue_depth(), prefetcher)
         start = stop
 
 
@@ -321,9 +295,8 @@ class _ScalarEngine:
     """
 
     def __init__(self, trace: Trace, prefetcher: Prefetcher,
-                 config: SimConfig, cache: PageCache | ReferencePageCache,
-                 queue: PrefetchQueue, on_access: Any,
-                 miss_out: list[int] | None) -> None:
+                 config: SimConfig, cache: ReferencePageCache,
+                 on_access: Any, miss_out: list[int] | None) -> None:
         self._pages: list[int] = trace.pages(config.page_size).tolist()
         # KIND_STORE marks the page dirty.
         self._stores: list[bool] = (trace.kinds != 0).tolist()
@@ -346,9 +319,13 @@ class _ScalarEngine:
             self._timestamps = trace.timestamps.tolist()
         self._prefetcher = prefetcher
         self._cache = cache
-        self._queue = queue
+        self._queue = PrefetchQueue(
+            delay_accesses=config.prefetch_delay_accesses)
         self._max_prefetches = config.max_prefetches_per_miss
         self._miss_out = miss_out
+
+    def queue_depth(self) -> int:
+        return len(self._queue)
 
     def run(self, start: int, stop: int) -> None:
         cache = self._cache
@@ -435,196 +412,196 @@ class _ScalarEngine:
                             issue(int(predicted), i)
 
 
-class _BatchedEngine:
-    """Span-batched engine: one compiled hit walk per span.
+class _CompiledEngine:
+    """``simulate()``'s compiled engine: one kernel call per demand miss.
 
-    Residency is constant between two membership-changing events (a
-    demand fill or a prefetch landing), so the whole hit run up to the
-    next miss is one kernel call; spans never contain a landing by
-    construction.  Landings and misses happen at exactly the scalar
-    engine's access indices and misses stay scalar, so the prefetcher
-    sees the exact callback sequence of the scalar engine — every stat
-    and learned weight is bit-identical.  A telemetry boundary merely
-    clips the current span (a hit run is a sequence of identical scalar
-    accesses), so segmented runs are bit-identical to the single-segment
-    run.
+    ``rk_sim_run`` (``nn/backends/c_backend.py``) runs the scalar
+    engine's whole per-access algorithm — prefetch landings, hits,
+    demand fills with LRU eviction — on the slot arrays of a
+    :class:`PageCache`, and returns only at a demand miss: the
+    prefetcher's turn.  Its predictions are cut to
+    ``max_prefetches_per_miss``, lose the miss page (as in the scalar
+    engine), are named by cid and handed to the next call, which issues
+    them.  A null prefetcher is never asked, so a null run is one call
+    per segment.  Landings and misses happen at the scalar engine's
+    access indices, and the prefetcher sees its exact callback sequence,
+    so every stat and learned weight is bit-identical.
+
+    A page outside the trace's universe (a speculative prediction) gets
+    the next *extension* cid, from the universe size up, the first time
+    it is predicted; the cid table (``cache._slot_of_cid``) and
+    ``_page_of_cid`` are reallocated wider, and the kernel rebound, when
+    one falls outside them.  The in-flight ring doubles the same way.
+
+    At each segment end :meth:`_sync` brings the cache's Python view up
+    to date — ``stats``, ``_clock``, ``_n_resident``, ``_n_undemanded``
+    and the free list — and :meth:`queue_depth` reports the in-flight
+    count, so telemetry windows read what the scalar engine's would.
     """
 
     def __init__(self, trace: Trace, prefetcher: Prefetcher,
-                 config: SimConfig, cache: PageCache, queue: PrefetchQueue,
+                 config: SimConfig, cache: PageCache,
                  miss_out: list[int] | None, kern: Any) -> None:
         universe, cids = trace.page_index(config.page_size)
         cache.attach_universe(universe)
-        cache.attach_kernels(kern)
-        stores = trace.kinds != 0
         self._cache = cache
-        self._queue = queue
-        self._pages: list[int] = trace.pages(config.page_size).tolist()
-        self._stores: list[bool] = stores.tolist()
-        # The walk is bound to the cache's state arrays: they are
-        # allocated once and landings/misses mutate them in place, so the
-        # bound pointers stay valid for the whole run.
-        self._walk_state = np.zeros(4, dtype=np.int64)
-        self._walk = kern.bind_hit_walk(
-            soc=cache._require_universe(),
-            cids=np.ascontiguousarray(cids, dtype=np.int64),
-            stores=stores, last_use=cache._last_use,
-            dirty=cache._dirty, undemanded=cache._undemanded,
-            state=self._walk_state)
+        self._kern = kern
+        self._prefetcher = prefetcher
+        self._is_null: bool = getattr(prefetcher, "is_null", False)
+        self._trace = trace
+        self._cids = np.ascontiguousarray(cids, dtype=np.int64)
+        self._stores = trace.kinds != 0
+        self._shift = config.page_size.bit_length() - 1
+        self._delay = config.prefetch_delay_accesses
+        self._max_prefetches = config.max_prefetches_per_miss
+        self._page_of_cid = np.array(universe, dtype=np.int64)
+        self._issue = np.zeros(max(1, self._max_prefetches), dtype=np.int64)
+        # At most max_prefetches per miss of the last ``delay`` accesses
+        # are in flight; past 4096 the ring grows when it fills.
+        bound = max(1, self._max_prefetches * max(1, self._delay))
+        ring = 1 << (min(bound, 4096) - 1).bit_length()
+        self._ring_at = np.zeros(ring, dtype=np.int64)
+        self._ring_cid = np.zeros(ring, dtype=np.int64)
+        self._vstamp = np.zeros(_VICTIM_BATCH, dtype=np.int64)
+        self._vslot = np.zeros(_VICTIM_BATCH, dtype=np.int64)
+        self._stats = np.zeros(len(_STAT_FIELDS), dtype=np.int64)
+        # clock, n_resident, n_undemanded, ring head, ring tail, misses
+        # recorded, victim snapshot length and position (SIM_* in C).
+        self._state = np.zeros(8, dtype=np.int64)
+        self._miss_out = miss_out
+        self._miss_idx = np.zeros(len(cids) if miss_out is not None else 1,
+                                  dtype=np.int64)
+        self._flushed = 0
+        self._bind()
 
-        addresses = trace.addresses
-        stream_ids = trace.stream_ids
-        timestamps = trace.timestamps
-        on_miss_fast = getattr(prefetcher, "on_miss_fast", None)
-        on_miss = prefetcher.on_miss
-        max_prefetches = config.max_prefetches_per_miss
-        fill = cache.fill
-        issue = queue.issue
-        append_miss = miss_out.append if miss_out is not None else None
+    def _bind(self) -> None:
+        cache = self._cache
+        self._run = self._kern.bind_sim(
+            dict(cids=self._cids, stores=self._stores,
+                 soc=cache._require_universe(), page_of_cid=self._page_of_cid,
+                 page_of_slot=cache._page, last_use=cache._last_use,
+                 cid_of_slot=cache._cid_of_slot, dirty=cache._dirty,
+                 undemanded=cache._undemanded, ring_at=self._ring_at,
+                 ring_cid=self._ring_cid, issue=self._issue,
+                 miss_idx=self._miss_idx, vstamp=self._vstamp,
+                 vslot=self._vslot, stats=self._stats, state=self._state),
+            capacity=cache.capacity_pages, ring_mask=len(self._ring_at) - 1,
+            delay=self._delay, record=int(self._miss_out is not None),
+            is_null=int(self._is_null))
 
-        def handle_miss(i: int, page: int, store: bool) -> None:
-            fill(page, store)
-            if append_miss is not None:
-                append_miss(i)
+    def _extend(self, page: int) -> int:
+        """The cid of ``page``, which the run's lookup missed: it was not
+        an ``int``, or it is out of the universe and takes the next
+        extension cid (cids are dense: the number of pages named)."""
+        cache = self._cache
+        cid = cache._cid_of.get(page)
+        if cid is not None:
+            return cid
+        cid = len(cache._cid_of)
+        if cid >= len(self._page_of_cid):
+            width = 2 * cid + 16
+            soc = np.full(width, -1, dtype=np.int64)
+            soc[:cid] = cache._require_universe()
+            cache._slot_of_cid = soc
+            page_of_cid = np.zeros(width, dtype=np.int64)
+            page_of_cid[:cid] = self._page_of_cid
+            self._page_of_cid = page_of_cid
+            self._bind()
+        self._page_of_cid[cid] = page
+        cache._cid_of[page] = cid
+        return cid
+
+    def _grow_ring(self, need: int) -> None:
+        """Re-lay the in-flight ring into one of at least ``need``."""
+        head, tail = self._state[3:5].tolist()
+        old, size = len(self._ring_at), 1 << (need - 1).bit_length()
+        at = np.arange(head, tail)
+        for name in ("_ring_at", "_ring_cid"):
+            grown = np.zeros(size, dtype=np.int64)
+            grown[at & (size - 1)] = getattr(self, name)[at & (old - 1)]
+            setattr(self, name, grown)
+        self._bind()
+
+    def run(self, start: int, stop: int) -> None:
+        if self._is_null:
+            self._run(start, stop, 0)
+            self._sync()
+            return
+        run = self._run
+        issue = self._issue
+        ring = len(self._ring_at)
+        address_at = self._trace.addresses.item
+        stream_at = self._trace.stream_ids.item
+        time_at = self._trace.timestamps.item
+        shift = self._shift
+        cid_get = self._cache._cid_of.get
+        on_miss_fast = getattr(self._prefetcher, "on_miss_fast", None)
+        on_miss = self._prefetcher.on_miss
+        max_prefetches = self._max_prefetches
+        tail = int(self._state[4])
+        # A lower bound on the ring head: re-read only when the ring
+        # might be full.
+        head = tail - ring
+        i = start
+        k = 0
+        while True:
+            j = run(i, stop, k)
+            if j >= stop:
+                break
+            address = address_at(j)
+            page = address >> shift
             if on_miss_fast is not None:
-                predictions = on_miss_fast(i, int(addresses[i]), page,
-                                           int(stream_ids[i]),
-                                           int(timestamps[i]))
+                predictions = on_miss_fast(j, address, page, stream_at(j),
+                                           time_at(j))
             else:
                 predictions = on_miss(MissEvent(
-                    index=i,
-                    address=int(addresses[i]),
-                    page=page,
-                    stream_id=int(stream_ids[i]),
-                    timestamp=int(timestamps[i]),
-                ))
+                    index=j, address=address, page=page,
+                    stream_id=stream_at(j), timestamp=time_at(j)))
+            k = 0
             if predictions:
                 if len(predictions) > max_prefetches:
                     predictions = predictions[:max_prefetches]
                 for predicted in predictions:
                     if predicted != page:
-                        issue(int(predicted), i)
+                        cid = cid_get(predicted)
+                        if cid is None:
+                            cid = self._extend(int(predicted))
+                            run = self._run
+                        issue[k] = cid
+                        k += 1
+                tail += k
+                if tail - head > ring:
+                    head = int(self._state[3])
+                    if tail - head > ring:
+                        self._grow_ring(tail - head)
+                        run = self._run
+                        ring = len(self._ring_at)
+            i = j + 1
+        self._sync()
 
-        self._handle_miss = handle_miss
-
-    def run(self, start: int, stop: int) -> None:
+    def _sync(self) -> None:
         cache = self._cache
-        queue = self._queue
-        n = stop
-        pages = self._pages
-        stores = self._stores
-        handle_miss = self._handle_miss
-        insert_prefetch = cache.insert_prefetch
-        landed = queue.landed
-        walk = self._walk
-        state = self._walk_state
+        clock, n_resident, n_undemanded, _, _, misses = (
+            self._state[:6].tolist())
+        cache._clock = clock
+        cache._n_resident = n_resident
+        cache._n_undemanded = n_undemanded
+        # Slots go out virgin-ascending, the free list's pop order.
+        del cache._free[cache.capacity_pages - n_resident:]
         stats = cache.stats
-        accesses_l = misses_l = 0
-
-        i = start
-        while i < n:
-            if queue.next_landing <= i:
-                for landed_page in landed(i):
-                    insert_prefetch(landed_page)
-            # Residency is constant until the next landing or demand fill:
-            # walk hits up to whichever comes first (or the segment end).
-            span_stop = queue.next_landing
-            if span_stop > n:
-                span_stop = n
-            # Python-side landings/fills tick the clock and flip
-            # undemanded flags between walks; sync both ways per call.
-            state[0] = cache._clock
-            state[1] = cache._n_undemanded
-            j = walk(i, span_stop)
-            cache._clock = int(state[0])
-            cache._n_undemanded = int(state[1])
-            accesses_l += j - i
-            i = j
-            if i < span_stop:
-                accesses_l += 1
-                misses_l += 1
-                handle_miss(i, pages[i], stores[i])
-                i += 1
-        stats.accesses += accesses_l
-        stats.demand_misses += misses_l
-        stats.prefetch_hits += int(state[2])
-        stats.hits += int(state[3])
-        state[2] = 0
-        state[3] = 0
-
-
-class _CompiledNullEngine:
-    """Null-prefetcher replay as one compiled call per segment.
-
-    No prefetch is ever issued, so the whole per-access reference
-    algorithm — hit stamping, LRU victim selection, fills — runs inside
-    the kernel; only the stats flush and miss-index copy stay in Python.
-    Undemanded flags and the out-of-universe overlay are provably
-    untouched (nothing is ever prefetched), and the kernel's batched
-    victim snapshot selects exactly the scalar loop's LRU victims (see
-    the kernel source), so results are bit-identical to the scalar
-    engine.
-    """
-
-    def __init__(self, trace: Trace, config: SimConfig, cache: PageCache,
-                 miss_out: list[int] | None, kern: Any) -> None:
-        pages_arr = trace.pages(config.page_size)
-        universe, cids = trace.page_index(config.page_size)
-        cache.attach_universe(universe)
-        cache.attach_kernels(kern)
-        self._cache = cache
-        self._miss_out = miss_out
-        n = len(cids)
-        # state: [0]=clock [1]=n_resident [2]=free_n [3]=miss_count
-        #        [4]=hits [5]=demand_misses [6]=writebacks (4-6 per-segment)
-        state = np.zeros(8, dtype=np.int64)
-        state[0] = cache._clock
-        state[1] = cache._n_resident
-        state[2] = len(cache._free)
-        self._state = state
-        self._free_arr = np.array(cache._free, dtype=np.int64)
-        self._record = 1 if miss_out is not None else 0
-        self._miss_idx = np.zeros(n if miss_out is not None else 1,
-                                  dtype=np.int64)
-        self._flushed = 0
-        self._run_kern = kern.bind_null_run(
-            cids=np.ascontiguousarray(cids, dtype=np.int64),
-            pages=np.ascontiguousarray(pages_arr, dtype=np.int64),
-            stores=trace.kinds != 0,
-            soc=cache._require_universe(), page_of_slot=cache._page,
-            last_use=cache._last_use, dirty=cache._dirty,
-            cid_of_slot=cache._cid_of_slot, free_slots=self._free_arr,
-            capacity=cache.capacity_pages, miss_idx=self._miss_idx,
-            state=state)
-
-    def run(self, start: int, stop: int) -> None:
-        self._run_kern(start, stop, self._record)
-        cache = self._cache
-        state = self._state
-        stats = cache.stats
-        stats.accesses += stop - start
-        stats.hits += int(state[4])
-        stats.demand_misses += int(state[5])
-        stats.writebacks += int(state[6])
-        state[4] = 0
-        state[5] = 0
-        state[6] = 0
-        # Mirror the kernel-owned scalars back so telemetry windows (and
-        # any post-run cache use) see consistent state.
-        cache._clock = int(state[0])
-        cache._n_resident = int(state[1])
-        cache._free[:] = self._free_arr[:int(state[2])].tolist()
+        for name, value in zip(_STAT_FIELDS, self._stats.tolist()):
+            setattr(stats, name, value)
         if self._miss_out is not None:
-            miss_n = int(state[3])
             self._miss_out.extend(
-                self._miss_idx[self._flushed:miss_n].tolist())
-            self._flushed = miss_n
+                self._miss_idx[self._flushed:misses].tolist())
+            self._flushed = misses
+
+    def queue_depth(self) -> int:
+        return int(self._state[4] - self._state[3])
 
 
 def baseline_misses(trace: Trace, config: SimConfig = SimConfig()) -> SimResult:
     """Run the no-prefetch baseline (Figure 5's denominator)."""
-    from .prefetcher import NullPrefetcher
-
     return simulate(trace, NullPrefetcher(), config)
 
 
@@ -633,10 +610,11 @@ def span_length_stats(trace: Trace, prefetcher: Prefetcher,
     """Measure the hit-run (span) length distribution of a workload.
 
     Replays the trace with the given prefetcher, then segments the access
-    stream into maximal runs of consecutive hits (the spans the batched
-    engine accounts in bulk).  Returns mean/median/max span length plus
-    the hit/miss totals — the numbers that explain where span batching
-    pays (``memsim.simulate.span_len_mean`` of ``python -m bench trace``).
+    stream into maximal runs of consecutive hits (what the compiled
+    engine replays between two returns to Python, landings included).
+    Returns mean/median/max span length plus the hit/miss totals — what
+    ``auto``'s probe estimates (``memsim.simulate.span_len_mean`` of
+    ``python -m bench trace``).
     """
     result = simulate(trace, prefetcher, config, record_miss_indices=True)
     n = len(trace)

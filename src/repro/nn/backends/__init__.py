@@ -9,13 +9,13 @@ winning.  That leaves:
     its numpy arithmetic.  The correctness fallback when no compiler is
     present (one-time ``RuntimeWarning``), not a tuned platform.
 ``c``
-    The **memsim** membership scans, hit walks and null replay (single
-    lane and fleet) as a small C file compiled on first use with the
-    system C compiler and loaded through ``cffi``'s ABI mode;
-    bit-identical to the numpy reference.  It is a legal name for the
-    network too (one ``--backend`` value flows to both domains) but
-    selects no network kernel: the Hebbian network is numpy arithmetic
-    under every name.
+    The **memsim** kernels — ``simulate()``'s engine, the fleet's hit
+    walk and null replay, the membership scans — as a small C file
+    compiled on first use with the system C compiler and loaded through
+    ``cffi``'s ABI mode; bit-identical to the reference.  It is a legal
+    name for the network too (one ``--backend`` value flows to both
+    domains) but selects no network kernel: the Hebbian network is numpy
+    arithmetic under every name.
 ``int8``
     The one name that changes what the network does: readout scores are
     read from an int8-quantized mirror of the weights while training

@@ -10,15 +10,17 @@ plumbing, and the only runtime requirements are ``cffi`` and a
 compile error, dlopen error — makes the backend report unavailable;
 nothing raises out of :func:`available`.
 
-Only the simulator's membership scans, hit walks and null replay are
-compiled: those are the kernels ``python -m bench`` shows winning
-(null replay 6-50x).  The Hebbian network is numpy arithmetic under
-every backend name — C kernels for it measured no faster than numpy's
-own (``nn.hebbian.step_us.numpy`` vs ``.c``).
+Only the simulator is compiled: ``simulate()``'s engine (``rk_sim_run``:
+hits, fills, evictions, the in-flight prefetch queue and its landings —
+one call per demand miss, one per segment for a null run), the fleet's
+hit walk and null replay, and ``PageCache``'s two membership scans.
+The Hebbian network is numpy arithmetic under every backend name — C
+kernels for it measured no faster than numpy's own
+(``nn.hebbian.step_us.numpy`` vs ``.c``).
 
-Bit-identity: every kernel reproduces its numpy counterpart's
-observable state transitions exactly (see the per-function notes in the
-C source); all of them are integer-only.
+Bit-identity: every kernel reproduces its reference's observable state
+transitions exactly (see the per-function notes in the C source); all
+of them are integer-only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,29 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+
+#: ``rk_sim_run``'s context: the arrays and settings of one ``simulate()``
+#: run.  One string serves the C source and the cffi declarations, so the
+#: two layouts cannot drift apart.
+_SIM_CONTEXT = """
+typedef struct {
+    /* trace: access -> page cid, access is a store */
+    const long long *cids;
+    const unsigned char *stores;
+    /* residency: cid -> slot (-1: not resident), and per slot */
+    long long *soc, *page_of_cid, *page_of_slot, *last_use, *cid_of_slot;
+    unsigned char *dirty, *undemanded;
+    /* in-flight prefetches: a FIFO ring of (landing index, cid) */
+    long long *ring_at, *ring_cid;
+    /* predictions of the last miss as cids; recorded miss indices */
+    const long long *issue;
+    long long *miss_idx;
+    /* victim snapshot (kept across calls), CacheStats' nine counters in
+     * field order, and the SIM_* scalars */
+    long long *vstamp, *vslot, *stats, *state;
+    long long capacity, ring_mask, delay, record, is_null;
+} rk_sim;
+"""
 
 _SOURCE = r"""
 /* Compiled hot-path kernels for the repro simulator.
@@ -90,160 +115,204 @@ i64 rk_miss_run_length(const i64 *soc, const i64 *cids, i64 start,
     return i - start;
 }
 
-/* The batched engine's hit walk: replay demand accesses from `start`,
- * stamping LRU recency per access, until the first non-resident access
- * or `stop`; returns the stop index.  Per-access semantics of
- * PageCache.access() restricted to hits (the caller guarantees no
- * landing falls inside [start, stop)).
- *
- * state: [0]=clock  [1]=n_undemanded  [2]=prefetch_hits  [3]=hits
- * ([2] and [3] accumulate; the caller flushes them into CacheStats). */
-i64 rk_hit_walk(const i64 *soc, const i64 *cids, const u8 *stores,
-                i64 *last_use, u8 *dirty, u8 *undemanded,
-                i64 start, i64 stop, i64 *state)
+/* Lazy-LRU victim queue (PageCache._refill_victims / _evict_lru):
+ * rk_refill_victims snapshots the VICTIM_BATCH smallest stamps of
+ * last_use[0, capacity) in ascending order (a partial insertion sort;
+ * the cache is full when it runs, so only live stamps enter) and
+ * returns the snapshot's length; rk_pop_victim drains the snapshot
+ * with a stamp-match check, refilling it when it runs dry.  A matching
+ * entry is the true LRU minimum: every slot outside the snapshot was
+ * younger at snapshot time and stamps only grow (or become
+ * FREE_STAMP), so the victim *choice* is exactly the reference's,
+ * wherever the snapshot boundaries fall. */
+static i64 rk_refill_victims(const i64 *last_use, i64 capacity,
+                             i64 *vstamp, i64 *vslot)
 {
-    i64 clock = state[0];
-    i64 n_und = state[1];
-    i64 pf_hits = state[2];
-    i64 hits = state[3];
-    i64 i = start;
-    for (; i < stop; i++) {
-        i64 slot = soc[cids[i]];
-        if (slot < 0)
-            break;
-        last_use[slot] = clock++;
-        if (stores[i])
-            dirty[slot] = 1;
-        if (n_und && undemanded[slot]) {
-            undemanded[slot] = 0;
-            n_und--;
-            pf_hits++;
+    i64 vn = 0;
+    for (i64 s = 0; s < capacity; s++) {
+        i64 st = last_use[s];
+        i64 p;
+        if (vn == VICTIM_BATCH && st >= vstamp[vn - 1])
+            continue;
+        p = (vn < VICTIM_BATCH) ? vn : vn - 1;
+        while (p > 0 && vstamp[p - 1] > st) {
+            vstamp[p] = vstamp[p - 1];
+            vslot[p] = vslot[p - 1];
+            p--;
         }
-        hits++;
+        vstamp[p] = st;
+        vslot[p] = s;
+        if (vn < VICTIM_BATCH)
+            vn++;
     }
-    state[0] = clock;
-    state[1] = n_und;
-    state[2] = pf_hits;
-    state[3] = hits;
-    return i;
+    return vn;
 }
 
-/* Full null-prefetcher replay of accesses [start, stop): per-access
- * hit/miss with exact LRU eviction — the scalar reference algorithm at
- * C speed.  The null prefetcher never issues, so no page is ever
- * undemanded and the out-of-universe dict overlay stays empty; both are
- * provably untouched here.
- *
- * Victim selection mirrors PageCache._refill_victims' lazy-LRU batch:
- * snapshot the VICTIM_BATCH smallest stamps (ascending), drain with a
- * stamp-match check.  A matching entry is the true LRU minimum — every
- * slot outside the snapshot was younger at snapshot time and stamps
- * only grow (or become FREE_STAMP) — so the victim *choice* per miss is
- * exactly the reference's, regardless of batch boundaries.
- *
- * state: [0]=clock [1]=n_resident [2]=free_n [3]=miss_buf_count
- *        [4]=hits [5]=demand_misses [6]=writebacks
- * ([4..6] accumulate; the caller flushes them into CacheStats). */
-void rk_null_run(const i64 *cids, const i64 *pages, const u8 *stores,
-                 i64 *soc, i64 *page_of_slot, i64 *last_use, u8 *dirty,
-                 i64 *cid_of_slot, i64 *free_slots, i64 capacity,
-                 i64 start, i64 stop, i64 *miss_idx, i64 record,
-                 i64 *state)
+static i64 rk_pop_victim(const i64 *last_use, i64 capacity,
+                         i64 *vstamp, i64 *vslot, i64 *vn, i64 *vi)
 {
-    i64 clock = state[0];
-    i64 n_res = state[1];
-    i64 free_n = state[2];
-    i64 miss_n = state[3];
-    i64 hits = state[4];
-    i64 misses = state[5];
-    i64 wbacks = state[6];
-    i64 vstamp[VICTIM_BATCH];
-    i64 vslot[VICTIM_BATCH];
-    i64 vn = 0, vi = 0;
+    for (;;) {
+        i64 st, vs;
+        if (*vi >= *vn) {
+            *vn = rk_refill_victims(last_use, capacity, vstamp, vslot);
+            *vi = 0;
+        }
+        st = vstamp[*vi];
+        vs = vslot[*vi];
+        (*vi)++;
+        if (st != FREE_STAMP && last_use[vs] == st)
+            return vs;
+    }
+}
 
-    for (i64 i = start; i < stop; i++) {
-        i64 cid = cids[i];
-        i64 slot = soc[cid];
+/* simulate()'s compiled engine: the whole per-access algorithm of the
+ * scalar reference engine (memsim/simulator.py, _ScalarEngine over
+ * ReferencePageCache) on PageCache's slot arrays.  Per access i, in the
+ * reference's order: every in-flight prefetch due at i lands
+ * (PageCache.insert_prefetch), then the demand access hits
+ * (PageCache.access) or misses and is filled (PageCache.fill).  Issue
+ * indices never decrease and the delay is constant, so the in-flight
+ * queue is a FIFO ring (head and tail count up; the caller keeps the
+ * power-of-two ring large enough).  Slots are handed out
+ * virgin-ascending (slot n_resident below capacity; at capacity the
+ * evicted slot is reused by the same install): the order PageCache's
+ * free list pops them in.  Pages are cids: trace pages by position in
+ * the trace's page universe, out-of-universe prefetches by extension
+ * cids the caller assigns from the universe size up. */
+""" + _SIM_CONTEXT + r"""
+/* state[]: the LRU clock, residency counts, the ring's head and tail,
+ * misses recorded, and the victim snapshot's length and position.  A
+ * call works on a local copy of all but the last two, which
+ * rk_pop_victim updates in place (so the copy never escapes and can
+ * live in registers). */
+enum { SIM_CLOCK, SIM_RESIDENT, SIM_UNDEMANDED, SIM_HEAD, SIM_TAIL,
+       SIM_MISSES, SIM_VN, SIM_VI };
+
+/* stats[]: CacheStats' counters in field order. */
+enum { ACCESSES, HITS, DEMAND_MISSES, PREFETCH_HITS, PREFETCHES_ISSUED,
+       REDUNDANT, EVICTED_UNUSED, DISPLACED_BY_PREFETCH, WRITEBACKS,
+       N_STATS };
+
+#define NO_PENDING (1LL << 62)
+
+/* The slot a page is installed into: a virgin one below capacity, else
+ * the LRU page's, evicted (PageCache._evict_lru).  A landing's eviction
+ * of a demanded page counts a demand page displaced by a prefetch. */
+static inline i64 rk_take_slot(const rk_sim *s, i64 *st, i64 *c,
+                               int by_prefetch)
+{
+    i64 slot;
+    if (st[SIM_RESIDENT] < s->capacity)
+        return st[SIM_RESIDENT]++;
+    slot = rk_pop_victim(s->last_use, s->capacity, s->vstamp, s->vslot,
+                         &s->state[SIM_VN], &s->state[SIM_VI]);
+    if (s->dirty[slot]) {
+        c[WRITEBACKS]++;
+        s->dirty[slot] = 0;
+    }
+    if (s->undemanded[slot]) {
+        c[EVICTED_UNUSED]++;
+        st[SIM_UNDEMANDED]--;
+        s->undemanded[slot] = 0;
+    } else if (by_prefetch) {
+        c[DISPLACED_BY_PREFETCH]++;
+    }
+    s->soc[s->cid_of_slot[slot]] = -1;
+    return slot;
+}
+
+static inline void rk_install(const rk_sim *s, i64 slot, i64 cid,
+                              i64 stamp)
+{
+    s->page_of_slot[slot] = s->page_of_cid[cid];
+    s->last_use[slot] = stamp;
+    s->soc[cid] = slot;
+    s->cid_of_slot[slot] = cid;
+}
+
+/* Issue the n_issue predictions in s->issue at access start - 1 (the
+ * miss the caller just answered), then run accesses [start, stop).
+ * Returns the index of the first demand miss (already filled and
+ * counted) so the caller can ask the prefetcher, or stop.  In null mode
+ * it never returns early. */
+i64 rk_sim_run(const rk_sim *s, i64 start, i64 stop, i64 n_issue)
+{
+    const i64 *cids = s->cids;
+    i64 *soc = s->soc;
+    i64 *last_use = s->last_use;
+    i64 *ring_at = s->ring_at;
+    i64 mask = s->ring_mask;
+    i64 st[SIM_VN];
+    i64 c[N_STATS] = {0};
+    i64 clock, next_landing;
+    i64 i = start;
+
+    for (int k = 0; k < SIM_VN; k++)
+        st[k] = s->state[k];
+    clock = st[SIM_CLOCK];
+    for (i64 k = 0; k < n_issue; k++, st[SIM_TAIL]++) {
+        ring_at[st[SIM_TAIL] & mask] = start - 1 + s->delay;
+        s->ring_cid[st[SIM_TAIL] & mask] = s->issue[k];
+    }
+    next_landing = st[SIM_HEAD] < st[SIM_TAIL]
+        ? ring_at[st[SIM_HEAD] & mask] : NO_PENDING;
+    for (; i < stop; i++) {
+        i64 cid, slot;
+        while (next_landing <= i) {
+            cid = s->ring_cid[st[SIM_HEAD]++ & mask];
+            next_landing = st[SIM_HEAD] < st[SIM_TAIL]
+                ? ring_at[st[SIM_HEAD] & mask] : NO_PENDING;
+            c[PREFETCHES_ISSUED]++;
+            slot = soc[cid];
+            if (slot >= 0) {
+                c[REDUNDANT]++;
+                last_use[slot] = clock++;
+                continue;
+            }
+            slot = rk_take_slot(s, st, c, 1);
+            rk_install(s, slot, cid, clock++);
+            s->undemanded[slot] = 1;
+            st[SIM_UNDEMANDED]++;
+        }
+        cid = cids[i];
+        slot = soc[cid];
         if (slot >= 0) {
             last_use[slot] = clock++;
-            if (stores[i])
-                dirty[slot] = 1;
-            hits++;
+            if (s->stores[i])
+                s->dirty[slot] = 1;
+            if (st[SIM_UNDEMANDED] && s->undemanded[slot]) {
+                s->undemanded[slot] = 0;
+                st[SIM_UNDEMANDED]--;
+                c[PREFETCH_HITS]++;
+            }
+            c[HITS]++;
             continue;
         }
-        misses++;
-        if (record)
-            miss_idx[miss_n] = i;
-        miss_n++;
-        if (free_n > 0) {
-            slot = free_slots[--free_n];
-        } else {
-            for (;;) {
-                if (vi >= vn) {
-                    /* Refill: partial selection of the VICTIM_BATCH
-                     * smallest stamps, kept sorted ascending by
-                     * insertion (free slots carry FREE_STAMP and the
-                     * cache is full here, so only live stamps enter). */
-                    vn = 0;
-                    for (i64 s = 0; s < capacity; s++) {
-                        i64 st = last_use[s];
-                        i64 p;
-                        if (vn == VICTIM_BATCH && st >= vstamp[vn - 1])
-                            continue;
-                        p = (vn < VICTIM_BATCH) ? vn : vn - 1;
-                        while (p > 0 && vstamp[p - 1] > st) {
-                            vstamp[p] = vstamp[p - 1];
-                            vslot[p] = vslot[p - 1];
-                            p--;
-                        }
-                        vstamp[p] = st;
-                        vslot[p] = s;
-                        if (vn < VICTIM_BATCH)
-                            vn++;
-                    }
-                    vi = 0;
-                }
-                {
-                    i64 st = vstamp[vi];
-                    i64 vs = vslot[vi];
-                    vi++;
-                    if (st != FREE_STAMP && last_use[vs] == st) {
-                        slot = vs;
-                        break;
-                    }
-                }
-            }
-            if (dirty[slot]) {
-                wbacks++;
-                dirty[slot] = 0;
-            }
-            soc[cid_of_slot[slot]] = -1;
-            cid_of_slot[slot] = -1;
-            last_use[slot] = FREE_STAMP;
-            n_res--;
-        }
-        page_of_slot[slot] = pages[i];
-        last_use[slot] = clock++;
-        dirty[slot] = stores[i] ? 1 : 0;
-        soc[cid] = slot;
-        cid_of_slot[slot] = cid;
-        n_res++;
+        c[DEMAND_MISSES]++;
+        if (s->record)
+            s->miss_idx[st[SIM_MISSES]] = i;
+        st[SIM_MISSES]++;
+        slot = rk_take_slot(s, st, c, 0);
+        rk_install(s, slot, cid, clock++);
+        s->dirty[slot] = s->stores[i];
+        if (!s->is_null)
+            break;
     }
-    state[0] = clock;
-    state[1] = n_res;
-    state[2] = free_n;
-    state[3] = miss_n;
-    state[4] = hits;
-    state[5] = misses;
-    state[6] = wbacks;
+    st[SIM_CLOCK] = clock;
+    for (int k = 0; k < SIM_VN; k++)
+        s->state[k] = st[k];
+    c[ACCESSES] = c[HITS] + c[DEMAND_MISSES];
+    for (int k = 0; k < N_STATS; k++)
+        s->stats[k] += c[k];
+    return i;
 }
 
 /* ------------------------------------------------------------------ */
 /* Fleet (tenant-axis) simulator kernels                              */
 /* ------------------------------------------------------------------ */
 
-/* The fleet engine's lockstep hit walk: rk_hit_walk per tenant lane
- * over the (tenant, slot) matrices of FleetPageCache.  For each lane t
+/* The fleet engine's lockstep hit walk: rk_sim_run's hit path per
+ * tenant lane over the (tenant, slot) matrices of FleetPageCache.  For each lane t
  * in lanes[0..n_lanes), replays demand accesses from pos[t] until the
  * first non-resident access or limit[t], with per-access semantics of
  * the scalar cache (LRU stamp, dirty, undemanded clear + prefetch hit).
@@ -301,11 +370,9 @@ void rk_fleet_hit_walk(const i64 *lanes, i64 n_lanes,
     }
 }
 
-/* Fleet null replay: rk_null_run per tenant lane, each lane driven from
- * pos[t] to completion (n_len[t]) in this one call.  Slot allocation is
- * the fleet cache's virgin-ascending scheme (below capacity the next
- * slot is n_resident; at capacity the evicted slot is reused), which is
- * unobservable vs the free list — see fleet_cache.py.  The per-lane
+/* Fleet null replay: rk_sim_run's null mode per tenant lane, each lane
+ * driven from pos[t] to completion (n_len[t]) in this one call.  Slots
+ * are handed out virgin-ascending, as in rk_sim_run.  The per-lane
  * victim snapshot only scans slots [0, capacity[t]): higher slots can
  * never have been occupied.  Trace rows are indirected through
  * trace_row (shared packed rows); miss indices stay lane-indexed and
@@ -366,37 +433,7 @@ void rk_fleet_null_run(const i64 *lanes, i64 n_lanes,
             if (n_res < cap) {
                 slot = n_res;
             } else {
-                for (;;) {
-                    if (vi >= vn) {
-                        vn = 0;
-                        for (i64 s = 0; s < cap; s++) {
-                            i64 st = l_lu[s];
-                            i64 p;
-                            if (vn == VICTIM_BATCH && st >= vstamp[vn - 1])
-                                continue;
-                            p = (vn < VICTIM_BATCH) ? vn : vn - 1;
-                            while (p > 0 && vstamp[p - 1] > st) {
-                                vstamp[p] = vstamp[p - 1];
-                                vslot[p] = vslot[p - 1];
-                                p--;
-                            }
-                            vstamp[p] = st;
-                            vslot[p] = s;
-                            if (vn < VICTIM_BATCH)
-                                vn++;
-                        }
-                        vi = 0;
-                    }
-                    {
-                        i64 st = vstamp[vi];
-                        i64 vs = vslot[vi];
-                        vi++;
-                        if (st != FREE_STAMP && l_lu[vs] == st) {
-                            slot = vs;
-                            break;
-                        }
-                    }
-                }
+                slot = rk_pop_victim(l_lu, cap, vstamp, vslot, &vn, &vi);
                 if (l_dirty[slot]) {
                     wbacks++;
                     l_dirty[slot] = 0;
@@ -431,17 +468,9 @@ long long rk_first_nonresident(const long long *soc, const long long *cids,
 long long rk_miss_run_length(const long long *soc, const long long *cids,
                              long long start, long long limit,
                              long long *scratch, long long stamp);
-long long rk_hit_walk(const long long *soc, const long long *cids,
-                      const unsigned char *stores, long long *last_use,
-                      unsigned char *dirty, unsigned char *undemanded,
-                      long long start, long long stop, long long *state);
-void rk_null_run(const long long *cids, const long long *pages,
-                 const unsigned char *stores, long long *soc,
-                 long long *page_of_slot, long long *last_use,
-                 unsigned char *dirty, long long *cid_of_slot,
-                 long long *free_slots, long long capacity,
-                 long long start, long long stop, long long *miss_idx,
-                 long long record, long long *state);
+""" + _SIM_CONTEXT + """
+long long rk_sim_run(const rk_sim *s, long long start, long long stop,
+                     long long n_issue);
 void rk_fleet_hit_walk(const long long *lanes, long long n_lanes,
                        const long long *trace_row,
                        const long long *soc, long long su,
@@ -575,9 +604,9 @@ class CSimKernels:
     """Simulator kernel bundle (one per ``simulate()`` call).
 
     ``first_nonresident``/``miss_run_length`` are plain calls (used by
-    ``PageCache`` when kernels are attached); the engine inner loops use
-    the ``bind_*`` closures, which capture the run-stable arrays' buffer
-    pointers once so the per-span/per-segment call passes only scalars.
+    ``PageCache`` when kernels are attached); the engines use the
+    ``bind_*`` closures, which capture the run-stable arrays' buffer
+    pointers once so the per-miss/per-segment call passes only scalars.
     """
 
     name = "c"
@@ -599,42 +628,32 @@ class CSimKernels:
             _i64(ffi, soc), _i64(ffi, cids), start, limit,
             _i64(ffi, scratch), stamp))
 
-    def bind_hit_walk(self, *, soc: np.ndarray, cids: np.ndarray,
-                      stores: np.ndarray, last_use: np.ndarray,
-                      dirty: np.ndarray, undemanded: np.ndarray,
-                      state: np.ndarray) -> Callable[[int, int], int]:
+    def bind_sim(self, arrays: dict[str, np.ndarray],
+                 **settings: int) -> Callable[[int, int, int], int]:
+        """``simulate()``'s compiled engine over ``arrays`` and
+        ``settings``, named as the fields of ``rk_sim``.
+
+        The returned ``run(start, stop, n_issue)`` issues the first
+        ``n_issue`` cids of ``issue`` as the predictions of the miss at
+        ``start - 1``, then replays accesses ``[start, stop)`` and returns
+        the first demand miss's index, or ``stop`` (see ``rk_sim_run``).
+        The kernel keeps the arrays' buffer pointers: an array that is
+        reallocated (a wider cid table, a longer ring) needs a new bind.
+        """
         ffi = self._ffi
-        fn = self._lib.rk_hit_walk
-        p_soc, p_cids, p_lu, p_state = (_i64(ffi, a) for a in
-                                        (soc, cids, last_use, state))
-        p_stores, p_dirty, p_und = (_u8(ffi, a) for a in
-                                    (stores, dirty, undemanded))
+        ctx = ffi.new("rk_sim *")
+        keep = [ctx]
+        for name, arr in arrays.items():
+            keep.append(_u8(ffi, arr) if arr.dtype == bool
+                        else _i64(ffi, arr))
+            setattr(ctx, name, keep[-1])
+        for name, value in settings.items():
+            setattr(ctx, name, value)
+        fn = self._lib.rk_sim_run
 
-        def run(start: int, stop: int) -> int:
-            return int(fn(p_soc, p_cids, p_stores, p_lu, p_dirty, p_und,
-                          start, stop, p_state))
-
-        return run
-
-    def bind_null_run(self, *, cids: np.ndarray, pages: np.ndarray,
-                      stores: np.ndarray, soc: np.ndarray,
-                      page_of_slot: np.ndarray, last_use: np.ndarray,
-                      dirty: np.ndarray, cid_of_slot: np.ndarray,
-                      free_slots: np.ndarray, capacity: int,
-                      miss_idx: np.ndarray,
-                      state: np.ndarray) -> Callable[[int, int, int], None]:
-        ffi = self._ffi
-        fn = self._lib.rk_null_run
-        (p_cids, p_pages, p_soc, p_pos, p_lu, p_cos, p_free, p_miss,
-         p_state) = (_i64(ffi, a) for a in
-                     (cids, pages, soc, page_of_slot, last_use, cid_of_slot,
-                      free_slots, miss_idx, state))
-        p_stores, p_dirty = _u8(ffi, stores), _u8(ffi, dirty)
-
-        def run(start: int, stop: int, record: int) -> None:
-            fn(p_cids, p_pages, p_stores, p_soc, p_pos, p_lu, p_dirty,
-               p_cos, p_free, capacity, start, stop, p_miss, record,
-               p_state)
+        def run(start: int, stop: int, n_issue: int, _keep: Any = keep
+                ) -> int:
+            return int(fn(ctx, start, stop, n_issue))
 
         return run
 

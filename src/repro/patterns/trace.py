@@ -127,7 +127,7 @@ class Trace:
         """``(universe, cids)``: sorted distinct pages and per-access ids.
 
         ``universe[cids[i]]`` is the page of access ``i``.  Compact ids are
-        what make the span-batched simulator's residency test a plain array
+        what make the compiled simulator's residency test a plain array
         lookup.  The result is memoized per page size — treat traces as
         immutable after construction (``slice``/``concat`` return copies),
         as the columns are shared, not re-derived.

@@ -11,7 +11,7 @@ the per-window rates (miss rate, prefetch accuracy, coverage, timeliness)
 from the deltas alone.
 
 Because both simulation engines stop at the same window boundaries, a
-span-batched run and a per-access scalar run produce byte-identical
+compiled run and a per-access scalar run produce byte-identical
 window records — observation is pure accounting, never simulation input
 (``tests/telemetry/test_engine_parity.py`` pins this).
 """

@@ -5,7 +5,7 @@ PR 4's span-batched engine regressed the always-in-flight workloads
 span, so batching is pure overhead.  PR 6 adds a cheap bulk probe to
 ``simulate(engine="auto")`` that measures the steady-state span length
 on a trace prefix and picks the scalar engine for short-span workloads.
-The batched engine is the compiled hit walk, so the probe runs only with
+The batched engine is the compiled kernel, so the probe runs only with
 the compiled kernels; on the numpy backend ``auto`` is the scalar engine,
 unprobed.  These tests pin the choice structurally — the probe must send
 stride-resnet to the scalar engine and stride-pagerank to the batched
@@ -13,7 +13,10 @@ one, and whichever engine ``auto`` picks must be bit-identical to both
 pinned engines (so ``auto`` can never do worse than the better of the
 two by more than the constant probe cost).
 
-The second half fuzzes the compiled membership scans
+The probe is a null run of the compiled engine over a trace prefix; its
+count of second-half misses is held to a null replay through
+``PageCache``'s numpy bulk API, on the bench's trace sizes and on random
+traces.  The last part fuzzes the compiled membership scans
 (``first_nonresident`` / ``miss_run_length``) against the numpy
 reference on randomized cache states.
 """
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.classic import StridePrefetcher
-from repro.memsim import NullPrefetcher, SimConfig, simulate
+from repro.memsim import NullPrefetcher, SimConfig, simulate, simulator
 from repro.memsim.pagecache import PageCache
 from repro.nn.backends import available_backends, sim_kernels
 from repro.patterns.applications import (
@@ -34,6 +37,7 @@ from repro.patterns.applications import (
     pagerank_graphchi,
     resnet_training,
 )
+from repro.patterns.trace import Trace
 
 COMPILED = [b for b in available_backends("sim") if b != "numpy"]
 
@@ -143,6 +147,71 @@ def test_compiled_probe_uses_lower_span_threshold(backend: str,
                       backend=backend)
     assert result.engine_used == expected
     assert result.backend_used == backend
+
+
+# ----------------------------------------------------------------------
+# The probe's miss count vs its bulk-API reference
+# ----------------------------------------------------------------------
+def _bulk_late_misses(trace, config: SimConfig, capacity: int,
+                      prefix: int) -> int:
+    """Misses in the second half of a null replay of ``trace[:prefix]``
+    through ``PageCache``'s numpy bulk API: whole hit runs by
+    ``access_run``, whole distinct-miss runs by ``fill_run``."""
+    universe, cids = trace.page_index(config.page_size)
+    pages = trace.pages(config.page_size)
+    stores = np.zeros(prefix, dtype=bool)
+    cache = PageCache(capacity_pages=capacity)
+    cache.attach_universe(universe)
+    half = prefix // 2
+    late_misses = 0
+    i = 0
+    while i < prefix:
+        j = cache.first_nonresident(cids, i, prefix)
+        if j > i:
+            cache.access_run(cids[i:j], stores[:j - i])
+            i = j
+        if i >= prefix:
+            break
+        k = cache.miss_run_length(cids, i, prefix)
+        cache.fill_run(pages[i:i + k], cids[i:i + k], stores[:k])
+        if i + k > half:
+            late_misses += (i + k) - max(i, half)
+        i += k
+    return late_misses
+
+
+def _assert_probe_counts_like_bulk(trace, config: SimConfig) -> None:
+    kern = sim_kernels(_compiled())
+    capacity = config.resolve_capacity(trace)
+    prefix = min(len(trace), simulator._PROBE_PREFIX)
+    assert (simulator._late_misses(trace, config, capacity, kern, prefix)
+            == _bulk_late_misses(trace, config, capacity, prefix))
+
+
+#: The trace lengths of the ``python -m bench`` cells: sim-classic runs
+#: every app at 200k accesses, sim-cls-hebbian at its own sizes.
+@pytest.mark.parametrize("app,n", [
+    *[(app, 200_000) for app in sorted(APPS)],
+    ("resnet", 16_000), ("graph500", 28_000), ("pagerank", 100_000),
+    ("mcf", 100_000)])
+def test_probe_counts_the_bulk_replays_late_misses(app: str, n: int):
+    _assert_probe_counts_like_bulk(APPS[app](AppSpec(n=n, seed=1)),
+                                   _config())
+
+
+def test_probe_counts_the_bulk_replays_late_misses_on_random_traces():
+    rng = np.random.default_rng(2024)
+    for trial in range(12):
+        n = int(rng.integers(4096, 40_000))
+        footprint = int(rng.integers(8, 3000))
+        pages = (rng.integers(0, footprint, size=n) if trial % 2
+                 else np.minimum(rng.geometric(1 / footprint, size=n),
+                                 footprint))
+        trace = Trace(name=f"probe{trial}",
+                      addresses=pages.astype(np.int64) * 4096,
+                      metadata={"seed": trial})
+        config = SimConfig(memory_fraction=float(rng.uniform(0.05, 1.0)))
+        _assert_probe_counts_like_bulk(trace, config)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Bit-identity: span-batched engine vs the scalar reference engine.
+"""Bit-identity: the compiled engine vs the scalar reference engine.
 
-The batched engine (one compiled hit walk per span) must be
-indistinguishable from the retained per-access event loop: identical
-``CacheStats`` dicts, identical miss indices, and — because misses stay
-scalar and landings interleave at the same access indices — identical
-prefetcher interaction order, asserted via the CLS prefetcher's learned
-weights.  Exercised across the four Figure 5 application traces with
-delay ∈ {0, 4}.  The batched engine needs the compiled kernels, so its
-cases skip without them; on the numpy backend ``simulate()`` is the
-scalar engine, and asking for ``"batched"`` there raises.
+The batched engine (one C kernel call per demand miss, one per segment
+for a null run) must be indistinguishable from the retained per-access
+event loop: identical ``CacheStats`` dicts, identical miss indices, and
+— because landings interleave at the same access indices and the kernel
+returns at every miss — identical prefetcher interaction order, asserted
+via the CLS prefetcher's learned weights.  Exercised across the four
+Figure 5 application traces with delay ∈ {0, 4}, and with a scripted
+prefetcher over the edges of the issue path (delays 0 to 1000,
+capacities 1 to above the footprint, an empty trace, addresses near
+2**63, telemetry windows on).  The batched engine needs the compiled
+kernels, so its cases skip without them; on the numpy backend
+``simulate()`` is the scalar engine, and asking for ``"batched"`` there
+raises.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import pytest
 from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim import NullPrefetcher, SimConfig, simulate, span_length_stats
-from repro.nn.backends import available_backends
+from repro.memsim.pagecache import PageCache
+from repro.memsim.simulator import _CompiledEngine
+from repro.nn.backends import available_backends, sim_kernels
 from repro.patterns.applications import (
     AppSpec,
     graph500,
@@ -28,6 +34,7 @@ from repro.patterns.applications import (
     resnet_training,
 )
 from repro.patterns.trace import Trace
+from repro.telemetry import Telemetry
 
 #: PR 6: every available compiled backend must be indistinguishable from
 #: the numpy reference on the same grid of workloads.
@@ -101,9 +108,9 @@ def test_cls_bit_identical_including_learned_weights(app: str, delay: int):
 @pytest.mark.parametrize("delay", [0, 4])
 def test_compiled_backend_bit_identical_to_numpy(app: str, delay: int,
                                                  backend: str):
-    """Compiled null-replay + hit-walk kernels vs the numpy backend (the
-    scalar reference engine): identical stats and miss indices on the
-    full Figure 5 grid."""
+    """The compiled engine vs the numpy backend (the scalar reference
+    engine): identical stats and miss indices on the full Figure 5
+    grid."""
     if backend == "__none__":
         pytest.skip("no compiled backend available in this environment")
     trace = _trace(app)
@@ -212,3 +219,111 @@ def test_span_length_stats_consistency():
     # Spans partition the hit accesses exactly.
     hits = stats["n_accesses"] - stats["demand_misses"]
     assert stats["mean_span"] * stats["n_spans"] == pytest.approx(hits)
+
+
+# ----------------------------------------------------------------------
+# Scripted predictions: every edge of the compiled engine's issue path
+# ----------------------------------------------------------------------
+class _ScriptedPrefetcher:
+    """Cycles through predictions that stress the issue path: the miss
+    page itself (dropped), the same page twice, a numpy page and a float
+    (issued as its ``int``), the last miss's pages again (still in flight
+    under a delay), out-of-universe pages — negative and at or above
+    2**50, some fresh every time so the cid table keeps growing — and
+    more pages than ``max_prefetches_per_miss`` (cut).  Event path only:
+    no ``on_miss_fast``."""
+
+    name = "scripted"
+
+    def __init__(self) -> None:
+        self._misses = 0
+        self._last: list[int] = []
+
+    def on_miss(self, event) -> list[int]:
+        page = event.page
+        k = self._misses
+        self._misses += 1
+        script = (
+            [page, page + 1],
+            [page + 2, page + 2, page - 1, np.int64(page + 3), page + 4.5],
+            self._last,
+            [-1 - k % 7, (1 << 50) + k % 11, (1 << 50) + 97 + k, -(k + 100)],
+            [page + d for d in range(1, 100)],
+            [],
+        )
+        out = list(script[k % len(script)])
+        self._last = out[:3]
+        return out
+
+
+def _scripted_trace(kind: str) -> Trace:
+    rng = np.random.default_rng(31)
+    if kind == "empty":
+        pages = np.zeros(0, dtype=np.int64)
+    else:
+        # Runs of neighbouring pages with random jumps: predictions of
+        # page + d land on pages the trace touches soon, or not at all.
+        n = 3000
+        pages = (np.cumsum(rng.integers(-2, 4, size=n))
+                 + rng.integers(0, 3, size=n) * 40) % 240
+        if kind == "high":
+            # Addresses just below 2**63 (pages just below 2**51).
+            pages = ((1 << 51) - 1) - pages
+    return Trace(name=f"scripted-{kind}",
+                 addresses=pages.astype(np.int64) * 4096,
+                 kinds=rng.integers(0, 2, size=len(pages)),
+                 metadata={"seed": 31})
+
+
+@pytest.mark.parametrize("kind", ["random", "high", "empty"])
+@pytest.mark.parametrize("capacity", [1, 16, 1000])
+@pytest.mark.parametrize("delay", [0, 1, 4, 64, 1000])
+def test_scripted_predictions_match_the_scalar_engine(kind: str,
+                                                      capacity: int,
+                                                      delay: int):
+    """Stats, miss indices and telemetry windows of the compiled engine
+    equal the scalar reference's, at capacity 1, a small capacity (LRU
+    order decides every victim) and one above the footprint.  Delay 1000
+    outgrows the in-flight ring's first size."""
+    trace = _scripted_trace(kind)
+    config = SimConfig(capacity_pages=capacity,
+                       prefetch_delay_accesses=delay)
+    runs = []
+    for engine, backend in (("scalar", "numpy"), ("batched", None)):
+        sink = Telemetry(700)
+        result = simulate(trace, _ScriptedPrefetcher(), config,
+                          record_miss_indices=True, engine=engine,
+                          backend=backend or _compiled(), telemetry=sink)
+        runs.append((result, sink))
+    (scalar, scalar_sink), (compiled, compiled_sink) = runs
+    assert compiled.stats.as_dict() == scalar.stats.as_dict()
+    assert compiled.miss_indices == scalar.miss_indices
+    assert compiled_sink.windows == scalar_sink.windows
+    if kind != "empty":
+        assert compiled.stats.prefetches_redundant > 0
+        assert compiled.stats.demand_misses > 0
+
+
+def test_victim_snapshot_persists_across_kernel_calls():
+    """The kernel returns at every miss of a non-null run, so a victim
+    snapshot refilled per call would cost O(capacity) an eviction.  A
+    cyclic trace over capacity + 1 pages evicts at every access; the
+    snapshot must advance one entry per eviction across calls."""
+    class Silent:  # asked at every miss, predicts nothing
+        name = "silent"
+
+        def on_miss(self, event) -> list[int]:
+            return []
+
+    capacity = 100
+    trace = Trace(name="cyclic",
+                  addresses=np.tile(np.arange(capacity + 1), 3) * 4096,
+                  metadata={"seed": 0})
+    cache = PageCache(capacity_pages=capacity)
+    engine = _CompiledEngine(trace, Silent(), _config(0), cache, None,
+                             sim_kernels(_compiled()))
+    engine.run(0, len(trace))
+    evictions = len(trace) - capacity
+    assert cache.stats.demand_misses == len(trace)
+    # state[7]: entries of the current snapshot consumed so far.
+    assert int(engine._state[7]) == (evictions - 1) % 64 + 1

@@ -2,13 +2,13 @@
 
 Two claims, pinned across the four Figure 5 applications (the null
 replay additionally on a uniform-random trace whose scattered misses
-defeat span batching):
+make every span short):
 
-- **engine parity under observation** — the scalar and span-batched
+- **engine parity under observation** — the scalar and compiled
   engines with an *enabled* sink produce identical ``CacheStats``,
   identical miss indices, and byte-identical windowed series (the
   segmented engines stop at the same boundaries, so every window delta
-  agrees).  The batched engine is the compiled hit walk, so its cases
+  agrees).  The batched engine is the compiled kernel, so its cases
   skip without a compiled backend.
 - **observation is free of side effects** — a run with telemetry ON is
   bit-identical to the same run with telemetry OFF: stats, miss indices,
