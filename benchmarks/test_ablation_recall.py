@@ -9,37 +9,30 @@ confident, recall stops being consulted.
 
 from __future__ import annotations
 
-from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
-from repro.harness.models import experiment_hebbian_config
+from repro.harness.fleet import run_scored, score
 from repro.harness.reporting import print_table
-from repro.memsim.simulator import SimConfig, baseline_misses, simulate
-from repro.patterns.generators import PatternSpec, pointer_chase
 
 
 def run_recall_comparison(n_accesses: int = 6_000, working_set: int = 250,
                           seed: int = 3) -> list[dict]:
-    trace = pointer_chase(PatternSpec(n=n_accesses, working_set=working_set,
-                                      element_size=4096, seed=seed))
-    sim_cfg = SimConfig(memory_fraction=0.5)
-    baseline = baseline_misses(trace, sim_cfg)
-
-    rows = []
-    for recall in (False, True):
-        prefetcher = CLSPrefetcher(CLSPrefetcherConfig(
-            model="hebbian", vocab_size=512, encoder="page",
-            hebbian=experiment_hebbian_config(512, seed),
-            prefetch_length=1, prefetch_width=1,
-            min_confidence=0.25, recall=recall, seed=seed))
-        run = simulate(trace, prefetcher, sim_cfg)
-        # early window: misses in the first quarter of the trace
-        rows.append({
-            "recall": recall,
-            "misses_removed_pct": run.percent_misses_removed(baseline),
-            "accuracy": run.stats.prefetch_accuracy,
-            "recall_consulted": prefetcher.recall_stats.consulted,
-            "recall_answered": prefetcher.recall_stats.answered,
-        })
-    return rows
+    """A fresh pointer chase, with and without recall: two lane jobs
+    scored against the ``none`` job of the trace."""
+    trace = {"pattern": "pointer_chase", "n": n_accesses,
+             "working_set": working_set, "element_size": 4096, "seed": seed}
+    recalls = (False, True)
+    pairs = run_scored(
+        [{**trace, "prefetcher": "cls-hebbian",
+          "cls": {"vocab": 512, "seed": seed, "encoder": "page",
+                  "prefetch_length": 1, "prefetch_width": 1,
+                  "min_confidence": 0.25, "recall": recall},
+          "sim": {"memory_fraction": 0.5}}
+         for recall in recalls])
+    return [{"recall": recall,
+             "misses_removed_pct": score(row, base).percent_misses_removed,
+             "accuracy": row["prefetch_accuracy"],
+             "recall_consulted": row["cls"]["recall"]["consulted"],
+             "recall_answered": row["cls"]["recall"]["answered"]}
+            for recall, (row, base) in zip(recalls, pairs)]
 
 
 def test_ablation_hippocampal_recall(benchmark):

@@ -38,34 +38,24 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import dataclasses
 import pstats
 import sys
 
 from . import telemetry
-from .baselines import (
-    LeapPrefetcher,
-    MarkovPrefetcher,
-    NextLinePrefetcher,
-    StridePrefetcher,
-)
-from .core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
-from .harness import fig2, fig5, fig6, tables
+from .core.cls_prefetcher import CLSPrefetcher
+from .harness import fig2, fig5, fig6, tables, trace_cache
 from .harness.export import export_rows_csv
+from .harness.fleet import lane_prefetcher
 from .harness.interference import InterferenceConfig, run_interference
-from .harness.models import (
-    experiment_hebbian_config,
-    experiment_lstm,
-    experiment_lstm_config,
-)
+from .harness.models import experiment_lstm
 from .harness.reporting import format_series, print_table
-from .memsim.prefetcher import NullPrefetcher, Prefetcher
 from .memsim.simulator import SimConfig, baseline_misses, simulate
 from .nn.backends import NN_BACKENDS, SIM_BACKENDS
-from .patterns.applications import ALL_APPLICATIONS, AppSpec, generate_application
+from .patterns.applications import ALL_APPLICATIONS
 from .patterns.generators import PATTERN_NAMES, PatternSpec, generate
 from .patterns.phases import pattern_pairs
 from .patterns.trace import Trace
+from .seeding import spawn_seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,12 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of seeds (variance)")
     exp.add_argument("--jobs", type=int, default=None,
                      help="worker processes for grid experiments "
-                          "(fig5/variance); default auto-detects from CPU "
-                          "count, falling back to serial on one core")
+                          "(fig5/variance); default auto-detects from the "
+                          "CPU affinity mask, falling back to serial on one "
+                          "core")
     exp.add_argument("--trace-cache-dir", default=None,
                      help="directory for the shared trace-materialization "
-                          "cache (fig5/variance); traces are generated once "
-                          "per (app, n, seed) and reused across cells and "
+                          "cache (fig5/variance); each trace is generated "
+                          "once and reused across lane jobs and "
                           "invocations")
     exp.add_argument("--cache-dir", default=None,
                      help="on-disk JSON result cache for grid cells; "
@@ -251,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def cmd_generate(args: argparse.Namespace) -> int:
-    trace = _build_trace(args)
+    trace = trace_cache.materialize(_trace_recipe(args))
     trace.save(args.out)
     print(f"wrote {args.out}: {trace.name}, {len(trace)} accesses, "
           f"{trace.footprint_pages()} pages footprint")
@@ -259,14 +250,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trace:
-        trace = Trace.load(args.trace)
-    else:
-        trace = _build_trace(args)
+    trace = (Trace.load(args.trace) if args.trace
+             else trace_cache.materialize(_trace_recipe(args)))
     sim_cfg = SimConfig(memory_fraction=args.memory_fraction,
                         prefetch_delay_accesses=args.delay)
     baseline = baseline_misses(trace, sim_cfg)
-    prefetcher = _build_prefetcher(args)
+    prefetcher = lane_prefetcher(_prefetcher_job(args), backend=args.backend)
     sink = None
     if args.telemetry_dir is not None:
         sink = telemetry.Telemetry(
@@ -404,72 +393,56 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _build_trace(args: argparse.Namespace) -> Trace:
-    if getattr(args, "app", None):
-        return generate_application(args.app, AppSpec(n=args.n, seed=args.seed))
-    spec = PatternSpec(n=args.n, working_set=args.working_set,
-                       element_size=args.element_size, seed=args.seed)
-    return generate(args.pattern, spec)
+def _trace_recipe(args: argparse.Namespace) -> dict:
+    """The trace recipe (``harness.trace_cache``) of ``--app`` / ``--pattern``."""
+    if args.app:
+        return {"app": args.app, "n": args.n, "seed": args.seed}
+    return {"pattern": args.pattern, "n": args.n,
+            "working_set": args.working_set,
+            "element_size": args.element_size, "seed": args.seed}
 
 
-def _build_prefetcher(args: argparse.Namespace) -> Prefetcher:
+def _prefetcher_job(args: argparse.Namespace) -> dict:
+    """The prefetcher half of the lane job ``simulate``'s args describe."""
+    if args.model in ("hebbian", "lstm"):
+        return {"prefetcher": f"cls-{args.model}", "cls": {
+            "vocab": args.vocab, "seed": args.seed, "encoder": args.encoder,
+            "prefetch_length": args.length, "prefetch_width": args.width,
+            "prediction_mode": args.mode,
+            "min_confidence": args.min_confidence,
+            "observe_hits": args.observe_hits,
+            "replay_policy": None if args.replay == "off" else args.replay,
+            "recall": args.recall}}
     if args.model == "none":
-        return NullPrefetcher()
-    if args.model == "nextline":
-        return NextLinePrefetcher(degree=args.width)
-    if args.model == "stride":
-        return StridePrefetcher(degree=args.width)
-    if args.model == "markov":
-        return MarkovPrefetcher(degree=args.width)
+        return {"prefetcher": "none"}
     if args.model == "leap":
-        return LeapPrefetcher(max_degree=max(2, args.width * 2))
+        return {"prefetcher": "leap",
+                "args": {"max_degree": max(2, args.width * 2)}}
+    return {"prefetcher": args.model, "args": {"degree": args.width}}
 
-    model_cfg = {}
+
+def _fleet_jobs(args: argparse.Namespace) -> list[dict]:
+    """One lane job per tenant: page-sized elements, as ``simulate
+    --pattern`` defaults to, and trace seeds spawned from ``--seed``."""
+    patterns = args.pattern or list(PATTERN_NAMES)
+    lane: dict = {"prefetcher": args.model,
+                  "sim": {"memory_fraction": args.memory_fraction,
+                          "prefetch_delay_accesses": args.delay}}
     if args.model == "hebbian":
-        hebbian_cfg = experiment_hebbian_config(args.vocab, args.seed)
-        backend = getattr(args, "backend", "auto")
-        if backend != "auto":
-            hebbian_cfg = dataclasses.replace(hebbian_cfg, backend=backend)
-        model_cfg["hebbian"] = hebbian_cfg
-    else:
-        model_cfg["lstm"] = experiment_lstm_config(args.vocab, args.seed)
-    return CLSPrefetcher(CLSPrefetcherConfig(
-        model=args.model,
-        vocab_size=args.vocab,
-        encoder=args.encoder,
-        prefetch_length=args.length,
-        prefetch_width=args.width,
-        prediction_mode=args.mode,
-        min_confidence=args.min_confidence,
-        observe_hits=args.observe_hits,
-        replay_policy=None if args.replay == "off" else args.replay,
-        recall=args.recall,
-        seed=args.seed,
-        **model_cfg,
-    ))
+        lane.update(prefetcher="cls-hebbian",
+                    cls={"vocab": args.vocab, "seed": args.seed})
+    seeds = spawn_seeds(args.seed, args.tenants)
+    return [{"pattern": patterns[tenant % len(patterns)], "n": args.n,
+             "working_set": args.working_set, "element_size": 4096,
+             "seed": seeds[tenant], **lane}
+            for tenant in range(args.tenants)]
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     from .harness.fleet import run_fleet_jobs, write_fleet_manifest
 
-    patterns = args.pattern or list(PATTERN_NAMES)
-    kind = "cls-hebbian" if args.model == "hebbian" else args.model
-    # One lane recipe for any --jobs (harness.fleet.materialize_lane_spec):
-    # page-sized elements, as `simulate --pattern` defaults to; "cls" is
-    # read by cls-hebbian lanes only.
-    lane_jobs = [{
-        "pattern": patterns[tenant % len(patterns)],
-        "n": args.n,
-        "working_set": args.working_set,
-        "element_size": 4096,
-        "seed": args.seed + tenant,
-        "prefetcher": kind,
-        "sim": {"memory_fraction": args.memory_fraction,
-                "prefetch_delay_accesses": args.delay},
-        "cls": {"vocab": args.vocab, "seed": args.seed},
-    } for tenant in range(args.tenants)]
-    report = run_fleet_jobs(lane_jobs, jobs=args.jobs, backend=args.backend,
-                            max_width=args.width)
+    report = run_fleet_jobs(_fleet_jobs(args), jobs=args.jobs,
+                            backend=args.backend, max_width=args.width)
     print_table(["metric", "value"],
                 [[key, value] for key, value in report.rollup().items()],
                 title=f"Fleet — {args.tenants} tenants x {args.n} "
@@ -494,8 +467,6 @@ def _serve_events(tenants: int, patterns: list[str], n: int,
     ``seed + tenant``), so tenant streams stay decorrelated and the
     tenant set can grow without re-seeding existing lanes.
     """
-    from .seeding import spawn_seeds
-
     seeds = spawn_seeds(seed, max(tenants, 1))
     streams = []
     for tenant in range(tenants):

@@ -1,8 +1,12 @@
-"""Ablations over the §5 research-agenda design choices (A1-A6 in DESIGN.md).
+"""Ablations over the §5 research-agenda design choices (A1-A10 in DESIGN.md).
 
 Each function runs one controlled comparison and returns plain row dicts;
-the corresponding benchmark prints them.  These are the measurable
-versions of the paper's open questions:
+the corresponding benchmark prints them.  The ones that replay a trace
+(A1, A2, A3, A5, A9, A10) are a list of lane jobs (``harness.fleet``: a
+trace recipe, a CLS recipe, ``SimConfig`` kwargs) run by
+``harness.fleet.run_scored`` against the ``none`` job of each trace, and
+a reducer over the row pairs.  These are the measurable versions of the
+paper's open questions:
 
 - A1 training-instance sampling (§5.1)
 - A2 prefetch length/width vs timeliness (§5.2)
@@ -10,6 +14,8 @@ versions of the paper's open questions:
 - A4 replay storage/selection variants (§5.4)
 - A5 availability protocol + weight-noise robustness (§5.5)
 - A6 Hebbian sparsity sweep (§3.1's efficiency knobs)
+- A9 rollout vs direct multi-step prediction under delay (§5.2)
+- A10 adaptation speed after a phase switch (§1)
 """
 
 from __future__ import annotations
@@ -21,60 +27,36 @@ from typing import Any
 import numpy as np
 
 from ..core.availability import weight_noise_robustness
-from ..core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from ..seeding import spawn_seeds
-from ..memsim.prefetcher import NullPrefetcher
-from ..memsim.simulator import SimConfig, baseline_misses, simulate
 from ..nn.costs import hebbian_inference_ops, hebbian_parameter_count
 from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
-from ..patterns.applications import AppSpec
-from ..patterns.generators import PatternSpec, pointer_chase, stride
-from ..patterns.trace import Trace, interleave
+from .fleet import run_scored, score
 from .interference import InterferenceConfig, run_interference
-from .models import (
-    experiment_hebbian,
-    experiment_hebbian_config,
-    experiment_lstm,
-)
+from .models import experiment_hebbian, experiment_lstm
 from .runner import run_grid
-from .trace_cache import materialize
 
 VOCAB = 192
 
 
-def _hebbian_cls(seed: int = 0, **overrides: Any) -> CLSPrefetcher:
-    config = CLSPrefetcherConfig(
-        model="hebbian",
-        vocab_size=VOCAB,
-        hebbian=experiment_hebbian_config(VOCAB, seed),
-        seed=seed,
-        **overrides,
-    )
-    return CLSPrefetcher(config)
+def _hebbian_job(trace: dict, seed: int, delay: int = 0,
+                 **overrides: Any) -> dict:
+    """A Hebbian CLS lane at the ablations' vocabulary on ``trace``, with
+    memory at half the trace footprint and a landing delay."""
+    return {**trace, "prefetcher": "cls-hebbian",
+            "cls": {"vocab": VOCAB, "seed": seed, **overrides},
+            "sim": {"memory_fraction": 0.5,
+                    "prefetch_delay_accesses": delay}}
+
+
+def _chase(n: int, working_set: int, seed: int, **fields: Any) -> dict:
+    """A page-granular pointer-chase trace recipe."""
+    return {"pattern": "pointer_chase", "n": n, "working_set": working_set,
+            "element_size": 4096, "seed": seed, **fields}
 
 
 # ----------------------------------------------------------------------
 # A1: training-instance sampling (§5.1)
 # ----------------------------------------------------------------------
-def _sampling_cell(spec: dict) -> dict:
-    trace = materialize("resnet", AppSpec(n=spec["n_accesses"],
-                                          seed=spec["seed"]))
-    sim_cfg = SimConfig(memory_fraction=0.5)
-    baseline = baseline_misses(trace, sim_cfg)
-    prefetcher = _hebbian_cls(seed=spec["seed"], training=spec["policy"],
-                              training_kwargs=spec["policy_kwargs"],
-                              observe_hits=True)
-    run = simulate(trace, prefetcher, sim_cfg)
-    policy = prefetcher.training_policy
-    return {
-        "policy": policy.name,
-        "trained_steps": policy.trained,
-        "considered": policy.considered,
-        "train_fraction": policy.trained / max(1, policy.considered),
-        "misses_removed_pct": run.percent_misses_removed(baseline),
-    }
-
-
 def ablation_sampling(n_accesses: int = 15_000, seed: int = 0,
                       jobs: int | None = None,
                       cache_dir: str | Path | None = None,
@@ -90,46 +72,47 @@ def ablation_sampling(n_accesses: int = 15_000, seed: int = 0,
         ("random", {"probability": 0.25, "seed": seed}),
         ("confidence", {"skip_above": 0.9}),
     ]
-    specs = [{"kind": "ablation_sampling", "n_accesses": n_accesses,
-              "seed": seed, "policy": kind, "policy_kwargs": kwargs}
-             for kind, kwargs in policies]
-    return run_grid(specs, _sampling_cell, jobs=jobs, cache_dir=cache_dir,
-                    trace_cache_dir=trace_cache_dir)
+    trace = {"app": "resnet", "n": n_accesses, "seed": seed}
+    pairs = run_scored([_hebbian_job(trace, seed, training=kind,
+                                     training_kwargs=kwargs,
+                                     observe_hits=True)
+                        for kind, kwargs in policies],
+                       jobs=jobs, cache_dir=cache_dir,
+                       trace_cache_dir=trace_cache_dir)
+    rows = []
+    for row, base in pairs:
+        policy = row["cls"]["training"]
+        rows.append({
+            "policy": policy["policy"],
+            "trained_steps": policy["trained"],
+            "considered": policy["considered"],
+            "train_fraction": policy["trained"] / max(1, policy["considered"]),
+            "misses_removed_pct": score(row, base).percent_misses_removed,
+        })
+    return rows
 
 
 # ----------------------------------------------------------------------
 # A2: prefetch length/width and timeliness (§5.2)
 # ----------------------------------------------------------------------
-def _length_width_cell(spec: dict) -> dict:
-    trace = pointer_chase(PatternSpec(n=spec["n_accesses"], working_set=400,
-                                      element_size=4096, seed=spec["seed"]))
-    sim_cfg = SimConfig(memory_fraction=0.5,
-                        prefetch_delay_accesses=spec["delay_accesses"])
-    baseline = baseline_misses(trace, sim_cfg)
-    prefetcher = _hebbian_cls(seed=spec["seed"],
-                              prefetch_length=spec["length"],
-                              prefetch_width=spec["width"])
-    run = simulate(trace, prefetcher, sim_cfg)
-    return {
-        "delay_accesses": spec["delay_accesses"],
-        "length": spec["length"],
-        "width": spec["width"],
-        "misses_removed_pct": run.percent_misses_removed(baseline),
-        "prefetch_accuracy": run.stats.prefetch_accuracy,
-    }
-
-
 def ablation_length_width(n_accesses: int = 12_000, seed: int = 0,
                           lengths: tuple[int, ...] = (1, 2, 4),
                           widths: tuple[int, ...] = (1, 2, 4),
                           delays: tuple[int, ...] = (0, 4),
                           jobs: int | None = None,
                           cache_dir: str | Path | None = None) -> list[dict]:
-    specs = [{"kind": "ablation_length_width", "n_accesses": n_accesses,
-              "seed": seed, "delay_accesses": delay, "length": length,
-              "width": width}
+    cells = [{"delay_accesses": delay, "length": length, "width": width}
              for delay in delays for length in lengths for width in widths]
-    return run_grid(specs, _length_width_cell, jobs=jobs, cache_dir=cache_dir)
+    pairs = run_scored(
+        [_hebbian_job(_chase(n_accesses, 400, seed), seed,
+                      c["delay_accesses"], prefetch_length=c["length"],
+                      prefetch_width=c["width"])
+         for c in cells],
+        jobs=jobs, cache_dir=cache_dir)
+    return [{**cell,
+             "misses_removed_pct": score(row, base).percent_misses_removed,
+             "prefetch_accuracy": row["prefetch_accuracy"]}
+            for cell, (row, base) in zip(cells, pairs)]
 
 
 def ablation_prediction_mode(n_accesses: int = 8_000, seed: int = 5,
@@ -144,91 +127,57 @@ def ablation_prediction_mode(n_accesses: int = 8_000, seed: int = 5,
     prefetch chaining (also triggering on hits), direct mode's coverage
     becomes delay-immune up to L.
     """
-    configs = [
-        ("rollout L=4", dict(prediction_mode="rollout", prefetch_length=4)),
-        ("direct L=6", dict(prediction_mode="direct", prefetch_length=6)),
-        ("direct L=6 + chain", dict(prediction_mode="direct", prefetch_length=6,
-                                    observe_hits=True, trigger_on_hits=True)),
-    ]
-    specs = [{"kind": "ablation_prediction_mode", "n_accesses": n_accesses,
-              "seed": seed, "delay_accesses": delay, "mode": label,
-              "overrides": overrides}
-             for delay in delays for label, overrides in configs]
-    return run_grid(specs, _prediction_mode_cell, jobs=jobs,
-                    cache_dir=cache_dir)
-
-
-def _prediction_mode_cell(spec: dict) -> dict:
-    trace = pointer_chase(PatternSpec(n=spec["n_accesses"], working_set=300,
-                                      element_size=4096, seed=spec["seed"]))
-    sim_cfg = SimConfig(memory_fraction=0.5,
-                        prefetch_delay_accesses=spec["delay_accesses"])
-    baseline = baseline_misses(trace, sim_cfg)
-    overrides = spec["overrides"]
-    prefetcher = CLSPrefetcher(CLSPrefetcherConfig(
-        model="hebbian", vocab_size=512, encoder="page",
-        hebbian=experiment_hebbian_config(512, spec["seed"]),
-        prefetch_width=2, min_confidence=0.25, seed=spec["seed"],
-        **overrides))
-    run = simulate(trace, prefetcher, sim_cfg)
-    inferences_per_trigger = (overrides["prefetch_length"]
-                              if overrides["prediction_mode"] == "rollout"
-                              else 1)
-    return {
-        "delay_accesses": spec["delay_accesses"],
-        "mode": spec["mode"],
-        "misses_removed_pct": run.percent_misses_removed(baseline),
-        "prefetch_accuracy": run.stats.prefetch_accuracy,
-        "inferences_per_trigger": inferences_per_trigger,
+    configs = {
+        "rollout L=4": dict(prediction_mode="rollout", prefetch_length=4),
+        "direct L=6": dict(prediction_mode="direct", prefetch_length=6),
+        "direct L=6 + chain": dict(prediction_mode="direct", prefetch_length=6,
+                                   observe_hits=True, trigger_on_hits=True),
     }
+    # rollout infers once per step of the length, direct mode once
+    inferences = {label: (o["prefetch_length"]
+                          if o["prediction_mode"] == "rollout" else 1)
+                  for label, o in configs.items()}
+    cells: list[dict[str, Any]] = [{"delay_accesses": delay, "mode": label}
+                                   for delay in delays for label in configs]
+    pairs = run_scored(
+        [{**_chase(n_accesses, 300, seed), "prefetcher": "cls-hebbian",
+          "cls": {"vocab": 512, "seed": seed, "encoder": "page",
+                  "prefetch_width": 2, "min_confidence": 0.25,
+                  **configs[c["mode"]]},
+          "sim": {"memory_fraction": 0.5,
+                  "prefetch_delay_accesses": c["delay_accesses"]}}
+         for c in cells],
+        jobs=jobs, cache_dir=cache_dir)
+    return [{**cell,
+             "misses_removed_pct": score(row, base).percent_misses_removed,
+             "prefetch_accuracy": row["prefetch_accuracy"],
+             "inferences_per_trigger": inferences[cell["mode"]]}
+            for cell, (row, base) in zip(cells, pairs)]
 
 
 # ----------------------------------------------------------------------
 # A3: input encodings (§5.3)
 # ----------------------------------------------------------------------
-def _interleaved_strides(n_accesses: int, seed: int) -> Trace:
-    """One thread walking two independent arrays: interleaved strided
-    streams whose combined delta sequence is cross-structure garbage."""
-    half = n_accesses // 2
-    seed_a, seed_b, seed_mix = spawn_seeds(seed, 3)
-    a = stride(PatternSpec(n=half, working_set=300, element_size=4096,
-                           base=0x1000_0000, seed=seed_a))
-    b = stride(PatternSpec(n=half, working_set=300, element_size=4096,
-                           base=0x8000_0000, seed=seed_b), stride_elements=2)
-    return interleave([a, b], seed=seed_mix, name="interleaved_strides")
-
-
-def _encoding_workload(name: str, n_accesses: int, seed: int) -> Trace:
+def _encoding_workload(name: str, n_accesses: int, seed: int) -> dict:
+    """The trace recipe of one encoding workload."""
     if name == "pointer_chase":
-        return pointer_chase(PatternSpec(n=n_accesses, working_set=300,
-                                         element_size=4096, seed=seed))
+        return _chase(n_accesses, 300, seed)
     if name == "interleaved_strides":
-        return _interleaved_strides(n_accesses, seed)
+        # One thread walking two independent arrays: interleaved strided
+        # streams whose combined delta sequence is cross-structure garbage.
+        half = n_accesses // 2
+        seed_a, seed_b, seed_mix = spawn_seeds(seed, 3)
+        return {"interleave": [
+            {"pattern": "stride", "n": half, "working_set": 300,
+             "element_size": 4096, "base": 0x1000_0000, "seed": seed_a},
+            {"pattern": "stride", "n": half, "working_set": 300,
+             "element_size": 4096, "base": 0x8000_0000, "seed": seed_b,
+             "kwargs": {"stride_elements": 2}}],
+            "seed": seed_mix, "name": "interleaved_strides"}
     if name == "graph500":
         # graph500 needs several whole BFS passes to become learnable
-        return materialize("graph500", AppSpec(n=2 * n_accesses, seed=seed))
-    return materialize(name, AppSpec(n=n_accesses, seed=seed))
-
-
-def _encoding_cell(spec: dict) -> dict:
-    name = spec["workload"]
-    trace = _encoding_workload(name, spec["n_accesses"], spec["seed"])
-    sim_cfg = SimConfig(memory_fraction=0.5)
-    baseline = baseline_misses(trace, sim_cfg)
-    # the interleaved case needs demand-stream observation so the
-    # encoders see the structure interleaving, not its miss shadow
-    observe_hits = name == "interleaved_strides"
-    prefetcher = _hebbian_cls(seed=spec["seed"], encoder=spec["encoder"],
-                              prefetch_length=2, prefetch_width=2,
-                              min_confidence=0.25,
-                              observe_hits=observe_hits)
-    run = simulate(trace, prefetcher, sim_cfg)
-    return {
-        "workload": name,
-        "encoder": spec["encoder"],
-        "misses_removed_pct": run.percent_misses_removed(baseline),
-        "prefetch_accuracy": run.stats.prefetch_accuracy,
-    }
+        return {"app": "graph500", "n": 2 * n_accesses, "seed": seed}
+    return {"app": name, "n": n_accesses, "seed": seed}
 
 
 def ablation_encoding(n_accesses: int = 12_000, seed: int = 0,
@@ -237,12 +186,21 @@ def ablation_encoding(n_accesses: int = 12_000, seed: int = 0,
                       trace_cache_dir: str | Path | None = None) -> list[dict]:
     workloads = ("pointer_chase", "interleaved_strides", "graph500",
                  "memcached", "cachebench")
-    specs = [{"kind": "ablation_encoding", "n_accesses": n_accesses,
-              "seed": seed, "workload": name, "encoder": encoder}
-             for name in workloads
+    cells = [{"workload": name, "encoder": encoder} for name in workloads
              for encoder in ("delta", "page", "region")]
-    return run_grid(specs, _encoding_cell, jobs=jobs, cache_dir=cache_dir,
-                    trace_cache_dir=trace_cache_dir)
+    # the interleaved case needs demand-stream observation so the
+    # encoders see the structure interleaving, not its miss shadow
+    pairs = run_scored(
+        [_hebbian_job(_encoding_workload(c["workload"], n_accesses, seed),
+                      seed, encoder=c["encoder"], prefetch_length=2,
+                      prefetch_width=2, min_confidence=0.25,
+                      observe_hits=c["workload"] == "interleaved_strides")
+         for c in cells],
+        jobs=jobs, cache_dir=cache_dir, trace_cache_dir=trace_cache_dir)
+    return [{**cell,
+             "misses_removed_pct": score(row, base).percent_misses_removed,
+             "prefetch_accuracy": row["prefetch_accuracy"]}
+            for cell, (row, base) in zip(cells, pairs)]
 
 
 # ----------------------------------------------------------------------
@@ -258,47 +216,33 @@ def ablation_adaptation(n_per_phase: int = 3_000, window: int = 600,
     measure windowed miss removal after the switch.  The hippocampal
     recall path (A8) is the one-shot mechanism built for exactly this.
     """
-    phase_a = pointer_chase(PatternSpec(n=n_per_phase, working_set=250,
-                                        element_size=4096, seed=seed))
-    phase_b = pointer_chase(PatternSpec(n=n_per_phase, working_set=250,
-                                        element_size=4096,
-                                        base=0x9000_0000,
-                                        seed=spawn_seeds(seed, 1)[0]))
-    trace = phase_a.concat(phase_b)
+    trace = {"concat": [
+        _chase(n_per_phase, 250, seed),
+        _chase(n_per_phase, 250, spawn_seeds(seed, 1)[0], base=0x9000_0000)]}
+    contenders = {
+        "hebbian": ("cls-hebbian", {}),
+        "hebbian+recall": ("cls-hebbian", {"recall": True}),
+        "lstm": ("cls-lstm", {}),
+    }
     # memory must be smaller than one phase's working set (250 pages of the
     # 500-page total) or the new phase simply fits and nothing misses
-    sim_cfg = SimConfig(memory_fraction=0.3)
-    baseline = simulate(trace, NullPrefetcher(), sim_cfg,
-                        record_miss_indices=True)
+    pairs = run_scored(
+        [{**trace, "prefetcher": kind,
+          "cls": {"vocab": 512, "seed": seed, "encoder": "page",
+                  "prefetch_length": 2, "prefetch_width": 2,
+                  "min_confidence": 0.25, **overrides},
+          "sim": {"memory_fraction": 0.3}, "miss_indices": True}
+         for kind, overrides in contenders.values()])
 
     def windowed_misses(indices: list[int]) -> list[int]:
-        counts = []
-        for start in range(n_per_phase, 2 * n_per_phase, window):
-            counts.append(sum(1 for i in indices if start <= i < start + window))
-        return counts
+        return [sum(1 for i in indices if start <= i < start + window)
+                for start in range(n_per_phase, 2 * n_per_phase, window)]
 
-    base_windows = windowed_misses(baseline.miss_indices)
-
-    contenders = {
-        "hebbian": dict(model="hebbian"),
-        "hebbian+recall": dict(model="hebbian", recall=True),
-        "lstm": dict(model="lstm"),
-    }
     rows = []
-    for label, overrides in contenders.items():
-        model = overrides.pop("model")
-        if model == "hebbian":
-            extra = {"hebbian": experiment_hebbian_config(512, seed)}
-        else:
-            from .models import experiment_lstm_config
-            extra = {"lstm": experiment_lstm_config(512, seed)}
-        prefetcher = CLSPrefetcher(CLSPrefetcherConfig(
-            model=model, vocab_size=512, encoder="page",
-            prefetch_length=2, prefetch_width=2, min_confidence=0.25,
-            seed=seed, **extra, **overrides))
-        run = simulate(trace, prefetcher, sim_cfg, record_miss_indices=True)
+    for label, (row, base) in zip(contenders, pairs):
         for w_index, (base_count, run_count) in enumerate(
-                zip(base_windows, windowed_misses(run.miss_indices))):
+                zip(windowed_misses(base["miss_indices"]),
+                    windowed_misses(row["miss_indices"]))):
             removed = (100.0 * (base_count - run_count) / base_count
                        if base_count else 0.0)
             rows.append({"model": label, "window": w_index,
@@ -343,31 +287,21 @@ def ablation_replay(seed: int = 0) -> list[dict]:
 # ----------------------------------------------------------------------
 # A5: availability (§5.5)
 # ----------------------------------------------------------------------
-def _availability_cell(spec: dict) -> dict:
-    trace = materialize("mcf", AppSpec(n=spec["n_accesses"],
-                                       seed=spec["seed"]))
-    sim_cfg = SimConfig(memory_fraction=0.5)
-    baseline = baseline_misses(trace, sim_cfg)
-    availability = spec["availability"]
-    prefetcher = _hebbian_cls(seed=spec["seed"], availability=availability)
-    run = simulate(trace, prefetcher, sim_cfg)
-    return {
-        "protocol": "shadow-copy" if availability else "train-in-place",
-        "misses_removed_pct": run.percent_misses_removed(baseline),
-        "redeploys": prefetcher.stats.redeploys,
-    }
-
-
 def ablation_availability(n_accesses: int = 12_000, seed: int = 0,
                           jobs: int | None = None,
                           cache_dir: str | Path | None = None,
                           trace_cache_dir: str | Path | None = None,
                           ) -> list[dict]:
-    specs = [{"kind": "ablation_availability", "n_accesses": n_accesses,
-              "seed": seed, "availability": availability}
-             for availability in (False, True)]
-    return run_grid(specs, _availability_cell, jobs=jobs, cache_dir=cache_dir,
-                    trace_cache_dir=trace_cache_dir)
+    trace = {"app": "mcf", "n": n_accesses, "seed": seed}
+    protocols = {"train-in-place": False, "shadow-copy": True}
+    pairs = run_scored([_hebbian_job(trace, seed, availability=availability)
+                        for availability in protocols.values()],
+                       jobs=jobs, cache_dir=cache_dir,
+                       trace_cache_dir=trace_cache_dir)
+    return [{"protocol": protocol,
+             "misses_removed_pct": score(row, base).percent_misses_removed,
+             "redeploys": row["cls"]["stats"]["redeploys"]}
+            for protocol, (row, base) in zip(protocols, pairs)]
 
 
 def ablation_noise_robustness(seed: int = 0) -> list[dict]:

@@ -10,21 +10,22 @@ We run the same protocol on the synthetic application traces (DESIGN.md
 substitution #1) at a configurable trace length.  The paper's claim to
 check: the Hebbian network's miss reduction is *comparable* to the
 LSTM's on every application despite an order of magnitude fewer resources.
+
+A bar is one lane job (``harness.fleet``: an ``app`` trace recipe, a
+``cls-<model>`` prefetcher, the memory fraction), and its baseline is
+the ``none`` job on the same trace; :func:`run_fig5` is the job list and
+the reducer that pairs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .. import telemetry
-from ..core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
-from ..core.metrics import PrefetchSummary, summarize_prefetch
-from ..memsim.simulator import SimConfig, baseline_misses, simulate
-from ..patterns.applications import FIG5_APPLICATIONS, AppSpec
-from .models import experiment_hebbian_config, experiment_lstm_config
-from .runner import run_grid
-from .trace_cache import materialize
+from ..core.cls_prefetcher import CLSPrefetcher
+from ..core.metrics import PrefetchSummary
+from ..patterns.applications import FIG5_APPLICATIONS
+from .fleet import lane_prefetcher, run_scored, score
 
 
 @dataclass
@@ -69,67 +70,33 @@ class Fig5Result:
     def for_app(self, app: str) -> dict[str, PrefetchSummary]:
         return {r.prefetcher_name: r for r in self.rows if r.trace_name == app}
 
-    def models(self) -> list[str]:
-        return sorted({r.prefetcher_name for r in self.rows})
+
+def _cls_recipe(config: Fig5Config) -> dict:
+    """The Figure 1 deployment of either model family, as a CLS recipe."""
+    return {"vocab": config.vocab_size, "seed": config.seed,
+            "encoder": "delta", "prefetch_length": config.prefetch_length,
+            "prefetch_width": config.prefetch_width,
+            "min_confidence": config.min_confidence,
+            "observe_hits": config.observe_hits}
 
 
 def make_model_prefetcher(model: str, config: Fig5Config) -> CLSPrefetcher:
     """The Figure 1 deployment of one model family."""
-    if model == "hebbian":
-        model_cfg = {"hebbian": experiment_hebbian_config(config.vocab_size,
-                                                          config.seed)}
-    elif model == "lstm":
-        model_cfg = {"lstm": experiment_lstm_config(config.vocab_size, config.seed)}
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return CLSPrefetcher(CLSPrefetcherConfig(
-        model=model,
-        vocab_size=config.vocab_size,
-        encoder="delta",
-        prefetch_length=config.prefetch_length,
-        prefetch_width=config.prefetch_width,
-        min_confidence=config.min_confidence,
-        observe_hits=config.observe_hits,
-        seed=config.seed,
-        **model_cfg,
-    ))
+    prefetcher = lane_prefetcher({"prefetcher": f"cls-{model}",
+                                  "cls": _cls_recipe(config)})
+    assert isinstance(prefetcher, CLSPrefetcher)
+    return prefetcher
 
 
-def fig5_cell_spec(app: str, model: str, config: Fig5Config) -> dict:
-    """The JSON cell spec for one (application, model) bar.
+def fig5_job(app: str, model: str, config: Fig5Config) -> dict:
+    """The lane job of one (application, model) bar.
 
-    ``applications`` is deliberately dropped: a cell's result depends only
-    on its own app, so narrowing or widening the app list must not
-    invalidate cached bars.
+    ``applications`` does not enter it: a bar depends only on its own
+    app, so narrowing or widening the app list keeps cached bars.
     """
-    knobs = asdict(config)
-    knobs.pop("applications")
-    return {"kind": "fig5_cell", "app": app, "model": model, "config": knobs}
-
-
-def fig5_cell(spec: dict) -> dict:
-    """Run one Figure 5 bar from its spec (module-level: picklable).
-
-    When this process has a telemetry directory configured (see
-    ``repro.telemetry.configure`` / ``run_grid(telemetry_dir=...)``), the
-    prefetcher run is observed and its windowed series + manifest written
-    there as JSONL.  The sink never enters the spec, so the result-cache
-    key is unchanged by observation.
-    """
-    config = Fig5Config(applications=(spec["app"],), **spec["config"])
-    trace = materialize(spec["app"], AppSpec(n=config.n_accesses,
-                                             seed=config.seed))
-    sim_cfg = SimConfig(memory_fraction=config.memory_fraction)
-    baseline = baseline_misses(trace, sim_cfg)
-    prefetcher = make_model_prefetcher(spec["model"], config)
-    sink = telemetry.maybe_sink()
-    run = simulate(trace, prefetcher, sim_cfg, telemetry=sink)
-    if sink is not None:
-        out_dir = telemetry.configured_dir()
-        assert out_dir is not None
-        sink.write(out_dir)
-    summary = summarize_prefetch(baseline, run)
-    return asdict(summary)
+    return {"app": app, "n": config.n_accesses, "seed": config.seed,
+            "prefetcher": f"cls-{model}", "cls": _cls_recipe(config),
+            "sim": {"memory_fraction": config.memory_fraction}}
 
 
 def run_fig5(config: Fig5Config = Fig5Config(),
@@ -142,19 +109,20 @@ def run_fig5(config: Fig5Config = Fig5Config(),
              backend: str = "auto") -> Fig5Result:
     """Run the full Figure 5 grid; returns one summary per (app, model).
 
-    ``jobs`` fans the (app, model) cells out across processes;
-    ``cache_dir`` memoizes each cell on disk (see ``harness.runner``);
-    ``trace_cache_dir`` shares materialized traces across cells and
-    invocations (see ``harness.trace_cache``); ``telemetry_dir`` writes a
-    per-run JSONL file per computed cell (see ``repro.telemetry``);
-    ``backend`` pins the kernel backend in every worker without entering
-    the cell specs (see ``harness.runner``).
+    Each bar is a :func:`fig5_job` scored against the ``none`` job of its
+    trace, which runs once per app whatever the model count
+    (``harness.fleet.run_scored``).  ``jobs`` fans the lane jobs out
+    across processes; ``cache_dir`` memoizes each job on disk (see
+    ``harness.runner``); ``trace_cache_dir`` shares materialized traces
+    across jobs and invocations (see ``harness.trace_cache``);
+    ``telemetry_dir`` writes a per-run JSONL file per computed job (see
+    ``repro.telemetry``); ``backend`` pins the kernel backend in every
+    worker without entering the jobs (see ``harness.runner``).
     """
-    specs = [fig5_cell_spec(app, model, config)
-             for app in config.applications for model in models]
-    rows = run_grid(specs, fig5_cell, jobs=jobs, cache_dir=cache_dir,
-                    trace_cache_dir=trace_cache_dir,
-                    telemetry_dir=telemetry_dir,
-                    telemetry_interval=telemetry_interval,
-                    backend=backend)
-    return Fig5Result(rows=[PrefetchSummary(**row) for row in rows])
+    pairs = run_scored(
+        [fig5_job(app, model, config)
+         for app in config.applications for model in models],
+        jobs=jobs, cache_dir=cache_dir, trace_cache_dir=trace_cache_dir,
+        telemetry_dir=telemetry_dir, telemetry_interval=telemetry_interval,
+        backend=backend)
+    return Fig5Result(rows=[score(row, base) for row, base in pairs])

@@ -1,32 +1,30 @@
-"""Shard scheduler and telemetry rollups for fleet simulation.
+"""Lane jobs and the fleet shard scheduler.
 
-One run path, two entry points.  :func:`run_fleet` packs live tenant
-lanes — each an independent (trace, prefetcher, config) stream — into
-vectorized :class:`~repro.memsim.fleet.FleetCohort` shards:
+A *lane job* is the JSON recipe of one (trace, prefetcher, config) lane
+(shape: :func:`materialize_lane_spec`): unlike a live lane it crosses a
+process boundary cheaply and keys the result cache.  Every paper cell,
+``repro simulate`` and ``repro fleet`` tenant is one, run one of two ways:
 
-- Lanes are **grouped by their (hashable) ``SimConfig``** so every
-  cohort is homogeneous in page size, delay and capacity policy; cohort
-  dimensions are sized over the group once.
-- Each group runs through a **fixed-width cohort** (``max_width`` slots)
-  with drain-and-refill (:meth:`FleetCohort.drain`): a finished lane's
-  result is harvested and its slot immediately reloaded from the pending
-  queue, so the batched loop stays full until the tail.
-- The scheduler records a **per-lane latency proxy** — wall-clock from
-  the step boundary a lane was admitted on to the step it finished on
-  (lanes share every step's work, so this measures fleet residency, not
-  isolated lane cost) — and aggregate events/sec.
+- :func:`run_lane_job` runs a job through ``simulate()``; it is the
+  ``run_grid`` cell of Figure 5 and the trace-replaying ablations, and
+  :func:`run_scored` pairs each job's row with the ``none`` job of its
+  trace, which the grid's spec dedupe computes once per trace.
+- :func:`run_fleet_jobs` cuts the jobs into contiguous shards and runs
+  each shard — :func:`materialize_lane_spec` per job, then
+  :func:`run_fleet` — through ``run_grid``, concatenating the reports.
 
-:func:`run_fleet_jobs` takes JSON *lane jobs* instead (live specs don't
-cross a process boundary cheaply), cuts them into contiguous shards,
-runs each shard — :func:`materialize_lane_spec` per job, then
-:func:`run_fleet` — through ``run_grid`` and concatenates the shard
-reports.  Both return a :class:`FleetReport`; how many processes ran it
-shows only in the report's ``jobs`` / ``n_shards``.
-
-Rollups flow out three ways: the returned :class:`FleetReport`, optional
-:class:`~repro.telemetry.Telemetry` counters/timers on a caller-provided
-sink, and a JSONL manifest (:func:`write_fleet_manifest`) with one
-aggregate record plus one per-tenant record.
+:func:`run_fleet` packs live lanes into vectorized
+:class:`~repro.memsim.fleet.FleetCohort` shards: lanes are **grouped by
+their (hashable) ``SimConfig``**, each group runs through a
+**fixed-width cohort** (``max_width`` slots) whose freed slots refill
+from the queue (:meth:`FleetCohort.drain`), so the batched loop stays
+full until the tail, and the scheduler records a **per-lane
+latency proxy** — wall-clock from the step a lane was admitted on to the
+step it finished on (fleet residency, not isolated lane cost) — and
+aggregate events/sec.  Rollups flow out as the :class:`FleetReport`
+(whose ``jobs`` / ``n_shards`` alone say how many processes ran it),
+optional :class:`~repro.telemetry.Telemetry` counters/timers, and a
+JSONL manifest (:func:`write_fleet_manifest`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -47,23 +45,26 @@ from ..baselines import (
     StridePrefetcher,
 )
 from ..core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
+from ..core.metrics import PrefetchSummary
 from ..memsim.fleet import FleetCohort, FleetLaneSpec
 from ..memsim.prefetcher import Prefetcher
-from ..memsim.simulator import SimConfig, SimResult
+from ..memsim.simulator import SimConfig, SimResult, simulate
 from ..nn.backends import resolve_backend
-from ..nn.hebbian import SparseHebbianNetwork
-from ..patterns.generators import PatternSpec, generate
-from ..telemetry import Telemetry
+from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
+from ..nn.lstm import LSTMConfig
+from ..telemetry import Telemetry, configured_dir, maybe_sink
 from ..telemetry.manifest import (
     SCHEMA_VERSION,
     environment,
     write_jsonl_atomic,
 )
-from .models import experiment_hebbian_config
+from . import trace_cache
+from .models import experiment_hebbian_config, experiment_lstm_config
 from .runner import resolve_jobs, run_grid
 
-__all__ = ["FleetReport", "LaneOutcome", "materialize_lane_spec",
-           "run_fleet", "run_fleet_jobs", "write_fleet_manifest"]
+__all__ = ["FleetReport", "LaneOutcome", "baseline_job", "lane_prefetcher",
+           "materialize_lane_spec", "run_fleet", "run_fleet_jobs",
+           "run_lane_job", "run_scored", "score", "write_fleet_manifest"]
 
 
 @dataclass(frozen=True)
@@ -244,66 +245,146 @@ def write_fleet_manifest(report: FleetReport,
 
 
 # ----------------------------------------------------------------------
-# Lane jobs: the JSON-serializable description of a lane that crosses
-# process boundaries (and that `repro fleet` builds for any --jobs).
+# Lane jobs: the JSON recipe of one simulate() lane.  Every paper cell,
+# `repro simulate`, `repro fleet` and run_fleet_jobs build lanes from one.
 
-_LANE_PREFETCHERS: dict[str, Callable[[], Prefetcher]] = {
+_BASELINES: dict[str, Callable[..., Prefetcher]] = {
     "none": NullPrefetcher, "nextline": NextLinePrefetcher,
     "stride": StridePrefetcher, "markov": MarkovPrefetcher,
     "leap": LeapPrefetcher}
+_CLS_MODELS = {"cls-hebbian": "hebbian", "cls-lstm": "lstm"}
+#: The lane-job keys that choose and configure the prefetcher.
+_PREFETCHER_KEYS = frozenset({"prefetcher", "args", "cls"})
+#: Every lane-job key that is not part of the trace recipe.
+_LANE_KEYS = _PREFETCHER_KEYS | {"sim", "miss_indices"}
 
 
-def materialize_lane_spec(job: dict, prototypes: dict,
+def lane_prefetcher(job: dict, prototypes: dict | None = None,
+                    backend: str = "auto") -> Prefetcher:
+    """Build the prefetcher a lane job names (see :func:`materialize_lane_spec`).
+
+    ``prototypes`` is a caller-held cache of Hebbian networks keyed by
+    their config: same-recipe lanes clone one prototype, so they share
+    fixed structures and memo caches (and land in one stacked cohort
+    group).  ``None`` builds every network from its config.  An explicit
+    ``backend`` is written into the Hebbian config.
+    """
+    kind = job.get("prefetcher", "none")
+    if kind in _BASELINES:
+        if "cls" in job:
+            raise ValueError(f"a {kind!r} lane takes no 'cls' recipe")
+        return _BASELINES[kind](**job.get("args", {}))
+    if kind not in _CLS_MODELS:
+        raise ValueError(f"unknown lane-job prefetcher {kind!r}")
+    if "args" in job:
+        raise ValueError(f"a {kind!r} lane is configured by its 'cls' recipe")
+    model = _CLS_MODELS[kind]
+    overrides = dict(job.get("cls", {}))
+    vocab = overrides.pop("vocab", 256)
+    seed = overrides.pop("seed", job.get("seed", 0))
+    model_cfg: HebbianConfig | LSTMConfig
+    if model == "hebbian":
+        model_cfg = experiment_hebbian_config(vocab, seed)
+        if backend != "auto":
+            model_cfg = dataclasses.replace(model_cfg, backend=backend)
+    else:
+        model_cfg = experiment_lstm_config(vocab, seed)
+    overrides[model] = model_cfg
+    config = CLSPrefetcherConfig(model=model, vocab_size=vocab, seed=seed,
+                                 **overrides)
+    if prototypes is None or not isinstance(model_cfg, HebbianConfig):
+        return CLSPrefetcher(config)
+    prototype = prototypes.get(model_cfg)
+    if prototype is None:
+        prototype = prototypes[model_cfg] = SparseHebbianNetwork(model_cfg)
+    return CLSPrefetcher(config, model=prototype.clone())
+
+
+def materialize_lane_spec(job: dict, prototypes: dict | None = None,
                           backend: str = "auto") -> FleetLaneSpec:
     """Build one live :class:`FleetLaneSpec` from a JSON lane job.
 
-    Job shape::
+    Job shape — a trace recipe (``harness.trace_cache``; its keys sit at
+    the top level of the job) plus::
 
-        {"pattern": str, "n": int, "working_set": int, "seed": int,
-         "element_size": int,                        # optional
-         "prefetcher": "none" | "nextline" | "stride" | "markov"
-                       | "leap" | "cls-hebbian",
-         "sim": {...SimConfig kwargs...},            # optional
-         "cls": {"vocab": int, "seed": int}}         # cls-hebbian only
+        {"prefetcher": "none" | "nextline" | "stride" | "markov" | "leap"
+                       | "cls-hebbian" | "cls-lstm",   # default "none"
+         "args": {...},        # baseline constructor kwargs
+         "cls": {"vocab": int, "seed": int,            # cls-* only
+                 ...CLSPrefetcherConfig overrides},
+         "sim": {...SimConfig kwargs...},
+         "miss_indices": bool} # run_lane_job: keep the miss indices
 
-    ``element_size`` absent means :class:`PatternSpec`'s default.
-    ``prototypes`` is a caller-held cache keyed by the CLS model recipe:
-    same-recipe lanes in a shard clone one prototype, so they share
-    fixed structures and memo caches (and land in one stacked cohort
-    group).
+    A CLS lane runs ``experiment_<model>_config(vocab, seed)`` with the
+    overrides on top; ``vocab`` defaults to 256 and ``seed`` to the
+    job's ``seed``.  Unknown keys raise, and the trace goes through
+    :func:`trace_cache.materialize`, so a configured trace cache serves
+    it.  ``prototypes`` / ``backend``: as in :func:`lane_prefetcher`.
     """
-    pattern_spec = PatternSpec(n=int(job["n"]),
-                               working_set=int(job.get("working_set", 200)),
-                               seed=int(job.get("seed", 0)))
-    if "element_size" in job:
-        pattern_spec = dataclasses.replace(
-            pattern_spec, element_size=int(job["element_size"]))
-    trace = generate(job["pattern"], pattern_spec)
-    kind = job.get("prefetcher", "none")
-    prefetcher: Prefetcher
-    if kind in _LANE_PREFETCHERS:
-        prefetcher = _LANE_PREFETCHERS[kind]()
-    elif kind == "cls-hebbian":
-        cls_job = job.get("cls", {})
-        vocab = int(cls_job.get("vocab", 256))
-        cls_seed = int(cls_job.get("seed", job.get("seed", 0)))
-        key = (vocab, cls_seed, backend)
-        prototype = prototypes.get(key)
-        if prototype is None:
-            hebbian_cfg = experiment_hebbian_config(vocab, cls_seed)
-            if backend != "auto":
-                hebbian_cfg = dataclasses.replace(hebbian_cfg,
-                                                  backend=backend)
-            prototype = SparseHebbianNetwork(hebbian_cfg)
-            prototypes[key] = prototype
-        prefetcher = CLSPrefetcher(CLSPrefetcherConfig(
-            model="hebbian", vocab_size=vocab,
-            hebbian=prototype.config, seed=cls_seed),
-            model=prototype.clone())
-    else:
-        raise ValueError(f"unknown lane-job prefetcher {kind!r}")
-    return FleetLaneSpec(trace=trace, prefetcher=prefetcher,
+    recipe = {key: value for key, value in job.items()
+              if key not in _LANE_KEYS}
+    return FleetLaneSpec(trace=trace_cache.materialize(recipe),
+                         prefetcher=lane_prefetcher(job, prototypes, backend),
                          config=SimConfig(**job.get("sim", {})))
+
+
+def run_lane_job(job: dict) -> dict:
+    """Run one lane job through ``simulate()``; the ``run_grid`` cell.
+
+    The row holds the run's names and ``CacheStats.as_dict()``; a CLS
+    lane adds ``"cls"`` (its ``CLSPrefetcherStats``, its training
+    policy's name / trained / considered and its ``RecallStats``), and
+    ``"miss_indices"`` comes when the job asks.  With a telemetry
+    directory configured (``run_grid(telemetry_dir=...)``) the run is
+    observed and its series written there, outside the job's cache key.
+    """
+    lane = materialize_lane_spec(job)
+    sink = maybe_sink()
+    run = simulate(lane.trace, lane.prefetcher, lane.config,
+                   record_miss_indices=job.get("miss_indices", False),
+                   telemetry=sink)
+    if sink is not None:
+        out_dir = configured_dir()
+        assert out_dir is not None
+        sink.write(out_dir)
+    row = {"trace_name": run.trace_name,
+           "prefetcher_name": run.prefetcher_name, **run.stats.as_dict()}
+    prefetcher = lane.prefetcher
+    if isinstance(prefetcher, CLSPrefetcher):
+        policy = prefetcher.training_policy
+        row["cls"] = {
+            "stats": dataclasses.asdict(prefetcher.stats),
+            "training": {"policy": policy.name, "trained": policy.trained,
+                         "considered": policy.considered},
+            "recall": dataclasses.asdict(prefetcher.recall_stats)}
+    if job.get("miss_indices", False):
+        row["miss_indices"] = run.miss_indices
+    return row
+
+
+def baseline_job(job: dict) -> dict:
+    """The ``none`` job on ``job``'s trace and simulator config."""
+    return {**{key: value for key, value in job.items()
+               if key not in _PREFETCHER_KEYS}, "prefetcher": "none"}
+
+
+def run_scored(lane_jobs: Sequence[dict],
+               **grid: Any) -> list[tuple[dict, dict]]:
+    """Run each lane job and its :func:`baseline_job` through ``run_grid``
+    (``grid`` is its keyword arguments); one ``(row, baseline row)`` pair
+    per job.  Jobs on one trace and config share one baseline job, which
+    the spec dedupe (and ``cache_dir``) computes once."""
+    lane_jobs = list(lane_jobs)
+    rows = run_grid([*lane_jobs, *map(baseline_job, lane_jobs)],
+                    run_lane_job, **grid)
+    return list(zip(rows, rows[len(lane_jobs):]))
+
+
+def score(row: dict, baseline: dict) -> PrefetchSummary:
+    """Figure 5's metric for a lane row against its baseline row."""
+    return PrefetchSummary(row["trace_name"], row["prefetcher_name"],
+                           baseline["demand_misses"], row["demand_misses"],
+                           row["prefetch_accuracy"], row["coverage"])
 
 
 def _run_fleet_shard(shard: dict) -> FleetReport:

@@ -1,8 +1,10 @@
 """Parallel, cached experiment runner.
 
 Every figure/ablation in this repository is a *grid*: a list of
-independent cells (trace spec × prefetcher config × sim config × seed),
-each mapping deterministically to a small JSON-serializable result row.
+independent cells, each mapping deterministically to a small
+JSON-serializable result row.  The cells that replay a trace are lane
+jobs (trace recipe × prefetcher recipe × sim config, see
+``harness.fleet.run_lane_job``).
 ``run_grid`` executes such a grid with two orthogonal accelerations:
 
 - **Process parallelism** — cells fan out across a
@@ -190,10 +192,11 @@ def run_grid(specs: Sequence[dict], fn: Callable[[dict], object],
             computed once and fanned back out.
         fn: Module-level cell function (pickled to workers when
             ``jobs > 1``).
-        jobs: Worker processes.  ``None`` auto-detects from
-            ``os.cpu_count()``; see :func:`resolve_jobs`.  ``0``/``1``
-            (or a grid with a single uncached cell) runs serially
-            in-process.
+        jobs: Worker processes.  ``None`` auto-detects the cores this
+            process may run on (its CPU affinity mask, ``os.cpu_count()``
+            only where the platform has none); see :func:`resolve_jobs`.
+            ``0``/``1`` (or a grid with a single uncached cell) runs
+            serially in-process.
         cache_dir: Directory for the JSON result cache (created on
             demand).  ``None`` disables caching.
         trace_cache_dir: Directory for the shared trace-materialization

@@ -1,33 +1,41 @@
-"""Shared trace-materialization cache (PR 4).
+"""Trace recipes and the shared trace-materialization cache.
 
-Generating a synthetic application trace is deterministic but not free
-(tens of milliseconds at test scale, minutes at the paper's 2B-access
-scale), and every harness cell for the same ``(app, n, seed, scale)``
-regenerates the identical trace: the Figure 5 grid touches each
-application once per model, a seed sweep multiplies that by the seed
-count, and the ablation suite replays resnet dozens of times.  This
-module memoizes materialized traces on disk as ``.npz`` archives keyed by
-the same canonical :func:`~repro.harness.runner.spec_key` hash the result
-cache uses, so any number of harness invocations — and any number of
-worker processes — share one materialization per distinct trace spec.
+A *trace recipe* is the JSON description of one trace that every lane
+job (``harness.fleet``) carries.  It is one of:
+
+- ``{"app": str, ...AppSpec fields}`` — a synthetic application trace;
+- ``{"pattern": str, ...PatternSpec fields}`` — a Table 1 pattern;
+- ``{"interleave": [recipe, ...], "seed": int, "name": str}`` — the
+  traces randomly interleaved by an explicit mixing seed (``name``
+  defaults to ``"interleaved"``);
+- ``{"concat": [recipe, ...]}`` — the traces back to back.
+
+App and pattern recipes may add ``"kwargs"``, the generator's keyword
+arguments; absent spec fields take the spec's defaults, and any other
+key raises.  Generating a trace takes tens of milliseconds at test
+scale and minutes at the paper's 2B-access scale, so :func:`materialize`
+memoizes traces on disk as ``.npz`` archives keyed by the canonical
+:func:`~repro.harness.runner.spec_key` hash of the recipe: any number of
+harness invocations and worker processes share one materialization.
 
 The cache is configured per process via :func:`configure`;
 :func:`~repro.harness.runner.run_grid` forwards its ``trace_cache_dir``
 argument to worker processes through a ``ProcessPoolExecutor``
-initializer.  Unconfigured, :func:`materialize` is exactly
-``generate_application``, so cold-start results are identical with or
-without a cache directory — the cache can only change *when* a trace is
-built, never what it contains.
+initializer.  Unconfigured, :func:`materialize` only generates, so the
+cache can only change *when* a trace is built, never what it contains.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import tempfile
 from pathlib import Path
 
 from ..patterns.applications import AppSpec, generate_application
-from ..patterns.trace import Trace
+from ..patterns.generators import PatternSpec, generate
+from ..patterns.trace import Trace, interleave
 from .runner import spec_key
 
 _cache_dir: Path | None = None
@@ -62,37 +70,62 @@ def configured_dir() -> Path | None:
 def trace_spec(app: str, spec: AppSpec) -> dict:
     """Canonical cache spec of one materialized application trace."""
     return {"kind": "trace_materialization", "app": app,
-            "n": spec.n, "seed": spec.seed, "scale": spec.scale}
+            **dataclasses.asdict(spec)}
 
 
-def materialize(app: str, spec: AppSpec) -> Trace:
-    """Generate ``app``'s trace, serving/storing the cache if configured.
+def materialize(app: str | dict, spec: AppSpec | None = None) -> Trace:
+    """Build a trace, serving/storing the cache if configured.
 
-    A cached archive that fails to load (torn write, foreign file) or
-    fails the integrity check is regenerated and overwritten rather than
-    served.
+    ``app`` is an application name with its ``spec``, or a whole trace
+    recipe.  A cached archive that fails to load (torn write, foreign
+    file) or fails the integrity check is regenerated and overwritten
+    rather than served.
     """
+    recipe = ({"app": app, **dataclasses.asdict(spec or AppSpec())}
+              if isinstance(app, str) else app)
     directory = _cache_dir
     if directory is None:
-        return generate_application(app, spec)
-    path = directory / f"{spec_key(trace_spec(app, spec))}.npz"
+        return _build(recipe)
+    key = spec_key({"kind": "trace_materialization", **recipe})
+    path = directory / f"{key}.npz"
     if path.exists():
-        cached = _load(path, app, spec)
+        cached = _load(path, recipe)
         if cached is not None:
             return cached
-    trace = generate_application(app, spec)
+    trace = _build(recipe)
     _store(path, trace)
     return trace
 
 
-def _load(path: Path, app: str, spec: AppSpec) -> Trace | None:
+def _build(recipe: dict) -> Trace:
+    """Generate a recipe's trace, uncached."""
+    fields = {key: value for key, value in recipe.items() if key != "kwargs"}
+    kwargs = recipe.get("kwargs", {})
+    if "app" in recipe:
+        return generate_application(fields.pop("app"), AppSpec(**fields),
+                                    **kwargs)
+    if "pattern" in recipe:
+        return generate(fields.pop("pattern"), PatternSpec(**fields), **kwargs)
+    if set(recipe) - {"name"} == {"interleave", "seed"}:
+        return interleave([_build(part) for part in recipe["interleave"]],
+                          seed=recipe["seed"],
+                          name=recipe.get("name", "interleaved"))
+    if set(recipe) == {"concat"}:
+        return functools.reduce(Trace.concat,
+                                [_build(part) for part in recipe["concat"]])
+    raise ValueError(f"not a trace recipe: keys {sorted(recipe)}")
+
+
+def _load(path: Path, recipe: dict) -> Trace | None:
     try:
         trace = Trace.load(path)
     except Exception:  # truncated zip, bad JSON sidecar, missing columns
         return None
-    # The sha256 key already covers the full spec; these checks catch a
+    # The sha256 key already covers the full recipe; these checks catch a
     # file that loads cleanly but cannot be the requested trace.
-    if trace.name != app or not 0 < len(trace) <= spec.n:
+    name = recipe.get("app", recipe.get("pattern", recipe.get("name")))
+    if ((name is not None and trace.name != name)
+            or not 0 < len(trace) <= recipe.get("n", len(trace))):
         return None
     return trace
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fig5 import Fig5Config, fig5_cell, fig5_cell_spec
-from .runner import run_grid
+from .fig5 import Fig5Config, fig5_job
+from .fleet import run_scored, score
 
 
 @dataclass(frozen=True)
@@ -45,39 +45,29 @@ def fig5_seed_sweep(seeds: tuple[int, ...] = (0, 1, 2),
                     ) -> list[VarianceRow]:
     """Run Figure 5 once per seed; aggregate % misses removed.
 
-    The whole seed × app × model cube is one flat grid, so ``jobs``
-    parallelizes across seeds as well as cells, ``cache_dir`` reuses
-    bars shared with previous ``run_fig5`` invocations, and
-    ``trace_cache_dir`` shares each seed's materialized traces between
-    that seed's hebbian and lstm cells (and any other harness).
+    The whole seed × app × model cube is one flat list of Figure 5 lane
+    jobs plus one ``none`` job per (seed, app), so ``jobs`` parallelizes
+    across seeds as well as bars, ``cache_dir`` reuses jobs shared with
+    previous ``run_fig5`` invocations, and ``trace_cache_dir`` shares
+    each seed's materialized traces between that seed's jobs (and any
+    other harness).
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    specs = [fig5_cell_spec(app, model, replace(config, seed=seed))
-             for seed in seeds
-             for app in config.applications
-             for model in models]
-    rows = run_grid(specs, fig5_cell, jobs=jobs, cache_dir=cache_dir,
-                    trace_cache_dir=trace_cache_dir,
-                    telemetry_dir=telemetry_dir,
-                    telemetry_interval=telemetry_interval,
-                    backend=backend)
+    pairs = run_scored(
+        [fig5_job(app, model, replace(config, seed=seed))
+         for seed in seeds for app in config.applications
+         for model in models],
+        jobs=jobs, cache_dir=cache_dir, trace_cache_dir=trace_cache_dir,
+        telemetry_dir=telemetry_dir, telemetry_interval=telemetry_interval,
+        backend=backend)
     samples: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        key = (row["trace_name"], row["prefetcher_name"])
-        baseline = row["misses_baseline"]
-        removed = (100.0 * (baseline - row["misses_with_prefetch"]) / baseline
-                   if baseline else 0.0)
-        samples.setdefault(key, []).append(removed)
+    for row, base in pairs:
+        summary = score(row, base)
+        samples.setdefault((summary.trace_name, summary.prefetcher_name),
+                           []).append(summary.percent_misses_removed)
 
-    rows = []
-    for (application, model), values in sorted(samples.items()):
-        arr = np.asarray(values)
-        rows.append(VarianceRow(
-            application=application,
-            model=model,
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-            per_seed=tuple(float(v) for v in arr),
-        ))
-    return rows
+    return [VarianceRow(application=application, model=model,
+                        mean=float(np.mean(values)), std=float(np.std(values)),
+                        per_seed=tuple(values))
+            for (application, model), values in sorted(samples.items())]

@@ -18,6 +18,7 @@ POSITIVE_FIXTURES = {
     "rl001_bad.py": "RL001",
     "rl001_derived_seed.py": "RL001",
     "rl001_legacy.py": "RL001",
+    "rl001_seed_key.py": "RL001",
     "core/rl002_bad.py": "RL002",
     "rl003_bad.py": "RL003",
     "rl004_bad.py": "RL004",
@@ -53,6 +54,32 @@ def test_findings_carry_location_and_message():
     assert finding.col >= 0
     assert "float equality" in finding.message
     assert str(FIXTURES / "rl003_bad.py") == finding.path
+
+
+class TestDerivedSeeds:
+    """RL001 follows an arithmetic-derived seed to where it seeds a
+    stream: ``default_rng``, a ``seed``-named keyword, a ``seed`` key."""
+
+    def _codes(self, tmp_path, body: str) -> list[str]:
+        target = tmp_path / "mod.py"
+        target.write_text(body)
+        return [f.code for f in lint_paths([target])]
+
+    def test_seed_keyword_fires(self, tmp_path):
+        assert self._codes(tmp_path, (
+            "def _spec(make, seed: int, tenant: int):\n"
+            "    return make(n=10, seed=seed + tenant)\n")) == ["RL001"]
+
+    def test_spawned_and_plain_seeds_pass(self, tmp_path):
+        assert self._codes(tmp_path, (
+            "from repro.seeding import spawn_seeds\n"
+            "\n"
+            "\n"
+            "def _jobs(make, seed: int, n: int, width: int):\n"
+            "    seeds = spawn_seeds(seed, n)\n"
+            "    return [make(seed=seeds[t], width=width + 1,\n"
+            "                 spec={'seed': seed, 'n': n + t})\n"
+            "            for t in range(n)]\n")) == []
 
 
 class TestZoneGates:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness import ablations, fleet
 from repro.harness.ablations import (
+    ablation_adaptation,
     ablation_availability,
     ablation_encoding,
     ablation_length_width,
     ablation_noise_robustness,
+    ablation_prediction_mode,
     ablation_sampling,
     ablation_sparsity,
 )
@@ -87,3 +90,40 @@ class TestSparsity:
     def test_paper_setting_learns(self):
         rows = ablation_sparsity(connectivities=(0.125,), activations=(0.10,))
         assert rows[0]["confidence"] > 0.7
+
+
+#: Every ablation that takes a cache_dir, at test sizes.
+CACHED = {
+    "sampling": lambda cache: ablation_sampling(n_accesses=1_500,
+                                                cache_dir=cache),
+    "length_width": lambda cache: ablation_length_width(
+        n_accesses=1_500, lengths=(1,), widths=(1, 2), delays=(0, 4),
+        cache_dir=cache),
+    "prediction_mode": lambda cache: ablation_prediction_mode(
+        n_accesses=1_500, delays=(0,), cache_dir=cache),
+    "encoding": lambda cache: ablation_encoding(n_accesses=1_000,
+                                                cache_dir=cache),
+    "availability": lambda cache: ablation_availability(n_accesses=1_500,
+                                                        cache_dir=cache),
+    "sparsity": lambda cache: ablation_sparsity(
+        connectivities=(0.125,), activations=(0.10,), cache_dir=cache),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_warm_cache_computes_no_job(name, tmp_path, monkeypatch):
+    cold = CACHED[name](tmp_path)
+
+    def boom(spec: dict) -> dict:  # pragma: no cover - must not run
+        raise AssertionError(f"a cached job was recomputed: {spec}")
+
+    monkeypatch.setattr(fleet, "run_lane_job", boom)
+    monkeypatch.setattr(ablations, "_sparsity_cell", boom)
+    assert CACHED[name](tmp_path) == cold
+
+
+def test_adaptation_windows_follow_the_phase_switch():
+    rows = ablation_adaptation(n_per_phase=600, window=300)
+    assert {r["model"] for r in rows} == {"hebbian", "hebbian+recall", "lstm"}
+    assert [r["window"] for r in rows if r["model"] == "lstm"] == [0, 1]
+    assert all(r["misses_removed_pct"] <= 100.0 for r in rows)

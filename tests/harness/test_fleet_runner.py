@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,12 +11,17 @@ from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.harness.fleet import (
     FleetReport,
+    lane_prefetcher,
     materialize_lane_spec,
     run_fleet,
     run_fleet_jobs,
+    run_lane_job,
     write_fleet_manifest,
 )
+from repro.harness.models import experiment_hebbian_config, experiment_lstm_config
+from repro.harness.runner import run_grid
 from repro.memsim.fleet import FleetLaneSpec
+from repro.memsim.pagecache import CacheStats
 from repro.memsim.simulator import SimConfig, simulate
 from repro.nn.backends import available_backends
 from repro.nn.hebbian import SparseHebbianNetwork
@@ -184,7 +190,8 @@ def test_fleet_jobs_sharded_matches_serial() -> None:
         assert lane_a.result == lane_b.result
     # And both match per-lane simulate() references.
     prototypes: dict = {}
-    for job, lane in zip(lane_jobs, serial.outcomes):
+    for index, job in enumerate(lane_jobs):
+        lane = serial.outcomes[index]
         spec = materialize_lane_spec(job, prototypes, backend="numpy")
         reference = simulate(spec.trace, spec.prefetcher,
                              config=spec.config, backend="numpy",
@@ -263,3 +270,58 @@ def test_lane_job_element_size_is_optional() -> None:
     default = generate("stride", PatternSpec(n=300, working_set=200))
     assert (small.trace.addresses == default.addresses).all()
     assert paged.config.resolve_capacity(paged.trace) == 100
+
+
+def test_one_job_shape_two_executions() -> None:
+    """The same lane jobs (null, stride and cls-hebbian lanes) give the
+    same per-lane CacheStats through the cohort (run_fleet_jobs) and
+    through simulate() (run_grid over run_lane_job)."""
+    lane_jobs = _lane_jobs(6)
+    lane_jobs[1] = {**lane_jobs[1], "prefetcher": "none"}
+    assert {job["prefetcher"] for job in lane_jobs} == {
+        "none", "stride", "cls-hebbian"}
+    fleet = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
+                           record_miss_indices=True)
+    rows = run_grid([{**job, "miss_indices": True} for job in lane_jobs],
+                    run_lane_job, jobs=1)
+    for outcome, row in zip(fleet.outcomes, rows):
+        assert outcome.result.stats == CacheStats(
+            **{f.name: row[f.name] for f in dataclasses.fields(CacheStats)})
+        assert outcome.result.miss_indices == row["miss_indices"]
+        assert outcome.result.prefetcher_name == row["prefetcher_name"]
+
+
+def test_lane_jobs_reject_unknown_keys() -> None:
+    base = {"pattern": "stride", "n": 100}
+    bad_jobs = [
+        {**base, "prefetchr": "stride"},                       # typo: trace key
+        {**base, "prefetcher": "stride", "cls": {"vocab": 8}},  # cls on a baseline
+        {**base, "prefetcher": "cls-hebbian", "args": {"degree": 2}},
+        {**base, "prefetcher": "cls-hebbian", "cls": {"vocab_size": 8}},
+        {**base, "prefetcher": "cls-lstm", "cls": {"encodr": "page"}},
+        {"app": "mcf", "pattern": "stride", "n": 100},          # two sources
+        {"interleave": [base, base]},                           # no mixing seed
+        {"concat": [base, {**base, "working_sets": 4}]},        # nested typo
+    ]
+    for job in bad_jobs:
+        with pytest.raises((TypeError, ValueError)):
+            materialize_lane_spec(job)
+
+
+def test_cls_recipe_overrides_the_experiment_config() -> None:
+    """A CLS recipe is experiment_<model>_config(vocab, seed) with the
+    CLSPrefetcherConfig overrides on top; a baseline takes its args."""
+    lstm = lane_prefetcher({"prefetcher": "cls-lstm", "cls": {
+        "vocab": 64, "seed": 2, "encoder": "page", "prefetch_length": 3,
+        "recall": True}})
+    assert isinstance(lstm, CLSPrefetcher)
+    assert lstm.config.lstm == experiment_lstm_config(64, 2)
+    assert (lstm.config.encoder, lstm.config.prefetch_length,
+            lstm.config.recall, lstm.config.seed) == ("page", 3, True, 2)
+    hebbian = lane_prefetcher({"prefetcher": "cls-hebbian", "seed": 7,
+                               "cls": {"vocab": 32}}, backend="numpy")
+    assert isinstance(hebbian, CLSPrefetcher)
+    assert hebbian.config.hebbian == dataclasses.replace(
+        experiment_hebbian_config(32, 7), backend="numpy")
+    stride = lane_prefetcher({"prefetcher": "stride", "args": {"degree": 3}})
+    assert isinstance(stride, StridePrefetcher) and stride.degree == 3

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.harness.fig5 import Fig5Config, fig5_cell, fig5_cell_spec, run_fig5
+from repro.harness import fleet
+from repro.harness.fig5 import Fig5Config, fig5_job, run_fig5
+from repro.harness.fleet import baseline_job, run_lane_job, score
 from repro.harness.runner import (
     SpecError,
     canonicalize_spec,
@@ -184,13 +186,51 @@ class TestFig5ThroughRunner:
         assert serial.rows[0].trace_name == "resnet"
 
     def test_cell_spec_ignores_sibling_apps(self):
+        """A Fig. 5 job's spec does not depend on the sibling apps."""
         wide = Fig5Config(applications=("resnet", "mcf"), n_accesses=4_000)
         narrow = Fig5Config(applications=("resnet",), n_accesses=4_000)
-        assert (spec_key(fig5_cell_spec("resnet", "hebbian", wide))
-                == spec_key(fig5_cell_spec("resnet", "hebbian", narrow)))
+        assert (spec_key(fig5_job("resnet", "hebbian", wide))
+                == spec_key(fig5_job("resnet", "hebbian", narrow)))
 
     def test_cell_roundtrips_summary_fields(self):
-        row = fig5_cell(fig5_cell_spec("resnet", "hebbian", self.CONFIG))
-        assert row["trace_name"] == "resnet"
+        job = fig5_job("resnet", "hebbian", self.CONFIG)
+        row = run_lane_job(job)
+        base = run_lane_job(baseline_job(job))
+        assert row["trace_name"] == base["trace_name"] == "resnet"
         assert row["prefetcher_name"] == "cls-hebbian"
-        assert row["misses_baseline"] > 0
+        assert base["prefetcher_name"] == "none"
+        assert json.loads(json.dumps(row)) == row
+        summary = score(row, base)
+        assert summary.misses_baseline == base["demand_misses"] > 0
+        assert summary.misses_with_prefetch == row["demand_misses"]
+
+    def test_baseline_runs_once_per_app(self, monkeypatch):
+        """Two models on two apps: four model runs, two ``none`` runs."""
+        ran: list[tuple[str, str]] = []
+        real = fleet.simulate
+
+        def counting(trace, prefetcher, *args, **kwargs):
+            ran.append((trace.name, prefetcher.name))
+            return real(trace, prefetcher, *args, **kwargs)
+
+        monkeypatch.setattr(fleet, "simulate", counting)
+        config = Fig5Config(applications=("resnet", "mcf"),
+                            n_accesses=2_000, vocab_size=64)
+        result = run_fig5(config, jobs=1)
+        assert len(result.rows) == 4
+        assert sorted(ran) == sorted(
+            [(app, name) for app in ("resnet", "mcf")
+             for name in ("cls-hebbian", "cls-lstm", "none")])
+        for row in result.rows:
+            assert row.misses_baseline > 0
+
+    def test_warm_cache_computes_no_job(self, tmp_path, monkeypatch):
+        cold = run_fig5(self.CONFIG, models=("hebbian",),
+                        cache_dir=tmp_path)
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a cached job was recomputed")
+
+        monkeypatch.setattr(fleet, "simulate", boom)
+        warm = run_fig5(self.CONFIG, models=("hebbian",), cache_dir=tmp_path)
+        assert warm.rows == cold.rows

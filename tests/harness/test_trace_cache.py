@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from repro.harness import trace_cache
 from repro.harness.runner import run_grid, spec_key
 from repro.harness.trace_cache import configure, materialize, trace_spec
 from repro.patterns.applications import AppSpec, generate_application
+from repro.patterns.generators import PatternSpec, generate
+from repro.patterns.trace import interleave
 from repro.seeding import spawn_seeds
 
 _SPEC = AppSpec(n=2_000, seed=3)
@@ -105,6 +108,53 @@ class TestMaterialize:
         assert second == tmp_path / "a"
         assert configure(None) == tmp_path / "b"
         assert trace_cache.configured_dir() is None
+
+
+_STRIDE = {"pattern": "stride", "n": 400, "working_set": 50,
+           "element_size": 4096, "seed": 1}
+_OFFSET = {"pattern": "pointer_offset", "n": 300, "seed": 2,
+           "kwargs": {"offsets": [0, 8]}}
+
+
+class TestRecipes:
+    def test_every_source_builds_its_generator_trace(self):
+        stride = generate("stride", PatternSpec(n=400, working_set=50,
+                                                element_size=4096, seed=1))
+        offset = generate("pointer_offset", PatternSpec(n=300, seed=2),
+                          offsets=[0, 8])
+        _assert_traces_equal(materialize(_STRIDE), stride)
+        _assert_traces_equal(materialize(_OFFSET), offset)
+        _assert_traces_equal(
+            materialize({"interleave": [_STRIDE, _OFFSET], "seed": 5,
+                         "name": "mix"}),
+            interleave([stride, offset], seed=5, name="mix"))
+        _assert_traces_equal(materialize({"concat": [_STRIDE, _OFFSET]}),
+                             stride.concat(offset))
+        _assert_traces_equal(
+            materialize({"app": "mcf", "n": _SPEC.n, "seed": _SPEC.seed}),
+            generate_application("mcf", _SPEC))
+
+    def test_composites_are_cached_whole(self, tmp_path):
+        recipe = {"concat": [_STRIDE, {"interleave": [_STRIDE, _OFFSET],
+                                       "seed": 3}]}
+        previous = configure(tmp_path)
+        try:
+            cold = materialize(recipe)
+            assert len(list(tmp_path.glob("*.npz"))) == 1
+            warm = materialize(recipe)
+        finally:
+            configure(previous)
+        assert cold.name == "stride+interleaved"
+        _assert_traces_equal(warm, cold)
+
+    def test_bad_recipes_raise(self):
+        for recipe in ({"pattern": "stride", "n": 10, "working_sets": 4},
+                       {"app": "mcf", "pattern": "stride"},
+                       {"interleave": [_STRIDE, _STRIDE]},
+                       {"concat": [_STRIDE], "seed": 1},
+                       {"n": 10}):
+            with pytest.raises((TypeError, ValueError)):
+                materialize(recipe)
 
 
 def _trace_summary_cell(spec: dict) -> dict:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.harness import fleet
 from repro.harness.export import export_rows_csv
 from repro.harness.fig5 import Fig5Config
 from repro.harness.variance import VarianceRow, fig5_seed_sweep
@@ -78,3 +79,31 @@ class _Row:
 def test_export_plain_dataclass(tmp_path):
     path = tmp_path / "p.csv"
     assert export_rows_csv(path, [_Row("x", 1), _Row("y", 2)]) == 2
+
+
+def test_sweep_runs_each_baseline_once_and_warm_cache_nothing(
+        tmp_path, monkeypatch):
+    """One ``none`` job per (app, seed) whatever the model count; a second
+    sweep on the same cache_dir computes no job at all."""
+    ran: list[str] = []
+    real = fleet.simulate
+
+    def counting(trace, prefetcher, *args, **kwargs):
+        ran.append(prefetcher.name)
+        return real(trace, prefetcher, *args, **kwargs)
+
+    def sweep() -> list[VarianceRow]:
+        return fig5_seed_sweep(
+            seeds=(0, 1), jobs=1, cache_dir=tmp_path,
+            config=Fig5Config(applications=("mcf",), n_accesses=2_000,
+                              vocab_size=64))
+
+    monkeypatch.setattr(fleet, "simulate", counting)
+    cold = sweep()
+    assert sorted(ran) == ["cls-hebbian"] * 2 + ["cls-lstm"] * 2 + ["none"] * 2
+
+    def boom(job: dict) -> dict:  # pragma: no cover - must not run
+        raise AssertionError(f"a cached job was recomputed: {job}")
+
+    monkeypatch.setattr(fleet, "run_lane_job", boom)
+    assert sweep() == cold

@@ -68,7 +68,8 @@ def _record_streams(replay: str | None
         trace = generate(PATTERNS[tenant % len(PATTERNS)],
                          PatternSpec(n=600, working_set=48,
                                      element_size=4096,
-                                     seed=GLOBAL_SEED + tenant))
+                                     seed=spawn_seeds(GLOBAL_SEED,
+                                                      N_TENANTS)[tenant]))
         recorder = _RecordingPrefetcher(_offline_config(tenant, replay))
         simulate(trace, recorder, SimConfig(memory_fraction=0.5))
         streams[tenant] = recorder.recorded

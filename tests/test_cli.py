@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _fleet_jobs, build_parser, main
+from repro.harness.fleet import materialize_lane_spec
 
 
 class TestParser:
@@ -125,6 +126,20 @@ class TestCommands:
                  for line in manifest.read_text().splitlines()[1:]]
         assert len({lane["trace"] for lane in lanes}) == 5
         assert [lane["capacity_pages"] for lane in lanes] == [100] * 5
+
+    def test_fleet_roots_share_no_tenant_trace(self):
+        """Tenant trace seeds derive from ``--seed`` through spawn_seeds,
+        so ``--seed 0`` and ``--seed 1`` share no tenant trace (under
+        ``seed + tenant``, tenant k+1 of one is tenant k of the other)."""
+        traces = []
+        for seed in ("0", "1"):
+            args = build_parser().parse_args(
+                ["fleet", "--tenants", "6", "--n", "200", "--pattern",
+                 "pointer_chase", "--seed", seed])
+            traces.append({materialize_lane_spec(job).trace.addresses.tobytes()
+                           for job in _fleet_jobs(args)})
+        assert len(traces[0]) == len(traces[1]) == 6
+        assert not traces[0] & traces[1]
 
     def test_serve_run_lockstep_with_manifest(self, tmp_path, capsys):
         assert main(["serve", "run", "--tenants", "2", "--n", "150",
