@@ -610,7 +610,9 @@ class CLSFleetGroup:
             confidence[scored] = probs_rows[lanes, seen]
             covered = (s.memo[lanes] == seen[:, None]).any(axis=1)
             stale = (~s.memo_ok[lanes]).nonzero()[0]
-            if stale.size:
+            if stale.size and k.width >= probs_rows.shape[1]:
+                covered[stale] = True  # the scalar stage's clamp
+            elif stale.size:
                 # No rollout partitioned these vectors (the lane was
                 # gated): the scalar stage's own argpartition, row-wise.
                 top = probs_rows[lanes[stale]].argpartition(

@@ -412,6 +412,8 @@ class CLSPrefetcher:
                 # The rollout already partitioned this exact vector; the
                 # top-width membership is the same set.
                 covered = class_id in ema_top[1]
+            elif self._width >= scored_probs.size:
+                covered = True  # select_topk's clamp: every class is in
             else:
                 width = self._width
                 top = np.argpartition(scored_probs, -width)[-width:]

@@ -9,13 +9,14 @@ winning.  That leaves:
     its numpy arithmetic.  The correctness fallback when no compiler is
     present (one-time ``RuntimeWarning``), not a tuned platform.
 ``c``
-    The **memsim** kernels — ``simulate()``'s engine, the fleet's hit
-    walk and null replay, the membership scans — as a small C file
-    compiled on first use with the system C compiler and loaded through
-    ``cffi``'s ABI mode; bit-identical to the reference.  It is a legal
-    name for the network too (one ``--backend`` value flows to both
-    domains) but selects no network kernel: the Hebbian network is numpy
-    arithmetic under every name.
+    A small C file compiled on first use with the system C compiler and
+    loaded through ``cffi``'s ABI mode, bit-identical to the reference
+    in both domains: the **memsim** kernels (``simulate()``'s engine,
+    the fleet's hit walk and null replay, the membership scans) and the
+    scalar Hebbian network's step (Eq. 1's update, the sparse readout,
+    the softmax's arithmetic and the rollout's top-width selection;
+    ``np.exp`` and the k-WTA code stay numpy).  ``HebbianFleet`` is
+    numpy arithmetic under every name.
 ``int8``
     The one name that changes what the network does: readout scores are
     read from an int8-quantized mirror of the weights while training
@@ -130,7 +131,7 @@ def _warn_fallback() -> None:  # repro-lint: zone=init
     warnings.warn(
         "no compiled kernel backend is available; falling back to the "
         "pure-numpy reference kernels (make cffi and a C compiler "
-        "available to get the compiled simulator kernels)",
+        "available to get the compiled kernels)",
         RuntimeWarning, stacklevel=4)
 
 

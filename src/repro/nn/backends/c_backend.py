@@ -1,5 +1,5 @@
-"""C backend: memsim kernels compiled with the system C compiler, loaded
-via cffi.
+"""C backend: simulator and Hebbian-network kernels compiled with the
+system C compiler, loaded via cffi.
 
 The kernel source below is embedded as a string, compiled on first use
 into ``_build/reprokernels-<sha16>.so`` (hash of the source and the
@@ -10,17 +10,25 @@ plumbing, and the only runtime requirements are ``cffi`` and a
 compile error, dlopen error — makes the backend report unavailable;
 nothing raises out of :func:`available`.
 
-Only the simulator is compiled: ``simulate()``'s engine (``rk_sim_run``:
-hits, fills, evictions, the in-flight prefetch queue and its landings —
-one call per demand miss, one per segment for a null run), the fleet's
-hit walk and null replay, and ``PageCache``'s two membership scans.
-The Hebbian network is numpy arithmetic under every backend name — C
-kernels for it measured no faster than numpy's own
-(``nn.hebbian.step_us.numpy`` vs ``.c``).
+Two families are compiled:
 
-Bit-identity: every kernel reproduces its reference's observable state
-transitions exactly (see the per-function notes in the C source); all
-of them are integer-only.
+- the simulator: ``simulate()``'s engine (``rk_sim_run``: hits, fills,
+  evictions, the in-flight prefetch queue and its landings — one call
+  per demand miss, one per segment for a null run), the fleet's hit walk
+  and null replay, and ``PageCache``'s two membership scans;
+- the scalar Hebbian network's step (``rk_heb_learn``,
+  ``rk_heb_scores``, ``rk_heb_finish``: Eq. 1's column update, the
+  sparse readout, and the softmax's arithmetic and top-width selection),
+  bound once per network by :func:`bind_hebbian`.  ``np.exp`` and the
+  k-WTA hidden code stay numpy: the first is not libm's ``exp`` bit for
+  bit, the second's tie order is ``argpartition``'s.
+
+Bit-identity: every kernel reproduces its numpy reference's observable
+state transitions exactly (see the per-function notes in the C source).
+The simulator kernels are integer-only; the Hebbian ones do their float
+arithmetic in numpy's order (bincount's per-class accumulation, the
+pairwise sum of ``ndarray.sum``) under flags that forbid reassociation
+and contraction.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import shutil
 import subprocess
 import tempfile
 from contextlib import suppress
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -59,13 +68,40 @@ typedef struct {
 } rk_sim;
 """
 
+#: The Hebbian kernels' context: one network's value vector, the fixed
+#: tables its clones share, and its own scratch (``rk_heb_finish`` and
+#: ``rk_heb_learn`` leave their results in ``top`` / ``punished``).
+_HEB_CONTEXT = """
+typedef struct {
+    /* the readout values, class-major; class t's slots are
+     * out_start[t]..out_start[t + 1], slot s lies in hidden row
+     * slot_row[s] */
+    double *w;
+    const long long *out_start, *slot_row;
+    /* the same entries by hidden row: row r's are row_start[r] ..
+     * row_start[r + 1], classes ascending, as (row_class, row_slot) */
+    const long long *row_start, *row_class, *row_slot;
+    /* (vocab, hidden): a (class, row)'s slot, -1 where unconnected */
+    const long long *slot_of;
+    /* scratch: logits / probabilities, the top-width classes and their
+     * probabilities, the punished slots, a hidden-row membership mark */
+    double *x, *top_p;
+    long long *top, *punished;
+    unsigned char *mark;
+    long long vocab, hidden;
+    double temperature, weight_max, negative_scale;
+} rk_heb;
+"""
+
 _SOURCE = r"""
-/* Compiled hot-path kernels for the repro simulator.
+/* Compiled hot-path kernels for the repro simulator and the scalar
+ * Hebbian network.
  *
  * Bit-identity contract: every function reproduces the exact observable
  * state transitions of its numpy counterpart (see
- * repro/memsim/pagecache.py and repro/memsim/fleet_cache.py).  Integer
- * arithmetic only.
+ * repro/memsim/pagecache.py, repro/memsim/fleet_cache.py and
+ * repro/nn/hebbian.py).  The simulator kernels are integer-only; the
+ * Hebbian kernels' float operations follow numpy's order.
  */
 
 #include <stdint.h>
@@ -460,6 +496,177 @@ void rk_fleet_null_run(const i64 *lanes, i64 n_lanes,
         writebacks[t] = wbacks;
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Hebbian network kernels                                            */
+/* ------------------------------------------------------------------ */
+
+/* SparseHebbianNetwork's per-step arithmetic on one network's value
+ * vector (repro/nn/hebbian.py).  Float kernels: every sum is taken in
+ * the order numpy takes it, and the flags forbid reassociation and FMA
+ * contraction, so each result is numpy's bit for bit. */
+""" + _HEB_CONTEXT + r"""
+/* SparseHebbianNetwork._learn: Eq. 1 over the target column (+lr on
+ * the rows of the code, lr * -negative_scale on the other connected
+ * rows), clipped to +-weight_max; then, when predicted >= 0 names
+ * another class, the punish term: -lr on predicted's entries in the
+ * code's rows, in the code's order, floored at -weight_max.  Returns
+ * how many punished slots it wrote to h->punished (the write log's
+ * second part).  The comparisons keep a NaN as np.minimum/np.maximum
+ * do. */
+i64 rk_heb_learn(const rk_heb *h, const i64 *code, i64 k, i64 target,
+                 i64 predicted, double lr)
+{
+    double *w = h->w;
+    double wm = h->weight_max;
+    double down = -lr * h->negative_scale;
+    i64 n_punished = 0;
+
+    for (i64 j = 0; j < k; j++)
+        h->mark[code[j]] = 1;
+    for (i64 s = h->out_start[target]; s < h->out_start[target + 1]; s++) {
+        double v = w[s] + (h->mark[h->slot_row[s]] ? lr : down);
+        if (v > wm)
+            v = wm;
+        if (v < -wm)
+            v = -wm;
+        w[s] = v;
+    }
+    for (i64 j = 0; j < k; j++)
+        h->mark[code[j]] = 0;
+    if (predicted < 0 || predicted == target)
+        return 0;
+    for (i64 j = 0; j < k; j++) {
+        i64 s = h->slot_of[predicted * h->hidden + code[j]];
+        double v;
+        if (s < 0)
+            continue;
+        v = w[s] - lr;
+        if (v < -wm)
+            v = -wm;
+        w[s] = v;
+        h->punished[n_punished++] = s;
+    }
+    return n_punished;
+}
+
+/* SparseHebbianNetwork.readout + the arithmetic of probabilities()
+ * before its exp: class scores into h->x, accumulated row by row in the
+ * code's order (per class the order np.bincount adds the row-major
+ * gather in, from +0.0), then x = scores / T - max(scores / T).  Returns
+ * np.argmax(scores): the first maximum, or the first NaN.  The max of
+ * the quotients is the quotient of the max: rounding a division by a
+ * positive T is monotone. */
+i64 rk_heb_scores(const rk_heb *h, const i64 *code, i64 k)
+{
+    const double *w = h->w;
+    double *x = h->x;
+    i64 v_n = h->vocab;
+    i64 best = 0;
+    double top;
+
+    for (i64 c = 0; c < v_n; c++)
+        x[c] = 0.0;
+    for (i64 j = 0; j < k; j++) {
+        i64 r = code[j];
+        for (i64 e = h->row_start[r]; e < h->row_start[r + 1]; e++)
+            x[h->row_class[e]] += w[h->row_slot[e]];
+    }
+    top = x[0];
+    if (top == top) {
+        for (i64 c = 1; c < v_n; c++) {
+            if (!(x[c] <= top)) {
+                top = x[c];
+                best = c;
+                if (top != top)
+                    break;
+            }
+        }
+    }
+    top = top / h->temperature;
+    for (i64 c = 0; c < v_n; c++)
+        x[c] = x[c] / h->temperature - top;
+    return best;
+}
+
+/* numpy's pairwise summation of a contiguous float64 run
+ * (pairwise_sum_DOUBLE: PW_BLOCKSIZE 128, eight accumulators). */
+#define PW_BLOCKSIZE 128
+
+static double rk_pairwise_sum(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (i64 i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= PW_BLOCKSIZE) {
+        double r[8], res;
+        i64 i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) +
+              ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    {
+        i64 n2 = n / 2;
+        n2 -= n2 % 8;
+        return rk_pairwise_sum(a, n2) + rk_pairwise_sum(a + n2, n - n2);
+    }
+}
+
+/* The rest of probabilities() after np.exp, then select_topk's choice.
+ * With normalize, h->x /= x.sum() (a reduction from the +0.0 identity
+ * over the pairwise sum).  With width > 0, the top min(width, vocab)
+ * classes of h->x, descending, go to h->top and their values to
+ * h->top_p.  The choice is select_topk's only where it cannot depend on
+ * numpy's partition or sort order: returns -1 (and the caller asks
+ * select_topk) when a value among the top min(width + 1, vocab) is
+ * shared or any value is NaN; else the number selected. */
+i64 rk_heb_finish(const rk_heb *h, i64 width, i64 normalize)
+{
+    double *x = h->x;
+    i64 *top = h->top;
+    i64 v_n = h->vocab;
+    i64 picked, keep, held = 0;
+
+    if (normalize) {
+        double total = 0.0 + rk_pairwise_sum(x, v_n);
+        for (i64 c = 0; c < v_n; c++)
+            x[c] = x[c] / total;
+    }
+    if (width <= 0)
+        return 0;
+    picked = width < v_n ? width : v_n;
+    keep = width < v_n ? width + 1 : v_n;
+    for (i64 c = 0; c < v_n; c++) {
+        double v = x[c];
+        i64 p;
+        if (v != v)
+            return -1;
+        if (held == keep && !(v > x[top[keep - 1]]))
+            continue;
+        p = held < keep ? held++ : keep - 1;
+        while (p > 0 && x[top[p - 1]] < v) {
+            top[p] = top[p - 1];
+            p--;
+        }
+        top[p] = c;
+    }
+    for (i64 p = 1; p < keep; p++)
+        if (x[top[p - 1]] == x[top[p]])
+            return -1;
+    for (i64 p = 0; p < picked; p++)
+        h->top_p[p] = x[top[p]];
+    return picked;
+}
 """
 
 _CDEF = """
@@ -495,13 +702,18 @@ void rk_fleet_null_run(const long long *lanes, long long n_lanes,
                        long long *writebacks, long long *accesses,
                        long long *miss_idx, long long *miss_n,
                        long long record);
+""" + _HEB_CONTEXT + """
+long long rk_heb_learn(const rk_heb *h, const long long *code, long long k,
+                       long long target, long long predicted, double lr);
+long long rk_heb_scores(const rk_heb *h, const long long *code, long long k);
+long long rk_heb_finish(const rk_heb *h, long long width,
+                        long long normalize);
 """
 
-#: Every kernel left is integer-only, so ``-fno-fast-math`` and
-#: ``-ffp-contract=off`` change no generated code today.  They are kept
-#: as a guard: a float kernel added later must round like numpy (no
-#: reassociation, no FMA contraction) without anyone remembering to put
-#: the flags back.  Part of the ``.so`` cache key, so editing them
+#: ``-fno-fast-math`` and ``-ffp-contract=off`` are load-bearing for the
+#: Hebbian kernels: they keep every float sum in numpy's order (no
+#: reassociation) and every multiply-add rounded twice (no FMA
+#: contraction).  Part of the ``.so`` cache key, so editing them
 #: rebuilds.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
@@ -590,6 +802,13 @@ def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
 
 def available() -> bool:
     return _load() is not None
+
+
+def _loaded() -> tuple[Any, Any]:
+    loaded = _load()
+    if loaded is None:
+        raise RuntimeError("C backend is not available")
+    return loaded
 
 
 def _i64(ffi: Any, arr: np.ndarray) -> Any:
@@ -731,9 +950,78 @@ class CSimKernels:
         return run
 
 
+class CHebbian:
+    """The Hebbian kernels bound to one network (see :func:`bind_hebbian`).
+
+    ``learn(code, k, target, predicted, lr)``, ``scores(code, k)`` and
+    ``finish(width, normalize)`` call ``rk_heb_learn`` /
+    ``rk_heb_scores`` / ``rk_heb_finish`` on the bound context; a code
+    is passed as :meth:`codes` of it.  The context's scratch is exposed
+    as numpy arrays: ``x`` (logits, then probabilities — the network
+    runs ``np.exp`` on it in place), ``top`` / ``top_p`` (the selection)
+    and ``punished`` (the punish term's slots).
+    """
+
+    __slots__ = ("x", "top", "top_p", "punished", "learn", "scores",
+                 "finish", "_ffi", "_hidden", "_keep")
+
+    def __init__(self, ffi: Any, lib: Any, tables: dict[str, Any],
+                 w: np.ndarray, **settings: float) -> None:
+        vocab, hidden = int(settings["vocab"]), int(settings["hidden"])
+        self.x = np.zeros(vocab)
+        self.top_p = np.zeros(vocab)
+        self.top = np.zeros(vocab, dtype=np.int64)
+        self.punished = np.zeros(hidden, dtype=np.int64)
+        ctx = ffi.new("rk_heb *")
+        keep: list[Any] = [ctx, tables]
+        for name, value in tables.items():
+            setattr(ctx, name, value)
+        for name, ctype, arr in (
+                ("w", "double[]", w), ("x", "double[]", self.x),
+                ("top_p", "double[]", self.top_p),
+                ("top", "long long[]", self.top),
+                ("punished", "long long[]", self.punished),
+                ("mark", "unsigned char[]", np.zeros(hidden, np.uint8))):
+            keep.append(ffi.from_buffer(ctype, arr))
+            setattr(ctx, name, keep[-1])
+        for name, value in settings.items():
+            setattr(ctx, name, value)
+        self._ffi = ffi
+        self._hidden = hidden
+        self._keep = keep
+        self.learn = partial(lib.rk_heb_learn, ctx)
+        self.scores = partial(lib.rk_heb_scores, ctx)
+        self.finish = partial(lib.rk_heb_finish, ctx)
+
+    def codes(self, code: np.ndarray) -> Any:
+        """A kernel pointer to ``code`` (it keeps ``code`` alive): at
+        most ``hidden`` row indices, each in ``[0, hidden)``."""
+        code = np.ascontiguousarray(code, dtype=np.int64)
+        if code.size > self._hidden or (
+                code.size and not 0 <= code.min() <= code.max()
+                < self._hidden):
+            raise IndexError("a hidden code names rows outside the layer")
+        return self._ffi.from_buffer("long long[]", code)
+
+
+def hebbian_tables(arrays: dict[str, np.ndarray]) -> dict[str, Any]:
+    """Kernel pointers to a network shape's fixed int64 tables (the
+    ``rk_heb`` fields ``out_start`` ... ``slot_of``), made once and shared
+    by every network :func:`bind_hebbian` binds over them."""
+    ffi = _loaded()[0]
+    return {name: ffi.from_buffer("long long[]", arr)
+            for name, arr in arrays.items()}
+
+
+def bind_hebbian(tables: dict[str, Any], w: np.ndarray,
+                 **settings: float) -> CHebbian:
+    """The Hebbian kernels over value vector ``w`` and the shared
+    ``tables`` (:func:`hebbian_tables`), with ``settings`` named as the
+    scalar fields of ``rk_heb``.  The kernels keep ``w``'s buffer
+    pointer: the network must write its values in place from then on."""
+    return CHebbian(*_loaded(), tables, w, **settings)
+
+
 def make_sim_kernels() -> CSimKernels:
-    loaded = _load()
-    if loaded is None:
-        raise RuntimeError("C backend is not available")
-    return CSimKernels(*loaded)
+    return CSimKernels(*_loaded())
 

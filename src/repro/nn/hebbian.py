@@ -55,6 +55,16 @@ masked-array implementation (and dense storage) is kept under
 ``tests/nn/`` as the oracle; the kernels here are bit-identical to it
 (see ``tests/nn/test_hebbian_equivalence.py``).
 
+Under backend ``"c"`` the same steps run on three fused C kernels bound
+to the network's own value vector: ``rk_heb_learn`` (Eq. 1's column
+update, the punish term, the clip), ``rk_heb_scores`` (the readout,
+walked by hidden row so each class sums in ``bincount``'s order, with
+the argmax and the softmax's shift) and ``rk_heb_finish`` (numpy's
+pairwise-sum normalisation and the rollout's top-width selection).
+Only ``np.exp`` runs between them, and ``hidden_code`` stays numpy.
+Where the selection would depend on how numpy orders a tie, the kernel
+hands it back to :func:`select_topk`.
+
 Default configuration: vocab 128, hidden 1000, 12.5% in/out connectivity,
 1.7% recurrent connectivity — 49k connected weights, the paper's Table 2
 figure for the Hebbian network.
@@ -63,10 +73,11 @@ figure for the Hebbian network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .backends import NN_BACKENDS, resolve_backend
+from .backends import NN_BACKENDS, c_backend, resolve_backend
 from .base import evaluate_sequence_probs
 from .quantization import snap_to_grid
 
@@ -118,14 +129,14 @@ class HebbianConfig:
         signature_dim: Input units in signature mode.
         signature_k: Active input units per class in signature mode.
         seed: Mask/initialization seed.
-        backend: ``"auto"``, ``"numpy"``, ``"c"`` or ``"int8"``.  The
-            network is numpy arithmetic under every name (``"c"`` is
-            legal because one ``--backend`` value flows to the simulator
-            and the network; it selects no network kernel).  ``int8`` is
-            the one name that changes what the network does: it serves
-            the readout from an int8-quantized weight mirror (training
-            stays float64) with a per-entry score error bounded by half
-            a quantization step per active row.
+        backend: ``"auto"``, ``"numpy"``, ``"c"`` or ``"int8"``.
+            ``"c"`` runs the step, the rollout and training on compiled
+            kernels (``nn/backends/c_backend.py``), bit-identical to the
+            numpy arithmetic, which ``"numpy"`` keeps as the oracle.
+            ``int8`` is the one name that changes what the network does:
+            it serves the readout from an int8-quantized weight mirror
+            (training stays float64) with a per-entry score error
+            bounded by half a quantization step per active row.
     """
 
     vocab_size: int = 128
@@ -243,8 +254,8 @@ class SparseHebbianNetwork:
         self.config = config
         self.vocab_size = config.vocab_size
         # int8 serves scores from a quantized weight mirror with this
-        # fixed symmetric scale; every other name is the same numpy
-        # arithmetic.
+        # fixed symmetric scale; c runs the step on the compiled kernels
+        # (the same arithmetic, bit for bit).
         self._backend = resolve_backend(config.backend, domain="nn")
         self._q_scale = config.weight_max / 127.0
         rng = np.random.default_rng(config.seed)
@@ -292,6 +303,9 @@ class SparseHebbianNetwork:
         self._temperature = max(0.25, score_span / 8.0)
 
         self._build_kernels()
+        # The compiled kernels over this network's own value vector, once
+        # bound (see ``_kernels``).
+        self._heb: c_backend.CHebbian | None = None
 
         # The sequence state: the last step's hidden code, its argmax and
         # its probabilities (the rollout's first step).
@@ -367,6 +381,21 @@ class SparseHebbianNetwork:
         self._dense_flat = rows * v + targets
         self._slot_of = np.full((v, n), -1, dtype=np.intp)
         self._slot_of[targets, rows] = np.arange(targets.size)
+        self._heb_tables = None
+        if self._backend == "c":
+            # The kernels' readout walks the entries by hidden row (CSR,
+            # classes ascending within a row), so a code's rows add into
+            # each class in the order ``readout``'s bincount adds them.
+            by_row, by_class = np.nonzero(self.mask_out)
+            row_start = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self.mask_out.sum(axis=1), out=row_start[1:])
+            self._heb_tables = c_backend.hebbian_tables({
+                "out_start": starts.astype(np.int64),
+                "slot_row": rows.astype(np.int64),
+                "row_start": row_start,
+                "row_class": by_class.astype(np.int64),
+                "row_slot": self._slot_of[by_class, by_row].astype(np.int64),
+                "slot_of": np.ascontiguousarray(self._slot_of, np.int64)})
         self._scratch_active = np.zeros(n, dtype=bool)
         self._probs_buf = np.empty(v)
         # (class, context) -> k-WTA code; valid because the projections the
@@ -390,6 +419,34 @@ class SparseHebbianNetwork:
         # ``readout`` for the bit-identity argument).  Same id-keyed
         # lifecycle as the masks.
         self._readout_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # id(code) -> the code as a kernel pointer (backend "c"); the same
+        # id-keyed lifecycle.
+        self._code_ptrs: dict[int, Any] = {}
+
+    def _kernels(self) -> c_backend.CHebbian | None:
+        """The compiled kernels over this network's own value vector
+        under backend ``"c"`` — bound at first use, so a network that
+        never runs on its own (a fleet member) carries no context — else
+        None: the numpy arithmetic."""
+        if self._heb is None and self._heb_tables is not None:
+            config = self.config
+            self._heb = c_backend.bind_hebbian(
+                self._heb_tables, self._w_vals, vocab=config.vocab_size,
+                hidden=config.hidden_dim, temperature=self._temperature,
+                weight_max=config.weight_max,
+                negative_scale=config.negative_scale)
+        return self._heb
+
+    def _code_ptr(self, code: np.ndarray) -> Any:
+        """``code`` as a kernel pointer: memoized for a cache-resident
+        code, made per call for a foreign one."""
+        ptr = self._code_ptrs.get(id(code))
+        if ptr is None:
+            assert self._heb is not None
+            ptr = self._heb.codes(code)
+            if id(code) in self._code_masks:
+                self._code_ptrs[id(code)] = ptr
+        return ptr
 
     @property
     def readout_values(self) -> np.ndarray:
@@ -503,6 +560,7 @@ class SparseHebbianNetwork:
             self._code_masks.clear()
             self._delta_cache.clear()
             self._readout_idx.clear()
+            self._code_ptrs.clear()
         cache[key] = active
         mask = np.zeros(config.hidden_dim, dtype=bool)
         mask[active] = True
@@ -571,22 +629,56 @@ class SparseHebbianNetwork:
             self.train_steps += 1
 
         active = self.hidden_code(input_class, prev_active)
-        scores = self.readout(active)
-        probs = self.probabilities(scores)
+        punish = self.config.punish_wrong
+        heb = self._heb or self._kernels()
+        if heb is None:
+            scores = self.readout(active)
+            probs = self.probabilities(scores)
+            # The argmax only feeds the error-driven depression term;
+            # without it, ``_learn`` never reads the prediction.
+            predicted = int(scores.argmax()) if punish else None
+        else:
+            predicted, _ = self._softmax_c(heb, active, 0)
+            probs = heb.x.copy()
 
         self._prev_active = active
-        # The argmax only feeds the error-driven depression term; without
-        # it, ``_learn`` never reads the prediction.
-        self._prev_pred = (int(scores.argmax())
-                           if self.config.punish_wrong else None)
+        self._prev_pred = predicted if punish else None
         self._last_probs = probs
         return probs
+
+    def _softmax_c(self, heb: c_backend.CHebbian, active: np.ndarray,
+                   width: int) -> tuple[int, int]:
+        """``probabilities(readout(active))`` into ``heb.x`` on the
+        kernels — ``np.exp`` between the two calls is numpy's own — and
+        ``rk_heb_finish``'s top-``width`` selection.  Returns the scores'
+        argmax and the selection's size (see :meth:`_selected`)."""
+        predicted = heb.scores(self._code_ptr(active), len(active))
+        x = heb.x
+        np.exp(x, out=x)
+        return predicted, heb.finish(width, 1)
+
+    @staticmethod
+    def _selected(heb: c_backend.CHebbian, picked: int, width: int
+                  ) -> list[tuple[int, float]]:
+        """``select_topk(heb.x, width)``: the kernel's selection, or
+        numpy's where the kernel found a tie it must not order
+        (``picked`` < 0)."""
+        if picked < 0:
+            return select_topk(heb.x, width)
+        return list(zip(heb.top[:picked].tolist(),
+                        heb.top_p[:picked].tolist()))
 
     def train_pair(self, input_class: int, target_class: int,
                    lr_scale: float = 1.0) -> float:
         self._check_class(input_class)
         self._check_class(target_class)
         active = self.hidden_code(input_class, prev_active=None)
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            predicted, _ = self._softmax_c(heb, active, 0)
+            confidence = heb.x.item(target_class)
+            self._learn(active, target_class, predicted, lr_scale)
+            return confidence
         scores = self.readout(active)
         confidence = float(self.probabilities(scores)[target_class])
         self._learn_pair(target_class, active, scores, lr_scale)
@@ -600,6 +692,12 @@ class SparseHebbianNetwork:
         self._check_class(input_class)
         self._check_class(target_class)
         active = self.hidden_code(input_class, prev_active=None)
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            predicted = (heb.scores(self._code_ptr(active), len(active))
+                         if self.config.punish_wrong else None)
+            self._learn(active, target_class, predicted, lr_scale)
+            return
         scores = self.readout(active) if self.config.punish_wrong else None
         self._learn_pair(target_class, active, scores, lr_scale)
 
@@ -629,12 +727,13 @@ class SparseHebbianNetwork:
         ``_learn`` calls, and a punish_wrong configuration falls back to
         the ``learn_pair`` loop (``train_pair`` minus its discarded
         softmax), so every path matches the reference element for
-        element.  (The only divergence is on
-        *invalid* input: the vectorized path validates the whole batch
+        element.  On the compiled kernels a pair's update is one call, so
+        every batch is the ``learn_pair`` loop.  (The only divergence is
+        on *invalid* input: the vectorized path validates the whole batch
         before applying any update.)
         """
         config = self.config
-        if config.punish_wrong:
+        if config.punish_wrong or self._backend == "c":
             for input_class, target_class in pairs:
                 self.learn_pair(input_class, target_class, lr_scale=lr_scale)
             return
@@ -671,6 +770,9 @@ class SparseHebbianNetwork:
         probs = self._last_probs
         if probs is None:
             return []
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            return self._rollout_c(heb, probs, width, length)
         out: list[list[tuple[int, float]]] = []
         active = self._prev_active
         # The first rollout step is the softmax step() computed, so even
@@ -684,6 +786,22 @@ class SparseHebbianNetwork:
             active = self.hidden_code(step[0][0], active)
             scores = self.readout(active)
             probs = self.probabilities(scores, out=self._probs_buf)
+        return out
+
+    def _rollout_c(self, heb: c_backend.CHebbian, probs: np.ndarray,
+                   width: int, length: int) -> list[list[tuple[int, float]]]:
+        """``predict_rollout`` on the kernels: the same steps, one
+        readout-and-softmax-and-selection per step after the first."""
+        x = heb.x
+        np.copyto(x, probs)
+        step = self._selected(heb, heb.finish(width, 0), width)
+        out = [step]
+        active = self._prev_active
+        for _ in range(length - 1):
+            active = self.hidden_code(step[0][0], active)
+            step = self._selected(heb, self._softmax_c(heb, active,
+                                                       width)[1], width)
+            out.append(step)
         return out
 
     def reset_state(self) -> None:
@@ -705,6 +823,7 @@ class SparseHebbianNetwork:
         twin._w_vals = self._w_vals.copy()
         twin._serve_vals = (twin._w_vals if self._serve_vals is self._w_vals
                             else self._serve_vals.copy())
+        twin._heb = None
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
@@ -818,6 +937,19 @@ class SparseHebbianNetwork:
         config = self.config
         lr = config.lr * lr_scale
         flat = self._out_flat[target]
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            if not config.punish_wrong or predicted is None:
+                predicted = -1
+            else:
+                self._check_class(predicted)
+            punished = heb.learn(self._code_ptr(active), len(active),
+                                 target, predicted, lr)
+            if self._written is not None:
+                self._note_written(flat)
+                if punished:
+                    self._note_written(heb.punished[:punished].copy())
+            return
         w_flat = self._w_vals
         wm = config.weight_max
         vals = w_flat.take(flat)

@@ -149,6 +149,29 @@ def test_round_widths(width: int) -> None:
         lanes.leave(lane)
 
 
+def test_a_width_above_the_vocabulary_covers_every_class() -> None:
+    """A gated lane whose width exceeds its vocabulary (8 classes, width
+    16): the accuracy EMA's top-width is every class, as in
+    ``select_topk``, on the scalar stage and in the round's stale branch
+    alike — no partition past the vocabulary's end."""
+    def prefetcher(lane: int) -> CLSPrefetcher:
+        return CLSPrefetcher(CLSPrefetcherConfig(
+            vocab_size=8, hebbian=HebbianConfig(vocab_size=8, hidden_dim=200,
+                                                seed=3),
+            prefetch_width=16, min_accuracy=0.5, seed=50 + lane))
+
+    lanes = Lanes()
+    for lane in range(3):
+        lanes.join(lane, prefetcher(lane), prefetcher(lane))
+    for _ in range(120):
+        lanes.round([0, 1, 2])
+    for lane in range(3):
+        twin = lanes.members[lane][2]
+        assert twin.stats.suppressed_low_confidence > 0
+        assert twin.stats.prefetches_emitted > 0
+        lanes.leave(lane)
+
+
 def test_lanes_join_and_leave_around_resident_ones() -> None:
     """Refill mid-run, departures mid-stream, and rounds whose membership
     changes every time — one lane, two, none — around lanes whose state

@@ -1,10 +1,12 @@
 """Bit-exactness of the sparse Hebbian kernels against the dense reference.
 
-The CSR-style kernels in ``repro.nn.hebbian`` must reproduce the dense
-masked-array implementation (``tests/nn/hebbian_reference.py``) exactly:
-same ``step()`` probabilities, same learned weights, same recurrent
-trajectory — over long random sequences, in both input modes, and across
-``clone()`` round-trips.
+The CSR-style kernels in ``repro.nn.hebbian`` — numpy's, and the
+compiled ones backend ``c`` runs — must reproduce the dense masked-array
+implementation (``tests/nn/hebbian_reference.py``) exactly: same
+``step()`` probabilities, same learned weights, same recurrent
+trajectory — over long random sequences, in both input modes, with and
+without the punish term, at Fig. 5's vocabulary of 192 (where numpy's
+pairwise sum splits), and across ``clone()`` round-trips.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ N_STEPS = 1000
 
 #: The dense-reference equivalence must hold under every legal network
 #: backend name ("int8" is excluded by design — it is accuracy-bounded,
-#: not bit-identical; see tests/nn/test_backends).  Since PR 16 the
-#: network is numpy arithmetic under every name, so the non-numpy entries
-#: pin the name plumbing only; the list is derived from the registry and
-#: collapses to numpy when "c" leaves NN_BACKENDS.
+#: not bit-identical; see tests/nn/test_backends).  "c" is the compiled
+#: kernels, so it is a second implementation under test; the list is
+#: derived from the registry and collapses to numpy without a compiler.
 BACKENDS = ["numpy"] + [b for b in available_backends("nn")
                         if b not in ("numpy", "int8")]
 
@@ -37,11 +38,22 @@ def _configs() -> dict[str, HebbianConfig]:
         "signature": HebbianConfig(vocab_size=64, hidden_dim=300,
                                    input_mode="signature",
                                    recurrent_strength=0.1, seed=11),
+        "onehot-unpunished": HebbianConfig(vocab_size=64, hidden_dim=300,
+                                           punish_wrong=False, seed=11),
+        # Fig. 5's scale (harness.models.experiment_hebbian_config(192)),
+        # and the same with the punish term.
+        "vocab192": HebbianConfig(vocab_size=192, hidden_dim=500,
+                                  weight_max=16.0, negative_scale=0.25,
+                                  punish_wrong=False, seed=11),
+        "vocab192-punished": HebbianConfig(vocab_size=192, hidden_dim=500,
+                                           weight_max=16.0,
+                                           negative_scale=0.25, seed=11),
     }
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("mode", ["onehot", "signature"])
+@pytest.mark.parametrize("mode", ["onehot", "signature", "onehot-unpunished",
+                                  "vocab192", "vocab192-punished"])
 def test_step_probs_bit_identical(mode, backend):
     config = dataclasses.replace(_configs()[mode], backend=backend)
     fast = SparseHebbianNetwork(config)

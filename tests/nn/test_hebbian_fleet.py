@@ -4,8 +4,9 @@ A :class:`repro.nn.hebbian_fleet.HebbianFleet` stepping T class streams
 must reproduce T independent clones of the prototype stepping the same
 streams — identical probabilities every step, identical learned weights
 at the end, and a materialized ``lane_network`` must continue its lane
-bit-identically — under every float backend name (all of them the same
-numpy arithmetic since PR 16; the list follows the registry).
+bit-identically — under every float backend name (the fleet is numpy
+arithmetic under each; under ``c`` the clones it is checked against run
+the compiled network kernels; the list follows the registry).
 
 A kernel call is one array program at every width, so the bit-identity
 cases also run at a spread of call widths (``CALL_WIDTHS``), and a call
