@@ -1,59 +1,55 @@
 """The multi-tenant fleet engine: N simulation lanes in one batched loop.
 
-One ``simulate()`` call advances one (trace, prefetcher, cache) lane and
-pays the Python/numpy dispatch floor per event.  :class:`FleetCohort`
-runs up to ``width`` independent lanes against a single
-:class:`~repro.memsim.fleet_cache.FleetPageCache`, advancing *every*
-lane per vectorized operation:
+One ``simulate()`` call advances one (trace, prefetcher, cache) lane.
+:class:`FleetCohort` runs up to ``width`` independent lanes, each on
+``simulate()``'s own compiled engine, and batches what lies between
+their kernel calls — the prefetchers' turns:
 
-* **Lockstep rounds.**  Each :meth:`FleetCohort.step` lands the due
-  prefetches — one ``FleetPageCache.land`` call takes every lane's
-  *j*-th due landing — then walks all active lanes through their hit
-  runs at once (``FleetPageCache.hit_walk``, or one compiled
-  ``rk_fleet_hit_walk`` call routed through ``repro.nn.backends``), then
-  resolves the stalled lanes' demand misses with one batched
-  ``fill_step``.  Miss *handling* keeps every prefetcher's callback
-  sequence that of the single-tenant engines: a lane with a prefetcher
-  of its own gets its callback, scalar; the lanes of a stacked CLS group
-  (``core/cls_fleet.py``) go to the group as four gathered columns and
-  come back as one ragged ``(pages, owner)`` pair, issued only where
-  there are pages.
-* **In-flight prefetches are arrays.**  Each lane's queue is a FIFO ring
-  of (landing index, cid, page) rows in the cohort's own matrices, with
-  head / tail counts: a lane's delay is constant and it issues at
-  non-decreasing access indices, so issue order is landing order (as
-  ``PrefetchQueue`` notes) and ``next_landing`` is the ring head's.
-  A round's predictions are pushed with one scatter.
-* **Null lanes run to completion.**  Lanes with the null prefetcher
-  never issue, so with a compiled backend each is replayed start-to-end
-  inside one ``rk_fleet_null_run`` call per cohort step.
+* **One engine per lane.**  Each lane slot is an ``rk_sim`` context, the
+  struct ``simulate()``'s ``_CompiledEngine`` binds; its fields are rows
+  of per-slot arrays (cid -> slot table, page of each cid, the slot
+  arrays, the in-flight ring, the victim snapshot, stats, state and a
+  row of miss indices).  A round is one ``rk_sim_lanes`` call: every
+  active lane issues its pending predictions, lands what is due, walks
+  its hits and fills its next demand miss — or, with the null
+  prefetcher, runs to its end.  Without a compiler the same rounds run
+  through :func:`_sim_run`, ``rk_sim_run``'s Python twin, over the same
+  arrays.
+* **Batched misses.**  The round's misses keep every prefetcher's
+  callback sequence that of the single-tenant engines: a lane with a
+  prefetcher of its own gets its callback, scalar; the lanes of a
+  stacked CLS group (``core/cls_fleet.py``) go to the group as four
+  gathered columns and come back as one ragged ``(pages, owner)`` pair.
+  The predictions are cut to ``max_prefetches_per_miss``, named by cid
+  (a page outside the trace's universe takes the lane's next extension
+  cid, numbered as ``_CompiledEngine._extend`` numbers them) and written
+  to the lane's issue row for its next kernel call.
 * **Drain and refill.**  Finished lanes report a
   :class:`~repro.memsim.simulator.SimResult` and their slot is free for
   :meth:`FleetCohort.load` — :meth:`FleetCohort.drain` keeps a cohort
   full from a pending queue (the one scheduler loop, under both
-  :func:`run_cohort` and ``repro.harness.fleet.run_fleet``).
+  :func:`run_cohort` and ``repro.harness.fleet.run_fleet``).  A load
+  resets the rows a fresh ``PageCache`` would start empty.
 
-Bit-identity per lane: round boundaries mirror the scalar engine's event
-order exactly — landings are processed before the access they precede
-(``next_landing <= pos``), the walk limit is clamped to the next landing
-so residency is constant inside a walk, and a miss advances the lane by
-one access after fill + prediction issue.  Combined with the
-fuzz-pinned fleet cache, an N-lane cohort reproduces the stats, miss
-indices, and learned prefetcher state of N independent ``simulate()``
-calls (``tests/memsim/test_fleet_engine.py``).
+Bit-identity per lane: a lane runs ``simulate()``'s kernel under
+``simulate()``'s issue protocol, and lanes share no cache state, so an
+N-lane cohort reproduces the stats, miss indices, and learned prefetcher
+state of N independent ``simulate()`` calls
+(``tests/memsim/test_fleet_engine.py``, ``tests/memsim/test_lane_step.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from ..nn.backends import resolve_backend, sim_kernels
 from ..patterns.trace import Trace
 from .events import MissEvent
-from .fleet_cache import FleetPageCache
+from .pagecache import _FREE, _STAT_FIELDS, _VICTIM_BATCH, CacheStats
 from .prefetch_queue import NO_PENDING
 from .prefetcher import Prefetcher
 from .simulator import SimConfig, SimResult
@@ -69,6 +65,19 @@ _NO_CALLBACK = -2
 #: Columns of every lane's in-flight ring at first (doubled as needed;
 #: a power of two, so a count maps to its column with a mask).
 _RING_COLUMNS = 8
+
+#: ``rk_sim``'s state row (``SIM_*`` in the C source) and its stats row
+#: (``CacheStats``' fields in order).
+(_CLOCK, _RESIDENT, _UNDEMANDED, _HEAD, _TAIL, _MISSES, _VN,
+ _VI) = range(8)
+(_ACCESSES, _HITS, _DEMAND_MISSES, _PREFETCH_HITS, _ISSUED, _REDUNDANT,
+ _EVICTED_UNUSED, _DISPLACED, _WRITEBACKS) = range(len(_STAT_FIELDS))
+
+#: The ``rk_sim`` fields that are rows of the cohort's per-slot arrays
+#: (``FleetCohort._<name>``), slot ``t``'s context on row ``t``.
+_SLOT_ROWS = ("soc", "page_of_cid", "page_of_slot", "last_use",
+              "cid_of_slot", "dirty", "undemanded", "ring_at", "ring_cid",
+              "issue", "miss_idx", "vstamp", "vslot", "stats", "state")
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,7 @@ class _PackedTrace:
     cids: np.ndarray
     pages: np.ndarray
     stores: np.ndarray
-    universe_size: int
+    universe: np.ndarray
     cid_of: dict[int, int]
 
 
@@ -120,6 +129,150 @@ class _Lane:
     stream_ids: np.ndarray | None
 
 
+# ----------------------------------------------------------------------
+# rk_sim_run without a compiler
+# ----------------------------------------------------------------------
+def _sim_run(s: Any, start: int, stop: int, n_issue: int) -> int:
+    """``rk_sim_run``'s Python twin, statement for statement: ``s`` holds
+    the fields of ``rk_sim`` (numpy rows and ints).  Issues ``s.issue``'s
+    first ``n_issue`` cids at access ``start - 1``, runs accesses
+    ``[start, stop)`` and returns the first demand miss's index (already
+    filled), or ``stop``; in null mode it never returns early."""
+    cids, stores, soc, last_use = s.cids, s.stores, s.soc, s.last_use
+    ring_at, ring_cid, undemanded = s.ring_at, s.ring_cid, s.undemanded
+    mask = s.ring_mask
+    st = s.state[:_VN].tolist()
+    c = [0] * len(_STAT_FIELDS)
+    clock = st[_CLOCK]
+    for k in range(n_issue):
+        ring_at[st[_TAIL] & mask] = start - 1 + s.delay
+        ring_cid[st[_TAIL] & mask] = s.issue[k]
+        st[_TAIL] += 1
+    next_landing = (int(ring_at[st[_HEAD] & mask]) if st[_HEAD] < st[_TAIL]
+                    else NO_PENDING)
+    i = start
+    while i < stop:
+        while next_landing <= i:
+            cid = int(ring_cid[st[_HEAD] & mask])
+            st[_HEAD] += 1
+            next_landing = (int(ring_at[st[_HEAD] & mask])
+                            if st[_HEAD] < st[_TAIL] else NO_PENDING)
+            c[_ISSUED] += 1
+            slot = int(soc[cid])
+            if slot >= 0:
+                c[_REDUNDANT] += 1
+                last_use[slot] = clock
+                clock += 1
+                continue
+            slot = _take_slot(s, st, c, True)
+            _install(s, slot, cid, clock)
+            clock += 1
+            undemanded[slot] = True
+            st[_UNDEMANDED] += 1
+        cid = int(cids[i])
+        slot = int(soc[cid])
+        if slot >= 0:
+            last_use[slot] = clock
+            clock += 1
+            if stores[i]:
+                s.dirty[slot] = True
+            if st[_UNDEMANDED] and undemanded[slot]:
+                undemanded[slot] = False
+                st[_UNDEMANDED] -= 1
+                c[_PREFETCH_HITS] += 1
+            c[_HITS] += 1
+            i += 1
+            continue
+        c[_DEMAND_MISSES] += 1
+        if s.record:
+            s.miss_idx[st[_MISSES]] = i
+        st[_MISSES] += 1
+        slot = _take_slot(s, st, c, False)
+        _install(s, slot, cid, clock)
+        clock += 1
+        s.dirty[slot] = stores[i]
+        if not s.is_null:
+            break
+        i += 1
+    st[_CLOCK] = clock
+    s.state[:_VN] = st
+    c[_ACCESSES] = c[_HITS] + c[_DEMAND_MISSES]
+    s.stats += c
+    return i
+
+
+def _take_slot(s: Any, st: list[int], c: list[int],
+               by_prefetch: bool) -> int:
+    """``rk_take_slot``: a virgin slot below capacity, else the LRU
+    page's, evicted."""
+    if st[_RESIDENT] < s.capacity:
+        st[_RESIDENT] += 1
+        return st[_RESIDENT] - 1
+    slot = _pop_victim(s)
+    if s.dirty[slot]:
+        c[_WRITEBACKS] += 1
+        s.dirty[slot] = False
+    if s.undemanded[slot]:
+        c[_EVICTED_UNUSED] += 1
+        st[_UNDEMANDED] -= 1
+        s.undemanded[slot] = False
+    elif by_prefetch:
+        c[_DISPLACED] += 1
+    s.soc[s.cid_of_slot[slot]] = -1
+    return slot
+
+
+def _pop_victim(s: Any) -> int:
+    """``rk_pop_victim``: the snapshot's next live entry, refilled with
+    the oldest ``_VICTIM_BATCH`` slots when it runs dry (the cache is
+    full then, so every stamp is distinct and the order is unique)."""
+    state = s.state
+    while True:
+        if state[_VI] >= state[_VN]:
+            oldest = np.argsort(s.last_use[:s.capacity])[:_VICTIM_BATCH]
+            s.vstamp[:oldest.size] = s.last_use[oldest]
+            s.vslot[:oldest.size] = oldest
+            state[_VN] = oldest.size
+            state[_VI] = 0
+        stamp = int(s.vstamp[state[_VI]])
+        slot = int(s.vslot[state[_VI]])
+        state[_VI] += 1
+        if stamp != _FREE and s.last_use[slot] == stamp:
+            return slot
+
+
+def _install(s: Any, slot: int, cid: int, stamp: int) -> None:
+    s.page_of_slot[slot] = s.page_of_cid[cid]
+    s.last_use[slot] = stamp
+    s.soc[cid] = slot
+    s.cid_of_slot[slot] = cid
+
+
+class _SimLanes:
+    """``c_backend.CSimLanes`` without a compiler: each slot's context is
+    a namespace of the same rows the compiled contexts point at, and a
+    round runs :func:`_sim_run` lane by lane."""
+
+    def __init__(self, width: int) -> None:
+        self._sims = [SimpleNamespace() for _ in range(width)]
+
+    def point(self, name: str, array: np.ndarray, lanes: np.ndarray,
+              rows: np.ndarray) -> None:
+        for lane, row in zip(lanes.tolist(), rows.tolist()):
+            setattr(self._sims[lane], name, array[row])
+
+    def set(self, name: str, lanes: np.ndarray, values: Any) -> None:
+        for lane, value in zip(lanes.tolist(),
+                               np.broadcast_to(values, lanes.shape).tolist()):
+            setattr(self._sims[lane], name, value)
+
+    def run(self, lanes: np.ndarray, pos: np.ndarray, stop: np.ndarray,
+            n_issue: np.ndarray) -> None:
+        for lane in lanes.tolist():
+            pos[lane] = _sim_run(self._sims[lane], int(pos[lane]),
+                                 int(stop[lane]), int(n_issue[lane]))
+
+
 class FleetCohort:
     """A fixed-width shard of concurrently simulated tenant lanes.
 
@@ -128,7 +281,7 @@ class FleetCohort:
         slot_capacity: Maximum per-lane cache capacity this cohort hosts.
         universe_capacity: Maximum per-lane page-universe size.
         trace_capacity: Maximum per-lane trace length.
-        backend: Kernel backend name for the fleet walks (``"auto"`` /
+        backend: Kernel backend name for the lanes' engine (``"auto"`` /
             ``"numpy"`` / ``"c"``, as in ``simulate``).
         record_miss_indices: Collect per-lane miss indices in results.
         stacked_cls: Batch same-config learned (CLS/Hebbian) lanes
@@ -143,13 +296,13 @@ class FleetCohort:
                  backend: str = "auto",
                  record_miss_indices: bool = False,
                  stacked_cls: bool = True) -> None:
-        if width <= 0 or trace_capacity <= 0:
+        if (width <= 0 or trace_capacity <= 0 or slot_capacity <= 0
+                or universe_capacity <= 0):
             raise ValueError("fleet cohort dimensions must be positive")
         self.width = width
         self.trace_capacity = trace_capacity
         self.backend_used = resolve_backend(backend, domain="sim")
-        self._kern = sim_kernels(self.backend_used)
-        self.cache = FleetPageCache(width, slot_capacity, universe_capacity)
+        kern = sim_kernels(self.backend_used)
         shape = (width, trace_capacity)
         self._cids2d = np.zeros(shape, dtype=np.int64)
         self._pages2d = np.zeros(shape, dtype=np.int64)
@@ -168,29 +321,52 @@ class FleetCohort:
         self._row_of: dict[int, int] = {}
         self._free_rows = list(range(width - 1, -1, -1))
         self._n_len = np.zeros(width, dtype=np.int64)
+        # Lane t's next kernel call starts at access _pos[t] and first
+        # issues the _n_issue[t] cids of its issue row.
         self._pos = np.zeros(width, dtype=np.int64)
-        self._limit = np.zeros(width, dtype=np.int64)
-        self._next_landing = np.full(width, NO_PENDING, dtype=np.int64)
-        # In-flight prefetches: lane t's queue is entries _ring_head[t] ..
-        # _ring_tail[t] - 1 (counts, column = count & mask) of the rows of
-        # _ring_at (landing index), _ring_cid and _ring_page.
-        self._delay = np.zeros(width, dtype=np.int64)
-        self._ring_head = np.zeros(width, dtype=np.int64)
-        self._ring_tail = np.zeros(width, dtype=np.int64)
+        self._n_issue = np.zeros(width, dtype=np.int64)
+        # The rk_sim rows (_SLOT_ROWS): the cid -> slot table and the page
+        # of each cid (widened by _widen), the slot arrays, the in-flight
+        # ring (_grow_rings), the issue row (sized at load), the recorded
+        # miss indices (a (T, 1) stub nothing writes without recording),
+        # the victim snapshot, stats and state.
+        self._soc = np.full((width, universe_capacity), -1, dtype=np.int64)
+        self._page_of_cid = np.zeros((width, universe_capacity),
+                                     dtype=np.int64)
+        slots_shape = (width, slot_capacity)
+        self._page_of_slot = np.zeros(slots_shape, dtype=np.int64)
+        self._last_use = np.zeros(slots_shape, dtype=np.int64)
+        self._cid_of_slot = np.zeros(slots_shape, dtype=np.int64)
+        self._dirty = np.zeros(slots_shape, dtype=bool)
+        self._undemanded = np.zeros(slots_shape, dtype=bool)
         self._ring_at = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
         self._ring_cid = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
-        self._ring_page = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
+        self._issue = np.zeros((width, 1), dtype=np.int64)
+        self._miss_idx = np.zeros(
+            shape if record_miss_indices else (width, 1), dtype=np.int64)
+        # A snapshot holds at most one entry per slot of the lane.
+        victims = (width, min(_VICTIM_BATCH, slot_capacity))
+        self._vstamp = np.zeros(victims, dtype=np.int64)
+        self._vslot = np.zeros(victims, dtype=np.int64)
+        self._stats = np.zeros((width, len(_STAT_FIELDS)), dtype=np.int64)
+        self._state = np.zeros((width, 8), dtype=np.int64)
+        self._slots = np.arange(width, dtype=np.int64)
+        self._sims = (kern.sim_lanes(width) if kern is not None
+                      else _SimLanes(width))
+        self._point(*_SLOT_ROWS)
+        self._sims.set("ring_mask", self._slots, _RING_COLUMNS - 1)
+        self._sims.set("record", self._slots, int(record_miss_indices))
+        # Per slot: the universe's page -> cid dict (shared across lanes
+        # replaying the same trace), the lane's own extension dict, which
+        # names out-of-universe pages from the universe size up, and that
+        # size.
+        self._cid_of: list[dict[int, int]] = [{} for _ in range(width)]
+        self._ext_of: list[dict[int, int]] = [{} for _ in range(width)]
+        self._universe_size = [0] * width
         self._active = np.zeros(width, dtype=bool)
-        self._is_null = np.zeros(width, dtype=bool)
         self._lanes: list[_Lane | None] = [None] * width
         self._results: list[SimResult | None] = [None] * width
         self._record = record_miss_indices
-        # Lane t's recorded miss indices are _miss_idx[t, :_miss_n[t]]
-        # (the compiled null replay writes the same rows); without
-        # recording the matrix stays a (T, 1) stub nothing writes.
-        self._miss_n = np.zeros(width, dtype=np.int64)
-        self._miss_idx = np.zeros(
-            shape if record_miss_indices else (width, 1), dtype=np.int64)
         # page -> cid dicts shared across lanes replaying the same trace
         # (keyed by the memoized universe array's identity; the array is
         # kept in the value so the id stays live).
@@ -209,39 +385,13 @@ class FleetCohort:
         self._group_of = np.full(width, _NO_CALLBACK, dtype=np.int64)
         self._cls_slot = np.zeros(width, dtype=np.intp)
         self._max_prefetches = np.zeros(width, dtype=np.int64)
-        self._hit_walk: Callable[[int], None] | None = None
-        self._null_run: Callable[[int, int], None] | None = None
-        self._lanes_buf = np.zeros(width, dtype=np.int64)
-        self._bind_kernels()
 
-    def _bind_kernels(self) -> None:
-        """Bind the compiled walks to the cohort's arrays — again whenever
-        the cache reallocates ``soc`` (:meth:`_push`)."""
-        if self._kern is not None:
-            cache = self.cache
-            self._hit_walk = self._kern.bind_fleet_hit_walk(
-                lanes_buf=self._lanes_buf, trace_row=self._trace_row,
-                soc=cache.soc, cids=self._cids2d,
-                stores=self._stores2d, last_use=cache.last_use,
-                dirty=cache.dirty, undemanded=cache.undemanded,
-                pos=self._pos, limit=self._limit, clock=cache.clock,
-                n_undemanded=cache.n_undemanded,
-                prefetch_hits=cache.prefetch_hits, hits=cache.hits,
-                accesses=cache.accesses)
-            # The kernel records into lane rows of _miss_idx with the
-            # trace-matrix stride (record=0 never writes).
-            self._null_run = self._kern.bind_fleet_null_run(
-                lanes_buf=self._lanes_buf, trace_row=self._trace_row,
-                soc=cache.soc,
-                cids=self._cids2d, pages=self._pages2d,
-                stores=self._stores2d, page_of_slot=cache.page_of_slot,
-                last_use=cache.last_use, dirty=cache.dirty,
-                cid_of_slot=cache.cid_of_slot, capacity=cache.capacity,
-                n_len=self._n_len, pos=self._pos, clock=cache.clock,
-                n_resident=cache.n_resident, hits=cache.hits,
-                demand_misses=cache.demand_misses,
-                writebacks=cache.writebacks, accesses=cache.accesses,
-                miss_idx=self._miss_idx, miss_n=self._miss_n)
+    def _point(self, *names: str) -> None:
+        """Aim the ``rk_sim`` fields ``names`` of every slot at its row of
+        the per-slot array — again whenever one is replaced."""
+        for name in names:
+            self._sims.point(name, getattr(self, "_" + name), self._slots,
+                             self._slots)
 
     @classmethod
     def for_specs(cls, specs: list[FleetLaneSpec], *, width: int | None = None,
@@ -300,18 +450,23 @@ class FleetCohort:
             raise ValueError(
                 f"trace length {n} outside (0, {self.trace_capacity}]")
         universe, cids = trace.page_index(config.page_size)
+        capacity = config.resolve_capacity(trace)
+        if capacity > self._last_use.shape[1]:
+            raise ValueError(f"lane capacity {capacity} outside "
+                             f"(0, {self._last_use.shape[1]}]")
+        if len(universe) > self._soc.shape[1]:
+            raise ValueError(f"universe of {len(universe)} pages exceeds "
+                             f"fleet width {self._soc.shape[1]}")
         cached = self._cid_cache.get(id(universe))
         if cached is None or cached[0] is not universe:
             cached = (universe,
                       {int(p): i for i, p in enumerate(universe.tolist())})
             self._cid_cache[id(universe)] = cached
         packed = _PackedTrace(
-            trace=trace, config=config, n=n,
-            capacity=config.resolve_capacity(trace),
-            cids=cids,
+            trace=trace, config=config, n=n, capacity=capacity, cids=cids,
             pages=trace.pages(config.page_size),
             stores=trace.kinds != 0,
-            universe_size=len(universe),
+            universe=universe,
             cid_of=cached[1])
         self._pack_cache[key] = packed
         return packed
@@ -323,10 +478,9 @@ class FleetCohort:
     def load_many(self, slots: list[int], specs: list[FleetLaneSpec]) -> None:
         """Admit one lane per ``(slot, spec)`` pair in a single batch.
 
-        Per-lane load cost is the fleet's throughput floor at scale (the
-        compiled walks amortize everything else), so the cache resets and
-        slot-vector writes happen once per batch.  Validation runs for
-        the whole batch before any state is touched.
+        Per-lane load cost is the fleet's throughput floor at scale, so
+        the row resets and context writes happen once per batch.
+        Validation runs for the whole batch before any state is touched.
         """
         if len(slots) != len(specs):
             raise ValueError("load_many needs one spec per slot")
@@ -350,16 +504,17 @@ class FleetCohort:
                 raise ValueError(
                     "fleet engine cannot drive per-access observers; run "
                     "wants_accesses prefetchers through simulate() instead")
-            if spec.config.prefetch_delay_accesses < 0:
-                raise ValueError("prefetch_delay_accesses must be >= 0")
             packs.append(self._packed(spec))
         group_of = self._cls_groups_for(specs)
         lanes = np.asarray(slots, dtype=np.int64)
-        self.cache.attach_lanes(
-            lanes,
-            np.array([p.capacity for p in packs], dtype=np.int64),
-            np.array([p.universe_size for p in packs], dtype=np.int64),
-            [p.cid_of for p in packs])
+        max_prefetches = [spec.config.max_prefetches_per_miss
+                          for spec in specs]
+        if max(max_prefetches) > self._issue.shape[1]:
+            issue = np.zeros((self.width, max(max_prefetches)),
+                             dtype=np.int64)
+            issue[:, :self._issue.shape[1]] = self._issue
+            self._issue = issue
+            self._point("issue")
         nulls: list[bool] = []
         rows: list[int] = []
         cls_slots: list[int] = []
@@ -379,6 +534,11 @@ class FleetCohort:
                 self._row_key[row] = id(packed)
             self._row_refs[row] += 1
             rows.append(row)
+            universe = packed.universe
+            self._page_of_cid[slot, :universe.size] = universe
+            self._cid_of[slot] = packed.cid_of
+            self._ext_of[slot] = {}
+            self._universe_size[slot] = universe.size
             is_null = bool(getattr(prefetcher, "is_null", False))
             nulls.append(is_null)
             own = group_of[i] < 0 and not is_null
@@ -394,19 +554,26 @@ class FleetCohort:
             self._results[slot] = None
         self._group_of[lanes] = group_of
         self._cls_slot[lanes] = cls_slots
-        self._max_prefetches[lanes] = [
-            spec.config.max_prefetches_per_miss for spec in specs]
-        self._delay[lanes] = [
-            spec.config.prefetch_delay_accesses for spec in specs]
-        self._ring_head[lanes] = 0
-        self._ring_tail[lanes] = 0
+        self._max_prefetches[lanes] = max_prefetches
+        # What a fresh PageCache and an empty queue start from; the other
+        # rows are written before they are read.
+        self._soc[lanes] = -1
+        self._dirty[lanes] = False
+        self._undemanded[lanes] = False
+        self._stats[lanes] = 0
+        self._state[lanes] = 0
         self._trace_row[lanes] = rows
+        self._sims.point("cids", self._cids2d, lanes, self._trace_row[lanes])
+        self._sims.point("stores", self._stores2d, lanes,
+                         self._trace_row[lanes])
+        sims = self._sims
+        sims.set("capacity", lanes, [p.capacity for p in packs])
+        sims.set("delay", lanes,
+                 [spec.config.prefetch_delay_accesses for spec in specs])
+        sims.set("is_null", lanes, nulls)
         self._n_len[lanes] = [p.n for p in packs]
         self._pos[lanes] = 0
-        self._limit[lanes] = 0
-        self._next_landing[lanes] = NO_PENDING
-        self._is_null[lanes] = nulls
-        self._miss_n[lanes] = 0
+        self._n_issue[lanes] = 0
         self._active[lanes] = True
 
     def _cls_groups_for(self, specs: list[FleetLaneSpec]) -> list[int]:
@@ -460,8 +627,7 @@ class FleetCohort:
 
     def _finish_many(self, slots: list[int]) -> None:
         lanes = np.asarray(slots, dtype=np.int64)
-        stats = self.cache.lanes_stats(lanes)
-        capacities = self.cache.capacity[lanes].tolist()
+        stats = [CacheStats(*row) for row in self._stats[lanes].tolist()]
         # Hand the stacked model state back, a group's leaving lanes at a
         # time, so every prefetcher leaves the cohort exactly as
         # simulate() would have left it (learned weights included).
@@ -473,19 +639,17 @@ class FleetCohort:
                     self._cls_slot[leaving].tolist(),
                     [self._lane(slot).spec.prefetcher for slot in leaving])
         self._group_of[lanes] = _NO_CALLBACK
-        recorded = self._miss_n[lanes].tolist() if self._record \
+        recorded = self._state[lanes, _MISSES].tolist() if self._record \
             else [0] * len(slots)
-        for slot, cache_stats, capacity, n_missed in zip(
-                slots, stats, capacities, recorded):
+        for slot, cache_stats, n_missed in zip(slots, stats, recorded):
             spec = self._lane(slot).spec
-            miss_indices = self._miss_idx[slot, :n_missed].tolist()
             self._results[slot] = SimResult(
                 trace_name=spec.trace.name,
                 prefetcher_name=spec.prefetcher.name,
-                capacity_pages=capacity,
+                capacity_pages=self._packed(spec).capacity,
                 stats=cache_stats,
                 config=spec.config,
-                miss_indices=miss_indices,
+                miss_indices=self._miss_idx[slot, :n_missed].tolist(),
                 engine_used="fleet",
                 backend_used=self.backend_used)
         self._active[lanes] = False
@@ -498,25 +662,63 @@ class FleetCohort:
                 self._row_key[row] = None
                 self._free_rows.append(row)
 
-    def _issue(self, slot: int, i: int, page: int,
-               predictions: list[int]) -> None:
-        """Queue one miss's predictions — identical for both miss paths."""
+    # ------------------------------------------------------------------
+    # Issue: a miss's predictions, as cids in the lane's issue row
+    # ------------------------------------------------------------------
+    def _cids_of(self, lanes: list[int], pages: list[int]) -> list[int]:
+        """The cid of page ``pages[k]`` on lane ``lanes[k]``.  A page
+        outside the lane's universe takes the lane's next extension cid
+        the first time it is named; the slot tables and page-of-cid rows
+        are widened when one falls outside them."""
+        cid_of, ext_of, base = self._cid_of, self._ext_of, self._universe_size
+        cids = []
+        named: list[tuple[int, int, int]] = []
+        for lane, page in zip(lanes, pages):
+            cid = cid_of[lane].get(page)
+            if cid is None:
+                ext = ext_of[lane]
+                cid = ext.get(page)
+                if cid is None:
+                    cid = ext[page] = base[lane] + len(ext)
+                    named.append((lane, cid, page))
+            cids.append(cid)
+        if named:
+            at, new, of = zip(*named)
+            if max(new) >= self._soc.shape[1]:
+                self._widen(max(new) + 1)
+            self._page_of_cid[at, new] = of
+        return cids
+
+    def _widen(self, need: int) -> None:
+        """Reallocate the cid-indexed rows at least ``need`` wide."""
+        old = self._soc.shape[1]
+        width = max(need, 2 * old)
+        soc = np.full((self.width, width), -1, dtype=np.int64)
+        soc[:, :old] = self._soc
+        page_of_cid = np.zeros((self.width, width), dtype=np.int64)
+        page_of_cid[:, :old] = self._page_of_cid
+        self._soc, self._page_of_cid = soc, page_of_cid
+        self._point("soc", "page_of_cid")
+
+    def _issue_one(self, slot: int, page: int, predictions: list[int]
+                   ) -> None:
+        """Queue one own-callback miss's predictions, as simulate() cuts
+        them: the first ``max_prefetches_per_miss``, less the miss page."""
         if predictions:
             limit = self._max_prefetches.item(slot)
             if len(predictions) > limit:
                 predictions = predictions[:limit]
             kept = [int(p) for p in predictions if p != page]
             if kept:
-                self._push(np.array([slot]), np.array([len(kept)]),
-                           np.full(len(kept), i, dtype=np.int64),
-                           np.array(kept, dtype=np.int64))
+                self._issue[slot, :len(kept)] = self._cids_of(
+                    [slot] * len(kept), kept)
+                self._n_issue[slot] = len(kept)
 
-    def _issue_ragged(self, slots: np.ndarray, index: np.ndarray,
-                      found: np.ndarray, owner: np.ndarray) -> None:
-        """:meth:`_issue` for a stacked group's round: ``found[k]`` is a
-        prediction of the miss of ``slots[owner[k]]`` at access
-        ``index[owner[k]]`` (``owner`` ascending; a group never predicts
-        the missed page itself)."""
+    def _issue_ragged(self, slots: np.ndarray, found: np.ndarray,
+                      owner: np.ndarray) -> None:
+        """:meth:`_issue_one` for a stacked group's round: ``found[k]`` is
+        a prediction of the miss of ``slots[owner[k]]`` (``owner``
+        ascending; a group never predicts the missed page itself)."""
         counts = np.bincount(owner, minlength=slots.size)
         limit = self._max_prefetches[slots]
         if (counts > limit).any():
@@ -524,69 +726,26 @@ class FleetCohort:
             kept = nth < limit[owner]
             found, owner = found[kept], owner[kept]
             counts = np.minimum(counts, limit)
-        rows = counts.nonzero()[0]
-        self._push(slots[rows], counts[rows], index[owner], found)
-
-    def _push(self, lanes: np.ndarray, counts: np.ndarray, at: np.ndarray,
-              pages: np.ndarray) -> None:
-        """Append ``counts[j]`` prefetches to lane ``lanes[j]``'s ring
-        (distinct lanes; the entries lane by lane, in issue order), the
-        ``k``-th issued at access ``at[k]`` for page ``pages[k]``."""
-        owner = lanes.repeat(counts)
-        width = self.cache.soc.shape[1]
-        cids = self.cache.cids_of(owner, pages)
-        if self.cache.soc.shape[1] != width:
-            self._bind_kernels()
-        need = int((self._ring_tail[lanes] + counts
-                    - self._ring_head[lanes]).max())
-        if need > self._ring_at.shape[1]:
-            self._grow_rings(need)
-        tail = self._ring_tail[lanes]
-        first = counts.cumsum() - counts
-        column = ((tail - first).repeat(counts) + np.arange(owner.size)) \
-            & (self._ring_at.shape[1] - 1)
-        self._ring_at[owner, column] = at + self._delay[owner]
-        self._ring_cid[owner, column] = cids
-        self._ring_page[owner, column] = pages
-        self._ring_tail[lanes] = tail + counts
-        head = self._ring_head[lanes] & (self._ring_at.shape[1] - 1)
-        self._next_landing[lanes] = self._ring_at[lanes, head]
+        lanes = slots[owner]
+        nth = np.arange(owner.size) - (counts.cumsum() - counts)[owner]
+        self._issue[lanes, nth] = self._cids_of(lanes.tolist(),
+                                                found.tolist())
+        self._n_issue[slots] = counts
 
     def _grow_rings(self, need: int) -> None:
-        """Double the rings until ``need`` entries fit, every lane's queue
-        moved to columns ``0 ..`` in order."""
+        """Re-lay every lane's in-flight ring into one of at least
+        ``need`` columns (``_CompiledEngine._grow_ring``, row-wise)."""
         old = self._ring_at.shape[1]
-        new = old
-        while new < need:
-            new *= 2
-        rows = np.arange(self.width)[:, None]
-        column = (self._ring_head[:, None] + np.arange(old)) & (old - 1)
-        for name in ("_ring_at", "_ring_cid", "_ring_page"):
-            ring = np.zeros((self.width, new), dtype=np.int64)
-            ring[:, :old] = getattr(self, name)[rows, column]
-            setattr(self, name, ring)
-        self._ring_tail -= self._ring_head
-        self._ring_head[:] = 0
-
-    def _land(self, due: np.ndarray) -> None:
-        """Land every prefetch due on lanes ``due`` (each has one at
-        least): round ``j`` is the ``j``-th due landing of each lane, so a
-        lane's landings keep their order and its duplicates fall into
-        separate rounds."""
-        pos = self._pos
-        head, tail = self._ring_head, self._ring_tail
-        ring_at = self._ring_at
-        mask = ring_at.shape[1] - 1
-        lanes = due
-        while lanes.size:
-            column = head[lanes] & mask
-            self.cache.land(lanes, self._ring_cid[lanes, column],
-                            self._ring_page[lanes, column])
-            head[lanes] += 1
-            lanes = lanes[head[lanes] < tail[lanes]]
-            lanes = lanes[ring_at[lanes, head[lanes] & mask] <= pos[lanes]]
-        self._next_landing[due] = np.where(
-            head[due] < tail[due], ring_at[due, head[due] & mask], NO_PENDING)
+        size = 1 << (need - 1).bit_length()
+        rows = self._slots[:, None]
+        at = self._state[:, _HEAD, None] + np.arange(old)
+        for name in ("_ring_at", "_ring_cid"):
+            grown = np.zeros((self.width, size), dtype=np.int64)
+            grown[rows, at & (size - 1)] = getattr(self, name)[
+                rows, at & (old - 1)]
+            setattr(self, name, grown)
+        self._point("ring_at", "ring_cid")
+        self._sims.set("ring_mask", self._slots, size - 1)
 
     # ------------------------------------------------------------------
     # The batched loop
@@ -594,54 +753,26 @@ class FleetCohort:
     def step(self) -> list[int]:
         """Advance every active lane one round; returns finished slots.
 
-        A round is: due landings -> lockstep hit walk (limit = next
-        landing or end-of-trace) -> one batched fill for every stalled
-        lane -> those misses to their prefetchers: a scalar callback per
-        lane that has one of its own, one ``miss_round`` per stacked CLS
-        group.  Null lanes skip the round structure entirely on compiled
-        backends (one ``rk_fleet_null_run`` drives each to completion).
+        A round is one kernel call over the active lanes (each issues its
+        pending predictions, then runs to its next demand miss; a null
+        lane runs to its end), then those misses to their prefetchers: a
+        scalar callback per lane that has one of its own, one
+        ``miss_round`` per stacked CLS group.  The predictions wait in
+        the lanes' issue rows for the next round.
         """
         finished: list[int] = []
         act = np.flatnonzero(self._active)
         if act.size == 0:
             return finished
-        if self._null_run is not None:
-            null_lanes = act[self._is_null[act]]
-            if null_lanes.size:
-                self._lanes_buf[:null_lanes.size] = null_lanes
-                self._null_run(int(null_lanes.size), int(self._record))
-                null_slots = null_lanes.tolist()
-                self._finish_many(null_slots)
-                finished.extend(null_slots)
-                act = act[~self._is_null[act]]
-                if act.size == 0:
-                    return finished
         pos = self._pos
-        next_landing = self._next_landing
-        cache = self.cache
-        due = act[next_landing[act] <= pos[act]]
-        if due.size:
-            self._land(due)
-        self._limit[act] = np.minimum(self._n_len[act], next_landing[act])
-        limit_view = self._limit
-        if self._hit_walk is not None:
-            self._lanes_buf[:act.size] = act
-            self._hit_walk(int(act.size))
-        else:
-            cache.hit_walk(act, self._cids2d, self._stores2d, pos,
-                           limit_view, trace_row=self._trace_row)
-        missed = act[pos[act] < limit_view[act]]
+        n_len = self._n_len
+        self._sims.run(act, pos, n_len, self._n_issue)
+        self._n_issue[act] = 0
+        missed = act[pos[act] < n_len[act]]
         if missed.size:
             p = pos[missed]
             rows_m = self._trace_row[missed]
-            cids = self._cids2d[rows_m, p]
             pages = self._pages2d[rows_m, p]
-            stores = self._stores2d[rows_m, p]
-            cache.fill_step(missed, cids, pages, stores)
-            if self._record:
-                n_missed = self._miss_n[missed]
-                self._miss_idx[missed, n_missed] = p
-                self._miss_n[missed] = n_missed + 1
             group_of = self._group_of[missed]
             addresses = self._addresses2d[rows_m, p]
             timestamps = self._timestamps2d[rows_m, p]
@@ -660,7 +791,7 @@ class FleetCohort:
                     predictions = lane.on_miss(MissEvent(
                         index=i, address=address, page=page,
                         stream_id=stream_id, timestamp=timestamp))
-                self._issue(slot, i, page, predictions)
+                self._issue_one(slot, page, predictions)
             # One stacked call per group, after the scalar lanes.
             for index, group in enumerate(self._groups):
                 rows = (group_of == index).nonzero()[0]
@@ -671,9 +802,14 @@ class FleetCohort:
                     self._cls_slot[slots], addresses[rows], pages[rows],
                     timestamps[rows])
                 if found.size:
-                    self._issue_ragged(slots, p[rows], found, owner)
+                    self._issue_ragged(slots, found, owner)
+            state = self._state
+            need = int((state[missed, _TAIL] - state[missed, _HEAD]
+                        + self._n_issue[missed]).max())
+            if need > self._ring_at.shape[1]:
+                self._grow_rings(need)
             pos[missed] = p + 1
-        done = act[pos[act] >= self._n_len[act]].tolist()
+        done = act[pos[act] >= n_len[act]].tolist()
         if done:
             self._finish_many(done)
             finished.extend(done)

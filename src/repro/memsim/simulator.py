@@ -103,6 +103,10 @@ class SimConfig:
             raise ValueError("memory_fraction must be in (0, 1]")
         if self.capacity_pages is not None and self.capacity_pages <= 0:
             raise ValueError("capacity_pages must be positive")
+        if self.prefetch_delay_accesses < 0:
+            raise ValueError("prefetch_delay_accesses must be >= 0")
+        if self.max_prefetches_per_miss < 0:
+            raise ValueError("max_prefetches_per_miss must be >= 0")
 
     def resolve_capacity(self, trace: Trace) -> int:
         if self.capacity_pages is not None:

@@ -5,14 +5,15 @@ winning.  That leaves:
 
 ``numpy``
     The always-available reference: ``simulate()`` runs the scalar
-    reference engine, the fleet its numpy walk, and the Hebbian network
-    its numpy arithmetic.  The correctness fallback when no compiler is
-    present (one-time ``RuntimeWarning``), not a tuned platform.
+    reference engine, a fleet lane the Python twin of ``rk_sim_run``,
+    and the Hebbian network its numpy arithmetic.  The correctness
+    fallback when no compiler is present (one-time ``RuntimeWarning``),
+    not a tuned platform.
 ``c``
     A small C file compiled on first use with the system C compiler and
     loaded through ``cffi``'s ABI mode, bit-identical to the reference
     in both domains: the **memsim** kernels (``simulate()``'s engine,
-    the fleet's hit walk and null replay, the membership scans) and the
+    which every fleet lane runs too, and the membership scans) and the
     scalar Hebbian network's step (Eq. 1's update, the sparse readout,
     the softmax's arithmetic and the rollout's top-width selection;
     ``np.exp`` and the k-WTA code stay numpy).  ``HebbianFleet`` is

@@ -14,8 +14,9 @@ Two families are compiled:
 
 - the simulator: ``simulate()``'s engine (``rk_sim_run``: hits, fills,
   evictions, the in-flight prefetch queue and its landings — one call
-  per demand miss, one per segment for a null run), the fleet's hit walk
-  and null replay, and ``PageCache``'s two membership scans;
+  per demand miss, one per segment for a null run), the fleet's round
+  (``rk_sim_lanes``: the same engine over one context per lane slot), and
+  ``PageCache``'s two membership scans;
 - the scalar Hebbian network's step (``rk_heb_learn``,
   ``rk_heb_scores``, ``rk_heb_finish``: Eq. 1's column update, the
   sparse readout, and the softmax's arithmetic and top-width selection),
@@ -98,10 +99,10 @@ _SOURCE = r"""
  * Hebbian network.
  *
  * Bit-identity contract: every function reproduces the exact observable
- * state transitions of its numpy counterpart (see
- * repro/memsim/pagecache.py, repro/memsim/fleet_cache.py and
- * repro/nn/hebbian.py).  The simulator kernels are integer-only; the
- * Hebbian kernels' float operations follow numpy's order.
+ * state transitions of its reference (see repro/memsim/simulator.py,
+ * repro/memsim/pagecache.py and repro/nn/hebbian.py).  The simulator
+ * kernels are integer-only; the Hebbian kernels' float operations follow
+ * numpy's order.
  */
 
 #include <stdint.h>
@@ -343,157 +344,16 @@ i64 rk_sim_run(const rk_sim *s, i64 start, i64 stop, i64 n_issue)
     return i;
 }
 
-/* ------------------------------------------------------------------ */
-/* Fleet (tenant-axis) simulator kernels                              */
-/* ------------------------------------------------------------------ */
-
-/* The fleet engine's lockstep hit walk: rk_sim_run's hit path per
- * tenant lane over the (tenant, slot) matrices of FleetPageCache.  For each lane t
- * in lanes[0..n_lanes), replays demand accesses from pos[t] until the
- * first non-resident access or limit[t], with per-access semantics of
- * the scalar cache (LRU stamp, dirty, undemanded clear + prefetch hit).
- * su/sl/ss are the row strides of the (T, U) slot table, the (R, L)
- * trace matrices, and the (T, S) slot matrices respectively.  Trace
- * rows are indirected through trace_row (lanes replaying the same
- * trace share one packed row).  Stats are written straight into the
- * cache's per-lane counter vectors, so no state flush is needed after
- * the call. */
-void rk_fleet_hit_walk(const i64 *lanes, i64 n_lanes,
-                       const i64 *trace_row,
-                       const i64 *soc, i64 su,
-                       const i64 *cids, const u8 *stores, i64 sl,
-                       i64 *last_use, u8 *dirty, u8 *undemanded, i64 ss,
-                       i64 *pos, const i64 *limit,
-                       i64 *clock, i64 *n_und, i64 *pf_hits, i64 *hits,
-                       i64 *accesses)
+/* The fleet's round (memsim/fleet.py): each lane slot t is its own
+ * context sims[t].  Every lane t of lanes[0..n_lanes) issues its
+ * n_issue[t] predictions and runs from pos[t] to its next demand miss or
+ * stop[t] (in null mode to stop[t]), which is left in pos[t]. */
+void rk_sim_lanes(const rk_sim *sims, const i64 *lanes, i64 n_lanes,
+                  i64 *pos, const i64 *stop, const i64 *n_issue)
 {
     for (i64 k = 0; k < n_lanes; k++) {
         i64 t = lanes[k];
-        i64 r = trace_row[t];
-        const i64 *l_soc = soc + t * su;
-        const i64 *l_cids = cids + r * sl;
-        const u8 *l_stores = stores + r * sl;
-        i64 *l_lu = last_use + t * ss;
-        u8 *l_dirty = dirty + t * ss;
-        u8 *l_und = undemanded + t * ss;
-        i64 ck = clock[t];
-        i64 nu = n_und[t];
-        i64 ph = pf_hits[t];
-        i64 h = hits[t];
-        i64 start = pos[t];
-        i64 stop = limit[t];
-        i64 i = start;
-        for (; i < stop; i++) {
-            i64 slot = l_soc[l_cids[i]];
-            if (slot < 0)
-                break;
-            l_lu[slot] = ck++;
-            if (l_stores[i])
-                l_dirty[slot] = 1;
-            if (nu && l_und[slot]) {
-                l_und[slot] = 0;
-                nu--;
-                ph++;
-            }
-            h++;
-        }
-        accesses[t] += i - start;
-        pos[t] = i;
-        clock[t] = ck;
-        n_und[t] = nu;
-        pf_hits[t] = ph;
-        hits[t] = h;
-    }
-}
-
-/* Fleet null replay: rk_sim_run's null mode per tenant lane, each lane
- * driven from pos[t] to completion (n_len[t]) in this one call.  Slots
- * are handed out virgin-ascending, as in rk_sim_run.  The per-lane
- * victim snapshot only scans slots [0, capacity[t]): higher slots can
- * never have been occupied.  Trace rows are indirected through
- * trace_row (shared packed rows); miss indices stay lane-indexed and
- * land in the lane's row of the (T, L) miss_idx matrix with count
- * miss_n[t]. */
-void rk_fleet_null_run(const i64 *lanes, i64 n_lanes,
-                       const i64 *trace_row,
-                       i64 *soc, i64 su,
-                       const i64 *cids, const i64 *pages, const u8 *stores,
-                       i64 sl,
-                       i64 *page_of_slot, i64 *last_use, u8 *dirty,
-                       i64 *cid_of_slot, i64 ss,
-                       const i64 *capacity, const i64 *n_len,
-                       i64 *pos, i64 *clock, i64 *n_resident,
-                       i64 *hits, i64 *demand_misses, i64 *writebacks,
-                       i64 *accesses, i64 *miss_idx, i64 *miss_n,
-                       i64 record)
-{
-    for (i64 k = 0; k < n_lanes; k++) {
-        i64 t = lanes[k];
-        i64 r = trace_row[t];
-        i64 *l_soc = soc + t * su;
-        const i64 *l_cids = cids + r * sl;
-        const i64 *l_pages = pages + r * sl;
-        const u8 *l_stores = stores + r * sl;
-        i64 *l_pg = page_of_slot + t * ss;
-        i64 *l_lu = last_use + t * ss;
-        u8 *l_dirty = dirty + t * ss;
-        i64 *l_cos = cid_of_slot + t * ss;
-        i64 *l_miss = miss_idx + t * sl;
-        i64 cap = capacity[t];
-        i64 ck = clock[t];
-        i64 n_res = n_resident[t];
-        i64 mn = miss_n[t];
-        i64 h = hits[t];
-        i64 misses = demand_misses[t];
-        i64 wbacks = writebacks[t];
-        i64 vstamp[VICTIM_BATCH];
-        i64 vslot[VICTIM_BATCH];
-        i64 vn = 0, vi = 0;
-        i64 start = pos[t];
-        i64 stop = n_len[t];
-
-        for (i64 i = start; i < stop; i++) {
-            i64 cid = l_cids[i];
-            i64 slot = l_soc[cid];
-            if (slot >= 0) {
-                l_lu[slot] = ck++;
-                if (l_stores[i])
-                    l_dirty[slot] = 1;
-                h++;
-                continue;
-            }
-            misses++;
-            if (record)
-                l_miss[mn] = i;
-            mn++;
-            if (n_res < cap) {
-                slot = n_res;
-            } else {
-                slot = rk_pop_victim(l_lu, cap, vstamp, vslot, &vn, &vi);
-                if (l_dirty[slot]) {
-                    wbacks++;
-                    l_dirty[slot] = 0;
-                }
-                l_soc[l_cos[slot]] = -1;
-                l_cos[slot] = -1;
-                l_lu[slot] = FREE_STAMP;
-                n_res--;
-            }
-            l_pg[slot] = l_pages[i];
-            l_lu[slot] = ck++;
-            l_dirty[slot] = l_stores[i] ? 1 : 0;
-            l_soc[cid] = slot;
-            l_cos[slot] = cid;
-            n_res++;
-        }
-        accesses[t] += stop - start;
-        pos[t] = stop;
-        clock[t] = ck;
-        n_resident[t] = n_res;
-        miss_n[t] = mn;
-        hits[t] = h;
-        demand_misses[t] = misses;
-        writebacks[t] = wbacks;
+        pos[t] = rk_sim_run(&sims[t], pos[t], stop[t], n_issue[t]);
     }
 }
 
@@ -678,30 +538,9 @@ long long rk_miss_run_length(const long long *soc, const long long *cids,
 """ + _SIM_CONTEXT + """
 long long rk_sim_run(const rk_sim *s, long long start, long long stop,
                      long long n_issue);
-void rk_fleet_hit_walk(const long long *lanes, long long n_lanes,
-                       const long long *trace_row,
-                       const long long *soc, long long su,
-                       const long long *cids, const unsigned char *stores,
-                       long long sl, long long *last_use,
-                       unsigned char *dirty, unsigned char *undemanded,
-                       long long ss, long long *pos, const long long *limit,
-                       long long *clock, long long *n_und,
-                       long long *pf_hits, long long *hits,
-                       long long *accesses);
-void rk_fleet_null_run(const long long *lanes, long long n_lanes,
-                       const long long *trace_row,
-                       long long *soc, long long su,
-                       const long long *cids, const long long *pages,
-                       const unsigned char *stores, long long sl,
-                       long long *page_of_slot, long long *last_use,
-                       unsigned char *dirty, long long *cid_of_slot,
-                       long long ss, const long long *capacity,
-                       const long long *n_len, long long *pos,
-                       long long *clock, long long *n_resident,
-                       long long *hits, long long *demand_misses,
-                       long long *writebacks, long long *accesses,
-                       long long *miss_idx, long long *miss_n,
-                       long long record);
+void rk_sim_lanes(const rk_sim *sims, const long long *lanes,
+                  long long n_lanes, long long *pos, const long long *stop,
+                  const long long *n_issue);
 """ + _HEB_CONTEXT + """
 long long rk_heb_learn(const rk_heb *h, const long long *code, long long k,
                        long long target, long long predicted, double lr);
@@ -823,9 +662,10 @@ class CSimKernels:
     """Simulator kernel bundle (one per ``simulate()`` call).
 
     ``first_nonresident``/``miss_run_length`` are plain calls (used by
-    ``PageCache`` when kernels are attached); the engines use the
-    ``bind_*`` closures, which capture the run-stable arrays' buffer
-    pointers once so the per-miss/per-segment call passes only scalars.
+    ``PageCache`` when kernels are attached); ``simulate()``'s engine
+    uses the :meth:`bind_sim` closure, which captures the run-stable
+    arrays' buffer pointers once so the per-miss/per-segment call passes
+    only scalars, and the fleet's cohort the contexts of :meth:`sim_lanes`.
     """
 
     name = "c"
@@ -876,78 +716,52 @@ class CSimKernels:
 
         return run
 
-    def bind_fleet_hit_walk(self, *, lanes_buf: np.ndarray,
-                            trace_row: np.ndarray, soc: np.ndarray,
-                            cids: np.ndarray, stores: np.ndarray,
-                            last_use: np.ndarray, dirty: np.ndarray,
-                            undemanded: np.ndarray, pos: np.ndarray,
-                            limit: np.ndarray, clock: np.ndarray,
-                            n_undemanded: np.ndarray,
-                            prefetch_hits: np.ndarray, hits: np.ndarray,
-                            accesses: np.ndarray) -> Callable[[int], None]:
-        """Tenant-axis hit walk over FleetPageCache's (T, slot) matrices.
+    def sim_lanes(self, width: int) -> "CSimLanes":
+        """``width`` ``rk_sim`` contexts, run a round at a time."""
+        return CSimLanes(self._ffi, self._lib, width)
 
-        The returned closure runs the walk for the first ``n_lanes``
-        entries of ``lanes_buf`` (the engine writes the active-lane
-        prefix before each call).  Row strides come from the 2-D array
-        shapes; lane ``t`` reads trace row ``trace_row[t]``; stats land
-        directly in the per-lane counter vectors.
-        """
+
+class CSimLanes:
+    """``rk_sim`` contexts, one per lane slot, and the round that runs them.
+
+    The contexts are one C array, viewed as an int64 table with a row per
+    slot and a column per field (every field of ``rk_sim`` is a pointer or
+    a ``long long``), so binding a field for a batch of slots is one numpy
+    write: :meth:`point` aims a field at rows of a 2-D array, :meth:`set`
+    writes a setting.  The contexts hold raw addresses: the caller keeps
+    every array it pointed at alive, and points the field again after
+    replacing one.
+    """
+
+    def __init__(self, ffi: Any, lib: Any, width: int) -> None:
+        fields = ffi.typeof("rk_sim").fields
+        if ffi.sizeof("rk_sim") != 8 * len(fields):
+            raise RuntimeError("rk_sim's fields are not all 8 bytes wide")
+        self._ffi = ffi
+        self._sims = ffi.new("rk_sim[]", width)
+        self._table = np.frombuffer(ffi.buffer(self._sims), dtype=np.int64
+                                    ).reshape(width, len(fields))
+        self._column = {name: field.offset // 8 for name, field in fields}
+        self._run = partial(lib.rk_sim_lanes, self._sims)
+
+    def point(self, name: str, array: np.ndarray, lanes: np.ndarray,
+              rows: np.ndarray) -> None:
+        """Field ``name`` of slot ``lanes[k]`` is row ``rows[k]`` of the
+        C-contiguous 2-D ``array``."""
+        assert array.flags.c_contiguous
+        self._table[lanes, self._column[name]] = (
+            array.ctypes.data + rows * array.strides[0])
+
+    def set(self, name: str, lanes: np.ndarray, values: Any) -> None:
+        """Setting ``name`` of slots ``lanes``."""
+        self._table[lanes, self._column[name]] = values
+
+    def run(self, lanes: np.ndarray, pos: np.ndarray, stop: np.ndarray,
+            n_issue: np.ndarray) -> None:
+        """One round of ``rk_sim_lanes`` over slots ``lanes`` (int64)."""
         ffi = self._ffi
-        fn = self._lib.rk_fleet_hit_walk
-        su = int(soc.shape[1])
-        sl = int(cids.shape[1])
-        ss = int(last_use.shape[1])
-        (p_lanes, p_row, p_soc, p_cids, p_lu, p_pos, p_limit, p_clock,
-         p_nund, p_pf, p_hits, p_acc) = (_i64(ffi, a) for a in
-                                         (lanes_buf, trace_row, soc, cids,
-                                          last_use, pos, limit, clock,
-                                          n_undemanded, prefetch_hits,
-                                          hits, accesses))
-        p_stores, p_dirty, p_und = (_u8(ffi, a) for a in
-                                    (stores, dirty, undemanded))
-
-        def run(n_lanes: int) -> None:
-            fn(p_lanes, n_lanes, p_row, p_soc, su, p_cids, p_stores, sl,
-               p_lu, p_dirty, p_und, ss, p_pos, p_limit, p_clock, p_nund,
-               p_pf, p_hits, p_acc)
-
-        return run
-
-    def bind_fleet_null_run(self, *, lanes_buf: np.ndarray,
-                            trace_row: np.ndarray, soc: np.ndarray,
-                            cids: np.ndarray, pages: np.ndarray,
-                            stores: np.ndarray, page_of_slot: np.ndarray,
-                            last_use: np.ndarray, dirty: np.ndarray,
-                            cid_of_slot: np.ndarray, capacity: np.ndarray,
-                            n_len: np.ndarray, pos: np.ndarray,
-                            clock: np.ndarray, n_resident: np.ndarray,
-                            hits: np.ndarray, demand_misses: np.ndarray,
-                            writebacks: np.ndarray, accesses: np.ndarray,
-                            miss_idx: np.ndarray,
-                            miss_n: np.ndarray) -> Callable[[int, int], None]:
-        """Tenant-axis null replay: each listed lane runs to completion."""
-        ffi = self._ffi
-        fn = self._lib.rk_fleet_null_run
-        su = int(soc.shape[1])
-        sl = int(cids.shape[1])
-        ss = int(last_use.shape[1])
-        (p_lanes, p_row, p_soc, p_cids, p_pages, p_pg, p_lu, p_cos, p_cap,
-         p_n, p_pos, p_clock, p_nres, p_hits, p_miss, p_wb, p_acc, p_midx,
-         p_mn) = (_i64(ffi, a) for a in
-                  (lanes_buf, trace_row, soc, cids, pages, page_of_slot,
-                   last_use, cid_of_slot, capacity, n_len, pos, clock,
-                   n_resident, hits, demand_misses, writebacks, accesses,
-                   miss_idx, miss_n))
-        p_stores, p_dirty = _u8(ffi, stores), _u8(ffi, dirty)
-
-        def run(n_lanes: int, record: int) -> None:
-            fn(p_lanes, n_lanes, p_row, p_soc, su, p_cids, p_pages,
-               p_stores, sl, p_pg, p_lu, p_dirty, p_cos, ss, p_cap, p_n,
-               p_pos, p_clock, p_nres, p_hits, p_miss, p_wb, p_acc, p_midx,
-               p_mn, record)
-
-        return run
+        self._run(_i64(ffi, lanes), lanes.size, _i64(ffi, pos),
+                  _i64(ffi, stop), _i64(ffi, n_issue))
 
 
 class CHebbian:

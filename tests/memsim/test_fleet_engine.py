@@ -10,6 +10,8 @@ prefetch landing delays.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.memsim.prefetcher import NullPrefetcher
 from repro.memsim.simulator import SimConfig, SimResult, simulate
 from repro.nn.backends import available_backends
 from repro.patterns import PatternSpec, generate
+from repro.patterns.trace import Trace
 
 BACKENDS = list(available_backends("sim"))
 COMPILED = [b for b in BACKENDS if b != "numpy"]
@@ -245,3 +248,133 @@ def test_compiled_and_numpy_fleets_agree(backend: str) -> None:
     for got, want in zip(compiled, plain):
         assert got.stats.as_dict() == want.stats.as_dict()
         assert got.miss_indices == want.miss_indices
+
+
+def test_load_validates_lane_dimensions() -> None:
+    """A lane whose cache or page universe outgrows the cohort's rows is
+    refused before anything is loaded."""
+    trace = _traces(n=600)[1]
+    pages = trace.footprint_pages()
+
+    def spec(capacity: int) -> FleetLaneSpec:
+        return FleetLaneSpec(trace=trace, prefetcher=NullPrefetcher(),
+                             config=SimConfig(capacity_pages=capacity))
+
+    cohort = FleetCohort(1, slot_capacity=4, universe_capacity=pages,
+                         trace_capacity=600)
+    with pytest.raises(ValueError, match="capacity 5"):
+        cohort.load(0, spec(5))
+    narrow = FleetCohort(1, slot_capacity=4, universe_capacity=pages - 1,
+                         trace_capacity=600)
+    with pytest.raises(ValueError, match="universe"):
+        narrow.load(0, spec(4))
+    assert cohort.active_count() == narrow.active_count() == 0
+    cohort.load(0, spec(4))
+    with pytest.raises(ValueError, match="positive"):
+        FleetCohort(1, slot_capacity=0, universe_capacity=1, trace_capacity=1)
+
+
+@pytest.mark.parametrize("field", ["max_prefetches_per_miss",
+                                   "prefetch_delay_accesses"])
+def test_negative_issue_settings_are_refused(field: str) -> None:
+    """A negative cap or delay is refused where the config is made, so
+    ``simulate()`` on either backend and a cohort never see one (a cap
+    of -1 would cut each miss's last prediction in one and make negative
+    repeat counts in the other)."""
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: -1})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(SimConfig(), **{field: -1})
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_the_smallest_caps_agree_on_every_driver(limit: int) -> None:
+    """Two Hebbian lanes on a pointer chase, cut to at most ``limit``
+    prefetches a miss: both cohort backends and both ``simulate()``
+    backends agree (a stacked round, then scalar callbacks)."""
+    config = SimConfig(max_prefetches_per_miss=limit,
+                       prefetch_delay_accesses=1)
+    trace = _traces(n=1200)[1]
+
+    def cls() -> CLSPrefetcher:
+        return CLSPrefetcher(CLSPrefetcherConfig(seed=11))
+
+    want = [simulate(trace, cls(), config, record_miss_indices=True,
+                     backend=backend) for backend in BACKENDS]
+    for got in want[1:]:
+        assert got.stats.as_dict() == want[0].stats.as_dict()
+    for backend in BACKENDS:
+        for stacked in (True, False):
+            specs = [FleetLaneSpec(trace=trace, prefetcher=cls(),
+                                   config=config) for _ in range(2)]
+            for got in run_cohort(specs, backend=backend,
+                                  record_miss_indices=True,
+                                  stacked_cls=stacked):
+                _assert_matches(got, want[0])
+    if limit == 0:
+        assert want[0].stats.prefetches_issued == 0
+
+
+def _sequential(n_pages: int, passes: int, name: str) -> Trace:
+    """Pages 0 .. n_pages - 1 in order, ``passes`` times, every third
+    access a store: a stride lane predicts past the last page."""
+    pages = np.tile(np.arange(n_pages), passes)
+    return Trace(name=name, addresses=pages * 4096,
+                 kinds=(np.arange(pages.size) % 3 == 0).astype(np.uint8),
+                 metadata={"seed": 0})
+
+
+def _walk(n_pages: int, n: int, seed: int) -> Trace:
+    """A random walk with jumps over ``n_pages`` pages, half stores."""
+    rng = np.random.default_rng(seed)
+    pages = (np.cumsum(rng.integers(-1, 3, size=n))
+             + rng.integers(0, 2, size=n) * (n_pages // 2)) % n_pages
+    return Trace(name=f"walk{n_pages}", addresses=pages * 4096,
+                 kinds=rng.integers(0, 2, size=n).astype(np.uint8),
+                 metadata={"seed": seed})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_reused_slot_starts_like_a_fresh_simulate(backend: str,
+                                                    width: int) -> None:
+    """Lanes drain through one or two slots, each refilling a slot freed
+    by a lane with a larger universe, cache and victim snapshot, other
+    delays, extension cids and prefetches still in flight.  Every lane's
+    stats, miss indices and learned weights equal its own simulate() on
+    every backend, so no row of the slot's context (slot table, victim
+    snapshot, ring, miss count, stats) outlives its lane."""
+    def cls() -> CLSPrefetcher:
+        return CLSPrefetcher(CLSPrefetcherConfig(seed=7))
+
+    lanes = [
+        (_sequential(200, 3, "wide"), lambda: StridePrefetcher(degree=4),
+         SimConfig(capacity_pages=40, prefetch_delay_accesses=6)),
+        (_walk(30, 700, 1), cls, SimConfig(capacity_pages=6)),
+        (_sequential(90, 4, "mid"), lambda: StridePrefetcher(degree=3),
+         SimConfig(capacity_pages=20, prefetch_delay_accesses=3)),
+        (_walk(60, 800, 2), cls,
+         SimConfig(capacity_pages=10, prefetch_delay_accesses=2)),
+        (_walk(12, 500, 3), lambda: StridePrefetcher(degree=2),
+         SimConfig(capacity_pages=3, prefetch_delay_accesses=1)),
+    ]
+    specs = [FleetLaneSpec(trace=trace, prefetcher=make(), config=config)
+             for trace, make, config in lanes]
+    cohort = FleetCohort.for_specs(specs, width=width, backend=backend,
+                                   record_miss_indices=True)
+    results: dict[int, SimResult] = {}
+    for done in cohort.drain(specs):
+        for index, result in done:
+            results[index] = result
+            if index == 0:  # slot 0's first lane, before its refill
+                assert cohort._ext_of[0]
+    for index, (trace, make, config) in enumerate(lanes):
+        for reference in BACKENDS:
+            prefetcher = make()
+            want = simulate(trace, prefetcher, config,
+                            record_miss_indices=True, backend=reference)
+            _assert_matches(results[index], want)
+            model = getattr(prefetcher, "model", None)
+            if model is not None:
+                np.testing.assert_array_equal(
+                    specs[index].prefetcher.model.w_out, model.w_out)
