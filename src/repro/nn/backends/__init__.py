@@ -14,10 +14,10 @@ winning.  That leaves:
     loaded through ``cffi``'s ABI mode, bit-identical to the reference
     in both domains: the **memsim** kernels (``simulate()``'s engine,
     which every fleet lane runs too, and the membership scans) and the
-    scalar Hebbian network's step (Eq. 1's update, the sparse readout,
-    the softmax's arithmetic and the rollout's top-width selection;
-    ``np.exp`` and the k-WTA code stay numpy).  ``HebbianFleet`` is
-    numpy arithmetic under every name.
+    Hebbian network's step (Eq. 1's update, the sparse readout, the
+    softmax's arithmetic and the rollout's top-width selection; ``np.exp``
+    and the k-WTA code stay numpy), for one network and, as lane loops,
+    for a ``HebbianFleet`` and the cohort's replay.
 ``int8``
     The one name that changes what the network does: readout scores are
     read from an int8-quantized mirror of the weights while training

@@ -429,13 +429,17 @@ class SparseHebbianNetwork:
         never runs on its own (a fleet member) carries no context — else
         None: the numpy arithmetic."""
         if self._heb is None and self._heb_tables is not None:
-            config = self.config
             self._heb = c_backend.bind_hebbian(
-                self._heb_tables, self._w_vals, vocab=config.vocab_size,
-                hidden=config.hidden_dim, temperature=self._temperature,
-                weight_max=config.weight_max,
-                negative_scale=config.negative_scale)
+                self._heb_tables, self._w_vals, **self._kernel_settings())
         return self._heb
+
+    def _kernel_settings(self) -> dict[str, float]:
+        """The scalar fields of the kernels' ``rk_heb`` context."""
+        config = self.config
+        return {"vocab": config.vocab_size, "hidden": config.hidden_dim,
+                "temperature": self._temperature,
+                "weight_max": config.weight_max,
+                "negative_scale": config.negative_scale}
 
     def _code_ptr(self, code: np.ndarray) -> Any:
         """``code`` as a kernel pointer: memoized for a cache-resident
@@ -792,6 +796,8 @@ class SparseHebbianNetwork:
                    width: int, length: int) -> list[list[tuple[int, float]]]:
         """``predict_rollout`` on the kernels: the same steps, one
         readout-and-softmax-and-selection per step after the first."""
+        if length < 1:
+            return []
         x = heb.x
         np.copyto(x, probs)
         step = self._selected(heb, heb.finish(width, 0), width)

@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.nn.backends import available_backends
 from repro.nn.base import SequenceModel, evaluate_sequence_probs
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
+from repro.nn.hebbian_fleet import HebbianFleet
 from repro.nn.lstm import LSTMConfig, OnlineLSTM
+
+#: The bit-identical backend names (int8 serves a quantized mirror).
+FLOAT_BACKENDS = [b for b in available_backends("nn") if b != "int8"]
 
 
 def models():
@@ -64,3 +69,39 @@ class TestSequenceModelConformance:
 
     def test_evaluate_short_sequence_empty(self, name, model):
         assert evaluate_sequence_probs(model, [1]).size == 0
+
+
+def _rollout(model: str, backend: str, width: int, length: int
+             ) -> list[list[tuple[int, float]]]:
+    """``predict_rollout(width, length)`` of a few steps' model: the
+    scalar network, a fleet lane (``rollout_lanes``) or the LSTM (which
+    has one arithmetic under every backend name)."""
+    classes = [3, 5, 7, 3, 5]
+    if model == "lstm":
+        lstm = OnlineLSTM(LSTMConfig(vocab_size=24, embed_dim=8,
+                                     hidden_dim=12, window=2, seed=0))
+        for c in classes:
+            lstm.step(c)
+        return lstm.predict_rollout(width, length)
+    net = SparseHebbianNetwork(HebbianConfig(vocab_size=24, hidden_dim=64,
+                                             seed=0, backend=backend))
+    if model == "hebbian":
+        for c in classes:
+            net.step(c)
+        return net.predict_rollout(width, length)
+    fleet = HebbianFleet(net, 1)
+    for c in classes:
+        fleet.step_all([c])
+    return fleet.rollout_lanes([0], [width], [length])[0]
+
+
+@pytest.mark.parametrize("length", [-1, 0, 1, 3])
+@pytest.mark.parametrize("backend", FLOAT_BACKENDS)
+@pytest.mark.parametrize("model", ["hebbian", "hebbian-fleet", "lstm"])
+def test_a_rollout_of_any_length_is_the_same_on_every_backend(
+        model: str, backend: str, length: int) -> None:
+    """``length`` steps, or none below 1, and the numpy result bit for
+    bit under every backend name."""
+    got = _rollout(model, backend, 2, length)
+    assert got == _rollout(model, "numpy", 2, length)
+    assert len(got) == max(length, 0)
