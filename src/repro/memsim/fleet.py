@@ -1,35 +1,29 @@
 """The multi-tenant fleet engine: N simulation lanes in one batched loop.
 
 One ``simulate()`` call advances one (trace, prefetcher, cache) lane.
-:class:`FleetCohort` runs up to ``width`` independent lanes, each on
-``simulate()``'s own compiled engine, and batches what lies between
-their kernel calls — the prefetchers' turns:
+:class:`FleetCohort` runs up to ``width`` independent lanes, each a slot
+of the lane store ``simulate()``'s compiled engine is a one-slot case of
+(``memsim/lanes.py``), and batches what lies between their kernel
+calls — the prefetchers' turns:
 
-* **One engine per lane.**  Each lane slot is an ``rk_sim`` context, the
-  struct ``simulate()``'s ``_CompiledEngine`` binds; its fields are rows
-  of per-slot arrays (cid -> slot table, page of each cid, the slot
-  arrays, the in-flight ring, the victim snapshot, stats, state and a
-  row of miss indices).  A round is one ``rk_sim_lanes`` call: every
-  active lane issues its pending predictions, lands what is due, walks
-  its hits and fills its next demand miss — or, with the null
-  prefetcher, runs to its end.  Without a compiler the same rounds run
-  through :func:`_sim_run`, ``rk_sim_run``'s Python twin, over the same
-  arrays.
+* **One engine per lane.**  A round is one ``rk_sim_lanes`` call over
+  the store's active slots: every lane issues its pending predictions,
+  lands what is due, walks its hits and fills its next demand miss — or,
+  with the null prefetcher, runs to its end (without a compiler,
+  ``rk_sim_run``'s Python twin over the same rows).
 * **Batched misses.**  The round's misses keep every prefetcher's
   callback sequence that of the single-tenant engines: a lane with a
   prefetcher of its own gets its callback, scalar; the lanes of a
   stacked CLS group (``core/cls_fleet.py``) go to the group as four
   gathered columns and come back as one ragged ``(pages, owner)`` pair.
-  The predictions are cut to ``max_prefetches_per_miss``, named by cid
-  (a page outside the trace's universe takes the lane's next extension
-  cid, numbered as ``_CompiledEngine._extend`` numbers them) and written
-  to the lane's issue row for its next kernel call.
+  The store cuts the predictions as ``simulate()`` does and names them
+  by cid into the lanes' issue rows for their next kernel call.
 * **Drain and refill.**  Finished lanes report a
   :class:`~repro.memsim.simulator.SimResult` and their slot is free for
   :meth:`FleetCohort.load` — :meth:`FleetCohort.drain` keeps a cohort
   full from a pending queue (the one scheduler loop, under both
   :func:`run_cohort` and ``repro.harness.fleet.run_fleet``).  A load
-  resets the rows a fresh ``PageCache`` would start empty.
+  resets the slot's rows to a fresh cache's.
 
 Bit-identity per lane: a lane runs ``simulate()``'s kernel under
 ``simulate()``'s issue protocol, and lanes share no cache state, so an
@@ -41,7 +35,6 @@ state of N independent ``simulate()`` calls
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -49,8 +42,7 @@ import numpy as np
 from ..nn.backends import resolve_backend, sim_kernels
 from ..patterns.trace import Trace
 from .events import MissEvent
-from .pagecache import _FREE, _STAT_FIELDS, _VICTIM_BATCH, CacheStats
-from .prefetch_queue import NO_PENDING
+from .lanes import _HEAD, _TAIL, SimLanes
 from .prefetcher import Prefetcher
 from .simulator import SimConfig, SimResult
 
@@ -61,23 +53,6 @@ __all__ = ["FleetCohort", "FleetLaneSpec"]
 #: nothing (the null prefetcher).
 _OWN_CALLBACK = -1
 _NO_CALLBACK = -2
-
-#: Columns of every lane's in-flight ring at first (doubled as needed;
-#: a power of two, so a count maps to its column with a mask).
-_RING_COLUMNS = 8
-
-#: ``rk_sim``'s state row (``SIM_*`` in the C source) and its stats row
-#: (``CacheStats``' fields in order).
-(_CLOCK, _RESIDENT, _UNDEMANDED, _HEAD, _TAIL, _MISSES, _VN,
- _VI) = range(8)
-(_ACCESSES, _HITS, _DEMAND_MISSES, _PREFETCH_HITS, _ISSUED, _REDUNDANT,
- _EVICTED_UNUSED, _DISPLACED, _WRITEBACKS) = range(len(_STAT_FIELDS))
-
-#: The ``rk_sim`` fields that are rows of the cohort's per-slot arrays
-#: (``FleetCohort._<name>``), slot ``t``'s context on row ``t``.
-_SLOT_ROWS = ("soc", "page_of_cid", "page_of_slot", "last_use",
-              "cid_of_slot", "dirty", "undemanded", "ring_at", "ring_cid",
-              "issue", "miss_idx", "vstamp", "vslot", "stats", "state")
 
 
 @dataclass(frozen=True)
@@ -116,7 +91,6 @@ class _PackedTrace:
     pages: np.ndarray
     stores: np.ndarray
     universe: np.ndarray
-    cid_of: dict[int, int]
 
 
 @dataclass
@@ -127,150 +101,6 @@ class _Lane:
     on_miss_fast: Any
     on_miss: Any
     stream_ids: np.ndarray | None
-
-
-# ----------------------------------------------------------------------
-# rk_sim_run without a compiler
-# ----------------------------------------------------------------------
-def _sim_run(s: Any, start: int, stop: int, n_issue: int) -> int:
-    """``rk_sim_run``'s Python twin, statement for statement: ``s`` holds
-    the fields of ``rk_sim`` (numpy rows and ints).  Issues ``s.issue``'s
-    first ``n_issue`` cids at access ``start - 1``, runs accesses
-    ``[start, stop)`` and returns the first demand miss's index (already
-    filled), or ``stop``; in null mode it never returns early."""
-    cids, stores, soc, last_use = s.cids, s.stores, s.soc, s.last_use
-    ring_at, ring_cid, undemanded = s.ring_at, s.ring_cid, s.undemanded
-    mask = s.ring_mask
-    st = s.state[:_VN].tolist()
-    c = [0] * len(_STAT_FIELDS)
-    clock = st[_CLOCK]
-    for k in range(n_issue):
-        ring_at[st[_TAIL] & mask] = start - 1 + s.delay
-        ring_cid[st[_TAIL] & mask] = s.issue[k]
-        st[_TAIL] += 1
-    next_landing = (int(ring_at[st[_HEAD] & mask]) if st[_HEAD] < st[_TAIL]
-                    else NO_PENDING)
-    i = start
-    while i < stop:
-        while next_landing <= i:
-            cid = int(ring_cid[st[_HEAD] & mask])
-            st[_HEAD] += 1
-            next_landing = (int(ring_at[st[_HEAD] & mask])
-                            if st[_HEAD] < st[_TAIL] else NO_PENDING)
-            c[_ISSUED] += 1
-            slot = int(soc[cid])
-            if slot >= 0:
-                c[_REDUNDANT] += 1
-                last_use[slot] = clock
-                clock += 1
-                continue
-            slot = _take_slot(s, st, c, True)
-            _install(s, slot, cid, clock)
-            clock += 1
-            undemanded[slot] = True
-            st[_UNDEMANDED] += 1
-        cid = int(cids[i])
-        slot = int(soc[cid])
-        if slot >= 0:
-            last_use[slot] = clock
-            clock += 1
-            if stores[i]:
-                s.dirty[slot] = True
-            if st[_UNDEMANDED] and undemanded[slot]:
-                undemanded[slot] = False
-                st[_UNDEMANDED] -= 1
-                c[_PREFETCH_HITS] += 1
-            c[_HITS] += 1
-            i += 1
-            continue
-        c[_DEMAND_MISSES] += 1
-        if s.record:
-            s.miss_idx[st[_MISSES]] = i
-        st[_MISSES] += 1
-        slot = _take_slot(s, st, c, False)
-        _install(s, slot, cid, clock)
-        clock += 1
-        s.dirty[slot] = stores[i]
-        if not s.is_null:
-            break
-        i += 1
-    st[_CLOCK] = clock
-    s.state[:_VN] = st
-    c[_ACCESSES] = c[_HITS] + c[_DEMAND_MISSES]
-    s.stats += c
-    return i
-
-
-def _take_slot(s: Any, st: list[int], c: list[int],
-               by_prefetch: bool) -> int:
-    """``rk_take_slot``: a virgin slot below capacity, else the LRU
-    page's, evicted."""
-    if st[_RESIDENT] < s.capacity:
-        st[_RESIDENT] += 1
-        return st[_RESIDENT] - 1
-    slot = _pop_victim(s)
-    if s.dirty[slot]:
-        c[_WRITEBACKS] += 1
-        s.dirty[slot] = False
-    if s.undemanded[slot]:
-        c[_EVICTED_UNUSED] += 1
-        st[_UNDEMANDED] -= 1
-        s.undemanded[slot] = False
-    elif by_prefetch:
-        c[_DISPLACED] += 1
-    s.soc[s.cid_of_slot[slot]] = -1
-    return slot
-
-
-def _pop_victim(s: Any) -> int:
-    """``rk_pop_victim``: the snapshot's next live entry, refilled with
-    the oldest ``_VICTIM_BATCH`` slots when it runs dry (the cache is
-    full then, so every stamp is distinct and the order is unique)."""
-    state = s.state
-    while True:
-        if state[_VI] >= state[_VN]:
-            oldest = np.argsort(s.last_use[:s.capacity])[:_VICTIM_BATCH]
-            s.vstamp[:oldest.size] = s.last_use[oldest]
-            s.vslot[:oldest.size] = oldest
-            state[_VN] = oldest.size
-            state[_VI] = 0
-        stamp = int(s.vstamp[state[_VI]])
-        slot = int(s.vslot[state[_VI]])
-        state[_VI] += 1
-        if stamp != _FREE and s.last_use[slot] == stamp:
-            return slot
-
-
-def _install(s: Any, slot: int, cid: int, stamp: int) -> None:
-    s.page_of_slot[slot] = s.page_of_cid[cid]
-    s.last_use[slot] = stamp
-    s.soc[cid] = slot
-    s.cid_of_slot[slot] = cid
-
-
-class _SimLanes:
-    """``c_backend.CSimLanes`` without a compiler: each slot's context is
-    a namespace of the same rows the compiled contexts point at, and a
-    round runs :func:`_sim_run` lane by lane."""
-
-    def __init__(self, width: int) -> None:
-        self._sims = [SimpleNamespace() for _ in range(width)]
-
-    def point(self, name: str, array: np.ndarray, lanes: np.ndarray,
-              rows: np.ndarray) -> None:
-        for lane, row in zip(lanes.tolist(), rows.tolist()):
-            setattr(self._sims[lane], name, array[row])
-
-    def set(self, name: str, lanes: np.ndarray, values: Any) -> None:
-        for lane, value in zip(lanes.tolist(),
-                               np.broadcast_to(values, lanes.shape).tolist()):
-            setattr(self._sims[lane], name, value)
-
-    def run(self, lanes: np.ndarray, pos: np.ndarray, stop: np.ndarray,
-            n_issue: np.ndarray) -> None:
-        for lane in lanes.tolist():
-            pos[lane] = _sim_run(self._sims[lane], int(pos[lane]),
-                                 int(stop[lane]), int(n_issue[lane]))
 
 
 class FleetCohort:
@@ -325,52 +155,13 @@ class FleetCohort:
         # issues the _n_issue[t] cids of its issue row.
         self._pos = np.zeros(width, dtype=np.int64)
         self._n_issue = np.zeros(width, dtype=np.int64)
-        # The rk_sim rows (_SLOT_ROWS): the cid -> slot table and the page
-        # of each cid (widened by _widen), the slot arrays, the in-flight
-        # ring (_grow_rings), the issue row (sized at load), the recorded
-        # miss indices (a (T, 1) stub nothing writes without recording),
-        # the victim snapshot, stats and state.
-        self._soc = np.full((width, universe_capacity), -1, dtype=np.int64)
-        self._page_of_cid = np.zeros((width, universe_capacity),
-                                     dtype=np.int64)
-        slots_shape = (width, slot_capacity)
-        self._page_of_slot = np.zeros(slots_shape, dtype=np.int64)
-        self._last_use = np.zeros(slots_shape, dtype=np.int64)
-        self._cid_of_slot = np.zeros(slots_shape, dtype=np.int64)
-        self._dirty = np.zeros(slots_shape, dtype=bool)
-        self._undemanded = np.zeros(slots_shape, dtype=bool)
-        self._ring_at = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
-        self._ring_cid = np.zeros((width, _RING_COLUMNS), dtype=np.int64)
-        self._issue = np.zeros((width, 1), dtype=np.int64)
-        self._miss_idx = np.zeros(
-            shape if record_miss_indices else (width, 1), dtype=np.int64)
-        # A snapshot holds at most one entry per slot of the lane.
-        victims = (width, min(_VICTIM_BATCH, slot_capacity))
-        self._vstamp = np.zeros(victims, dtype=np.int64)
-        self._vslot = np.zeros(victims, dtype=np.int64)
-        self._stats = np.zeros((width, len(_STAT_FIELDS)), dtype=np.int64)
-        self._state = np.zeros((width, 8), dtype=np.int64)
-        self._slots = np.arange(width, dtype=np.int64)
-        self._sims = (kern.sim_lanes(width) if kern is not None
-                      else _SimLanes(width))
-        self._point(*_SLOT_ROWS)
-        self._sims.set("ring_mask", self._slots, _RING_COLUMNS - 1)
-        self._sims.set("record", self._slots, int(record_miss_indices))
-        # Per slot: the universe's page -> cid dict (shared across lanes
-        # replaying the same trace), the lane's own extension dict, which
-        # names out-of-universe pages from the universe size up, and that
-        # size.
-        self._cid_of: list[dict[int, int]] = [{} for _ in range(width)]
-        self._ext_of: list[dict[int, int]] = [{} for _ in range(width)]
-        self._universe_size = [0] * width
+        self._store = SimLanes(width, slot_capacity=slot_capacity,
+                               universe_capacity=universe_capacity,
+                               trace_capacity=trace_capacity, kern=kern,
+                               record=record_miss_indices)
         self._active = np.zeros(width, dtype=bool)
         self._lanes: list[_Lane | None] = [None] * width
         self._results: list[SimResult | None] = [None] * width
-        self._record = record_miss_indices
-        # page -> cid dicts shared across lanes replaying the same trace
-        # (keyed by the memoized universe array's identity; the array is
-        # kept in the value so the id stays live).
-        self._cid_cache: dict[int, tuple[np.ndarray, dict[int, int]]] = {}
         # Packed per-(trace, config) load data, shared across lanes
         # replaying the same trace (identity-keyed; see _PackedTrace).
         self._pack_cache: dict[tuple[int, int], _PackedTrace] = {}
@@ -384,14 +175,6 @@ class FleetCohort:
         self._groups: list[Any] = []
         self._group_of = np.full(width, _NO_CALLBACK, dtype=np.int64)
         self._cls_slot = np.zeros(width, dtype=np.intp)
-        self._max_prefetches = np.zeros(width, dtype=np.int64)
-
-    def _point(self, *names: str) -> None:
-        """Aim the ``rk_sim`` fields ``names`` of every slot at its row of
-        the per-slot array — again whenever one is replaced."""
-        for name in names:
-            self._sims.point(name, getattr(self, "_" + name), self._slots,
-                             self._slots)
 
     @classmethod
     def for_specs(cls, specs: list[FleetLaneSpec], *, width: int | None = None,
@@ -446,28 +229,23 @@ class FleetCohort:
         if packed is not None:
             return packed
         n = len(trace)
-        if n == 0 or n > self.trace_capacity:
+        if n > self.trace_capacity:
             raise ValueError(
-                f"trace length {n} outside (0, {self.trace_capacity}]")
+                f"trace length {n} outside [0, {self.trace_capacity}]")
         universe, cids = trace.page_index(config.page_size)
         capacity = config.resolve_capacity(trace)
-        if capacity > self._last_use.shape[1]:
+        store = self._store
+        if capacity > store.last_use.shape[1]:
             raise ValueError(f"lane capacity {capacity} outside "
-                             f"(0, {self._last_use.shape[1]}]")
-        if len(universe) > self._soc.shape[1]:
+                             f"(0, {store.last_use.shape[1]}]")
+        if len(universe) > store.soc.shape[1]:
             raise ValueError(f"universe of {len(universe)} pages exceeds "
-                             f"fleet width {self._soc.shape[1]}")
-        cached = self._cid_cache.get(id(universe))
-        if cached is None or cached[0] is not universe:
-            cached = (universe,
-                      {int(p): i for i, p in enumerate(universe.tolist())})
-            self._cid_cache[id(universe)] = cached
+                             f"fleet width {store.soc.shape[1]}")
         packed = _PackedTrace(
             trace=trace, config=config, n=n, capacity=capacity, cids=cids,
             pages=trace.pages(config.page_size),
             stores=trace.kinds != 0,
-            universe=universe,
-            cid_of=cached[1])
+            universe=universe)
         self._pack_cache[key] = packed
         return packed
 
@@ -507,14 +285,6 @@ class FleetCohort:
             packs.append(self._packed(spec))
         group_of = self._cls_groups_for(specs)
         lanes = np.asarray(slots, dtype=np.int64)
-        max_prefetches = [spec.config.max_prefetches_per_miss
-                          for spec in specs]
-        if max(max_prefetches) > self._issue.shape[1]:
-            issue = np.zeros((self.width, max(max_prefetches)),
-                             dtype=np.int64)
-            issue[:, :self._issue.shape[1]] = self._issue
-            self._issue = issue
-            self._point("issue")
         nulls: list[bool] = []
         rows: list[int] = []
         cls_slots: list[int] = []
@@ -534,11 +304,6 @@ class FleetCohort:
                 self._row_key[row] = id(packed)
             self._row_refs[row] += 1
             rows.append(row)
-            universe = packed.universe
-            self._page_of_cid[slot, :universe.size] = universe
-            self._cid_of[slot] = packed.cid_of
-            self._ext_of[slot] = {}
-            self._universe_size[slot] = universe.size
             is_null = bool(getattr(prefetcher, "is_null", False))
             nulls.append(is_null)
             own = group_of[i] < 0 and not is_null
@@ -554,23 +319,13 @@ class FleetCohort:
             self._results[slot] = None
         self._group_of[lanes] = group_of
         self._cls_slot[lanes] = cls_slots
-        self._max_prefetches[lanes] = max_prefetches
-        # What a fresh PageCache and an empty queue start from; the other
-        # rows are written before they are read.
-        self._soc[lanes] = -1
-        self._dirty[lanes] = False
-        self._undemanded[lanes] = False
-        self._stats[lanes] = 0
-        self._state[lanes] = 0
         self._trace_row[lanes] = rows
-        self._sims.point("cids", self._cids2d, lanes, self._trace_row[lanes])
-        self._sims.point("stores", self._stores2d, lanes,
-                         self._trace_row[lanes])
-        sims = self._sims
-        sims.set("capacity", lanes, [p.capacity for p in packs])
-        sims.set("delay", lanes,
-                 [spec.config.prefetch_delay_accesses for spec in specs])
-        sims.set("is_null", lanes, nulls)
+        store = self._store
+        store.load(lanes, [p.universe for p in packs],
+                   [p.capacity for p in packs],
+                   [spec.config for spec in specs], nulls)
+        store.point_trace(lanes, self._trace_row[lanes], self._cids2d,
+                          self._stores2d)
         self._n_len[lanes] = [p.n for p in packs]
         self._pos[lanes] = 0
         self._n_issue[lanes] = 0
@@ -627,7 +382,6 @@ class FleetCohort:
 
     def _finish_many(self, slots: list[int]) -> None:
         lanes = np.asarray(slots, dtype=np.int64)
-        stats = [CacheStats(*row) for row in self._stats[lanes].tolist()]
         # Hand the stacked model state back, a group's leaving lanes at a
         # time, so every prefetcher leaves the cohort exactly as
         # simulate() would have left it (learned weights included).
@@ -639,17 +393,16 @@ class FleetCohort:
                     self._cls_slot[leaving].tolist(),
                     [self._lane(slot).spec.prefetcher for slot in leaving])
         self._group_of[lanes] = _NO_CALLBACK
-        recorded = self._state[lanes, _MISSES].tolist() if self._record \
-            else [0] * len(slots)
-        for slot, cache_stats, n_missed in zip(slots, stats, recorded):
+        store = self._store
+        for slot in slots:
             spec = self._lane(slot).spec
             self._results[slot] = SimResult(
                 trace_name=spec.trace.name,
                 prefetcher_name=spec.prefetcher.name,
                 capacity_pages=self._packed(spec).capacity,
-                stats=cache_stats,
+                stats=store.stats_of(slot),
                 config=spec.config,
-                miss_indices=self._miss_idx[slot, :n_missed].tolist(),
+                miss_indices=store.misses_of(slot),
                 engine_used="fleet",
                 backend_used=self.backend_used)
         self._active[lanes] = False
@@ -661,91 +414,6 @@ class FleetCohort:
                 del self._row_of[key]
                 self._row_key[row] = None
                 self._free_rows.append(row)
-
-    # ------------------------------------------------------------------
-    # Issue: a miss's predictions, as cids in the lane's issue row
-    # ------------------------------------------------------------------
-    def _cids_of(self, lanes: list[int], pages: list[int]) -> list[int]:
-        """The cid of page ``pages[k]`` on lane ``lanes[k]``.  A page
-        outside the lane's universe takes the lane's next extension cid
-        the first time it is named; the slot tables and page-of-cid rows
-        are widened when one falls outside them."""
-        cid_of, ext_of, base = self._cid_of, self._ext_of, self._universe_size
-        cids = []
-        named: list[tuple[int, int, int]] = []
-        for lane, page in zip(lanes, pages):
-            cid = cid_of[lane].get(page)
-            if cid is None:
-                ext = ext_of[lane]
-                cid = ext.get(page)
-                if cid is None:
-                    cid = ext[page] = base[lane] + len(ext)
-                    named.append((lane, cid, page))
-            cids.append(cid)
-        if named:
-            at, new, of = zip(*named)
-            if max(new) >= self._soc.shape[1]:
-                self._widen(max(new) + 1)
-            self._page_of_cid[at, new] = of
-        return cids
-
-    def _widen(self, need: int) -> None:
-        """Reallocate the cid-indexed rows at least ``need`` wide."""
-        old = self._soc.shape[1]
-        width = max(need, 2 * old)
-        soc = np.full((self.width, width), -1, dtype=np.int64)
-        soc[:, :old] = self._soc
-        page_of_cid = np.zeros((self.width, width), dtype=np.int64)
-        page_of_cid[:, :old] = self._page_of_cid
-        self._soc, self._page_of_cid = soc, page_of_cid
-        self._point("soc", "page_of_cid")
-
-    def _issue_one(self, slot: int, page: int, predictions: list[int]
-                   ) -> None:
-        """Queue one own-callback miss's predictions, as simulate() cuts
-        them: the first ``max_prefetches_per_miss``, less the miss page."""
-        if predictions:
-            limit = self._max_prefetches.item(slot)
-            if len(predictions) > limit:
-                predictions = predictions[:limit]
-            kept = [int(p) for p in predictions if p != page]
-            if kept:
-                self._issue[slot, :len(kept)] = self._cids_of(
-                    [slot] * len(kept), kept)
-                self._n_issue[slot] = len(kept)
-
-    def _issue_ragged(self, slots: np.ndarray, found: np.ndarray,
-                      owner: np.ndarray) -> None:
-        """:meth:`_issue_one` for a stacked group's round: ``found[k]`` is
-        a prediction of the miss of ``slots[owner[k]]`` (``owner``
-        ascending; a group never predicts the missed page itself)."""
-        counts = np.bincount(owner, minlength=slots.size)
-        limit = self._max_prefetches[slots]
-        if (counts > limit).any():
-            nth = np.arange(owner.size) - (counts.cumsum() - counts)[owner]
-            kept = nth < limit[owner]
-            found, owner = found[kept], owner[kept]
-            counts = np.minimum(counts, limit)
-        lanes = slots[owner]
-        nth = np.arange(owner.size) - (counts.cumsum() - counts)[owner]
-        self._issue[lanes, nth] = self._cids_of(lanes.tolist(),
-                                                found.tolist())
-        self._n_issue[slots] = counts
-
-    def _grow_rings(self, need: int) -> None:
-        """Re-lay every lane's in-flight ring into one of at least
-        ``need`` columns (``_CompiledEngine._grow_ring``, row-wise)."""
-        old = self._ring_at.shape[1]
-        size = 1 << (need - 1).bit_length()
-        rows = self._slots[:, None]
-        at = self._state[:, _HEAD, None] + np.arange(old)
-        for name in ("_ring_at", "_ring_cid"):
-            grown = np.zeros((self.width, size), dtype=np.int64)
-            grown[rows, at & (size - 1)] = getattr(self, name)[
-                rows, at & (old - 1)]
-            setattr(self, name, grown)
-        self._point("ring_at", "ring_cid")
-        self._sims.set("ring_mask", self._slots, size - 1)
 
     # ------------------------------------------------------------------
     # The batched loop
@@ -766,7 +434,8 @@ class FleetCohort:
             return finished
         pos = self._pos
         n_len = self._n_len
-        self._sims.run(act, pos, n_len, self._n_issue)
+        store = self._store
+        store.run(act, pos, n_len, self._n_issue)
         self._n_issue[act] = 0
         missed = act[pos[act] < n_len[act]]
         if missed.size:
@@ -791,7 +460,8 @@ class FleetCohort:
                     predictions = lane.on_miss(MissEvent(
                         index=i, address=address, page=page,
                         stream_id=stream_id, timestamp=timestamp))
-                self._issue_one(slot, page, predictions)
+                if predictions:
+                    self._n_issue[slot] = store.cut(slot, page, predictions)
             # One stacked call per group, after the scalar lanes.
             for index, group in enumerate(self._groups):
                 rows = (group_of == index).nonzero()[0]
@@ -802,12 +472,13 @@ class FleetCohort:
                     self._cls_slot[slots], addresses[rows], pages[rows],
                     timestamps[rows])
                 if found.size:
-                    self._issue_ragged(slots, found, owner)
-            state = self._state
+                    self._n_issue[slots] = store.cut_ragged(slots, found,
+                                                            owner)
+            state = store.state
             need = int((state[missed, _TAIL] - state[missed, _HEAD]
                         + self._n_issue[missed]).max())
-            if need > self._ring_at.shape[1]:
-                self._grow_rings(need)
+            if need > store.ring_at.shape[1]:
+                store.grow_rings(need)
             pos[missed] = p + 1
         done = act[pos[act] >= n_len[act]].tolist()
         if done:

@@ -1,9 +1,9 @@
 """Trace-driven memory simulation (Figure 1's deployment loop).
 
-``simulate`` replays a trace against a :class:`~repro.memsim.pagecache.PageCache`
-sized as a fraction of the trace footprint (Figure 5 uses 50%), feeding
-every demand miss to a prefetcher and installing its predictions after a
-configurable timeliness delay.
+``simulate`` replays a trace against a page cache sized as a fraction
+of the trace footprint (Figure 5 uses 50%), feeding every demand miss to
+a prefetcher and installing its predictions after a configurable
+timeliness delay.
 
 Two engines produce bit-identical results (same ``CacheStats``, same
 miss indices, same prefetcher interaction order):
@@ -13,8 +13,8 @@ miss indices, same prefetcher interaction order):
   (the reference semantics *and* the reference constant factors).  It is
   the only engine able to drive per-access observers (``wants_accesses``
   prefetchers) and the only engine without the compiled kernels.
-* ``batched`` — the compiled engine on the array-backed
-  :class:`~repro.memsim.pagecache.PageCache`: one C kernel runs the
+* ``batched`` — the compiled engine, a one-slot lane of the store the
+  fleet's cohort runs (:mod:`repro.memsim.lanes`): one C kernel runs the
   whole per-access algorithm (hits, demand fills with LRU eviction, the
   in-flight prefetch queue and its landings) and returns to Python only
   at a demand miss, for the prefetcher; a null-prefetcher run never
@@ -49,7 +49,8 @@ import numpy as np
 from ..nn.backends import resolve_backend, sim_kernels
 from ..patterns.trace import Trace
 from .events import AccessEvent, MissEvent
-from .pagecache import _STAT_FIELDS, _VICTIM_BATCH, MISS, CacheStats, PageCache
+from .lanes import _HEAD, _RESIDENT, _TAIL, SimLanes
+from .pagecache import MISS, CacheStats
 from .pagecache_reference import ReferencePageCache
 from .prefetch_queue import PrefetchQueue
 from .prefetcher import NullPrefetcher, Prefetcher
@@ -125,7 +126,8 @@ class SimResult:
     stats: CacheStats
     config: SimConfig
     miss_indices: list[int] = field(default_factory=list, repr=False)
-    #: Which engine actually ran ("batched" or "scalar") and which kernel
+    #: Which engine actually ran ("batched" or "scalar" from
+    #: ``simulate()``, "fleet" from a cohort lane) and which kernel
     #: backend the run resolved to ("numpy" or "c").  The scalar
     #: engine never touches the compiled kernels, but the resolved name is
     #: still recorded so telemetry can attribute the run.
@@ -208,30 +210,25 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
     sink = telemetry if telemetry is not None and telemetry.enabled else None
     if sink is not None:
         sink.begin_run(trace, prefetcher.name, config, capacity)
-    miss_indices: list[int] = []
-    miss_out = miss_indices if record_miss_indices else None
     eng: _ScalarEngine | _CompiledEngine
-    cache: PageCache | ReferencePageCache
     if use_batched:
-        cache = PageCache(capacity_pages=capacity)
-        eng = _CompiledEngine(trace, prefetcher, config, cache, miss_out,
-                              kern)
+        eng = _CompiledEngine(trace, prefetcher, config, capacity,
+                              record_miss_indices, kern)
         engine_used = "batched"
     else:
-        cache = ReferencePageCache(capacity_pages=capacity)
-        eng = _ScalarEngine(trace, prefetcher, config, cache, on_access,
-                            miss_out)
+        eng = _ScalarEngine(trace, prefetcher, config, capacity, on_access,
+                            record_miss_indices)
         engine_used = "scalar"
-    _drive(eng, len(trace), sink, cache, prefetcher)
+    _drive(eng, len(trace), sink, prefetcher)
     if sink is not None:
         sink.end_run(engine_used, backend_used)
     return SimResult(
         trace_name=trace.name,
         prefetcher_name=prefetcher.name,
         capacity_pages=capacity,
-        stats=cache.stats,
+        stats=eng.stats(),
         config=config,
-        miss_indices=miss_indices,
+        miss_indices=eng.miss_indices(),
         engine_used=engine_used,
         backend_used=backend_used,
     )
@@ -260,20 +257,18 @@ def _probe_prefers_scalar(trace: Trace, config: SimConfig,
 
 def _late_misses(trace: Trace, config: SimConfig, capacity: int, kern: Any,
                  prefix: int) -> int:
-    """Demand misses in ``[prefix // 2, prefix)`` of a null replay."""
-    cache = PageCache(capacity_pages=capacity)
-    probe = _CompiledEngine(trace, NullPrefetcher(), config, cache, None,
-                            kern)
+    """Demand misses in ``[prefix // 2, prefix)`` of a null replay: a
+    null lane of the lane store, run one call per half."""
+    probe = _CompiledEngine(trace, NullPrefetcher(), config, capacity,
+                            False, kern)
     probe.run(0, prefix // 2)
-    early_misses = cache.stats.demand_misses
+    early_misses = probe.stats().demand_misses
     probe.run(prefix // 2, prefix)
-    return cache.stats.demand_misses - early_misses
+    return probe.stats().demand_misses - early_misses
 
 
 def _drive(eng: "_ScalarEngine | _CompiledEngine", n: int,
-           sink: "TelemetrySink | None",
-           cache: PageCache | ReferencePageCache,
-           prefetcher: Prefetcher) -> None:
+           sink: "TelemetrySink | None", prefetcher: Prefetcher) -> None:
     """Run ``eng`` over ``[0, n)``, pausing at the sink's window boundaries.
 
     Without a sink this is exactly one ``run(0, n)`` call — the
@@ -285,7 +280,8 @@ def _drive(eng: "_ScalarEngine | _CompiledEngine", n: int,
     start = 0
     for stop in sink.boundaries(n):
         eng.run(start, stop)
-        sink.on_window(stop, cache, eng.queue_depth(), prefetcher)
+        sink.on_window(stop, eng.stats(), eng.resident(),
+                       eng.queue_depth(), prefetcher)
         start = stop
 
 
@@ -299,8 +295,8 @@ class _ScalarEngine:
     """
 
     def __init__(self, trace: Trace, prefetcher: Prefetcher,
-                 config: SimConfig, cache: ReferencePageCache,
-                 on_access: Any, miss_out: list[int] | None) -> None:
+                 config: SimConfig, capacity: int, on_access: Any,
+                 record: bool) -> None:
         self._pages: list[int] = trace.pages(config.page_size).tolist()
         # KIND_STORE marks the page dirty.
         self._stores: list[bool] = (trace.kinds != 0).tolist()
@@ -322,11 +318,20 @@ class _ScalarEngine:
             self._stream_ids = trace.stream_ids.tolist()
             self._timestamps = trace.timestamps.tolist()
         self._prefetcher = prefetcher
-        self._cache = cache
+        self._cache = ReferencePageCache(capacity_pages=capacity)
         self._queue = PrefetchQueue(
             delay_accesses=config.prefetch_delay_accesses)
         self._max_prefetches = config.max_prefetches_per_miss
-        self._miss_out = miss_out
+        self._misses: list[int] | None = [] if record else None
+
+    def stats(self) -> CacheStats:
+        return self._cache.stats
+
+    def miss_indices(self) -> list[int]:
+        return self._misses or []
+
+    def resident(self) -> int:
+        return len(self._cache)
 
     def queue_depth(self) -> int:
         return len(self._queue)
@@ -350,8 +355,8 @@ class _ScalarEngine:
         issue = queue.issue
         on_miss = self._prefetcher.on_miss
         max_prefetches = self._max_prefetches
-        miss_out = self._miss_out
-        append_miss = miss_out.append if miss_out is not None else None
+        misses = self._misses
+        append_miss = misses.append if misses is not None else None
 
         if start == 0 and stop == len(pages):
             span = enumerate(pages)
@@ -417,132 +422,54 @@ class _ScalarEngine:
 
 
 class _CompiledEngine:
-    """``simulate()``'s compiled engine: one kernel call per demand miss.
+    """``simulate()``'s compiled engine: a one-slot lane store
+    (``memsim/lanes.py``) asked once per demand miss.
 
-    ``rk_sim_run`` (``nn/backends/c_backend.py``) runs the scalar
-    engine's whole per-access algorithm — prefetch landings, hits,
-    demand fills with LRU eviction — on the slot arrays of a
-    :class:`PageCache`, and returns only at a demand miss: the
-    prefetcher's turn.  Its predictions are cut to
-    ``max_prefetches_per_miss``, lose the miss page (as in the scalar
-    engine), are named by cid and handed to the next call, which issues
-    them.  A null prefetcher is never asked, so a null run is one call
-    per segment.  Landings and misses happen at the scalar engine's
-    access indices, and the prefetcher sees its exact callback sequence,
-    so every stat and learned weight is bit-identical.
-
-    A page outside the trace's universe (a speculative prediction) gets
-    the next *extension* cid, from the universe size up, the first time
-    it is predicted; the cid table (``cache._slot_of_cid``) and
-    ``_page_of_cid`` are reallocated wider, and the kernel rebound, when
-    one falls outside them.  The in-flight ring doubles the same way.
-
-    At each segment end :meth:`_sync` brings the cache's Python view up
-    to date — ``stats``, ``_clock``, ``_n_resident``, ``_n_undemanded``
-    and the free list — and :meth:`queue_depth` reports the in-flight
-    count, so telemetry windows read what the scalar engine's would.
+    Each :meth:`run` step is one ``rk_sim_run`` call on the slot's
+    context: it issues the last miss's predictions, runs the scalar
+    engine's per-access algorithm and returns at the next demand miss,
+    the prefetcher's turn; the store cuts and names the predictions for
+    the next call.  A null prefetcher is never asked, so a null run is
+    one call per segment.  Landings and misses happen at the scalar
+    engine's access indices, and the prefetcher sees its exact callback
+    sequence, so every stat and learned weight is bit-identical.
     """
 
     def __init__(self, trace: Trace, prefetcher: Prefetcher,
-                 config: SimConfig, cache: PageCache,
-                 miss_out: list[int] | None, kern: Any) -> None:
+                 config: SimConfig, capacity: int, record: bool,
+                 kern: Any) -> None:
         universe, cids = trace.page_index(config.page_size)
-        cache.attach_universe(universe)
-        self._cache = cache
-        self._kern = kern
-        self._prefetcher = prefetcher
+        self._store = store = SimLanes(
+            1, slot_capacity=capacity,
+            universe_capacity=max(1, universe.size),
+            trace_capacity=max(1, len(trace)), kern=kern, record=record)
         self._is_null: bool = getattr(prefetcher, "is_null", False)
+        slot = np.zeros(1, dtype=np.int64)
+        store.load(slot, [universe], [capacity], [config], [self._is_null])
+        store.point_trace(
+            slot, slot, np.ascontiguousarray(cids, dtype=np.int64)[None],
+            (trace.kinds != 0)[None])
+        self._run = store.runner(0)
+        self._prefetcher = prefetcher
         self._trace = trace
-        self._cids = np.ascontiguousarray(cids, dtype=np.int64)
-        self._stores = trace.kinds != 0
         self._shift = config.page_size.bit_length() - 1
-        self._delay = config.prefetch_delay_accesses
-        self._max_prefetches = config.max_prefetches_per_miss
-        self._page_of_cid = np.array(universe, dtype=np.int64)
-        self._issue = np.zeros(max(1, self._max_prefetches), dtype=np.int64)
-        # At most max_prefetches per miss of the last ``delay`` accesses
-        # are in flight; past 4096 the ring grows when it fills.
-        bound = max(1, self._max_prefetches * max(1, self._delay))
-        ring = 1 << (min(bound, 4096) - 1).bit_length()
-        self._ring_at = np.zeros(ring, dtype=np.int64)
-        self._ring_cid = np.zeros(ring, dtype=np.int64)
-        self._vstamp = np.zeros(_VICTIM_BATCH, dtype=np.int64)
-        self._vslot = np.zeros(_VICTIM_BATCH, dtype=np.int64)
-        self._stats = np.zeros(len(_STAT_FIELDS), dtype=np.int64)
-        # clock, n_resident, n_undemanded, ring head, ring tail, misses
-        # recorded, victim snapshot length and position (SIM_* in C).
-        self._state = np.zeros(8, dtype=np.int64)
-        self._miss_out = miss_out
-        self._miss_idx = np.zeros(len(cids) if miss_out is not None else 1,
-                                  dtype=np.int64)
-        self._flushed = 0
-        self._bind()
-
-    def _bind(self) -> None:
-        cache = self._cache
-        self._run = self._kern.bind_sim(
-            dict(cids=self._cids, stores=self._stores,
-                 soc=cache._require_universe(), page_of_cid=self._page_of_cid,
-                 page_of_slot=cache._page, last_use=cache._last_use,
-                 cid_of_slot=cache._cid_of_slot, dirty=cache._dirty,
-                 undemanded=cache._undemanded, ring_at=self._ring_at,
-                 ring_cid=self._ring_cid, issue=self._issue,
-                 miss_idx=self._miss_idx, vstamp=self._vstamp,
-                 vslot=self._vslot, stats=self._stats, state=self._state),
-            capacity=cache.capacity_pages, ring_mask=len(self._ring_at) - 1,
-            delay=self._delay, record=int(self._miss_out is not None),
-            is_null=int(self._is_null))
-
-    def _extend(self, page: int) -> int:
-        """The cid of ``page``, which the run's lookup missed: it was not
-        an ``int``, or it is out of the universe and takes the next
-        extension cid (cids are dense: the number of pages named)."""
-        cache = self._cache
-        cid = cache._cid_of.get(page)
-        if cid is not None:
-            return cid
-        cid = len(cache._cid_of)
-        if cid >= len(self._page_of_cid):
-            width = 2 * cid + 16
-            soc = np.full(width, -1, dtype=np.int64)
-            soc[:cid] = cache._require_universe()
-            cache._slot_of_cid = soc
-            page_of_cid = np.zeros(width, dtype=np.int64)
-            page_of_cid[:cid] = self._page_of_cid
-            self._page_of_cid = page_of_cid
-            self._bind()
-        self._page_of_cid[cid] = page
-        cache._cid_of[page] = cid
-        return cid
-
-    def _grow_ring(self, need: int) -> None:
-        """Re-lay the in-flight ring into one of at least ``need``."""
-        head, tail = self._state[3:5].tolist()
-        old, size = len(self._ring_at), 1 << (need - 1).bit_length()
-        at = np.arange(head, tail)
-        for name in ("_ring_at", "_ring_cid"):
-            grown = np.zeros(size, dtype=np.int64)
-            grown[at & (size - 1)] = getattr(self, name)[at & (old - 1)]
-            setattr(self, name, grown)
-        self._bind()
 
     def run(self, start: int, stop: int) -> None:
-        if self._is_null:
-            self._run(start, stop, 0)
-            self._sync()
-            return
         run = self._run
-        issue = self._issue
-        ring = len(self._ring_at)
+        if self._is_null:
+            run(start, stop, 0)
+            return
+        store = self._store
+        cut = store.cut
+        state = store.state[0]
+        ring = store.ring_at.shape[1]
         address_at = self._trace.addresses.item
         stream_at = self._trace.stream_ids.item
         time_at = self._trace.timestamps.item
         shift = self._shift
-        cid_get = self._cache._cid_of.get
         on_miss_fast = getattr(self._prefetcher, "on_miss_fast", None)
         on_miss = self._prefetcher.on_miss
-        max_prefetches = self._max_prefetches
-        tail = int(self._state[4])
+        tail = int(state[_TAIL])
         # A lower bound on the ring head: re-read only when the ring
         # might be full.
         head = tail - ring
@@ -561,47 +488,27 @@ class _CompiledEngine:
                 predictions = on_miss(MissEvent(
                     index=j, address=address, page=page,
                     stream_id=stream_at(j), timestamp=time_at(j)))
-            k = 0
-            if predictions:
-                if len(predictions) > max_prefetches:
-                    predictions = predictions[:max_prefetches]
-                for predicted in predictions:
-                    if predicted != page:
-                        cid = cid_get(predicted)
-                        if cid is None:
-                            cid = self._extend(int(predicted))
-                            run = self._run
-                        issue[k] = cid
-                        k += 1
-                tail += k
+            k = cut(0, page, predictions) if predictions else 0
+            tail += k
+            if tail - head > ring:
+                head = int(state[_HEAD])
                 if tail - head > ring:
-                    head = int(self._state[3])
-                    if tail - head > ring:
-                        self._grow_ring(tail - head)
-                        run = self._run
-                        ring = len(self._ring_at)
+                    store.grow_rings(tail - head)
+                    ring = store.ring_at.shape[1]
             i = j + 1
-        self._sync()
 
-    def _sync(self) -> None:
-        cache = self._cache
-        clock, n_resident, n_undemanded, _, _, misses = (
-            self._state[:6].tolist())
-        cache._clock = clock
-        cache._n_resident = n_resident
-        cache._n_undemanded = n_undemanded
-        # Slots go out virgin-ascending, the free list's pop order.
-        del cache._free[cache.capacity_pages - n_resident:]
-        stats = cache.stats
-        for name, value in zip(_STAT_FIELDS, self._stats.tolist()):
-            setattr(stats, name, value)
-        if self._miss_out is not None:
-            self._miss_out.extend(
-                self._miss_idx[self._flushed:misses].tolist())
-            self._flushed = misses
+    def stats(self) -> CacheStats:
+        return self._store.stats_of(0)
+
+    def miss_indices(self) -> list[int]:
+        return self._store.misses_of(0)
+
+    def resident(self) -> int:
+        return int(self._store.state[0, _RESIDENT])
 
     def queue_depth(self) -> int:
-        return int(self._state[4] - self._state[3])
+        state = self._store.state[0]
+        return int(state[_TAIL] - state[_HEAD])
 
 
 def baseline_misses(trace: Trace, config: SimConfig = SimConfig()) -> SimResult:

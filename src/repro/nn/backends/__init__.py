@@ -5,15 +5,17 @@ winning.  That leaves:
 
 ``numpy``
     The always-available reference: ``simulate()`` runs the scalar
-    reference engine, a fleet lane the Python twin of ``rk_sim_run``,
-    and the Hebbian network its numpy arithmetic.  The correctness
+    reference engine, a lane of the lane store (every fleet lane) the
+    Python twin of ``rk_sim_run``, and the Hebbian network its numpy
+    arithmetic.  The correctness
     fallback when no compiler is present (one-time ``RuntimeWarning``),
     not a tuned platform.
 ``c``
     A small C file compiled on first use with the system C compiler and
     loaded through ``cffi``'s ABI mode, bit-identical to the reference
-    in both domains: the **memsim** kernels (``simulate()``'s engine,
-    which every fleet lane runs too, and the membership scans) and the
+    in both domains: the **memsim** kernels (``rk_sim_run`` on the lane
+    store, which ``simulate()``'s one-slot engine and every fleet lane
+    run, and the membership scans) and the
     Hebbian network's step (Eq. 1's update, the sparse readout, the
     softmax's arithmetic and the rollout's top-width selection; ``np.exp``
     and the k-WTA code stay numpy), for one network and, as lane loops,

@@ -12,10 +12,11 @@ nothing raises out of :func:`available`.
 
 Two families are compiled:
 
-- the simulator: ``simulate()``'s engine (``rk_sim_run``: hits, fills,
+- the simulator: one lane's cache step (``rk_sim_run``: hits, fills,
   evictions, the in-flight prefetch queue and its landings — one call
-  per demand miss, one per segment for a null run), the fleet's round
-  (``rk_sim_lanes``: the same engine over one context per lane slot), and
+  per demand miss, one per segment for a null run), a round of lanes
+  (``rk_sim_lanes``: the same step over one context per lane slot; both
+  run on the lane store's rows, ``memsim/lanes.py``), and
   ``PageCache``'s two membership scans;
 - the Hebbian network's step (``rk_heb_learn``, ``rk_heb_scores``,
   ``rk_heb_finish``: Eq. 1's column update, the sparse readout, and the
@@ -53,9 +54,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-#: ``rk_sim_run``'s context: the arrays and settings of one ``simulate()``
-#: run.  One string serves the C source and the cffi declarations, so the
-#: two layouts cannot drift apart.
+#: ``rk_sim_run``'s context: the arrays and settings of one lane of the
+#: lane store (``memsim/lanes.py``).  One string serves the C source and
+#: the cffi declarations, so the two layouts cannot drift apart.
 _SIM_CONTEXT = """
 typedef struct {
     /* trace: access -> page cid, access is a store */
@@ -210,11 +211,12 @@ static i64 rk_pop_victim(const i64 *last_use, i64 capacity,
     }
 }
 
-/* simulate()'s compiled engine: the whole per-access algorithm of the
- * scalar reference engine (memsim/simulator.py, _ScalarEngine over
- * ReferencePageCache) on PageCache's slot arrays.  Per access i, in the
- * reference's order: every in-flight prefetch due at i lands
- * (PageCache.insert_prefetch), then the demand access hits
+/* One lane's cache step: the whole per-access algorithm of the scalar
+ * reference engine (memsim/simulator.py, _ScalarEngine over
+ * ReferencePageCache) on the lane's rows of the lane store
+ * (memsim/lanes.py), which simulate() and the fleet's cohort drive.
+ * Per access i, in the reference's order: every in-flight prefetch due
+ * at i lands (PageCache.insert_prefetch), then the demand access hits
  * (PageCache.access) or misses and is filled (PageCache.fill).  Issue
  * indices never decrease and the delay is constant, so the in-flight
  * queue is a FIFO ring (head and tail count up; the caller keeps the
@@ -352,8 +354,8 @@ i64 rk_sim_run(const rk_sim *s, i64 start, i64 stop, i64 n_issue)
     return i;
 }
 
-/* The fleet's round (memsim/fleet.py): each lane slot t is its own
- * context sims[t].  Every lane t of lanes[0..n_lanes) issues its
+/* A round of the lane store (memsim/lanes.py): each lane slot t is its
+ * own context sims[t].  Every lane t of lanes[0..n_lanes) issues its
  * n_issue[t] predictions and runs from pos[t] to its next demand miss or
  * stop[t] (in null mode to stop[t]), which is left in pos[t]. */
 void rk_sim_lanes(const rk_sim *sims, const i64 *lanes, i64 n_lanes,
@@ -938,18 +940,13 @@ def _i64(ffi: Any, arr: np.ndarray) -> Any:
     return ffi.from_buffer("long long[]", arr)
 
 
-def _u8(ffi: Any, arr: np.ndarray) -> Any:
-    return ffi.from_buffer("unsigned char[]", arr.view(np.uint8))
-
-
 class CSimKernels:
-    """Simulator kernel bundle (one per ``simulate()`` call).
+    """Simulator kernel bundle.
 
     ``first_nonresident``/``miss_run_length`` are plain calls (used by
-    ``PageCache`` when kernels are attached); ``simulate()``'s engine
-    uses the :meth:`bind_sim` closure, which captures the run-stable
-    arrays' buffer pointers once so the per-miss/per-segment call passes
-    only scalars, and the fleet's cohort the contexts of :meth:`sim_lanes`.
+    ``PageCache`` when kernels are attached); the lane store
+    (``memsim/lanes.py``) runs the ``rk_sim`` contexts of
+    :meth:`sim_lanes` — ``simulate()``'s engine is a store of one.
     """
 
     name = "c"
@@ -971,35 +968,6 @@ class CSimKernels:
             _i64(ffi, soc), _i64(ffi, cids), start, limit,
             _i64(ffi, scratch), stamp))
 
-    def bind_sim(self, arrays: dict[str, np.ndarray],
-                 **settings: int) -> Callable[[int, int, int], int]:
-        """``simulate()``'s compiled engine over ``arrays`` and
-        ``settings``, named as the fields of ``rk_sim``.
-
-        The returned ``run(start, stop, n_issue)`` issues the first
-        ``n_issue`` cids of ``issue`` as the predictions of the miss at
-        ``start - 1``, then replays accesses ``[start, stop)`` and returns
-        the first demand miss's index, or ``stop`` (see ``rk_sim_run``).
-        The kernel keeps the arrays' buffer pointers: an array that is
-        reallocated (a wider cid table, a longer ring) needs a new bind.
-        """
-        ffi = self._ffi
-        ctx = ffi.new("rk_sim *")
-        keep = [ctx]
-        for name, arr in arrays.items():
-            keep.append(_u8(ffi, arr) if arr.dtype == bool
-                        else _i64(ffi, arr))
-            setattr(ctx, name, keep[-1])
-        for name, value in settings.items():
-            setattr(ctx, name, value)
-        fn = self._lib.rk_sim_run
-
-        def run(start: int, stop: int, n_issue: int, _keep: Any = keep
-                ) -> int:
-            return int(fn(ctx, start, stop, n_issue))
-
-        return run
-
     def sim_lanes(self, width: int) -> "CSimLanes":
         """``width`` ``rk_sim`` contexts, run a round at a time."""
         return CSimLanes(self._ffi, self._lib, width)
@@ -1011,7 +979,7 @@ class CSimLanes:
     The contexts are one C array, viewed as an int64 table with a row per
     slot and a column per field (every field of ``rk_sim`` is a pointer or
     a ``long long``), so binding a field for a batch of slots is one numpy
-    write: :meth:`point` aims a field at rows of a 2-D array, :meth:`set`
+    write: :meth:`point` aims fields at rows of 2-D arrays, :meth:`set`
     writes a setting.  The contexts hold raw addresses: the caller keeps
     every array it pointed at alive, and points the field again after
     replacing one.
@@ -1022,19 +990,24 @@ class CSimLanes:
         if ffi.sizeof("rk_sim") != 8 * len(fields):
             raise RuntimeError("rk_sim's fields are not all 8 bytes wide")
         self._ffi = ffi
+        self._lib = lib
         self._sims = ffi.new("rk_sim[]", width)
         self._table = np.frombuffer(ffi.buffer(self._sims), dtype=np.int64
                                     ).reshape(width, len(fields))
         self._column = {name: field.offset // 8 for name, field in fields}
         self._run = partial(lib.rk_sim_lanes, self._sims)
 
-    def point(self, name: str, array: np.ndarray, lanes: np.ndarray,
+    def point(self, arrays: dict[str, np.ndarray], lanes: np.ndarray,
               rows: np.ndarray) -> None:
         """Field ``name`` of slot ``lanes[k]`` is row ``rows[k]`` of the
-        C-contiguous 2-D ``array``."""
-        assert array.flags.c_contiguous
-        self._table[lanes, self._column[name]] = (
-            array.ctypes.data + rows * array.strides[0])
+        C-contiguous 2-D ``arrays[name]``, for every name."""
+        assert all(array.flags.c_contiguous for array in arrays.values())
+        ffi = self._ffi
+        bases = [int(ffi.cast("intptr_t", ffi.from_buffer(array)))
+                 for array in arrays.values()]
+        strides = [array.strides[0] for array in arrays.values()]
+        self._table[lanes[:, None], [self._column[n] for n in arrays]] = (
+            bases + rows[:, None] * strides)
 
     def set(self, name: str, lanes: np.ndarray, values: Any) -> None:
         """Setting ``name`` of slots ``lanes``."""
@@ -1046,6 +1019,11 @@ class CSimLanes:
         ffi = self._ffi
         self._run(_i64(ffi, lanes), lanes.size, _i64(ffi, pos),
                   _i64(ffi, stop), _i64(ffi, n_issue))
+
+    def runner(self, lane: int) -> Callable[[int, int, int], int]:
+        """``rk_sim_run`` on slot ``lane``'s context, called with
+        ``(start, stop, n_issue)``."""
+        return partial(self._lib.rk_sim_run, self._sims + lane)
 
 
 def _heb_context(ffi: Any, tables: dict[str, Any], w: np.ndarray | None,

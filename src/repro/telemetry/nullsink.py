@@ -16,12 +16,9 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..memsim.pagecache import PageCache
-    from ..memsim.pagecache_reference import ReferencePageCache
+    from ..memsim.pagecache import CacheStats
     from ..memsim.simulator import SimConfig
     from ..patterns.trace import Trace
-
-    AnyPageCache = PageCache | ReferencePageCache
 
 
 class NullTelemetry:
@@ -42,9 +39,9 @@ class NullTelemetry:
         """Segment ends for a run of ``n`` accesses: one segment."""
         return [n]
 
-    def on_window(self, stop: int, cache: "AnyPageCache",
+    def on_window(self, stop: int, stats: "CacheStats", resident: int,
                   queue_depth: int, prefetcher: object) -> None:
-        del stop, cache, queue_depth, prefetcher
+        del stop, stats, resident, queue_depth, prefetcher
 
     def end_run(self, engine: str, backend: str = "unknown") -> None:
         del engine, backend

@@ -27,12 +27,9 @@ from .nullsink import NullTelemetry
 from .windowing import WindowAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..memsim.pagecache import PageCache
-    from ..memsim.pagecache_reference import ReferencePageCache
+    from ..memsim.pagecache import CacheStats
     from ..memsim.simulator import SimConfig
     from ..patterns.trace import Trace
-
-    AnyPageCache = PageCache | ReferencePageCache
 
 #: Default accesses per window; chosen so the paper-scale figs get a few
 #: hundred windows and the test-scale traces a few dozen.
@@ -91,11 +88,11 @@ class Telemetry(NullTelemetry):
     def boundaries(self, n: int) -> list[int]:
         return self._acc.boundaries(n)
 
-    def on_window(self, stop: int, cache: "AnyPageCache",
+    def on_window(self, stop: int, stats: "CacheStats", resident: int,
                   queue_depth: int, prefetcher: object) -> None:
         poll = getattr(prefetcher, "telemetry_counters", None)
         extra = poll() if callable(poll) else None
-        self._acc.emit(stop, cache.stats, len(cache), queue_depth, extra)
+        self._acc.emit(stop, stats, resident, queue_depth, extra)
 
     def end_run(self, engine: str, backend: str = "unknown") -> None:
         self._wall_time_s = time.perf_counter() - self._started_at

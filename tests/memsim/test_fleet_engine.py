@@ -177,6 +177,37 @@ def test_rejects_cls_per_access_observer_with_full_message() -> None:
             in str(excinfo.value))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_empty_lane_finishes_like_simulate(backend: str) -> None:
+    """A zero-length trace, which simulate() accepts, is a lane that
+    finishes at its first step with empty stats and no miss indices —
+    alone, and beside live null, stride and stacked-CLS lanes (one of
+    them empty too)."""
+    empty = Trace(name="empty", addresses=np.zeros(0, np.int64))
+    traces = _traces(n=800)
+
+    def cls() -> CLSPrefetcher:
+        return CLSPrefetcher(CLSPrefetcherConfig(seed=5))
+
+    lanes = [(empty, StridePrefetcher), (traces[0], NullPrefetcher),
+             (traces[1], StridePrefetcher), (traces[2], cls),
+             (empty, cls), (traces[3], cls)]
+    for cohort_lanes in (lanes[:1], lanes):
+        specs = [FleetLaneSpec(trace=trace, prefetcher=make())
+                 for trace, make in cohort_lanes]
+        results = run_cohort(specs, backend=backend,
+                             record_miss_indices=True)
+        for spec, (trace, make), got in zip(specs, cohort_lanes, results):
+            _assert_matches(got, _reference(spec, make()))
+            if trace is empty:
+                assert got.stats.accesses == 0 and got.miss_indices == []
+                for engine in ("auto", "scalar"):
+                    want = simulate(empty, make(), spec.config,
+                                    record_miss_indices=True,
+                                    engine=engine, backend=backend)
+                    assert got.stats.as_dict() == want.stats.as_dict()
+
+
 def test_load_validates_slot_and_trace() -> None:
     trace = _traces(n=600)[0]
     spec = FleetLaneSpec(trace=trace, prefetcher=NullPrefetcher())
@@ -367,7 +398,7 @@ def test_a_reused_slot_starts_like_a_fresh_simulate(backend: str,
         for index, result in done:
             results[index] = result
             if index == 0:  # slot 0's first lane, before its refill
-                assert cohort._ext_of[0]
+                assert cohort._store._ext_of[0]
     for index, (trace, make, config) in enumerate(lanes):
         for reference in BACKENDS:
             prefetcher = make()

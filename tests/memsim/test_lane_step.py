@@ -150,38 +150,41 @@ class _Reference:
 
 def _lane_residents(cohort: FleetCohort, t: int
                     ) -> list[tuple[int, bool, bool]]:
-    n = int(cohort._state[t, _RESIDENT])
-    order = np.argsort(cohort._last_use[t, :n], kind="stable")
-    return list(zip(cohort._page_of_slot[t, order].tolist(),
-                    cohort._undemanded[t, order].tolist(),
-                    cohort._dirty[t, order].tolist()))
+    store = cohort._store
+    n = int(store.state[t, _RESIDENT])
+    order = np.argsort(store.last_use[t, :n], kind="stable")
+    return list(zip(store.page_of_slot[t, order].tolist(),
+                    store.undemanded[t, order].tolist(),
+                    store.dirty[t, order].tolist()))
 
 
 def _lane_in_flight(cohort: FleetCohort, t: int, delay: int
                     ) -> list[tuple[int, int]]:
     """The ring's entries, then the issue row the next call issues at
     the last miss (``pos - 1``)."""
-    page_of = cohort._page_of_cid[t]
-    mask = cohort._ring_at.shape[1] - 1
-    head, tail = cohort._state[t, [_HEAD, _TAIL]].tolist()
-    ring = [(int(cohort._ring_at[t, k & mask]),
-             int(page_of[cohort._ring_cid[t, k & mask]]))
+    store = cohort._store
+    page_of = store.page_of_cid[t]
+    mask = store.ring_at.shape[1] - 1
+    head, tail = store.state[t, [_HEAD, _TAIL]].tolist()
+    ring = [(int(store.ring_at[t, k & mask]),
+             int(page_of[store.ring_cid[t, k & mask]]))
             for k in range(head, tail)]
     at = int(cohort._pos[t]) - 1 + delay
     return ring + [(at, int(page_of[cid])) for cid in
-                   cohort._issue[t, :cohort._n_issue[t]].tolist()]
+                   store.issue[t, :cohort._n_issue[t]].tolist()]
 
 
 def _assert_lane(cohort: FleetCohort, t: int, ref: _Reference,
                  record: bool) -> None:
-    assert (CacheStats(*cohort._stats[t].tolist()).as_dict()
+    store = cohort._store
+    assert (CacheStats(*store.stats[t].tolist()).as_dict()
             == ref.cache.stats.as_dict())
     assert _lane_residents(cohort, t) == ref.residents()
     assert _lane_in_flight(
         cohort, t, ref.config.prefetch_delay_accesses) == ref.in_flight()
     if record:
-        n = int(cohort._state[t, _MISSES])
-        assert cohort._miss_idx[t, :n].tolist() == ref.misses
+        n = int(store.state[t, _MISSES])
+        assert store.miss_idx[t, :n].tolist() == ref.misses
 
 
 def _run_checked(specs: list[FleetLaneSpec], refs: list[_Reference],
@@ -260,8 +263,8 @@ def test_fuzz_lane_steps_match_reference(stream: int, backend: str,
     cohort = _run_checked(specs, refs, backend, record, width)
     # The edges were reached: the ring grew, cid rows widened, several
     # landings fell due at one access, a page was in flight twice.
-    assert cohort._ring_at.shape[1] > 8
-    assert cohort._soc.shape[1] > max(
+    assert cohort._store.ring_at.shape[1] > 8
+    assert cohort._store.soc.shape[1] > max(
         len(spec.trace.page_index()[0]) for spec in specs)
     assert max(ref.most_landed for ref in refs) > 1
     assert any(ref.in_flight_twice for ref in refs)
@@ -320,4 +323,4 @@ def test_an_out_of_universe_page_lands_again_after_a_demand_eviction(
             stats.prefetches_evicted_unused, stats.writebacks,
             stats.demand_evictions_by_prefetch) == (3, 1, 2, 1, 2)
     # The lane's one extension cid, from its universe size up.
-    assert cohort._ext_of[0] == {outside: 2}
+    assert cohort._store._ext_of[0] == {outside: 2}

@@ -23,7 +23,7 @@ import pytest
 from repro.baselines.classic import StridePrefetcher
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim import NullPrefetcher, SimConfig, simulate, span_length_stats
-from repro.memsim.pagecache import PageCache
+from repro.memsim.fleet import FleetCohort, FleetLaneSpec
 from repro.memsim.simulator import _CompiledEngine
 from repro.nn.backends import available_backends, sim_kernels
 from repro.patterns.applications import (
@@ -308,7 +308,8 @@ def test_victim_snapshot_persists_across_kernel_calls():
     """The kernel returns at every miss of a non-null run, so a victim
     snapshot refilled per call would cost O(capacity) an eviction.  A
     cyclic trace over capacity + 1 pages evicts at every access; the
-    snapshot must advance one entry per eviction across calls."""
+    snapshot must advance one entry per eviction across calls, in
+    simulate()'s one-slot engine and in a cohort lane."""
     class Silent:  # asked at every miss, predicts nothing
         name = "silent"
 
@@ -319,11 +320,17 @@ def test_victim_snapshot_persists_across_kernel_calls():
     trace = Trace(name="cyclic",
                   addresses=np.tile(np.arange(capacity + 1), 3) * 4096,
                   metadata={"seed": 0})
-    cache = PageCache(capacity_pages=capacity)
-    engine = _CompiledEngine(trace, Silent(), _config(0), cache, None,
+    config = SimConfig(capacity_pages=capacity)
+    engine = _CompiledEngine(trace, Silent(), config, capacity, False,
                              sim_kernels(_compiled()))
     engine.run(0, len(trace))
+    spec = FleetLaneSpec(trace, Silent(), config)
+    cohort = FleetCohort.for_specs([spec], backend=_compiled())
+    cohort.load(0, spec)
+    lane = cohort.run_to_completion()[0]
     evictions = len(trace) - capacity
-    assert cache.stats.demand_misses == len(trace)
-    # state[7]: entries of the current snapshot consumed so far.
-    assert int(engine._state[7]) == (evictions - 1) % 64 + 1
+    for stats, state in ((engine.stats(), engine._store.state[0]),
+                         (lane.stats, cohort._store.state[0])):
+        assert stats.demand_misses == len(trace)
+        # state[7]: entries of the current snapshot consumed so far.
+        assert int(state[7]) == (evictions - 1) % 64 + 1
