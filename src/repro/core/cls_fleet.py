@@ -58,18 +58,8 @@ from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
 from .cls_prefetcher import CLSPrefetcher
 from .encoding import DeltaVocabEncoder
-from .hippocampus import (
-    MAX_ATTEMPTS_PER_PICK,
-    Episode,
-    EpisodicStore,
-    LaneDraws,
-)
-from .replay import (
-    ConfidenceFilteredReplay,
-    FullReplay,
-    ReplayScheduler,
-    RingBufferReplay,
-)
+from .hippocampus import MAX_ATTEMPTS_PER_PICK, Episode, LaneDraws
+from .replay import sampled_store
 from .sampling import TrainAlways
 
 __all__ = ["CLSFleetGroup"]
@@ -85,16 +75,6 @@ Column = Sequence[int] | np.ndarray
 
 #: A round, or a part of one, that prefetches nothing.
 _NO_PAGES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
-
-
-def _episodic_store(scheduler: ReplayScheduler) -> EpisodicStore | None:
-    """The store a scheduler replays from, when its policy is one whose
-    ``select`` is that store's ``sample`` (what the slab reproduces)."""
-    policy = scheduler.policy
-    if isinstance(policy, (FullReplay, RingBufferReplay,
-                           ConfidenceFilteredReplay)):
-        return policy.store
-    return None
 
 
 class _GroupKey(NamedTuple):
@@ -247,7 +227,7 @@ class _LaneArrays:
         scheduler = p.scheduler
         self.ep_count[slot] = self.ep_first[slot] = 0
         if scheduler is not None:
-            store = _episodic_store(scheduler)
+            store = sampled_store(scheduler.policy)
             assert store is not None
             held = store.episodes()
             if held:
@@ -260,7 +240,7 @@ class _LaneArrays:
                 self.ep_confidence[slot, :n] = columns[3]
                 self.ep_timestamp[slot, :n] = columns[4]
                 self.ep_count[slot] = self.ep_first[slot] = n
-            self.draws.attach(slot, scheduler._rng)
+            self.draws.attach(slot, scheduler.draws.sync())
 
         detector = p.phase_detector
         if detector is not None:
@@ -345,7 +325,7 @@ class _LaneArrays:
                 scheduler = p.scheduler
                 assert scheduler is not None
                 self.draws.detach(slot)
-                store = _episodic_store(scheduler)
+                store = sampled_store(scheduler.policy)
                 assert store is not None
                 store.extend(episodes[lo:hi])
                 store.stored_total += lost
@@ -426,7 +406,7 @@ class CLSFleetGroup:
         ep_cap, threshold, per_step, lr_scale = 0, 0.0, 0, 0.0
         scheduler = prefetcher.scheduler
         if scheduler is not None:
-            store = _episodic_store(scheduler)
+            store = sampled_store(scheduler.policy)
             if (store is None or scheduler.per_step * MAX_ATTEMPTS_PER_PICK
                     > LaneDraws.max_attempts):
                 return None

@@ -21,6 +21,7 @@ classes back into page prefetches.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -86,7 +87,8 @@ class CLSPrefetcherConfig:
             replay entirely.
         replay_kwargs: Extra arguments for the replay policy.
         replay_per_step: Old episodes replayed per new training step.
-        replay_lr_scale: Replay learning-rate scale (paper: 0.1).
+        replay_lr_scale: Replay learning-rate scale (paper: 0.1; finite,
+            >= 0).
         phase_detection: Group episodes into phases for replay.
         observe_hits: Also feed demand *hits* through the encoder/model
             (training included, prefetching still miss-triggered).  The
@@ -155,6 +157,9 @@ class CLSPrefetcherConfig:
             raise ValueError("min_accuracy must be in [0, 1]")
         if not 0 < self.accuracy_ema_alpha <= 1:
             raise ValueError("accuracy_ema_alpha must be in (0, 1]")
+        if not (math.isfinite(self.replay_lr_scale)
+                and self.replay_lr_scale >= 0):
+            raise ValueError("replay_lr_scale must be finite and >= 0")
         if self.prediction_mode not in ("rollout", "direct"):
             raise ValueError("prediction_mode must be 'rollout' or 'direct'")
         if self.prediction_mode == "direct" and self.encoder != "page":

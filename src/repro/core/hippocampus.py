@@ -20,9 +20,11 @@ variants live in ``repro.core.replay``.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
+from operator import length_hint
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -31,15 +33,43 @@ import numpy as np
 #: array form of replay (``core/cls_fleet.py``) makes the same draws.
 MAX_ATTEMPTS_PER_PICK = 8
 
-#: Raw 32-bit draws :class:`LaneDraws` takes from a generator at a time.
-#: A refill costs about numpy's per-call overhead whatever its length, so
-#: a block serves 64 replays of one pick (16 of four).
+#: Raw 32-bit draws :class:`LaneDraws` and :class:`RawDraws` take from a
+#: generator at a time.  A refill costs about numpy's per-call overhead
+#: whatever its length, so a block serves 64 replays of one pick (16 of
+#: four).
 _RAW_BLOCK = 512
 
 #: The most draws one :meth:`LaneDraws.draw` may ask of a lane.
 _MAX_ATTEMPTS = 128
 
 _LOW32 = 0xFFFFFFFF
+
+
+def bounded_draws(raws: Iterator[int], size: int, attempts: int
+                  ) -> list[int]:
+    """What ``Generator.integers(0, size, size=attempts)`` returns when
+    ``raws`` is its bit generator's 32-bit stream (``size`` in
+    ``[1, 2**32]``), taking from ``raws`` exactly the values numpy reads.
+
+    For such a bound numpy draws by Lemire's method: ``size == 1``
+    consumes nothing (the value is the offset); otherwise ``m = raw *
+    size`` and the value is ``m >> 32``, unless the low half of ``m`` is
+    below ``size``: then the draw is repeated while the low half is below
+    ``(2**32 - size) % size``.  The one Python form of the mapping, run
+    by :meth:`LaneDraws.draw_exact` and :meth:`RawDraws.integers` (the
+    compiled form is ``draw_row`` in ``nn/backends/c_backend.py``).
+    """
+    if size == 1:
+        return [0] * attempts
+    out = []
+    for raw in islice(raws, attempts):
+        m = raw * size
+        if m & _LOW32 < size:
+            threshold = (2**32 - size) % size
+            while m & _LOW32 < threshold:
+                m = next(raws) * size
+        out.append(m >> 32)
+    return out
 
 
 class Episode(NamedTuple):
@@ -149,7 +179,7 @@ class EpisodicStore:
     def phases(self) -> list[int]:
         return sorted({e.phase_id for e in self._episodes})
 
-    def sample(self, rng: np.random.Generator, n: int,
+    def sample(self, rng: np.random.Generator | RawDraws, n: int,
                exclude_phase: int | None = None,
                max_attempts_per_pick: int = MAX_ATTEMPTS_PER_PICK
                ) -> list[Episode]:
@@ -157,32 +187,99 @@ class EpisodicStore:
 
         Rejection attempts are bounded, so when nearly everything stored
         belongs to the excluded phase the call returns fewer episodes
-        instead of stalling the miss path.
+        instead of stalling the miss path.  ``rng`` is a generator or a
+        :class:`RawDraws` over one; either way the call makes the same
+        one draw, ``integers(0, len(self), size=n * max_attempts_per_pick)``
+        on the generator's stream, whatever it returns.
         """
         size = len(self._episodes)
         if size == 0 or n <= 0:
             return []
-        # One vectorized draw regardless of path, so the RNG stream (and
-        # therefore every selection) is identical to the rejection loop's.
+        # One draw of every attempt regardless of path, so the stream
+        # (and therefore every selection) is identical to the rejection
+        # loop's.
         attempts = n * max_attempts_per_pick
-        draws = rng.integers(0, size, size=attempts)
+        if isinstance(rng, RawDraws):
+            draws = rng.integers(size, attempts)
+        else:
+            draws = rng.integers(0, size, size=attempts).tolist()
         episodes = self._episodes
         if exclude_phase is None:
             # Nothing to reject: the first n draws are the picks.
-            return [episodes[idx] for idx in draws[:n].tolist()]
+            return [episodes[idx] for idx in draws[:n]]
         if self._phase_counts.get(exclude_phase, 0) == size:
             # Every stored episode is in the excluded phase, so the
             # rejection loop could only come up empty.  (The draw above
-            # already happened, keeping the RNG stream identical.)
+            # already happened, keeping the stream identical.)
             return []
         out: list[Episode] = []
         phase_ids = self._phase_ids
-        for idx in draws.tolist():
+        for idx in draws:
             if phase_ids[idx] != exclude_phase:
                 out.append(episodes[idx])
                 if len(out) == n:
                     break
         return out
+
+
+class RawDraws:
+    """One generator's bounded draws, from a block of its raw stream.
+
+    :meth:`integers` returns what ``rng.integers(0, size, size=attempts)``
+    would, applying :func:`bounded_draws` to a block of raw 32-bit values
+    that one ``integers(0, 2**32, size=512, dtype=uint32)`` call refills,
+    instead of one ``Generator.integers`` call per draw: the scalar
+    replay's draw (``ReplayScheduler`` hands one to
+    :meth:`EpisodicStore.sample`), with :class:`LaneDraws`' arithmetic.
+    The block is taken at the first draw, so a drawer that never draws
+    holds none.  The generator runs ahead of the draws by the unread part
+    of the block; :meth:`sync` (which pickling calls) puts it back where
+    per-call draws would have left it, for whoever reads it next.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        # The raws, block after block (None: no block taken since the
+        # last sync), and the block being read with
+        # ``bit_generator.state`` from before it was drawn.
+        self._stream: Iterator[int] | None = None
+        self._block: tuple[Iterator[int], dict[str, Any]] | None = None
+
+    def __reduce__(self) -> tuple[type[RawDraws], tuple[np.random.Generator]]:
+        return RawDraws, (self.sync(),)
+
+    def _blocks(self) -> Iterator[Iterator[int]]:
+        rng = self._rng
+        while True:
+            state = rng.bit_generator.state
+            block = iter(rng.integers(0, 2**32, size=_RAW_BLOCK,
+                                      dtype=np.uint32).tolist())
+            self._block = block, state
+            yield block
+
+    def integers(self, size: int, attempts: int) -> list[int]:
+        """``rng.integers(0, size, size=attempts)`` as a list (``size``
+        at least 1)."""
+        if size > 2**32:  # numpy's 64-bit path: let numpy draw it
+            return self.sync().integers(0, size, size=attempts).tolist()
+        stream = self._stream
+        if stream is None:
+            stream = self._stream = chain.from_iterable(self._blocks())
+        return bounded_draws(stream, size, attempts)
+
+    def sync(self) -> np.random.Generator:
+        """The generator, advanced by exactly the raws the draws read
+        (the unread rest of the block is dropped; the next draw takes a
+        new one)."""
+        if self._block is not None:
+            block, state = self._block
+            used = _RAW_BLOCK - length_hint(block)
+            rng = self._rng
+            rng.bit_generator.state = state
+            if used:
+                rng.integers(0, 2**32, size=used, dtype=np.uint32)
+            self._stream = self._block = None
+        return self._rng
 
 
 class LaneDraws:
@@ -193,22 +290,20 @@ class LaneDraws:
     :meth:`detach` leaves the generator where those calls would have.
     It rests on how numpy draws a bounded integer: for a bound below
     2**32 ``Generator.integers`` is Lemire's rejection method over the
-    bit generator's 32-bit stream, and ``integers(0, 2**32, dtype=uint32)``
-    hands out that stream as it is.  So each lane keeps a block of raw
-    draws and the arithmetic is done here, a whole call at a time:
-
-    * ``size == 1`` consumes nothing (numpy returns the offset);
-    * otherwise ``m = raw * size`` in 64 bits and the value is ``m >> 32``,
-      unless the low half of ``m`` is below ``size``: then the draw is
-      repeated while the low half is below ``(2**32 - size) % size``.
+    bit generator's 32-bit stream (:func:`bounded_draws`), and
+    ``integers(0, 2**32, dtype=uint32)`` hands out that stream as it is.
+    So each lane keeps a block of raw draws and the arithmetic is done
+    here, a whole call at a time, as the scalar replay's
+    :class:`RawDraws` does it for one generator: a value is ``(raw *
+    size) >> 32`` unless the low half of that product is below ``size``.
 
     A row with a candidate for rejection (about ``attempts * size / 2**32``
-    of them) is drawn value by value, and only then consumes more than
-    ``attempts`` raws.  The cohort's replay kernel (``rk_heb_replay``)
-    makes the same draw over the blocks of :meth:`blocks`, its arithmetic
-    alone being ``rk_lane_draws``; ``tests/core/test_hippocampus.py``
-    holds both forms against ``Generator.integers`` on the supported
-    numpy range.
+    of them) is drawn value by value by :func:`bounded_draws`, and only
+    then consumes more than ``attempts`` raws.  The cohort's replay
+    kernel (``rk_heb_replay``) makes the same draw over the blocks of
+    :meth:`blocks`, its arithmetic alone being ``rk_lane_draws``;
+    ``tests/core/test_hippocampus.py`` holds both forms against
+    ``Generator.integers`` on the supported numpy range.
     """
 
     #: The most draws one call may ask of a lane.
@@ -300,15 +395,8 @@ class LaneDraws:
 
     def draw_exact(self, lane: int, size: int, attempts: int) -> list[int]:
         """One lane's draw, value by value (numpy's own loop)."""
-        threshold = (2**32 - size) % size
-        out = []
-        for _ in range(attempts):
-            m = self._next_raw(lane) * size
-            if m & _LOW32 < size:
-                while m & _LOW32 < threshold:
-                    m = self._next_raw(lane) * size
-            out.append(m >> 32)
-        return out
+        return bounded_draws(iter(partial(self._next_raw, lane), None),
+                             size, attempts)
 
     def draw(self, lanes: np.ndarray, sizes: np.ndarray,
              attempts: int) -> np.ndarray:

@@ -23,13 +23,14 @@ it is a :class:`ReplayPolicy` here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 import numpy as np
 
 from ..nn.base import SequenceModel
-from .hippocampus import Episode, EpisodicStore
+from .hippocampus import Episode, EpisodicStore, RawDraws
 
 #: The paper's replay learning-rate scale (§3.2: "0.1x smaller").
 REPLAY_LR_SCALE = 0.1
@@ -288,6 +289,16 @@ class GenerativeReplay:
         return len(self._seed_classes)
 
 
+def sampled_store(policy: ReplayPolicy) -> EpisodicStore | None:
+    """The store whose :meth:`EpisodicStore.sample` is ``policy``'s
+    ``select``, when it has one (what the cohort's episode slab and the
+    raw-block draw reproduce)."""
+    if isinstance(policy, (FullReplay, RingBufferReplay,
+                           ConfidenceFilteredReplay)):
+        return policy.store
+    return None
+
+
 @dataclass
 class ReplayScheduler:
     """Drives interleaved replay around ordinary training (§3.2).
@@ -296,10 +307,17 @@ class ReplayScheduler:
     asks the policy for old episodes and retrains the model on them at
     ``lr_scale`` (0.1x by default, the paper's setting).
 
+    Its sampling generator, seeded by ``seed``, lives in :attr:`draws`.
+    A policy that samples its store (:func:`sampled_store`) draws through
+    that :class:`~repro.core.hippocampus.RawDraws`, from a block of the
+    generator's raw stream; any other policy gets the generator itself,
+    synced to where per-call draws would have left it.  Whoever else
+    reads the generator takes it from ``draws.sync()``.
+
     Attributes:
         policy: Storage/selection policy.
         per_step: Episodes replayed per new training step.
-        lr_scale: Replay learning-rate scale.
+        lr_scale: Replay learning-rate scale (finite, >= 0).
         seed: Sampling seed.
     """
 
@@ -313,9 +331,13 @@ class ReplayScheduler:
     def __post_init__(self) -> None:
         if self.per_step < 0:
             raise ValueError("per_step must be >= 0")
-        self._rng = np.random.default_rng(self.seed)
+        if not (math.isfinite(self.lr_scale) and self.lr_scale >= 0):
+            raise ValueError("lr_scale must be finite and >= 0")
+        self.draws = RawDraws(np.random.default_rng(self.seed))
         # Per-step invariants of the policy, hoisted off the per-miss path.
         policy = self.policy
+        store = sampled_store(policy)
+        self._sample = None if store is None else store.sample
         self._generate = (policy.generate
                           if isinstance(policy, GenerativeReplay) else None)
         self._on_replayed = getattr(policy, "on_replayed", None)
@@ -331,14 +353,13 @@ class ReplayScheduler:
         self.invocations += 1
         count = 0
         if self._generate is not None:
-            pairs = self._generate(model, self._rng, self.per_step,
+            pairs = self._generate(model, self.draws.sync(), self.per_step,
                                    exclude_phase=current_phase)
             for input_class, target_class in pairs:
                 model.train_pair(input_class, target_class, lr_scale=self.lr_scale)
                 count += 1
         else:
-            episodes = self._select(self._rng, self.per_step,
-                                    exclude_phase=current_phase)
+            episodes = self._episodes(current_phase)
             if not episodes:
                 return 0
             on_replayed = self._on_replayed
@@ -362,6 +383,15 @@ class ReplayScheduler:
         self.replayed_total += count
         return count
 
+    def _episodes(self, current_phase: int | None) -> list[Episode]:
+        """The policy's pick of up to ``per_step`` episodes: its store's
+        ``sample`` on the raw block, or its ``select`` on the generator."""
+        sample = self._sample
+        if sample is not None:
+            return sample(self.draws, self.per_step, current_phase)
+        return self._select(self.draws.sync(), self.per_step,
+                            exclude_phase=current_phase)
+
     def select_pairs(self,
                      current_phase: int | None = None
                      ) -> list[tuple[int, int]]:
@@ -381,8 +411,7 @@ class ReplayScheduler:
         if self.per_step == 0:
             return []
         self.invocations += 1
-        episodes = self._select(self._rng, self.per_step,
-                                exclude_phase=current_phase)
+        episodes = self._episodes(current_phase)
         if not episodes:
             return []
         self.replayed_total += len(episodes)

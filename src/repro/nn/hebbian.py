@@ -72,6 +72,7 @@ figure for the Hebbian network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -93,7 +94,8 @@ class HebbianConfig:
         connectivity_rec: Hidden->hidden recurrent density.
         connectivity_out: Hidden->output density (paper: 12.5%).
         activation_fraction: Fraction of hidden units active (paper: 10%).
-        lr: Readout learning-rate (units of weight per update).
+        lr: Readout learning-rate (units of weight per update; finite,
+            >= 0).
         negative_scale: Scale of Eq. 1's depression term (the "-1" applied
             to inactive-but-connected inputs of the clamped target).  At
             1.0 (the paper's rule) a target reached from several different
@@ -101,10 +103,10 @@ class HebbianConfig:
             depression cancel and never consolidates; real synapses weight
             LTD below LTP for the same reason.  0.25 keeps the
             decorrelation benefit while letting multi-context targets
-            saturate.
+            saturate.  Finite, >= 0.
         weight_max: Readout weights are clipped to [-weight_max, weight_max];
             bounds the scores so confidence stays meaningful and forgetting
-            is possible at all.
+            is possible at all.  Finite, > 0.
         recurrent_strength: Scale of the (normalized) recurrent contribution
             to the hidden pre-activation.
         input_gain: Weight of the feed-forward input drive.  Kept above the
@@ -174,6 +176,15 @@ class HebbianConfig:
                 raise ValueError("connectivity must be in (0, 1]")
         if min(self.vocab_size, self.hidden_dim) <= 0:
             raise ValueError("dimensions must be positive")
+        # A non-finite rate or bound poisons the weights (and NaN compares
+        # differently in the C clip than in np.clip); a negative rate
+        # turns Eq. 1 anti-Hebbian.
+        for name in ("lr", "negative_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not (math.isfinite(self.weight_max) and self.weight_max > 0):
+            raise ValueError("weight_max must be finite and > 0")
 
     @property
     def k_winners(self) -> int:

@@ -119,8 +119,10 @@ def assert_released_like(got: CLSPrefetcher, want: CLSPrefetcher) -> None:
                 == getattr(want.training_policy, side))
     if want.scheduler is not None:
         assert got.scheduler is not None
-        assert (got.scheduler._rng.bit_generator.state
-                == want.scheduler._rng.bit_generator.state)
+        # The same logical position of the replay stream: each side's
+        # generator, synced past the raws its draws read.
+        assert (got.scheduler.draws.sync().bit_generator.state
+                == want.scheduler.draws.sync().bit_generator.state)
         assert got.scheduler.invocations == want.scheduler.invocations
         assert got.scheduler.replayed_total == want.scheduler.replayed_total
         store = getattr(want.scheduler.policy, "store", None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cls_prefetcher import CLSPrefetcherConfig
 from repro.core.hippocampus import Episode
 from repro.core.replay import (
     REPLAY_LR_SCALE,
@@ -141,6 +142,19 @@ class TestScheduler:
     def test_rejects_negative_per_step(self):
         with pytest.raises(ValueError):
             ReplayScheduler(policy=FullReplay(), per_step=-1)
+
+    @pytest.mark.parametrize("lr_scale", [float("nan"), float("inf"), -0.1])
+    def test_rejects_a_non_finite_or_negative_lr_scale(self, lr_scale):
+        with pytest.raises(ValueError, match="lr_scale"):
+            ReplayScheduler(policy=FullReplay(), lr_scale=lr_scale)
+        # ... and so does the prefetcher's config, replay on or off.
+        for policy in ("full", None):
+            with pytest.raises(ValueError, match="replay_lr_scale"):
+                CLSPrefetcherConfig(replay_policy=policy,
+                                    replay_lr_scale=lr_scale)
+
+    def test_accepts_a_zero_lr_scale(self):
+        assert ReplayScheduler(policy=FullReplay(), lr_scale=0.0).lr_scale == 0
 
     def test_generative_scheduler_trains_model(self, hebbian):
         for _ in range(80):

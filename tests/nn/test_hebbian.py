@@ -19,6 +19,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             HebbianConfig(connectivity_in=1.5)
 
+    @pytest.mark.parametrize("name", ["lr", "negative_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_rates(self, name, value):
+        # NaN or inf poisons the weights on both backends; a negative
+        # rate makes Eq. 1 anti-Hebbian.
+        with pytest.raises(ValueError, match=name):
+            HebbianConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -8.0])
+    def test_rejects_a_bad_weight_bound(self, value):
+        # NaN clips to NaN under np.clip and to nothing in the C clip.
+        with pytest.raises(ValueError, match="weight_max"):
+            HebbianConfig(weight_max=value)
+
+    def test_accepts_zero_rates(self):
+        config = HebbianConfig(lr=0.0, negative_scale=0.0)
+        assert (config.lr, config.negative_scale) == (0.0, 0.0)
+
     def test_k_winners(self):
         assert HebbianConfig(hidden_dim=1000, activation_fraction=0.1).k_winners == 100
 
