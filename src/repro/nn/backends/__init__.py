@@ -11,9 +11,10 @@ winning.  That leaves:
     fallback when no compiler is present (one-time ``RuntimeWarning``),
     not a tuned platform.
 ``c``
-    A small C file compiled on first use with the system C compiler and
-    loaded through ``cffi``'s ABI mode, bit-identical to the reference
-    in both domains: the **memsim** kernels (``rk_sim_run`` on the lane
+    A small C file built on first use into a CPython extension by
+    ``cffi``'s API mode and the system C compiler (so it needs cffi, a
+    ``cc`` and the Python headers), bit-identical to the reference in
+    both domains: the **memsim** kernels (``rk_sim_run`` on the lane
     store, which ``simulate()``'s one-slot engine and every fleet lane
     run, and the membership scans) and the
     Hebbian network's step (Eq. 1's update, the sparse readout, the
@@ -133,8 +134,8 @@ def _warn_fallback() -> None:  # repro-lint: zone=init
     _warned_fallback = True
     warnings.warn(
         "no compiled kernel backend is available; falling back to the "
-        "pure-numpy reference kernels (make cffi and a C compiler "
-        "available to get the compiled kernels)",
+        "pure-numpy reference kernels (make cffi, a C compiler and the "
+        "Python headers available to get the compiled kernels)",
         RuntimeWarning, stacklevel=4)
 
 
@@ -164,9 +165,9 @@ def resolve_backend(name: str = "auto", *, domain: str = "sim") -> str:
     if not backend_available(name):
         raise BackendUnavailableError(
             f"backend {name!r} was requested explicitly but is not "
-            "available in this environment ('c' needs cffi and a C "
-            "compiler on PATH); backend='auto' falls back to numpy "
-            "instead of raising")
+            "available in this environment ('c' needs cffi, a C "
+            "compiler on PATH and the Python headers); backend='auto' "
+            "falls back to numpy instead of raising")
     return name
 
 

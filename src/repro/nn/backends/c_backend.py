@@ -1,14 +1,20 @@
 """C backend: simulator and Hebbian-network kernels compiled with the
-system C compiler, loaded via cffi.
+system C compiler into a CPython extension, through cffi.
 
-The kernel source below is embedded as a string, compiled on first use
-into ``_build/reprokernels-<sha16>.so`` (hash of the source and the
-compile flags, so editing either transparently rebuilds), and loaded
-through cffi's ABI mode — no build-time dependency, no setuptools
-plumbing, and the only runtime requirements are ``cffi`` and a
-``cc``/``gcc`` on PATH.  Any failure along that path — no compiler,
-compile error, dlopen error — makes the backend report unavailable;
-nothing raises out of :func:`available`.
+The kernel source below is embedded as a string.  On first use cffi's
+out-of-line API mode turns it and its declarations into one C file (the
+kernels plus cffi's generated wrappers, module ``_reprokernels``), the
+system ``cc`` compiles that against the Python headers into
+``_build/reprokernels-<sha16>.so`` (hash of the source, the
+declarations, the compile flags, the interpreter's extension suffix and
+the cffi version, so changing any of them transparently rebuilds), and
+``importlib`` loads it as an extension module.  A kernel call is then a
+direct C call, not one through libffi, and nothing parses the
+declarations at start-up.  The requirements are ``cffi``, a
+``cc``/``gcc`` on PATH and the Python headers (``Python.h``); any failure
+along that path — no compiler, no headers, compile error, load error —
+makes the backend report unavailable; nothing raises out of
+:func:`available`.
 
 Two families are compiled:
 
@@ -18,9 +24,11 @@ Two families are compiled:
   (``rk_sim_lanes``: the same step over one context per lane slot; both
   run on the lane store's rows, ``memsim/lanes.py``), and
   ``PageCache``'s two membership scans;
-- the Hebbian network's step (``rk_heb_learn``, ``rk_heb_scores``,
-  ``rk_heb_finish``: Eq. 1's column update, the sparse readout, and the
-  softmax's arithmetic and top-width selection), bound once per scalar
+- the Hebbian network's step (``rk_heb_step``: Eq. 1's column update
+  from the last code and the new code's sparse readout in one call;
+  ``rk_heb_learn`` and ``rk_heb_scores``, the same two apart; and
+  ``rk_heb_finish``: the softmax's arithmetic after its exp and the
+  rollout's top-width selection), bound once per scalar
   network by :func:`bind_hebbian`; the same helpers run as lane loops
   over a ``HebbianFleet``'s value slab (``rk_heb_lanes_step`` /
   ``_scores`` / ``_train``, ``rk_heb_finish_rows``), bound once per
@@ -46,9 +54,12 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 from contextlib import suppress
 from functools import partial
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
+from importlib.util import module_from_spec
 from pathlib import Path
 from typing import Any, Callable
 
@@ -78,8 +89,10 @@ typedef struct {
 """
 
 #: The Hebbian kernels' context: one network's value vector, the fixed
-#: tables its clones share, and its own scratch (``rk_heb_finish`` and
-#: ``rk_heb_learn`` leave their results in ``top`` / ``punished``).
+#: tables its clones share, and its own scratch (``rk_heb_finish`` leaves
+#: its selection in ``top`` / ``top_p``, ``rk_heb_learn`` and
+#: ``rk_heb_step`` their punished slots in ``punished``, the step their
+#: number in ``n_punished``).
 _HEB_CONTEXT = """
 typedef struct {
     /* the readout values, class-major; class t's slots are
@@ -93,9 +106,10 @@ typedef struct {
     /* (vocab, hidden): a (class, row)'s slot, -1 where unconnected */
     const long long *slot_of;
     /* scratch: logits / probabilities, the top-width classes and their
-     * probabilities, the punished slots, a hidden-row membership mark */
+     * probabilities, the punished slots and their number, a hidden-row
+     * membership mark */
     double *x, *top_p;
-    long long *top, *punished;
+    long long *top, *punished, *n_punished;
     unsigned char *mark;
     long long vocab, hidden;
     double temperature, weight_max, negative_scale;
@@ -554,6 +568,18 @@ i64 rk_heb_learn(const rk_heb *h, const i64 *code, i64 k, i64 target,
     return heb_learn(h, h->w, code, k, target, predicted, lr, h->punished);
 }
 
+/* SparseHebbianNetwork.step's kernel work before its exp, in one call:
+ * rk_heb_learn from the last code prev (k_prev long; the number of slots
+ * it punished goes to n_punished[0]), then rk_heb_scores of the new code.
+ * Returns the new code's argmax. */
+i64 rk_heb_step(const rk_heb *h, const i64 *prev, i64 k_prev, i64 target,
+                i64 predicted, double lr, const i64 *code, i64 k)
+{
+    h->n_punished[0] = heb_learn(h, h->w, prev, k_prev, target, predicted,
+                                 lr, h->punished);
+    return heb_scores(h, h->w, code, k, h->x);
+}
+
 i64 rk_heb_scores(const rk_heb *h, const i64 *code, i64 k)
 {
     return heb_scores(h, h->w, code, k, h->x);
@@ -793,6 +819,10 @@ void rk_sim_lanes(const rk_sim *sims, const long long *lanes,
 """ + _HEB_CONTEXT + """
 long long rk_heb_learn(const rk_heb *h, const long long *code, long long k,
                        long long target, long long predicted, double lr);
+long long rk_heb_step(const rk_heb *h, const long long *prev,
+                      long long k_prev, long long target,
+                      long long predicted, double lr, const long long *code,
+                      long long k);
 long long rk_heb_scores(const rk_heb *h, const long long *code, long long k);
 long long rk_heb_finish(const rk_heb *h, long long width,
                         long long normalize);
@@ -842,6 +872,10 @@ long long rk_heb_replay(const rk_heb *h, double *slab, long long block,
 #: rebuilds.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
+#: The extension's module name.  Fixed, so the init symbol cffi emits
+#: (``PyInit__reprokernels``) does not depend on the cache file's name.
+_MODULE = "_reprokernels"
+
 _ffi: Any | None = None
 _lib: Any | None = None
 _load_failed = False
@@ -851,26 +885,48 @@ def _build_dir() -> Path:
     return Path(__file__).resolve().parent / "_build"
 
 
+def _include_dirs() -> list[str]:
+    """Where the interpreter's ``Python.h`` and ``pyconfig.h`` are."""
+    paths = sysconfig.get_paths()
+    return list(dict.fromkeys((paths["include"], paths["platinclude"])))
+
+
 def _so_path() -> Path:
-    """Cache path of the library: keyed on everything that shapes it."""
-    key = _SOURCE + "\0" + " ".join(_CFLAGS)
+    """Cache path of the extension: keyed on everything that shapes it —
+    the source and its declarations, the flags, the interpreter's
+    extension ABI and the cffi that writes the wrappers."""
+    from _cffi_backend import __version__ as cffi_version
+
+    key = "\0".join((_SOURCE, _CDEF, " ".join(_CFLAGS),
+                     str(sysconfig.get_config_var("EXT_SUFFIX")),
+                     cffi_version))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return _build_dir() / f"reprokernels-{digest}.so"
 
 
 def _compile(out: Path) -> bool:
+    """Build the extension into ``out``; False when anything fails."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return False
+    try:
+        from cffi import FFI, CDefError, VerificationError
+    except ImportError:
+        return False
     src_name = so_name = None
     try:
+        ffi = FFI()
+        ffi.cdef(_CDEF)
+        ffi.set_source(_MODULE, _SOURCE, compiler_verbose=0)
         out.parent.mkdir(parents=True, exist_ok=True)
         fd, src_name = tempfile.mkstemp(suffix=".c", dir=out.parent)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(_SOURCE)
+        os.close(fd)
+        ffi.emit_c_code(src_name)
         fd, so_name = tempfile.mkstemp(suffix=".so.tmp", dir=out.parent)
         os.close(fd)
-        proc = subprocess.run([cc, *_CFLAGS, "-o", so_name, src_name],
+        includes = [f"-I{path}" for path in _include_dirs()]
+        proc = subprocess.run([cc, *_CFLAGS, *includes, "-o", so_name,
+                               src_name],
                               capture_output=True, timeout=120, check=False)
         if proc.returncode != 0:
             return False
@@ -878,7 +934,8 @@ def _compile(out: Path) -> bool:
         os.replace(so_name, out)
         so_name = None
         return True
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError, CDefError,
+            VerificationError):
         return False
     finally:
         for leftover in (src_name, so_name):
@@ -887,17 +944,23 @@ def _compile(out: Path) -> bool:
                     os.unlink(leftover)
 
 
-def _dlopen(ffi: Any, path: Path) -> Any | None:
+def _import(path: Path) -> tuple[Any, Any] | None:
+    """The extension at ``path`` as ``(ffi, lib)``, or None when it does
+    not load."""
+    loader = ExtensionFileLoader(_MODULE, str(path))
     try:
-        return ffi.dlopen(str(path))
-    except Exception:  # cffi raises its own error types besides OSError
+        module = module_from_spec(ModuleSpec(_MODULE, loader,
+                                             origin=str(path)))
+        loader.exec_module(module)
+        return module.ffi, module.lib
+    except (ImportError, AttributeError):  # not a loadable _reprokernels
         return None
 
 
 def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
     """(ffi, lib) or None; compile and load failures latch to unavailable.
 
-    A cached library that exists but cannot be loaded (truncated, or
+    A cached extension that exists but cannot be loaded (truncated, or
     built by another container's toolchain — ``_build/`` lives in the
     source tree) is recompiled over once before latching; otherwise the
     bad file would silently pin every later process to numpy.
@@ -908,21 +971,18 @@ def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
     if _load_failed:
         return None
     try:
-        from cffi import FFI
-    except ImportError:
+        out = _so_path()
+    except ImportError:  # no cffi
         _load_failed = True
         return None
-    out = _so_path()
-    ffi = FFI()
-    ffi.cdef(_CDEF)
-    lib = _dlopen(ffi, out) if out.exists() else None
-    if lib is None and _compile(out):
-        lib = _dlopen(ffi, out)
-    if lib is None:
+    loaded = _import(out) if out.exists() else None
+    if loaded is None and _compile(out):
+        loaded = _import(out)
+    if loaded is None:
         _load_failed = True
         return None
-    _ffi, _lib = ffi, lib
-    return _ffi, _lib
+    _ffi, _lib = loaded
+    return loaded
 
 
 def available() -> bool:
@@ -1037,6 +1097,7 @@ def _heb_context(ffi: Any, tables: dict[str, Any], w: np.ndarray | None,
     scratch = {"x": np.zeros(vocab), "top_p": np.zeros(vocab),
                "top": np.zeros(vocab, dtype=np.int64),
                "punished": np.zeros(hidden, dtype=np.int64),
+               "n_punished": np.zeros(1, dtype=np.int64),
                "mark": np.zeros(hidden, dtype=np.uint8)}
     ctx = ffi.new("rk_heb *")
     keep: list[Any] = [ctx, tables]
@@ -1054,17 +1115,18 @@ def _heb_context(ffi: Any, tables: dict[str, Any], w: np.ndarray | None,
 class CHebbian:
     """The Hebbian kernels bound to one network (see :func:`bind_hebbian`).
 
+    ``step(prev, k_prev, target, predicted, lr, code, k)``,
     ``learn(code, k, target, predicted, lr)``, ``scores(code, k)`` and
-    ``finish(width, normalize)`` call ``rk_heb_learn`` /
+    ``finish(width, normalize)`` call ``rk_heb_step`` / ``rk_heb_learn`` /
     ``rk_heb_scores`` / ``rk_heb_finish`` on the bound context; a code
     is passed as :meth:`codes` of it.  The context's scratch is exposed
     as numpy arrays: ``x`` (logits, then probabilities — the network
     runs ``np.exp`` on it in place), ``top`` / ``top_p`` (the selection)
-    and ``punished`` (the punish term's slots).
+    and ``punished`` / ``n_punished`` (the punish term's slots).
     """
 
-    __slots__ = ("x", "top", "top_p", "punished", "learn", "scores",
-                 "finish", "_ffi", "_hidden", "_keep")
+    __slots__ = ("x", "top", "top_p", "punished", "n_punished", "step",
+                 "learn", "scores", "finish", "_ffi", "_hidden", "_keep")
 
     def __init__(self, ffi: Any, lib: Any, tables: dict[str, Any],
                  w: np.ndarray, **settings: float) -> None:
@@ -1073,8 +1135,10 @@ class CHebbian:
         self.top_p = scratch["top_p"]
         self.top = scratch["top"]
         self.punished = scratch["punished"]
+        self.n_punished = scratch["n_punished"]
         self._ffi = ffi
         self._hidden = int(settings["hidden"])
+        self.step = partial(lib.rk_heb_step, ctx)
         self.learn = partial(lib.rk_heb_learn, ctx)
         self.scores = partial(lib.rk_heb_scores, ctx)
         self.finish = partial(lib.rk_heb_finish, ctx)

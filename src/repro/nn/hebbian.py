@@ -55,15 +55,19 @@ masked-array implementation (and dense storage) is kept under
 ``tests/nn/`` as the oracle; the kernels here are bit-identical to it
 (see ``tests/nn/test_hebbian_equivalence.py``).
 
-Under backend ``"c"`` the same steps run on three fused C kernels bound
-to the network's own value vector: ``rk_heb_learn`` (Eq. 1's column
+Under backend ``"c"`` the same steps run on fused C kernels bound to
+the network's own value vector: ``rk_heb_learn`` (Eq. 1's column
 update, the punish term, the clip), ``rk_heb_scores`` (the readout,
 walked by hidden row so each class sums in ``bincount``'s order, with
-the argmax and the softmax's shift) and ``rk_heb_finish`` (numpy's
+the argmax and the softmax's shift), ``rk_heb_step`` (the two in one
+call, as a trained step needs them) and ``rk_heb_finish`` (numpy's
 pairwise-sum normalisation and the rollout's top-width selection).
 Only ``np.exp`` runs between them, and ``hidden_code`` stays numpy.
 Where the selection would depend on how numpy orders a tie, the kernel
-hands it back to :func:`select_topk`.
+hands it back to :func:`select_topk`.  A step's ``rk_heb_finish`` also
+makes the selection the next rollout's first step reads, at the width
+the last rollout asked for, so a trained step and that first rollout
+step cross into C twice.
 
 Default configuration: vocab 128, hidden 1000, 12.5% in/out connectivity,
 1.7% recurrent connectivity — 49k connected weights, the paper's Table 2
@@ -324,6 +328,12 @@ class SparseHebbianNetwork:
         self._prev_pred: int | None = None
         self._last_probs: np.ndarray | None = None
         self.train_steps = 0
+        # Backend "c": the width the last rollout asked for, and the
+        # selection the last step's finish made at it — (probabilities,
+        # width, the kernel's result), its classes in the kernels'
+        # ``top`` / ``top_p`` — until a rollout reads it.
+        self._rollout_width = 0
+        self._preselected: tuple[np.ndarray, int, int] | None = None
 
     # ------------------------------------------------------------------
     # Sparse kernels
@@ -638,6 +648,9 @@ class SparseHebbianNetwork:
         if not 0 <= input_class < self.vocab_size:
             raise ValueError(
                 f"class {input_class} outside vocab [0, {self.vocab_size})")
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            return self._step_c(heb, input_class, train, lr_scale)
         prev_active = self._prev_active
         if train and prev_active is not None:
             self._learn(prev_active, input_class, self._prev_pred, lr_scale)
@@ -645,20 +658,45 @@ class SparseHebbianNetwork:
 
         active = self.hidden_code(input_class, prev_active)
         punish = self.config.punish_wrong
-        heb = self._heb or self._kernels()
-        if heb is None:
-            scores = self.readout(active)
-            probs = self.probabilities(scores)
-            # The argmax only feeds the error-driven depression term;
-            # without it, ``_learn`` never reads the prediction.
-            predicted = int(scores.argmax()) if punish else None
-        else:
-            predicted, _ = self._softmax_c(heb, active, 0)
-            probs = heb.x.copy()
+        scores = self.readout(active)
+        probs = self.probabilities(scores)
+        # The argmax only feeds the error-driven depression term; without
+        # it, ``_learn`` never reads the prediction.
+        predicted = int(scores.argmax()) if punish else None
 
         self._prev_active = active
         self._prev_pred = predicted if punish else None
         self._last_probs = probs
+        return probs
+
+    def _step_c(self, heb: c_backend.CHebbian, input_class: int,
+                train: bool, lr_scale: float) -> np.ndarray:
+        """:meth:`step` on the kernels: one ``rk_heb_step`` (the learn
+        and the readout; ``rk_heb_scores`` alone when not learning),
+        ``np.exp``, and one ``rk_heb_finish`` that also selects for the
+        next rollout (see :meth:`_rollout_c`)."""
+        prev_active = self._prev_active
+        active = self.hidden_code(input_class, prev_active)
+        code = self._code_ptr(active)
+        if train and prev_active is not None:
+            predicted = self._kernel_predicted(self._prev_pred)
+            best = heb.step(self._code_ptr(prev_active), len(prev_active),
+                            input_class, predicted,
+                            self.config.lr * lr_scale, code, len(active))
+            if self._written is not None:
+                self._note_learned(heb, input_class, heb.n_punished.item(0))
+            self.train_steps += 1
+        else:
+            best = heb.scores(code, len(active))
+        x = heb.x
+        np.exp(x, out=x)
+        width = self._rollout_width
+        picked = heb.finish(width, 1)
+        probs = x.copy()
+        self._prev_active = active
+        self._prev_pred = best if self.config.punish_wrong else None
+        self._last_probs = probs
+        self._preselected = (probs, width, picked)
         return probs
 
     def _softmax_c(self, heb: c_backend.CHebbian, active: np.ndarray,
@@ -673,13 +711,13 @@ class SparseHebbianNetwork:
         return predicted, heb.finish(width, 1)
 
     @staticmethod
-    def _selected(heb: c_backend.CHebbian, picked: int, width: int
-                  ) -> list[tuple[int, float]]:
-        """``select_topk(heb.x, width)``: the kernel's selection, or
-        numpy's where the kernel found a tie it must not order
-        (``picked`` < 0)."""
+    def _selected(heb: c_backend.CHebbian, probs: np.ndarray, picked: int,
+                  width: int) -> list[tuple[int, float]]:
+        """``select_topk(probs, width)`` given the kernel's selection from
+        ``probs``: that selection, or numpy's where the kernel found a
+        tie it must not order (``picked`` < 0)."""
         if picked < 0:
-            return select_topk(heb.x, width)
+            return select_topk(probs, width)
         return list(zip(heb.top[:picked].tolist(),
                         heb.top_p[:picked].tolist()))
 
@@ -782,6 +820,7 @@ class SparseHebbianNetwork:
                         ) -> list[list[tuple[int, float]]]:
         if width < 1:
             raise ValueError("rollout width must be at least 1")
+        self._rollout_width = width
         probs = self._last_probs
         if probs is None:
             return []
@@ -806,18 +845,26 @@ class SparseHebbianNetwork:
     def _rollout_c(self, heb: c_backend.CHebbian, probs: np.ndarray,
                    width: int, length: int) -> list[list[tuple[int, float]]]:
         """``predict_rollout`` on the kernels: the same steps, one
-        readout-and-softmax-and-selection per step after the first."""
+        readout-and-softmax-and-selection per step after the first.  The
+        first step's selection is the one the last step's finish made,
+        read once, when it was made from ``probs`` itself at this width;
+        else the finish runs on a copy of ``probs``."""
+        pre = self._preselected
+        self._preselected = None
         if length < 1:
             return []
-        x = heb.x
-        np.copyto(x, probs)
-        step = self._selected(heb, heb.finish(width, 0), width)
+        if pre is not None and pre[0] is probs and pre[1] == width:
+            picked = pre[2]
+        else:
+            np.copyto(heb.x, probs)
+            picked = heb.finish(width, 0)
+        step = self._selected(heb, probs, picked, width)
         out = [step]
         active = self._prev_active
         for _ in range(length - 1):
             active = self.hidden_code(step[0][0], active)
-            step = self._selected(heb, self._softmax_c(heb, active,
-                                                       width)[1], width)
+            picked = self._softmax_c(heb, active, width)[1]
+            step = self._selected(heb, heb.x, picked, width)
             out.append(step)
         return out
 
@@ -825,6 +872,7 @@ class SparseHebbianNetwork:
         self._prev_active = None
         self._prev_pred = None
         self._last_probs = None
+        self._preselected = None
 
     def clone(self) -> "SparseHebbianNetwork":
         """Deep copy of the learned state.
@@ -841,6 +889,7 @@ class SparseHebbianNetwork:
         twin._serve_vals = (twin._w_vals if self._serve_vals is self._w_vals
                             else self._serve_vals.copy())
         twin._heb = None
+        twin._preselected = None
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
@@ -953,20 +1002,14 @@ class SparseHebbianNetwork:
         """
         config = self.config
         lr = config.lr * lr_scale
-        flat = self._out_flat[target]
         heb = self._heb or self._kernels()
         if heb is not None:
-            if not config.punish_wrong or predicted is None:
-                predicted = -1
-            else:
-                self._check_class(predicted)
-            punished = heb.learn(self._code_ptr(active), len(active),
-                                 target, predicted, lr)
+            punished = heb.learn(self._code_ptr(active), len(active), target,
+                                 self._kernel_predicted(predicted), lr)
             if self._written is not None:
-                self._note_written(flat)
-                if punished:
-                    self._note_written(heb.punished[:punished].copy())
+                self._note_learned(heb, target, punished)
             return
+        flat = self._out_flat[target]
         w_flat = self._w_vals
         wm = config.weight_max
         vals = w_flat.take(flat)
@@ -984,6 +1027,22 @@ class SparseHebbianNetwork:
                 np.maximum(wvals, -wm, out=wvals)
                 w_flat[wrong_flat] = wvals
                 self._note_written(wrong_flat)
+
+    def _kernel_predicted(self, predicted: int | None) -> int:
+        """The kernels' ``predicted`` argument: the class to punish, -1
+        for none."""
+        if not self.config.punish_wrong or predicted is None:
+            return -1
+        self._check_class(predicted)
+        return predicted
+
+    def _note_learned(self, heb: c_backend.CHebbian, target: int,
+                      punished: int) -> None:
+        """Log a kernel learn's writes: ``target``'s column, then the
+        ``punished`` slots it listed."""
+        self._note_written(self._out_flat[target])
+        if punished:
+            self._note_written(heb.punished[:punished].copy())
 
     def _punish_flat(self, active: np.ndarray, predicted: int) -> np.ndarray:
         """Value-vector offsets of the error-driven depression: the

@@ -4,11 +4,13 @@ Three families of claims:
 
 - **registry behavior** — name validation, ``auto`` resolution, the
   explicit-request-raises / auto-falls-back asymmetry, the one-time
-  fallback warning, and the C library cache (a corrupt cached ``.so`` is
-  rebuilt, the cache key covers the compile flags);
+  fallback warning, and the C extension's build and cache (a corrupt
+  cached ``.so`` is rebuilt, the cache key covers everything that shapes
+  the file, missing Python headers fall back to numpy, ``_compile``
+  builds under any file name);
 - **cross-backend bit-identity** — ``c`` runs the Hebbian network on
-  its own kernels (``rk_heb_learn`` / ``rk_heb_scores`` /
-  ``rk_heb_finish``), which must leave it exactly the numpy one: over
+  its own kernels (``rk_heb_step`` / ``rk_heb_learn`` / ``rk_heb_scores``
+  / ``rk_heb_finish``), which must leave it exactly the numpy one: over
   long randomized streams, with and without the punish term, on
   tie-heavy vectors (where the selection hands back to numpy's), at
   vocabularies where numpy's pairwise sum splits, across every way
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import shutil
+import sysconfig
 import warnings
 
 import numpy as np
@@ -118,17 +121,27 @@ def test_set_default_backend_validates(monkeypatch):
     assert backends.get_default_backend() == "auto"
 
 
-def test_corrupt_cached_library_is_rebuilt(monkeypatch, tmp_path):
-    """A cached ``.so`` that exists but cannot be loaded is recompiled
-    over once instead of latching this (and every later) process onto
-    numpy; and the cache key covers the compile flags."""
+def _require_toolchain() -> None:
     pytest.importorskip("cffi")
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no C compiler on PATH")
-    monkeypatch.setattr(c_backend, "_build_dir", lambda: tmp_path)
+
+
+def _fresh_load_state(monkeypatch) -> None:
     for attr, value in (("_ffi", None), ("_lib", None),
                         ("_load_failed", False)):
         monkeypatch.setattr(c_backend, attr, value)
+
+
+def test_corrupt_cached_library_is_rebuilt(monkeypatch, tmp_path):
+    """A cached ``.so`` that exists but cannot be loaded is recompiled
+    over once instead of latching this (and every later) process onto
+    numpy; and the cache key covers the compile flags, the cffi
+    declarations, the interpreter's extension suffix and the cffi
+    version."""
+    _require_toolchain()
+    monkeypatch.setattr(c_backend, "_build_dir", lambda: tmp_path)
+    _fresh_load_state(monkeypatch)
     path = c_backend._so_path()
     path.write_bytes(b"not an ELF file")
     assert c_backend.available()
@@ -136,6 +149,60 @@ def test_corrupt_cached_library_is_rebuilt(monkeypatch, tmp_path):
     rebuilt.dlopen(str(path))  # the file on disk is a loadable library now
     monkeypatch.setattr(c_backend, "_CFLAGS", c_backend._CFLAGS + ("-g",))
     assert c_backend._so_path() != path
+    seen = {path, c_backend._so_path()}
+    monkeypatch.setattr(c_backend, "_CDEF", c_backend._CDEF + "\n")
+    seen.add(c_backend._so_path())
+    get_config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        ".cpython-0-other.so" if name == "EXT_SUFFIX"
+        else get_config_var(name)))
+    seen.add(c_backend._so_path())
+    import _cffi_backend
+    monkeypatch.setattr(_cffi_backend, "__version__", "0.0.0")
+    seen.add(c_backend._so_path())
+    assert len(seen) == 5
+
+
+def test_missing_python_headers_fall_back_to_numpy(monkeypatch, tmp_path):
+    """The extension is compiled against the Python headers: without
+    them the compile fails, ``c`` reports unavailable and ``auto`` falls
+    back to numpy with its one-time warning — and nothing is left in the
+    build directory."""
+    _require_toolchain()
+    empty = tmp_path / "include"
+    empty.mkdir()
+    build = tmp_path / "build"
+    monkeypatch.setattr(c_backend, "_include_dirs", lambda: [str(empty)])
+    monkeypatch.setattr(c_backend, "_build_dir", lambda: build)
+    _fresh_load_state(monkeypatch)
+    assert c_backend._compile(build / "reprokernels-cold.so") is False
+    assert not c_backend.available()
+    assert list(build.iterdir()) == []
+    monkeypatch.setattr(backends, "_default_backend", "auto")
+    monkeypatch.setattr(backends, "_warned_fallback", False)
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        assert resolve_backend("auto") == "numpy"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_backend("auto") == "numpy"
+
+
+def test_compile_to_any_file_name_loads_and_runs(tmp_path):
+    """``_compile(path) -> bool`` builds the extension under whatever
+    name it is given (a cold-compile timing uses its own): the file loads
+    as the extension, and a kernel runs."""
+    _require_toolchain()
+    out = tmp_path / "reprokernels-cold.so"
+    assert c_backend._compile(out) is True
+    assert list(tmp_path.iterdir()) == [out]
+    loaded = c_backend._import(out)
+    assert loaded is not None
+    ffi, lib = loaded
+    soc = np.array([0, -1, 1], dtype=np.int64)
+    cids = np.array([0, 2, 1, 0], dtype=np.int64)
+    assert lib.rk_first_nonresident(ffi.from_buffer("long long[]", soc),
+                                    ffi.from_buffer("long long[]", cids),
+                                    0, 4) == 2
 
 
 # ----------------------------------------------------------------------
@@ -168,48 +235,104 @@ def test_compiled_hebbian_matches_numpy_bit_identical(backend, mode):
     np.testing.assert_array_equal(ref.w_out, fast.w_out)
 
 
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and np.array_equal(a, b))
+    return a == b
+
+
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_compiled_hebbian_fuzz(backend, seed):
     """Randomized interleavings of step / train_pair / learn_pair /
     train_pairs / rollout / readout stay bit-identical to numpy; seeds 3
-    and up without the punish term."""
+    to 5 and 7 without the punish term.
+
+    Each round is a step, one move, then one or two rollouts, so the
+    rollout's first selection — which the compiled step's finish makes
+    at the width the last rollout asked for — is checked after every
+    move that could leave it stale: nothing, the training calls, an
+    untrained step, ``reset_state``, ``sync_from`` / ``restore_state``
+    from a partner network that runs its own stream, ``clone`` / ``fork``
+    and the ``w_out`` setter.  Widths are 1, 2, 3, the vocabulary and
+    one past it (half the time the last width again), lengths 0 to 3.
+    Seeds 6 and 7 zero the weights every few rounds, so ties send the
+    selection back to ``select_topk``."""
     _require_compiled(backend)
     net_seed, stream_seed = spawn_seeds(seed, 2)
     config = HebbianConfig(vocab_size=48, hidden_dim=200, seed=net_seed,
-                           punish_wrong=seed < 3)
-    ref = SparseHebbianNetwork(dataclasses.replace(config, backend="numpy"))
-    fast = SparseHebbianNetwork(dataclasses.replace(config, backend=backend))
+                           punish_wrong=seed in (0, 1, 2, 6))
+    vocab = config.vocab_size
+    # Per backend: the network under test and its partner.
+    nets = {name: [SparseHebbianNetwork(dataclasses.replace(config,
+                                                            backend=name))
+                   for _ in range(2)]
+            for name in ("numpy", backend)}
     rng = np.random.default_rng(stream_seed)
-    for _ in range(300):
-        op = rng.integers(0, 6)
-        if op == 0:
-            c = int(rng.integers(0, config.vocab_size))
-            train = bool(rng.integers(0, 4))
-            assert np.array_equal(ref.step(c, train=train),
-                                  fast.step(c, train=train))
-        elif op == 1:
-            a, b = rng.integers(0, config.vocab_size, size=2)
-            assert (ref.train_pair(int(a), int(b), lr_scale=0.2)
-                    == fast.train_pair(int(a), int(b), lr_scale=0.2))
-        elif op == 2:
-            pairs = [(int(a), int(b)) for a, b in
-                     rng.integers(0, config.vocab_size, size=(5, 2))]
-            ref.train_pairs(pairs, lr_scale=0.1)
-            fast.train_pairs(pairs, lr_scale=0.1)
-        elif op == 3:
-            a, b = rng.integers(0, config.vocab_size, size=2)
-            ref.learn_pair(int(a), int(b), lr_scale=0.5)
-            fast.learn_pair(int(a), int(b), lr_scale=0.5)
-        elif op == 4:
-            width, length = (int(v) for v in rng.integers(1, 4, size=2))
-            assert (ref.predict_rollout(width, length)
-                    == fast.predict_rollout(width, length))
-        else:
-            c = int(rng.integers(0, config.vocab_size))
-            np.testing.assert_array_equal(ref.readout(ref.hidden_code(c)),
-                                          fast.readout(fast.hidden_code(c)))
-    np.testing.assert_array_equal(ref.w_out, fast.w_out)
+
+    def each(move) -> None:
+        """``move(pair)`` on both backends' pairs: the same result."""
+        ref, fast = (move(pair) for pair in nets.values())
+        assert _same(ref, fast)
+
+    def classes(n: int) -> list[int]:
+        return [int(c) for c in rng.integers(0, vocab, size=n)]
+
+    def restore(pair: list) -> None:
+        net, partner = pair
+        net.restore_state(values=partner.readout_values,
+                          prev_active=partner._prev_active,
+                          prev_pred=partner._prev_pred,
+                          last_probs=partner._last_probs,
+                          train_steps=partner.train_steps)
+
+    def replace(pair: list, index: int, net: SparseHebbianNetwork) -> None:
+        pair[index] = net
+
+    fast_net = nets[backend]
+    handed_back = preselected_read = 0
+    width = 2
+    for _ in range(250):
+        if seed >= 6 and rng.integers(0, 6) == 0:
+            zeros = np.zeros((config.hidden_dim, vocab))
+            each(lambda pair: setattr(pair[0], "w_out", zeros))
+        (c, p), train = classes(2), bool(rng.integers(0, 4))
+        each(lambda pair: pair[0].step(c, train=train))
+        each(lambda pair: pair[1].step(p))
+        pre = fast_net[0]._preselected
+        handed_back += pre is not None and pre[2] < 0
+        a, b = classes(2)
+        pairs = [tuple(classes(2)) for _ in range(5)]
+        move = int(rng.integers(0, 12))
+        each([
+            lambda pair: None,
+            lambda pair: pair[0].learn_pair(a, b, lr_scale=0.5),
+            lambda pair: pair[0].train_pair(a, b, lr_scale=0.2),
+            lambda pair: pair[0].train_pairs(pairs, lr_scale=0.1),
+            lambda pair: pair[0].step(a, train=False),
+            lambda pair: pair[0].reset_state(),
+            lambda pair: pair[0].sync_from(pair[1]),
+            restore,
+            lambda pair: replace(pair, 0, pair[0].clone()),
+            lambda pair: replace(pair, 1, pair[0].fork()),
+            lambda pair: setattr(pair[0], "w_out", pair[1].w_out),
+            lambda pair: pair[0].readout(pair[0].hidden_code(a)),
+        ][move])
+        for _ in range(int(rng.integers(1, 3))):
+            if rng.integers(0, 2):  # else the last width again
+                width = int(rng.choice([1, 2, 3, vocab, vocab + 1]))
+            length = int(rng.integers(0, 4))
+            pre = fast_net[0]._preselected
+            preselected_read += (length > 0 and pre is not None
+                                 and pre[0] is fast_net[0]._last_probs
+                                 and pre[1] == width)
+            each(lambda pair: pair[0].predict_rollout(width, length))
+    each(lambda pair: pair[0].w_out)
+    each(lambda pair: pair[1].w_out)
+    assert preselected_read > 40
+    if seed >= 6:
+        assert handed_back > 10
 
 
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
@@ -264,7 +387,7 @@ def test_kernel_selection_is_select_topk_or_hands_back(backend):
             handed_back += 1
             continue
         picked_some += 1
-        assert net._selected(heb, picked, width) == select_topk(vec, width)
+        assert net._selected(heb, vec, picked, width) == select_topk(vec, width)
     assert picked_some > 500 and handed_back > 500
 
 
