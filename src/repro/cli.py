@@ -40,6 +40,7 @@ import argparse
 import cProfile
 import pstats
 import sys
+from typing import Any, Callable
 
 from . import telemetry
 from .core.cls_prefetcher import CLSPrefetcher
@@ -56,6 +57,25 @@ from .patterns.generators import PATTERN_NAMES, PatternSpec, generate
 from .patterns.phases import pattern_pairs
 from .patterns.trace import Trace
 from .seeding import spawn_seeds
+
+
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
+             rule: str) -> Callable[[str], Any]:
+    """An argparse ``type``: ``convert`` the text, and reject a value
+    ``ok`` refuses with a usage error (exit 2) that names the flag."""
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {value}")
+        return value
+    # argparse names a failed conversion by the type's name.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_POSITIVE = _checked(int, lambda value: value > 0, "positive")
+_NON_NEGATIVE = _checked(int, lambda value: value >= 0, ">= 0")
+_FRACTION = _checked(float, lambda value: 0 < value <= 1, "in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,15 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet", help="run a multi-tenant fleet of simulation lanes in "
                       "one batched loop")
-    fleet.add_argument("--tenants", type=int, default=64,
+    fleet.add_argument("--tenants", type=_POSITIVE, default=64,
                        help="number of concurrent lanes")
     fleet.add_argument("--pattern", action="append", choices=PATTERN_NAMES,
                        default=None,
                        help="pattern(s) lanes cycle through (repeatable; "
                             "default: all Table 1 patterns)")
-    fleet.add_argument("--n", type=int, default=4000,
+    fleet.add_argument("--n", type=_POSITIVE, default=4000,
                        help="accesses per lane")
-    fleet.add_argument("--working-set", type=int, default=200)
+    fleet.add_argument("--working-set", type=_POSITIVE, default=200)
     fleet.add_argument("--model",
                        choices=["none", "nextline", "stride", "markov",
                                 "leap", "hebbian"],
@@ -179,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-lane prefetcher ('hebbian' clones one "
                             "CLS prototype per lane)")
     fleet.add_argument("--vocab", type=int, default=256)
-    fleet.add_argument("--memory-fraction", type=float, default=0.5)
-    fleet.add_argument("--delay", type=int, default=0,
+    fleet.add_argument("--memory-fraction", type=_FRACTION, default=0.5)
+    fleet.add_argument("--delay", type=_NON_NEGATIVE, default=0,
                        help="prefetch landing delay in accesses")
-    fleet.add_argument("--width", type=int, default=256,
+    fleet.add_argument("--width", type=_POSITIVE, default=256,
                        help="cohort slot count (lanes beyond it queue "
                             "and refill freed slots)")
     fleet.add_argument("--seed", type=int, default=0)

@@ -14,6 +14,12 @@ round keeps every within-lane ordering of the scalar composition
 lanes share no mutable state, and the prototype's memo caches are pure
 memoization over fixed structures).  That is the bit-identity contract.
 
+A group runs on the compiled kernels alone (backend ``"c"``): its
+fleet's step, rollout and replay are lane loops of ``c_backend``'s
+Hebbian kernels, and the cohort that schedules it needs the compiled
+simulator kernels anyway.  A lane whose model resolves to another
+backend keeps its own ``on_miss_fast`` in the cohort.
+
 A round has one form, at every width.  While a lane is a member, the
 group holds the state its stages touch (:class:`_LaneArrays`: accuracy
 EMA, previous class, the delta encoder's vocabulary as a table row, the
@@ -24,9 +30,9 @@ Python per lane is left only where the state is a per-lane object by
 nature: the phase hint, and a phase detector's clustering, which runs
 when a lane's window of features (a row of the arrays) fills.  Replay's
 draws come from per-lane blocks of each generator's raw stream
-(:class:`~repro.core.hippocampus.LaneDraws`); under backend ``"c"`` one
-kernel call draws, picks and trains the round's replay
-(``HebbianFleet.replay_rings``).  :meth:`CLSFleetGroup.adopt`
+(:class:`~repro.core.hippocampus.LaneDraws`), and one kernel call draws,
+picks and trains the round's replay (``HebbianFleet.replay_rings``).
+:meth:`CLSFleetGroup.adopt`
 moves a lane's state in, :meth:`CLSFleetGroup.release_many` hands it all
 back, so the prefetcher leaves the cohort exactly as ``simulate()`` would
 have left it.
@@ -42,7 +48,7 @@ Who may be a member, and of which group, is decided here alone, by
 :meth:`CLSFleetGroup.group_key`: ``None`` for a lane the model kernels
 or the lane-state arrays cannot step (it keeps the scalar per-miss path
 in the cohort), else every value a round reads as configuration — the
-model's config and backend, and each stage's setting.  A group holds
+model's config and each stage's setting.  A group holds
 one key, so a round reads its configuration as scalars, and the arrays
 hold only what differs between lanes: their per-miss state.
 """
@@ -80,8 +86,7 @@ _NO_PAGES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
 class _GroupKey(NamedTuple):
     """Everything a round reads as configuration: one value per group."""
 
-    config: HebbianConfig   # equal configs build equal fixed structures,
-    backend: str            # and the backend picks the kernel bundle
+    config: HebbianConfig   # equal configs build equal fixed structures
     alpha: float            # the accuracy EMA's rate
     min_accuracy: float
     min_confidence: float
@@ -384,12 +389,13 @@ class CLSFleetGroup:
         replay generator)."""
         if not isinstance(prefetcher, CLSPrefetcher):
             return None
-        # The kernels step a float-served Hebbian network; the stages
-        # have no availability manager, batch-accumulate training or
-        # per-access observer to mirror, and no recall memory.
+        # The compiled lane kernels step a Hebbian network served on
+        # backend "c"; the stages have no availability manager,
+        # batch-accumulate training or per-access observer to mirror,
+        # and no recall memory.
         model = prefetcher.model
         if (not isinstance(model, SparseHebbianNetwork)
-                or model._backend == "int8"
+                or model._backend != "c"
                 or prefetcher.manager is not None
                 or prefetcher._batch_policy is not None
                 or prefetcher.wants_accesses
@@ -422,7 +428,7 @@ class CLSFleetGroup:
             return None
         detector = prefetcher.phase_detector
         return _GroupKey(
-            model.config, model._backend, prefetcher._alpha,
+            model.config, prefetcher._alpha,
             prefetcher._min_accuracy, prefetcher._min_confidence,
             prefetcher._width, prefetcher._length, prefetcher._page_shift,
             type(prefetcher.training_policy) is TrainAlways,
@@ -681,54 +687,36 @@ class CLSFleetGroup:
     def _replay(self, lanes: np.ndarray, phase: np.ndarray) -> None:
         """*Replay* for ``lanes``, which trained this round in ``phase``
         (below 0: no phase to exclude): :meth:`EpisodicStore.sample`'s
-        draws and rejection per lane, then one ``train_pairs_columns`` —
-        or, on the compiled kernels, one ``replay_rings`` for all of it
-        and a second for the rows drawn value by value."""
+        draws and rejection per lane and the training on what they pick,
+        as one ``replay_rings`` call, and a second for the rows drawn
+        value by value."""
         s = self._state
         k = self._key
         s.invocations[lanes] += 1
-        count = s.ep_count[lanes]
-        size = np.minimum(count, k.ep_cap)
+        size = np.minimum(s.ep_count[lanes], k.ep_cap)
         stocked = size > 0
         if not stocked.all():
-            lanes, phase, count, size = (
-                a[stocked] for a in (lanes, phase, count, size))
+            lanes, phase, size = (a[stocked] for a in (lanes, phase, size))
             if not lanes.size:
                 return
         attempts = k.per_step * MAX_ATTEMPTS_PER_PICK
         fleet = self._fleet
-        if fleet.compiled:
-            episodes = (s.ep_count, k.ep_cap, s.ep_input, s.ep_target,
-                        s.ep_phase)
-            s.draws.ready(lanes, attempts)
-            values = np.empty((lanes.size, attempts), dtype=np.int64)
-            redo = fleet.replay_rings(lanes, phase, values, s.draws.blocks(),
-                                      episodes, k.per_step, k.lr_scale,
-                                      s.replayed)
-            if redo.size:
-                lanes, phase = lanes[redo], phase[redo]
-                values = np.array(
-                    [s.draws.draw_exact(lane, sized, attempts)
-                     for lane, sized in zip(lanes.tolist(),
-                                            size[redo].tolist())],
-                    dtype=np.int64)
-                fleet.replay_rings(lanes, phase, values, None, episodes,
-                                   k.per_step, k.lr_scale, s.replayed)
-            return
-        each = lanes[:, None]
-        draws = s.draws.draw(lanes, size, attempts)
-        at = ((count - size)[:, None] + draws) % k.ep_cap
-        exclude = phase[:, None]
-        wanted = (s.ep_phase[each, at] != exclude) | (exclude < 0)
-        nth = wanted.cumsum(axis=1)
-        picked = wanted & (nth <= k.per_step)
-        s.replayed[lanes] += picked.sum(axis=1)
-        lane_of = np.broadcast_to(each, picked.shape)[picked]
-        column = at[picked]
-        self._fleet.train_pairs_columns(
-            lane_of, s.ep_input[lane_of, column],
-            s.ep_target[lane_of, column], nth[picked] - 1,
-            np.full(lane_of.size, k.lr_scale))
+        episodes = (s.ep_count, k.ep_cap, s.ep_input, s.ep_target,
+                    s.ep_phase)
+        s.draws.ready(lanes, attempts)
+        values = np.empty((lanes.size, attempts), dtype=np.int64)
+        redo = fleet.replay_rings(lanes, phase, values, s.draws.blocks(),
+                                  episodes, k.per_step, k.lr_scale,
+                                  s.replayed)
+        if redo.size:
+            lanes, phase = lanes[redo], phase[redo]
+            values = np.array(
+                [s.draws.draw_exact(lane, sized, attempts)
+                 for lane, sized in zip(lanes.tolist(),
+                                        size[redo].tolist())],
+                dtype=np.int64)
+            fleet.replay_rings(lanes, phase, values, None, episodes,
+                               k.per_step, k.lr_scale, s.replayed)
 
     def _decode(self, lanes: np.ndarray, unit: np.ndarray,
                 miss_page: np.ndarray, classes: np.ndarray,

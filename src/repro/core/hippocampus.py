@@ -39,7 +39,7 @@ MAX_ATTEMPTS_PER_PICK = 8
 #: four).
 _RAW_BLOCK = 512
 
-#: The most draws one :meth:`LaneDraws.draw` may ask of a lane.
+#: The most draws one replay call on :class:`LaneDraws` may ask of a lane.
 _MAX_ATTEMPTS = 128
 
 _LOW32 = 0xFFFFFFFF
@@ -230,7 +230,8 @@ class RawDraws:
     that one ``integers(0, 2**32, size=512, dtype=uint32)`` call refills,
     instead of one ``Generator.integers`` call per draw: the scalar
     replay's draw (``ReplayScheduler`` hands one to
-    :meth:`EpisodicStore.sample`), with :class:`LaneDraws`' arithmetic.
+    :meth:`EpisodicStore.sample`), with the arithmetic the cohort's
+    replay kernel applies to :class:`LaneDraws`' blocks.
     The block is taken at the first draw, so a drawer that never draws
     holds none.  The generator runs ahead of the draws by the unread part
     of the block; :meth:`sync` (which pickling calls) puts it back where
@@ -283,27 +284,29 @@ class RawDraws:
 
 
 class LaneDraws:
-    """:meth:`EpisodicStore.sample`'s draw for many generators a call.
+    """The raw blocks :meth:`EpisodicStore.sample`'s draws come from,
+    for many generators.
 
-    ``draw`` returns, per lane, the values ``rng.integers(0, size,
+    A draw is, per lane, the values ``rng.integers(0, size,
     size=attempts)`` would return on that lane's generator, and
     :meth:`detach` leaves the generator where those calls would have.
     It rests on how numpy draws a bounded integer: for a bound below
     2**32 ``Generator.integers`` is Lemire's rejection method over the
     bit generator's 32-bit stream (:func:`bounded_draws`), and
     ``integers(0, 2**32, dtype=uint32)`` hands out that stream as it is.
-    So each lane keeps a block of raw draws and the arithmetic is done
-    here, a whole call at a time, as the scalar replay's
-    :class:`RawDraws` does it for one generator: a value is ``(raw *
-    size) >> 32`` unless the low half of that product is below ``size``.
+    So each lane keeps a block of raw draws (:meth:`blocks`, refilled by
+    :meth:`ready`) and the cohort's replay kernel (``rk_heb_replay``)
+    does the arithmetic over them, a whole round at a time, as the
+    scalar replay's :class:`RawDraws` does it for one generator: a value
+    is ``(raw * size) >> 32`` unless the low half of that product is
+    below ``size``.
 
     A row with a candidate for rejection (about ``attempts * size / 2**32``
-    of them) is drawn value by value by :func:`bounded_draws`, and only
-    then consumes more than ``attempts`` raws.  The cohort's replay
-    kernel (``rk_heb_replay``) makes the same draw over the blocks of
-    :meth:`blocks`, its arithmetic alone being ``rk_lane_draws``;
-    ``tests/core/test_hippocampus.py`` holds both forms against
-    ``Generator.integers`` on the supported numpy range.
+    of them) is handed back by the kernel and drawn value by value by
+    :meth:`draw_exact`, and only then consumes more than ``attempts``
+    raws.  The kernel's arithmetic alone is ``rk_lane_draws``;
+    ``tests/core/test_hippocampus.py`` holds it and :meth:`draw_exact`
+    against ``Generator.integers`` on the supported numpy range.
     """
 
     #: The most draws one call may ask of a lane.
@@ -397,35 +400,6 @@ class LaneDraws:
         """One lane's draw, value by value (numpy's own loop)."""
         return bounded_draws(iter(partial(self._next_raw, lane), None),
                              size, attempts)
-
-    def draw(self, lanes: np.ndarray, sizes: np.ndarray,
-             attempts: int) -> np.ndarray:
-        """``(len(lanes), attempts)`` values: row ``i`` is what lane
-        ``lanes[i]``'s generator would return for ``integers(0, sizes[i],
-        size=attempts)``.  Lanes are attached and named once; sizes lie
-        in ``[1, 2**32)``."""
-        if not 0 < attempts <= _MAX_ATTEMPTS:
-            raise ValueError(f"attempts must be in [1, {_MAX_ATTEMPTS}]")
-        if sizes.min() < 1 or sizes.max() > _LOW32:
-            raise ValueError("sizes must be in [1, 2**32)")
-        self.ready(lanes, attempts)
-        at = self._at[lanes]
-        raws = self._raws[lanes[:, None], at[:, None] + np.arange(attempts)]
-        bound = sizes.astype(np.uint64)[:, None]
-        m = raws * bound
-        values = (m >> np.uint64(32)).astype(np.int64)
-        drawn = sizes > 1
-        redo = (((m & np.uint64(_LOW32)) < bound).any(axis=1)
-                & drawn).nonzero()[0]
-        if redo.size:
-            drawn[redo] = False
-            for i in redo.tolist():
-                values[i] = self.draw_exact(int(lanes[i]), int(sizes[i]),
-                                            attempts)
-        took = lanes[drawn]
-        self._at[took] += attempts
-        self._used[took] += attempts
-        return values
 
 
 class SparseAssociativeMemory:

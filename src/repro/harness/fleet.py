@@ -14,7 +14,10 @@ process boundary cheaply and keys the result cache.  Every paper cell,
   :func:`run_fleet` — through ``run_grid``, concatenating the reports.
 
 :func:`run_fleet` packs live lanes into vectorized
-:class:`~repro.memsim.fleet.FleetCohort` shards: lanes are **grouped by
+:class:`~repro.memsim.fleet.FleetCohort` shards, which need the compiled
+simulator kernels (without them each lane runs through ``simulate()``
+instead, in spec order, and the report counts no cohort): lanes are
+**grouped by
 their (hashable) ``SimConfig``**, each group runs through a
 **fixed-width cohort** (``max_width`` slots) whose freed slots refill
 from the queue (:meth:`FleetCohort.drain`), so the batched loop stays
@@ -49,7 +52,7 @@ from ..core.metrics import PrefetchSummary
 from ..memsim.fleet import FleetCohort, FleetLaneSpec
 from ..memsim.prefetcher import Prefetcher
 from ..memsim.simulator import SimConfig, SimResult, simulate
-from ..nn.backends import resolve_backend
+from ..nn.backends import resolve_backend, sim_kernels
 from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.lstm import LSTMConfig
 from ..telemetry import Telemetry, configured_dir, maybe_sink
@@ -138,7 +141,10 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
 
     Results come back in spec order and are bit-identical to running
     each spec through ``simulate()`` on its own (the fleet engine's
-    contract; see ``tests/memsim/test_fleet_engine.py``).
+    contract; see ``tests/memsim/test_fleet_engine.py``).  A backend
+    without simulator kernels (``numpy``) has no cohort to batch into:
+    each spec runs through ``simulate()``, in spec order, and the report
+    counts no cohort.
 
     Args:
         specs: One entry per tenant lane.  Prefetcher instances must not
@@ -159,6 +165,55 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
         raise ValueError("max_width must be positive")
     backend_used = resolve_backend(backend, domain="sim")
     outcomes: list[LaneOutcome | None] = [None] * len(specs)
+
+    def finish(index: int, result: SimResult, wall_time_s: float) -> None:
+        accesses = len(specs[index].trace)
+        outcomes[index] = LaneOutcome(result=result, accesses=accesses,
+                                      wall_time_s=wall_time_s)
+        if telemetry is not None:
+            telemetry.counter("fleet_lanes_completed")
+            telemetry.counter("fleet_accesses", accesses)
+
+    started = time.perf_counter()
+    groups: list[list[int]] = []
+    if sim_kernels(backend_used) is None:
+        # No kernels, no cohort: each lane is its own simulate() call.
+        for index, spec in enumerate(specs):
+            admitted = time.perf_counter()
+            result = simulate(spec.trace, spec.prefetcher, spec.config,
+                              backend=backend_used,
+                              record_miss_indices=record_miss_indices)
+            finish(index, result, time.perf_counter() - admitted)
+    else:
+        groups = _config_groups(specs)
+    for indices in groups:
+        group = [specs[i] for i in indices]
+        cohort = FleetCohort.for_specs(
+            group, width=min(len(group), max_width), backend=backend_used,
+            record_miss_indices=record_miss_indices,
+            stacked_cls=stacked_cls)
+        # drain() admits lanes in group order: a cohort's width now, then
+        # one per freed slot right after the step that freed it — so
+        # admission stamps queue up in group order too.
+        admitted_at = [time.perf_counter()] * cohort.width
+        for done in cohort.drain(group):
+            now = time.perf_counter()
+            for position, result in done:
+                finish(indices[position], result,
+                       now - admitted_at[position])
+            admitted_at.extend([now] * len(done))
+    wall = time.perf_counter() - started
+    if telemetry is not None:
+        telemetry.timers["fleet_wall"] = (
+            telemetry.timers.get("fleet_wall", 0.0) + wall)
+    final = [o for o in outcomes if o is not None]
+    assert len(final) == len(specs)
+    return FleetReport(outcomes=final, backend=backend_used,
+                       n_cohorts=len(groups), wall_time_s=wall)
+
+
+def _config_groups(specs: Sequence[FleetLaneSpec]) -> list[list[int]]:
+    """Spec indices by equal ``SimConfig``, one list per cohort."""
     # Bucket by config identity first (no dataclass hash per lane — specs
     # overwhelmingly share config instances), then merge equal-but-
     # distinct configs so cohort grouping stays semantic.
@@ -172,37 +227,7 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
     groups: dict[SimConfig, list[int]] = {}
     for config, bucket in by_id.values():
         groups.setdefault(config, []).extend(bucket)
-
-    started = time.perf_counter()
-    for indices in groups.values():
-        group = [specs[i] for i in indices]
-        cohort = FleetCohort.for_specs(
-            group, width=min(len(group), max_width), backend=backend_used,
-            record_miss_indices=record_miss_indices,
-            stacked_cls=stacked_cls)
-        # drain() admits lanes in group order: a cohort's width now, then
-        # one per freed slot right after the step that freed it — so
-        # admission stamps queue up in group order too.
-        admitted_at = [time.perf_counter()] * cohort.width
-        for done in cohort.drain(group):
-            now = time.perf_counter()
-            for position, result in done:
-                accesses = len(group[position].trace)
-                outcomes[indices[position]] = LaneOutcome(
-                    result=result, accesses=accesses,
-                    wall_time_s=now - admitted_at[position])
-                if telemetry is not None:
-                    telemetry.counter("fleet_lanes_completed")
-                    telemetry.counter("fleet_accesses", accesses)
-            admitted_at.extend([now] * len(done))
-    wall = time.perf_counter() - started
-    if telemetry is not None:
-        telemetry.timers["fleet_wall"] = (
-            telemetry.timers.get("fleet_wall", 0.0) + wall)
-    final = [o for o in outcomes if o is not None]
-    assert len(final) == len(specs)
-    return FleetReport(outcomes=final, backend=backend_used,
-                       n_cohorts=len(groups), wall_time_s=wall)
+    return list(groups.values())
 
 
 def write_fleet_manifest(report: FleetReport,

@@ -9,8 +9,7 @@ calls — the prefetchers' turns:
 * **One engine per lane.**  A round is one ``rk_sim_lanes`` call over
   the store's active slots: every lane issues its pending predictions,
   lands what is due, walks its hits and fills its next demand miss — or,
-  with the null prefetcher, runs to its end (without a compiler,
-  ``rk_sim_run``'s Python twin over the same rows).
+  with the null prefetcher, runs to its end.
 * **Batched misses.**  The round's misses keep every prefetcher's
   callback sequence that of the single-tenant engines: a lane with a
   prefetcher of its own gets its callback, scalar; the lanes of a
@@ -30,6 +29,11 @@ Bit-identity per lane: a lane runs ``simulate()``'s kernel under
 N-lane cohort reproduces the stats, miss indices, and learned prefetcher
 state of N independent ``simulate()`` calls
 (``tests/memsim/test_fleet_engine.py``, ``tests/memsim/test_lane_step.py``).
+
+A cohort needs the compiled simulator kernels (backend ``"c"``), as
+``simulate(engine="batched")`` does: without them there is no round to
+batch, and ``repro.harness.fleet.run_fleet`` runs each lane through
+``simulate()`` instead.
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ class FleetCohort:
         universe_capacity: Maximum per-lane page-universe size.
         trace_capacity: Maximum per-lane trace length.
         backend: Kernel backend name for the lanes' engine (``"auto"`` /
-            ``"numpy"`` / ``"c"``, as in ``simulate``).
+            ``"c"``, as in ``simulate``); ``ValueError`` for one that
+            resolves to no simulator kernels (``"numpy"``).
         record_miss_indices: Collect per-lane miss indices in results.
         stacked_cls: Batch same-config learned (CLS/Hebbian) lanes
             through one stacked model call per round
@@ -129,10 +134,15 @@ class FleetCohort:
         if (width <= 0 or trace_capacity <= 0 or slot_capacity <= 0
                 or universe_capacity <= 0):
             raise ValueError("fleet cohort dimensions must be positive")
-        self.width = width
-        self.trace_capacity = trace_capacity
         self.backend_used = resolve_backend(backend, domain="sim")
         kern = sim_kernels(self.backend_used)
+        if kern is None:
+            raise ValueError(
+                f"a fleet cohort needs the compiled simulator kernels, and "
+                f"backend {self.backend_used!r} has none; run_fleet runs "
+                f"such lanes through simulate()")
+        self.width = width
+        self.trace_capacity = trace_capacity
         shape = (width, trace_capacity)
         self._cids2d = np.zeros(shape, dtype=np.int64)
         self._pages2d = np.zeros(shape, dtype=np.int64)

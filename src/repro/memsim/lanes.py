@@ -10,21 +10,18 @@ and the harvest of a slot's ``CacheStats`` and miss indices.  A
 context's address never changes and a reallocated row is pointed at
 again, so a caller binds a slot once.  ``simulate()``'s compiled engine
 is a one-slot store asked once per miss; ``FleetCohort`` runs a round
-of slots per call.  Without a compiler the contexts are namespaces of
-the same rows and :func:`_sim_run`, ``rk_sim_run``'s Python twin, runs
-them.
+of slots per call.  The store needs the compiled kernels: without them
+``simulate()`` is the scalar engine and a fleet is ``simulate()`` per
+lane (``repro.harness.fleet.run_fleet``).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .pagecache import _FREE, _STAT_FIELDS, _VICTIM_BATCH, CacheStats
-from .prefetch_queue import NO_PENDING
+from .pagecache import _STAT_FIELDS, _VICTIM_BATCH, CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - simulator imports this module
     from .simulator import SimConfig
@@ -33,12 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - simulator imports this module
 #: power of two, so a count maps to its column with a mask).
 _RING_COLUMNS = 8
 
-#: ``rk_sim``'s state row (``SIM_*`` in the C source) and its stats row
-#: (``CacheStats``' fields in order).
+#: ``rk_sim``'s state row (``SIM_*`` in the C source).
 (_CLOCK, _RESIDENT, _UNDEMANDED, _HEAD, _TAIL, _MISSES, _VN,
  _VI) = range(8)
-(_ACCESSES, _HITS, _DEMAND_MISSES, _PREFETCH_HITS, _ISSUED, _REDUNDANT,
- _EVICTED_UNUSED, _DISPLACED, _WRITEBACKS) = range(len(_STAT_FIELDS))
 
 #: The ``rk_sim`` fields that are rows of the store's per-slot arrays
 #: (``SimLanes.<name>``), slot ``t``'s context on row ``t``.
@@ -47,161 +41,13 @@ _SLOT_ROWS = ("soc", "page_of_cid", "page_of_slot", "last_use",
               "issue", "miss_idx", "vstamp", "vslot", "stats", "state")
 
 
-# ----------------------------------------------------------------------
-# rk_sim_run without a compiler
-# ----------------------------------------------------------------------
-def _sim_run(s: Any, start: int, stop: int, n_issue: int) -> int:
-    """``rk_sim_run``'s Python twin, statement for statement: ``s`` holds
-    the fields of ``rk_sim`` (numpy rows and ints).  Issues ``s.issue``'s
-    first ``n_issue`` cids at access ``start - 1``, runs accesses
-    ``[start, stop)`` and returns the first demand miss's index (already
-    filled), or ``stop``; in null mode it never returns early."""
-    cids, stores, soc, last_use = s.cids, s.stores, s.soc, s.last_use
-    ring_at, ring_cid, undemanded = s.ring_at, s.ring_cid, s.undemanded
-    mask = s.ring_mask
-    st = s.state[:_VN].tolist()
-    c = [0] * len(_STAT_FIELDS)
-    clock = st[_CLOCK]
-    for k in range(n_issue):
-        ring_at[st[_TAIL] & mask] = start - 1 + s.delay
-        ring_cid[st[_TAIL] & mask] = s.issue[k]
-        st[_TAIL] += 1
-    next_landing = (int(ring_at[st[_HEAD] & mask]) if st[_HEAD] < st[_TAIL]
-                    else NO_PENDING)
-    i = start
-    while i < stop:
-        while next_landing <= i:
-            cid = int(ring_cid[st[_HEAD] & mask])
-            st[_HEAD] += 1
-            next_landing = (int(ring_at[st[_HEAD] & mask])
-                            if st[_HEAD] < st[_TAIL] else NO_PENDING)
-            c[_ISSUED] += 1
-            slot = int(soc[cid])
-            if slot >= 0:
-                c[_REDUNDANT] += 1
-                last_use[slot] = clock
-                clock += 1
-                continue
-            slot = _take_slot(s, st, c, True)
-            _install(s, slot, cid, clock)
-            clock += 1
-            undemanded[slot] = True
-            st[_UNDEMANDED] += 1
-        cid = int(cids[i])
-        slot = int(soc[cid])
-        if slot >= 0:
-            last_use[slot] = clock
-            clock += 1
-            if stores[i]:
-                s.dirty[slot] = True
-            if st[_UNDEMANDED] and undemanded[slot]:
-                undemanded[slot] = False
-                st[_UNDEMANDED] -= 1
-                c[_PREFETCH_HITS] += 1
-            c[_HITS] += 1
-            i += 1
-            continue
-        c[_DEMAND_MISSES] += 1
-        if s.record:
-            s.miss_idx[st[_MISSES]] = i
-        st[_MISSES] += 1
-        slot = _take_slot(s, st, c, False)
-        _install(s, slot, cid, clock)
-        clock += 1
-        s.dirty[slot] = stores[i]
-        if not s.is_null:
-            break
-        i += 1
-    st[_CLOCK] = clock
-    s.state[:_VN] = st
-    c[_ACCESSES] = c[_HITS] + c[_DEMAND_MISSES]
-    s.stats += c
-    return i
-
-
-def _take_slot(s: Any, st: list[int], c: list[int],
-               by_prefetch: bool) -> int:
-    """``rk_take_slot``: a virgin slot below capacity, else the LRU
-    page's, evicted."""
-    if st[_RESIDENT] < s.capacity:
-        st[_RESIDENT] += 1
-        return st[_RESIDENT] - 1
-    slot = _pop_victim(s)
-    if s.dirty[slot]:
-        c[_WRITEBACKS] += 1
-        s.dirty[slot] = False
-    if s.undemanded[slot]:
-        c[_EVICTED_UNUSED] += 1
-        st[_UNDEMANDED] -= 1
-        s.undemanded[slot] = False
-    elif by_prefetch:
-        c[_DISPLACED] += 1
-    s.soc[s.cid_of_slot[slot]] = -1
-    return slot
-
-
-def _pop_victim(s: Any) -> int:
-    """``rk_pop_victim``: the snapshot's next live entry, refilled with
-    the oldest ``_VICTIM_BATCH`` slots when it runs dry (the cache is
-    full then, so every stamp is distinct and the order is unique)."""
-    state = s.state
-    while True:
-        if state[_VI] >= state[_VN]:
-            oldest = np.argsort(s.last_use[:s.capacity])[:_VICTIM_BATCH]
-            s.vstamp[:oldest.size] = s.last_use[oldest]
-            s.vslot[:oldest.size] = oldest
-            state[_VN] = oldest.size
-            state[_VI] = 0
-        stamp = int(s.vstamp[state[_VI]])
-        slot = int(s.vslot[state[_VI]])
-        state[_VI] += 1
-        if stamp != _FREE and s.last_use[slot] == stamp:
-            return slot
-
-
-def _install(s: Any, slot: int, cid: int, stamp: int) -> None:
-    s.page_of_slot[slot] = s.page_of_cid[cid]
-    s.last_use[slot] = stamp
-    s.soc[cid] = slot
-    s.cid_of_slot[slot] = cid
-
-
-class _SimContexts:
-    """``c_backend.CSimLanes`` without a compiler: each slot's context is
-    a namespace of the same rows the compiled contexts point at, and a
-    round runs :func:`_sim_run` lane by lane."""
-
-    def __init__(self, width: int) -> None:
-        self._sims = [SimpleNamespace() for _ in range(width)]
-
-    def point(self, arrays: dict[str, np.ndarray], lanes: np.ndarray,
-              rows: np.ndarray) -> None:
-        for lane, row in zip(lanes.tolist(), rows.tolist()):
-            for name, array in arrays.items():
-                setattr(self._sims[lane], name, array[row])
-
-    def set(self, name: str, lanes: np.ndarray, values: Any) -> None:
-        for lane, value in zip(lanes.tolist(),
-                               np.broadcast_to(values, lanes.shape).tolist()):
-            setattr(self._sims[lane], name, value)
-
-    def run(self, lanes: np.ndarray, pos: np.ndarray, stop: np.ndarray,
-            n_issue: np.ndarray) -> None:
-        for lane in lanes.tolist():
-            pos[lane] = _sim_run(self._sims[lane], int(pos[lane]),
-                                 int(stop[lane]), int(n_issue[lane]))
-
-    def runner(self, lane: int) -> Callable[[int, int, int], int]:
-        return partial(_sim_run, self._sims[lane])
-
-
 class SimLanes:
     """``width`` ``rk_sim`` contexts over rows of per-slot arrays, named
     as the ``rk_sim`` fields (``soc``, ``state``, ...): callers read the
     rows and write them only through the methods below.  A lane's
     universe must fit ``universe_capacity`` (extension cids widen the
-    rows); ``kern`` is the compiled simulator kernels, or ``None`` for
-    the Python twin."""
+    rows); ``kern`` is the compiled simulator kernels
+    (``sim_kernels("c")``)."""
 
     def __init__(self, width: int, *, slot_capacity: int,
                  universe_capacity: int, trace_capacity: int, kern: Any,
@@ -232,8 +78,7 @@ class SimLanes:
         self.stats = np.zeros((width, len(_STAT_FIELDS)), dtype=np.int64)
         self.state = np.zeros((width, 8), dtype=np.int64)
         self._slots = np.arange(width, dtype=np.int64)
-        self._sims = (kern.sim_lanes(width) if kern is not None
-                      else _SimContexts(width))
+        self._sims = kern.sim_lanes(width)
         self._point(*_SLOT_ROWS)
         self._sims.set("ring_mask", self._slots, _RING_COLUMNS - 1)
         self._sims.set("record", self._slots, int(record))

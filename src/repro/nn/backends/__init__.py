@@ -5,9 +5,10 @@ winning.  That leaves:
 
 ``numpy``
     The always-available reference: ``simulate()`` runs the scalar
-    reference engine, a lane of the lane store (every fleet lane) the
-    Python twin of ``rk_sim_run``, and the Hebbian network its numpy
-    arithmetic.  The correctness
+    reference engine, a fleet (``run_fleet``) is ``simulate()`` per
+    lane, and the Hebbian network runs its numpy arithmetic.  No
+    batching structure of the offline fleet runs on it — the lane store,
+    ``FleetCohort`` and ``CLSFleetGroup`` need ``c``.  The correctness
     fallback when no compiler is present (one-time ``RuntimeWarning``),
     not a tuned platform.
 ``c``

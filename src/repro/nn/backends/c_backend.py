@@ -707,12 +707,12 @@ static int draw_row(const uint32_t *raws, i64 size, i64 attempts,
     return 1;
 }
 
-/* LaneDraws.draw: row i of values (n, attempts) is lane lanes[i]'s draw
- * of integers(0, sizes[i]) from its raw block (raws + lane * raw_block,
- * unread from at[lane], which the caller has left at least attempts
- * long); at and used advance by the raws it read.  A row that needs
- * numpy's rejection loop reads nothing and is listed in redo.  Returns
- * how many rows it listed. */
+/* rk_heb_replay's draw alone: row i of values (n, attempts) is lane
+ * lanes[i]'s draw of integers(0, sizes[i]) from its raw block (raws +
+ * lane * raw_block, unread from at[lane], which the caller has left at
+ * least attempts long); at and used advance by the raws it read.  A row
+ * that needs numpy's rejection loop reads nothing and is listed in
+ * redo.  Returns how many rows it listed. */
 i64 rk_lane_draws(const uint32_t *raws, i64 raw_block, i64 *at, i64 *used,
                   const i64 *lanes, const i64 *sizes, i64 n, i64 attempts,
                   i64 *values, i64 *redo)

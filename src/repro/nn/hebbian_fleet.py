@@ -769,12 +769,6 @@ class HebbianFleet:
             self._apply_learn(*self._learn_arrays(
                 subset, targets[pick], codes, preds, lrs[pick]))
 
-    @property
-    def compiled(self) -> bool:
-        """Whether the lanes step on the compiled kernels (backend
-        ``"c"``), so :meth:`replay_rings` may be called."""
-        return self._kern is not None
-
     def replay_rings(self, lanes: np.ndarray, phase: np.ndarray,
                      values: np.ndarray,
                      draws: tuple[np.ndarray, np.ndarray, np.ndarray] | None,

@@ -7,10 +7,13 @@ import pytest
 from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.nn import hebbian_fleet
+from repro.nn.backends import backend_available
 from tests.arrays_every_width.conftest import SQUEEZED_BOOK
 from tests.core.test_miss_stages import assert_released_like
 
 
+@pytest.mark.skipif(not backend_available("c"),
+                    reason="a fleet group needs the C backend")
 def test_a_round_of_one_lane_runs_on_the_arrays(
         monkeypatch: pytest.MonkeyPatch) -> None:
     assert hebbian_fleet._BOOK_CAP == SQUEEZED_BOOK

@@ -7,7 +7,8 @@ and the moments lanes
 join and leave.  The oracle is always a twin prefetcher fed the same
 misses through ``on_miss_fast``.  A group holds one configuration
 (``CLSFleetGroup.group_key``), so lanes of different configurations are
-different groups here too.
+different groups here too.  A group runs on the C backend alone, so the
+suite skips without it.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ from repro.core.encoding import DeltaVocabEncoder
 from repro.core.phase_detect import OnlinePhaseDetector
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
-from repro.nn.backends import available_backends
+from repro.nn.backends import available_backends, backend_available
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, Trace, generate
 from repro.patterns.phases import Phase, build_phased_trace
 from tests.core.test_miss_stages import assert_released_like
+
+pytestmark = pytest.mark.skipif(not backend_available("c"),
+                                reason="a fleet group needs the C backend")
 
 VOCAB = 48
 
@@ -220,7 +224,7 @@ def test_width_one_and_three_lanes_run_as_two_groups() -> None:
 
     specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=lane(i),
                            config=config) for i in range(LANES)]
-    cohort = FleetCohort.for_specs(specs, backend="numpy",
+    cohort = FleetCohort.for_specs(specs, backend="c",
                                    record_miss_indices=True)
     cohort.load_many(list(range(LANES)), specs)
     assert sorted(group._state.memo.shape[1]
@@ -258,7 +262,7 @@ def test_lanes_the_arrays_do_not_model_keep_their_own_callback() -> None:
                            config=config) for i in range(10)]
     assert [i for i, spec in enumerate(specs)
             if not CLSFleetGroup.admits(spec.prefetcher)] == sorted(odd)
-    cohort = FleetCohort.for_specs(specs, backend="numpy",
+    cohort = FleetCohort.for_specs(specs, backend="c",
                                    record_miss_indices=True)
     cohort.load_many(list(range(len(specs))), specs)
     members = {id(p) for group in cohort._groups
@@ -367,11 +371,6 @@ def _short_window(p: CLSPrefetcher) -> None:  # repro-lint: zone=key-cases
         vocab_size=CLSPrefetcher._PHASE_FEATURE_BINS, window=32)
 
 
-def _other_backend(p: CLSPrefetcher) -> None:
-    # Otherwise a function of the config within one process.
-    p.model._backend = "numpy" if p.model._backend != "numpy" else "c"
-
-
 #: name -> (both lanes' overrides, the second lane's overrides, a change
 #: made to the second lane after construction).
 KEY_CASES: dict[str, tuple[dict, dict,
@@ -400,7 +399,6 @@ KEY_CASES: dict[str, tuple[dict, dict,
     "vocabulary": ({}, {}, _narrow_vocabulary),
     "model-config": ({}, dict(hebbian=HebbianConfig(vocab_size=VOCAB,
                                                     seed=4)), None),
-    "kernel-backend": ({}, {}, _other_backend),
 }
 
 
@@ -439,7 +437,7 @@ def test_a_cohort_of_mixed_configurations_is_a_group_per_configuration(
         backend: str, monkeypatch: pytest.MonkeyPatch) -> None:
     """Every variant, two seeds each, interleaved in one ``run_cohort``:
     one group per configuration, the two seeds of a variant in the same
-    one, and every lane as ``simulate()`` leaves it."""
+    one, and every lane as ``simulate()`` on ``backend`` leaves it."""
     config = SimConfig(memory_fraction=0.4)
     traces = [generate("pointer_chase", PatternSpec(
         n=400, working_set=40, element_size=4096, seed=seed))
@@ -461,7 +459,7 @@ def test_a_cohort_of_mixed_configurations_is_a_group_per_configuration(
 
     monkeypatch.setattr(FleetCohort, "for_specs", classmethod(spied_for_specs))
     monkeypatch.setattr(CLSFleetGroup, "adopt", spied_adopt)
-    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     monkeypatch.undo()
 
     (cohort,) = cohorts
@@ -473,11 +471,52 @@ def test_a_cohort_of_mixed_configurations_is_a_group_per_configuration(
                 is joined[id(specs[v + len(VARIANTS)].prefetcher)])
     for i, (spec, got) in enumerate(zip(specs, results)):
         twin = _prefetcher(i)
-        want = simulate(spec.trace, twin, config=config, backend="numpy",
+        want = simulate(spec.trace, twin, config=config, backend=backend,
                         record_miss_indices=True)
         assert got.stats.as_dict() == want.stats.as_dict(), i
         assert got.miss_indices == want.miss_indices, i
         assert_released_like(spec.prefetcher, twin)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "int8"])
+def test_a_model_off_the_compiled_backend_has_no_group(backend: str) -> None:
+    """A lane whose network is served on numpy or int8 has no group key
+    (the lane kernels step backend ``c`` alone), so a group refuses it
+    before anything moves; in a cohort it keeps its own ``on_miss_fast``
+    next to stacked lanes of the same recipe, and every lane ends as
+    ``simulate()`` leaves it."""
+    config = SimConfig(memory_fraction=0.4)
+    traces = [generate("pointer_chase", PatternSpec(
+        n=400, working_set=40, element_size=4096, seed=seed))
+        for seed in range(4)]
+
+    def lane(i: int) -> CLSPrefetcher:
+        served = backend if i % 2 else "c"
+        return _prefetcher(i, hebbian=HebbianConfig(
+            vocab_size=VOCAB, seed=3, backend=served))
+
+    specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=lane(i),
+                           config=config) for i in range(8)]
+    off = [spec.prefetcher for spec in specs[1::2]]
+    assert all(CLSFleetGroup.group_key(p) is None for p in off)
+    with pytest.raises(ValueError, match="do not model"):
+        CLSFleetGroup(specs[0].prefetcher).adopt(off[0])
+    cohort = FleetCohort.for_specs(specs, backend="c",
+                                   record_miss_indices=True)
+    cohort.load_many(list(range(len(specs))), specs)
+    members = {id(p) for group in cohort._groups
+               for p in group._members.values()}
+    assert members == {id(spec.prefetcher) for spec in specs[::2]}
+    results = cohort.run_to_completion()
+    for i, spec in enumerate(specs):
+        twin = lane(i)
+        want = simulate(spec.trace, twin, config=config, backend="numpy",
+                        record_miss_indices=True)
+        assert results[i].stats.as_dict() == want.stats.as_dict(), i
+        assert results[i].miss_indices == want.miss_indices, i
+        assert_released_like(spec.prefetcher, twin)
+        np.testing.assert_array_equal(spec.prefetcher.model.w_out,
+                                      twin.model.w_out)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +624,7 @@ def test_the_cohort_caps_a_ragged_round_per_miss() -> None:
 
     specs = [FleetLaneSpec(trace=traces[i % 4], prefetcher=lane(i),
                            config=config) for i in range(LANES + 2)]
-    results = run_cohort(specs, backend="numpy", record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     capped = 0
     for i, (spec, got) in enumerate(zip(specs, results)):
         twin = lane(i)
@@ -710,11 +749,12 @@ def test_a_round_is_checked_before_it_moves_anything() -> None:
 
 @pytest.mark.parametrize("overrides", [
     dict(backend="int8"),
+    dict(backend="numpy"),
     dict(availability=True),
     dict(training="batch"),
     dict(observe_hits=True),
     dict(model="lstm"),
-], ids=["int8", "manager", "batch-policy", "per-access", "lstm"])
+], ids=["int8", "numpy", "manager", "batch-policy", "per-access", "lstm"])
 def test_admits_is_the_one_membership_predicate(overrides: dict) -> None:
     """The lanes the model kernels cannot step are refused by the same
     predicate as the lanes the arrays do not model, and so is a
@@ -827,7 +867,7 @@ def test_the_phase_window_is_a_row_of_the_arrays(
 
     monkeypatch.setattr(OnlinePhaseDetector, "close_window", counted)
     monkeypatch.setattr(OnlinePhaseDetector, "observe", no_observe)
-    results = run_cohort(specs, backend="numpy", record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     monkeypatch.undo()
 
     mid_window = 0

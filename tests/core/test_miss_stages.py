@@ -21,7 +21,7 @@ from repro.core.cls_fleet import CLSFleetGroup
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.fleet import FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
-from repro.nn.backends import available_backends
+from repro.nn.backends import available_backends, backend_available
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, generate
 from repro.patterns.phases import Phase, build_phased_trace
@@ -31,6 +31,10 @@ from repro.serve.clock import VirtualClock
 
 VOCAB = 64
 HINT = 5
+
+#: A case that builds a cohort.
+needs_c = pytest.mark.skipif(not backend_available("c"),
+                             reason="a fleet cohort needs the C backend")
 
 #: family -> config overrides ("hinted-phase" also calls ``hint_phase``).
 FAMILIES: dict[str, dict] = {
@@ -159,6 +163,7 @@ def _replaying_prefetcher(lane: int) -> CLSPrefetcher:
         min_accuracy=0.05 if lane % 2 else 0.3))
 
 
+@needs_c
 def test_release_hands_back_what_simulate_leaves() -> None:
     """A cohort of lanes on the lane-state arrays, with every
     array-side stage in play: two replayed pairs a step, phases from the
@@ -174,7 +179,7 @@ def test_release_hands_back_what_simulate_leaves() -> None:
     specs = [FleetLaneSpec(trace=trace, prefetcher=_replaying_prefetcher(lane),
                            config=config)
              for lane, trace in enumerate(traces)]
-    results = run_cohort(specs, backend="numpy", record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     phases: set[int] = set()
     evicted = gated = partial = 0
     for lane, (spec, got) in enumerate(zip(specs, results)):
@@ -230,13 +235,14 @@ def test_stages_by_hand_equal_on_miss_fast(family: str,
         assert stats.redeploys > 0
 
 
+@needs_c
 @pytest.mark.parametrize("backend", list(available_backends("sim")))
 def test_cohort_round_schedules_the_same_stages(backend: str) -> None:
-    """Every family as one lane of a single cohort.  The three the
+    """Every family as one lane of a single cohort on c.  The three the
     lane-state arrays model share a model config but differ in stage
     settings, so each is a fleet group of one lane (a group holds one
     configuration; the recall lane keeps its own callback) — and each
-    equals its own ``simulate()``."""
+    equals its own ``simulate()`` on ``backend``."""
     config = SimConfig(memory_fraction=0.5)
     traces = [generate(pattern, PatternSpec(n=900, working_set=60,
                                             element_size=4096, seed=seed))
@@ -248,11 +254,11 @@ def test_cohort_round_schedules_the_same_stages(backend: str) -> None:
              for trace, family in zip(traces, FAMILIES)]
     assert [CLSFleetGroup.admits(spec.prefetcher) for spec in specs] \
         == [family != "recall" for family in FAMILIES]
-    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     for spec, family, got in zip(specs, FAMILIES, results):
         reference = _prefetcher(family)
         want = simulate(spec.trace, reference, config=config,
-                        backend="numpy", record_miss_indices=True)
+                        backend=backend, record_miss_indices=True)
         assert got.stats.as_dict() == want.stats.as_dict(), family
         assert got.miss_indices == want.miss_indices, family
         _assert_same_lane(spec.prefetcher, reference)

@@ -32,6 +32,7 @@ from repro.core.hippocampus import (
 )
 from repro.memsim.fleet import FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
+from repro.nn.backends import backend_available
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, generate
 from repro.patterns.phases import Phase, build_phased_trace
@@ -117,13 +118,14 @@ def test_sample_draws_what_a_generator_draws(seed, ops):
             mine = pickle.loads(pickle.dumps(mine))
         else:
             # The cohort's admit, rounds and release (CLSFleetGroup's
-            # attach / draw / detach) on the synced generator.
+            # attach, draws from the lane's block, detach) on the synced
+            # generator.
             lanes = LaneDraws(1)
             lanes.attach(0, mine.sync())
             for size, attempts in args[0]:
-                got = lanes.draw(np.array([0]), np.array([size]), attempts)
+                got = lanes.draw_exact(0, size, attempts)
                 want = twin.integers(0, size, size=attempts)
-                assert got[0].tolist() == want.tolist()
+                assert got == want.tolist()
             lanes.detach(0)
     assert mine.sync().bit_generator.state == twin.bit_generator.state
     assert mine.integers(1000, 8) == twin.integers(0, 1000, size=8).tolist()
@@ -181,6 +183,8 @@ def _replaying(per_step: int = 2) -> CLSPrefetcher:
         replay_per_step=per_step, prefetch_width=2, prefetch_length=2))
 
 
+@pytest.mark.skipif(not backend_available("c"),
+                    reason="a fleet cohort needs the C backend")
 def test_a_cohort_residency_mid_block():
     """A prefetcher admitted to a cohort with its block half read leaves
     it where three ``simulate()`` runs leave its twin: the cohort drew on
@@ -194,7 +198,7 @@ def test_a_cohort_residency_mid_block():
     assert taken is not None and 0 < length_hint(taken[0]) < BLOCK
     assert CLSFleetGroup.admits(got)
     run_cohort([FleetLaneSpec(trace=traces[1], prefetcher=got,
-                              config=config)], backend="numpy")
+                              config=config)], backend="c")
     simulate(traces[2], got, config=config, backend="numpy")
     for trace in traces:
         simulate(trace, want, config=config, backend="numpy")

@@ -1,4 +1,8 @@
-"""The fleet shard scheduler: grouping, refill, rollups, manifests."""
+"""The fleet shard scheduler: grouping, refill, rollups, manifests.
+
+Cohorts run on the C backend alone, so the cases that build one skip
+without it; on ``numpy`` a fleet is ``simulate()`` per lane.
+"""
 
 from __future__ import annotations
 
@@ -23,12 +27,17 @@ from repro.harness.runner import run_grid
 from repro.memsim.fleet import FleetLaneSpec
 from repro.memsim.pagecache import CacheStats
 from repro.memsim.simulator import SimConfig, simulate
-from repro.nn.backends import available_backends
+from repro.memsim.prefetcher import NullPrefetcher
+from repro.nn.backends import available_backends, backend_available
 from repro.nn.hebbian import SparseHebbianNetwork
 from repro.patterns import PatternSpec, generate
 from repro.telemetry import Telemetry
 
 PATTERNS = ("stride", "indirect_stride", "pointer_offset")
+
+#: A case that builds a cohort.
+needs_c = pytest.mark.skipif(not backend_available("c"),
+                             reason="a fleet cohort needs the C backend")
 
 
 def _specs(n_lanes: int, config: SimConfig, n: int = 1200) -> list:
@@ -39,13 +48,15 @@ def _specs(n_lanes: int, config: SimConfig, n: int = 1200) -> list:
         for i in range(n_lanes)]
 
 
+@needs_c
 def test_mixed_configs_group_into_separate_cohorts() -> None:
     """Lanes with different SimConfigs run in different cohorts, and
     every lane still matches its sequential reference."""
     fast = SimConfig()
     delayed = SimConfig(prefetch_delay_accesses=4)
     specs = _specs(3, fast) + _specs(3, delayed)
-    report = run_fleet(specs, max_width=2, record_miss_indices=True)
+    report = run_fleet(specs, backend="c", max_width=2,
+                       record_miss_indices=True)
     assert report.n_cohorts == 2
     assert report.n_lanes == 6
     for spec, outcome in zip(specs, report.outcomes):
@@ -174,13 +185,14 @@ def test_materialize_lane_spec_matches_inline_recipe() -> None:
                                "prefetcher": "bogus"}, {})
 
 
+@needs_c
 def test_fleet_jobs_sharded_matches_serial() -> None:
     """jobs=2 pooled outcomes are bit-identical to the serial run, in
     job order, for mixed stride + learned lanes."""
     lane_jobs = _lane_jobs(6)
-    serial = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
+    serial = run_fleet_jobs(lane_jobs, jobs=1, backend="c",
                             record_miss_indices=True)
-    sharded = run_fleet_jobs(lane_jobs, jobs=2, backend="numpy",
+    sharded = run_fleet_jobs(lane_jobs, jobs=2, backend="c",
                              record_miss_indices=True)
     assert serial.n_shards == 1 and serial.jobs == 1
     assert sharded.n_shards == 2 and sharded.jobs == 2
@@ -200,11 +212,12 @@ def test_fleet_jobs_sharded_matches_serial() -> None:
         assert lane.result.miss_indices == reference.miss_indices
 
 
+@needs_c
 def test_fleet_jobs_scalar_escape_hatch_identical() -> None:
     """stacked_cls=False yields the same outcomes (zero-regression)."""
     lane_jobs = _lane_jobs(4, learned_every=2)
-    stacked = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy")
-    scalar = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
+    stacked = run_fleet_jobs(lane_jobs, jobs=1, backend="c")
+    scalar = run_fleet_jobs(lane_jobs, jobs=1, backend="c",
                             stacked_cls=False)
     for lane_a, lane_b in zip(stacked.outcomes, scalar.outcomes):
         assert lane_a.result.stats == lane_b.result.stats
@@ -217,12 +230,13 @@ def _manifest(report, directory) -> tuple[str, dict, list[dict]]:
     return path.name, lines[0], lines[1:]
 
 
+@needs_c
 def test_fleet_jobs_manifest_round_trip(tmp_path) -> None:
     lane_jobs = _lane_jobs(4)
-    report = run_fleet_jobs(lane_jobs, jobs=2, backend="numpy",
+    report = run_fleet_jobs(lane_jobs, jobs=2, backend="c",
                             record_miss_indices=True)
     name, head, lanes = _manifest(report, tmp_path)
-    assert name == "fleet-4x-2j-numpy.jsonl"
+    assert name == "fleet-4x-2j-c.jsonl"
     assert head["record"] == "fleet_manifest"
     assert head["n_lanes"] == 4
     assert head["jobs"] == 2
@@ -235,18 +249,19 @@ def test_fleet_jobs_manifest_round_trip(tmp_path) -> None:
         assert "stats" not in lane and "miss_indices" not in lane
 
 
+@needs_c
 def test_report_and_manifest_do_not_depend_on_jobs(tmp_path) -> None:
     """One process or two: same report type, same manifest head keys,
     same ``fleet_lane`` records apart from the wall-clock proxy."""
     lane_jobs = _lane_jobs(5)
-    one = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy")
-    two = run_fleet_jobs(lane_jobs, jobs=2, backend="numpy")
+    one = run_fleet_jobs(lane_jobs, jobs=1, backend="c")
+    two = run_fleet_jobs(lane_jobs, jobs=2, backend="c")
     assert type(one) is type(two) is FleetReport
     assert (one.jobs, two.jobs) == (1, 2)
     name_one, head_one, lanes_one = _manifest(one, tmp_path)
     name_two, head_two, lanes_two = _manifest(two, tmp_path)
-    assert name_one == "fleet-5x-numpy.jsonl"
-    assert name_two == "fleet-5x-2j-numpy.jsonl"
+    assert name_one == "fleet-5x-c.jsonl"
+    assert name_two == "fleet-5x-2j-c.jsonl"
     assert head_one.keys() == head_two.keys()
     assert {"n_cohorts", "n_shards", "jobs"} <= head_one.keys()
     for lane in lanes_one + lanes_two:
@@ -272,6 +287,7 @@ def test_lane_job_element_size_is_optional() -> None:
     assert paged.config.resolve_capacity(paged.trace) == 100
 
 
+@needs_c
 def test_one_job_shape_two_executions() -> None:
     """The same lane jobs (null, stride and cls-hebbian lanes) give the
     same per-lane CacheStats through the cohort (run_fleet_jobs) and
@@ -280,7 +296,7 @@ def test_one_job_shape_two_executions() -> None:
     lane_jobs[1] = {**lane_jobs[1], "prefetcher": "none"}
     assert {job["prefetcher"] for job in lane_jobs} == {
         "none", "stride", "cls-hebbian"}
-    fleet = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
+    fleet = run_fleet_jobs(lane_jobs, jobs=1, backend="c",
                            record_miss_indices=True)
     rows = run_grid([{**job, "miss_indices": True} for job in lane_jobs],
                     run_lane_job, jobs=1)
@@ -325,3 +341,65 @@ def test_cls_recipe_overrides_the_experiment_config() -> None:
         experiment_hebbian_config(32, 7), backend="numpy")
     stride = lane_prefetcher({"prefetcher": "stride", "args": {"degree": 3}})
     assert isinstance(stride, StridePrefetcher) and stride.degree == 3
+
+
+def _mixed_specs() -> list[FleetLaneSpec]:
+    """CLS, null and stride lanes, two CLS lanes on one trace."""
+    traces = [generate(p, PatternSpec(n=900, working_set=120, seed=i))
+              for i, p in enumerate(PATTERNS)]
+    makers = [lambda: CLSPrefetcher(CLSPrefetcherConfig(seed=5)),
+              NullPrefetcher, StridePrefetcher,
+              lambda: CLSPrefetcher(CLSPrefetcherConfig(seed=8))]
+    config = SimConfig(prefetch_delay_accesses=2)
+    return [FleetLaneSpec(trace=traces[i % len(traces)],
+                          prefetcher=makers[i % len(makers)](),
+                          config=config) for i in range(8)]
+
+
+def test_a_fleet_on_numpy_is_simulate_per_lane() -> None:
+    """Without the compiled kernels ``run_fleet`` builds no cohort: each
+    lane runs through the scalar ``simulate()``, in spec order, with the
+    counters and per-lane wall times of a cohort run, and every lane —
+    stats, miss indices, learned weights — is its own ``simulate()``."""
+    sink = Telemetry()
+    specs = _mixed_specs()
+    report = run_fleet(specs, backend="numpy", max_width=3,
+                       record_miss_indices=True, telemetry=sink)
+    assert report.n_cohorts == 0 and report.backend == "numpy"
+    assert sink.counters["fleet_lanes_completed"] == len(specs)
+    assert sink.counters["fleet_accesses"] == report.total_accesses
+    assert sink.timers["fleet_wall"] > 0
+    twins = _mixed_specs()
+    for spec, twin, outcome in zip(specs, twins, report.outcomes):
+        want = simulate(twin.trace, twin.prefetcher, config=twin.config,
+                        backend="numpy", record_miss_indices=True)
+        got = outcome.result
+        assert got.engine_used == "scalar" and got.backend_used == "numpy"
+        assert got.stats.as_dict() == want.stats.as_dict()
+        assert got.miss_indices == want.miss_indices
+        assert outcome.accesses == len(spec.trace)
+        assert outcome.wall_time_s > 0
+        if isinstance(spec.prefetcher, CLSPrefetcher):
+            assert isinstance(twin.prefetcher, CLSPrefetcher)
+            assert spec.prefetcher.stats == twin.prefetcher.stats
+            assert (spec.prefetcher.model.w_out
+                    == twin.prefetcher.model.w_out).all()
+
+
+def test_fleet_jobs_on_numpy_are_simulate_per_lane() -> None:
+    """``run_fleet_jobs`` in one process on numpy: no cohort, and every
+    lane job's result is ``simulate()`` of the lane it names."""
+    lane_jobs = _lane_jobs(6)
+    lane_jobs[1] = {**lane_jobs[1], "prefetcher": "none"}
+    report = run_fleet_jobs(lane_jobs, jobs=1, backend="numpy",
+                            record_miss_indices=True)
+    assert report.n_cohorts == 0 and report.n_lanes == len(lane_jobs)
+    prototypes: dict = {}
+    for index, job in enumerate(lane_jobs):
+        outcome = report.outcomes[index]
+        spec = materialize_lane_spec(job, prototypes, backend="numpy")
+        want = simulate(spec.trace, spec.prefetcher, config=spec.config,
+                        backend="numpy", record_miss_indices=True)
+        assert outcome.result.stats.as_dict() == want.stats.as_dict()
+        assert outcome.result.miss_indices == want.miss_indices
+        assert outcome.result.engine_used == "scalar"

@@ -3,9 +3,10 @@
 A :class:`repro.memsim.fleet.FleetCohort` running N lanes must be
 observationally identical to N independent ``simulate()`` calls: the
 same :class:`CacheStats` counters, the same miss indices, and — for
-learning prefetchers — the same learned weights, on every backend
-(pure-numpy lockstep and the compiled fleet kernels) and with nonzero
-prefetch landing delays.
+learning prefetchers — the same learned weights, and with nonzero
+prefetch landing delays.  A cohort runs on the compiled kernels alone,
+so its cases skip without them; a case's ``backend`` names the backend
+of its ``simulate()`` oracle.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.prefetcher import NullPrefetcher
 from repro.memsim.simulator import SimConfig, SimResult, simulate
-from repro.nn.backends import available_backends
+from repro.harness.fleet import run_fleet
+from repro.nn.backends import available_backends, backend_available
 from repro.patterns import PatternSpec, generate
 from repro.patterns.trace import Trace
 
 BACKENDS = list(available_backends("sim"))
-COMPILED = [b for b in BACKENDS if b != "numpy"]
+
+#: A case that builds a cohort.
+needs_c = pytest.mark.skipif(not backend_available("c"),
+                             reason="a fleet cohort needs the C backend")
 
 PATTERNS = ("stride", "pointer_chase", "indirect_stride", "pointer_offset")
 
@@ -37,9 +42,10 @@ def _traces(n: int = 2500, working_set: int = 240) -> list:
             for seed, pattern in enumerate(PATTERNS)]
 
 
-def _reference(spec: FleetLaneSpec, prefetcher) -> SimResult:
+def _reference(spec: FleetLaneSpec, prefetcher,
+               backend: str = "numpy") -> SimResult:
     return simulate(spec.trace, prefetcher, config=spec.config,
-                    backend="numpy", record_miss_indices=True)
+                    backend=backend, record_miss_indices=True)
 
 
 def _assert_matches(got: SimResult, want: SimResult) -> None:
@@ -49,18 +55,20 @@ def _assert_matches(got: SimResult, want: SimResult) -> None:
     assert got.engine_used == "fleet"
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("delay", [0, 3])
 def test_null_fleet_matches_sequential(backend: str, delay: int) -> None:
     config = SimConfig(prefetch_delay_accesses=delay)
     specs = [FleetLaneSpec(trace=t, prefetcher=NullPrefetcher(),
                            config=config) for t in _traces()]
-    results = run_cohort(specs, backend=backend, record_miss_indices=True)
-    assert [r.backend_used for r in results] == [backend] * len(specs)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
+    assert [r.backend_used for r in results] == ["c"] * len(specs)
     for spec, got in zip(specs, results):
-        _assert_matches(got, _reference(spec, NullPrefetcher()))
+        _assert_matches(got, _reference(spec, NullPrefetcher(), backend))
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cls_fleet_matches_sequential_including_weights(
         backend: str) -> None:
@@ -70,10 +78,10 @@ def test_cls_fleet_matches_sequential_including_weights(
                            prefetcher=CLSPrefetcher(CLSPrefetcherConfig(
                                seed=7)),
                            config=config) for t in _traces(n=1800)]
-    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     for spec, got in zip(specs, results):
         reference_prefetcher = CLSPrefetcher(CLSPrefetcherConfig(seed=7))
-        _assert_matches(got, _reference(spec, reference_prefetcher))
+        _assert_matches(got, _reference(spec, reference_prefetcher, backend))
         fleet_model = spec.prefetcher.model
         reference_model = reference_prefetcher.model
         for attr in ("w_in", "w_out"):
@@ -83,6 +91,7 @@ def test_cls_fleet_matches_sequential_including_weights(
                                       getattr(reference_model, attr))
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("delay", [1, 5])
 def test_landing_rounds_match_sequential(backend: str, delay: int) -> None:
@@ -99,12 +108,13 @@ def test_landing_rounds_match_sequential(backend: str, delay: int) -> None:
 
     specs = [FleetLaneSpec(trace=traces[i % len(traces)], prefetcher=lane(i),
                            config=config) for i in range(2 * len(traces))]
-    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     for i, (spec, got) in enumerate(zip(specs, results)):
-        _assert_matches(got, _reference(spec, lane(i)))
+        _assert_matches(got, _reference(spec, lane(i), backend))
     assert any(got.stats.prefetches_redundant for got in results)
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mixed_cohort_null_and_learning_lanes(backend: str) -> None:
     """Null and CLS lanes share one cohort without cross-talk (the null
@@ -122,13 +132,14 @@ def test_mixed_cohort_null_and_learning_lanes(backend: str) -> None:
                 trace=trace,
                 prefetcher=CLSPrefetcher(CLSPrefetcherConfig(seed=3)),
                 config=config))
-    results = run_cohort(specs, backend=backend, record_miss_indices=True)
+    results = run_cohort(specs, backend="c", record_miss_indices=True)
     for i, (spec, got) in enumerate(zip(specs, results)):
         reference_prefetcher = (NullPrefetcher() if i % 2 == 0 else
                                 CLSPrefetcher(CLSPrefetcherConfig(seed=3)))
-        _assert_matches(got, _reference(spec, reference_prefetcher))
+        _assert_matches(got, _reference(spec, reference_prefetcher, backend))
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_drain_refill_narrow_cohort(backend: str) -> None:
     """More lanes than slots: finished lanes drain and pending specs
@@ -141,14 +152,15 @@ def test_drain_refill_narrow_cohort(backend: str) -> None:
                  0, 600 + 97 * i, name=f"lane{i}"),
                  prefetcher=StridePrefetcher(), config=config)
              for i in range(10)]
-    results = run_cohort(specs, backend=backend, record_miss_indices=True,
+    results = run_cohort(specs, backend="c", record_miss_indices=True,
                          width=3)
     assert len(results) == len(specs)
     for spec, got in zip(specs, results):
         assert got.trace_name == spec.trace.name
-        _assert_matches(got, _reference(spec, StridePrefetcher()))
+        _assert_matches(got, _reference(spec, StridePrefetcher(), backend))
 
 
+@needs_c
 def test_rejects_per_access_observers() -> None:
     class Watcher(StridePrefetcher):
         wants_accesses = True
@@ -162,6 +174,7 @@ def test_rejects_per_access_observers() -> None:
         run_cohort(specs)
 
 
+@needs_c
 def test_rejects_cls_per_access_observer_with_full_message() -> None:
     """A CLS config with ``observe_hits`` sets ``wants_accesses``, and
     the cohort's rejection renders the actionable remediation text."""
@@ -177,6 +190,7 @@ def test_rejects_cls_per_access_observer_with_full_message() -> None:
             in str(excinfo.value))
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_an_empty_lane_finishes_like_simulate(backend: str) -> None:
     """A zero-length trace, which simulate() accepts, is a lane that
@@ -195,10 +209,9 @@ def test_an_empty_lane_finishes_like_simulate(backend: str) -> None:
     for cohort_lanes in (lanes[:1], lanes):
         specs = [FleetLaneSpec(trace=trace, prefetcher=make())
                  for trace, make in cohort_lanes]
-        results = run_cohort(specs, backend=backend,
-                             record_miss_indices=True)
+        results = run_cohort(specs, backend="c", record_miss_indices=True)
         for spec, (trace, make), got in zip(specs, cohort_lanes, results):
-            _assert_matches(got, _reference(spec, make()))
+            _assert_matches(got, _reference(spec, make(), backend))
             if trace is empty:
                 assert got.stats.accesses == 0 and got.miss_indices == []
                 for engine in ("auto", "scalar"):
@@ -208,6 +221,7 @@ def test_an_empty_lane_finishes_like_simulate(backend: str) -> None:
                     assert got.stats.as_dict() == want.stats.as_dict()
 
 
+@needs_c
 def test_load_validates_slot_and_trace() -> None:
     trace = _traces(n=600)[0]
     spec = FleetLaneSpec(trace=trace, prefetcher=NullPrefetcher())
@@ -222,6 +236,7 @@ def test_load_validates_slot_and_trace() -> None:
         cohort.load(0, long_spec)
 
 
+@needs_c
 def test_load_refuses_a_slot_outside_the_cohort() -> None:
     """A negative slot would index a real one from the end."""
     spec = FleetLaneSpec(trace=_traces(n=600)[0], prefetcher=NullPrefetcher())
@@ -232,6 +247,7 @@ def test_load_refuses_a_slot_outside_the_cohort() -> None:
     assert cohort.active_count() == 0 and cohort.free_slots() == [0, 1]
 
 
+@needs_c
 def test_load_refuses_a_slot_named_twice() -> None:
     """The first of the two lanes would be adopted into its CLS group and
     never released; nothing is adopted."""
@@ -247,10 +263,11 @@ def test_load_refuses_a_slot_named_twice() -> None:
     assert sum(len(group._members) for group in cohort._groups) == 2
 
 
+@needs_c
 def test_load_refuses_a_slot_whose_result_is_not_harvested() -> None:
     """Loading over a finished lane would drop its result."""
     spec = FleetLaneSpec(trace=_traces(n=600)[0], prefetcher=NullPrefetcher())
-    cohort = FleetCohort.for_specs([spec], width=1, backend="numpy",
+    cohort = FleetCohort.for_specs([spec], width=1, backend="c",
                                    record_miss_indices=True)
     cohort.load(0, spec)
     while cohort.active_count():
@@ -261,12 +278,12 @@ def test_load_refuses_a_slot_whose_result_is_not_harvested() -> None:
     cohort.load(0, spec)
 
 
-@pytest.mark.parametrize("backend", COMPILED or ["__none__"])
+@needs_c
+@pytest.mark.parametrize("backend", ["c"])
 def test_compiled_and_numpy_fleets_agree(backend: str) -> None:
     """Cross-backend equivalence of the fleet itself (not just vs the
-    scalar engine): compiled fleet kernels == numpy lockstep."""
-    if backend == "__none__":
-        pytest.skip("no compiled sim backend available")
+    scalar engine): the compiled cohort == ``run_fleet`` on numpy, which
+    is ``simulate()`` per lane."""
     config = SimConfig(prefetch_delay_accesses=1)
     specs = [FleetLaneSpec(trace=t, prefetcher=StridePrefetcher(),
                            config=config) for t in _traces(n=2000)]
@@ -274,13 +291,30 @@ def test_compiled_and_numpy_fleets_agree(backend: str) -> None:
     numpy_specs = [FleetLaneSpec(trace=s.trace,
                                  prefetcher=StridePrefetcher(),
                                  config=config) for s in specs]
-    plain = run_cohort(numpy_specs, backend="numpy",
-                       record_miss_indices=True)
-    for got, want in zip(compiled, plain):
-        assert got.stats.as_dict() == want.stats.as_dict()
-        assert got.miss_indices == want.miss_indices
+    plain = run_fleet(numpy_specs, backend="numpy", record_miss_indices=True)
+    assert plain.n_cohorts == 0
+    for got, want in zip(compiled, plain.outcomes):
+        assert got.stats.as_dict() == want.result.stats.as_dict()
+        assert got.miss_indices == want.result.miss_indices
 
 
+@pytest.mark.parametrize("build", ["constructor", "for_specs"])
+def test_a_cohort_needs_the_compiled_kernels(build: str) -> None:
+    """On a backend without simulator kernels a cohort is refused before
+    it is built, naming what it needs and where such lanes run."""
+    spec = FleetLaneSpec(trace=_traces(n=600)[0], prefetcher=NullPrefetcher())
+    with pytest.raises(ValueError, match="compiled simulator kernels"
+                                         ".*run_fleet.*simulate"):
+        if build == "constructor":
+            FleetCohort(1, slot_capacity=4, universe_capacity=600,
+                        trace_capacity=600, backend="numpy")
+        else:
+            FleetCohort.for_specs([spec], backend="numpy")
+    with pytest.raises(ValueError, match="compiled simulator kernels"):
+        run_cohort([spec], backend="numpy")
+
+
+@needs_c
 def test_load_validates_lane_dimensions() -> None:
     """A lane whose cache or page universe outgrows the cohort's rows is
     refused before anything is loaded."""
@@ -321,8 +355,9 @@ def test_negative_issue_settings_are_refused(field: str) -> None:
 @pytest.mark.parametrize("limit", [0, 1])
 def test_the_smallest_caps_agree_on_every_driver(limit: int) -> None:
     """Two Hebbian lanes on a pointer chase, cut to at most ``limit``
-    prefetches a miss: both cohort backends and both ``simulate()``
-    backends agree (a stacked round, then scalar callbacks)."""
+    prefetches a miss: the cohort (a stacked round, then scalar
+    callbacks), ``run_fleet`` on numpy and both ``simulate()`` backends
+    agree."""
     config = SimConfig(max_prefetches_per_miss=limit,
                        prefetch_delay_accesses=1)
     trace = _traces(n=1200)[1]
@@ -338,10 +373,15 @@ def test_the_smallest_caps_agree_on_every_driver(limit: int) -> None:
         for stacked in (True, False):
             specs = [FleetLaneSpec(trace=trace, prefetcher=cls(),
                                    config=config) for _ in range(2)]
-            for got in run_cohort(specs, backend=backend,
-                                  record_miss_indices=True,
-                                  stacked_cls=stacked):
-                _assert_matches(got, want[0])
+            report = run_fleet(specs, backend=backend,
+                               record_miss_indices=True, stacked_cls=stacked)
+            assert report.n_cohorts == (backend != "numpy")
+            for outcome in report.outcomes:
+                got = outcome.result
+                assert got.stats.as_dict() == want[0].stats.as_dict()
+                assert got.miss_indices == want[0].miss_indices
+                assert got.engine_used == ("scalar" if backend == "numpy"
+                                           else "fleet")
     if limit == 0:
         assert want[0].stats.prefetches_issued == 0
 
@@ -365,6 +405,7 @@ def _walk(n_pages: int, n: int, seed: int) -> Trace:
                  metadata={"seed": seed})
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("width", [1, 2])
 def test_a_reused_slot_starts_like_a_fresh_simulate(backend: str,
@@ -374,7 +415,8 @@ def test_a_reused_slot_starts_like_a_fresh_simulate(backend: str,
     delays, extension cids and prefetches still in flight.  Every lane's
     stats, miss indices and learned weights equal its own simulate() on
     every backend, so no row of the slot's context (slot table, victim
-    snapshot, ring, miss count, stats) outlives its lane."""
+    snapshot, ring, miss count, stats) outlives its lane.  The cohort
+    runs on c; ``backend`` is the oracle's."""
     def cls() -> CLSPrefetcher:
         return CLSPrefetcher(CLSPrefetcherConfig(seed=7))
 
@@ -391,7 +433,7 @@ def test_a_reused_slot_starts_like_a_fresh_simulate(backend: str,
     ]
     specs = [FleetLaneSpec(trace=trace, prefetcher=make(), config=config)
              for trace, make, config in lanes]
-    cohort = FleetCohort.for_specs(specs, width=width, backend=backend,
+    cohort = FleetCohort.for_specs(specs, width=width, backend="c",
                                    record_miss_indices=True)
     results: dict[int, SimResult] = {}
     for done in cohort.drain(specs):
@@ -400,12 +442,11 @@ def test_a_reused_slot_starts_like_a_fresh_simulate(backend: str,
             if index == 0:  # slot 0's first lane, before its refill
                 assert cohort._store._ext_of[0]
     for index, (trace, make, config) in enumerate(lanes):
-        for reference in BACKENDS:
-            prefetcher = make()
-            want = simulate(trace, prefetcher, config,
-                            record_miss_indices=True, backend=reference)
-            _assert_matches(results[index], want)
-            model = getattr(prefetcher, "model", None)
-            if model is not None:
-                np.testing.assert_array_equal(
-                    specs[index].prefetcher.model.w_out, model.w_out)
+        prefetcher = make()
+        want = simulate(trace, prefetcher, config, record_miss_indices=True,
+                        backend=backend)
+        _assert_matches(results[index], want)
+        model = getattr(prefetcher, "model", None)
+        if model is not None:
+            np.testing.assert_array_equal(
+                specs[index].prefetcher.model.w_out, model.w_out)

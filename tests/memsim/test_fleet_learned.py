@@ -8,7 +8,9 @@ This suite drives randomized mixed cohorts at it: null + stride +
 finish out of order, and a cohort width below the lane count so slots
 drain and refill mid-stream.  Every lane is pinned against its own
 ``simulate()`` reference and the ``stacked_cls=False`` scalar cohort
-path, on every available backend.
+path.  A cohort runs on the C backend alone (the cases skip without
+it); a case's ``backend`` names the backend of its ``simulate()``
+oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec, run_cohort
 from repro.memsim.prefetcher import NullPrefetcher
 from repro.memsim.simulator import SimConfig, simulate
-from repro.nn.backends import available_backends
+from repro.nn.backends import available_backends, backend_available
 from repro.patterns import PatternSpec, generate
 
 BACKENDS = list(available_backends("sim"))
+
+#: A case that builds a cohort.
+needs_c = pytest.mark.skipif(not backend_available("c"),
+                             reason="a fleet cohort needs the C backend")
 
 PATTERNS = ("stride", "pointer_chase", "indirect_stride", "pointer_offset")
 
@@ -79,6 +85,7 @@ def _lane_specs(plan: dict, config: SimConfig) -> tuple[list, list[str]]:
     return specs, kinds
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=6, deadline=None)
 @given(plan=cohort_plan)
@@ -86,7 +93,7 @@ def test_mixed_learned_cohort_bit_identity(backend: str,
                                            plan: dict) -> None:
     config = SimConfig(prefetch_delay_accesses=plan["delay"])
     specs, kinds = _lane_specs(plan, config)
-    results = run_cohort(specs, backend=backend, record_miss_indices=True,
+    results = run_cohort(specs, backend="c", record_miss_indices=True,
                          width=min(plan["width"], len(specs)))
 
     # Scalar-cohort cross-check: same lanes, stacked path disabled.
@@ -94,7 +101,7 @@ def test_mixed_learned_cohort_bit_identity(backend: str,
                                   prefetcher=_build_prefetcher(kind),
                                   config=config)
                     for spec, kind in zip(specs, kinds)]
-    scalar_results = run_cohort(scalar_specs, backend=backend,
+    scalar_results = run_cohort(scalar_specs, backend="c",
                                 record_miss_indices=True,
                                 width=min(plan["width"], len(specs)),
                                 stacked_cls=False)
@@ -103,7 +110,7 @@ def test_mixed_learned_cohort_bit_identity(backend: str,
             specs, kinds, results, scalar_specs, scalar_results):
         reference_prefetcher = _build_prefetcher(kind)
         want = simulate(spec.trace, reference_prefetcher, config=config,
-                        backend="numpy", record_miss_indices=True)
+                        backend=backend, record_miss_indices=True)
         for candidate in (got, scalar_got):
             assert candidate.stats.as_dict() == want.stats.as_dict()
             assert candidate.miss_indices == want.miss_indices
@@ -116,6 +123,7 @@ def test_mixed_learned_cohort_bit_identity(backend: str,
                     == reference_prefetcher.stats.replayed_pairs)
 
 
+@needs_c
 def test_admission_batch_sizes_each_group_once() -> None:
     """``load_many`` tells a group how many lanes it is about to adopt:
     the group's fleet is exactly that wide after the batch (no doubling
@@ -126,7 +134,7 @@ def test_admission_batch_sizes_each_group_once() -> None:
     trace = _BASE_TRACES[0].slice(0, 300, name="short")
     specs = [FleetLaneSpec(trace=trace, prefetcher=_build_prefetcher(kind),
                            config=config) for kind in kinds]
-    cohort = FleetCohort.for_specs(specs, backend="numpy")
+    cohort = FleetCohort.for_specs(specs, backend="c")
     cohort.load_many(list(range(10)), specs[:10])
     (group,) = cohort._cls_groups.values()
     assert group._fleet.n_lanes == 10

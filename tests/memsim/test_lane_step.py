@@ -1,12 +1,11 @@
 """Differential fuzz of the fleet's lane step against the reference.
 
-A cohort round runs every active lane through ``rk_sim_run`` — the
-compiled kernel, or its Python twin without a compiler — to its next
-demand miss, then asks the lane's prefetcher and leaves the predictions
-in the lane's issue row for the next round.  After *every* round each
-lane must equal an independent ``ReferencePageCache`` + ``PrefetchQueue``
-replay of the same accesses (the scalar engine's loop) advanced to the
-same access:
+A cohort round runs every active lane through ``rk_sim_run`` to its
+next demand miss, then asks the lane's prefetcher and leaves the
+predictions in the lane's issue row for the next round.  After *every*
+round each lane must equal an independent ``ReferencePageCache`` +
+``PrefetchQueue`` replay of the same accesses (the scalar engine's loop)
+advanced to the same access:
 
 * every ``CacheStats`` counter;
 * the residents in LRU order, each with its undemanded and dirty flag;
@@ -20,6 +19,10 @@ out-of-universe pages (fresh ones every time, so a lane's cid rows
 widen mid-run), more predictions than ``max_prefetches_per_miss``, long
 delays that outgrow the in-flight ring, capacity 1, stores and
 writebacks, null lanes beside learning ones, recording on and off.
+
+A cohort needs the C backend.  On ``numpy`` a fleet is ``run_fleet``'s
+``simulate()`` per lane, and its cases hold each lane's result to the
+reference at the lane's end.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.fleet import run_fleet
 from repro.memsim import CacheStats, PrefetchQueue, ReferencePageCache
 from repro.memsim.events import MissEvent
 from repro.memsim.fleet import FleetCohort, FleetLaneSpec
@@ -189,10 +193,22 @@ def _assert_lane(cohort: FleetCohort, t: int, ref: _Reference,
 
 def _run_checked(specs: list[FleetLaneSpec], refs: list[_Reference],
                  backend: str, record: bool, width: int | None = None
-                 ) -> FleetCohort:
+                 ) -> FleetCohort | None:
     """Drain the lanes through a cohort of ``width`` slots (a freed slot
     is refilled with the next lane), each lane checked against its
-    reference after every round."""
+    reference after every round.  On ``numpy``, which has no cohort
+    (``None`` is returned), each ``run_fleet`` lane is checked at its
+    end."""
+    if backend == "numpy":
+        report = run_fleet(specs, backend=backend,
+                           record_miss_indices=record)
+        assert report.n_cohorts == 0
+        for ref, outcome in zip(refs, report.outcomes):
+            ref.run_to(len(ref.pages))
+            result = outcome.result
+            assert result.stats.as_dict() == ref.cache.stats.as_dict()
+            assert result.miss_indices == (ref.misses if record else [])
+        return None
     cohort = FleetCohort.for_specs(specs, width=width, backend=backend,
                                    record_miss_indices=record)
     pending = list(range(len(specs) - 1, -1, -1))
@@ -263,9 +279,10 @@ def test_fuzz_lane_steps_match_reference(stream: int, backend: str,
     cohort = _run_checked(specs, refs, backend, record, width)
     # The edges were reached: the ring grew, cid rows widened, several
     # landings fell due at one access, a page was in flight twice.
-    assert cohort._store.ring_at.shape[1] > 8
-    assert cohort._store.soc.shape[1] > max(
-        len(spec.trace.page_index()[0]) for spec in specs)
+    if cohort is not None:
+        assert cohort._store.ring_at.shape[1] > 8
+        assert cohort._store.soc.shape[1] > max(
+            len(spec.trace.page_index()[0]) for spec in specs)
     assert max(ref.most_landed for ref in refs) > 1
     assert any(ref.in_flight_twice for ref in refs)
     assert sum(ref.cache.stats.writebacks for ref in refs) > 0
@@ -323,4 +340,5 @@ def test_an_out_of_universe_page_lands_again_after_a_demand_eviction(
             stats.prefetches_evicted_unused, stats.writebacks,
             stats.demand_evictions_by_prefetch) == (3, 1, 2, 1, 2)
     # The lane's one extension cid, from its universe size up.
-    assert cohort._store._ext_of[0] == {outside: 2}
+    if cohort is not None:
+        assert cohort._store._ext_of[0] == {outside: 2}

@@ -41,6 +41,20 @@ class TestParser:
         args = build_parser().parse_args(["fleet", "--jobs", "3"])
         assert args.jobs == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--tenants", "-2"), ("--working-set", "0"),
+        ("--memory-fraction", "0"), ("--memory-fraction", "1.5"),
+        ("--delay", "-1"), ("--width", "0")])
+    def test_fleet_rejects_an_out_of_range_flag(self, flag, value, capsys):
+        """Refused at the parser — exit 2 and a usage line naming the
+        flag — not by a traceback from inside the run (or its pool)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--tenants", "2", "--n", "50", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be" in err
+
 
 class TestCommands:
     def test_generate_and_simulate_roundtrip(self, tmp_path, capsys):
@@ -114,6 +128,13 @@ class TestCommands:
             rows.append([line.split()[0] for line in table])
         assert rows[0] == rows[1]
         assert {"n_cohorts", "n_shards", "jobs"} <= set(rows[0])
+
+    def test_fleet_edges_of_the_checked_flags_run(self, capsys):
+        """The smallest delay and the largest memory fraction are valid."""
+        assert main(["fleet", "--tenants", "2", "--n", "200", "--jobs", "1",
+                     "--model", "stride", "--delay", "0",
+                     "--memory-fraction", "1", "--width", "1"]) == 0
+        assert "2 tenants" in capsys.readouterr().out
 
     def test_fleet_lanes_are_page_granular(self, tmp_path):
         """At the CLI defaults (working set 200, memory fraction 0.5) a
