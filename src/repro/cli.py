@@ -74,6 +74,7 @@ def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
 
 
 _POSITIVE = _checked(int, lambda value: value > 0, "positive")
+_VOCAB = _checked(int, lambda value: value >= 2, ">= 2")
 _NON_NEGATIVE = _checked(int, lambda value: value >= 0, ">= 0")
 _FRACTION = _checked(float, lambda value: 0 < value <= 1, "in (0, 1]")
 
@@ -223,25 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run = serve_sub.add_parser(
         "run", help="replay a generated multi-tenant miss mix through "
                     "the daemon (deterministic lockstep, or --threaded)")
-    serve_run.add_argument("--tenants", type=int, default=4)
+    serve_run.add_argument("--tenants", type=_POSITIVE, default=4)
     serve_run.add_argument("--pattern", action="append",
                            choices=list(PATTERN_NAMES),
                            help="trace pattern(s), cycled across tenants "
                                 "(default: all)")
-    serve_run.add_argument("--n", type=int, default=2000,
+    serve_run.add_argument("--n", type=_POSITIVE, default=2000,
                            help="miss events per tenant")
-    serve_run.add_argument("--working-set", type=int, default=64)
-    serve_run.add_argument("--vocab", type=int, default=128)
-    serve_run.add_argument("--length", type=int, default=2,
+    serve_run.add_argument("--working-set", type=_POSITIVE, default=64)
+    serve_run.add_argument("--vocab", type=_VOCAB, default=128)
+    serve_run.add_argument("--length", type=_POSITIVE, default=2,
                            help="prefetch rollout length")
-    serve_run.add_argument("--width", type=int, default=2,
+    serve_run.add_argument("--width", type=_POSITIVE, default=2,
                            help="prefetch rollout width")
-    serve_run.add_argument("--max-staleness", type=int, default=256)
-    serve_run.add_argument("--ring-capacity", type=int, default=1024)
-    serve_run.add_argument("--max-batch", type=int, default=64)
+    serve_run.add_argument("--max-staleness", type=_POSITIVE, default=256)
+    serve_run.add_argument("--ring-capacity", type=_POSITIVE, default=1024)
+    serve_run.add_argument("--max-batch", type=_POSITIVE, default=64)
     serve_run.add_argument("--scalar", action="store_true",
                            help="per-lane stepping instead of the "
-                                "stacked HebbianFleet path")
+                                "stacked HebbianFleet path (which needs "
+                                "the C backend; without it serving "
+                                "steps per lane anyway)")
     serve_run.add_argument("--threaded", action="store_true",
                            help="drive the actors on real threads "
                                 "(default: deterministic lockstep)")

@@ -389,13 +389,12 @@ class CLSFleetGroup:
         replay generator)."""
         if not isinstance(prefetcher, CLSPrefetcher):
             return None
-        # The compiled lane kernels step a Hebbian network served on
-        # backend "c"; the stages have no availability manager,
+        # The fleet's kernels step the model (a Hebbian network served
+        # on backend "c"); the stages have no availability manager,
         # batch-accumulate training or per-access observer to mirror,
         # and no recall memory.
         model = prefetcher.model
-        if (not isinstance(model, SparseHebbianNetwork)
-                or model._backend != "c"
+        if (not HebbianFleet.stacks(model)
                 or prefetcher.manager is not None
                 or prefetcher._batch_policy is not None
                 or prefetcher.wants_accesses

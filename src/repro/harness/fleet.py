@@ -50,7 +50,7 @@ from ..baselines import (
 from ..core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from ..core.metrics import PrefetchSummary
 from ..memsim.fleet import FleetCohort, FleetLaneSpec
-from ..memsim.prefetcher import Prefetcher
+from ..memsim.prefetcher import Prefetcher, observes_accesses
 from ..memsim.simulator import SimConfig, SimResult, simulate
 from ..nn.backends import resolve_backend, sim_kernels
 from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
@@ -141,10 +141,11 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
 
     Results come back in spec order and are bit-identical to running
     each spec through ``simulate()`` on its own (the fleet engine's
-    contract; see ``tests/memsim/test_fleet_engine.py``).  A backend
-    without simulator kernels (``numpy``) has no cohort to batch into:
-    each spec runs through ``simulate()``, in spec order, and the report
-    counts no cohort.
+    contract; see ``tests/memsim/test_fleet_engine.py``).  A lane no
+    cohort can drive runs through ``simulate()`` instead, in spec order,
+    and is in no cohort the report counts: every lane on a backend
+    without simulator kernels (``numpy``), and a per-access observer
+    (``wants_accesses``) on any backend.
 
     Args:
         specs: One entry per tenant lane.  Prefetcher instances must not
@@ -175,17 +176,20 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
             telemetry.counter("fleet_accesses", accesses)
 
     started = time.perf_counter()
-    groups: list[list[int]] = []
-    if sim_kernels(backend_used) is None:
-        # No kernels, no cohort: each lane is its own simulate() call.
-        for index, spec in enumerate(specs):
-            admitted = time.perf_counter()
-            result = simulate(spec.trace, spec.prefetcher, spec.config,
-                              backend=backend_used,
-                              record_miss_indices=record_miss_indices)
-            finish(index, result, time.perf_counter() - admitted)
-    else:
-        groups = _config_groups(specs)
+    batched = sim_kernels(backend_used) is not None
+    cohort_lanes: list[int] = []
+    for index, spec in enumerate(specs):
+        # No kernels, no cohort; and a cohort drives no per-access
+        # observer: such a lane is its own simulate() call.
+        if batched and not observes_accesses(spec.prefetcher):
+            cohort_lanes.append(index)
+            continue
+        admitted = time.perf_counter()
+        result = simulate(spec.trace, spec.prefetcher, spec.config,
+                          backend=backend_used,
+                          record_miss_indices=record_miss_indices)
+        finish(index, result, time.perf_counter() - admitted)
+    groups = _config_groups(specs, cohort_lanes)
     for indices in groups:
         group = [specs[i] for i in indices]
         cohort = FleetCohort.for_specs(
@@ -212,13 +216,16 @@ def run_fleet(specs: Sequence[FleetLaneSpec], *, backend: str = "auto",
                        n_cohorts=len(groups), wall_time_s=wall)
 
 
-def _config_groups(specs: Sequence[FleetLaneSpec]) -> list[list[int]]:
-    """Spec indices by equal ``SimConfig``, one list per cohort."""
+def _config_groups(specs: Sequence[FleetLaneSpec],
+                   indices: list[int]) -> list[list[int]]:
+    """``indices`` into ``specs`` by equal ``SimConfig``, one list per
+    cohort."""
     # Bucket by config identity first (no dataclass hash per lane — specs
     # overwhelmingly share config instances), then merge equal-but-
     # distinct configs so cohort grouping stays semantic.
     by_id: dict[int, tuple[SimConfig, list[int]]] = {}
-    for index, spec in enumerate(specs):
+    for index in indices:
+        spec = specs[index]
         entry = by_id.get(id(spec.config))
         if entry is None:
             entry = (spec.config, [])

@@ -47,7 +47,7 @@ from ..nn.backends import resolve_backend, sim_kernels
 from ..patterns.trace import Trace
 from .events import MissEvent
 from .lanes import _HEAD, _TAIL, SimLanes
-from .prefetcher import Prefetcher
+from .prefetcher import Prefetcher, observes_accesses
 from .simulator import SimConfig, SimResult
 
 __all__ = ["FleetCohort", "FleetLaneSpec"]
@@ -285,10 +285,7 @@ class FleetCohort:
             if self._results[slot] is not None:
                 raise ValueError(f"slot {slot} holds a result not yet "
                                  "harvested")
-            prefetcher = spec.prefetcher
-            on_access = getattr(prefetcher, "on_access", None)
-            if on_access is not None and getattr(prefetcher,
-                                                 "wants_accesses", True):
+            if observes_accesses(spec.prefetcher):
                 raise ValueError(
                     "fleet engine cannot drive per-access observers; run "
                     "wants_accesses prefetchers through simulate() instead")

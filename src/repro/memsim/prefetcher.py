@@ -71,6 +71,15 @@ class FastPathPrefetcher(Prefetcher, Protocol):
         ...
 
 
+def observes_accesses(prefetcher: object) -> bool:
+    """Whether ``prefetcher`` takes the per-access stream: it has an
+    ``on_access`` and does not set ``wants_accesses`` false.  Only the
+    scalar engine delivers one — not the batched engine, not a fleet
+    cohort — so such a lane runs through ``simulate()``'s scalar loop."""
+    return (getattr(prefetcher, "on_access", None) is not None
+            and bool(getattr(prefetcher, "wants_accesses", True)))
+
+
 class NullPrefetcher:
     """The no-prefetching baseline (Figure 5's denominator).
 

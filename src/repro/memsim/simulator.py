@@ -53,7 +53,7 @@ from .lanes import _HEAD, _RESIDENT, _TAIL, SimLanes
 from .pagecache import MISS, CacheStats
 from .pagecache_reference import ReferencePageCache
 from .prefetch_queue import PrefetchQueue
-from .prefetcher import NullPrefetcher, Prefetcher
+from .prefetcher import NullPrefetcher, Prefetcher, observes_accesses
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..telemetry.nullsink import NullTelemetry as TelemetrySink
@@ -189,12 +189,11 @@ def simulate(trace: Trace, prefetcher: Prefetcher,
     backend_used = resolve_backend(backend, domain="sim")
     kern = sim_kernels(backend_used)
     capacity = config.resolve_capacity(trace)
-    on_access = getattr(prefetcher, "on_access", None)
-    if on_access is not None and not getattr(prefetcher, "wants_accesses", True):
-        # Fast-path protocol: the prefetcher declares it ignores the
-        # per-access stream, so skip the callback (it would return None
-        # for every access) instead of allocating an event each time.
-        on_access = None
+    # Fast-path protocol: a prefetcher that declares it ignores the
+    # per-access stream gets no callback (it would return None for every
+    # access) instead of an event allocated each time.
+    on_access = (getattr(prefetcher, "on_access", None)
+                 if observes_accesses(prefetcher) else None)
     if engine == "batched" and on_access is not None:
         raise ValueError(
             "batched engine cannot drive per-access observers; "

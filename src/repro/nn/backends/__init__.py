@@ -6,11 +6,11 @@ winning.  That leaves:
 ``numpy``
     The always-available reference: ``simulate()`` runs the scalar
     reference engine, a fleet (``run_fleet``) is ``simulate()`` per
-    lane, and the Hebbian network runs its numpy arithmetic.  No
-    batching structure of the offline fleet runs on it — the lane store,
-    ``FleetCohort`` and ``CLSFleetGroup`` need ``c``.  The correctness
-    fallback when no compiler is present (one-time ``RuntimeWarning``),
-    not a tuned platform.
+    lane, serving steps and rolls out per lane, and the Hebbian network
+    runs its numpy arithmetic.  No batching structure runs on it — the
+    lane store, ``FleetCohort``, ``CLSFleetGroup`` and ``HebbianFleet``
+    need ``c``.  The correctness fallback when no compiler is present
+    (one-time ``RuntimeWarning``), not a tuned platform.
 ``c``
     A small C file built on first use into a CPython extension by
     ``cffi``'s API mode and the system C compiler (so it needs cffi, a

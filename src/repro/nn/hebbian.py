@@ -393,12 +393,6 @@ class SparseHebbianNetwork:
             np.arange(starts[t], starts[t + 1], dtype=np.intp)
             for t in range(v))
         targets, rows = np.nonzero(self.mask_out.T)  # class-major
-        # The same lists as two flat tables (CSR): target ``t``'s slots
-        # are ``_out_start[t]:_out_start[t + 1]``, slot ``s`` sits in
-        # hidden row ``_slot_row[s]`` — what a fleet gathers from when it
-        # updates many lanes' columns in one call.
-        self._out_start = starts
-        self._slot_row = rows
         self._dense_flat = rows * v + targets
         self._slot_of = np.full((v, n), -1, dtype=np.intp)
         self._slot_of[targets, rows] = np.arange(targets.size)
@@ -406,7 +400,9 @@ class SparseHebbianNetwork:
         if self._backend == "c":
             # The kernels' readout walks the entries by hidden row (CSR,
             # classes ascending within a row), so a code's rows add into
-            # each class in the order ``readout``'s bincount adds them.
+            # each class in the order ``readout``'s bincount adds them;
+            # Eq. 1 walks a target's slots, ``out_start[t]:out_start[t +
+            # 1]``, slot ``s`` sitting in hidden row ``slot_row[s]``.
             by_row, by_class = np.nonzero(self.mask_out)
             row_start = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(self.mask_out.sum(axis=1), out=row_start[1:])

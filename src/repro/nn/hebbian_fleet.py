@@ -3,69 +3,52 @@
 :class:`HebbianFleet` stacks T independent copies of one
 :class:`~repro.nn.hebbian.SparseHebbianNetwork` prototype into a single
 lane-major ``(lanes, n_connected)`` slab of readout values — the
-prototype's connected-only layout, one row per lane — and advances *all*
-lanes per vectorized operation: a call on L lanes costs a fixed number
-of numpy calls, not O(L) interpreter iterations.
+prototype's connected-only layout, one row per lane — and advances a
+lane subset per call on the scalar network's compiled kernels, run as
+lane loops (``c_backend.CHebbianLanes``): one call per step, rollout
+depth or replay batch walks the lanes, each lane's values its slab row
+and each hidden code a row of the book's code table.  The kernels are
+the fleet's arithmetic, so its prototype must be served on backend
+``"c"`` (:meth:`HebbianFleet.stacks`); without a compiler the cohort and
+the service step each lane's own network instead.
 
 What is shared with the prototype (identical across lanes by
-construction, never copied): the projection masks, the CSR tables of
-the readout (``_out_start`` / ``_slot_row`` / ``_slot_of``), and the
-memo dicts — the hidden-code memo, the readout index memo and the Eq. 1
-delta cache.
+construction, never copied): the projection masks, the kernels' fixed
+tables and the hidden-code memo.
 
 What the fleet adds is a **code book** (:class:`_CodeBook`) that gives
 every hidden code the fleet has met an integer id, so that lane state
-and the memo lookups become arrays.  The book *indexes* the prototype's
-memo, it is not a second one: it keeps the code arrays and their
-``(cols, flat)`` readout indices by reference, and adds three tables a
-whole call can gather from — the codes as rows of a ``(cap, k)`` table,
-their membership masks as rows of a ``(cap, hidden)`` table, and the
+and the code lookups become arrays.  The book *indexes* the prototype's
+memo, it is not a second one: it keeps the code arrays by reference,
+and adds the two tables a whole call reads — the codes as rows of a
+``(cap, k)`` table (what the kernels read a code from), and the
 transition table ``next[prev_id + 1, class]`` (``-1``: not met yet;
 such an entry is filled once from the scalar ``hidden_code``).  Lane
 sequence state is the scalar network's three fields: the last code's id
 and the last argmax as ``(lanes,)`` arrays (``-1``: none; a lane with
 no code has not stepped), the last probabilities as a ``(lanes,
-vocab)`` slab.  With those, per call:
+vocab)`` slab.  Per call, what stays numpy is:
 
 * **Hidden codes** — one ``next[prev + 1, class]`` gather; a call's
   unmet entries are one ``np.unique`` of their keys, each distinct
   transition filled once and scattered back.
-* **Batched learn** — every lane's Eq. 1 column update (and the
-  error-driven punish term) lands in a disjoint row of the value slab.
-  A target's slots are one contiguous class-major range, so the
-  offsets are an ``arange`` plus ``lane * block``, potentiation against
-  depression is one 2-D gather from the mask table, and the whole fleet
-  applies as one gather-update-clip-scatter per step.
-* **Batched readout** — the per-code connected-entry indices concatenate
-  by id, lane and row offsets are added with two ``np.repeat``\\ s, and
-  one ``bincount`` over a ``L * vocab`` accumulator gives the per-lane
-  score rows.
-* **Batched softmax** — one row-wise max-shifted softmax over the
-  ``(L, vocab)`` score matrix.
-* **Batched selection** — a rollout of uniform width picks every lane's
-  top classes with one row-wise ``argpartition``.
+* **The exponentials** — one ``np.exp`` over the ``(L, vocab)`` block
+  between the kernels' scores and their normalisation.
+* **Rollout selection** — a rollout of uniform width picks every lane's
+  top classes with one row-wise ``argpartition``: on the cohort's
+  traffic most rows tie at the top-width boundary, where only numpy's
+  own ``argpartition`` gives numpy's order.
 
-A call has that one form at every width, a call on one lane (or none)
-included.
+Eq. 1's update with its punish term, the sparse readout and the
+softmax's shift and sum are the kernels'.  A call has that one form at
+every width, a call on one lane (or none) included.
 
-Under backend ``"c"`` (the prototype's resolved backend) the learn,
-readout and normalisation run instead as lane loops of the scalar
-network's kernels (``c_backend.CHebbianLanes``): one call per step,
-rollout depth or replay batch walks the lanes, each lane's values its
-slab row and each code a row of the book's code table.  What stays
-numpy is the code gather above (first-met transitions still through
-the prototype's ``hidden_code``), one ``np.exp`` over the ``(L, vocab)``
-block, and the rollout's selection: on the cohort's traffic most rows
-tie at the top-width boundary, where only numpy's own ``argpartition``
-gives numpy's order.  The numpy arithmetic above is their oracle.
-
-Every batched path is bit-identical to T independent networks stepping
-the same class streams (``tests/nn/test_hebbian_fleet.py`` pins this):
-lane rows are disjoint so the update order across lanes
-cannot matter, the shared caches and the book are pure memoization over
-fixed structures, the per-row ``np.where`` forms the same float64
-products the scalar delta does, and the row softmax and row selection
-perform the same elementwise arithmetic as the scalar ones.
+Every call is bit-identical to T independent networks stepping the same
+class streams, on numpy's arithmetic or on the kernels
+(``tests/nn/test_hebbian_fleet.py`` pins this): lane rows are disjoint
+so the update order across lanes cannot matter, the shared memo and the
+book are pure memoization over fixed structures, and each lane runs the
+scalar network's own kernels.
 
 Beyond the lockstep ``step_all``, the fleet exposes the *subset* entry
 points the cohort miss path needs (only the lanes that missed this
@@ -79,8 +62,7 @@ cohort round advance):
 * ``step_lanes`` steps an arbitrary lane subset with per-lane train
   flags — the batched mirror of ``SparseHebbianNetwork.step``.
 * ``train_pairs_lanes`` replays per-lane episode batches — the batched
-  mirror of ``train_pairs`` (round-barriered so in-lane pair order is
-  preserved exactly).
+  mirror of ``train_pairs`` (in-lane pair order preserved exactly).
 * ``rollout_lanes`` runs per-lane beam rollouts with one batched
   readout per depth — the mirror of ``predict_rollout``.
 
@@ -90,42 +72,30 @@ twice before touching any state.
 Adopted networks may come from *different* :class:`SparseHebbianNetwork`
 instances built from an equal config: the fixed structures are then
 value-identical (construction is seeded by the config) even though the
-cache dicts differ.  The book, like the hidden-code memo, is
+memo dicts differ.  The book, like the hidden-code memo, is
 content-keyed, so element-equal codes from different instances share
-one id, and every id-keyed cache miss (delta, readout indices) computes
-the same indices it would have cached, so adoption preserves
-bit-identity.
-
-Out of scope (raises at construction): the ``int8`` serving mirror
-would need a per-lane quantized shadow.
+one id, and adoption preserves bit-identity.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import chain
+from typing import TypeGuard
 
 import numpy as np
 
 from .backends import c_backend
-from .hebbian import (
-    _CODE_CACHE_CAP,
-    _READOUT_IDX_CAP,
-    SparseHebbianNetwork,
-)
+from .hebbian import SparseHebbianNetwork
 
 __all__ = ["HebbianFleet"]
 
 #: Codes the book holds before it is rebuilt from the ones resident lanes
-#: still reference — the tighter of the caps on the memo it indexes, so
-#: it never keeps more index arrays alive than that memo may.
-_BOOK_CAP = min(_CODE_CACHE_CAP, _READOUT_IDX_CAP)
+#: still reference (amortized: see ``_CodeBook.rebuild``).
+_BOOK_CAP = 4096
 
 #: Table rows a book starts with (doubled as codes arrive).
 _BOOK_ROWS = 64
-
-#: A code's readout indices before their first use (``_entry_size`` -1).
-_UNFETCHED = np.empty(0, dtype=np.intp)
 
 
 def _widened(old: np.ndarray, rows: int, fill: int) -> np.ndarray:
@@ -160,8 +130,7 @@ class _CodeBook:
 
     ``codes[i]`` is code ``i`` (the array the prototype's memo returned,
     kept by reference); :meth:`tables` has the same codes as rows of a
-    ``(cap, k)`` table and their membership masks as rows of a ``(cap,
-    hidden)`` one; ``next[p + 1, c]`` is the id of ``hidden_code(c,
+    ``(cap, k)`` table; ``next[p + 1, c]`` is the id of ``hidden_code(c,
     codes[p])`` (row 0: no context; ``-1``: not met yet).  Ids are dense
     and stable until :meth:`rebuild`.
     """
@@ -172,20 +141,12 @@ class _CodeBook:
         self._reset()
 
     def _reset(self) -> None:
-        config = self._proto.config
-        rows = _BOOK_ROWS
         self.codes: list[np.ndarray] = []
         self._ids: dict[bytes, int] = {}
-        # ``_proto._readout_entry(codes[i])`` and its length, fetched on
-        # first use (until then: ``_UNFETCHED``, -1).
-        self._cols: list[np.ndarray] = []
-        self._flat: list[np.ndarray] = []
-        self._entry_size = np.full(rows, -1, dtype=np.int64)
-        self.next = np.full((rows + 1, config.vocab_size), -1,
-                            dtype=np.int64)
+        self.next = np.full((_BOOK_ROWS + 1, self._proto.config.vocab_size),
+                            -1, dtype=np.int64)
         # Filled by ``tables`` for codes[:_tabled].
         self._active = np.zeros((0, self._proto._k), dtype=np.intp)
-        self._mask = np.zeros((0, config.hidden_dim), dtype=bool)
         self._tabled = 0
 
     def __len__(self) -> int:
@@ -202,32 +163,24 @@ class _CodeBook:
                     f"hidden code of shape {active.shape}, expected "
                     f"{self._active.shape[1:]}")
             cid = len(self.codes)
-            rows = self._entry_size.size
+            rows = len(self.next) - 1
             if cid == rows:
                 self.next = _widened(self.next, 2 * rows + 1, -1)
-                self._entry_size = _widened(self._entry_size, 2 * rows, -1)
             self.codes.append(active)
-            self._cols.append(_UNFETCHED)
-            self._flat.append(_UNFETCHED)
             self._ids[key] = cid
         return cid
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(active, mask)``: row ``i`` of each is code ``i`` — its
-        indices, its membership mask.  Rows are written here, a batch at
-        a time, by the learn calls that read them, so a fleet that never
-        learns never pays for them."""
+    def tables(self) -> np.ndarray:
+        """The code table the kernels read: row ``i`` is code ``i``'s
+        indices.  Rows are written here, a batch at a time, by the calls
+        that read them."""
         done, met = self._tabled, len(self.codes)
         if done < met:
             if met > len(self._active):
-                rows = self._entry_size.size
-                self._active = _widened(self._active, rows, 0)
-                self._mask = _widened(self._mask, rows, 0)
-            fresh = np.array(self.codes[done:met])
-            self._active[done:met] = fresh
-            self._mask[np.arange(done, met)[:, None], fresh] = True
+                self._active = _widened(self._active, len(self.next) - 1, 0)
+            self._active[done:met] = self.codes[done:met]
             self._tabled = met
-        return self._active, self._mask
+        return self._active
 
     def fill(self, prev: int, input_class: int) -> int:
         """Resolve one unmet transition through the prototype's scalar
@@ -237,34 +190,11 @@ class _CodeBook:
         self.next[prev + 1, input_class] = cid
         return cid
 
-    def entry(self, cid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Code ``cid``'s ``(cols, flat)`` sparse-readout indices."""
-        if self._cols[cid] is _UNFETCHED:
-            cols, flat = self._proto._readout_entry(self.codes[cid])
-            self._cols[cid] = cols
-            self._flat[cid] = flat
-            self._entry_size[cid] = cols.size
-        return self._cols[cid], self._flat[cid]
-
-    def entries(self, ids: np.ndarray
-                ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """The readout indices of many codes: the ``cols`` arrays, the
-        ``flat`` arrays, and their lengths."""
-        sizes = self._entry_size[ids]
-        if sizes.min() < 0:
-            for cid in np.unique(ids[sizes < 0]).tolist():
-                self.entry(cid)
-            sizes = self._entry_size[ids]
-        cols_of, flat_of = self._cols, self._flat
-        picked = ids.tolist()
-        return ([cols_of[c] for c in picked], [flat_of[c] for c in picked],
-                sizes)
-
     def rebuild(self, keep: np.ndarray) -> np.ndarray:
         """Forget every code but ``keep`` (ids, unique).  Returns the
         old-id → new-id map with one extra trailing ``-1``, so indexing
-        it with ``-1`` ("no code") gives ``-1``.  Transitions and readout
-        indices are dropped and refill from the prototype's memo."""
+        it with ``-1`` ("no code") gives ``-1``.  Transitions are dropped
+        and refill from the prototype's memo."""
         old = self.codes
         remap = np.full(len(old) + 1, -1, dtype=np.int64)
         self._reset()
@@ -293,23 +223,22 @@ class HebbianFleet:
                  n_lanes: int, reserve: bool = False) -> None:
         if n_lanes <= 0:
             raise ValueError("n_lanes must be positive")
-        config = prototype.config
-        if prototype._backend == "int8":
+        tables = prototype._heb_tables
+        if tables is None:
             raise ValueError(
-                "HebbianFleet does not support the int8 serving mirror")
+                "HebbianFleet runs on the compiled Hebbian kernels, which a "
+                f"prototype served on {prototype._backend!r} does not have "
+                "(backend 'c' does)")
         self.prototype = prototype
         self.n_lanes = n_lanes
-        self.vocab_size = config.vocab_size
+        self.vocab_size = prototype.config.vocab_size
         values = prototype.readout_values
-        self._block = values.size
-        # Lane-major stacked value vectors; the flat alias is what every
-        # batched update and readout indexes with +t*block offsets.
+        # Lane-major stacked value vectors, one slab row per lane.
         if reserve:
-            self._w_vals = np.zeros((n_lanes, self._block))
+            self._w_vals = np.zeros((n_lanes, values.size))
         else:
             self._w_vals = np.broadcast_to(
-                values, (n_lanes, self._block)).copy()
-        self._w_flat = self._w_vals.reshape(-1)
+                values, (n_lanes, values.size)).copy()
         self._book = _CodeBook(prototype)
         # Per-lane sequence state (the scalar net's ``_prev_active`` /
         # ``_prev_pred`` / ``_last_probs``), codes as book ids, ``-1`` for
@@ -327,12 +256,17 @@ class HebbianFleet:
         # scratch the kernels mark a lane list's positions in.
         self._resident = np.full(n_lanes, not reserve, dtype=bool)
         self._mark = np.zeros(n_lanes, dtype=np.intp)
-        # The compiled lane loops under backend "c"; None: the numpy
-        # arithmetic below, their oracle.
-        self._kern = (None if prototype._heb_tables is None else
-                      c_backend.bind_hebbian_lanes(
-                          prototype._heb_tables,
-                          **prototype._kernel_settings()))
+        self._kern = c_backend.bind_hebbian_lanes(
+            tables, **prototype._kernel_settings())
+
+    @staticmethod
+    def stacks(model: object) -> TypeGuard[SparseHebbianNetwork]:
+        """Whether a fleet can hold lanes of ``model``: a Hebbian network
+        served on backend ``"c"``, the one whose kernels a fleet runs.
+        The predicate the cohort's groups and the service pick the
+        stacked path by."""
+        return (isinstance(model, SparseHebbianNetwork)
+                and model._heb_tables is not None)
 
     # ------------------------------------------------------------------
     # Lane adoption (cohort drain/refill)
@@ -390,7 +324,7 @@ class HebbianFleet:
         if changed is None:
             self._w_vals[lane] = values
         else:
-            self._w_flat[changed + lane * self._block] = values.take(changed)
+            self._w_vals[lane, changed] = values.take(changed)
         self._clear_sequence_state(lane)
         self.train_steps[lane] = net.train_steps
 
@@ -425,7 +359,6 @@ class HebbianFleet:
         old = self.n_lanes
         new = max(old * 2, min_capacity)
         self._w_vals = _widened(self._w_vals, new, 0)
-        self._w_flat = self._w_vals.reshape(-1)
         self._probs_rows = _widened(self._probs_rows, new, 0)
         self._prev_code = _widened(self._prev_code, new, -1)
         self._prev_pred = _widened(self._prev_pred, new, -1)
@@ -509,38 +442,18 @@ class HebbianFleet:
                              "flag per lane")
         idx = self.lane_index(lanes)
         cls = self._class_index(classes)
-        punish = self.prototype.config.punish_wrong
-        prev = self._prev_code[idx]
-        kern = self._kern
-        if kern is not None:
-            # Codes first: learning reads the lanes' last codes, which a
-            # rebuild of the book renumbers in place.
-            codes = self._codes(prev, cls)
-            x = np.empty((n, self.vocab_size))
-            kern.step(self._w_vals, self._book.tables()[0], idx, cls,
-                      np.ascontiguousarray(train, dtype=bool),
-                      self.prototype.config.lr * lr_scale, punish, codes, x,
-                      self._prev_code, self._prev_pred, self.train_steps)
-            np.exp(x, out=x)
-            kern.finish_rows(x, self._probs_rows, idx)
-            return x
-        learn = (np.asarray(train, dtype=bool) & (prev >= 0)).nonzero()[0]
-        if learn.size:
-            learners = idx[learn]
-            self._apply_learn(*self._learn_arrays(
-                learners, cls[learn], prev[learn],
-                self._prev_pred[learners],
-                np.full(learn.size, self.prototype.config.lr * lr_scale)))
-            self.train_steps[learners] += 1
-
-        codes = self._codes(prev, cls)
-        scores = self._readout_arrays(idx, codes)
-        probs = self._probabilities_rows(scores)
-
-        self._prev_code[idx] = codes
-        self._prev_pred[idx] = scores.argmax(axis=1) if punish else -1
-        self._probs_rows[idx] = probs
-        return probs
+        config = self.prototype.config
+        # Codes first: learning reads the lanes' last codes, which a
+        # rebuild of the book renumbers in place.
+        codes = self._codes(self._prev_code[idx], cls)
+        x = np.empty((n, self.vocab_size))
+        self._kern.step(self._w_vals, self._book.tables(), idx, cls,
+                        np.ascontiguousarray(train, dtype=bool),
+                        config.lr * lr_scale, config.punish_wrong, codes, x,
+                        self._prev_code, self._prev_pred, self.train_steps)
+        np.exp(x, out=x)
+        self._kern.finish_rows(x, self._probs_rows, idx)
+        return x
 
     # ------------------------------------------------------------------
     # Hidden codes
@@ -588,100 +501,6 @@ class HebbianFleet:
         return remap[held]
 
     # ------------------------------------------------------------------
-    # Learn
-    # ------------------------------------------------------------------
-    def _learn_arrays(self, idx: np.ndarray, targets: np.ndarray,
-                      codes: np.ndarray, preds: np.ndarray, lrs: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray,
-                                 np.ndarray | None, np.ndarray | float]:
-        """Index arrays of one fused Eq. 1 (+punish) application: lane
-        ``idx[i]`` learns ``targets[i]`` from code ``codes[i]`` at rate
-        ``lrs[i]``, having predicted ``preds[i]`` (``-1``: nothing).
-
-        Returns ``(flat, delta, wrong_flat, wrong_lr)``: add ``delta`` at
-        slab offsets ``flat``, subtract ``wrong_lr`` at ``wrong_flat``.
-        """
-        proto = self.prototype
-        active, mask = self._book.tables()
-        offsets = idx * self._block
-        start = proto._out_start
-        first = start[targets]
-        counts = start[targets + 1] - first
-        ends = counts.cumsum()
-        # A target's slots are one contiguous (class-major) range.
-        slot = np.arange(ends[-1]) + (first - (ends - counts)).repeat(counts)
-        is_active = mask[codes.repeat(counts), proto._slot_row[slot]]
-        lr_rows = lrs.repeat(counts)
-        # The same float64 products the scalar ``_delta`` forms.
-        delta = np.where(is_active, lr_rows,
-                         -lr_rows * proto.config.negative_scale)
-        flat = slot + offsets.repeat(counts)
-
-        wrong = ((preds >= 0) & (preds != targets)).nonzero()[0]
-        if not wrong.size:
-            return flat, delta, None, 0.0
-        # (wrong, k) slots of the wrongly predicted class the code's rows
-        # connect to; ``nonzero`` walks them row-major: lane-major,
-        # active order.
-        slots = proto._slot_of[preds[wrong][:, None], active[codes[wrong]]]
-        row, col = (slots >= 0).nonzero()
-        lane = wrong[row]
-        return flat, delta, slots[row, col] + offsets[lane], lrs[lane]
-
-    def _apply_learn(self, flat: np.ndarray, delta: np.ndarray,
-                     wrong_flat: np.ndarray | None,
-                     wrong_lr: np.ndarray | float) -> None:
-        """Per-lane offsets live in disjoint ``t * block`` ranges and a
-        lane's target and punished columns are distinct, so applying all
-        potentiation/depression updates, then all punish updates, equals
-        the scalar per-lane interleaving."""
-        wm = self.prototype.config.weight_max
-        w_flat = self._w_flat
-        vals = w_flat.take(flat)
-        vals += delta
-        np.minimum(vals, wm, out=vals)
-        np.maximum(vals, -wm, out=vals)
-        w_flat[flat] = vals
-        if wrong_flat is not None:
-            wvals = w_flat.take(wrong_flat)
-            wvals -= wrong_lr
-            np.maximum(wvals, -wm, out=wvals)
-            w_flat[wrong_flat] = wvals
-
-    # ------------------------------------------------------------------
-    # Readout
-    # ------------------------------------------------------------------
-    def _readout_arrays(self, idx: np.ndarray,
-                        codes: np.ndarray) -> np.ndarray:
-        """(L, vocab) scores of lanes ``idx`` under codes ``codes``."""
-        n = idx.size
-        if not n:
-            return np.zeros((0, self.vocab_size))
-        cols_list, flats, sizes = self._book.entries(codes)
-        cols = np.concatenate(cols_list)
-        cols += np.arange(0, n * self.vocab_size,
-                          self.vocab_size).repeat(sizes)
-        flat = np.concatenate(flats)
-        flat += (idx * self._block).repeat(sizes)
-        # One concatenated sparse accumulation.  Value offsets use the
-        # *global* lane index (each lane's slab row), accumulator columns
-        # the *subset-local* row, so an L-lane readout costs O(L), not
-        # O(capacity); entries stay in lane, row, class order, so each bin
-        # sums in the scalar readout's order.
-        return np.bincount(cols, weights=self._w_flat.take(flat),
-                           minlength=n * self.vocab_size
-                           ).reshape(n, self.vocab_size)
-
-    def _probabilities_rows(self, scores: np.ndarray) -> np.ndarray:
-        """Row-wise max-shifted softmax, same arithmetic as the scalar
-        :meth:`SparseHebbianNetwork.probabilities` per row."""
-        x = scores / self.prototype._temperature
-        x -= x.max(axis=1, keepdims=True)
-        np.exp(x, out=x)
-        x /= x.sum(axis=1, keepdims=True)
-        return x
-
-    # ------------------------------------------------------------------
     # Batched replay training (the ReplayScheduler mirror)
     # ------------------------------------------------------------------
     def train_pairs_lanes(self, lanes: list[int],
@@ -690,12 +509,12 @@ class HebbianFleet:
         """Replay-train each lane on its own pair batch, batched.
 
         The batched mirror of per-lane
-        ``train_pairs(pairs_per_lane[i], lr_scales[i])`` calls.  Rounds
-        are barriers: round ``j`` consumes the ``j``-th pair of every
-        lane that has one, so in-lane pair order (which matters for
+        ``train_pairs(pairs_per_lane[i], lr_scales[i])`` calls.  The
+        kernel trains round by round: round ``j`` is the ``j``-th pair of
+        every lane that has one, so in-lane pair order (which matters for
         duplicate targets and for punish_wrong's pre-update readout) is
-        preserved exactly, while cross-lane updates merge freely into
-        one gather-update-scatter (disjoint slab rows).
+        preserved exactly, while lanes interleave freely (disjoint slab
+        rows).
         Like the scalar ``train_pairs``, this never touches
         ``train_steps`` or the lanes' sequence context.
         ``lanes`` must name resident slots, each once.
@@ -745,29 +564,16 @@ class HebbianFleet:
             picks: list[np.ndarray | slice] = [slice(None)]
         else:
             picks = [(rounds == j).nonzero()[0] for j in range(depth)]
-        subsets = [self.lane_index(lanes[pick]) for pick in picks]
-        punish = self.prototype.config.punish_wrong
-        lrs = self.prototype.config.lr * lr_scales
-        kern = self._kern
-        if kern is not None:
-            # Round by round, as below: a lane's pairs in their order.
-            order = (np.arange(inputs.size) if depth == 1
-                     else rounds.argsort(kind="stable"))
-            codes = self._codes(np.full(inputs.size, -1), inputs[order])
-            kern.train(self._w_vals, self._book.tables()[0], punish,
-                       lanes[order], codes, targets[order], lrs[order])
-            return
-        for pick, subset in zip(picks, subsets):
-            codes = self._codes(np.full(subset.size, -1), inputs[pick])
-            if punish:
-                # train_pair reads out (and argmaxes) *before* learning;
-                # the softmax confidence it computes is discarded and
-                # writes no state, so it is skipped here.
-                preds = self._readout_arrays(subset, codes).argmax(axis=1)
-            else:
-                preds = np.full(subset.size, -1)
-            self._apply_learn(*self._learn_arrays(
-                subset, targets[pick], codes, preds, lrs[pick]))
+        for pick in picks:
+            self.lane_index(lanes[pick])
+        config = self.prototype.config
+        # Round by round: a lane's pairs in their order.
+        order = (np.arange(inputs.size) if depth == 1
+                 else rounds.argsort(kind="stable"))
+        codes = self._codes(np.full(inputs.size, -1), inputs[order])
+        self._kern.train(self._w_vals, self._book.tables(),
+                         config.punish_wrong, lanes[order], codes,
+                         targets[order], config.lr * lr_scales[order])
 
     def replay_rings(self, lanes: np.ndarray, phase: np.ndarray,
                      values: np.ndarray,
@@ -793,12 +599,11 @@ class HebbianFleet:
         they are left untouched, for a second call with their values.
         """
         kern = self._kern
-        assert kern is not None, "replay_rings runs on the kernels"
         book = self._book
         punish = self.prototype.config.punish_wrong
         lr = self.prototype.config.lr * lr_scale
         picks = np.empty((4, lanes.size * per_step), dtype=np.int64)
-        got, redo = kern.replay(self._w_vals, book.tables()[0], book.next[0],
+        got, redo = kern.replay(self._w_vals, book.tables(), book.next[0],
                                 punish, lr, lanes, phase, values, draws,
                                 episodes, per_step, replayed, picks)
         if got < 0:
@@ -806,7 +611,7 @@ class HebbianFleet:
             # comes from the prototype, then the picks train as listed.
             lane_of, inputs, targets, _ = picks[:, :-1 - got]
             codes = self._codes(np.full(inputs.size, -1), inputs)
-            kern.train(self._w_vals, book.tables()[0], punish, lane_of,
+            kern.train(self._w_vals, book.tables(), punish, lane_of,
                        codes, targets, np.full(inputs.size, lr))
         return redo
 
@@ -891,13 +696,8 @@ class HebbianFleet:
                 rows, live, codes, top = (
                     a[keep] for a in (rows, live, codes, top))
             codes = self._codes(codes, top[:, 0])
-            if kern is None:
-                now = self._probabilities_rows(
-                    self._readout_arrays(live, codes))
-                continue
             now = np.empty((live.size, self.vocab_size))
-            kern.scores(self._w_vals, self._book.tables()[0], live, codes,
-                        now)
+            kern.scores(self._w_vals, self._book.tables(), live, codes, now)
             np.exp(now, out=now)
             kern.finish_rows(now)
         return classes, probs, depth

@@ -7,9 +7,10 @@ per-miss stages (DESIGN.md §5) across two actors:
 
 - **serve** — drains the ingest ring into per-tenant rounds, advances
   every staged lane's *live* model in one stacked
-  :class:`~repro.nn.hebbian_fleet.HebbianFleet` call, performs hot-swaps
-  (redeploy on confidence drop or staleness), and answers query batches
-  from batched fleet rollouts.  The serve actor is the only mutator of
+  :class:`~repro.nn.hebbian_fleet.HebbianFleet` call (on backend ``c``;
+  per lane otherwise), performs hot-swaps (redeploy on confidence drop
+  or staleness), and answers query batches from batched fleet
+  rollouts.  The serve actor is the only mutator of
   live models, so the answer path takes no lock and can never block
   behind a training step.
 - **trainer** — consumes queued observations and trains each lane's
@@ -95,8 +96,9 @@ class ServeConfig:
         train_queue_capacity: Pending-training bound (drop-oldest).
         max_batch: Events staged / queries answered per round.
         stacked: Step and roll out live lanes through one
-            :class:`HebbianFleet` (multi-tenant batching); False keeps
-            the scalar per-lane path.
+            :class:`HebbianFleet` (multi-tenant batching) when the model
+            is served on backend ``"c"``, whose kernels the fleet runs;
+            False, or a model on numpy, keeps the per-lane path.
         record_checksums: Checksum the serving weights at every swap and
             every answer — the torn-swap assertion's evidence trail.
         seed: Root seed; model construction and per-tenant replay
@@ -362,9 +364,12 @@ class PrefetchService:
         self.faults = faults if faults is not None else FaultPlan()
         self._prototype = SparseHebbianNetwork(
             HebbianConfig(vocab_size=config.vocab_size, seed=config.seed))
+        # Stacking runs the fleet's compiled kernels; without them every
+        # lane steps and rolls out on its own, as ``stacked=False``.
         self._fleet: HebbianFleet | None = (
             HebbianFleet(self._prototype, n_lanes=8, reserve=True)
-            if config.stacked else None)
+            if config.stacked and HebbianFleet.stacks(self._prototype)
+            else None)
         self.ring: EventRing[ServeEvent] = EventRing(config.ring_capacity)
         self.batcher = RequestBatcher(config.max_batch)
         self._train_queue: EventRing[tuple[TenantLane, Observation]] = (

@@ -403,3 +403,48 @@ def test_fleet_jobs_on_numpy_are_simulate_per_lane() -> None:
         assert outcome.result.stats.as_dict() == want.stats.as_dict()
         assert outcome.result.miss_indices == want.miss_indices
         assert outcome.result.engine_used == "scalar"
+
+
+def _observer_specs() -> list[FleetLaneSpec]:
+    """Per-access observers (CLS lanes with ``observe_hits``) among CLS
+    and null lanes of one config, plus an observer alone in a second."""
+    traces = [generate(p, PatternSpec(n=900, working_set=120, seed=i))
+              for i, p in enumerate(PATTERNS)]
+    makers = [lambda: CLSPrefetcher(CLSPrefetcherConfig(seed=5,
+                                                        observe_hits=True)),
+              lambda: CLSPrefetcher(CLSPrefetcherConfig(seed=8)),
+              NullPrefetcher]
+    config = SimConfig(prefetch_delay_accesses=2)
+    specs = [FleetLaneSpec(trace=traces[i % len(traces)],
+                           prefetcher=makers[i % len(makers)](),
+                           config=config) for i in range(7)]
+    specs.append(FleetLaneSpec(
+        trace=traces[1], prefetcher=makers[0](),
+        config=SimConfig(prefetch_delay_accesses=5)))
+    return specs
+
+
+@pytest.mark.parametrize("backend", available_backends("sim"))
+def test_observer_lanes_run_through_simulate_on_every_backend(
+        backend: str) -> None:
+    """A cohort drives no per-access observer, so ``run_fleet`` runs each
+    through ``simulate()`` and builds cohorts of the other lanes alone:
+    the same lanes run on every backend, each as its own ``simulate()``
+    leaves it, and the report counts only the cohorts built (none for the
+    config that holds an observer alone)."""
+    specs = _observer_specs()
+    assert [spec.prefetcher.wants_accesses for spec in specs
+            if isinstance(spec.prefetcher, CLSPrefetcher)] == [
+                True, False, True, False, True, True]
+    report = run_fleet(specs, backend=backend, max_width=2,
+                       record_miss_indices=True)
+    assert report.n_cohorts == (1 if backend == "c" else 0)
+    for spec, twin, outcome in zip(specs, _observer_specs(),
+                                   report.outcomes):
+        want = simulate(twin.trace, twin.prefetcher, config=twin.config,
+                        backend="numpy", record_miss_indices=True)
+        assert outcome.result.stats.as_dict() == want.stats.as_dict()
+        assert outcome.result.miss_indices == want.miss_indices
+        if isinstance(spec.prefetcher, CLSPrefetcher):
+            assert isinstance(twin.prefetcher, CLSPrefetcher)
+            assert spec.prefetcher.stats == twin.prefetcher.stats

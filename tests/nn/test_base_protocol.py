@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.backends import available_backends
+from repro.nn.backends import available_backends, backend_available
 from repro.nn.base import SequenceModel, evaluate_sequence_probs
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from repro.nn.hebbian_fleet import HebbianFleet
@@ -74,8 +74,9 @@ class TestSequenceModelConformance:
 def _rollout(model: str, backend: str, width: int, length: int
              ) -> list[list[tuple[int, float]]]:
     """``predict_rollout(width, length)`` of a few steps' model: the
-    scalar network, a fleet lane (``rollout_lanes``) or the LSTM (which
-    has one arithmetic under every backend name)."""
+    scalar network, a lane of a fleet on ``backend``'s kernels
+    (``rollout_lanes``) or the LSTM (which has one arithmetic under every
+    backend name)."""
     classes = [3, 5, 7, 3, 5]
     if model == "lstm":
         lstm = OnlineLSTM(LSTMConfig(vocab_size=24, embed_dim=8,
@@ -97,11 +98,23 @@ def _rollout(model: str, backend: str, width: int, length: int
 
 @pytest.mark.parametrize("length", [-1, 0, 1, 3])
 @pytest.mark.parametrize("backend", FLOAT_BACKENDS)
-@pytest.mark.parametrize("model", ["hebbian", "hebbian-fleet", "lstm"])
+@pytest.mark.parametrize("model", [
+    "hebbian",
+    pytest.param("hebbian-fleet", marks=pytest.mark.skipif(
+        not backend_available("c"), reason="a HebbianFleet needs the C "
+                                           "backend")),
+    "lstm"])
 def test_a_rollout_of_any_length_is_the_same_on_every_backend(
         model: str, backend: str, length: int) -> None:
     """``length`` steps, or none below 1, and the numpy result bit for
-    bit under every backend name."""
-    got = _rollout(model, backend, 2, length)
-    assert got == _rollout(model, "numpy", 2, length)
+    bit under every backend name.  A fleet runs on the ``c`` kernels
+    alone, so a fleet lane's rollout is checked against the scalar
+    network's on ``backend``: numpy's arithmetic, then the kernels."""
+    if model == "hebbian-fleet":
+        got = _rollout(model, "c", 2, length)
+        want = _rollout("hebbian", backend, 2, length)
+    else:
+        got = _rollout(model, backend, 2, length)
+        want = _rollout(model, "numpy", 2, length)
+    assert got == want
     assert len(got) == max(length, 0)

@@ -1,12 +1,14 @@
 """Per-lane bit-identity of the tenant-axis batched Hebbian fleet.
 
 A :class:`repro.nn.hebbian_fleet.HebbianFleet` stepping T class streams
-must reproduce T independent clones of the prototype stepping the same
-streams — identical probabilities every step, identical learned weights
-at the end, and a materialized ``lane_network`` must continue its lane
-bit-identically — under every float backend name (the fleet is numpy
-arithmetic under each; under ``c`` the clones it is checked against run
-the compiled network kernels; the list follows the registry).
+must reproduce T independent networks stepping the same streams —
+identical probabilities every step, identical learned weights at the
+end, and a materialized ``lane_network`` must continue its lane
+bit-identically.  The fleet runs on the compiled kernels alone, so its
+prototype is on ``c`` and every case that builds one skips without the C
+backend; the independent networks it is checked against run under every
+float backend name (``backend``: numpy's arithmetic, the oracle, or the
+scalar network's own kernels; the list follows the registry).
 
 A kernel call is one array program at every width, so the bit-identity
 cases also run at a spread of call widths (``CALL_WIDTHS``), and a call
@@ -27,7 +29,7 @@ from repro.core.hippocampus import (
     LaneDraws,
 )
 from repro.nn import hebbian, hebbian_fleet
-from repro.nn.backends import available_backends
+from repro.nn.backends import available_backends, backend_available
 from repro.nn.hebbian import (
     HebbianConfig,
     SparseHebbianNetwork,
@@ -37,8 +39,13 @@ from repro.nn.hebbian_fleet import HebbianFleet
 from repro.nn.lstm import LSTMConfig, OnlineLSTM
 from repro.seeding import child_rng
 
-#: int8 serves from a quantized mirror the fleet deliberately rejects.
+#: The independent networks' backends (int8 serves a quantized mirror,
+#: which is not bit-identical).
 BACKENDS = [b for b in available_backends("nn") if b != "int8"]
+
+#: A case that builds a fleet.
+needs_c = pytest.mark.skipif(not backend_available("c"),
+                             reason="a HebbianFleet needs the C backend")
 
 N_LANES = 5
 VOCAB = 48
@@ -60,6 +67,14 @@ def _prototype(backend: str, *, punish: bool = True,
     return net
 
 
+def _twins(backend: str, n_lanes: int, *, punish: bool = True
+           ) -> list[SparseHebbianNetwork]:
+    """``n_lanes`` independent networks equal to the fleet's prototype,
+    served on ``backend``."""
+    oracle = _prototype(backend, punish=punish)
+    return [oracle.clone() for _ in range(n_lanes)]
+
+
 def _streams(seed_stream: int, n_lanes: int = N_LANES) -> np.ndarray:
     rng = child_rng(30481, seed_stream)
     # Skewed per-lane streams: lane t cycles mostly within its own band
@@ -71,6 +86,7 @@ def _streams(seed_stream: int, n_lanes: int = N_LANES) -> np.ndarray:
     return np.where(mix, (base % 11) + band[None, :], base) % VOCAB
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("punish", [True, False])
 def test_fleet_matches_independent_clones(backend: str,
@@ -79,9 +95,8 @@ def test_fleet_matches_independent_clones(backend: str,
 
 
 def _check_lockstep(backend: str, punish: bool, n_lanes: int) -> None:
-    proto = _prototype(backend, punish=punish)
-    fleet = HebbianFleet(proto, n_lanes)
-    clones = [proto.clone() for _ in range(n_lanes)]
+    fleet = HebbianFleet(_prototype("c", punish=punish), n_lanes)
+    clones = _twins(backend, n_lanes, punish=punish)
     streams = _streams(0, n_lanes)
     for step in range(ROUNDS):
         probs = fleet.step_all(streams[step])
@@ -93,11 +108,11 @@ def _check_lockstep(backend: str, punish: bool, n_lanes: int) -> None:
         assert int(fleet.train_steps[t]) == clone.train_steps
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lane_network_continues_bit_identically(backend: str) -> None:
-    proto = _prototype(backend)
-    fleet = HebbianFleet(proto, N_LANES)
-    clones = [proto.clone() for _ in range(N_LANES)]
+    fleet = HebbianFleet(_prototype("c"), N_LANES)
+    clones = _twins(backend, N_LANES)
     streams = _streams(1)
     half = ROUNDS // 2
     for step in range(half):
@@ -113,8 +128,9 @@ def test_lane_network_continues_bit_identically(backend: str) -> None:
             assert np.array_equal(got, want), (backend, step, t)
 
 
+@needs_c
 def test_fleet_starts_from_prototype_weights() -> None:
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 3)
     for t in range(3):
         assert np.array_equal(fleet.w_out[t], proto.w_out)
@@ -122,21 +138,26 @@ def test_fleet_starts_from_prototype_weights() -> None:
     fleet.step_all([0, 1, 2])
     fleet.step_all([1, 2, 3])
     assert np.array_equal(proto.w_out,
-                          _prototype("numpy").w_out)
+                          _prototype("c").w_out)
 
 
 def test_rejects_unsupported_prototypes() -> None:
-    int8 = SparseHebbianNetwork(HebbianConfig(
-        vocab_size=16, hidden_dim=64, backend="int8"))
-    with pytest.raises(ValueError, match="int8"):
-        HebbianFleet(int8, 2)
+    """A prototype without the compiled kernels — served on numpy, or the
+    int8 serving mirror — is refused, and so is a fleet of no lanes."""
+    for backend in ("numpy", "int8"):
+        net = SparseHebbianNetwork(HebbianConfig(
+            vocab_size=16, hidden_dim=64, backend=backend))
+        assert not HebbianFleet.stacks(net)
+        with pytest.raises(ValueError, match="compiled Hebbian kernels"):
+            HebbianFleet(net, 2)
     with pytest.raises(ValueError, match="positive"):
         HebbianFleet(_prototype("numpy", pretrain=0), 0)
 
 
+@needs_c
 def test_rollout_from_lane_network_matches() -> None:
     """predict_rollout on a materialized lane equals the clone's."""
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 2)
     clones = [proto.clone() for _ in range(2)]
     streams = _streams(2)
@@ -150,6 +171,7 @@ def test_rollout_from_lane_network_matches() -> None:
             clone.predict_rollout(width=2, length=3)
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_step_lanes_subset_matches_clones(backend: str) -> None:
     """Stepping a changing subset each round equals per-clone steps."""
@@ -157,9 +179,8 @@ def test_step_lanes_subset_matches_clones(backend: str) -> None:
 
 
 def _check_subset_steps(backend: str, n_lanes: int) -> None:
-    proto = _prototype(backend)
-    fleet = HebbianFleet(proto, n_lanes)
-    clones = [proto.clone() for _ in range(n_lanes)]
+    fleet = HebbianFleet(_prototype("c"), n_lanes)
+    clones = _twins(backend, n_lanes)
     streams = _streams(3, n_lanes)
     rng = child_rng(30482, 0)
     for step in range(ROUNDS):
@@ -176,6 +197,7 @@ def _check_subset_steps(backend: str, n_lanes: int) -> None:
         assert int(fleet.train_steps[t]) == clone.train_steps
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("punish", [True, False])
 def test_train_pairs_lanes_matches_clones(backend: str,
@@ -185,9 +207,8 @@ def test_train_pairs_lanes_matches_clones(backend: str,
 
 
 def _check_train_pairs(backend: str, punish: bool, n_lanes: int) -> None:
-    proto = _prototype(backend, punish=punish)
-    fleet = HebbianFleet(proto, n_lanes)
-    clones = [proto.clone() for _ in range(n_lanes)]
+    fleet = HebbianFleet(_prototype("c", punish=punish), n_lanes)
+    clones = _twins(backend, n_lanes, punish=punish)
     streams = _streams(4, n_lanes)
     rng = child_rng(30483, 0)
     for step in range(80):
@@ -218,8 +239,7 @@ def _check_train_pairs(backend: str, punish: bool, n_lanes: int) -> None:
         assert np.array_equal(fleet.w_out[t], clone.w_out), (backend, t)
 
 
-@pytest.mark.skipif("c" not in BACKENDS,
-                    reason="the C backend does not compile here")
+@needs_c
 @pytest.mark.parametrize("punish", [True, False])
 def test_replay_rings_is_sample_then_train_pairs(punish: bool) -> None:
     """``replay_rings`` — draw, pick and train in one kernel call — equals
@@ -284,6 +304,7 @@ def test_replay_rings_is_sample_then_train_pairs(punish: bool) -> None:
         assert mine[t].bit_generator.state == reference[t].bit_generator.state
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_rollout_lanes_matches_clones(backend: str) -> None:
     """Batched rollouts equal each clone's predict_rollout, including
@@ -294,9 +315,8 @@ def test_rollout_lanes_matches_clones(backend: str) -> None:
 def _check_rollouts(backend: str, n_lanes: int, widths: list[int]) -> None:
     """``widths`` cycles over the lanes (one value: the uniform-width
     row-wise selection; ``VOCAB`` and up: the full-sort branch)."""
-    proto = _prototype(backend)
-    fleet = HebbianFleet(proto, n_lanes)
-    clones = [proto.clone() for _ in range(n_lanes)]
+    fleet = HebbianFleet(_prototype("c"), n_lanes)
+    clones = _twins(backend, n_lanes)
     streams = _streams(5, n_lanes)
     # Leave the last lane unstepped: its rollout must be [].
     stepped = list(range(n_lanes - 1))
@@ -315,15 +335,16 @@ def _check_rollouts(backend: str, n_lanes: int, widths: list[int]) -> None:
     assert rollouts[n_lanes - 1] == []
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_acquire_release_round_trip(backend: str) -> None:
     """A network adopted into a reserve fleet and released continues
     bit-identically to a twin that never left scalar-land."""
-    proto = _prototype(backend)
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 2, reserve=True)
     streams = _streams(6)
     nets = [proto.clone() for _ in range(3)]
-    twins = [net.clone() for net in nets]
+    twins = _twins(backend, 3)
     # Warm the networks outside the fleet first.
     for step in range(20):
         for net, twin in zip(nets, twins):
@@ -350,12 +371,13 @@ def test_acquire_release_round_trip(backend: str) -> None:
     assert recycled in slots
 
 
+@needs_c
 @pytest.mark.parametrize("logged", [True, False],
                          ids=["patch", "full-copy"])
 def test_redeploy_lane_equals_release_then_acquire(logged: bool) -> None:
     """Re-pointing a resident slot at a fork that trained apart leaves
     the fleet as the release → acquire round trip does."""
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     streams = _streams(7)
     fleets, slots = [], []
     for _ in range(2):
@@ -388,18 +410,21 @@ def test_redeploy_lane_equals_release_then_acquire(logged: bool) -> None:
         reference.rollout_lanes([slots[1]], [2], [3])
 
 
+@needs_c
 def test_acquire_rejects_config_mismatch() -> None:
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 1, reserve=True)
     other = SparseHebbianNetwork(HebbianConfig(
-        vocab_size=VOCAB, hidden_dim=200, seed=11, backend="numpy"))
+        vocab_size=VOCAB, hidden_dim=200, seed=11, backend="c"))
     with pytest.raises(ValueError, match="config"):
         fleet.acquire_lane(other)
 
 
 # ----------------------------------------------------------------------
-# Call widths
+# Call widths (against numpy's arithmetic; the lane loops case below
+# checks the same against the scalar network's kernels)
 # ----------------------------------------------------------------------
+@needs_c
 @pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
 @pytest.mark.parametrize("punish", [True, False])
 def test_lockstep_bit_identity_at_call_width(n_lanes: int,
@@ -407,11 +432,13 @@ def test_lockstep_bit_identity_at_call_width(n_lanes: int,
     _check_lockstep("numpy", punish, n_lanes)
 
 
+@needs_c
 @pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
 def test_subset_steps_bit_identity_at_call_width(n_lanes: int) -> None:
     _check_subset_steps("numpy", n_lanes)
 
 
+@needs_c
 @pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
 @pytest.mark.parametrize("punish", [True, False])
 def test_train_pairs_bit_identity_at_call_width(n_lanes: int,
@@ -419,6 +446,7 @@ def test_train_pairs_bit_identity_at_call_width(n_lanes: int,
     _check_train_pairs("numpy", punish, n_lanes)
 
 
+@needs_c
 @pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
 @pytest.mark.parametrize("widths", [[2], [1], [4], [2, 3, 1, 4, 2],
                                     [VOCAB], [2, VOCAB + 3]],
@@ -428,11 +456,11 @@ def test_rollouts_bit_identity_at_call_width(n_lanes: int,
     _check_rollouts("numpy", n_lanes, widths)
 
 
-@pytest.mark.skipif("c" not in BACKENDS,
-                    reason="the C backend does not compile here")
+@needs_c
 @pytest.mark.parametrize("n_lanes", CALL_WIDTHS)
 def test_the_lane_loops_at_call_width(n_lanes: int) -> None:
-    """The four cases above on the compiled lane loops, at every width."""
+    """The four cases above against networks on the scalar kernels, at
+    every width."""
     for punish in (True, False):
         _check_lockstep("c", punish, n_lanes)
         _check_train_pairs("c", punish, n_lanes)
@@ -480,12 +508,13 @@ def _fleet_state(fleet: HebbianFleet) -> list[bytes]:
         fleet._probs_rows, fleet.train_steps)]
 
 
+@needs_c
 @pytest.mark.parametrize("n_lanes", [3, 11, 12, 32])
 def test_kernels_reject_free_duplicate_and_foreign_lanes(
         n_lanes: int) -> None:
     """A free slot, a lane named twice or an id outside the fleet raises
     before any state moves."""
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, n_lanes + 1, reserve=True)
     slots = [fleet.acquire_lane(proto.clone()) for _ in range(n_lanes)]
     (free,) = set(range(n_lanes + 1)) - set(slots)
@@ -519,6 +548,7 @@ def test_kernels_reject_free_duplicate_and_foreign_lanes(
         fleet.step_lanes(slots, classes, [True] * n_lanes)
 
 
+@needs_c
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("warm", [True, False],
                          ids=["warm-book", "cold-book"])
@@ -528,13 +558,20 @@ def test_the_array_kernels_check_their_columns(backend: str,
     pair or lane in every column, a round of at least 0 and widths of at
     least 1; anything else raises before any state moves, on a book that
     has met the codes (where a short column used to be broadcast) and on
-    one that has not (where it used to fail part way)."""
-    proto = _prototype(backend)
+    one that has not (where it used to fail part way).  The valid call
+    then trains as ``train_pairs`` does on networks on ``backend``."""
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 3, reserve=True)
     slots = [fleet.acquire_lane(proto.clone()) for _ in range(2)]
+    twins = _twins(backend, 2)
+    warmup = [[(1, 3)], [(1, 4)]]
     if warm:
-        fleet.train_pairs_lanes(slots, [[(1, 3)], [(1, 4)]], [1.0, 1.0])
+        fleet.train_pairs_lanes(slots, warmup, [1.0, 1.0])
+        for twin, pairs in zip(twins, warmup):
+            twin.train_pairs(pairs)
     fleet.step_lanes(slots, [2, 5], [True, True])
+    for twin, input_class in zip(twins, (2, 5)):
+        twin.step(input_class)
     before = _fleet_state(fleet)
     lanes = np.array(slots)
     columns = [lanes, np.array([1, 1]), np.array([3, 4]), np.array([0, 0]),
@@ -554,12 +591,16 @@ def test_the_array_kernels_check_their_columns(backend: str,
     assert _fleet_state(fleet) == before
     fleet.train_pairs_columns(*columns)
     assert _fleet_state(fleet) != before
+    for slot, twin, pairs in zip(slots, twins, warmup):
+        twin.train_pairs(pairs)
+        assert np.array_equal(fleet.lane_weights(slot), twin.w_out)
 
 
+@needs_c
 def test_a_call_on_no_lane_is_a_no_op() -> None:
     """Width 0: every kernel accepts an empty lane list, returns an empty
     result of its usual shape and moves no state."""
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 3, reserve=True)
     slots = [fleet.acquire_lane(proto.clone()) for _ in range(2)]
     for step in range(3):
@@ -576,10 +617,11 @@ def test_a_call_on_no_lane_is_a_no_op() -> None:
     assert _fleet_state(fleet) == before
 
 
+@needs_c
 def test_a_rollout_of_width_zero_is_refused_by_every_model() -> None:
     """A rollout picks at least one class a step: the scalar network,
     the LSTM and the fleet all raise ``ValueError`` below width 1."""
-    net = _prototype("numpy").clone()
+    net = _prototype("c").clone()
     lstm = OnlineLSTM(LSTMConfig(vocab_size=VOCAB, embed_dim=8,
                                  hidden_dim=8, seed=0))
     fleet = HebbianFleet(net, 1, reserve=True)
@@ -597,12 +639,13 @@ def test_a_rollout_of_width_zero_is_refused_by_every_model() -> None:
     assert len(lstm.predict_rollout(width=1, length=2)) == 2
 
 
+@needs_c
 def test_a_slot_without_a_step_rolls_out_nothing() -> None:
     """A slot's code id doubles as its "has stepped" flag: right after
     ``redeploy_lane``, and after acquiring a ``reset_state()`` network,
     the slot rolls out ``[]`` as the scalar network does; one step later
     it rolls out what the scalar network does."""
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     streams = _streams(9)
     warm = proto.clone()
     for step in range(12):
@@ -635,6 +678,7 @@ def test_a_slot_without_a_step_rolls_out_nothing() -> None:
 BOOK_LANES = 16
 
 
+@needs_c
 @pytest.mark.parametrize("squeeze", ["book-cap-8", "book-cap-64",
                                      "memo-cap-8"])
 def test_small_caps_stay_bit_identical(monkeypatch: pytest.MonkeyPatch,
@@ -648,7 +692,7 @@ def test_small_caps_stay_bit_identical(monkeypatch: pytest.MonkeyPatch,
         monkeypatch.setattr(hebbian_fleet, "_BOOK_CAP", cap)
     else:
         monkeypatch.setattr(hebbian, "_CODE_CACHE_CAP", 8)
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 2, reserve=True)
     twins = [proto.clone() for _ in range(BOOK_LANES)]
     slots = [fleet.acquire_lane(twin.clone()) for twin in twins]
@@ -697,12 +741,13 @@ def test_small_caps_stay_bit_identical(monkeypatch: pytest.MonkeyPatch,
                                   twin.step(input_class))
 
 
+@needs_c
 def test_equal_config_prototypes_share_code_ids() -> None:
     """Lanes adopted from two different equal-config networks (equal
     fixed structures, separate memo dicts, so element-equal codes in
     distinct arrays) get the same code ids and stay bit-identical."""
-    ours = _prototype("numpy")
-    theirs = _prototype("numpy")
+    ours = _prototype("c")
+    theirs = _prototype("c")
     assert ours._code_cache is not theirs._code_cache
     nets = [ours.clone(), theirs.clone(), ours.clone(), theirs.clone()]
     warmup = [5, 9, 5, 9, 14]
@@ -744,7 +789,7 @@ FILL_ROWS = np.concatenate([np.arange(group, FILL_LANES, 3)
 def _fill_fleet(extra_codes: int) -> HebbianFleet:
     """The lanes of a book-fill call, in a book also holding
     ``extra_codes`` codes no lane references."""
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, FILL_LANES, reserve=True)
     for lane in range(FILL_LANES):
         net = proto.clone()
@@ -772,6 +817,7 @@ def _resolve_row_by_row(fleet: HebbianFleet, prev: np.ndarray,
     return ids
 
 
+@needs_c
 @pytest.mark.parametrize("cap", [None, 8], ids=["book", "book-cap-8"])
 def test_a_call_fills_each_new_transition_once(
         monkeypatch: pytest.MonkeyPatch, cap: int | None) -> None:
@@ -809,8 +855,9 @@ def test_a_call_fills_each_new_transition_once(
 # ----------------------------------------------------------------------
 # Capacity
 # ----------------------------------------------------------------------
+@needs_c
 def test_reserve_grows_once_and_keeps_lane_state() -> None:
-    proto = _prototype("numpy")
+    proto = _prototype("c")
     fleet = HebbianFleet(proto, 2, reserve=True)
     twin = proto.clone()
     slot = fleet.acquire_lane(proto.clone())

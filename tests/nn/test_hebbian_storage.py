@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.nn.backends import backend_available
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from repro.nn.hebbian_fleet import HebbianFleet
 
@@ -83,6 +84,15 @@ def test_learned_state_is_the_connected_entries_only() -> None:
     assert not _float_arrays_of_dense_shape(net, dense_shape)
     assert not _float_arrays_of_dense_shape(net.clone(), dense_shape)
 
+
+@pytest.mark.skipif(not backend_available("c"),
+                    reason="a HebbianFleet needs the C backend")
+def test_a_fleet_stores_the_connected_entries_only() -> None:
+    net = SparseHebbianNetwork(dataclasses.replace(CONFIG, backend="c"))
+    for c in [1, 2, 3, 1, 2, 3]:
+        net.step(c)
+    n_connected = int(net.mask_out.sum())
+    dense_shape = net.mask_out.shape
     fleet = HebbianFleet(net, n_lanes=2, reserve=True)
     slots = [fleet.acquire_lane(net.clone()) for _ in range(2)]
     assert fleet._w_vals.shape == (2, n_connected)

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.memsim.simulator import SimConfig, simulate
+from repro.nn import backends
 from repro.nn.hebbian import HebbianConfig
 from repro.patterns.generators import PatternSpec, generate
 from repro.seeding import spawn_seeds
@@ -129,28 +130,47 @@ def test_lockstep_daemon_matches_offline(stacked: bool,
                for t in range(N_TENANTS)) > 0
 
 
+def _serve(stacked: bool
+           ) -> tuple[PrefetchService, list[list[int]], list[np.ndarray]]:
+    """A two-tenant lockstep run: the service, its answers and the
+    tenants' live weights."""
+    events = [(t, 4096 * ((i * (t + 3)) % 40), i)
+              for i in range(120) for t in range(2)]
+    service = PrefetchService(
+        ServeConfig(vocab_size=VOCAB, prefetch_length=2,
+                    prefetch_width=2, stacked=stacked, seed=5),
+        clock=VirtualClock())
+    answers = replay_lockstep(service, events)
+    weights = [np.array(service.lane(t).live_net().w_out) for t in range(2)]
+    return service, answers, weights
+
+
 def test_stacked_and_scalar_serving_agree() -> None:
     """The fleet-batched serve path and the per-lane scalar path are the
     same daemon bit for bit (mirrors the fleet's own equivalence suite,
     at the service level)."""
-    events = [(t, 4096 * ((i * (t + 3)) % 40), i)
-              for i in range(120) for t in range(2)]
-
-    def run(stacked: bool) -> tuple[list[list[int]], list[np.ndarray]]:
-        service = PrefetchService(
-            ServeConfig(vocab_size=VOCAB, prefetch_length=2,
-                        prefetch_width=2, stacked=stacked, seed=5),
-            clock=VirtualClock())
-        answers = replay_lockstep(service, events)
-        weights = [np.array(service.lane(t).live_net().w_out)
-                   for t in range(2)]
-        return answers, weights
-
-    answers_stacked, weights_stacked = run(True)
-    answers_scalar, weights_scalar = run(False)
+    _, answers_stacked, weights_stacked = _serve(True)
+    _, answers_scalar, weights_scalar = _serve(False)
     assert answers_stacked == answers_scalar
     for stacked_w, scalar_w in zip(weights_stacked, weights_scalar):
         assert np.array_equal(stacked_w, scalar_w)
+
+
+def test_stacked_serving_without_the_kernels_steps_per_lane(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """A fleet runs on the C kernels alone, so with the models on numpy
+    ``stacked=True`` builds no fleet and serves as ``stacked=False``
+    does: the same answers, live weights and counters."""
+    monkeypatch.setattr(backends, "_default_backend",
+                        backends.get_default_backend())
+    backends.set_default_backend("numpy")
+    stacked, answers_stacked, weights_stacked = _serve(True)
+    scalar, answers_scalar, weights_scalar = _serve(False)
+    assert stacked._fleet is None
+    assert answers_stacked == answers_scalar
+    for stacked_w, scalar_w in zip(weights_stacked, weights_scalar):
+        assert np.array_equal(stacked_w, scalar_w)
+    assert stacked.counters() == scalar.counters()
 
 
 def test_lockstep_is_deterministic() -> None:

@@ -217,7 +217,9 @@ def test_every_swap_deploys_exactly_the_admitted_weights(
         if self.swaps == swaps:
             return                      # rejected at admission
         checked += 1
-        assert (fleet is not None) == stacked
+        # Stacking needs the fleet's kernels (a model on backend "c").
+        assert (fleet is not None) == (
+            stacked and HebbianFleet.stacks(self.manager.live))
         if fleet is not None:
             assert np.array_equal(fleet.lane_weights(self.slot), admitted)
         assert np.array_equal(self.manager.live.w_out, admitted)

@@ -55,6 +55,22 @@ class TestParser:
         assert err.startswith("usage:")
         assert f"argument {flag}: must be" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--working-set", "0"), ("--width", "0"),
+        ("--length", "0"), ("--ring-capacity", "0"), ("--max-batch", "0"),
+        ("--vocab", "1"), ("--max-staleness", "0"), ("--tenants", "0"),
+        ("--tenants", "-1")])
+    def test_serve_run_rejects_an_out_of_range_flag(self, flag, value,
+                                                    capsys):
+        """Refused at the parser, as ``fleet``'s flags are — not by a
+        traceback from inside the service, nor by a run of no tenant."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "run", "--tenants", "2", "--n", "50", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be" in err
+
 
 class TestCommands:
     def test_generate_and_simulate_roundtrip(self, tmp_path, capsys):
@@ -184,6 +200,15 @@ class TestCommands:
                      "--vocab", "32", "--scalar"]) == 0
         output = capsys.readouterr().out
         assert "events_processed" in output
+
+    def test_serve_run_edges_of_the_checked_flags_run(self, capsys):
+        """One tenant, one event, the smallest vocabulary and every
+        capacity at 1 are valid."""
+        assert main(["serve", "run", "--tenants", "1", "--n", "1",
+                     "--vocab", "2", "--width", "1", "--length", "1",
+                     "--max-staleness", "1", "--ring-capacity", "1",
+                     "--max-batch", "1"]) == 0
+        assert "1 tenants x 1 events" in capsys.readouterr().out
 
     def test_profile_wraps_any_subcommand(self, capsys):
         assert main(["--profile", "simulate", "--pattern", "stride",
