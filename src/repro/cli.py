@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--trace", help=".npz trace file")
     source.add_argument("--pattern", choices=PATTERN_NAMES)
     source.add_argument("--app", choices=ALL_APPLICATIONS)
-    sim.add_argument("--n", type=int, default=10_000)
+    sim.add_argument("--n", type=_POSITIVE, default=10_000)
     sim.add_argument("--working-set", type=int, default=200)
     sim.add_argument("--element-size", type=int, default=4096)
     sim.add_argument("--seed", type=int, default=0)
@@ -114,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
                      default="hebbian")
     sim.add_argument("--encoder", choices=["delta", "page", "region"],
                      default="delta")
-    sim.add_argument("--vocab", type=int, default=256)
-    sim.add_argument("--length", type=int, default=2,
+    sim.add_argument("--vocab", type=_VOCAB, default=256)
+    sim.add_argument("--length", type=_POSITIVE, default=2,
                      help="prefetch length (§5.2)")
-    sim.add_argument("--width", type=int, default=2,
+    sim.add_argument("--width", type=_POSITIVE, default=2,
                      help="prefetch width (§5.2)")
     sim.add_argument("--mode", choices=["rollout", "direct"],
                      default="rollout")
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="none",
                        help="per-lane prefetcher ('hebbian' clones one "
                             "CLS prototype per lane)")
-    fleet.add_argument("--vocab", type=int, default=256)
+    fleet.add_argument("--vocab", type=_VOCAB, default=256)
     fleet.add_argument("--memory-fraction", type=_FRACTION, default=0.5)
     fleet.add_argument("--delay", type=_NON_NEGATIVE, default=0,
                        help="prefetch landing delay in accesses")

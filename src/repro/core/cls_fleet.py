@@ -64,17 +64,13 @@ from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
 from .cls_prefetcher import CLSPrefetcher
 from .encoding import DeltaVocabEncoder
-from .hippocampus import MAX_ATTEMPTS_PER_PICK, Episode, LaneDraws
-from .replay import sampled_store
+from .hippocampus import EPISODE_COLUMNS, MAX_ATTEMPTS_PER_PICK, LaneDraws
 from .sampling import TrainAlways
 
 __all__ = ["CLSFleetGroup"]
 
 #: Episode-slab columns a group starts with (doubled as stores fill).
 _SLAB_COLUMNS = 16
-
-#: "No capacity": an unbounded store's ring never wraps.
-_UNBOUNDED = np.iinfo(np.int64).max
 
 #: A round's column: what the cohort gathers, or what a caller listed.
 Column = Sequence[int] | np.ndarray
@@ -198,11 +194,8 @@ class _LaneArrays:
         have = self.ep_input.shape[1]
         if columns > have:
             shape = (self.lanes, max(columns, 2 * have, _SLAB_COLUMNS))
-            self.ep_input = _wider(self.ep_input, shape)
-            self.ep_target = _wider(self.ep_target, shape)
-            self.ep_phase = _wider(self.ep_phase, shape)
-            self.ep_confidence = _wider(self.ep_confidence, shape)
-            self.ep_timestamp = _wider(self.ep_timestamp, shape)
+            for name in EPISODE_COLUMNS:
+                setattr(self, name, _wider(getattr(self, name), shape))
 
     def admit(self, slot: int, p: CLSPrefetcher) -> None:
         """Move ``p``'s per-miss state into row ``slot``."""
@@ -232,19 +225,16 @@ class _LaneArrays:
         scheduler = p.scheduler
         self.ep_count[slot] = self.ep_first[slot] = 0
         if scheduler is not None:
-            store = sampled_store(scheduler.policy)
+            store = scheduler.store
             assert store is not None
-            held = store.episodes()
-            if held:
-                n = len(held)
+            # The store's ring as it lies: its held episodes are its
+            # columns' first len(store).
+            n = len(store)
+            if n:
                 self.fit_episodes(n)
-                columns = list(zip(*held))
-                self.ep_input[slot, :n] = columns[0]
-                self.ep_target[slot, :n] = columns[1]
-                self.ep_phase[slot, :n] = columns[2]
-                self.ep_confidence[slot, :n] = columns[3]
-                self.ep_timestamp[slot, :n] = columns[4]
-                self.ep_count[slot] = self.ep_first[slot] = n
+                for name in EPISODE_COLUMNS:
+                    getattr(self, name)[slot, :n] = getattr(store, name)[:n]
+                self.ep_count[slot] = self.ep_first[slot] = store.ep_count[0]
             self.draws.attach(slot, scheduler.draws.sync())
 
         detector = p.phase_detector
@@ -312,29 +302,24 @@ class _LaneArrays:
             count = self.ep_count[slots]
             fresh = count - self.ep_first[slots]
             kept = np.minimum(fresh, key.ep_cap)
-            episodes: list[Episode] = []
+            columns: list[np.ndarray] = []
             ends = [0] * slots.size
             if kept.any():
                 row, at, ends = _ring_tail(slots, count, kept, key.ep_cap)
-                episodes = list(map(Episode._make, zip(
-                    self.ep_input[row, at].tolist(),
-                    self.ep_target[row, at].tolist(),
-                    self.ep_phase[row, at].tolist(),
-                    self.ep_confidence[row, at].tolist(),
-                    self.ep_timestamp[row, at].tolist())))
+                columns = [getattr(self, name)[row, at]
+                           for name in EPISODE_COLUMNS]
             # A ring that wrapped within the residency overwrote the
             # rest: stored, and evicted again.
-            for p, slot, lo, hi, lost in zip(
+            for p, slot, lo, hi, written in zip(
                     prefetchers, slots.tolist(), [0, *ends], ends,
-                    (fresh - kept).tolist()):
+                    fresh.tolist()):
                 scheduler = p.scheduler
-                assert scheduler is not None
+                assert scheduler is not None and scheduler.store is not None
                 self.draws.detach(slot)
-                store = sampled_store(scheduler.policy)
-                assert store is not None
-                store.extend(episodes[lo:hi])
-                store.stored_total += lost
-                store.evicted_total += lost
+                if written:
+                    scheduler.store.extend_columns(
+                        *(column[lo:hi] for column in columns),
+                        written=written)
 
         if key.phase_span:
             fill = self.phase_fill[slots]
@@ -411,11 +396,11 @@ class CLSFleetGroup:
         ep_cap, threshold, per_step, lr_scale = 0, 0.0, 0, 0.0
         scheduler = prefetcher.scheduler
         if scheduler is not None:
-            store = sampled_store(scheduler.policy)
+            store = scheduler.store
             if (store is None or scheduler.per_step * MAX_ATTEMPTS_PER_PICK
                     > LaneDraws.max_attempts):
                 return None
-            ep_cap = _UNBOUNDED if store.capacity is None else store.capacity
+            ep_cap = store.ep_cap
             threshold = getattr(scheduler.policy, "confidence_threshold",
                                 np.inf)
             per_step, lr_scale = scheduler.per_step, scheduler.lr_scale

@@ -34,7 +34,6 @@ from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.lstm import LSTMConfig, OnlineLSTM
 from .availability import ShadowModelManager
 from .encoding import OOV_CLASS, make_encoder
-from .hippocampus import Episode
 from .phase_detect import OnlinePhaseDetector
 from .recall import HippocampalRecall, RecallConfig, RecallStats
 from .replay import ReplayScheduler, make_replay_policy
@@ -440,13 +439,8 @@ class CLSPrefetcher:
         if transition is None:
             return
         if self.scheduler is not None:
-            self.scheduler.record(Episode(
-                input_class=transition[0],
-                target_class=transition[1],
-                phase_id=seen.phase,
-                confidence=seen.confidence,
-                timestamp=seen.timestamp,
-            ))
+            self.scheduler.remember(transition[0], transition[1], seen.phase,
+                                    seen.confidence, seen.timestamp)
         if self.recall_memory is not None:
             if self.recall_memory.occupancy() > self.config.recall_occupancy_reset:
                 recall_cfg = self.recall_memory.config

@@ -4,7 +4,11 @@ CLS theory's hippocampus does three things the paper leans on:
 
 1. **Episodic storage** — quickly memorize experiences (here: encoded miss
    transitions) so they can be replayed into the slow learner later
-   (§3.2).  :class:`EpisodicStore` holds those episodes, grouped by phase.
+   (§3.2).  :class:`EpisodicStore` holds those episodes, tagged by phase,
+   as int columns in the layout the replay kernel reads (one store is
+   one lane of the cohort's episode slab), and :class:`LaneDraws` holds
+   the raw random stream replay draws from — one generator per lane, a
+   cohort's or a replay scheduler's.
 2. **Pattern separation** — store similar experiences under nearly
    orthogonal sparse codes so they do not overwrite one another [35, 36].
 3. **Pattern completion** — recall a whole stored association from a
@@ -19,24 +23,32 @@ variants live in ``repro.core.replay``.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
-from operator import length_hint
+from itertools import islice
 from typing import Any, NamedTuple
 
 import numpy as np
 
 #: Draws :meth:`EpisodicStore.sample` spends per requested pick; the
-#: array form of replay (``core/cls_fleet.py``) makes the same draws.
+#: replay kernel (``rk_heb_replay``) makes the same draws.
 MAX_ATTEMPTS_PER_PICK = 8
 
-#: Raw 32-bit draws :class:`LaneDraws` and :class:`RawDraws` take from a
-#: generator at a time.  A refill costs about numpy's per-call overhead
-#: whatever its length, so a block serves 64 replays of one pick (16 of
-#: four).
+#: An unbounded :class:`EpisodicStore`'s ring capacity: it never wraps.
+UNBOUNDED = int(np.iinfo(np.int64).max)
+
+#: Columns an :class:`EpisodicStore` starts with (doubled as it fills).
+_COLUMNS = 16
+
+#: An :class:`EpisodicStore`'s columns, in :class:`Episode` field order
+#: (the cohort's episode slab has the same names, ``core/cls_fleet.py``).
+EPISODE_COLUMNS = ("ep_input", "ep_target", "ep_phase", "ep_confidence",
+                   "ep_timestamp")
+
+#: Raw 32-bit draws :class:`LaneDraws` takes from a generator at a time.
+#: A refill costs about numpy's per-call overhead whatever its length, so
+#: a block serves 64 replays of one pick (16 of four).
 _RAW_BLOCK = 512
 
 #: The most draws one replay call on :class:`LaneDraws` may ask of a lane.
@@ -55,9 +67,9 @@ def bounded_draws(raws: Iterator[int], size: int, attempts: int
     consumes nothing (the value is the offset); otherwise ``m = raw *
     size`` and the value is ``m >> 32``, unless the low half of ``m`` is
     below ``size``: then the draw is repeated while the low half is below
-    ``(2**32 - size) % size``.  The one Python form of the mapping, run
-    by :meth:`LaneDraws.draw_exact` and :meth:`RawDraws.integers` (the
-    compiled form is ``draw_row`` in ``nn/backends/c_backend.py``).
+    ``(2**32 - size) % size``.  The one Python form of the mapping value
+    by value, run by :meth:`LaneDraws.draw_exact` (the compiled form is
+    ``draw_row`` in ``nn/backends/c_backend.py``).
     """
     if size == 1:
         return [0] * attempts
@@ -95,6 +107,18 @@ class Episode(NamedTuple):
 class EpisodicStore:
     """Episode storage, unbounded by default, FIFO-bounded when capped.
 
+    The episodes are columns — ``ep_input`` / ``ep_target`` (int32),
+    ``ep_phase``, ``ep_confidence``, ``ep_timestamp`` — in the layout the
+    replay kernels read (``rk_heb_replay``, which the cohort runs over
+    its episode slab and the scalar replay over these columns): of the
+    ``ep_count[0]`` episodes ever written, the ``len(self)`` held are,
+    oldest first, at ``(ep_count - len(self) + i) % ep_cap``.  A capped
+    store's ``ep_cap`` is its capacity, a ring; an unbounded store's is
+    :data:`UNBOUNDED`, so it never wraps.  The columns grow by doubling
+    (to ``ep_cap`` at most), so they are replaced, not resized in place.
+    :meth:`episodes`, :meth:`sample` and :meth:`extend` are views of them
+    as :class:`Episode` records.
+
     Selection must stay O(1)-ish per miss (replay runs inside the miss
     path), so sampling with a phase exclusion uses bounded rejection
     sampling rather than materializing filtered pools.
@@ -107,60 +131,88 @@ class EpisodicStore:
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
             raise ValueError("capacity must be positive (or None for unbounded)")
-        self._episodes: deque[Episode] | list[Episode]
-        # Parallel phase ids, so rejection sampling filters on plain ints
-        # instead of touching Episode objects for rejected draws.
-        self._phase_ids: deque[int] | list[int]
-        # Per-phase occupancy, so sampling can recognize the
-        # everything-excluded case without scanning any draws.
-        self._phase_counts: dict[int, int] = {}
-        if self.capacity is None:
-            self._episodes = []
-            self._phase_ids = []
-        else:
-            self._episodes = deque(maxlen=self.capacity)
-            self._phase_ids = deque(maxlen=self.capacity)
+        self.ep_cap = UNBOUNDED if self.capacity is None else self.capacity
+        self.ep_count = np.zeros(1, dtype=np.int64)
+        self._count = memoryview(self.ep_count)
+        width = min(self.ep_cap, _COLUMNS)
+        self.ep_input = np.zeros(width, dtype=np.int32)
+        self.ep_target = np.zeros(width, dtype=np.int32)
+        self.ep_phase = np.zeros(width, dtype=np.int64)
+        self.ep_confidence = np.zeros(width)
+        self.ep_timestamp = np.zeros(width, dtype=np.int64)
+        self._view()
 
     def __len__(self) -> int:
-        return len(self._episodes)
+        return min(self._count[0], self.ep_cap)
+
+    def _view(self) -> None:
+        # :meth:`append` writes through memoryviews: an element store
+        # costs about half of numpy's there.
+        self._views = tuple(memoryview(getattr(self, name))
+                            for name in EPISODE_COLUMNS)
+
+    def _fit(self, columns: int) -> None:
+        """Make the columns at least ``columns`` wide (doubling)."""
+        if columns <= self.ep_input.size:
+            return
+        width = min(self.ep_cap, max(columns, 2 * self.ep_input.size))
+        for name in EPISODE_COLUMNS:
+            old = getattr(self, name)
+            new = np.zeros(width, dtype=old.dtype)
+            new[:old.size] = old
+            setattr(self, name, new)
+        self._view()
 
     def store(self, episode: Episode) -> None:
-        counts = self._phase_counts
-        if self.capacity is not None and len(self._episodes) == self.capacity:
-            self.evicted_total += 1
-            old = self._phase_ids[0]  # the deques evict FIFO on append
-            left = counts[old] - 1
-            if left:
-                counts[old] = left
-            else:
-                del counts[old]
-        self._episodes.append(episode)
-        self._phase_ids.append(episode.phase_id)
-        counts[episode.phase_id] = counts.get(episode.phase_id, 0) + 1
+        self.append(*episode)
+
+    def append(self, input_class: int, target_class: int,
+               phase_id: int = -1, confidence: float = 0.0,
+               timestamp: int = 0) -> None:
+        """:meth:`store` of that episode, written into the columns."""
+        count = self._count[0]
+        at = count % self.ep_cap
+        if count >= self.ep_cap:
+            self.evicted_total += 1  # the ring's oldest is overwritten
+        elif at == self.ep_input.size:
+            self._fit(at + 1)
+        inputs, targets, phases, confidences, timestamps = self._views
+        inputs[at] = input_class
+        targets[at] = target_class
+        phases[at] = phase_id
+        confidences[at] = confidence
+        timestamps[at] = timestamp
+        self._count[0] = count + 1
         self.stored_total += 1
 
     def extend(self, episodes: Sequence[Episode]) -> None:
-        """Bulk :meth:`store`: the same contents, counters and phase
-        occupancy as storing each episode in order."""
-        phases = [episode.phase_id for episode in episodes]
-        evicted = 0
-        if self.capacity is not None:
-            evicted = max(0, len(self._episodes) + len(phases)
-                          - self.capacity)
-        counts = self._phase_counts
-        for phase in phases:
-            counts[phase] = counts.get(phase, 0) + 1
+        """Bulk :meth:`store`: the same contents and counters as storing
+        each episode in order."""
+        if episodes:
+            self.extend_columns(*map(np.asarray, zip(*episodes)))
+
+    def extend_columns(self, *columns: np.ndarray,
+                       written: int | None = None) -> None:
+        """:meth:`extend` from columns, in :data:`EPISODE_COLUMNS` order.
+        With ``written``, they are the last of that many episodes stored
+        in order, the rest already overwritten (a cohort's ring that
+        wrapped): those count as stored and evicted."""
+        n = len(columns[0])
+        written = n if written is None else written
+        if not written:
+            return
+        count = self._count[0]
+        cap = self.ep_cap
         # FIFO: the oldest go first, and a long batch evicts its own head.
-        for phase in islice(chain(self._phase_ids, phases), evicted):
-            left = counts[phase] - 1
-            if left:
-                counts[phase] = left
-            else:
-                del counts[phase]
-        self._episodes.extend(episodes)
-        self._phase_ids.extend(phases)
-        self.stored_total += len(phases)
-        self.evicted_total += evicted
+        kept = min(n, cap)
+        if count < cap:
+            self._fit(min(count + written, cap))
+        at = (count + written - kept + np.arange(kept)) % cap
+        for name, values in zip(EPISODE_COLUMNS, columns):
+            getattr(self, name)[at] = values[n - kept:]
+        self.evicted_total += max(0, min(count, cap) + written - cap)
+        self._count[0] = count + written
+        self.stored_total += written
 
     def telemetry_counters(self) -> dict[str, int | float]:
         """Named counters for the telemetry sink (ints: monotone; floats:
@@ -168,18 +220,21 @@ class EpisodicStore:
         return {
             "episodes_stored": self.stored_total,
             "episodes_evicted": self.evicted_total,
-            "episodes_held": float(len(self._episodes)),
+            "episodes_held": float(len(self)),
         }
 
     def episodes(self, phase_id: int | None = None) -> list[Episode]:
-        if phase_id is None:
-            return list(self._episodes)
-        return [e for e in self._episodes if e.phase_id == phase_id]
+        size = len(self)
+        at = (self._count[0] - size + np.arange(size)) % self.ep_cap
+        if phase_id is not None:
+            at = at[self.ep_phase[at] == phase_id]
+        return list(map(Episode._make, zip(
+            *(getattr(self, name)[at].tolist() for name in EPISODE_COLUMNS))))
 
     def phases(self) -> list[int]:
-        return sorted({e.phase_id for e in self._episodes})
+        return sorted({e.phase_id for e in self.episodes()})
 
-    def sample(self, rng: np.random.Generator | RawDraws, n: int,
+    def sample(self, rng: np.random.Generator | LaneDraws, n: int,
                exclude_phase: int | None = None,
                max_attempts_per_pick: int = MAX_ATTEMPTS_PER_PICK
                ) -> list[Episode]:
@@ -188,118 +243,56 @@ class EpisodicStore:
         Rejection attempts are bounded, so when nearly everything stored
         belongs to the excluded phase the call returns fewer episodes
         instead of stalling the miss path.  ``rng`` is a generator or a
-        :class:`RawDraws` over one; either way the call makes the same
-        one draw, ``integers(0, len(self), size=n * max_attempts_per_pick)``
-        on the generator's stream, whatever it returns.
+        :class:`LaneDraws` whose lane 0 draws from one; either way the
+        call makes the same one draw, ``integers(0, len(self),
+        size=n * max_attempts_per_pick)`` on the generator's stream,
+        whatever it returns, and the picks are the first ``n`` drawn
+        episodes outside ``exclude_phase``.
         """
-        size = len(self._episodes)
+        size = len(self)
         if size == 0 or n <= 0:
             return []
-        # One draw of every attempt regardless of path, so the stream
-        # (and therefore every selection) is identical to the rejection
-        # loop's.
         attempts = n * max_attempts_per_pick
-        if isinstance(rng, RawDraws):
-            draws = rng.integers(size, attempts)
+        if isinstance(rng, LaneDraws):
+            draws = rng.draw(0, size, attempts)
         else:
             draws = rng.integers(0, size, size=attempts).tolist()
-        episodes = self._episodes
-        if exclude_phase is None:
-            # Nothing to reject: the first n draws are the picks.
-            return [episodes[idx] for idx in draws[:n]]
-        if self._phase_counts.get(exclude_phase, 0) == size:
-            # Every stored episode is in the excluded phase, so the
-            # rejection loop could only come up empty.  (The draw above
-            # already happened, keeping the stream identical.)
-            return []
-        out: list[Episode] = []
-        phase_ids = self._phase_ids
-        for idx in draws:
-            if phase_ids[idx] != exclude_phase:
-                out.append(episodes[idx])
-                if len(out) == n:
+        first = self._count[0] - size
+        cap = self.ep_cap
+        inputs, targets, phases, confidences, timestamps = (
+            self.ep_input, self.ep_target, self.ep_phase, self.ep_confidence,
+            self.ep_timestamp)
+        picks: list[Episode] = []
+        for draw in draws:
+            at = (first + draw) % cap
+            phase = phases.item(at)
+            if phase != exclude_phase or exclude_phase is None:
+                picks.append(Episode(inputs.item(at), targets.item(at),
+                                     phase, confidences.item(at),
+                                     timestamps.item(at)))
+                if len(picks) == n:
                     break
-        return out
-
-
-class RawDraws:
-    """One generator's bounded draws, from a block of its raw stream.
-
-    :meth:`integers` returns what ``rng.integers(0, size, size=attempts)``
-    would, applying :func:`bounded_draws` to a block of raw 32-bit values
-    that one ``integers(0, 2**32, size=512, dtype=uint32)`` call refills,
-    instead of one ``Generator.integers`` call per draw: the scalar
-    replay's draw (``ReplayScheduler`` hands one to
-    :meth:`EpisodicStore.sample`), with the arithmetic the cohort's
-    replay kernel applies to :class:`LaneDraws`' blocks.
-    The block is taken at the first draw, so a drawer that never draws
-    holds none.  The generator runs ahead of the draws by the unread part
-    of the block; :meth:`sync` (which pickling calls) puts it back where
-    per-call draws would have left it, for whoever reads it next.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        # The raws, block after block (None: no block taken since the
-        # last sync), and the block being read with
-        # ``bit_generator.state`` from before it was drawn.
-        self._stream: Iterator[int] | None = None
-        self._block: tuple[Iterator[int], dict[str, Any]] | None = None
-
-    def __reduce__(self) -> tuple[type[RawDraws], tuple[np.random.Generator]]:
-        return RawDraws, (self.sync(),)
-
-    def _blocks(self) -> Iterator[Iterator[int]]:
-        rng = self._rng
-        while True:
-            state = rng.bit_generator.state
-            block = iter(rng.integers(0, 2**32, size=_RAW_BLOCK,
-                                      dtype=np.uint32).tolist())
-            self._block = block, state
-            yield block
-
-    def integers(self, size: int, attempts: int) -> list[int]:
-        """``rng.integers(0, size, size=attempts)`` as a list (``size``
-        at least 1)."""
-        if size > 2**32:  # numpy's 64-bit path: let numpy draw it
-            return self.sync().integers(0, size, size=attempts).tolist()
-        stream = self._stream
-        if stream is None:
-            stream = self._stream = chain.from_iterable(self._blocks())
-        return bounded_draws(stream, size, attempts)
-
-    def sync(self) -> np.random.Generator:
-        """The generator, advanced by exactly the raws the draws read
-        (the unread rest of the block is dropped; the next draw takes a
-        new one)."""
-        if self._block is not None:
-            block, state = self._block
-            used = _RAW_BLOCK - length_hint(block)
-            rng = self._rng
-            rng.bit_generator.state = state
-            if used:
-                rng.integers(0, 2**32, size=used, dtype=np.uint32)
-            self._stream = self._block = None
-        return self._rng
+        return picks
 
 
 class LaneDraws:
     """The raw blocks :meth:`EpisodicStore.sample`'s draws come from,
-    for many generators.
+    for one generator per lane: a cohort's lanes, or a
+    ``ReplayScheduler``'s one.
 
     A draw is, per lane, the values ``rng.integers(0, size,
     size=attempts)`` would return on that lane's generator, and
-    :meth:`detach` leaves the generator where those calls would have.
+    :meth:`sync` leaves the generator where those calls would have.
     It rests on how numpy draws a bounded integer: for a bound below
     2**32 ``Generator.integers`` is Lemire's rejection method over the
     bit generator's 32-bit stream (:func:`bounded_draws`), and
     ``integers(0, 2**32, dtype=uint32)`` hands out that stream as it is.
     So each lane keeps a block of raw draws (:meth:`blocks`, refilled by
-    :meth:`ready`) and the cohort's replay kernel (``rk_heb_replay``)
-    does the arithmetic over them, a whole round at a time, as the
-    scalar replay's :class:`RawDraws` does it for one generator: a value
-    is ``(raw * size) >> 32`` unless the low half of that product is
-    below ``size``.
+    :meth:`ready`) and the replay kernel (``rk_heb_replay``) does the
+    arithmetic over them — for a cohort a whole round at a time, for the
+    scalar replay one lane at a time — and :meth:`draw` does it in numpy:
+    a value is ``(raw * size) >> 32`` unless the low half of that product
+    is below ``size``.
 
     A row with a candidate for rejection (about ``attempts * size / 2**32``
     of them) is handed back by the kernel and drawn value by value by
@@ -309,13 +302,14 @@ class LaneDraws:
     against ``Generator.integers`` on the supported numpy range.
     """
 
-    #: The most draws one call may ask of a lane.
+    #: The most draws one kernel call may ask of a lane.
     max_attempts = _MAX_ATTEMPTS
 
     def __init__(self, lanes: int) -> None:
         self._raws = np.zeros((lanes, _RAW_BLOCK), dtype=np.uint32)
         # Next unread raw of each block (``_RAW_BLOCK``: none left), and
-        # the raws a lane has consumed since :meth:`attach`.
+        # the raws a lane has consumed since :meth:`attach` or
+        # :meth:`sync`.
         self._at = np.full(lanes, _RAW_BLOCK, dtype=np.int64)
         self._used = np.zeros(lanes, dtype=np.int64)
         self._rngs: list[np.random.Generator | None] = [None] * lanes
@@ -338,15 +332,16 @@ class LaneDraws:
 
     def attach(self, lane: int, rng: np.random.Generator) -> None:
         """Draw lane ``lane`` from ``rng`` until :meth:`detach`; ``rng``
-        must not be used in between."""
+        is read only through :meth:`sync` in between."""
         if self._rngs[lane] is not None:
             raise ValueError(f"lane {lane} already has a generator")
         self._rngs[lane] = rng
 
-    def detach(self, lane: int) -> None:
-        """Give the lane's generator back, advanced by exactly the raws
-        its draws consumed (a bit generator's buffered half-word
-        included: the same 32-bit reads are made again)."""
+    def sync(self, lane: int = 0) -> np.random.Generator:
+        """The lane's generator, advanced by exactly the raws its draws
+        consumed (a bit generator's buffered half-word included: the same
+        32-bit reads are made again).  The unread rest of the block is
+        dropped; the next draw takes a new one."""
         rng = self._rngs[lane]
         if rng is None:
             raise ValueError(f"lane {lane} has no generator")
@@ -356,10 +351,15 @@ class LaneDraws:
             used = int(self._used[lane])
             if used:
                 rng.integers(0, 2**32, size=used, dtype=np.uint32)
-        self._rngs[lane] = None
         self._states[lane] = None
         self._at[lane] = _RAW_BLOCK
         self._used[lane] = 0
+        return rng
+
+    def detach(self, lane: int) -> None:
+        """Give the lane's generator back, synced (:meth:`sync`)."""
+        self.sync(lane)
+        self._rngs[lane] = None
 
     def _refill(self, lane: int) -> None:
         """Move the lane's unread raws to the front of its block and draw
@@ -388,6 +388,11 @@ class LaneDraws:
         for lane in lanes[short].tolist():
             self._refill(lane)
 
+    def ready_lane(self, lane: int, attempts: int) -> None:
+        """:meth:`ready` for one lane."""
+        if self._at.item(lane) > _RAW_BLOCK - attempts:
+            self._refill(lane)
+
     def _next_raw(self, lane: int) -> int:
         if self._at[lane] == _RAW_BLOCK:
             self._refill(lane)
@@ -395,6 +400,31 @@ class LaneDraws:
         self._at[lane] = at + 1
         self._used[lane] += 1
         return self._raws.item(lane, at)
+
+    def draw(self, lane: int, size: int, attempts: int) -> list[int]:
+        """One lane's draw of ``integers(0, size, size=attempts)``
+        (``size`` in ``[1, 2**32]``): ``rk_lane_draws``' arithmetic over
+        the block, or :meth:`draw_exact` for a row it would hand back (or
+        one longer than a block)."""
+        if not 1 <= size <= 2**32:
+            raise ValueError(f"a lane draws below bounds in [1, 2**32], "
+                             f"not {size}")
+        if size > 1 and attempts <= _RAW_BLOCK:
+            at = self._at.item(lane)
+            if at > _RAW_BLOCK - attempts:
+                self._refill(lane)
+                at = 0
+            out = []
+            for raw in self._raws[lane, at:at + attempts].tolist():
+                m = raw * size
+                if m & _LOW32 < size:
+                    break
+                out.append(m >> 32)
+            else:
+                self._at[lane] = at + attempts
+                self._used[lane] = self._used.item(lane) + attempts
+                return out
+        return self.draw_exact(lane, size, attempts)
 
     def draw_exact(self, lane: int, size: int, attempts: int) -> list[int]:
         """One lane's draw, value by value (numpy's own loop)."""

@@ -5,6 +5,13 @@ pattern, retrain the network on stored examples of *old* patterns with a
 0.1x smaller learning rate.  That interleaving is what prevents
 catastrophic interference (Figure 3 d-f).
 
+:class:`ReplayScheduler` runs that protocol.  Its replay is written once:
+for a policy that samples an :class:`~repro.core.hippocampus.EpisodicStore`
+on a compiled Hebbian network, a step is one call of the replay kernel the
+cohort runs (``rk_heb_replay``, here on one lane) over the store's columns;
+elsewhere ``EpisodicStore.sample`` draws the same values from the same raw
+stream, and the model trains on what it picks.
+
 §5.4 lays out the design space for making replay affordable; each point in
 it is a :class:`ReplayPolicy` here:
 
@@ -29,8 +36,9 @@ from typing import Any, Protocol
 
 import numpy as np
 
+from ..nn.backends import c_backend
 from ..nn.base import SequenceModel
-from .hippocampus import Episode, EpisodicStore, RawDraws
+from .hippocampus import MAX_ATTEMPTS_PER_PICK, Episode, EpisodicStore, LaneDraws
 
 #: The paper's replay learning-rate scale (§3.2: "0.1x smaller").
 REPLAY_LR_SCALE = 0.1
@@ -289,16 +297,6 @@ class GenerativeReplay:
         return len(self._seed_classes)
 
 
-def sampled_store(policy: ReplayPolicy) -> EpisodicStore | None:
-    """The store whose :meth:`EpisodicStore.sample` is ``policy``'s
-    ``select``, when it has one (what the cohort's episode slab and the
-    raw-block draw reproduce)."""
-    if isinstance(policy, (FullReplay, RingBufferReplay,
-                           ConfidenceFilteredReplay)):
-        return policy.store
-    return None
-
-
 @dataclass
 class ReplayScheduler:
     """Drives interleaved replay around ordinary training (§3.2).
@@ -307,12 +305,16 @@ class ReplayScheduler:
     asks the policy for old episodes and retrains the model on them at
     ``lr_scale`` (0.1x by default, the paper's setting).
 
-    Its sampling generator, seeded by ``seed``, lives in :attr:`draws`.
-    A policy that samples its store (:func:`sampled_store`) draws through
-    that :class:`~repro.core.hippocampus.RawDraws`, from a block of the
-    generator's raw stream; any other policy gets the generator itself,
-    synced to where per-call draws would have left it.  Whoever else
-    reads the generator takes it from ``draws.sync()``.
+    Its sampling generator, seeded by ``seed``, is lane 0 of :attr:`draws`,
+    a one-lane :class:`~repro.core.hippocampus.LaneDraws`.  A policy that
+    samples its store (:attr:`store`) draws from blocks of the generator's
+    raw stream: on a compiled Hebbian network the whole replay — draw,
+    picks, their training — is one ``rk_heb_replay_one`` call over the
+    store's columns (the cohort's replay kernel on one lane), elsewhere
+    :meth:`EpisodicStore.sample` draws and the model trains on what it
+    returns.  Any other policy gets the generator itself, synced to where
+    per-call draws would have left it.  Whoever else reads the generator
+    takes it from ``draws.sync()``.
 
     Attributes:
         policy: Storage/selection policy.
@@ -333,11 +335,24 @@ class ReplayScheduler:
             raise ValueError("per_step must be >= 0")
         if not (math.isfinite(self.lr_scale) and self.lr_scale >= 0):
             raise ValueError("lr_scale must be finite and >= 0")
-        self.draws = RawDraws(np.random.default_rng(self.seed))
+        self.draws = LaneDraws(1)
+        self.draws.attach(0, np.random.default_rng(self.seed))
         # Per-step invariants of the policy, hoisted off the per-miss path.
         policy = self.policy
-        store = sampled_store(policy)
-        self._sample = None if store is None else store.sample
+        #: The store whose :meth:`EpisodicStore.sample` is the policy's
+        #: ``select``, if it has one (what the replay kernel reads).
+        self.store = (policy.store if isinstance(
+            policy, (FullReplay, RingBufferReplay, ConfidenceFilteredReplay))
+            else None)
+        # ... which remembers below this confidence (None: everything).
+        self._threshold: float | None = getattr(
+            policy, "confidence_threshold", None)
+        self._attempts = self.per_step * MAX_ATTEMPTS_PER_PICK
+        # The replay kernel serves a sampled store within a block's
+        # attempts; its context is bound at the first call (None before).
+        self._kernel = (self.store is not None
+                        and self._attempts <= LaneDraws.max_attempts)
+        self._ring: c_backend.CReplay | None = None
         self._generate = (policy.generate
                           if isinstance(policy, GenerativeReplay) else None)
         self._on_replayed = getattr(policy, "on_replayed", None)
@@ -345,6 +360,18 @@ class ReplayScheduler:
 
     def record(self, episode: Episode) -> None:
         self.policy.record(episode)
+
+    def remember(self, input_class: int, target_class: int, phase_id: int,
+                 confidence: float, timestamp: int) -> None:
+        """:meth:`record` of that episode, into a sampled store's columns
+        without building it."""
+        store = self.store
+        if store is None:
+            self.policy.record(Episode(input_class, target_class, phase_id,
+                                       confidence, timestamp))
+        elif self._threshold is None or confidence < self._threshold:
+            store.append(input_class, target_class, phase_id, confidence,
+                         timestamp)
 
     def step(self, model: SequenceModel, current_phase: int | None = None) -> int:
         """Run one interleaving round; returns the number of replayed pairs."""
@@ -358,6 +385,9 @@ class ReplayScheduler:
             for input_class, target_class in pairs:
                 model.train_pair(input_class, target_class, lr_scale=self.lr_scale)
                 count += 1
+        elif (self._kernel and getattr(model, "compiled", False)
+              and (current_phase is None or current_phase >= 0)):
+            count = self._replay_ring(model, current_phase)
         else:
             episodes = self._episodes(current_phase)
             if not episodes:
@@ -383,12 +413,34 @@ class ReplayScheduler:
         self.replayed_total += count
         return count
 
+    def _replay_ring(self, model: Any, current_phase: int | None) -> int:
+        """:meth:`step`'s sample and training as the network's one
+        ``replay_ring`` kernel call, plus a second for a draw that needs
+        numpy's rejection loop (made here, value by value)."""
+        store = self.store
+        assert store is not None
+        draws = self.draws
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = c_backend.bind_replay(
+                draws.blocks(), store.ep_count, store.ep_cap, self._attempts,
+                self.per_step)
+        if ring.columns is not store.ep_input:
+            ring.point(store.ep_input, store.ep_target, store.ep_phase)
+        draws.ready_lane(0, self._attempts)
+        phase = -1 if current_phase is None else current_phase
+        count = model.replay_ring(ring, phase, self.lr_scale)
+        if count is None:
+            ring.values[:] = draws.draw_exact(0, len(store), self._attempts)
+            count = model.replay_ring(ring, phase, self.lr_scale, False)
+        return count
+
     def _episodes(self, current_phase: int | None) -> list[Episode]:
         """The policy's pick of up to ``per_step`` episodes: its store's
         ``sample`` on the raw block, or its ``select`` on the generator."""
-        sample = self._sample
-        if sample is not None:
-            return sample(self.draws, self.per_step, current_phase)
+        store = self.store
+        if store is not None:
+            return store.sample(self.draws, self.per_step, current_phase)
         return self._select(self.draws.sync(), self.per_step,
                             exclude_phase=current_phase)
 

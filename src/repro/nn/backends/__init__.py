@@ -43,6 +43,7 @@ to the same cache entry regardless of which backend computed it.
 
 from __future__ import annotations
 
+import os
 import warnings
 from typing import Any
 
@@ -65,10 +66,27 @@ __all__ = [
 NN_BACKENDS = ("numpy", "c", "int8")
 SIM_BACKENDS = ("numpy", "c")
 
-#: Backends force-disabled for this process (test/CI hook: the
-#: ``REPRO_DISABLE_COMPILED`` conftest fixture fills this to prove the
-#: numpy fallback on machines that do have a compiler).
-_disabled: set[str] = set()  # repro-lint: zone=init
+
+def _disabled_by_environment() -> set[str]:
+    """The backends ``REPRO_DISABLE_COMPILED`` turns off: ``1`` every
+    compiled one, a comma list (``REPRO_DISABLE_COMPILED=c``) the ones
+    it names.  It forces the pure-numpy reference on a machine with a
+    working compiler — for the CLI, ``run_grid`` workers, ``python -m
+    bench`` and the tests alike (CI's forced-numpy leg sets it)."""
+    # Which backend runs never reaches a result: they are bit-identical
+    # by contract, and no cache key sees the backend.
+    raw = os.environ.get(  # repro-lint: disable=RL002
+        "REPRO_DISABLE_COMPILED", "").strip()
+    if not raw:
+        return set()
+    names = (SIM_BACKENDS if raw == "1"
+             else tuple(n.strip() for n in raw.split(",") if n.strip()))
+    return {name for name in names if name != "numpy"}
+
+
+#: Backends force-disabled for this process, read from the environment
+#: once, at import.
+_disabled: set[str] = _disabled_by_environment()  # repro-lint: zone=init
 
 _default_backend = "auto"
 _warned_fallback = False

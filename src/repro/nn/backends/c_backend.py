@@ -35,7 +35,9 @@ Two families are compiled:
   fleet by :func:`bind_hebbian_lanes`, and the cohort's replay is one of
   them (``rk_heb_replay``: ``LaneDraws``' bounded draws over its raw
   blocks, the phase rejection, the picks and their training;
-  ``rk_lane_draws`` is its draw alone).  ``np.exp``, the k-WTA hidden
+  ``rk_lane_draws`` is its draw alone), which the scalar network's
+  replay runs on one lane (``rk_heb_replay_one``, over a store bound by
+  :func:`bind_replay`).  ``np.exp``, the k-WTA hidden
   code and the raw 32-bit stream stay numpy: the first is not libm's
   ``exp`` bit for bit, the second's tie order is ``argpartition``'s, the
   third is the generator's own.
@@ -111,9 +113,34 @@ typedef struct {
     double *x, *top_p;
     long long *top, *punished, *n_punished;
     unsigned char *mark;
-    long long vocab, hidden;
+    /* the scalar replay's context-free codes: class c's is row
+     * code_of[c] of codes (k wide), -1 until it is made */
+    const long long *codes, *code_of;
+    long long vocab, hidden, k, punish;
     double temperature, weight_max, negative_scale;
 } rk_heb;
+"""
+
+#: ``rk_heb_replay_one``'s context: one ``EpisodicStore``'s columns and
+#: one ``LaneDraws`` lane (the scalar replay's draws), with the call's
+#: scratch; bound once per ``ReplayScheduler`` by :func:`bind_replay`.
+_REPLAY_CONTEXT = """
+typedef struct {
+    /* the lane's raw block, its next unread raw and the raws consumed */
+    const uint32_t *raws;
+    long long *at, *used;
+    /* the store: episodes written, its ring's capacity, its columns */
+    const long long *count;
+    long long cap;
+    const int32_t *input, *target;
+    const long long *phase;
+    long long attempts, per_step;
+    /* scratch: the draw, the picks' columns (pred: the argmax each
+     * pick learnt against, -1: none), the replayed count, and the row
+     * left to the rejection loop */
+    long long *values, *replayed, *pick_lane, *pick_input, *pick_target,
+        *pick_code, *pick_pred, *redo, *n_redo;
+} rk_replay;
 """
 
 _SOURCE = r"""
@@ -656,12 +683,13 @@ void rk_heb_finish_rows(const rk_heb *h, double *x, i64 n, double *store,
 /* HebbianFleet.train_pairs_columns, pair by pair in the order given:
  * lane lanes[i] learns targets[i] from code codes[i] at lrs[i] (lr when
  * lrs is NULL), against the argmax of its readout of that code under
- * punish (else against nothing) -- SparseHebbianNetwork.learn_pair. */
+ * punish (else against nothing) -- SparseHebbianNetwork.learn_pair.
+ * With preds, preds[i] gets that argmax (-1: none). */
 static void lanes_train(const rk_heb *h, double *slab, i64 block,
                         const i64 *table, i64 k, i64 punish,
                         const i64 *lanes, const i64 *codes,
                         const i64 *targets, const double *lrs, double lr,
-                        i64 n)
+                        i64 n, i64 *preds)
 {
     for (i64 i = 0; i < n; i++) {
         double *w = slab + lanes[i] * block;
@@ -669,6 +697,8 @@ static void lanes_train(const rk_heb *h, double *slab, i64 block,
         i64 predicted = punish ? heb_readout(h, w, code, k, h->x) : -1;
         heb_learn(h, w, code, k, targets[i], predicted, lrs ? lrs[i] : lr,
                   0);
+        if (preds)
+            preds[i] = predicted;
     }
 }
 
@@ -678,7 +708,7 @@ void rk_heb_lanes_train(const rk_heb *h, double *slab, i64 block,
                         const i64 *targets, const double *lrs, i64 n)
 {
     lanes_train(h, slab, block, table, k, punish, lanes, codes, targets,
-                lrs, 0.0, n);
+                lrs, 0.0, n, 0);
 }
 
 /* ------------------------------------------------------------------ */
@@ -734,21 +764,25 @@ i64 rk_lane_draws(const uint32_t *raws, i64 raw_block, i64 *at, i64 *used,
     return n_redo;
 }
 
-/* CLSFleetGroup._replay (repro/core/cls_fleet.py): EpisodicStore.sample
- * and the training of what it picks, for each lane t = lanes[i] with an
- * episode.  Lane t's store holds size = min(count[t], cap) episodes, the
- * oldest at column count[t] - size of its ring (a row of the episode
- * slab, cols wide: ep_input / ep_target / ep_phase).  Its draw is row i
- * of values (n, attempts): with draw, rk_lane_draws' (a row that needs
- * the rejection loop is listed in redo and skipped), else as given.
- * The first per_step draws whose episode is not in phase[i] (any, when
+/* EpisodicStore.sample and the training of what it picks, for each lane
+ * t = lanes[i] with an episode: CLSFleetGroup._replay
+ * (repro/core/cls_fleet.py) through rk_heb_replay, and ReplayScheduler
+ * (repro/core/replay.py) on one lane through rk_heb_replay_one.  Lane
+ * t's store holds size = min(count[t], cap) episodes, the oldest at
+ * column count[t] - size of its ring (a row of the episode slab, cols
+ * wide: ep_input / ep_target / ep_phase).  Its draw is row i of values
+ * (n, attempts): with draw, rk_lane_draws' (a row that needs the
+ * rejection loop is listed in redo and skipped), else as given.  The
+ * first per_step draws whose episode is not in phase[i] (any, when
  * phase[i] < 0) are its picks: counted in replayed[t] and listed, lane
  * by lane, as (pick_lane, pick_input, pick_target).  Then, when every
- * picked input has a context-free code (code_of[input] >= 0, listed in
- * pick_code), the picks train as rk_heb_lanes_train's at lr and the call
+ * pick's classes are in the vocabulary and its input has a context-free
+ * code (code_of[input] >= 0, listed in pick_code), the picks train as
+ * rk_heb_lanes_train's at lr and the call
  * returns their number; otherwise it trains nothing and returns -1 -
  * that number (the caller finds the codes and trains the list).
- * *n_redo gets redo's length. */
+ * *n_redo gets redo's length.  With pick_pred, the trained picks'
+ * argmaxes go there (lanes_train's preds). */
 i64 rk_heb_replay(const rk_heb *h, double *slab, i64 block,
                   const i64 *table, i64 k, const i64 *code_of, i64 punish,
                   double lr, const i64 *lanes, i64 n, const i64 *phase,
@@ -758,7 +792,7 @@ i64 rk_heb_replay(const rk_heb *h, double *slab, i64 block,
                   const int32_t *ep_target, const i64 *ep_phase,
                   i64 attempts, i64 per_step, i64 *replayed,
                   i64 *pick_lane, i64 *pick_input, i64 *pick_target,
-                  i64 *pick_code, i64 *redo, i64 *n_redo)
+                  i64 *pick_code, i64 *pick_pred, i64 *redo, i64 *n_redo)
 {
     i64 picks = 0, coded = 1;
 
@@ -784,12 +818,18 @@ i64 rk_heb_replay(const rk_heb *h, double *slab, i64 block,
         }
         for (i64 a = 0; a < attempts && nth < per_step; a++) {
             i64 e = t * cols + (first + v[a]) % cap;
+            i64 in, tg;
             if (phase[i] >= 0 && ep_phase[e] == phase[i])
                 continue;
+            in = ep_input[e];
+            tg = ep_target[e];
             pick_lane[picks] = t;
-            pick_input[picks] = ep_input[e];
-            pick_target[picks] = ep_target[e];
-            pick_code[picks] = code_of[ep_input[e]];
+            pick_input[picks] = in;
+            pick_target[picks] = tg;
+            /* a class outside the vocabulary has no code either: the
+             * caller's check names it */
+            pick_code[picks] = (in >= 0 && in < h->vocab && tg >= 0
+                                && tg < h->vocab) ? code_of[in] : -1;
             coded &= pick_code[picks] >= 0;
             picks++;
             nth++;
@@ -799,8 +839,30 @@ i64 rk_heb_replay(const rk_heb *h, double *slab, i64 block,
     if (!coded)
         return -1 - picks;
     lanes_train(h, slab, block, table, k, punish, pick_lane, pick_code,
-                pick_target, 0, lr, picks);
+                pick_target, 0, lr, picks, pick_pred);
     return picks;
+}
+
+/* SparseHebbianNetwork.replay_ring: rk_heb_replay for one lane -- lane
+ * 0 of r's draws and store, excluding phase (none below 0) -- trained
+ * into the network's own values on its context-free codes (h->codes,
+ * h->code_of), each trained pick's argmax listed in r->pick_pred.
+ * Returns as rk_heb_replay; a draw left to the rejection loop returns 0,
+ * having read and trained nothing, with r->n_redo[0] set.  h->top and
+ * h->top_p (the next rollout's preselection) are left alone. */
+""" + _REPLAY_CONTEXT + r"""
+i64 rk_heb_replay_one(const rk_heb *h, const rk_replay *r, i64 phase,
+                      i64 draw, double lr)
+{
+    const i64 lane = 0;
+
+    return rk_heb_replay(h, h->w, 0, h->codes, h->k, h->code_of,
+                         h->punish, lr, &lane, 1, &phase, draw, r->values,
+                         r->raws, 0, r->at, r->used, r->count, r->cap, 0,
+                         r->input, r->target, r->phase, r->attempts,
+                         r->per_step, r->replayed, r->pick_lane,
+                         r->pick_input, r->pick_target, r->pick_code,
+                         r->pick_pred, r->redo, r->n_redo);
 }
 """
 
@@ -862,15 +924,23 @@ long long rk_heb_replay(const rk_heb *h, double *slab, long long block,
                         long long per_step, long long *replayed,
                         long long *pick_lane, long long *pick_input,
                         long long *pick_target, long long *pick_code,
-                        long long *redo, long long *n_redo);
+                        long long *pick_pred, long long *redo,
+                        long long *n_redo);
+""" + _REPLAY_CONTEXT + """
+long long rk_heb_replay_one(const rk_heb *h, const rk_replay *r,
+                            long long phase, long long draw, double lr);
 """
 
 #: ``-fno-fast-math`` and ``-ffp-contract=off`` are load-bearing for the
 #: Hebbian kernels: they keep every float sum in numpy's order (no
 #: reassociation) and every multiply-add rounded twice (no FMA
-#: contraction).  Part of the ``.so`` cache key, so editing them
+#: contraction).  ``-falign-functions=64`` starts every kernel on a cache
+#: line, so a kernel's speed does not move with the size of the code
+#: compiled before it (``rk_sim_run`` lost about 5 % on ``sim-classic``
+#: to a 32-byte shift).  Part of the ``.so`` cache key, so editing them
 #: rebuilds.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
+           "-falign-functions=64")
 
 #: The extension's module name.  Fixed, so the init symbol cffi emits
 #: (``PyInit__reprokernels``) does not depend on the cache file's name.
@@ -1118,15 +1188,17 @@ class CHebbian:
     ``step(prev, k_prev, target, predicted, lr, code, k)``,
     ``learn(code, k, target, predicted, lr)``, ``scores(code, k)`` and
     ``finish(width, normalize)`` call ``rk_heb_step`` / ``rk_heb_learn`` /
-    ``rk_heb_scores`` / ``rk_heb_finish`` on the bound context; a code
-    is passed as :meth:`codes` of it.  The context's scratch is exposed
+    ``rk_heb_scores`` / ``rk_heb_finish`` on the bound context, and
+    ``replay(ring, phase, draw, lr)`` ``rk_heb_replay_one`` with a
+    :class:`CReplay`'s ``ctx``; a code is passed as :meth:`codes` of it.  The context's scratch is exposed
     as numpy arrays: ``x`` (logits, then probabilities — the network
     runs ``np.exp`` on it in place), ``top`` / ``top_p`` (the selection)
     and ``punished`` / ``n_punished`` (the punish term's slots).
     """
 
     __slots__ = ("x", "top", "top_p", "punished", "n_punished", "step",
-                 "learn", "scores", "finish", "_ffi", "_hidden", "_keep")
+                 "learn", "scores", "finish", "replay", "_ffi", "_hidden",
+                 "_keep")
 
     def __init__(self, ffi: Any, lib: Any, tables: dict[str, Any],
                  w: np.ndarray, **settings: float) -> None:
@@ -1142,6 +1214,7 @@ class CHebbian:
         self.learn = partial(lib.rk_heb_learn, ctx)
         self.scores = partial(lib.rk_heb_scores, ctx)
         self.finish = partial(lib.rk_heb_finish, ctx)
+        self.replay = partial(lib.rk_heb_replay_one, ctx)
 
     def codes(self, code: np.ndarray) -> Any:
         """A kernel pointer to ``code`` (it keeps ``code`` alive): at
@@ -1238,8 +1311,57 @@ class CHebbianLanes:
             b(used), b(count), cap, ep_input.shape[1], b(ep_input),
             b(ep_target), b(ep_phase), values.shape[1], per_step,
             b(replayed), b(picks[0]), b(picks[1]), b(picks[2]),
-            b(picks[3]), b(redo), b(n_redo))
+            b(picks[3]), b(None), b(redo), b(n_redo))
         return int(got), redo[:int(n_redo[0])]
+
+
+class CReplay:
+    """``rk_heb_replay_one``'s context over one store's columns and one
+    draw lane (see :func:`bind_replay`).  ``ctx`` is what
+    ``CHebbian.replay`` takes; ``values`` (the draw), ``picks`` (``(5,
+    per_step)``: each pick's lane, input, target, code and argmax) and
+    ``n_redo`` are its scratch as numpy arrays.  The context holds raw
+    addresses: :meth:`point` aims it at the store's columns again once
+    they are reallocated (``columns`` is the input column it holds)."""
+
+    __slots__ = ("ctx", "values", "picks", "n_redo", "columns", "_ffi",
+                 "_keep", "_held")
+
+    def __init__(self, ffi: Any, draws: tuple[np.ndarray, ...],
+                 count: np.ndarray, cap: int, attempts: int,
+                 per_step: int) -> None:
+        self._ffi = ffi
+        self.ctx = ffi.new("rk_replay *")
+        self.values = np.zeros(attempts, dtype=np.int64)
+        self.picks = np.zeros((5, per_step), dtype=np.int64)
+        self.n_redo = np.zeros(1, dtype=np.int64)
+        raws, at, used = draws
+        arrays = {"raws": raws, "at": at, "used": used, "count": count,
+                  "values": self.values,
+                  "replayed": np.zeros(1, dtype=np.int64),
+                  "pick_lane": self.picks[0], "pick_input": self.picks[1],
+                  "pick_target": self.picks[2], "pick_code": self.picks[3],
+                  "pick_pred": self.picks[4],
+                  "redo": np.zeros(1, dtype=np.int64), "n_redo": self.n_redo}
+        self._keep: list[Any] = [arrays]
+        for name, arr in arrays.items():
+            self._keep.append(_buffer(ffi, arr))
+            setattr(self.ctx, name, self._keep[-1])
+        self.ctx.cap = cap
+        self.ctx.attempts = attempts
+        self.ctx.per_step = per_step
+        self.columns: np.ndarray | None = None
+        self._held: list[Any] = []
+
+    def point(self, inputs: np.ndarray, targets: np.ndarray,
+              phases: np.ndarray) -> None:
+        """Read the store from these columns (int32, int32, int64)."""
+        ffi = self._ffi
+        self._held = [inputs, targets, phases,
+                      *(_buffer(ffi, arr) for arr in (inputs, targets,
+                                                      phases))]
+        self.ctx.input, self.ctx.target, self.ctx.phase = self._held[3:]
+        self.columns = inputs
 
 
 #: The kernel pointer type of each array dtype the kernels take.
@@ -1272,9 +1394,10 @@ def lane_draws(raws: np.ndarray, at: np.ndarray, used: np.ndarray,
 
 
 def hebbian_tables(arrays: dict[str, np.ndarray]) -> dict[str, Any]:
-    """Kernel pointers to a network shape's fixed int64 tables (the
-    ``rk_heb`` fields ``out_start`` ... ``slot_of``), made once and shared
-    by every network :func:`bind_hebbian` binds over them."""
+    """Kernel pointers to a network shape's int64 tables (the ``rk_heb``
+    fields ``out_start`` ... ``code_of``: fixed, but for the replay codes
+    a network makes as it goes), made once and shared by every network
+    :func:`bind_hebbian` binds over them."""
     ffi = _loaded()[0]
     return {name: ffi.from_buffer("long long[]", arr)
             for name, arr in arrays.items()}
@@ -1287,6 +1410,16 @@ def bind_hebbian(tables: dict[str, Any], w: np.ndarray,
     scalar fields of ``rk_heb``.  The kernels keep ``w``'s buffer
     pointer: the network must write its values in place from then on."""
     return CHebbian(*_loaded(), tables, w, **settings)
+
+
+def bind_replay(draws: tuple[np.ndarray, ...], count: np.ndarray,
+                cap: int, attempts: int, per_step: int) -> CReplay:
+    """A :class:`CReplay` over one lane's ``draws`` (``LaneDraws``' raw
+    block, unread position and count, one row each) and a store that has
+    written ``count[0]`` episodes into a ring of ``cap`` (``attempts``
+    draws and at most ``per_step`` picks a call); :meth:`CReplay.point`
+    names its columns."""
+    return CReplay(_loaded()[0], draws, count, cap, attempts, per_step)
 
 
 def bind_hebbian_lanes(tables: dict[str, Any],

@@ -406,13 +406,19 @@ class SparseHebbianNetwork:
             by_row, by_class = np.nonzero(self.mask_out)
             row_start = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(self.mask_out.sum(axis=1), out=row_start[1:])
+            # Replay's context-free codes, made at a class's first replay
+            # (``_replay_code``) and shared by clones like the memo.
+            self._replay_codes = np.zeros((v, self._k), dtype=np.int64)
+            self._replay_code_of = np.full(v, -1, dtype=np.int64)
             self._heb_tables = c_backend.hebbian_tables({
                 "out_start": starts.astype(np.int64),
                 "slot_row": rows.astype(np.int64),
                 "row_start": row_start,
                 "row_class": by_class.astype(np.int64),
                 "row_slot": self._slot_of[by_class, by_row].astype(np.int64),
-                "slot_of": np.ascontiguousarray(self._slot_of, np.int64)})
+                "slot_of": np.ascontiguousarray(self._slot_of, np.int64),
+                "codes": self._replay_codes,
+                "code_of": self._replay_code_of})
         self._scratch_active = np.zeros(n, dtype=bool)
         self._probs_buf = np.empty(v)
         # (class, context) -> k-WTA code; valid because the projections the
@@ -450,10 +456,17 @@ class SparseHebbianNetwork:
                 self._heb_tables, self._w_vals, **self._kernel_settings())
         return self._heb
 
+    @property
+    def compiled(self) -> bool:
+        """Whether the network runs on the compiled kernels (backend
+        ``"c"``)."""
+        return self._heb_tables is not None
+
     def _kernel_settings(self) -> dict[str, float]:
         """The scalar fields of the kernels' ``rk_heb`` context."""
         config = self.config
         return {"vocab": config.vocab_size, "hidden": config.hidden_dim,
+                "k": self._k, "punish": int(config.punish_wrong),
                 "temperature": self._temperature,
                 "weight_max": config.weight_max,
                 "negative_scale": config.negative_scale}
@@ -811,6 +824,57 @@ class SparseHebbianNetwork:
         np.maximum(vals, -wm, out=vals)
         w_flat[flat] = vals
         self._note_written(flat)
+
+    def replay_ring(self, ring: c_backend.CReplay, phase: int,
+                    lr_scale: float, draw: bool = True) -> int | None:
+        """Interleaved replay from a store on the kernels, in one
+        ``rk_heb_replay_one`` call: ``EpisodicStore.sample``'s draw from
+        the ``ring``'s lane, its picks outside ``phase`` (none below 0),
+        and :meth:`learn_pair` of each at ``lr_scale``, bit for bit.
+        Returns the number of picks.  None, having read and learnt
+        nothing, when the draw needs numpy's rejection loop: the caller
+        writes that draw to ``ring.values`` and calls again with ``draw``
+        False.  Needs :attr:`compiled`; leaves the next rollout's
+        preselection alone."""
+        heb = self._heb or self._kernels()
+        assert heb is not None
+        lr = self.config.lr * lr_scale
+        got = heb.replay(ring.ctx, phase, draw, lr)
+        if got < 0:
+            # A class replayed for the first time (or one outside the
+            # vocabulary: its check raises): make its code, then pick
+            # from the same draw again.
+            picks = ring.picks[:, :-1 - got]
+            for input_class, target_class in zip(picks[1].tolist(),
+                                                 picks[2].tolist()):
+                self._replay_code(input_class, target_class)
+            got = heb.replay(ring.ctx, phase, False, lr)
+        elif not got and ring.n_redo.item(0):
+            return None
+        if got and self._written is not None:
+            self._note_replayed(ring.picks[:, :got])
+        return got
+
+    def _replay_code(self, input_class: int, target_class: int) -> None:
+        """Give ``input_class`` its row of the kernels' code table."""
+        self._check_class(input_class)
+        self._check_class(target_class)
+        if self._replay_code_of[input_class] < 0:
+            self._replay_codes[input_class] = self.hidden_code(input_class)
+            self._replay_code_of[input_class] = input_class
+
+    def _note_replayed(self, picks: np.ndarray) -> None:
+        """Log what :meth:`replay_ring`'s learns wrote, as
+        :meth:`_note_learned` logs one: each pick's target column, then
+        the slots its argmax was punished at."""
+        for input_class, target, predicted in zip(
+                picks[1].tolist(), picks[2].tolist(), picks[4].tolist()):
+            self._note_written(self._out_flat[target])
+            if predicted >= 0 and predicted != target:
+                punished = self._punish_flat(
+                    self._replay_codes[input_class], predicted)
+                if punished.size:
+                    self._note_written(punished)
 
     def predict_rollout(self, width: int = 1, length: int = 1
                         ) -> list[list[tuple[int, float]]]:

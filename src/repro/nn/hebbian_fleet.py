@@ -265,8 +265,7 @@ class HebbianFleet:
         served on backend ``"c"``, the one whose kernels a fleet runs.
         The predicate the cohort's groups and the service pick the
         stacked path by."""
-        return (isinstance(model, SparseHebbianNetwork)
-                and model._heb_tables is not None)
+        return isinstance(model, SparseHebbianNetwork) and model.compiled
 
     # ------------------------------------------------------------------
     # Lane adoption (cohort drain/refill)

@@ -8,34 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.nn import backends
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from repro.nn.lstm import LSTMConfig, OnlineLSTM
 from repro.patterns.generators import PatternSpec
 
 
-def _disable_compiled_backends() -> None:  # repro-lint: zone=init
-    """Honor ``REPRO_DISABLE_COMPILED`` for the whole test session.
-
-    ``REPRO_DISABLE_COMPILED=1`` forces every backend resolution to the
-    pure-numpy reference even on machines with a working compiler —
-    the CI leg that proves a numpy-only install passes the full suite
-    sets it.  A comma list (``REPRO_DISABLE_COMPILED=c``) disables just
-    the named backends.
-
-    Runs at conftest *import* (before any test module is collected):
-    the cross-backend suites snapshot ``available_backends()`` into
-    module-level parametrize lists, so the disable must land first.
-    """
-    raw = os.environ.get("REPRO_DISABLE_COMPILED", "").strip()
-    if not raw:
-        return
-    names = (backends.SIM_BACKENDS if raw == "1"
-             else tuple(n.strip() for n in raw.split(",") if n.strip()))
-    backends._disabled.update(n for n in names if n != "numpy")
-
-
-_disable_compiled_backends()
+# ``REPRO_DISABLE_COMPILED`` is read by ``repro.nn.backends`` at import,
+# which the imports above make before any test module is collected: the
+# cross-backend suites snapshot ``available_backends()`` into module-level
+# parametrize lists, so the disable lands first.
 
 # Tier-1 is the same program on every run: ``tier1`` (the default) draws
 # each property test's examples from a hash of the test, and reads no

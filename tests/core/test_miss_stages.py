@@ -133,8 +133,7 @@ def assert_released_like(got: CLSPrefetcher, want: CLSPrefetcher) -> None:
         if store is not None:
             mine = got.scheduler.policy.store
             assert mine.episodes() == store.episodes()
-            assert list(mine._phase_ids) == list(store._phase_ids)
-            assert mine._phase_counts == store._phase_counts
+            assert mine.ep_count == store.ep_count
             assert mine.stored_total == store.stored_total
             assert mine.evicted_total == store.evicted_total
     if want.phase_detector is not None:

@@ -1,20 +1,19 @@
 """The scalar replay's draw is the generator's draw.
 
-``ReplayScheduler`` hands ``EpisodicStore.sample`` a ``RawDraws``: the
+``ReplayScheduler`` draws from lane 0 of a one-lane ``LaneDraws``: the
 bounded draw applied to a block of the generator's raw 32-bit stream, in
-place of one ``Generator.integers`` call per trained miss.  These tests
-hold it to a plain generator twin — picks, values, and the generator's
-``bit_generator.state`` wherever someone else reads it (pickling, a
-cohort's admit and release) — and count the calls the scalar miss path
-makes into the generator.
+place of one ``Generator.integers`` call per trained miss (by the replay
+kernel on a compiled network, by ``EpisodicStore.sample`` elsewhere).
+These tests hold it to a plain generator twin — picks, values, and the
+generator's ``bit_generator.state`` wherever someone else reads it (a
+sync, a cohort's admit and release) — and count the calls the scalar
+miss path makes into the generator.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 from collections.abc import Callable
-from operator import length_hint
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from repro.core.hippocampus import (
     Episode,
     EpisodicStore,
     LaneDraws,
-    RawDraws,
 )
 from repro.memsim.fleet import FleetLaneSpec, run_cohort
 from repro.memsim.simulator import SimConfig, simulate
@@ -37,7 +35,7 @@ from repro.nn.hebbian import HebbianConfig
 from repro.patterns import PatternSpec, generate
 from repro.patterns.phases import Phase, build_phased_trace
 
-#: Raws one refill of a ``RawDraws`` block takes.
+#: Raws one refill of a ``LaneDraws`` block takes.
 BLOCK = 512
 
 #: Store sizes no real store reaches: a quarter to a half of the raws
@@ -51,26 +49,36 @@ PICKS = [1, 2, 3, 17, 65, 80]
 
 
 class _Lazy:
-    """A sequence of ``size`` items computed on indexing."""
+    """A column whose entries are computed on indexing."""
 
-    def __init__(self, size: int, item: Callable[[int], object]) -> None:
-        self._size, self._item = size, item
+    def __init__(self, item: Callable[[np.ndarray], np.ndarray]) -> None:
+        self._item = item
 
-    def __len__(self) -> int:
-        return self._size
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        return self._item(np.asarray(index))
 
-    def __getitem__(self, index: int) -> object:
-        return self._item(index)
+    def item(self, index: int) -> object:
+        return self[index].item()
 
 
 def _huge_store(size: int) -> EpisodicStore:
     """A store of ``size`` episodes, two phases alternating, that holds
     none of them."""
     store = EpisodicStore()
-    store._episodes = _Lazy(size, lambda i: Episode(i, i + 1, i % 2))
-    store._phase_ids = _Lazy(size, lambda i: i % 2)
-    store._phase_counts = {0: (size + 1) // 2, 1: size // 2}
+    store.ep_count[0] = size
+    store.ep_input = _Lazy(lambda i: i)
+    store.ep_target = _Lazy(lambda i: i + 1)
+    store.ep_phase = _Lazy(lambda i: i % 2)
+    store.ep_confidence = _Lazy(lambda i: np.zeros(i.shape))
+    store.ep_timestamp = _Lazy(lambda i: np.zeros(i.shape, dtype=np.int64))
     return store
+
+
+def _drawer(rng: np.random.Generator) -> LaneDraws:
+    """A one-lane ``LaneDraws`` on ``rng``, as ``ReplayScheduler`` has."""
+    draws = LaneDraws(1)
+    draws.attach(0, rng)
+    return draws
 
 
 def _store_of(size: int) -> list[Episode]:
@@ -83,7 +91,7 @@ op = st.one_of(
               st.sampled_from([None, 0, 1, 2])),
     st.tuples(st.just("huge"), st.sampled_from(HUGE),
               st.sampled_from(PICKS), st.sampled_from([None, 0, 1])),
-    st.tuples(st.just("pickle")),
+    st.tuples(st.just("sync")),
     st.tuples(st.just("cohort"),
               st.lists(st.tuples(st.sampled_from([1, 2, 37, 1000, *HUGE]),
                                  st.integers(1, LaneDraws.max_attempts)),
@@ -95,15 +103,15 @@ op = st.one_of(
 @given(seed=st.integers(0, 2**32 - 1), ops=st.lists(op, max_size=40))
 @example(seed=3, ops=[("grow", 1), ("sample", 1, None), ("grow", 2),
                       ("sample", 3, 0), ("grow", 37), ("sample", 17, 1),
-                      ("pickle",), ("sample", 80, None),
+                      ("sync",), ("sample", 80, None),
                       ("huge", 2**31 + 1, 65, 0),
                       ("cohort", [(37, 8), (2**32 - 2, 128)]),
                       ("huge", 2**32 - 2, 2, None), ("sample", 1, 2)])
 def test_sample_draws_what_a_generator_draws(seed, ops):
     """Picks equal a plain generator twin's over any interleaving of
-    ``sample`` with a growing store, huge stores, pickle round trips and
-    cohort residencies, and the synced generator is where the twin is."""
-    mine = RawDraws(np.random.default_rng(seed))
+    ``sample`` with a growing store, huge stores, syncs and cohort
+    residencies, and the synced generator is where the twin is."""
+    mine = _drawer(np.random.default_rng(seed))
     twin = np.random.default_rng(seed)
     store = EpisodicStore()
     for kind, *args in ops:
@@ -114,8 +122,8 @@ def test_sample_draws_what_a_generator_draws(seed, ops):
             n, exclude = args
             assert (target.sample(mine, n, exclude)
                     == target.sample(twin, n, exclude))
-        elif kind == "pickle":
-            mine = pickle.loads(pickle.dumps(mine))
+        elif kind == "sync":
+            mine.sync()
         else:
             # The cohort's admit, rounds and release (CLSFleetGroup's
             # attach, draws from the lane's block, detach) on the synced
@@ -128,7 +136,7 @@ def test_sample_draws_what_a_generator_draws(seed, ops):
                 assert got == want.tolist()
             lanes.detach(0)
     assert mine.sync().bit_generator.state == twin.bit_generator.state
-    assert mine.integers(1000, 8) == twin.integers(0, 1000, size=8).tolist()
+    assert mine.draw(0, 1000, 8) == twin.integers(0, 1000, size=8).tolist()
 
 
 def test_a_rejection_crosses_the_end_of_the_block():
@@ -139,15 +147,14 @@ def test_a_rejection_crosses_the_end_of_the_block():
     # surely) rejects nothing, then 8 at one that rejects a quarter.
     lead = [min(128, n) for n in range(BLOCK - 8, 0, -128)]
     for seed in range(16):
-        mine = RawDraws(np.random.default_rng(seed))
+        mine = _drawer(np.random.default_rng(seed))
         twin = np.random.default_rng(seed)
         for attempts in lead:
-            assert (mine.integers(1000, attempts)
+            assert (mine.draw(0, 1000, attempts)
                     == twin.integers(0, 1000, size=attempts).tolist())
-        first = mine._block
-        assert (mine.integers(size, 8)
-                == twin.integers(0, size, size=8).tolist())
-        if mine._block is not first:
+        assert mine.draw(0, size, 8) == twin.integers(0, size,
+                                                       size=8).tolist()
+        if mine.blocks()[2][0] > BLOCK:  # read past the first block
             break
     else:
         pytest.fail("no redraw ran past the end of the block")
@@ -155,18 +162,19 @@ def test_a_rejection_crosses_the_end_of_the_block():
 
 
 def test_size_one_and_the_64_bit_path():
-    """``size == 1`` reads nothing; a bound above 2**32 is numpy's own
-    draw on the synced generator."""
-    mine = RawDraws(np.random.default_rng(9))
+    """``size == 1`` reads nothing; 2**32 is the largest bound a lane
+    draws, and numpy's 64-bit path above it is no store's: such a bound
+    raises before anything is read."""
+    mine = _drawer(np.random.default_rng(9))
     twin = np.random.default_rng(9)
-    assert mine.integers(1, 40) == [0] * 40
-    assert mine._block is None  # nothing drawn: no block taken
+    assert mine.draw(0, 1, 40) == [0] * 40
+    assert mine._states[0] is None  # nothing drawn: no block taken
     twin.integers(0, 1, size=40)
-    assert mine.integers(37, 8) == twin.integers(0, 37, size=8).tolist()
-    big = 2**40 + 3
-    assert mine.integers(big, 8) == twin.integers(0, big, size=8).tolist()
-    assert mine.integers(2**32, 8) == twin.integers(0, 2**32,
-                                                    size=8).tolist()
+    assert mine.draw(0, 37, 8) == twin.integers(0, 37, size=8).tolist()
+    with pytest.raises(ValueError, match="bounds"):
+        mine.draw(0, 2**40 + 3, 8)
+    assert mine.draw(0, 2**32, 8) == twin.integers(0, 2**32,
+                                                   size=8).tolist()
     assert mine.sync().bit_generator.state == twin.bit_generator.state
 
 
@@ -194,8 +202,7 @@ def test_a_cohort_residency_mid_block():
     traces = [_phased(seed, 230) for seed in range(3)]
     got, want = _replaying(), _replaying()
     simulate(traces[0], got, config=config, backend="numpy")
-    taken = got.scheduler.draws._block
-    assert taken is not None and 0 < length_hint(taken[0]) < BLOCK
+    assert 0 < got.scheduler.draws.blocks()[1][0] < BLOCK
     assert CLSFleetGroup.admits(got)
     run_cohort([FleetLaneSpec(trace=traces[1], prefetcher=got,
                               config=config)], backend="c")
@@ -233,28 +240,17 @@ def test_the_scalar_miss_path_calls_the_generator_once_a_block():
     prefetcher = _replaying(per_step=1)
     scheduler = prefetcher.scheduler
     counting = _CountingGenerator(np.random.default_rng(scheduler.seed))
-    draws = scheduler.draws = RawDraws(counting)
-    requests: list[tuple[int, int]] = []
-    integers = draws.integers
-
-    def recording(size: int, attempts: int) -> list[int]:
-        requests.append((size, attempts))
-        return integers(size, attempts)
-
-    draws.integers = recording
+    draws = scheduler.draws
+    draws.detach(0)
+    draws.attach(0, counting)
     simulate(trace, prefetcher, config=SimConfig(memory_fraction=0.1))
-    assert len(requests) >= 10_000
+    assert scheduler.invocations >= 10_000
     assert scheduler.replayed_total > 0
-    draws.sync()
-    # The raws those draws read, counted on a twin generator.
-    twin = LaneDraws(1)
-    reference = np.random.default_rng(scheduler.seed)
-    twin.attach(0, reference)
-    for size, attempts in requests:
-        twin.draw_exact(0, size, attempts)
-    raws = int(twin.blocks()[2][0])
-    assert raws >= MAX_ATTEMPTS_PER_PICK * sum(
-        size > 1 for size, _ in requests)
+    raws = int(draws.blocks()[2][0])
+    # Every replay past the store's first two episodes reads its attempts.
+    assert raws >= MAX_ATTEMPTS_PER_PICK * (scheduler.invocations - 2)
     assert counting.calls <= math.ceil(raws / BLOCK) + 1
-    twin.detach(0)
+    draws.sync()
+    reference = np.random.default_rng(scheduler.seed)
+    reference.integers(0, 2**32, size=raws, dtype=np.uint32)
     assert counting.rng.bit_generator.state == reference.bit_generator.state

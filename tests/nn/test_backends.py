@@ -29,9 +29,13 @@ manifest's ``env`` (provenance), and never in a ``run_grid`` cache key
 from __future__ import annotations
 
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
 import sysconfig
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,22 @@ def test_unknown_backend_name_rejected():
         resolve_backend("int8", domain="sim")  # int8 is nn-only
     with pytest.raises(ValueError, match="backend"):
         HebbianConfig(vocab_size=16, backend="cuda")
+
+
+def test_the_environment_switch_is_read_at_import():
+    """``REPRO_DISABLE_COMPILED=1`` reaches every entry point through
+    the package: a fresh interpreter resolves ``auto`` to numpy."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "REPRO_DISABLE_COMPILED": "1", "PYTHONPATH": src,
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "from repro.nn.backends import resolve_backend, backend_available;"
+         "print(resolve_backend(), backend_available('c'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["numpy", "False"]
 
 
 def test_auto_never_resolves_to_int8():

@@ -44,12 +44,27 @@ class TestParser:
     @pytest.mark.parametrize("flag, value", [
         ("--n", "0"), ("--tenants", "-2"), ("--working-set", "0"),
         ("--memory-fraction", "0"), ("--memory-fraction", "1.5"),
-        ("--delay", "-1"), ("--width", "0")])
+        ("--delay", "-1"), ("--width", "0"), ("--vocab", "1")])
     def test_fleet_rejects_an_out_of_range_flag(self, flag, value, capsys):
         """Refused at the parser — exit 2 and a usage line naming the
         flag — not by a traceback from inside the run (or its pool)."""
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--tenants", "2", "--n", "50", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--vocab", "1"), ("--vocab", "0"), ("--length", "0"),
+        ("--width", "0"), ("--n", "0"), ("--n", "-5")])
+    def test_simulate_rejects_an_out_of_range_flag(self, flag, value,
+                                                   capsys):
+        """Refused at the parser, as ``serve run``'s flags are — not by a
+        ``ValueError`` traceback from inside the run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--pattern", "stride", "--n", "300", flag,
+                  value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
