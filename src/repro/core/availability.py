@@ -157,13 +157,14 @@ def weights_finite(model: SequenceModel) -> bool:
     up a NaN/inf (hardware fault, poisoned update) must never be
     promoted to live.  A Hebbian network's learned weights are its
     connected-only value vector — nothing else is stored — so the scan
-    reads ``n_connected`` values, not ``hidden * vocab``.
+    reads ``n_connected`` values, not ``hidden * vocab``: on the compiled
+    kernels in one call (:meth:`SparseHebbianNetwork.values_finite`).
     """
     if isinstance(model, OnlineLSTM):
         return all(bool(np.isfinite(values).all())
                    for values in model.net.params.values())
     if isinstance(model, SparseHebbianNetwork):
-        return bool(np.isfinite(model.readout_values).all())
+        return model.values_finite()
     raise TypeError(f"don't know how to validate {type(model).__name__}")
 
 

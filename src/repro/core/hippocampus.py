@@ -441,6 +441,10 @@ class SparseAssociativeMemory:
     a threshold — recovering the full stored value from a partial cue
     (pattern completion), while the sparse random codes keep distinct
     memories from colliding (pattern separation).
+
+    ``weights`` changes only through ``store``, which counts the bits it
+    newly sets, so :meth:`density` is that count over the matrix size —
+    exactly ``weights.mean()``, without reading the matrix.
     """
 
     def __init__(self, key_dim: int, value_dim: int, value_k: int,
@@ -455,13 +459,18 @@ class SparseAssociativeMemory:
         self.threshold_fraction = threshold_fraction
         self.weights = np.zeros((key_dim, value_dim), dtype=bool)
         self.stored = 0
+        self._bits_set = 0
 
     def store(self, key_active: np.ndarray, value_active: np.ndarray) -> None:
         key_active = np.asarray(key_active, dtype=np.int64)
         value_active = np.asarray(value_active, dtype=np.int64)
         self._check(key_active, self.key_dim, "key")
         self._check(value_active, self.value_dim, "value")
-        self.weights[np.ix_(key_active, value_active)] = True
+        # Distinct units, so each cell of the block is counted once.
+        cells = np.ix_(np.unique(key_active), np.unique(value_active))
+        block = self.weights[cells]
+        self._bits_set += block.size - int(np.count_nonzero(block))
+        self.weights[cells] = True
         self.stored += 1
 
     def complete(self, cue_active: np.ndarray) -> np.ndarray:
@@ -480,7 +489,7 @@ class SparseAssociativeMemory:
 
     def density(self) -> float:
         """Fraction of weights set — the memory's fill level."""
-        return float(self.weights.mean())
+        return self._bits_set / self.weights.size
 
     @staticmethod
     def _check(active: np.ndarray, dim: int, label: str) -> None:

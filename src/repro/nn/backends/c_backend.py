@@ -26,13 +26,15 @@ Two families are compiled:
   ``PageCache``'s two membership scans;
 - the Hebbian network's step (``rk_heb_step``: Eq. 1's column update
   from the last code and the new code's sparse readout in one call;
-  ``rk_heb_learn`` and ``rk_heb_scores``, the same two apart; and
-  ``rk_heb_finish``: the softmax's arithmetic after its exp and the
-  rollout's top-width selection), bound once per scalar
-  network by :func:`bind_hebbian`; the same helpers run as lane loops
-  over a ``HebbianFleet``'s value slab (``rk_heb_lanes_step`` /
-  ``_scores`` / ``_train``, ``rk_heb_finish_rows``), bound once per
-  fleet by :func:`bind_hebbian_lanes`, and the cohort's replay is one of
+  ``rk_heb_scores``, the readout alone; ``rk_heb_finish``: the softmax's
+  arithmetic after its exp and the rollout's top-width selection), its
+  context-free learn keyed by class (``rk_heb_learn_class``, on the
+  replay's code table) and its admission scan (``rk_heb_finite``), bound
+  once per scalar network by :func:`bind_hebbian`; the same helpers run
+  as lane loops over a ``HebbianFleet``'s value slab
+  (``rk_heb_lanes_step`` / ``_scores`` / ``_train``,
+  ``rk_heb_finish_rows``), bound once per fleet by
+  :func:`bind_hebbian_lanes`, and the cohort's replay is one of
   them (``rk_heb_replay``: ``LaneDraws``' bounded draws over its raw
   blocks, the phase rejection, the picks and their training;
   ``rk_lane_draws`` is its draw alone), which the scalar network's
@@ -92,7 +94,7 @@ typedef struct {
 
 #: The Hebbian kernels' context: one network's value vector, the fixed
 #: tables its clones share, and its own scratch (``rk_heb_finish`` leaves
-#: its selection in ``top`` / ``top_p``, ``rk_heb_learn`` and
+#: its selection in ``top`` / ``top_p``, ``rk_heb_learn_class`` and
 #: ``rk_heb_step`` their punished slots in ``punished``, the step their
 #: number in ``n_punished``).
 _HEB_CONTEXT = """
@@ -156,6 +158,7 @@ _SOURCE = r"""
  */
 
 #include <stdint.h>
+#include <string.h>
 
 typedef long long i64;
 typedef unsigned char u8;
@@ -589,10 +592,69 @@ static i64 heb_finish(const rk_heb *h, double *x, i64 width, i64 normalize,
 
 /* The scalar network's entries: the helpers on its own value vector and
  * scratch (h->w; h->x, h->top, h->top_p, h->punished). */
-i64 rk_heb_learn(const rk_heb *h, const i64 *code, i64 k, i64 target,
-                 i64 predicted, double lr)
+
+/* A context-free learn keyed by class (SparseHebbianNetwork.learn_pair,
+ * and train_pair's update): Eq. 1 of target from input's context-free
+ * code (row code_of[input] of codes) at lr.  Under punish it is against
+ * predicted, or -- predicted < 0 -- against the argmax of that code's
+ * readout (into x), as learn_pair reads it.  Returns how many slots it
+ * punished, listed in punished; -1, having moved nothing, when a class
+ * is outside the vocabulary or input has no code yet (the caller checks
+ * the classes, makes the code and calls again). */
+i64 rk_heb_learn_class(const rk_heb *h, i64 input, i64 target,
+                       i64 predicted, double lr)
 {
-    return heb_learn(h, h->w, code, k, target, predicted, lr, h->punished);
+    const i64 *code;
+
+    if (input < 0 || input >= h->vocab || target < 0 || target >= h->vocab
+        || h->code_of[input] < 0)
+        return -1;
+    code = h->codes + h->code_of[input] * h->k;
+    if (!h->punish)
+        predicted = -1;
+    else if (predicted < 0)
+        predicted = heb_readout(h, h->w, code, h->k, h->x);
+    return heb_learn(h, h->w, code, h->k, target, predicted, lr,
+                     h->punished);
+}
+
+/* weights_finite over the value vector: 1 iff every one of its
+ * out_start[vocab] values is finite.  It reads them all (no early exit)
+ * and tests the bits, not the float: a value is NaN or +-inf exactly
+ * when its exponent field is all ones, and adding one to that field then
+ * carries into the sign bit.  No float flag can fold that away, as
+ * -ffinite-math-only may fold isfinite.  Eight values a turn, as four
+ * two-lane accumulators, so the scan runs at load speed. */
+typedef uint64_t u64x2 __attribute__((vector_size(16)));
+
+#define EXP_BITS 0x7FF0000000000000ULL
+#define EXP_ONE (1ULL << 52)
+
+i64 rk_heb_finite(const rk_heb *h)
+{
+    const double *w = h->w;
+    i64 n = h->out_start[h->vocab];
+    const u64x2 exp_bits = {EXP_BITS, EXP_BITS}, exp_one = {EXP_ONE, EXP_ONE};
+    u64x2 c0 = {0, 0}, c1 = {0, 0}, c2 = {0, 0}, c3 = {0, 0};
+    uint64_t carry;
+    i64 s = 0;
+
+    for (; s + 8 <= n; s += 8) {
+        u64x2 bits[4];
+        memcpy(bits, w + s, sizeof bits);
+        c0 |= (bits[0] & exp_bits) + exp_one;
+        c1 |= (bits[1] & exp_bits) + exp_one;
+        c2 |= (bits[2] & exp_bits) + exp_one;
+        c3 |= (bits[3] & exp_bits) + exp_one;
+    }
+    c0 |= c1 | c2 | c3;
+    carry = c0[0] | c0[1];
+    for (; s < n; s++) {
+        uint64_t bits;
+        memcpy(&bits, w + s, sizeof bits);
+        carry |= (bits & EXP_BITS) + EXP_ONE;
+    }
+    return !(carry >> 63);
 }
 
 /* SparseHebbianNetwork.step's kernel work before its exp, in one call:
@@ -879,8 +941,10 @@ void rk_sim_lanes(const rk_sim *sims, const long long *lanes,
                   long long n_lanes, long long *pos, const long long *stop,
                   const long long *n_issue);
 """ + _HEB_CONTEXT + """
-long long rk_heb_learn(const rk_heb *h, const long long *code, long long k,
-                       long long target, long long predicted, double lr);
+long long rk_heb_learn_class(const rk_heb *h, long long input,
+                             long long target, long long predicted,
+                             double lr);
+long long rk_heb_finite(const rk_heb *h);
 long long rk_heb_step(const rk_heb *h, const long long *prev,
                       long long k_prev, long long target,
                       long long predicted, double lr, const long long *code,
@@ -1186,19 +1250,21 @@ class CHebbian:
     """The Hebbian kernels bound to one network (see :func:`bind_hebbian`).
 
     ``step(prev, k_prev, target, predicted, lr, code, k)``,
-    ``learn(code, k, target, predicted, lr)``, ``scores(code, k)`` and
-    ``finish(width, normalize)`` call ``rk_heb_step`` / ``rk_heb_learn`` /
-    ``rk_heb_scores`` / ``rk_heb_finish`` on the bound context, and
+    ``learn_class(input, target, predicted, lr)``, ``scores(code, k)``,
+    ``finish(width, normalize)`` and ``finite()`` call ``rk_heb_step`` /
+    ``rk_heb_learn_class`` / ``rk_heb_scores`` / ``rk_heb_finish`` /
+    ``rk_heb_finite`` on the bound context, and
     ``replay(ring, phase, draw, lr)`` ``rk_heb_replay_one`` with a
-    :class:`CReplay`'s ``ctx``; a code is passed as :meth:`codes` of it.  The context's scratch is exposed
-    as numpy arrays: ``x`` (logits, then probabilities — the network
-    runs ``np.exp`` on it in place), ``top`` / ``top_p`` (the selection)
-    and ``punished`` / ``n_punished`` (the punish term's slots).
+    :class:`CReplay`'s ``ctx``; a code is passed as :meth:`codes` of it.
+    The context's scratch is exposed as numpy arrays: ``x`` (logits, then
+    probabilities — the network runs ``np.exp`` on it in place), ``top``
+    / ``top_p`` (the selection) and ``punished`` / ``n_punished`` (the
+    punish term's slots).
     """
 
     __slots__ = ("x", "top", "top_p", "punished", "n_punished", "step",
-                 "learn", "scores", "finish", "replay", "_ffi", "_hidden",
-                 "_keep")
+                 "learn_class", "scores", "finish", "finite", "replay",
+                 "_ffi", "_hidden", "_keep")
 
     def __init__(self, ffi: Any, lib: Any, tables: dict[str, Any],
                  w: np.ndarray, **settings: float) -> None:
@@ -1211,9 +1277,10 @@ class CHebbian:
         self._ffi = ffi
         self._hidden = int(settings["hidden"])
         self.step = partial(lib.rk_heb_step, ctx)
-        self.learn = partial(lib.rk_heb_learn, ctx)
+        self.learn_class = partial(lib.rk_heb_learn_class, ctx)
         self.scores = partial(lib.rk_heb_scores, ctx)
         self.finish = partial(lib.rk_heb_finish, ctx)
+        self.finite = partial(lib.rk_heb_finite, ctx)
         self.replay = partial(lib.rk_heb_replay_one, ctx)
 
     def codes(self, code: np.ndarray) -> Any:

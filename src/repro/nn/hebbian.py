@@ -56,12 +56,14 @@ masked-array implementation (and dense storage) is kept under
 (see ``tests/nn/test_hebbian_equivalence.py``).
 
 Under backend ``"c"`` the same steps run on fused C kernels bound to
-the network's own value vector: ``rk_heb_learn`` (Eq. 1's column
-update, the punish term, the clip), ``rk_heb_scores`` (the readout,
-walked by hidden row so each class sums in ``bincount``'s order, with
-the argmax and the softmax's shift), ``rk_heb_step`` (the two in one
-call, as a trained step needs them) and ``rk_heb_finish`` (numpy's
-pairwise-sum normalisation and the rollout's top-width selection).
+the network's own value vector: ``rk_heb_step`` (Eq. 1's column update,
+the punish term and the clip from the last code, then the readout of
+the new one, walked by hidden row so each class sums in ``bincount``'s
+order, with the argmax and the softmax's shift), ``rk_heb_scores`` (the
+readout alone), ``rk_heb_finish`` (numpy's pairwise-sum normalisation
+and the rollout's top-width selection), ``rk_heb_learn_class`` (a
+context-free learn keyed by class, on the replay's code table) and
+``rk_heb_finite`` (swap admission's scan of every stored value).
 Only ``np.exp`` runs between them, and ``hidden_code`` stays numpy.
 Where the selection would depend on how numpy orders a tie, the kernel
 hands it back to :func:`select_topk`.  A step's ``rk_heb_finish`` also
@@ -482,6 +484,16 @@ class SparseHebbianNetwork:
                 self._code_ptrs[id(code)] = ptr
         return ptr
 
+    def values_finite(self) -> bool:
+        """Whether every stored readout value is finite: one
+        ``rk_heb_finite`` call over the bound value vector on the
+        kernels, numpy's scan otherwise.  Either reads all
+        ``n_connected`` values."""
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            return bool(heb.finite())
+        return bool(np.isfinite(self._w_vals).all())
+
     @property
     def readout_values(self) -> np.ndarray:
         """The learned state itself: the ``(n_connected,)`` readout
@@ -739,7 +751,8 @@ class SparseHebbianNetwork:
         if heb is not None:
             predicted, _ = self._softmax_c(heb, active, 0)
             confidence = heb.x.item(target_class)
-            self._learn(active, target_class, predicted, lr_scale)
+            self._learn_class(heb, input_class, target_class, predicted,
+                              lr_scale)
             return confidence
         scores = self.readout(active)
         confidence = float(self.probabilities(scores)[target_class])
@@ -751,17 +764,34 @@ class SparseHebbianNetwork:
         """:meth:`train_pair` for a caller that drops the confidence: the
         same update, bit for bit, without the softmax (which writes no
         state) — and without the readout when nothing reads it."""
+        heb = self._heb or self._kernels()
+        if heb is not None:
+            self._learn_class(heb, input_class, target_class, -1, lr_scale)
+            return
         self._check_class(input_class)
         self._check_class(target_class)
         active = self.hidden_code(input_class, prev_active=None)
-        heb = self._heb or self._kernels()
-        if heb is not None:
-            predicted = (heb.scores(self._code_ptr(active), len(active))
-                         if self.config.punish_wrong else None)
-            self._learn(active, target_class, predicted, lr_scale)
-            return
         scores = self.readout(active) if self.config.punish_wrong else None
         self._learn_pair(target_class, active, scores, lr_scale)
+
+    def _learn_class(self, heb: c_backend.CHebbian, input_class: int,
+                     target_class: int, predicted: int,
+                     lr_scale: float) -> None:
+        """A context-free learn on the kernels, in one
+        ``rk_heb_learn_class`` call on the replay's code table: Eq. 1
+        against ``predicted``, or (-1) against the code's own readout
+        argmax, as :meth:`learn_pair` reads it.  A class without a code
+        gets one as :meth:`replay_ring` makes it — after the class
+        checks, so a class outside the vocabulary raises ``ValueError``
+        before any weight moves."""
+        lr = self.config.lr * lr_scale
+        punished = heb.learn_class(input_class, target_class, predicted, lr)
+        if punished < 0:
+            self._replay_code(input_class, target_class)
+            punished = heb.learn_class(input_class, target_class, predicted,
+                                       lr)
+        if self._written is not None:
+            self._note_learned(heb, target_class, punished)
 
     def _learn_pair(self, target_class: int, active: np.ndarray,
                     scores: np.ndarray | None, lr_scale: float) -> None:
@@ -856,7 +886,8 @@ class SparseHebbianNetwork:
         return got
 
     def _replay_code(self, input_class: int, target_class: int) -> None:
-        """Give ``input_class`` its row of the kernels' code table."""
+        """Give ``input_class`` its row of the kernels' code table (the
+        context-free code replay and :meth:`learn_pair` learn from)."""
         self._check_class(input_class)
         self._check_class(target_class)
         if self._replay_code_of[input_class] < 0:
@@ -1062,13 +1093,6 @@ class SparseHebbianNetwork:
         """
         config = self.config
         lr = config.lr * lr_scale
-        heb = self._heb or self._kernels()
-        if heb is not None:
-            punished = heb.learn(self._code_ptr(active), len(active), target,
-                                 self._kernel_predicted(predicted), lr)
-            if self._written is not None:
-                self._note_learned(heb, target, punished)
-            return
         flat = self._out_flat[target]
         w_flat = self._w_vals
         wm = config.weight_max

@@ -7,6 +7,13 @@ once (double-resolution raises — the hypothesis suite leans on that),
 and clients may block on :meth:`QueryTicket.wait` in threaded mode or
 poll :attr:`QueryTicket.done` under the virtual scheduler.
 
+Resolution is a flag set under the batcher's lock, which
+:meth:`RequestBatcher.answer` takes anyway to count the answer; a
+ticket builds no synchronization object of its own.  Only a client that
+calls :meth:`QueryTicket.wait` before the answer gets one — an event
+made under the same lock, so the answer either sees it and sets it or
+was already there to be read.
+
 The query path never touches the per-tenant training lock: answering is
 reading the live model, which only the serve loop mutates (at swap
 time), so a query can never block behind a training step.
@@ -33,34 +40,52 @@ class QueryTicket:
     """
 
     __slots__ = ("qid", "tenant", "submitted_at", "answered_at", "pages",
-                 "checksum", "_event")
+                 "checksum", "_done", "_lock", "_waiter")
 
-    def __init__(self, qid: int, tenant: int, submitted_at: float) -> None:
+    def __init__(self, qid: int, tenant: int, submitted_at: float,
+                 lock: threading.Lock) -> None:
+        """``lock`` guards the resolution: the issuing batcher's."""
         self.qid = qid
         self.tenant = tenant
         self.submitted_at = submitted_at
         self.answered_at: float | None = None
         self.pages: list[int] | None = None
         self.checksum: str | None = None
-        self._event = threading.Event()
+        self._done = False
+        self._lock = lock
+        self._waiter: threading.Event | None = None
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def resolve(self, pages: list[int], answered_at: float,
                 checksum: str | None = None) -> None:
         """Attach the answer; a ticket resolves exactly once."""
-        if self._event.is_set():
+        with self._lock:
+            self._resolve_locked(pages, answered_at, checksum)
+
+    def _resolve_locked(self, pages: list[int], answered_at: float,
+                        checksum: str | None) -> None:
+        """:meth:`resolve` for a caller that holds the ticket's lock."""
+        if self._done:
             raise RuntimeError(f"ticket {self.qid} resolved twice")
         self.pages = pages
         self.answered_at = answered_at
         self.checksum = checksum
-        self._event.set()
+        self._done = True
+        if self._waiter is not None:
+            self._waiter.set()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block (threaded mode) until answered; True iff it was."""
-        return self._event.wait(timeout)
+        with self._lock:
+            if self._done:
+                return True
+            if self._waiter is None:
+                self._waiter = threading.Event()
+            waiter = self._waiter
+        return waiter.wait(timeout)
 
     def latency(self) -> float:
         """Seconds from submission to answer (clock units)."""
@@ -91,7 +116,7 @@ class RequestBatcher:
     def submit(self, tenant: int, now: float) -> QueryTicket:
         """Enqueue a query; returns its ticket immediately."""
         with self._lock:
-            ticket = QueryTicket(self._next_id, tenant, now)
+            ticket = QueryTicket(self._next_id, tenant, now, self._lock)
             self._next_id += 1
             self.submitted += 1
             self._pending.append(ticket)
@@ -108,8 +133,8 @@ class RequestBatcher:
     def answer(self, ticket: QueryTicket, pages: list[int], now: float,
                checksum: str | None = None) -> None:
         """Resolve a ticket taken from :meth:`take_batch`."""
-        ticket.resolve(pages, now, checksum)
         with self._lock:
+            ticket._resolve_locked(pages, now, checksum)
             self.answered += 1
 
     def pending(self) -> int:

@@ -311,6 +311,38 @@ class TestSparseAssociativeMemory:
         mem.store(np.array([1, 2]), np.array([3, 4]))
         assert mem.density() > 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           ops=st.lists(st.one_of(
+               st.just("reset"),
+               st.tuples(st.lists(st.integers(0, 11), max_size=6),
+                         st.lists(st.integers(0, 11), max_size=6))),
+               max_size=30))
+    def test_density_is_the_running_bit_count(self, dims, ops):
+        """``density()`` is the count of bits ``store`` newly set over
+        the matrix size: ``weights.mean()`` exactly, through repeated
+        stores, repeated units within a code, empty codes and a reset
+        (the fresh memory ``recall_occupancy_reset`` makes)."""
+        key_dim, value_dim = dims
+
+        def fresh() -> SparseAssociativeMemory:
+            return SparseAssociativeMemory(key_dim=key_dim,
+                                           value_dim=value_dim, value_k=2)
+
+        mem = fresh()
+        assert mem.density() == mem.weights.mean() == 0.0
+        for op in ops:
+            if op == "reset":
+                mem = fresh()
+            else:
+                key, value = op
+                key = np.asarray([k % key_dim for k in key], dtype=np.int64)
+                value = np.asarray([v % value_dim for v in value],
+                                   dtype=np.int64)
+                for _ in range(1 + len(key) % 2):  # sometimes twice
+                    mem.store(key, value)
+            assert mem.density() == float(mem.weights.mean())
+
     def test_out_of_range_rejected(self):
         mem = SparseAssociativeMemory(key_dim=10, value_dim=10, value_k=2)
         with pytest.raises(ValueError):

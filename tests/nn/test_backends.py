@@ -9,8 +9,9 @@ Three families of claims:
   the file, missing Python headers fall back to numpy, ``_compile``
   builds under any file name);
 - **cross-backend bit-identity** — ``c`` runs the Hebbian network on
-  its own kernels (``rk_heb_step`` / ``rk_heb_learn`` / ``rk_heb_scores``
-  / ``rk_heb_finish``), which must leave it exactly the numpy one: over
+  its own kernels (``rk_heb_step`` / ``rk_heb_learn_class`` /
+  ``rk_heb_scores`` / ``rk_heb_finish`` / ``rk_heb_finite``), which must
+  leave it exactly the numpy one: over
   long randomized streams, with and without the punish term, on
   tie-heavy vectors (where the selection hands back to numpy's), at
   vocabularies where numpy's pairwise sum splits, across every way
@@ -39,7 +40,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.availability import weights_finite
 from repro.harness.runner import run_grid
 from repro.memsim import NullPrefetcher, SimConfig, simulate
 from repro.nn import backends
@@ -516,6 +520,144 @@ def test_compiled_backend_lost_mid_session(monkeypatch):
         assert (before.predict_rollout(2, 2) == after.predict_rollout(2, 2)
                 == clone.predict_rollout(2, 2))
     np.testing.assert_array_equal(before.readout_values, after.readout_values)
+
+
+# ----------------------------------------------------------------------
+# Serve's kernels: swap admission and the class-keyed learn
+# ----------------------------------------------------------------------
+#: Value vectors of 7 998, 15 and 7 values: the scan's eight-wide body
+#: and its remainder loop, one body turn and a tail, the tail alone.
+_ADMISSION_SHAPES = [
+    dict(vocab_size=64),
+    *(dict(vocab_size=3, hidden_dim=hidden, connectivity_out=density,
+           connectivity_in=0.5, connectivity_rec=0.2)
+      for hidden, density in ((16, 0.25), (12, 0.1)))]
+
+
+@pytest.mark.parametrize("backend", COMPILED or ["__none__"])
+@pytest.mark.parametrize("shape", range(len(_ADMISSION_SHAPES)))
+def test_the_admission_kernel_is_numpys_isfinite(backend, shape):
+    """``rk_heb_finite`` over the bound value vector answers
+    ``np.isfinite(readout_values).all()``: a NaN, +inf or -inf at the
+    first offset, a middle one, the last one and each of the last eight
+    (the remainder loop) is caught; -0.0, subnormals, the largest finite
+    magnitude and an all-finite trained vector pass."""
+    _require_compiled(backend)
+    config = HebbianConfig(seed=7, backend=backend,
+                           **_ADMISSION_SHAPES[shape])
+    net = SparseHebbianNetwork(config)
+    values = net._w_vals
+    n = values.size
+    assert 0 < n < 8 or n % 8
+    for a, b in [(0, 1), (1, 2), (2, 0)]:
+        net.learn_pair(a, b)
+    assert net._heb is not None  # bound: the kernel reads ``values``
+
+    def agrees() -> bool:
+        want = bool(np.isfinite(net.readout_values).all())
+        assert bool(net._heb.finite()) == want
+        assert net.values_finite() == want
+        assert weights_finite(net) == want
+        return want
+
+    assert agrees()
+    trained = values.copy()
+    offsets = sorted({0, n // 2, n - 1, *range(max(0, n - 8), n)})
+    for offset in offsets:
+        for bad in (np.nan, np.inf, -np.inf, -np.nan):
+            values[offset] = bad
+            assert not agrees(), (offset, bad)
+            values[offset] = trained[offset]
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for good in (-0.0, tiny, -tiny, np.finfo(np.float64).max,
+                 -np.finfo(np.float64).max, 2.0 ** -1022):
+        values[:] = good
+        assert agrees(), good
+    values[:] = trained
+    values[::3] = -0.0
+    assert agrees()
+
+
+def test_the_kernel_flags_keep_ieee_semantics():
+    """The Hebbian kernels keep a NaN through their clip and argmax as
+    numpy does and sum in numpy's order; ``-ffast-math`` or
+    ``-ffinite-math-only`` would let the compiler assume no NaN or inf
+    (and fold a finiteness test to true), and reassociate sums."""
+    flags = c_backend._CFLAGS
+    assert "-fno-fast-math" in flags
+    assert "-ffp-contract=off" in flags
+    for forbidden in ("-ffast-math", "-ffinite-math-only", "-Ofast",
+                      "-fassociative-math", "-funsafe-math-optimizations"):
+        assert forbidden not in flags
+
+
+_PAIR_VOCAB = 10
+_pair_class = st.integers(-2, _PAIR_VOCAB + 1)
+
+
+@pytest.mark.skipif(not COMPILED, reason="needs a compiled backend")
+@settings(max_examples=80, deadline=None)
+@given(punish=st.booleans(),
+       moves=st.lists(st.tuples(
+           st.sampled_from(["learn", "train", "pairs", "sync", "fork",
+                            "step"]),
+           _pair_class, _pair_class, st.sampled_from([1.0, 0.5, 0.1])),
+           max_size=40))
+@example(punish=True, moves=[("learn", 3, 4, 1.0), ("learn", 3, 5, 1.0),
+                             ("sync", 0, 0, 1.0), ("learn", 11, 2, 1.0),
+                             ("learn", 3, 10, 1.0), ("learn", 3, -1, 1.0),
+                             ("learn", 10, 3, 1.0), ("learn", -2, 3, 1.0),
+                             ("sync", 0, 0, 1.0)])
+def test_the_class_keyed_learn_is_numpys_learn_pair(punish, moves):
+    """``learn_pair`` / ``train_pair`` / ``train_pairs`` on the kernels
+    (``rk_heb_learn_class`` on the replay's code table) against numpy's:
+    a class learnt for the first time makes its code, a class outside the
+    vocabulary raises ``ValueError`` before any weight moves (or the
+    fork partner's log does), and every weight, confidence and
+    ``sync_from`` offset list is numpy's, with and without the punish
+    term."""
+    config = HebbianConfig(vocab_size=_PAIR_VOCAB, hidden_dim=80,
+                           connectivity_rec=0.05, punish_wrong=punish,
+                           seed=9)
+    pairs = {name: [None, None] for name in ("numpy", "c")}
+    for name, pair in pairs.items():
+        pair[0] = SparseHebbianNetwork(dataclasses.replace(config,
+                                                           backend=name))
+        pair[1] = pair[0].fork()
+
+    def each(move) -> object:
+        results = []
+        for pair in pairs.values():
+            live, shadow = pair
+            before = (shadow.readout_values.copy(), shadow._written.count)
+            try:
+                results.append(move(pair, live, shadow))
+            except ValueError:
+                results.append(ValueError)
+                assert np.array_equal(shadow.readout_values, before[0])
+                assert shadow._written.count == before[1]
+        ref, fast = results
+        assert _same(ref, fast), (ref, fast)
+        return ref
+
+    for kind, a, b, lr in moves:
+        inside = [(a % _PAIR_VOCAB, b % _PAIR_VOCAB),
+                  (b % _PAIR_VOCAB, a % _PAIR_VOCAB)]
+        each([
+            lambda pair, live, shadow: shadow.learn_pair(a, b, lr_scale=lr),
+            lambda pair, live, shadow: shadow.train_pair(a, b, lr_scale=lr),
+            lambda pair, live, shadow: shadow.train_pairs(inside,
+                                                          lr_scale=lr),
+            lambda pair, live, shadow: live.sync_from(shadow),
+            lambda pair, live, shadow: pair.__setitem__(1, live.fork()),
+            lambda pair, live, shadow: shadow.step(a % _PAIR_VOCAB),
+        ][["learn", "train", "pairs", "sync", "fork", "step"].index(kind)])
+        assert np.array_equal(pairs["numpy"][1].readout_values,
+                              pairs["c"][1].readout_values)
+    each(lambda pair, live, shadow: live.sync_from(shadow))
+    for index in (0, 1):
+        np.testing.assert_array_equal(pairs["numpy"][index].w_out,
+                                      pairs["c"][index].w_out)
 
 
 # ----------------------------------------------------------------------
