@@ -487,6 +487,12 @@ class SparseAssociativeMemory:
         order = np.argsort(support[candidates])[::-1]
         return np.sort(candidates[order[: self.value_k]])
 
+    @property
+    def bits_set(self) -> int:
+        """How many weights are set: it grows exactly when a store
+        changes what the memory completes."""
+        return self._bits_set
+
     def density(self) -> float:
         """Fraction of weights set — the memory's fill level."""
         return self._bits_set / self.weights.size

@@ -80,6 +80,13 @@ class HippocampalRecall:
         self._value_codes = np.stack([
             rng.choice(config.code_dim, size=config.value_k, replace=False)
             for _ in range(config.vocab_size)])
+        # (code_dim, vocab): how many of a class's value units a unit is
+        # (0 or 1 — a class's units are distinct), so a completion's
+        # overlap with every class is one sum over its units.
+        self._incidence = np.zeros((config.code_dim, config.vocab_size),
+                                   dtype=np.int64)
+        self._incidence[self._value_codes.T,
+                        np.arange(config.vocab_size)] = 1
         self.memory = SparseAssociativeMemory(
             key_dim=config.code_dim,
             value_dim=config.code_dim,
@@ -88,14 +95,21 @@ class HippocampalRecall:
         )
         self.stored_transitions = 0
         self.recalls_served = 0
+        # Recall's answer per input class: a function of the memory's
+        # bits alone, so it holds until a store sets a new bit.
+        self._answers: dict[int, int | None] = {}
 
     # ------------------------------------------------------------------
     def store(self, input_class: int, target_class: int) -> None:
         """One-shot storage of an observed transition."""
         self._check(input_class)
         self._check(target_class)
-        self.memory.store(self._key_codes[input_class],
-                          self._value_codes[target_class])
+        memory = self.memory
+        bits = memory.bits_set
+        memory.store(self._key_codes[input_class],
+                     self._value_codes[target_class])
+        if memory.bits_set != bits:
+            self._answers.clear()
         self.stored_transitions += 1
 
     def recall(self, input_class: int) -> int | None:
@@ -106,22 +120,32 @@ class HippocampalRecall:
         behaviour of a Willshaw memory.
         """
         self._check(input_class)
-        completed = self.memory.complete(self._key_codes[input_class])
-        if completed.size < self.config.min_support:
+        answers = self._answers
+        if input_class in answers:
+            answer = answers[input_class]
+        else:
+            answer = answers[input_class] = self._decode(
+                self.memory.complete(self._key_codes[input_class]))
+        if answer is not None:
+            self.recalls_served += 1
+        return answer
+
+    def _decode(self, completed: np.ndarray) -> int | None:
+        """The class whose value code the completed units overlap most:
+        the first such class, and only when its overlap reaches
+        ``min_support`` and is no other class's too (the runner-up is
+        the second-largest overlap, counted with multiplicity)."""
+        min_support = self.config.min_support
+        if completed.size < min_support:
             return None
-        completed_set = set(completed.tolist())
-        best_class, best_overlap, runner_up = -1, 0, 0
-        for class_id in range(self.config.vocab_size):
-            overlap = len(completed_set.intersection(
-                self._value_codes[class_id].tolist()))
-            if overlap > best_overlap:
-                best_class, best_overlap, runner_up = class_id, overlap, best_overlap
-            elif overlap > runner_up:
-                runner_up = overlap
-        if best_overlap < self.config.min_support or best_overlap == runner_up:
+        overlaps = self._incidence[completed].sum(axis=0)
+        best = int(overlaps.argmax())
+        best_overlap = int(overlaps[best])
+        runner_up = (int(np.partition(overlaps, -2)[-2])
+                     if overlaps.size > 1 else 0)
+        if best_overlap < min_support or best_overlap == runner_up:
             return None
-        self.recalls_served += 1
-        return best_class
+        return best
 
     def occupancy(self) -> float:
         """Memory fill level in [0, 1] (density of the weight matrix)."""

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from functools import partial
+from typing import Any, Protocol, cast
 
 import numpy as np
 
@@ -353,6 +354,11 @@ class ReplayScheduler:
         self._kernel = (self.store is not None
                         and self._attempts <= LaneDraws.max_attempts)
         self._ring: c_backend.CReplay | None = None
+        # The model the last step replayed into, and its ``replay_ring``
+        # over the ring when the kernel serves it (else None): bound when
+        # the model changes, not per step.
+        self._bound: object = None
+        self._ring_replay: Any = None
         self._generate = (policy.generate
                           if isinstance(policy, GenerativeReplay) else None)
         self._on_replayed = getattr(policy, "on_replayed", None)
@@ -385,9 +391,19 @@ class ReplayScheduler:
             for input_class, target_class in pairs:
                 model.train_pair(input_class, target_class, lr_scale=self.lr_scale)
                 count += 1
-        elif (self._kernel and getattr(model, "compiled", False)
+        elif ((self._ring_replay if model is self._bound
+               else self._bind(model)) is not None
               and (current_phase is None or current_phase >= 0)):
-            count = self._replay_ring(model, current_phase)
+            # The store's sample and its training: one kernel call, on
+            # the store's columns (replaced when the store grows).
+            ring, store = self._ring, self.store
+            assert ring is not None and store is not None
+            if ring.columns is not store.ep_input:
+                ring.point(store.ep_input, store.ep_target, store.ep_phase)
+            phase = -1 if current_phase is None else current_phase
+            count = self._ring_replay(phase, self.lr_scale)
+            if count is None:
+                count = self._redraw(phase)
         else:
             episodes = self._episodes(current_phase)
             if not episodes:
@@ -413,27 +429,36 @@ class ReplayScheduler:
         self.replayed_total += count
         return count
 
-    def _replay_ring(self, model: Any, current_phase: int | None) -> int:
-        """:meth:`step`'s sample and training as the network's one
-        ``replay_ring`` kernel call, plus a second for a draw that needs
-        numpy's rejection loop (made here, value by value)."""
-        store = self.store
-        assert store is not None
-        draws = self.draws
-        ring = self._ring
-        if ring is None:
-            ring = self._ring = c_backend.bind_replay(
-                draws.blocks(), store.ep_count, store.ep_cap, self._attempts,
-                self.per_step)
-        if ring.columns is not store.ep_input:
-            ring.point(store.ep_input, store.ep_target, store.ep_phase)
-        draws.ready_lane(0, self._attempts)
-        phase = -1 if current_phase is None else current_phase
-        count = model.replay_ring(ring, phase, self.lr_scale)
-        if count is None:
-            ring.values[:] = draws.draw_exact(0, len(store), self._attempts)
-            count = model.replay_ring(ring, phase, self.lr_scale, False)
-        return count
+    def _bind(self, model: SequenceModel) -> Any:
+        """Make ``model`` the one :meth:`step` replays into: its
+        ``replay_ring`` over this scheduler's ring (bound once) when the
+        kernel serves it, else None."""
+        self._bound = model
+        self._ring_replay = None
+        if self._kernel and getattr(model, "compiled", False):
+            store = self.store
+            assert store is not None
+            if self._ring is None:
+                self._ring = c_backend.bind_replay(
+                    self.draws.blocks(), store.ep_count, store.ep_cap,
+                    self._attempts, self.per_step)
+            self._ring_replay = partial(
+                cast(Any, model).replay_ring, self._ring)
+        return self._ring_replay
+
+    def _redraw(self, phase: int) -> int:
+        """The kernel replay of a draw it could not make: after refilling
+        a short raw block, and for a row that needs numpy's rejection
+        loop, with that row drawn here, value by value."""
+        ring, store, draws = self._ring, self.store, self.draws
+        assert ring is not None and store is not None
+        if ring.n_redo.item(0) < 0:
+            draws.ready_lane(0, self._attempts)
+            count = self._ring_replay(phase, self.lr_scale)
+            if count is not None:
+                return int(count)
+        ring.values[:] = draws.draw_exact(0, len(store), self._attempts)
+        return int(self._ring_replay(phase, self.lr_scale, False))
 
     def _episodes(self, current_phase: int | None) -> list[Episode]:
         """The policy's pick of up to ``per_step`` episodes: its store's

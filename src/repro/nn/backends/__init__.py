@@ -19,9 +19,10 @@ winning.  That leaves:
     store, which ``simulate()``'s one-slot engine and every fleet lane
     run, and the membership scans) and the
     Hebbian network's step (Eq. 1's update, the sparse readout, the
-    softmax's arithmetic and the rollout's top-width selection; ``np.exp``
-    and the k-WTA code stay numpy), for one network and, as lane loops,
-    for a ``HebbianFleet`` and the cohort's replay.
+    softmax — its ``exp`` is numpy's own float64 loop, called from C —
+    and the rollout's top-width selection; the k-WTA code stays numpy),
+    for one network and, as lane loops, for a ``HebbianFleet`` and the
+    cohort's replay.
 ``int8``
     The one name that changes what the network does: readout scores are
     read from an int8-quantized mirror of the weights while training

@@ -7,14 +7,15 @@ kernels plus cffi's generated wrappers, module ``_reprokernels``), the
 system ``cc`` compiles that against the Python headers into
 ``_build/reprokernels-<sha16>.so`` (hash of the source, the
 declarations, the compile flags, the interpreter's extension suffix and
-the cffi version, so changing any of them transparently rebuilds), and
-``importlib`` loads it as an extension module.  A kernel call is then a
-direct C call, not one through libffi, and nothing parses the
-declarations at start-up.  The requirements are ``cffi``, a
-``cc``/``gcc`` on PATH and the Python headers (``Python.h``); any failure
-along that path — no compiler, no headers, compile error, load error —
-makes the backend report unavailable; nothing raises out of
-:func:`available`.
+the cffi and numpy versions, so changing any of them transparently
+rebuilds), and ``importlib`` loads it as an extension module.  A kernel
+call is then a direct C call, not one through libffi, and nothing parses
+the declarations at start-up.  The requirements are ``cffi``, a
+``cc``/``gcc`` on PATH, the Python headers (``Python.h``) and numpy's
+(``ufuncobject.h``); any failure along that path — no compiler, no
+headers, compile error, load error, or an ``exp`` loop that fails its
+check at load (:func:`_bind_loops`) — makes the backend report
+unavailable; nothing raises out of :func:`available`.
 
 Two families are compiled:
 
@@ -24,25 +25,29 @@ Two families are compiled:
   (``rk_sim_lanes``: the same step over one context per lane slot; both
   run on the lane store's rows, ``memsim/lanes.py``), and
   ``PageCache``'s two membership scans;
-- the Hebbian network's step (``rk_heb_step``: Eq. 1's column update
-  from the last code and the new code's sparse readout in one call;
-  ``rk_heb_scores``, the readout alone; ``rk_heb_finish``: the softmax's
-  arithmetic after its exp and the rollout's top-width selection), its
-  context-free learn keyed by class (``rk_heb_learn_class``, on the
-  replay's code table) and its admission scan (``rk_heb_finite``), bound
-  once per scalar network by :func:`bind_hebbian`; the same helpers run
-  as lane loops over a ``HebbianFleet``'s value slab
-  (``rk_heb_lanes_step`` / ``_scores`` / ``_train``,
-  ``rk_heb_finish_rows``), bound once per fleet by
-  :func:`bind_hebbian_lanes`, and the cohort's replay is one of
-  them (``rk_heb_replay``: ``LaneDraws``' bounded draws over its raw
-  blocks, the phase rejection, the picks and their training;
-  ``rk_lane_draws`` is its draw alone), which the scalar network's
-  replay runs on one lane (``rk_heb_replay_one``, over a store bound by
-  :func:`bind_replay`).  ``np.exp``, the k-WTA hidden
-  code and the raw 32-bit stream stay numpy: the first is not libm's
-  ``exp`` bit for bit, the second's tie order is ``argpartition``'s, the
-  third is the generator's own.
+- the Hebbian network, on the ids of a shared code table (``rk_book``:
+  the memo's codes as rows, each class's context-free code, the
+  transitions between them): its step (``rk_heb_step``: the code that
+  follows, Eq. 1's column update from the last code, the new code's
+  sparse readout and its whole softmax, ``exp`` included — one call),
+  its rollout (``rk_heb_rollout``: every step's top-width selection and
+  the next code's softmax, one call), its context-free learn keyed by class (``rk_heb_learn_class``) and its
+  admission scan (``rk_heb_finite``), bound once per scalar network by
+  :func:`bind_hebbian`; the same helpers run as lane loops over a
+  ``HebbianFleet``'s value slab (``rk_heb_lanes_step`` / ``_scores`` /
+  ``_train``, ``rk_heb_finish_rows``), bound once per fleet by
+  :func:`bind_hebbian_lanes`, and the cohort's replay is one of them
+  (``rk_heb_replay``: ``LaneDraws``' bounded draws over its raw blocks,
+  the phase rejection, the picks and their training; ``rk_lane_draws``
+  is its draw alone), which the scalar network's replay runs on one lane
+  (``rk_heb_replay_one``, over a store bound by :func:`bind_replay`).
+  The kernels' ``exp`` is numpy's own float64 loop (``rk_ufunc_loop``
+  reads it from ``np.exp``'s loop table; libm's ``exp`` is not
+  ``np.exp`` bit for bit), and so is the max a row with a NaN is
+  shifted by (``np.maximum``'s, run as numpy reduces: which NaN it
+  returns depends on its vector lanes).  The k-WTA hidden code and the raw 32-bit
+  stream stay numpy: the first's tie order is ``argpartition``'s, the
+  second is the generator's own.
 
 Bit-identity: every kernel reproduces its numpy reference's observable
 state transitions exactly (see the per-function notes in the C source).
@@ -92,11 +97,33 @@ typedef struct {
 } rk_sim;
 """
 
+#: A network shape's hidden codes by id, shared by its clones (one
+#: struct, pointed at by every context bound over the shape's tables, so
+#: the network re-points ``codes`` in one place when it replaces the
+#: table): the codes as rows of a table, each class's context-free code,
+#: and the transitions the rollout and the step follow, an open-addressing
+#: table keyed by ``code * vocab + class``.
+_BOOK = """
+typedef struct {
+    /* code id c is row c of codes (k wide); class c's context-free code
+     * is code_of[c], -1 until it is made */
+    const long long *codes, *code_of;
+    /* transitions: slot s maps keys[s] = code * vocab + class (-1: a
+     * free slot) to next[s], the id of the code that follows; mask is
+     * the slot count less one (a power of two less one), links the
+     * slots taken (keys and next are not read while it is 0, and may
+     * then be NULL) */
+    long long *keys, *next;
+    long long mask, links;
+} rk_book;
+"""
+
 #: The Hebbian kernels' context: one network's value vector, the fixed
-#: tables its clones share, and its own scratch (``rk_heb_finish`` leaves
-#: its selection in ``top`` / ``top_p``, ``rk_heb_learn_class`` and
-#: ``rk_heb_step`` their punished slots in ``punished``, the step their
-#: number in ``n_punished``).
+#: tables its clones share (the code book among them), numpy's float64
+#: ``exp`` loop and the context's own scratch (``rk_heb_step`` leaves its
+#: punished slots in ``punished``, their number and its argmax in
+#: ``state``; ``rk_heb_rollout`` its steps in ``roll_top`` / ``roll_p``
+#: and where it stopped in ``state``).
 _HEB_CONTEXT = """
 typedef struct {
     /* the readout values, class-major; class t's slots are
@@ -109,16 +136,18 @@ typedef struct {
     const long long *row_start, *row_class, *row_slot;
     /* (vocab, hidden): a (class, row)'s slot, -1 where unconnected */
     const long long *slot_of;
-    /* scratch: logits / probabilities, the top-width classes and their
-     * probabilities, the punished slots and their number, a hidden-row
-     * membership mark */
-    double *x, *top_p;
-    long long *top, *punished, *n_punished;
+    /* the shape's hidden codes by id */
+    rk_book *book;
+    /* np.exp's and np.maximum's float64 inner loops and their data
+     * (rk_ufunc_loop) */
+    void *exp_loop, *exp_data, *max_loop, *max_data;
+    /* scratch: logits / probabilities, the selection's insertion list,
+     * the rollout's steps (roll_cap entries), the punished slots, the
+     * step's and the rollout's results, a hidden-row membership mark */
+    double *x, *roll_p;
+    long long *top, *roll_top, *punished, *state;
     unsigned char *mark;
-    /* the scalar replay's context-free codes: class c's is row
-     * code_of[c] of codes (k wide), -1 until it is made */
-    const long long *codes, *code_of;
-    long long vocab, hidden, k, punish;
+    long long roll_cap, vocab, hidden, k, punish;
     double temperature, weight_max, negative_scale;
 } rk_heb;
 """
@@ -128,9 +157,10 @@ typedef struct {
 #: scratch; bound once per ``ReplayScheduler`` by :func:`bind_replay`.
 _REPLAY_CONTEXT = """
 typedef struct {
-    /* the lane's raw block, its next unread raw and the raws consumed */
+    /* the lane's raw block (raw_block long), its next unread raw and the
+     * raws consumed */
     const uint32_t *raws;
-    long long *at, *used;
+    long long *at, *used, raw_block;
     /* the store: episodes written, its ring's capacity, its columns */
     const long long *count;
     long long cap;
@@ -157,6 +187,13 @@ _SOURCE = r"""
  * numpy's order.
  */
 
+/* Only for PyUFuncObject's layout (rk_ufunc_loop): no numpy C-API call is
+ * made, so the API tables are declared, never imported. */
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#define NO_IMPORT_ARRAY
+#define NO_IMPORT_UFUNC
+#include <numpy/arrayobject.h>
+#include <numpy/ufuncobject.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -419,7 +456,7 @@ void rk_sim_lanes(const rk_sim *sims, const i64 *lanes, i64 n_lanes,
  * vector (repro/nn/hebbian.py).  Float kernels: every sum is taken in
  * the order numpy takes it, and the flags forbid reassociation and FMA
  * contraction, so each result is numpy's bit for bit. */
-""" + _HEB_CONTEXT + r"""
+""" + _BOOK + _HEB_CONTEXT + r"""
 /* Eq. 1 on the value vector w (SparseHebbianNetwork._learn): the target
  * column (+lr on the rows of the code, lr * -negative_scale on the other
  * connected rows), clipped to +-weight_max; then, when predicted >= 0
@@ -479,6 +516,11 @@ static i64 heb_readout(const rk_heb *h, const double *w, const i64 *code,
         x[c] = 0.0;
     for (i64 j = 0; j < k; j++) {
         i64 r = code[j];
+        if (j + 1 < k) {  /* the code's rows are scattered: fetch ahead */
+            i64 next = h->row_start[code[j + 1]];
+            __builtin_prefetch(h->row_class + next);
+            __builtin_prefetch(h->row_slot + next);
+        }
         for (i64 e = h->row_start[r]; e < h->row_start[r + 1]; e++)
             x[h->row_class[e]] += w[h->row_slot[e]];
     }
@@ -496,18 +538,45 @@ static i64 heb_readout(const rk_heb *h, const double *w, const i64 *code,
     return best;
 }
 
+static double heb_max(const rk_heb *h, const double *x, i64 n);
+
+/* Two doubles a division: a vector division rounds each lane as the
+ * scalar one does, in half the instructions. */
+typedef double v2d __attribute__((vector_size(16)));
+
 /* The readout, then the arithmetic of probabilities() before its exp:
  * x = scores / T - max(scores / T).  The max of the quotients is the
  * quotient of the max (x[best]): rounding a division by a positive T is
- * monotone.  Returns the argmax. */
+ * monotone.  Not so for a NaN's bits: which NaN numpy's max returns
+ * depends on its vector lanes, so a row with one is shifted by numpy's
+ * own max loop (heb_max).  Returns the argmax. */
 static i64 heb_scores(const rk_heb *h, const double *w, const i64 *code,
                       i64 k, double *x)
 {
     i64 best = heb_readout(h, w, code, k, x);
     double top = x[best] / h->temperature;
 
-    for (i64 c = 0; c < h->vocab; c++)
-        x[c] = x[c] / h->temperature - top;
+    if (top != top) {
+        for (i64 c = 0; c < h->vocab; c++)
+            x[c] = x[c] / h->temperature;
+        top = heb_max(h, x, h->vocab);
+        for (i64 c = 0; c < h->vocab; c++)
+            x[c] = x[c] - top;
+        return best;
+    }
+    {
+        const double t = h->temperature;
+        const v2d tv = {t, t}, topv = {top, top};
+        i64 c = 0;
+        for (; c + 2 <= h->vocab; c += 2) {
+            v2d a;
+            memcpy(&a, x + c, sizeof a);
+            a = a / tv - topv;
+            memcpy(x + c, &a, sizeof a);
+        }
+        for (; c < h->vocab; c++)
+            x[c] = x[c] / t - top;
+    }
     return best;
 }
 
@@ -544,58 +613,261 @@ static double rk_pairwise_sum(const double *a, i64 n)
     }
 }
 
-/* The rest of probabilities() after np.exp, then select_topk's choice.
- * With normalize, x /= x.sum() (a reduction from the +0.0 identity over
- * the pairwise sum).  With width > 0, the top min(width, vocab) classes
- * of x, descending, go to top (vocab long: it is the insertion's
- * scratch) and their values to top_p.  The choice is select_topk's only
+/* np.exp on a contiguous run of n doubles, in place, by numpy's own float64
+ * inner loop (h->exp_loop, the d->d entry of the ufunc's loop table: not
+ * libm's exp), called as numpy calls it on such a vector -- once, over the
+ * whole run -- so every value is np.exp's bit for bit. */
+static void heb_exp(const rk_heb *h, double *x, i64 n)
+{
+    char *args[2] = {(char *)x, (char *)x};
+    npy_intp count = (npy_intp)n;
+    npy_intp steps[2] = {sizeof(double), sizeof(double)};
+
+    ((PyUFuncGenericFunction)h->exp_loop)(args, &count, steps, h->exp_data);
+}
+
+/* The first all-float64 loop of the ufunc at address ufunc, which has nin
+ * inputs and one output (the loop numpy's type resolution picks for
+ * float64 arguments): loop[0] gets the function, loop[1] its data.
+ * Returns 0 when it has none. */
+i64 rk_ufunc_loop(intptr_t ufunc, i64 nin, void **loop)
+{
+    const PyUFuncObject *u = (const PyUFuncObject *)ufunc;
+
+    if (u->nin != nin || u->nout != 1)
+        return 0;
+    for (int i = 0; i < u->ntypes; i++) {
+        const char *t = (const char *)u->types + (i64)i * u->nargs;
+        int all = 1;
+        for (int a = 0; a < u->nargs; a++)
+            all &= t[a] == NPY_DOUBLE;
+        if (all && u->functions[i]) {
+            loop[0] = (void *)u->functions[i];
+            loop[1] = u->data ? (void *)u->data[i] : NULL;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* x.max() of n >= 1 doubles by np.maximum's own loop, as numpy reduces a
+ * contiguous vector: x[0] into the accumulator, then one call over the
+ * rest with the accumulator as both the first input and the output. */
+static double heb_max(const rk_heb *h, const double *x, i64 n)
+{
+    double acc = x[0];
+    char *args[3] = {(char *)&acc, (char *)(x + 1), (char *)&acc};
+    npy_intp count = (npy_intp)(n - 1);
+    npy_intp steps[3] = {0, sizeof(double), 0};
+
+    if (n > 1)
+        ((PyUFuncGenericFunction)h->max_loop)(args, &count, steps,
+                                              h->max_data);
+    return acc;
+}
+
+void rk_heb_exp(const rk_heb *h, double *x, i64 n)
+{
+    heb_exp(h, x, n);
+}
+
+double rk_heb_max(const rk_heb *h, const double *x, i64 n)
+{
+    return heb_max(h, x, n);
+}
+
+/* probabilities()'s x /= x.sum(): a reduction from the +0.0 identity over
+ * numpy's pairwise sum. */
+static void heb_normalize(double *x, i64 n)
+{
+    double total = 0.0 + rk_pairwise_sum(x, n);
+    const v2d tv = {total, total};
+    i64 c = 0;
+
+    for (; c + 2 <= n; c += 2) {
+        v2d a;
+        memcpy(&a, x + c, sizeof a);
+        a = a / tv;
+        memcpy(x + c, &a, sizeof a);
+    }
+    for (; c < n; c++)
+        x[c] = x[c] / total;
+}
+
+/* probabilities(readout(code)) into x: the shifted scores, numpy's exp,
+ * the normalisation.  Returns the scores' argmax. */
+static i64 heb_softmax(const rk_heb *h, const i64 *code, i64 k, double *x)
+{
+    i64 best = heb_scores(h, h->w, code, k, x);
+
+    heb_exp(h, x, h->vocab);
+    heb_normalize(x, h->vocab);
+    return best;
+}
+
+/* select_topk(row, width)'s choice: the top min(width, vocab) classes of
+ * row, descending, to out_c and their values to out_p (h->top, vocab
+ * long, is the insertion's scratch).  The choice is select_topk's only
  * where it cannot depend on numpy's partition or sort order: returns -1
  * (and the caller asks select_topk) when a value among the top
  * min(width + 1, vocab) is shared or any value is NaN; else the number
  * selected. */
-static i64 heb_finish(const rk_heb *h, double *x, i64 width, i64 normalize,
-                      i64 *top, double *top_p)
+static i64 heb_select(const rk_heb *h, const double *row, i64 width,
+                      i64 *out_c, double *out_p)
 {
     i64 v_n = h->vocab;
-    i64 picked, keep, held = 0;
+    i64 picked = width < v_n ? width : v_n;
+    i64 keep = width < v_n ? width + 1 : v_n;
+    i64 held = 0;
+    i64 *top = h->top;
 
-    if (normalize) {
-        double total = 0.0 + rk_pairwise_sum(x, v_n);
-        for (i64 c = 0; c < v_n; c++)
-            x[c] = x[c] / total;
-    }
-    if (width <= 0)
-        return 0;
-    picked = width < v_n ? width : v_n;
-    keep = width < v_n ? width + 1 : v_n;
     for (i64 c = 0; c < v_n; c++) {
-        double v = x[c];
+        double v = row[c];
         i64 p;
         if (v != v)
             return -1;
-        if (held == keep && !(v > x[top[keep - 1]]))
+        if (held == keep && !(v > row[top[keep - 1]]))
             continue;
         p = held < keep ? held++ : keep - 1;
-        while (p > 0 && x[top[p - 1]] < v) {
+        while (p > 0 && row[top[p - 1]] < v) {
             top[p] = top[p - 1];
             p--;
         }
         top[p] = c;
     }
     for (i64 p = 1; p < keep; p++)
-        if (x[top[p - 1]] == x[top[p]])
+        if (row[top[p - 1]] == row[top[p]])
             return -1;
-    for (i64 p = 0; p < picked; p++)
-        top_p[p] = x[top[p]];
+    for (i64 p = 0; p < picked; p++) {
+        out_c[p] = top[p];
+        out_p[p] = row[top[p]];
+    }
     return picked;
 }
 
+/* The code that follows code on class cls (code < 0: cls's context-free
+ * code), -1 when the book has not met that transition. */
+static i64 book_follow(const rk_heb *h, i64 code, i64 cls)
+{
+    const rk_book *b = h->book;
+    i64 key, s;
+
+    if (code < 0)
+        return b->code_of[cls];
+    if (!b->links)
+        return -1;
+    key = code * h->vocab + cls;
+    s = (i64)(((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> 32) & b->mask;
+    for (;;) {
+        i64 at = __atomic_load_n(b->keys + s, __ATOMIC_ACQUIRE);
+        if (at == key)
+            return b->next[s];
+        if (at < 0)
+            return -1;
+        s = (s + 1) & b->mask;
+    }
+}
+
+/* Record that code next follows code on class cls (code >= 0).  Returns 0,
+ * having recorded nothing, when that would fill the table past half.  A
+ * new slot's next is written before its key is published. */
+i64 rk_book_link(rk_book *b, i64 vocab, i64 code, i64 cls, i64 next)
+{
+    i64 key = code * vocab + cls;
+    i64 s = (i64)(((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> 32) & b->mask;
+
+    while (b->keys[s] >= 0 && b->keys[s] != key)
+        s = (s + 1) & b->mask;
+    if (b->keys[s] < 0) {
+        if (2 * (b->links + 1) > b->mask + 1)
+            return 0;
+        b->next[s] = next;
+        __atomic_store_n(b->keys + s, key, __ATOMIC_RELEASE);
+        b->links++;
+        return 1;
+    }
+    b->next[s] = next;
+    return 1;
+}
+
 /* The scalar network's entries: the helpers on its own value vector and
- * scratch (h->w; h->x, h->top, h->top_p, h->punished). */
+ * scratch (h->w; h->x, h->top, h->punished, h->state, h->roll_*). */
+enum { ST_PUNISHED, ST_BEST, ST_CODE, ST_CLASS };
+
+/* SparseHebbianNetwork.step on the book's code ids, in one call: the code
+ * that follows prev on input (prev < 0: input's context-free one) --
+ * when the book has not met it, returns -1 having moved nothing, and the
+ * caller makes it and calls again -- then, with learn, Eq. 1 of input
+ * from prev's code against predicted (-1: none; ignored without punish)
+ * (state[ST_PUNISHED] slots punished, listed in punished), then the new
+ * code's probabilities into x (heb_softmax).  Returns the new code's id;
+ * its argmax goes to state[ST_BEST].  Returns -2, having moved nothing,
+ * when it would learn against a predicted that is no class. */
+i64 rk_heb_step(const rk_heb *h, i64 prev, i64 input, i64 predicted,
+                double lr, i64 learn)
+{
+    i64 code;
+    const i64 *codes = h->book->codes;
+
+    if (!h->punish)
+        predicted = -1;
+    else if (learn && (predicted < -1 || predicted >= h->vocab))
+        return -2;
+    code = book_follow(h, prev, input);
+    if (code < 0)
+        return -1;
+    if (learn)
+        h->state[ST_PUNISHED] = heb_learn(h, h->w, codes + prev * h->k, h->k,
+                                          input, predicted, lr, h->punished);
+    h->state[ST_BEST] = heb_softmax(h, codes + code * h->k, h->k, h->x);
+    return code;
+}
+
+/* SparseHebbianNetwork.predict_rollout(width, length) on the book: step s
+ * selects from its row (heb_select) into roll_top / roll_p + s * picked,
+ * and the next row is the probabilities of the code that follows on the
+ * step's first class.  The first row is probs, of code code; with cls >= 0
+ * the call first moves on to the code that follows code on cls (probs is
+ * then not read).  Returns the steps it completed.  Fewer than length: it
+ * stopped at row state[ST_CODE], either on a tie (state[ST_CLASS] -1: that
+ * row's selection is select_topk's; the row is probs when the call neither
+ * moved nor completed a step, else x) or before moving on state[ST_CLASS]
+ * (a transition the book has not met, or no room left in roll_*). */
+i64 rk_heb_rollout(const rk_heb *h, const double *probs, i64 code, i64 cls,
+                   i64 width, i64 length)
+{
+    const double *row = probs;
+    i64 picked = width < h->vocab ? width : h->vocab;
+    i64 s = 0;
+
+    if (length <= 0)
+        return 0;
+    for (;;) {
+        if (cls >= 0) {
+            i64 next = book_follow(h, code, cls);
+            if (next < 0 || (s + 1) * picked > h->roll_cap)
+                break;
+            heb_softmax(h, h->book->codes + next * h->k, h->k, h->x);
+            code = next;
+            row = h->x;
+        }
+        if (heb_select(h, row, width, h->roll_top + s * picked,
+                       h->roll_p + s * picked) < 0) {
+            cls = -1;
+            break;
+        }
+        cls = h->roll_top[s * picked];
+        if (++s == length)
+            return s;
+    }
+    h->state[ST_CODE] = code;
+    h->state[ST_CLASS] = cls;
+    return s;
+}
 
 /* A context-free learn keyed by class (SparseHebbianNetwork.learn_pair,
  * and train_pair's update): Eq. 1 of target from input's context-free
- * code (row code_of[input] of codes) at lr.  Under punish it is against
+ * code (book->code_of[input]) at lr.  Under punish it is against
  * predicted, or -- predicted < 0 -- against the argmax of that code's
  * readout (into x), as learn_pair reads it.  Returns how many slots it
  * punished, listed in punished; -1, having moved nothing, when a class
@@ -607,9 +879,9 @@ i64 rk_heb_learn_class(const rk_heb *h, i64 input, i64 target,
     const i64 *code;
 
     if (input < 0 || input >= h->vocab || target < 0 || target >= h->vocab
-        || h->code_of[input] < 0)
+        || h->book->code_of[input] < 0)
         return -1;
-    code = h->codes + h->code_of[input] * h->k;
+    code = h->book->codes + h->book->code_of[input] * h->k;
     if (!h->punish)
         predicted = -1;
     else if (predicted < 0)
@@ -657,28 +929,6 @@ i64 rk_heb_finite(const rk_heb *h)
     return !(carry >> 63);
 }
 
-/* SparseHebbianNetwork.step's kernel work before its exp, in one call:
- * rk_heb_learn from the last code prev (k_prev long; the number of slots
- * it punished goes to n_punished[0]), then rk_heb_scores of the new code.
- * Returns the new code's argmax. */
-i64 rk_heb_step(const rk_heb *h, const i64 *prev, i64 k_prev, i64 target,
-                i64 predicted, double lr, const i64 *code, i64 k)
-{
-    h->n_punished[0] = heb_learn(h, h->w, prev, k_prev, target, predicted,
-                                 lr, h->punished);
-    return heb_scores(h, h->w, code, k, h->x);
-}
-
-i64 rk_heb_scores(const rk_heb *h, const i64 *code, i64 k)
-{
-    return heb_scores(h, h->w, code, k, h->x);
-}
-
-i64 rk_heb_finish(const rk_heb *h, i64 width, i64 normalize)
-{
-    return heb_finish(h, h->x, width, normalize, h->top, h->top_p);
-}
-
 /* HebbianFleet's entries (repro/nn/hebbian_fleet.py): the same helpers
  * over lanes of the value slab.  Lane t's values are slab + t * block;
  * code id c is row c of table (k wide, the code book's tables()).  A
@@ -690,7 +940,7 @@ i64 rk_heb_finish(const rk_heb *h, i64 width, i64 normalize)
  * from its last code prev_code[t] -- when train[i] and it has one -- at
  * lr, against its last argmax prev_pred[t], and counts it in steps[t];
  * then row i of x (n, vocab) gets the shifted scores of code next[i]
- * (rk_heb_scores), and next[i] and the argmax (-1 without punish)
+ * (heb_scores), and next[i] and the argmax (-1 without punish)
  * become the lane's last code and argmax. */
 void rk_heb_lanes_step(const rk_heb *h, double *slab, i64 block,
                        const i64 *table, i64 k, const i64 *lanes, i64 n,
@@ -724,7 +974,7 @@ void rk_heb_lanes_scores(const rk_heb *h, const double *slab, i64 block,
                    x + i * h->vocab);
 }
 
-/* The softmax's normalisation of rk_heb_finish on every row of x (n,
+/* The softmax's normalisation (heb_normalize) on every row of x (n,
  * vocab); with store, row i is then copied to row lanes[i] of store (the
  * fleet's probs_rows).  The rollout's selection stays numpy's: on the
  * cohort's traffic most rows tie at the top-width boundary. */
@@ -735,7 +985,7 @@ void rk_heb_finish_rows(const rk_heb *h, double *x, i64 n, double *store,
 
     for (i64 i = 0; i < n; i++) {
         double *xi = x + i * v_n;
-        heb_finish(h, xi, 0, 1, h->top, h->top_p);
+        heb_normalize(xi, v_n);
         if (store)
             for (i64 c = 0; c < v_n; c++)
                 store[lanes[i] * v_n + c] = xi[c];
@@ -907,18 +1157,23 @@ i64 rk_heb_replay(const rk_heb *h, double *slab, i64 block,
 
 /* SparseHebbianNetwork.replay_ring: rk_heb_replay for one lane -- lane
  * 0 of r's draws and store, excluding phase (none below 0) -- trained
- * into the network's own values on its context-free codes (h->codes,
- * h->code_of), each trained pick's argmax listed in r->pick_pred.
+ * into the network's own values on its context-free codes (the book's
+ * codes and code_of), each trained pick's argmax listed in r->pick_pred.
  * Returns as rk_heb_replay; a draw left to the rejection loop returns 0,
- * having read and trained nothing, with r->n_redo[0] set.  h->top and
- * h->top_p (the next rollout's preselection) are left alone. */
+ * having read and trained nothing, with r->n_redo[0] set -- to -1 when
+ * the block holds fewer than r->attempts unread raws (the caller refills
+ * it and calls again). */
 """ + _REPLAY_CONTEXT + r"""
 i64 rk_heb_replay_one(const rk_heb *h, const rk_replay *r, i64 phase,
                       i64 draw, double lr)
 {
     const i64 lane = 0;
 
-    return rk_heb_replay(h, h->w, 0, h->codes, h->k, h->code_of,
+    if (draw && r->at[0] > r->raw_block - r->attempts) {
+        r->n_redo[0] = -1;
+        return 0;
+    }
+    return rk_heb_replay(h, h->w, 0, h->book->codes, h->k, h->book->code_of,
                          h->punish, lr, &lane, 1, &phase, draw, r->values,
                          r->raws, 0, r->at, r->used, r->count, r->cap, 0,
                          r->input, r->target, r->phase, r->attempts,
@@ -940,18 +1195,21 @@ long long rk_sim_run(const rk_sim *s, long long start, long long stop,
 void rk_sim_lanes(const rk_sim *sims, const long long *lanes,
                   long long n_lanes, long long *pos, const long long *stop,
                   const long long *n_issue);
-""" + _HEB_CONTEXT + """
+""" + _BOOK + _HEB_CONTEXT + """
+long long rk_ufunc_loop(intptr_t ufunc, long long nin, void **loop);
+void rk_heb_exp(const rk_heb *h, double *x, long long n);
+double rk_heb_max(const rk_heb *h, const double *x, long long n);
+long long rk_book_link(rk_book *b, long long vocab, long long code,
+                       long long cls, long long next);
+long long rk_heb_step(const rk_heb *h, long long prev, long long input,
+                      long long predicted, double lr, long long learn);
+long long rk_heb_rollout(const rk_heb *h, const double *probs,
+                         long long code, long long cls, long long width,
+                         long long length);
 long long rk_heb_learn_class(const rk_heb *h, long long input,
                              long long target, long long predicted,
                              double lr);
 long long rk_heb_finite(const rk_heb *h);
-long long rk_heb_step(const rk_heb *h, const long long *prev,
-                      long long k_prev, long long target,
-                      long long predicted, double lr, const long long *code,
-                      long long k);
-long long rk_heb_scores(const rk_heb *h, const long long *code, long long k);
-long long rk_heb_finish(const rk_heb *h, long long width,
-                        long long normalize);
 void rk_heb_lanes_step(const rk_heb *h, double *slab, long long block,
                        const long long *table, long long k,
                        const long long *lanes, long long n,
@@ -1001,10 +1259,12 @@ long long rk_heb_replay_one(const rk_heb *h, const rk_replay *r,
 #: contraction).  ``-falign-functions=64`` starts every kernel on a cache
 #: line, so a kernel's speed does not move with the size of the code
 #: compiled before it (``rk_sim_run`` lost about 5 % on ``sim-classic``
-#: to a 32-byte shift).  Part of the ``.so`` cache key, so editing them
+#: to a 32-byte shift).  ``-D_CFFI_NO_LIMITED_API`` keeps cffi's wrappers
+#: off Python's limited API, which numpy's ``ufuncobject.h`` does not
+#: compile under.  Part of the ``.so`` cache key, so editing them
 #: rebuilds.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
-           "-falign-functions=64")
+           "-falign-functions=64", "-D_CFFI_NO_LIMITED_API")
 
 #: The extension's module name.  Fixed, so the init symbol cffi emits
 #: (``PyInit__reprokernels``) does not depend on the cache file's name.
@@ -1013,6 +1273,15 @@ _MODULE = "_reprokernels"
 _ffi: Any | None = None
 _lib: Any | None = None
 _load_failed = False
+#: The ``rk_heb`` fields ``exp_loop``, ``exp_data``, ``max_loop`` and
+#: ``max_data``: numpy's float64 loops as kernel pointers, found and
+#: checked at load (:func:`_bind_loops`); every context holds them.
+_loops: dict[str, Any] | None = None
+
+#: The ufuncs whose float64 loops the kernels call for ``exp`` and for
+#: the max that shifts a row holding a NaN.
+_EXP_UFUNC = np.exp
+_MAX_UFUNC = np.maximum
 
 
 def _build_dir() -> Path:
@@ -1020,20 +1289,23 @@ def _build_dir() -> Path:
 
 
 def _include_dirs() -> list[str]:
-    """Where the interpreter's ``Python.h`` and ``pyconfig.h`` are."""
+    """Where the interpreter's ``Python.h`` and ``pyconfig.h`` are, and
+    numpy's ``ufuncobject.h``."""
     paths = sysconfig.get_paths()
-    return list(dict.fromkeys((paths["include"], paths["platinclude"])))
+    return list(dict.fromkeys((paths["include"], paths["platinclude"],
+                               np.get_include())))
 
 
 def _so_path() -> Path:
     """Cache path of the extension: keyed on everything that shapes it —
     the source and its declarations, the flags, the interpreter's
-    extension ABI and the cffi that writes the wrappers."""
+    extension ABI, the cffi that writes the wrappers and the numpy whose
+    ``PyUFuncObject`` layout is compiled in."""
     from _cffi_backend import __version__ as cffi_version
 
     key = "\0".join((_SOURCE, _CDEF, " ".join(_CFLAGS),
                      str(sysconfig.get_config_var("EXT_SUFFIX")),
-                     cffi_version))
+                     cffi_version, np.__version__))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return _build_dir() / f"reprokernels-{digest}.so"
 
@@ -1092,14 +1364,15 @@ def _import(path: Path) -> tuple[Any, Any] | None:
 
 
 def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
-    """(ffi, lib) or None; compile and load failures latch to unavailable.
+    """(ffi, lib) or None; compile, load and exp-loop failures latch to
+    unavailable.
 
     A cached extension that exists but cannot be loaded (truncated, or
     built by another container's toolchain — ``_build/`` lives in the
     source tree) is recompiled over once before latching; otherwise the
     bad file would silently pin every later process to numpy.
     """
-    global _ffi, _lib, _load_failed
+    global _ffi, _lib, _load_failed, _loops
     if _lib is not None:
         return _ffi, _lib
     if _load_failed:
@@ -1112,11 +1385,57 @@ def _load() -> tuple[Any, Any] | None:  # repro-lint: zone=init
     loaded = _import(out) if out.exists() else None
     if loaded is None and _compile(out):
         loaded = _import(out)
-    if loaded is None:
+    loops = None if loaded is None else _bind_loops(*loaded)
+    if loops is None:
         _load_failed = True
         return None
     _ffi, _lib = loaded
+    _loops = loops
     return loaded
+
+
+def _probe_rows() -> np.ndarray:
+    """The rows :func:`_bind_loops` checks the loops on: every length
+    class of a loop's vector body and tail, magnitudes to the overflow
+    and underflow edges, the special values and NaNs of either sign and
+    with payloads."""
+    rng = np.random.default_rng(0)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000123, 0xFFF8000000000456],
+                    dtype=np.uint64).view(np.float64)
+    return np.concatenate([
+        np.linspace(-750.0, 712.0, 997),
+        rng.standard_normal(1000) * rng.uniform(0.0, 60.0, 1000),
+        [-np.inf, np.inf, 0.0, -0.0, 5e-324, -1e-310, 709.78, -708.4,
+         -745.2], nans, rng.standard_normal(7), nans[::-1]])
+
+
+def _bind_loops(ffi: Any, lib: Any) -> dict[str, Any] | None:
+    """:data:`_EXP_UFUNC`'s and :data:`_MAX_UFUNC`'s float64 inner
+    loops, read from their ``PyUFuncObject``, as the ``rk_heb`` fields
+    that hold them — or None when one has none, or when, called as the
+    kernels call them, they do not reproduce ``np.exp`` and ``x.max()``
+    bit for bit on :func:`_probe_rows` (every length up to 33 and the
+    whole row)."""
+    loops: dict[str, Any] = {}
+    for name, ufunc, nin in (("exp", _EXP_UFUNC, 1), ("max", _MAX_UFUNC, 2)):
+        loop = ffi.new("void *[2]")
+        if not lib.rk_ufunc_loop(id(ufunc), nin, loop):
+            return None
+        loops[f"{name}_loop"], loops[f"{name}_data"] = loop[0], loop[1]
+    ctx = ffi.new("rk_heb *")
+    for name, value in loops.items():
+        setattr(ctx, name, value)
+    probe = _probe_rows()
+    for n in (*range(1, 34), probe.size):
+        row = probe[-n:].copy()
+        with np.errstate(all="ignore"):
+            want = np.array([row.max(), *np.exp(row)])
+        top = lib.rk_heb_max(ctx, ffi.from_buffer("double[]", row), n)
+        lib.rk_heb_exp(ctx, ffi.from_buffer("double[]", row), n)
+        if np.array([top, *row]).tobytes() != want.tobytes():
+            return None
+    return loops
 
 
 def available() -> bool:
@@ -1220,18 +1539,26 @@ class CSimLanes:
         return partial(self._lib.rk_sim_run, self._sims + lane)
 
 
+#: Rollout steps one ``rk_heb_rollout`` call has room for at full width.
+_ROLL_STEPS = 4
+
+
 def _heb_context(ffi: Any, tables: dict[str, Any], w: np.ndarray | None,
                  settings: dict[str, float]
                  ) -> tuple[Any, list[Any], dict[str, np.ndarray]]:
     """An ``rk_heb`` context over ``tables`` and value vector ``w`` (None:
-    NULL, for the lane entries, which take the slab per call), with its
-    own scratch.  Returns the context, what keeps its buffers alive, and
-    the scratch as numpy arrays by field name."""
+    NULL, for the lane entries, which take the slab per call), with
+    numpy's exp loop and its own scratch.  Returns the context, what
+    keeps its buffers alive, and the scratch as numpy arrays by field
+    name."""
+    assert _loops is not None
     vocab, hidden = int(settings["vocab"]), int(settings["hidden"])
-    scratch = {"x": np.zeros(vocab), "top_p": np.zeros(vocab),
+    roll_cap = _ROLL_STEPS * vocab
+    scratch = {"x": np.zeros(vocab), "roll_p": np.zeros(roll_cap),
                "top": np.zeros(vocab, dtype=np.int64),
+               "roll_top": np.zeros(roll_cap, dtype=np.int64),
                "punished": np.zeros(hidden, dtype=np.int64),
-               "n_punished": np.zeros(1, dtype=np.int64),
+               "state": np.zeros(4, dtype=np.int64),
                "mark": np.zeros(hidden, dtype=np.uint8)}
     ctx = ffi.new("rk_heb *")
     keep: list[Any] = [ctx, tables]
@@ -1241,6 +1568,9 @@ def _heb_context(ffi: Any, tables: dict[str, Any], w: np.ndarray | None,
     for name, arr in buffers.items():
         keep.append(_buffer(ffi, arr))
         setattr(ctx, name, keep[-1])
+    for name, value in _loops.items():
+        setattr(ctx, name, value)
+    ctx.roll_cap = roll_cap
     for name, value in settings.items():
         setattr(ctx, name, value)
     return ctx, keep, scratch
@@ -1249,49 +1579,85 @@ def _heb_context(ffi: Any, tables: dict[str, Any], w: np.ndarray | None,
 class CHebbian:
     """The Hebbian kernels bound to one network (see :func:`bind_hebbian`).
 
-    ``step(prev, k_prev, target, predicted, lr, code, k)``,
-    ``learn_class(input, target, predicted, lr)``, ``scores(code, k)``,
-    ``finish(width, normalize)`` and ``finite()`` call ``rk_heb_step`` /
-    ``rk_heb_learn_class`` / ``rk_heb_scores`` / ``rk_heb_finish`` /
-    ``rk_heb_finite`` on the bound context, and
-    ``replay(ring, phase, draw, lr)`` ``rk_heb_replay_one`` with a
-    :class:`CReplay`'s ``ctx``; a code is passed as :meth:`codes` of it.
-    The context's scratch is exposed as numpy arrays: ``x`` (logits, then
-    probabilities — the network runs ``np.exp`` on it in place), ``top``
-    / ``top_p`` (the selection) and ``punished`` / ``n_punished`` (the
-    punish term's slots).
+    ``step(prev, input, predicted, lr, learn)``, ``rollout(probs, code,
+    cls, width, length)``, ``learn_class(input, target, predicted, lr)``
+    and ``finite()`` call ``rk_heb_step`` / ``rk_heb_rollout`` /
+    ``rk_heb_learn_class`` / ``rk_heb_finite`` on the bound context, and ``replay(ring, phase,
+    draw, lr)`` ``rk_heb_replay_one`` with a :class:`CReplay`'s ``ctx``;
+    codes are ids of the bound :class:`CBook`, and a probability row is
+    passed as :meth:`row` of it (``no_row``: none).  The context's
+    scratch is exposed as numpy arrays — ``x`` (the last probabilities
+    it made), ``punished`` (the punish term's slots) and ``state`` (the
+    slots punished, the step's argmax, and the row and class a rollout
+    stopped at) — and as memoryviews, ``roll_top`` / ``roll_p`` (the
+    rollout's steps, ``picked`` entries each).
     """
 
-    __slots__ = ("x", "top", "top_p", "punished", "n_punished", "step",
-                 "learn_class", "scores", "finish", "finite", "replay",
-                 "_ffi", "_hidden", "_keep")
+    __slots__ = ("x", "roll_top", "roll_p", "punished", "state", "step",
+                 "rollout", "learn_class", "finite", "replay",
+                 "row", "no_row", "_keep")
 
     def __init__(self, ffi: Any, lib: Any, tables: dict[str, Any],
                  w: np.ndarray, **settings: float) -> None:
         ctx, self._keep, scratch = _heb_context(ffi, tables, w, settings)
         self.x = scratch["x"]
-        self.top_p = scratch["top_p"]
-        self.top = scratch["top"]
+        self.roll_top = memoryview(scratch["roll_top"])
+        self.roll_p = memoryview(scratch["roll_p"])
         self.punished = scratch["punished"]
-        self.n_punished = scratch["n_punished"]
-        self._ffi = ffi
-        self._hidden = int(settings["hidden"])
+        self.state = scratch["state"]
         self.step = partial(lib.rk_heb_step, ctx)
+        self.rollout = partial(lib.rk_heb_rollout, ctx)
         self.learn_class = partial(lib.rk_heb_learn_class, ctx)
-        self.scores = partial(lib.rk_heb_scores, ctx)
-        self.finish = partial(lib.rk_heb_finish, ctx)
         self.finite = partial(lib.rk_heb_finite, ctx)
         self.replay = partial(lib.rk_heb_replay_one, ctx)
+        self.row = partial(ffi.from_buffer, "double[]")
+        self.no_row = ffi.NULL
 
-    def codes(self, code: np.ndarray) -> Any:
-        """A kernel pointer to ``code`` (it keeps ``code`` alive): at
-        most ``hidden`` row indices, each in ``[0, hidden)``."""
-        code = np.ascontiguousarray(code, dtype=np.int64)
-        if code.size > self._hidden or (
-                code.size and not 0 <= code.min() <= code.max()
-                < self._hidden):
-            raise IndexError("a hidden code names rows outside the layer")
-        return self._ffi.from_buffer("long long[]", code)
+
+class CBook:
+    """``rk_book``: a network shape's hidden codes by id as the kernels
+    read them, shared by every context bound over the shape's tables
+    (see :func:`code_book`).  ``struct`` is what :func:`hebbian_tables`
+    takes as ``book``; the arrays stay the caller's — it writes
+    ``code_of`` itself, points :meth:`point_codes` at each new code
+    table and :meth:`point_links` at the transition table before the
+    first :meth:`link`."""
+
+    __slots__ = ("struct", "_ffi", "_lib", "_keep", "_codes", "_links")
+
+    def __init__(self, ffi: Any, lib: Any, code_of: np.ndarray) -> None:
+        self._ffi = ffi
+        self._lib = lib
+        self.struct = ffi.new("rk_book *")
+        self._keep = _buffer(ffi, code_of)
+        self.struct.code_of = self._keep
+        self._codes: Any = None
+        self._links: list[Any] = []
+
+    def point_codes(self, codes: np.ndarray) -> None:
+        """Read code rows from ``codes`` (``(rows, k)`` int64) from now on."""
+        self._codes = _buffer(self._ffi, codes)
+        self.struct.codes = self._codes
+
+    def point_links(self, keys: np.ndarray, next_: np.ndarray) -> None:
+        """Keep transitions in ``keys`` / ``next_`` (int64, a power of two
+        slots, ``keys`` all -1) from now on, none recorded yet."""
+        assert keys.size & (keys.size - 1) == 0 and keys.size == next_.size
+        self._links = [_buffer(self._ffi, arr) for arr in (keys, next_)]
+        self.struct.links = 0
+        self.struct.keys, self.struct.next = self._links
+        self.struct.mask = keys.size - 1
+
+    def link(self, vocab: int, code: int, cls: int, next_: int) -> bool:
+        """``rk_book_link``: ``next_`` follows ``code`` on ``cls``.  False,
+        having recorded nothing, when the table is half full."""
+        return bool(self._lib.rk_book_link(self.struct, vocab, code, cls,
+                                           next_))
+
+    def forget_links(self) -> None:
+        """Mark every transition slot free again (the caller refills
+        ``keys`` with -1)."""
+        self.struct.links = 0
 
 
 class CHebbianLanes:
@@ -1414,6 +1780,7 @@ class CReplay:
         for name, arr in arrays.items():
             self._keep.append(_buffer(ffi, arr))
             setattr(self.ctx, name, self._keep[-1])
+        self.ctx.raw_block = raws.shape[1]
         self.ctx.cap = cap
         self.ctx.attempts = attempts
         self.ctx.per_step = per_step
@@ -1460,14 +1827,23 @@ def lane_draws(raws: np.ndarray, at: np.ndarray, used: np.ndarray,
     return redo[:n_redo]
 
 
-def hebbian_tables(arrays: dict[str, np.ndarray]) -> dict[str, Any]:
-    """Kernel pointers to a network shape's int64 tables (the ``rk_heb``
-    fields ``out_start`` ... ``code_of``: fixed, but for the replay codes
-    a network makes as it goes), made once and shared by every network
-    :func:`bind_hebbian` binds over them."""
+def hebbian_tables(arrays: dict[str, np.ndarray], book: CBook
+                   ) -> dict[str, Any]:
+    """Kernel pointers to a network shape's fixed int64 tables (the
+    ``rk_heb`` fields ``out_start`` ... ``slot_of``) and its code
+    ``book``, made once and shared by every network :func:`bind_hebbian`
+    binds over them."""
     ffi = _loaded()[0]
-    return {name: ffi.from_buffer("long long[]", arr)
-            for name, arr in arrays.items()}
+    tables: dict[str, Any] = {name: ffi.from_buffer("long long[]", arr)
+                              for name, arr in arrays.items()}
+    tables["book"] = book.struct
+    return tables
+
+
+def code_book(code_of: np.ndarray) -> CBook:
+    """A :class:`CBook` over a shape's context-free code ids ``code_of``
+    (``(vocab,)``), with no transition table yet."""
+    return CBook(*_loaded(), code_of)
 
 
 def bind_hebbian(tables: dict[str, Any], w: np.ndarray,

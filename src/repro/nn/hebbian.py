@@ -56,20 +56,22 @@ masked-array implementation (and dense storage) is kept under
 (see ``tests/nn/test_hebbian_equivalence.py``).
 
 Under backend ``"c"`` the same steps run on fused C kernels bound to
-the network's own value vector: ``rk_heb_step`` (Eq. 1's column update,
-the punish term and the clip from the last code, then the readout of
-the new one, walked by hidden row so each class sums in ``bincount``'s
-order, with the argmax and the softmax's shift), ``rk_heb_scores`` (the
-readout alone), ``rk_heb_finish`` (numpy's pairwise-sum normalisation
-and the rollout's top-width selection), ``rk_heb_learn_class`` (a
-context-free learn keyed by class, on the replay's code table) and
-``rk_heb_finite`` (swap admission's scan of every stored value).
-Only ``np.exp`` runs between them, and ``hidden_code`` stays numpy.
-Where the selection would depend on how numpy orders a tie, the kernel
-hands it back to :func:`select_topk`.  A step's ``rk_heb_finish`` also
-makes the selection the next rollout's first step reads, at the width
-the last rollout asked for, so a trained step and that first rollout
-step cross into C twice.
+the network's own value vector, naming codes by their ids in a code
+table shared by clones (:class:`_CodeTable`: the memo's codes, each
+class's context-free code, the transitions between them):
+``rk_heb_step`` (the code that follows on the input class; Eq. 1's
+column update, the punish term and the clip from the last code; the
+readout of the new one, walked by hidden row so each class sums in
+``bincount``'s order; the softmax — numpy's own float64 ``exp`` loop,
+called from C, and its pairwise-sum normalisation), ``rk_heb_rollout``
+(every step's top-width selection and the next code's softmax),
+``rk_heb_learn_class`` (a context-free learn keyed by class) and
+``rk_heb_finite`` (swap admission's scan of every stored value).  A
+trained step and a rollout are one call each; ``hidden_code`` stays
+numpy and runs only for a transition the table has not met.  Clones
+stepped from different threads share the table, so every kernel call
+that reads it holds its lock.  Where the selection would depend on
+how numpy orders a tie, the rollout hands it to :func:`select_topk`.
 
 Default configuration: vocab 128, hidden 1000, 12.5% in/out connectivity,
 1.7% recurrent connectivity — 49k connected weights, the paper's Table 2
@@ -79,6 +81,7 @@ figure for the Hebbian network.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -209,6 +212,16 @@ _DELTA_CACHE_CAP = 65536
 _READOUT_IDX_CAP = 4096
 
 
+def _rolled(heb: c_backend.CHebbian, steps: int, picked: int
+            ) -> list[list[tuple[int, float]]]:
+    """The first ``steps`` steps an ``rk_heb_rollout`` call left in the
+    kernels' scratch, ``picked`` classes each, as ``predict_rollout``
+    returns them."""
+    n = steps * picked
+    pairs = zip(heb.roll_top[:n].tolist(), heb.roll_p[:n].tolist())
+    return list(map(list, zip(*[pairs] * picked)))
+
+
 def select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
     """One rollout selection step: the top ``width`` classes, descending.
 
@@ -252,6 +265,110 @@ class _WriteLog:
     def __init__(self) -> None:
         self.parts: list[np.ndarray] = []
         self.count = 0
+
+
+class _CodeTable:
+    """The hidden-code memo's codes by id, under backend ``"c"``: what the
+    kernels read a code from, shared by a network's clones like the memo.
+
+    - ``codes``: code id ``c`` is row ``c`` (``k`` wide).  The memo's
+      codes *are* these rows (read-only views), one per content: a code
+      computed again under another key is the row already there.
+    - ``code_of``: each class's context-free code id (-1: not made yet).
+    - The transitions, in the kernels' open-addressing table
+      (``c_backend.CBook``): the id of ``hidden_code(cls, code)`` by
+      ``(code, cls)``, recorded by :meth:`link`, half full at most.  Its
+      slots are allocated at the first link, so a network that never
+      steps on its own (a fleet prototype) carries none.
+
+    :meth:`intern` gives any code its id: the row's own by identity, else
+    by content (a copy or a fleet's code), else a new row.  Ids live
+    until the memo clears (:meth:`reset`, which ``epoch`` counts): a
+    network keeps the epoch of the id it holds and interns again on a
+    mismatch.  A reset starts a new table, so views handed out before it
+    stay valid arrays.
+
+    Clones stepped from different threads (a serving lane's live and
+    shadow networks) share the table, and a kernel reads it without the
+    GIL, so ``lock`` is held around every change to it (intern, link,
+    reset) and around every kernel call that reads it together with the
+    id it passes.
+    """
+
+    def __init__(self, vocab: int, hidden: int, k: int, cap: int) -> None:
+        self.vocab = vocab
+        self.hidden = hidden
+        self.k = k
+        self.lock = threading.RLock()
+        self.code_of = np.full(vocab, -1, dtype=np.int64)
+        self._slots = 1 << max(4, (2 * cap - 1).bit_length())
+        self.keys: np.ndarray | None = None
+        self.book = c_backend.code_book(self.code_of)
+        self._rows = cap + vocab
+        self.epoch = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every code and transition."""
+        with self.lock:
+            self.epoch += 1
+            self.codes = np.empty((self._rows, self.k), dtype=np.int64)
+            self.book.point_codes(self.codes)
+            self.arrays: list[np.ndarray] = []
+            self._ids: dict[int, int] = {}
+            self._by_content: dict[bytes, int] = {}
+            self.code_of.fill(-1)
+            if self.keys is not None:
+                self.keys.fill(-1)
+                self.book.forget_links()
+
+    def intern(self, code: np.ndarray) -> int:
+        """``code``'s id, a new row if its content has none."""
+        with self.lock:
+            cid = self._ids.get(id(code))
+            if cid is not None:
+                return cid
+            code = np.asarray(code, dtype=np.int64)
+            key = code.tobytes()
+            cid = self._by_content.get(key)
+            if cid is not None:
+                return cid
+            if code.shape != (self.k,) or not 0 <= code.min() <= code.max() \
+                    < self.hidden:
+                raise IndexError(f"a hidden code is {self.k} rows of the "
+                                 f"{self.hidden}-unit layer")
+            cid = len(self.arrays)
+            if cid == len(self.codes):
+                self._grow()
+            row = self.codes[cid]
+            row[:] = code
+            row.flags.writeable = False
+            self.arrays.append(row)
+            self._ids[id(row)] = cid
+            self._by_content[key] = cid
+            return cid
+
+    def _grow(self) -> None:
+        """Twice the rows, the codes copied (ids keep; old views stay
+        valid arrays)."""
+        codes = np.empty((2 * len(self.codes), self.k), dtype=np.int64)
+        codes[:len(self.codes)] = self.codes
+        self.codes = codes
+        self.book.point_codes(codes)
+
+    def link(self, code: int, cls: int, next_: int) -> bool:
+        """Record that code ``next_`` follows ``code`` on ``cls`` (``code``
+        -1: ``next_`` is ``cls``'s context-free code).  False when the
+        transition table is full."""
+        with self.lock:
+            if code < 0:
+                self.code_of[cls] = next_
+                return True
+            if self.keys is None:
+                self.keys = np.full(self._slots, -1, dtype=np.int64)
+                self.book.point_links(
+                    self.keys, np.zeros(self._slots, dtype=np.int64))
+            return self.book.link(self.vocab, code, cls, next_)
 
 
 class SparseHebbianNetwork:
@@ -330,12 +447,13 @@ class SparseHebbianNetwork:
         self._prev_pred: int | None = None
         self._last_probs: np.ndarray | None = None
         self.train_steps = 0
-        # Backend "c": the width the last rollout asked for, and the
-        # selection the last step's finish made at it — (probabilities,
-        # width, the kernel's result), its classes in the kernels'
-        # ``top`` / ``top_p`` — until a rollout reads it.
-        self._rollout_width = 0
-        self._preselected: tuple[np.ndarray, int, int] | None = None
+        # Backend "c": the code table's id of ``_prev_active`` (-1: none)
+        # and the table epoch it is an id of; any other epoch means "not
+        # known", and the code is interned again at its next use (see
+        # ``_prev_code``).  Every writer of ``_prev_active`` keeps the two
+        # coherent.
+        self._prev_id = -1
+        self._id_epoch = -1
 
     # ------------------------------------------------------------------
     # Sparse kernels
@@ -399,6 +517,7 @@ class SparseHebbianNetwork:
         self._slot_of = np.full((v, n), -1, dtype=np.intp)
         self._slot_of[targets, rows] = np.arange(targets.size)
         self._heb_tables = None
+        self._codes: _CodeTable | None = None
         if self._backend == "c":
             # The kernels' readout walks the entries by hidden row (CSR,
             # classes ascending within a row), so a code's rows add into
@@ -408,29 +527,29 @@ class SparseHebbianNetwork:
             by_row, by_class = np.nonzero(self.mask_out)
             row_start = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(self.mask_out.sum(axis=1), out=row_start[1:])
-            # Replay's context-free codes, made at a class's first replay
-            # (``_replay_code``) and shared by clones like the memo.
-            self._replay_codes = np.zeros((v, self._k), dtype=np.int64)
-            self._replay_code_of = np.full(v, -1, dtype=np.int64)
+            # The memo's codes by id, with the transitions between them,
+            # shared by clones like the memo.
+            self._codes = _CodeTable(v, n, self._k, _CODE_CACHE_CAP)
             self._heb_tables = c_backend.hebbian_tables({
                 "out_start": starts.astype(np.int64),
                 "slot_row": rows.astype(np.int64),
                 "row_start": row_start,
                 "row_class": by_class.astype(np.int64),
                 "row_slot": self._slot_of[by_class, by_row].astype(np.int64),
-                "slot_of": np.ascontiguousarray(self._slot_of, np.int64),
-                "codes": self._replay_codes,
-                "code_of": self._replay_code_of})
+                "slot_of": np.ascontiguousarray(self._slot_of, np.int64)},
+                self._codes.book)
         self._scratch_active = np.zeros(n, dtype=bool)
         self._probs_buf = np.empty(v)
         # (class, context) -> k-WTA code; valid because the projections the
         # code depends on are fixed.
         self._code_cache: dict[tuple[int, bytes | None], np.ndarray] = {}
-        # id(cache-resident code) -> its boolean membership mask.  Doubles
-        # as the registry that lets a cached code serve as a context *key*
-        # by object identity instead of a 400-byte ``tobytes()`` hash: ids
-        # are unique among live objects, every registered array is kept
-        # alive by the cache, and both structures are cleared together.
+        # id(cache-resident code) -> its boolean membership mask (the
+        # numpy arithmetic's; backend "c" keys its codes by id in
+        # ``_codes``).  Doubles as the registry that lets a cached code
+        # serve as a context *key* by object identity instead of a
+        # 400-byte ``tobytes()`` hash: ids are unique among live objects,
+        # every registered array is kept alive by the cache, and both
+        # structures are cleared together.
         self._code_masks: dict[int, np.ndarray] = {}
         # (id(code), target, lr_scale) -> the precomputed Eq. 1 column
         # delta.  Deltas depend only on the code's membership mask and the
@@ -444,9 +563,6 @@ class SparseHebbianNetwork:
         # ``readout`` for the bit-identity argument).  Same id-keyed
         # lifecycle as the masks.
         self._readout_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # id(code) -> the code as a kernel pointer (backend "c"); the same
-        # id-keyed lifecycle.
-        self._code_ptrs: dict[int, Any] = {}
 
     def _kernels(self) -> c_backend.CHebbian | None:
         """The compiled kernels over this network's own value vector
@@ -473,16 +589,34 @@ class SparseHebbianNetwork:
                 "weight_max": config.weight_max,
                 "negative_scale": config.negative_scale}
 
-    def _code_ptr(self, code: np.ndarray) -> Any:
-        """``code`` as a kernel pointer: memoized for a cache-resident
-        code, made per call for a foreign one."""
-        ptr = self._code_ptrs.get(id(code))
-        if ptr is None:
-            assert self._heb is not None
-            ptr = self._heb.codes(code)
-            if id(code) in self._code_masks:
-                self._code_ptrs[id(code)] = ptr
-        return ptr
+    def _prev_code(self) -> int:
+        """The code table's id of ``_prev_active`` (-1: none), interned
+        when the id held is of another epoch (under the table's lock)."""
+        prev = self._prev_active
+        if prev is None or not prev.size:
+            return -1
+        codes = self._codes
+        assert codes is not None
+        if self._id_epoch != codes.epoch:
+            self._prev_id = codes.intern(prev)
+            self._id_epoch = codes.epoch
+        return self._prev_id
+
+    def _link(self, code: int, cls: int) -> int:
+        """Make ``hidden_code(cls, code's array)`` (``code`` -1: no
+        context) and record the transition in the code table; returns
+        ``code``'s id afterwards — making the code may clear the memo,
+        and the table with it.  The caller holds the table's lock, so
+        ``code`` stays an id of the table it reads."""
+        codes = self._codes
+        assert codes is not None
+        prev = None if code < 0 else codes.arrays[code]
+        while True:
+            made = self.hidden_code(cls, prev)
+            code = -1 if prev is None else codes.intern(prev)
+            if codes.link(code, cls, codes.intern(made)):
+                return code
+            self._clear_codes()
 
     def values_finite(self) -> bool:
         """Whether every stored readout value is finite: one
@@ -601,17 +735,31 @@ class SparseHebbianNetwork:
                                  minlength=self._rec_bins)
             pre += scale * counts[:config.hidden_dim]
         active = pre.argpartition(-self._k)[-self._k:]
+        codes = self._codes
+        if codes is not None:
+            with codes.lock:
+                if len(cache) >= _CODE_CACHE_CAP:
+                    self._clear_codes()
+                active = codes.arrays[codes.intern(active)]  # the row
+                cache[key] = active
+            return active
         if len(cache) >= _CODE_CACHE_CAP:
-            cache.clear()
-            self._code_masks.clear()
-            self._delta_cache.clear()
-            self._readout_idx.clear()
-            self._code_ptrs.clear()
-        cache[key] = active
+            self._clear_codes()
         mask = np.zeros(config.hidden_dim, dtype=bool)
         mask[active] = True
         self._code_masks[id(active)] = mask
+        cache[key] = active
         return active
+
+    def _clear_codes(self) -> None:
+        """Drop the memo and everything keyed by its codes (on backend
+        ``"c"`` its callers hold the code table's lock)."""
+        self._code_cache.clear()
+        self._code_masks.clear()
+        self._delta_cache.clear()
+        self._readout_idx.clear()
+        if self._codes is not None:
+            self._codes.reset()
 
     def readout(self, active: np.ndarray) -> np.ndarray:
         """Class scores from an active hidden set.
@@ -692,68 +840,55 @@ class SparseHebbianNetwork:
 
     def _step_c(self, heb: c_backend.CHebbian, input_class: int,
                 train: bool, lr_scale: float) -> np.ndarray:
-        """:meth:`step` on the kernels: one ``rk_heb_step`` (the learn
-        and the readout; ``rk_heb_scores`` alone when not learning),
-        ``np.exp``, and one ``rk_heb_finish`` that also selects for the
-        next rollout (see :meth:`_rollout_c`)."""
-        prev_active = self._prev_active
-        active = self.hidden_code(input_class, prev_active)
-        code = self._code_ptr(active)
-        if train and prev_active is not None:
-            predicted = self._kernel_predicted(self._prev_pred)
-            best = heb.step(self._code_ptr(prev_active), len(prev_active),
-                            input_class, predicted,
-                            self.config.lr * lr_scale, code, len(active))
+        """:meth:`step` on the kernels: one ``rk_heb_step`` — the code
+        that follows on ``input_class``, the learn, the probabilities —
+        and the copy of them it returns.  A transition the code table has
+        not met costs a second call, the code made between."""
+        codes = self._codes
+        assert codes is not None
+        predicted = -1 if self._prev_pred is None else self._prev_pred
+        lr = self.config.lr * lr_scale
+        with codes.lock:
+            prev = (self._prev_id if self._id_epoch == codes.epoch
+                    else self._prev_code())
+            learn = train and prev >= 0
+            code = heb.step(prev, input_class, predicted, lr, learn)
+            while code < 0:
+                if code < -1:  # the argmax to punish is no class: raise
+                    self._check_class(predicted)
+                prev = self._link(prev, input_class)
+                code = heb.step(prev, input_class, predicted, lr, learn)
+            self._prev_active = codes.arrays[code]
+            self._prev_id = code
+            self._id_epoch = codes.epoch
+        if learn:
             if self._written is not None:
-                self._note_learned(heb, input_class, heb.n_punished.item(0))
+                self._note_learned(heb, input_class, heb.state.item(0))
             self.train_steps += 1
-        else:
-            best = heb.scores(code, len(active))
-        x = heb.x
-        np.exp(x, out=x)
-        width = self._rollout_width
-        picked = heb.finish(width, 1)
-        probs = x.copy()
-        self._prev_active = active
-        self._prev_pred = best if self.config.punish_wrong else None
+        probs = heb.x.copy()
+        self._prev_pred = (heb.state.item(1) if self.config.punish_wrong
+                           else None)
         self._last_probs = probs
-        self._preselected = (probs, width, picked)
         return probs
-
-    def _softmax_c(self, heb: c_backend.CHebbian, active: np.ndarray,
-                   width: int) -> tuple[int, int]:
-        """``probabilities(readout(active))`` into ``heb.x`` on the
-        kernels — ``np.exp`` between the two calls is numpy's own — and
-        ``rk_heb_finish``'s top-``width`` selection.  Returns the scores'
-        argmax and the selection's size (see :meth:`_selected`)."""
-        predicted = heb.scores(self._code_ptr(active), len(active))
-        x = heb.x
-        np.exp(x, out=x)
-        return predicted, heb.finish(width, 1)
-
-    @staticmethod
-    def _selected(heb: c_backend.CHebbian, probs: np.ndarray, picked: int,
-                  width: int) -> list[tuple[int, float]]:
-        """``select_topk(probs, width)`` given the kernel's selection from
-        ``probs``: that selection, or numpy's where the kernel found a
-        tie it must not order (``picked`` < 0)."""
-        if picked < 0:
-            return select_topk(probs, width)
-        return list(zip(heb.top[:picked].tolist(),
-                        heb.top_p[:picked].tolist()))
 
     def train_pair(self, input_class: int, target_class: int,
                    lr_scale: float = 1.0) -> float:
         self._check_class(input_class)
         self._check_class(target_class)
-        active = self.hidden_code(input_class, prev_active=None)
         heb = self._heb or self._kernels()
         if heb is not None:
-            predicted, _ = self._softmax_c(heb, active, 0)
-            confidence = heb.x.item(target_class)
-            self._learn_class(heb, input_class, target_class, predicted,
-                              lr_scale)
+            codes = self._codes
+            assert codes is not None
+            with codes.lock:
+                # The context-free code's softmax: a step from no code
+                # that learns nothing; its argmax is what to punish.
+                self._replay_code(input_class, target_class)
+                heb.step(-1, input_class, -1, 0.0, False)
+                confidence = heb.x.item(target_class)
+                self._learn_class(heb, input_class, target_class,
+                                  heb.state.item(1), lr_scale)
             return confidence
+        active = self.hidden_code(input_class, prev_active=None)
         scores = self.readout(active)
         confidence = float(self.probabilities(scores)[target_class])
         self._learn_pair(target_class, active, scores, lr_scale)
@@ -785,11 +920,15 @@ class SparseHebbianNetwork:
         checks, so a class outside the vocabulary raises ``ValueError``
         before any weight moves."""
         lr = self.config.lr * lr_scale
-        punished = heb.learn_class(input_class, target_class, predicted, lr)
-        if punished < 0:
-            self._replay_code(input_class, target_class)
+        codes = self._codes
+        assert codes is not None
+        with codes.lock:
             punished = heb.learn_class(input_class, target_class, predicted,
                                        lr)
+            if punished < 0:
+                self._replay_code(input_class, target_class)
+                punished = heb.learn_class(input_class, target_class,
+                                           predicted, lr)
         if self._written is not None:
             self._note_learned(heb, target_class, punished)
 
@@ -862,37 +1001,42 @@ class SparseHebbianNetwork:
         the ``ring``'s lane, its picks outside ``phase`` (none below 0),
         and :meth:`learn_pair` of each at ``lr_scale``, bit for bit.
         Returns the number of picks.  None, having read and learnt
-        nothing, when the draw needs numpy's rejection loop: the caller
+        nothing, when the draw cannot be made here: the lane's raw block
+        runs short (``ring.n_redo`` -1: the caller refills it and calls
+        again), or the draw needs numpy's rejection loop (the caller
         writes that draw to ``ring.values`` and calls again with ``draw``
-        False.  Needs :attr:`compiled`; leaves the next rollout's
-        preselection alone."""
+        False).  Needs :attr:`compiled`."""
         heb = self._heb or self._kernels()
-        assert heb is not None
+        codes = self._codes
+        assert heb is not None and codes is not None
         lr = self.config.lr * lr_scale
-        got = heb.replay(ring.ctx, phase, draw, lr)
-        if got < 0:
-            # A class replayed for the first time (or one outside the
-            # vocabulary: its check raises): make its code, then pick
-            # from the same draw again.
-            picks = ring.picks[:, :-1 - got]
-            for input_class, target_class in zip(picks[1].tolist(),
-                                                 picks[2].tolist()):
-                self._replay_code(input_class, target_class)
-            got = heb.replay(ring.ctx, phase, False, lr)
-        elif not got and ring.n_redo.item(0):
-            return None
-        if got and self._written is not None:
-            self._note_replayed(ring.picks[:, :got])
+        with codes.lock:
+            got = heb.replay(ring.ctx, phase, draw, lr)
+            while got < 0:
+                # A class replayed for the first time (or one outside the
+                # vocabulary: its check raises): make its code, then pick
+                # from the same draw again (again if a memo clear dropped
+                # a code made here).
+                picks = ring.picks[:, :-1 - got]
+                for input_class, target_class in zip(picks[1].tolist(),
+                                                     picks[2].tolist()):
+                    self._replay_code(input_class, target_class)
+                got = heb.replay(ring.ctx, phase, False, lr)
+            if not got and ring.n_redo.item(0):
+                return None
+            if got and self._written is not None:
+                self._note_replayed(ring.picks[:, :got])
         return got
 
     def _replay_code(self, input_class: int, target_class: int) -> None:
-        """Give ``input_class`` its row of the kernels' code table (the
-        context-free code replay and :meth:`learn_pair` learn from)."""
+        """Give ``input_class`` its context-free code in the code table
+        (what replay, :meth:`learn_pair` and :meth:`train_pair` learn
+        from), after the classes' checks."""
         self._check_class(input_class)
         self._check_class(target_class)
-        if self._replay_code_of[input_class] < 0:
-            self._replay_codes[input_class] = self.hidden_code(input_class)
-            self._replay_code_of[input_class] = input_class
+        assert self._codes is not None
+        if self._codes.code_of.item(input_class) < 0:
+            self._link(-1, input_class)
 
     def _note_replayed(self, picks: np.ndarray) -> None:
         """Log what :meth:`replay_ring`'s learns wrote, as
@@ -902,8 +1046,9 @@ class SparseHebbianNetwork:
                 picks[1].tolist(), picks[2].tolist(), picks[4].tolist()):
             self._note_written(self._out_flat[target])
             if predicted >= 0 and predicted != target:
-                punished = self._punish_flat(
-                    self._replay_codes[input_class], predicted)
+                assert self._codes is not None
+                punished = self._punish_flat(self._codes.arrays[
+                    self._codes.code_of.item(input_class)], predicted)
                 if punished.size:
                     self._note_written(punished)
 
@@ -911,7 +1056,6 @@ class SparseHebbianNetwork:
                         ) -> list[list[tuple[int, float]]]:
         if width < 1:
             raise ValueError("rollout width must be at least 1")
-        self._rollout_width = width
         probs = self._last_probs
         if probs is None:
             return []
@@ -935,35 +1079,54 @@ class SparseHebbianNetwork:
 
     def _rollout_c(self, heb: c_backend.CHebbian, probs: np.ndarray,
                    width: int, length: int) -> list[list[tuple[int, float]]]:
-        """``predict_rollout`` on the kernels: the same steps, one
-        readout-and-softmax-and-selection per step after the first.  The
-        first step's selection is the one the last step's finish made,
-        read once, when it was made from ``probs`` itself at this width;
-        else the finish runs on a copy of ``probs``."""
-        pre = self._preselected
-        self._preselected = None
+        """``predict_rollout`` on the kernels: one ``rk_heb_rollout`` from
+        ``probs`` and the code that made them (see
+        :meth:`_finish_rollout` for where it stops early)."""
         if length < 1:
             return []
-        if pre is not None and pre[0] is probs and pre[1] == width:
-            picked = pre[2]
-        else:
-            np.copyto(heb.x, probs)
-            picked = heb.finish(width, 0)
-        step = self._selected(heb, probs, picked, width)
-        out = [step]
-        active = self._prev_active
-        for _ in range(length - 1):
-            active = self.hidden_code(step[0][0], active)
-            picked = self._softmax_c(heb, active, width)[1]
-            step = self._selected(heb, heb.x, picked, width)
-            out.append(step)
-        return out
+        codes = self._codes
+        assert codes is not None
+        with codes.lock:
+            code = (self._prev_id if self._id_epoch == codes.epoch
+                    else self._prev_code())
+            done = heb.rollout(heb.row(probs), code, -1, width, length)
+            if done < length:
+                return self._finish_rollout(heb, probs, width, length, done)
+        return _rolled(heb, done, min(width, self.vocab_size))
+
+    def _finish_rollout(self, heb: c_backend.CHebbian, probs: np.ndarray,
+                        width: int, length: int, done: int
+                        ) -> list[list[tuple[int, float]]]:
+        """The rest of a rollout whose kernel call stopped after ``done``
+        steps: at a tie, which :func:`select_topk` orders here, or before
+        a transition the code table has not met, made here; then the
+        kernel again, from that row on."""
+        picked = min(width, self.vocab_size)
+        out = _rolled(heb, done, picked) if done else []
+        tied = probs if not done else heb.x
+        while True:
+            code, cls = heb.state.item(2), heb.state.item(3)
+            if cls < 0:
+                step = select_topk(tied, width)
+                out.append(step)
+                if len(out) == length:
+                    return out
+                cls = step[0][0]
+            else:
+                code = self._link(code, cls)
+            left = length - len(out)
+            done = heb.rollout(heb.no_row, code, cls, width, left)
+            if done:
+                out += _rolled(heb, done, picked)
+                if done == left:
+                    return out
+            tied = heb.x
 
     def reset_state(self) -> None:
         self._prev_active = None
+        self._prev_id = -1
         self._prev_pred = None
         self._last_probs = None
-        self._preselected = None
 
     def clone(self) -> "SparseHebbianNetwork":
         """Deep copy of the learned state.
@@ -980,7 +1143,6 @@ class SparseHebbianNetwork:
         twin._serve_vals = (twin._w_vals if self._serve_vals is self._w_vals
                             else self._serve_vals.copy())
         twin._heb = None
-        twin._preselected = None
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
@@ -1025,11 +1187,15 @@ class SparseHebbianNetwork:
         return offsets
 
     def _copy_stream_state(self, source: "SparseHebbianNetwork") -> None:
-        """Private copies of ``source``'s sequence state and step count."""
+        """Private copies of ``source``'s sequence state and step count
+        (and its code's id, when the two share a code table)."""
         self._prev_pred = source._prev_pred
         for attr in ("_prev_active", "_last_probs"):
             src = getattr(source, attr)
             setattr(self, attr, None if src is None else src.copy())
+        shared = source._codes is self._codes
+        self._prev_id = source._prev_id if shared else -1
+        self._id_epoch = source._id_epoch if shared else -1
         self.train_steps = source.train_steps
 
     def restore_state(self, *, values: np.ndarray,
@@ -1046,6 +1212,7 @@ class SparseHebbianNetwork:
         """
         self._set_values(values)
         self._prev_active = prev_active
+        self._prev_id = self._id_epoch = -1  # interned at its first use
         self._prev_pred = prev_pred
         self._last_probs = last_probs
         self.train_steps = train_steps
@@ -1111,14 +1278,6 @@ class SparseHebbianNetwork:
                 np.maximum(wvals, -wm, out=wvals)
                 w_flat[wrong_flat] = wvals
                 self._note_written(wrong_flat)
-
-    def _kernel_predicted(self, predicted: int | None) -> int:
-        """The kernels' ``predicted`` argument: the class to punish, -1
-        for none."""
-        if not self.config.punish_wrong or predicted is None:
-            return -1
-        self._check_class(predicted)
-        return predicted
 
     def _note_learned(self, heb: c_backend.CHebbian, target: int,
                       punished: int) -> None:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
 from repro.core.recall import HippocampalRecall, RecallConfig
@@ -72,6 +75,60 @@ class TestHippocampalRecall:
         recall.recall(1)
         assert recall.stored_transitions == 1
         assert recall.recalls_served == 1
+
+
+def _loop_recall(recall: HippocampalRecall, input_class: int) -> int | None:
+    """Recall's answer as the loop over the vocabulary computed it: the
+    decode's oracle."""
+    completed = recall.memory.complete(recall._key_codes[input_class])
+    if completed.size < recall.config.min_support:
+        return None
+    completed_set = set(completed.tolist())
+    best_class, best_overlap, runner_up = -1, 0, 0
+    for class_id in range(recall.config.vocab_size):
+        overlap = len(completed_set.intersection(
+            recall._value_codes[class_id].tolist()))
+        if overlap > best_overlap:
+            best_class, best_overlap, runner_up = (class_id, overlap,
+                                                   best_overlap)
+        elif overlap > runner_up:
+            runner_up = overlap
+    if (best_overlap < recall.config.min_support
+            or best_overlap == runner_up):
+        return None
+    return best_class
+
+
+@settings(max_examples=120, deadline=None)
+@given(vocab=st.integers(1, 40), code_dim=st.sampled_from([16, 32, 64]),
+       value_k=st.integers(1, 6), min_support=st.integers(0, 3),
+       threshold=st.sampled_from([0.3, 0.6, 1.0]), seed=st.integers(0, 99),
+       moves=st.lists(st.tuples(st.booleans(), st.integers(0, 39),
+                                st.integers(0, 39)), max_size=60))
+def test_the_decode_and_its_memo_are_the_vocabulary_loop(
+        vocab, code_dim, value_k, min_support, threshold, seed, moves):
+    """Recall answers as the loop over the vocabulary did — first best
+    overlap, runner-up counted with multiplicity — on small dense
+    memories where ties and ambiguity are common, with every answer
+    memoized between stores; ``recalls_served`` counts the same."""
+    config = RecallConfig(vocab_size=vocab, code_dim=code_dim,
+                          code_k=min(4, code_dim), value_k=min(value_k, code_dim),
+                          completion_threshold=threshold,
+                          min_support=min_support, seed=seed)
+    recall = HippocampalRecall(config)
+    served = 0
+    for store, a, b in moves:
+        a, b = a % vocab, b % vocab
+        if store:
+            recall.store(a, b)
+            continue
+        want = _loop_recall(recall, a)
+        served += want is not None
+        assert recall.recall(a) == want
+        assert recall.recall(a) == want  # the memo's answer
+        served += want is not None
+    assert recall.recalls_served == served
+    assert recall.occupancy() == float(np.mean(recall.memory.weights))
 
 
 class TestCLSIntegration:

@@ -6,12 +6,13 @@ Three families of claims:
   explicit-request-raises / auto-falls-back asymmetry, the one-time
   fallback warning, and the C extension's build and cache (a corrupt
   cached ``.so`` is rebuilt, the cache key covers everything that shapes
-  the file, missing Python headers fall back to numpy, ``_compile``
+  the file, numpy's version included, missing Python headers and an
+  ``exp`` loop that is not ``np.exp``'s fall back to numpy, ``_compile``
   builds under any file name);
 - **cross-backend bit-identity** — ``c`` runs the Hebbian network on
-  its own kernels (``rk_heb_step`` / ``rk_heb_learn_class`` /
-  ``rk_heb_scores`` / ``rk_heb_finish`` / ``rk_heb_finite``), which must
-  leave it exactly the numpy one: over
+  its own kernels (``rk_heb_step`` / ``rk_heb_rollout`` /
+  ``rk_heb_learn_class`` / ``rk_heb_finite``), which must leave it
+  exactly the numpy one: over
   long randomized streams, with and without the punish term, on
   tie-heavy vectors (where the selection hands back to numpy's), at
   vocabularies where numpy's pairwise sum splits, across every way
@@ -54,6 +55,7 @@ from repro.nn.backends import (
     c_backend,
     resolve_backend,
 )
+from repro.nn import hebbian
 from repro.nn.hebbian import HebbianConfig, SparseHebbianNetwork, select_topk
 from repro.nn.quantization import snap_to_grid
 from repro.patterns.applications import AppSpec, pagerank_graphchi
@@ -153,7 +155,7 @@ def _require_toolchain() -> None:
 
 def _fresh_load_state(monkeypatch) -> None:
     for attr, value in (("_ffi", None), ("_lib", None),
-                        ("_load_failed", False)):
+                        ("_load_failed", False), ("_loops", None)):
         monkeypatch.setattr(c_backend, attr, value)
 
 
@@ -202,6 +204,37 @@ def test_missing_python_headers_fall_back_to_numpy(monkeypatch, tmp_path):
     assert c_backend._compile(build / "reprokernels-cold.so") is False
     assert not c_backend.available()
     assert list(build.iterdir()) == []
+    monkeypatch.setattr(backends, "_default_backend", "auto")
+    monkeypatch.setattr(backends, "_warned_fallback", False)
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        assert resolve_backend("auto") == "numpy"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_backend("auto") == "numpy"
+
+
+def test_the_cache_key_covers_numpys_version(monkeypatch):
+    """The extension compiles numpy's ``PyUFuncObject`` layout in (the
+    exp loop is read through it): another numpy is another file."""
+    pytest.importorskip("cffi")
+    path = c_backend._so_path()
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    assert c_backend._so_path() != path
+
+
+def test_a_failed_exp_probe_falls_back_to_numpy(monkeypatch, tmp_path):
+    """The kernels call numpy's own float64 ``exp`` loop, checked against
+    ``np.exp`` when the extension loads: a loop that is not ``np.exp``'s
+    bit for bit (here ``np.sin``'s) makes ``c`` unavailable, and ``auto``
+    falls back to numpy with its one-time warning."""
+    _require_toolchain()
+    monkeypatch.setattr(c_backend, "_build_dir", lambda: tmp_path)
+    _fresh_load_state(monkeypatch)
+    loaded = c_backend._load()
+    assert loaded is not None and c_backend._bind_loops(*loaded) is not None
+    _fresh_load_state(monkeypatch)
+    monkeypatch.setattr(c_backend, "_EXP_UFUNC", np.sin)
+    assert not c_backend.available()
     monkeypatch.setattr(backends, "_default_backend", "auto")
     monkeypatch.setattr(backends, "_warned_fallback", False)
     with pytest.warns(RuntimeWarning, match="falling back"):
@@ -266,24 +299,40 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _code_id_coherent(net: SparseHebbianNetwork) -> bool:
+    """Whether the compiled network's code id describes its code: none
+    without a code, and where the id is of the table's current epoch,
+    that row is the code."""
+    codes = net._codes
+    assert codes is not None
+    if net._prev_active is None:
+        return net._prev_id == -1
+    return (net._id_epoch != codes.epoch
+            or np.array_equal(codes.codes[net._prev_id], net._prev_active))
+
+
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
-def test_compiled_hebbian_fuzz(backend, seed):
+def test_compiled_hebbian_fuzz(backend, seed, monkeypatch):
     """Randomized interleavings of step / train_pair / learn_pair /
     train_pairs / rollout / readout stay bit-identical to numpy; seeds 3
     to 5 and 7 without the punish term.
 
     Each round is a step, one move, then one or two rollouts, so the
-    rollout's first selection — which the compiled step's finish makes
-    at the width the last rollout asked for — is checked after every
-    move that could leave it stale: nothing, the training calls, an
-    untrained step, ``reset_state``, ``sync_from`` / ``restore_state``
-    from a partner network that runs its own stream, ``clone`` / ``fork``
-    and the ``w_out`` setter.  Widths are 1, 2, 3, the vocabulary and
-    one past it (half the time the last width again), lengths 0 to 3.
-    Seeds 6 and 7 zero the weights every few rounds, so ties send the
-    selection back to ``select_topk``."""
+    compiled network's code id — which its step and rollout start from
+    instead of the code itself — is checked after every move that could
+    leave it stale: nothing, the training calls, an untrained step,
+    ``reset_state``, ``sync_from`` / ``restore_state`` from a partner
+    network that runs its own stream, ``clone`` / ``fork`` and the
+    ``w_out`` setter.  Seeds 2, 5 and 7 cap the memo at 24 codes, so the
+    code table is cleared (and every id held goes stale) mid-run.
+    Widths are 1, 2, 3, the vocabulary and one past it (half the time
+    the last width again), lengths 0 to 3.  Seeds 6 and 7 zero the
+    weights every few rounds, so ties send the selection back to
+    ``select_topk``."""
     _require_compiled(backend)
+    if seed in (2, 5, 7):
+        monkeypatch.setattr(hebbian, "_CODE_CACHE_CAP", 24)
     net_seed, stream_seed = spawn_seeds(seed, 2)
     config = HebbianConfig(vocab_size=48, hidden_dim=200, seed=net_seed,
                            punish_wrong=seed in (0, 1, 2, 6))
@@ -294,11 +343,16 @@ def test_compiled_hebbian_fuzz(backend, seed):
                    for _ in range(2)]
             for name in ("numpy", backend)}
     rng = np.random.default_rng(stream_seed)
+    fast_net = nets[backend]
+    epochs = {fast_net[0]._codes.epoch}
 
     def each(move) -> None:
-        """``move(pair)`` on both backends' pairs: the same result."""
+        """``move(pair)`` on both backends' pairs: the same result, and
+        the compiled pair's code ids still describe their codes."""
         ref, fast = (move(pair) for pair in nets.values())
         assert _same(ref, fast)
+        assert all(_code_id_coherent(net) for net in fast_net)
+        epochs.add(fast_net[0]._codes.epoch)
 
     def classes(n: int) -> list[int]:
         return [int(c) for c in rng.integers(0, vocab, size=n)]
@@ -314,8 +368,7 @@ def test_compiled_hebbian_fuzz(backend, seed):
     def replace(pair: list, index: int, net: SparseHebbianNetwork) -> None:
         pair[index] = net
 
-    fast_net = nets[backend]
-    handed_back = preselected_read = 0
+    held = stale = 0
     width = 2
     for _ in range(250):
         if seed >= 6 and rng.integers(0, 6) == 0:
@@ -324,8 +377,6 @@ def test_compiled_hebbian_fuzz(backend, seed):
         (c, p), train = classes(2), bool(rng.integers(0, 4))
         each(lambda pair: pair[0].step(c, train=train))
         each(lambda pair: pair[1].step(p))
-        pre = fast_net[0]._preselected
-        handed_back += pre is not None and pre[2] < 0
         a, b = classes(2)
         pairs = [tuple(classes(2)) for _ in range(5)]
         move = int(rng.integers(0, 12))
@@ -347,16 +398,17 @@ def test_compiled_hebbian_fuzz(backend, seed):
             if rng.integers(0, 2):  # else the last width again
                 width = int(rng.choice([1, 2, 3, vocab, vocab + 1]))
             length = int(rng.integers(0, 4))
-            pre = fast_net[0]._preselected
-            preselected_read += (length > 0 and pre is not None
-                                 and pre[0] is fast_net[0]._last_probs
-                                 and pre[1] == width)
+            net = fast_net[0]
+            if net._prev_active is not None:
+                current = net._id_epoch == net._codes.epoch
+                held += current
+                stale += not current
             each(lambda pair: pair[0].predict_rollout(width, length))
     each(lambda pair: pair[0].w_out)
     each(lambda pair: pair[1].w_out)
-    assert preselected_read > 40
-    if seed >= 6:
-        assert handed_back > 10
+    assert held > 40 and stale > 5
+    if seed in (2, 5, 7):
+        assert len(epochs) > 3
 
 
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
@@ -386,10 +438,11 @@ def test_compiled_hebbian_on_tie_heavy_vectors(backend):
 
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
 def test_kernel_selection_is_select_topk_or_hands_back(backend):
-    """``rk_heb_finish``'s selection on vectors drawn from a few values:
-    wherever it picks it equals ``select_topk`` — order and values — and
-    it hands back (-1) exactly when a value among the top width + 1 is
-    shared, or a NaN is present."""
+    """``rk_heb_rollout``'s selection of a given row (one step) on
+    vectors drawn from a few values: wherever it picks it equals
+    ``select_topk`` — order and values — and it hands back (stops at
+    the row, -1 as its class) exactly when a value among the top width
+    + 1 is shared, or a NaN is present."""
     _require_compiled(backend)
     vocab = 40
     net = SparseHebbianNetwork(HebbianConfig(vocab_size=vocab, hidden_dim=40,
@@ -402,16 +455,19 @@ def test_kernel_selection_is_select_topk_or_hands_back(backend):
         if trial % 500 == 0:
             vec[rng.integers(0, vocab)] = np.nan
         width = int(rng.integers(1, vocab + 4))
-        np.copyto(heb.x, vec)
-        picked = heb.finish(width, 0)
+        done = heb.rollout(heb.row(vec), -1, -1, width, 1)
         ranked = np.sort(vec)[::-1][:min(width + 1, vocab)]
         tied = bool(np.isnan(vec).any() or (ranked[1:] == ranked[:-1]).any())
-        assert (picked < 0) == tied
-        if picked < 0:
+        assert (done == 0) == tied
+        if tied:
+            assert heb.state[2:].tolist() == [-1, -1]
             handed_back += 1
             continue
         picked_some += 1
-        assert net._selected(heb, vec, picked, width) == select_topk(vec, width)
+        picked = min(width, vocab)
+        assert (list(zip(heb.roll_top[:picked].tolist(),
+                         heb.roll_p[:picked].tolist()))
+                == select_topk(vec, width))
     assert picked_some > 500 and handed_back > 500
 
 
@@ -422,16 +478,19 @@ def test_kernel_softmax_is_numpys(backend, vocab):
     """Normalisation replays numpy's pairwise ``sum`` (eight accumulators
     to 128 values, halved above): ``x / x.sum()`` bit for bit at every
     length around the block edges, and at vocabulary 192 (Fig. 5's),
-    where the sum splits once."""
+    where the sum splits once — through ``rk_heb_finish_rows``, the
+    normalisation the network's softmax shares."""
     _require_compiled(backend)
-    heb = SparseHebbianNetwork(HebbianConfig(
-        vocab_size=vocab, hidden_dim=16, backend=backend))._kernels()
+    net = SparseHebbianNetwork(HebbianConfig(
+        vocab_size=vocab, hidden_dim=16, backend=backend))
+    lanes = c_backend.bind_hebbian_lanes(net._heb_tables,
+                                         **net._kernel_settings())
     rng = np.random.default_rng(vocab)
     for _ in range(200):
         x = np.exp(rng.standard_normal(vocab) * rng.uniform(0.1, 12.0))
-        np.copyto(heb.x, x)
-        heb.finish(0, 1)
-        np.testing.assert_array_equal(heb.x, x / x.sum())
+        rows = x[None].copy()
+        lanes.finish_rows(rows)
+        np.testing.assert_array_equal(rows[0], x / x.sum())
 
 
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
