@@ -156,15 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seeds", type=int, default=3,
                      help="number of seeds (variance)")
     exp.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for grid experiments "
-                          "(fig5/variance); default auto-detects from the "
-                          "CPU affinity mask, falling back to serial on one "
-                          "core")
+                     help="worker processes for grid experiments; default "
+                          "auto-detects from the CPU affinity mask, falling "
+                          "back to serial on one core")
     exp.add_argument("--trace-cache-dir", default=None,
                      help="directory for the shared trace-materialization "
-                          "cache (fig5/variance); each trace is generated "
-                          "once and reused across lane jobs and "
-                          "invocations")
+                          "cache; each trace is generated once and reused "
+                          "across lane jobs and invocations")
     exp.add_argument("--cache-dir", default=None,
                      help="on-disk JSON result cache for grid cells; "
                           "reruns with the same specs are served from disk")
@@ -393,7 +391,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         title = "Figure 5 seed sweep — % misses removed, mean ± std"
     elif which == "fig6":
         config = fig6.Fig6Config(seed=args.seed)
-        disagg = fig6.run_disaggregated(config)
+        disagg = fig6.run_disaggregated(
+            config, jobs=args.jobs, cache_dir=args.cache_dir,
+            trace_cache_dir=args.trace_cache_dir, backend=args.backend)
         uvm = fig6.run_uvm(config)
         headers = ["configuration", "speedup"]
         table_rows = [

@@ -10,7 +10,7 @@ counter — including the writeback and pollution paths — is equal after
 every single operation, the same contract the dense Hebbian reference
 under ``tests/nn/`` holds the network's kernels to.  It is also the
 cache of ``simulate()``'s scalar engine, the one engine without the
-compiled kernels.
+compiled kernels, and of ``repro.systems``' two shared-stream loops.
 
 Do not optimize this file; its value is being obviously correct.
 """

@@ -96,31 +96,10 @@ class PrefetchQueue:
         First occurrence wins, preserving arrival order — the behavior of
         a device driver that merges duplicate in-flight requests for the
         same page instead of re-issuing the transfer.  Used by the
-        systems drivers (§4), whose modeled interconnect would otherwise
-        pay twice for one page.
+        systems' shared-stream loops (§4), whose modeled interconnect
+        would otherwise pay twice for one page.
         """
-        return self._dedup(self.landed(now_index))
-
-    def drain(self) -> list[int]:
-        """Pop *all* in-flight prefetches in (landing, issue-order).
-
-        Contract: like :meth:`landed`, this returns one entry per
-        :meth:`issue` call — a page issued twice while in flight appears
-        twice.  Callers that model coalescing hardware should use
-        :meth:`drain_unique`.
-        """
-        out = [entry[2] for entry in self._queue[self._head:]]
-        self._queue.clear()
-        self._head = 0
-        self.next_landing = NO_PENDING
-        return out
-
-    def drain_unique(self) -> list[int]:
-        """Like :meth:`drain`, with duplicate pages coalesced (first wins)."""
-        return self._dedup(self.drain())
-
-    @staticmethod
-    def _dedup(pages: list[int]) -> list[int]:
+        pages = self.landed(now_index)
         if len(pages) < 2:
             return pages
         seen: set[int] = set()

@@ -333,10 +333,6 @@ class _CodeTable:
             cid = self._by_content.get(key)
             if cid is not None:
                 return cid
-            if code.shape != (self.k,) or not 0 <= code.min() <= code.max() \
-                    < self.hidden:
-                raise IndexError(f"a hidden code is {self.k} rows of the "
-                                 f"{self.hidden}-unit layer")
             cid = len(self.arrays)
             if cid == len(self.codes):
                 self._grow()
@@ -1209,7 +1205,16 @@ class SparseHebbianNetwork:
         network's weights and sequence context while batched stepping
         owns the lane, and returns them here when the lane leaves.
         ``values`` is in :attr:`readout_values` layout and is copied.
+        ``prev_active`` is the one code that enters from outside, so it
+        is checked here (``IndexError``), before any state changes; every
+        other code comes from :meth:`hidden_code` and is in range.
         """
+        hidden = self.config.hidden_dim
+        if prev_active is not None and (
+                prev_active.shape != (self._k,)
+                or not 0 <= prev_active.min() <= prev_active.max() < hidden):
+            raise IndexError(f"a hidden code is {self._k} units of the "
+                             f"{hidden}-unit layer")
         self._set_values(values)
         self._prev_active = prev_active
         self._prev_id = self._id_epoch = -1  # interned at its first use

@@ -1,4 +1,4 @@
-"""Disaggregated-memory system simulator (§4, Figure 6 left).
+"""Disaggregated-memory system (§4, Figure 6 left).
 
 The paper's characterization: compute nodes fault on one page at a time,
 so the prefetcher should be *latency*-optimized; scarce switch resources
@@ -6,30 +6,30 @@ force a *decentralized* design with one prefetcher per node, which also
 means each prefetcher sees a single un-interleaved access stream and can
 use a smaller network.
 
-The simulator runs one trace per compute node against that node's local
-memory, with misses fetched from the remote pool at fabric latency.  Two
-prefetcher placements are supported so the §4 placement argument can be
-measured (A7):
+Each node runs its own trace against its own local memory, with misses
+fetched from the remote pool at fabric latency.  Two prefetcher
+placements are compared (A7):
 
 - ``decentralized``: an independent prefetcher per node (the paper's
-  choice for this system);
+  choice for this system).  A node is then exactly one ``simulate()``
+  lane, so these runs are lane jobs (``harness.fig6``), priced here by
+  :meth:`NodeResult.priced`;
 - ``centralized``: one shared prefetcher observing all nodes' misses
-  interleaved (what a switch-resident design would see).
+  interleaved (what a switch-resident design would see) —
+  :meth:`DisaggregatedSystem.run_centralized`, the one loop kept here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from ..memsim.events import MissEvent
-from ..memsim.pagecache import MISS, PageCache
+from ..memsim.pagecache import MISS
+from ..memsim.pagecache_reference import ReferencePageCache
 from ..memsim.prefetch_queue import PrefetchQueue
-from ..memsim.prefetcher import Prefetcher
 from ..patterns.trace import Trace
+from .driver import PrefetcherFactory
 from .latency import DISAGGREGATED_FABRIC, FabricLatency
-
-PrefetcherFactory = Callable[[], Prefetcher]
 
 
 @dataclass
@@ -42,6 +42,18 @@ class NodeResult:
     demand_misses: int
     prefetch_hits: int
     total_stall_ns: int
+
+    @classmethod
+    def priced(cls, node_id: int, trace_name: str, accesses: int,
+               demand_misses: int, prefetch_hits: int,
+               fabric: FabricLatency) -> "NodeResult":
+        """A node's counts with its stall: every miss pays a remote fetch,
+        every other access a local one."""
+        return cls(node_id=node_id, trace_name=trace_name, accesses=accesses,
+                   demand_misses=demand_misses, prefetch_hits=prefetch_hits,
+                   total_stall_ns=(demand_misses * fabric.remote_fetch_ns
+                                   + (accesses - demand_misses)
+                                   * fabric.local_access_ns))
 
     @property
     def miss_rate(self) -> float:
@@ -79,7 +91,8 @@ class DisaggResult:
 
 @dataclass
 class DisaggregatedSystem:
-    """N compute nodes + remote memory pool + pluggable prefetcher placement.
+    """N compute nodes + remote memory pool + one switch-centralized
+    prefetcher.
 
     Attributes:
         node_traces: One access trace per compute node.
@@ -87,34 +100,21 @@ class DisaggregatedSystem:
             trace footprint.
         fabric: Latency constants.
         page_size: Bytes per page.
-        prefetch_delay_accesses: Timeliness delay; None derives it from the
-            fabric's inference+fetch time and each node's mean access gap.
+        prefetch_delay_accesses: Accesses of a node's stream between a
+            prefetch's issue and its landing.
     """
 
     node_traces: list[Trace]
     memory_fraction: float = 0.5
     fabric: FabricLatency = DISAGGREGATED_FABRIC
     page_size: int = 4096
-    prefetch_delay_accesses: int | None = None
-    _page_shift: int = field(init=False, repr=False)
+    prefetch_delay_accesses: int = 0
 
     def __post_init__(self) -> None:
         if not self.node_traces:
             raise ValueError("need at least one node trace")
         if not 0 < self.memory_fraction <= 1:
             raise ValueError("memory_fraction must be in (0, 1]")
-        self._page_shift = self.page_size.bit_length() - 1
-
-    # ------------------------------------------------------------------
-    def run_decentralized(self, prefetcher_factory: PrefetcherFactory
-                          ) -> DisaggResult:
-        """One independent prefetcher per node (the paper's §4 design)."""
-        nodes = [
-            self._run_node(node_id, trace, prefetcher_factory())
-            for node_id, trace in enumerate(self.node_traces)
-        ]
-        return DisaggResult(placement="decentralized", nodes=nodes,
-                            fabric=self.fabric)
 
     def run_centralized(self, prefetcher_factory: PrefetcherFactory
                         ) -> DisaggResult:
@@ -125,11 +125,12 @@ class DisaggregatedSystem:
         are routed back to the faulting node's local memory.
         """
         shared = prefetcher_factory()
-        caches = [PageCache(self._capacity(t)) for t in self.node_traces]
-        queues = [PrefetchQueue(self._delay(t)) for t in self.node_traces]
+        caches = [ReferencePageCache(self._capacity(t))
+                  for t in self.node_traces]
+        queues = [PrefetchQueue(self.prefetch_delay_accesses)
+                  for _ in self.node_traces]
         pages = [t.pages(self.page_size) for t in self.node_traces]
         cursors = [0] * len(self.node_traces)
-        stalls = [0] * len(self.node_traces)
 
         remaining = sum(len(t) for t in self.node_traces)
         while remaining:
@@ -143,76 +144,23 @@ class DisaggregatedSystem:
                 for landed in queue.landed_unique(i):
                     cache.insert_prefetch(landed)
                 page = int(pages[node_id][i])
-                outcome = cache.access(page)
-                if outcome == MISS:
+                if cache.access(page) == MISS:
                     cache.fill(page)
-                    stalls[node_id] += self.fabric.remote_fetch_ns
                     event = MissEvent(index=i, address=int(trace.addresses[i]),
                                       page=page, stream_id=node_id,
                                       timestamp=int(trace.timestamps[i]))
                     for predicted in shared.on_miss(event):
                         if predicted != page:
                             queue.issue(int(predicted), i)
-                else:
-                    stalls[node_id] += self.fabric.local_access_ns
 
         nodes = [
-            NodeResult(node_id=n, trace_name=t.name, accesses=len(t),
-                       demand_misses=caches[n].stats.demand_misses,
-                       prefetch_hits=caches[n].stats.prefetch_hits,
-                       total_stall_ns=stalls[n])
+            NodeResult.priced(n, t.name, len(t), caches[n].stats.demand_misses,
+                              caches[n].stats.prefetch_hits, self.fabric)
             for n, t in enumerate(self.node_traces)
         ]
         return DisaggResult(placement="centralized", nodes=nodes,
                             fabric=self.fabric)
 
-    def run_no_prefetch(self) -> DisaggResult:
-        """Baseline: no prefetching on any node."""
-        from ..memsim.prefetcher import NullPrefetcher
-
-        nodes = [
-            self._run_node(node_id, trace, NullPrefetcher())
-            for node_id, trace in enumerate(self.node_traces)
-        ]
-        return DisaggResult(placement="none", nodes=nodes, fabric=self.fabric)
-
-    # ------------------------------------------------------------------
-    def _run_node(self, node_id: int, trace: Trace,
-                  prefetcher: Prefetcher) -> NodeResult:
-        cache = PageCache(self._capacity(trace))
-        queue = PrefetchQueue(self._delay(trace))
-        pages = trace.pages(self.page_size)
-        stall = 0
-        for i in range(len(trace)):
-            for landed in queue.landed_unique(i):
-                cache.insert_prefetch(landed)
-            page = int(pages[i])
-            outcome = cache.access(page)
-            if outcome == MISS:
-                cache.fill(page)
-                stall += self.fabric.remote_fetch_ns
-                event = MissEvent(index=i, address=int(trace.addresses[i]),
-                                  page=page, stream_id=node_id,
-                                  timestamp=int(trace.timestamps[i]))
-                for predicted in prefetcher.on_miss(event):
-                    if predicted != page:
-                        queue.issue(int(predicted), i)
-            else:
-                stall += self.fabric.local_access_ns
-        return NodeResult(node_id=node_id, trace_name=trace.name,
-                          accesses=len(trace),
-                          demand_misses=cache.stats.demand_misses,
-                          prefetch_hits=cache.stats.prefetch_hits,
-                          total_stall_ns=stall)
-
     def _capacity(self, trace: Trace) -> int:
         return max(1, int(trace.footprint_pages(self.page_size)
                           * self.memory_fraction))
-
-    def _delay(self, trace: Trace) -> int:
-        if self.prefetch_delay_accesses is not None:
-            return self.prefetch_delay_accesses
-        if len(trace) < 2:
-            return 0
-        gap = (int(trace.timestamps[-1]) - int(trace.timestamps[0])) / (len(trace) - 1)
-        return self.fabric.delay_accesses(gap)

@@ -4,12 +4,10 @@ A centralized prefetcher (the UVM driver, or a switch-resident design)
 observes *interleaved* access streams.  The paper notes it "may require
 more processing to ensure that it can isolate the individual access
 patterns in the combined access streams."  Two compositions make that
-trade-off measurable:
-
-- :class:`SharedStreamPrefetcher` — one model over the raw interleaved
-  miss stream (no isolation; cross-stream deltas pollute the encoding);
-- :class:`PerStreamPrefetcher` — the isolation pass: demultiplex by
-  stream id into per-stream model instances (more state, clean patterns).
+trade-off measurable: one model fed the raw interleaved miss stream (no
+isolation; cross-stream deltas pollute the encoding), or
+:class:`PerStreamPrefetcher` — the isolation pass: demultiplex by stream
+id into per-stream model instances (more state, clean patterns).
 """
 
 from __future__ import annotations
@@ -21,30 +19,6 @@ from ..memsim.events import MissEvent
 from ..memsim.prefetcher import Prefetcher
 
 PrefetcherFactory = Callable[[], Prefetcher]
-
-
-@dataclass
-class SharedStreamPrefetcher:
-    """One underlying prefetcher fed the interleaved stream as-is."""
-
-    inner: Prefetcher
-    name: str = field(default="", repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"shared({self.inner.name})"
-
-    def on_miss(self, event: MissEvent) -> list[int]:
-        return self.inner.on_miss(event)
-
-    def on_miss_fast(self, index: int, address: int, page: int,
-                     stream_id: int, timestamp: int) -> list[int]:
-        inner_fast = getattr(self.inner, "on_miss_fast", None)
-        if inner_fast is not None:
-            return inner_fast(index, address, page, stream_id, timestamp)
-        return self.inner.on_miss(MissEvent(
-            index=index, address=address, page=page,
-            stream_id=stream_id, timestamp=timestamp))
 
 
 @dataclass
@@ -68,16 +42,6 @@ class PerStreamPrefetcher:
 
     def on_miss(self, event: MissEvent) -> list[int]:
         return self._route(event.stream_id).on_miss(event)
-
-    def on_miss_fast(self, index: int, address: int, page: int,
-                     stream_id: int, timestamp: int) -> list[int]:
-        inner = self._route(stream_id)
-        inner_fast = getattr(inner, "on_miss_fast", None)
-        if inner_fast is not None:
-            return inner_fast(index, address, page, stream_id, timestamp)
-        return inner.on_miss(MissEvent(
-            index=index, address=address, page=page,
-            stream_id=stream_id, timestamp=timestamp))
 
     def _route(self, stream_id: int) -> Prefetcher:
         prefetcher = self._per_stream.get(stream_id)

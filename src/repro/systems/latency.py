@@ -17,19 +17,17 @@ class FabricLatency:
     Attributes:
         local_access_ns: Hit in local/fast memory.
         remote_fetch_ns: Demand fetch over the fabric (what a miss costs).
-        prefetch_issue_ns: CPU-side cost to enqueue one prefetch.
         inference_ns: Model inference latency on the prefetch path; the
             timeliness delay is derived from this (see ``delay_accesses``).
     """
 
     local_access_ns: int = 100
     remote_fetch_ns: int = 3_000
-    prefetch_issue_ns: int = 200
     inference_ns: int = 3_000
 
     def __post_init__(self) -> None:
         if min(self.local_access_ns, self.remote_fetch_ns,
-               self.prefetch_issue_ns, self.inference_ns) < 0:
+               self.inference_ns) < 0:
             raise ValueError("latencies must be non-negative")
 
     def delay_accesses(self, mean_gap_ns: float,
@@ -55,7 +53,6 @@ class FabricLatency:
 DISAGGREGATED_FABRIC = FabricLatency(
     local_access_ns=100,
     remote_fetch_ns=3_000,
-    prefetch_issue_ns=200,
     inference_ns=3_000,
 )
 
@@ -63,6 +60,5 @@ DISAGGREGATED_FABRIC = FabricLatency(
 UVM_FABRIC = FabricLatency(
     local_access_ns=40,
     remote_fetch_ns=25_000,
-    prefetch_issue_ns=500,
     inference_ns=5_000,
 )

@@ -60,11 +60,16 @@ def test_env_read_in_spec_key_triggers_rl101(tree):
     assert findings, "RL101 did not fire on the env-salted key"
     # The hermetic-body check flags the read inside spec_key itself;
     # downstream flow hits (the poisoned key circulating back through
-    # run_grid) may legitimately accompany it.
+    # run_grid) may legitimately accompany it: inside runner.py, and where
+    # Fig. 6 keys its decentralized arms by delays derived from the
+    # baseline grid's rows.
     assert any("inside cache-key function spec_key" in f.message
                and "os.environ" in f.message for f in findings), \
         "\n".join(f.format() for f in findings)
-    assert all(f.path.endswith("harness/runner.py") for f in findings)
+    assert all(f.path.endswith("harness/runner.py")
+               or (f.path.endswith("harness/fig6.py")
+                   and "inside run_node_jobs()" in f.message)
+               for f in findings), "\n".join(f.format() for f in findings)
 
 
 def test_volatile_flow_into_key_call_triggers_rl101(tree):

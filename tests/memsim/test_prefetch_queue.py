@@ -35,25 +35,19 @@ class TestQueue:
         assert q.landed(2) == [1, 2]
         assert q.landed(3) == [3]
 
-    def test_drain_returns_everything(self):
-        q = PrefetchQueue(delay_accesses=100)
-        q.issue(1, 0)
-        q.issue(2, 5)
-        assert q.drain() == [1, 2]
-        assert len(q) == 0
-
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             PrefetchQueue(delay_accesses=-1)
 
 
 class TestDuplicatesContract:
-    """drain/landed keep one entry per issue; *_unique coalesce (first wins).
+    """landed keeps one entry per issue; landed_unique coalesces (first
+    wins).
 
     The simulator's accounting relies on the one-entry-per-issue contract
     (every issue is charged, even a re-issue of an in-flight page); the
-    systems drivers rely on the coalescing variants to model hardware that
-    merges duplicate in-flight requests.
+    systems' shared-stream loops rely on the coalescing variant to model
+    hardware that merges duplicate in-flight requests.
     """
 
     def test_landed_keeps_one_entry_per_issue(self):
@@ -61,18 +55,6 @@ class TestDuplicatesContract:
         for page in (7, 7, 3):
             q.issue(page, at_index=0)
         assert q.landed(0) == [7, 7, 3]
-
-    def test_drain_keeps_one_entry_per_issue(self):
-        q = PrefetchQueue(delay_accesses=4)
-        for page in (5, 9, 5, 5, 2):
-            q.issue(page, at_index=0)
-        assert q.drain() == [5, 9, 5, 5, 2]
-
-    def test_drain_unique_first_occurrence_wins(self):
-        q = PrefetchQueue(delay_accesses=4)
-        for page in (5, 9, 5, 2, 9):
-            q.issue(page, at_index=0)
-        assert q.drain_unique() == [5, 9, 2]
 
     def test_landed_unique_coalesces_across_landing_indices(self):
         q = PrefetchQueue(delay_accesses=2)
@@ -91,15 +73,6 @@ class TestDuplicatesContract:
         assert len(q) == 3
         assert q.next_landing == 5
         assert q.landed(8) == [11, 11, 10]
-
-    def test_drain_after_partial_landing_keeps_remaining_duplicates(self):
-        q = PrefetchQueue(delay_accesses=1)
-        q.issue(6, at_index=0)  # lands at 1
-        q.issue(6, at_index=3)  # lands at 4
-        q.issue(7, at_index=3)
-        assert q.landed(1) == [6]
-        assert q.drain_unique() == [6, 7]
-        assert q.drain() == []
 
 
 @settings(max_examples=50, deadline=None)

@@ -292,6 +292,37 @@ def test_compiled_hebbian_matches_numpy_bit_identical(backend, mode):
     np.testing.assert_array_equal(ref.w_out, fast.w_out)
 
 
+@pytest.mark.parametrize("backend", ["numpy", "int8", *COMPILED])
+def test_restore_state_rejects_an_outside_code_at_once(backend):
+    """``restore_state``'s ``prev_active`` is the only code that enters
+    from outside; a negative entry, one past the layer or a wrong shape
+    raises there, on every backend, and leaves the network as it was."""
+    config = HebbianConfig(vocab_size=16, hidden_dim=64, seed=3,
+                           backend=backend)
+    net = SparseHebbianNetwork(config)
+    for class_id in (1, 2, 3):
+        net.step(class_id)
+    code = net._prev_active
+    values = net.readout_values.copy()
+    negative = code.copy()
+    negative[0] = -1
+    too_large = code.copy()
+    too_large[-1] = config.hidden_dim
+    for bad in (negative, too_large, code[:-1], np.concatenate([code, code]),
+                code[None, :]):
+        with pytest.raises(IndexError):
+            net.restore_state(values=np.zeros_like(values), prev_active=bad,
+                              prev_pred=None, last_probs=None, train_steps=0)
+        assert net._prev_active is code
+        np.testing.assert_array_equal(net.readout_values, values)
+    net.restore_state(values=values, prev_active=code.copy(), prev_pred=None,
+                      last_probs=None, train_steps=net.train_steps)
+    twin = SparseHebbianNetwork(config)
+    for class_id in (1, 2, 3):
+        twin.step(class_id)
+    assert np.array_equal(net.step(4), twin.step(4))
+
+
 def _same(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.memsim.events import MissEvent
-from repro.systems.driver import PerStreamPrefetcher, SharedStreamPrefetcher
+from repro.systems.driver import PerStreamPrefetcher
 
 
 class Recorder:
@@ -26,19 +26,6 @@ class Recorder:
 def miss(stream: int, page: int = 1) -> MissEvent:
     return MissEvent(index=0, address=page * 4096, page=page,
                      stream_id=stream, timestamp=0)
-
-
-class TestShared:
-    def test_passthrough(self):
-        inner = Recorder()
-        shared = SharedStreamPrefetcher(inner)
-        assert shared.on_miss(miss(0)) == [2]
-        assert shared.on_miss(miss(7)) == [2]
-        assert inner.seen == [0, 7]
-
-    def test_name_derived(self):
-        inner = Recorder()
-        assert inner.name in SharedStreamPrefetcher(inner).name
 
 
 class TestPerStream:
