@@ -29,7 +29,7 @@ class TestValidation:
 class TestLockstep:
     def test_processes_every_access(self):
         system = UVMSystem(stream_traces=stream_traces(3, 200))
-        result = system.run_no_prefetch()
+        result = system.run(None)
         assert result.accesses == 600
         assert result.rounds >= 200
 
@@ -37,20 +37,20 @@ class TestLockstep:
         """Concurrent faults in one round share one fault-handling latency."""
         system = UVMSystem(stream_traces=stream_traces(4, 200),
                            memory_fraction=0.25)
-        result = system.run_no_prefetch()
+        result = system.run(None)
         serial_cost = result.total_faults * system.fabric.remote_fetch_ns
         assert result.total_time_ns < serial_cost
 
     def test_unequal_stream_lengths(self):
         traces = stream_traces(2, 300)
         traces[1] = traces[1].slice(0, 50)
-        result = UVMSystem(stream_traces=traces).run_no_prefetch()
+        result = UVMSystem(stream_traces=traces).run(None)
         assert result.accesses == 350
 
     def test_prefetching_increases_throughput(self):
         system = UVMSystem(stream_traces=stream_traces(4, 400),
                            memory_fraction=0.5, prefetch_delay_rounds=1)
-        base = system.run_no_prefetch()
+        base = system.run(None)
         run = system.run(PerStreamPrefetcher(
             factory=lambda: NextLinePrefetcher(degree=2)))
         assert run.total_faults < base.total_faults
@@ -58,11 +58,11 @@ class TestLockstep:
 
     def test_speedup_metric(self):
         system = UVMSystem(stream_traces=stream_traces(2, 200))
-        base = system.run_no_prefetch()
+        base = system.run(None)
         assert base.speedup_over(base) == pytest.approx(1.0)
 
     def test_fault_rate(self):
         system = UVMSystem(stream_traces=stream_traces(1, 100),
                            memory_fraction=1.0)
-        result = system.run_no_prefetch()
+        result = system.run(None)
         assert 0.0 < result.fault_rate <= 1.0
