@@ -415,9 +415,11 @@ class _Evaluator:
             if callee is not None and summary is not None \
                     and summary.param_sinks:
                 mapped = self._map_args_to_params(site, callee)
-                for param, sinks in summary.param_sinks.items():
+                # Sorted, not hash order: the first hit at a call site is
+                # the one ``hits()`` keeps, so the order is the output.
+                for param, sinks in sorted(summary.param_sinks.items()):
                     labels = mapped.get(param, frozenset())
-                    for sink in sinks:
+                    for sink in sorted(sinks):
                         self._register_sink_flow(labels, sink, node,
                                                  via=callee.name)
 

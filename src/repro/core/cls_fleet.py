@@ -62,7 +62,7 @@ import numpy as np
 
 from ..nn.hebbian import HebbianConfig, SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
-from .cls_prefetcher import CLSPrefetcher
+from .cls_prefetcher import CLSPrefetcher, arrays_model
 from .encoding import DeltaVocabEncoder
 from .hippocampus import EPISODE_COLUMNS, MAX_ATTEMPTS_PER_PICK, LaneDraws
 from .sampling import TrainAlways
@@ -366,40 +366,23 @@ class CLSFleetGroup:
     def group_key(prefetcher: object) -> _GroupKey | None:
         """The group ``prefetcher`` belongs in: every value a round
         reads as configuration, from the objects its stages read it
-        from.  ``None`` for a lane no group may hold — not a CLS
-        prefetcher whose model the fleet kernels step and whose stages
-        the lane-state arrays model in full; such a lane keeps its own
-        ``on_miss_fast`` in the cohort.  Lanes of one key differ in
-        per-miss state alone (``seed`` reaches a lane only through its
-        replay generator)."""
-        if not isinstance(prefetcher, CLSPrefetcher):
+        from.  ``None`` for a lane no group may hold — one
+        :func:`~repro.core.cls_prefetcher.arrays_model` rejects (the
+        test the compiled miss applies too), or one whose scored row is
+        not its model's; such a lane keeps its own ``on_miss_fast`` in
+        the cohort.  Lanes of one key differ in per-miss state alone
+        (``seed`` reaches a lane only through its replay generator)."""
+        if not arrays_model(prefetcher):
             return None
-        # The fleet's kernels step the model (a Hebbian network served
-        # on backend "c"); the stages have no availability manager,
-        # batch-accumulate training or per-access observer to mirror,
-        # and no recall memory.
         model = prefetcher.model
-        if (not HebbianFleet.stacks(model)
-                or prefetcher.manager is not None
-                or prefetcher._batch_policy is not None
-                or prefetcher.wants_accesses
-                or prefetcher.recall_memory is not None):
-            return None
-        # Only the delta vocabulary is a table a row compare can search:
-        # the page encoder's is as wide as the footprint (and direct mode
-        # requires it), the region encoder's cursors are a dict per lane.
         encoder = prefetcher.encoder
-        if type(encoder) is not DeltaVocabEncoder:
-            return None
-        # Replay must sample an episodic store (no generative or
-        # ``on_replayed`` policy) within the raw block's attempts.
+        assert isinstance(model, SparseHebbianNetwork)
+        assert isinstance(encoder, DeltaVocabEncoder)
         ep_cap, threshold, per_step, lr_scale = 0, 0.0, 0, 0.0
         scheduler = prefetcher.scheduler
         if scheduler is not None:
             store = scheduler.store
-            if (store is None or scheduler.per_step * MAX_ATTEMPTS_PER_PICK
-                    > LaneDraws.max_attempts):
-                return None
+            assert store is not None
             ep_cap = store.ep_cap
             threshold = getattr(scheduler.policy, "confidence_threshold",
                                 np.inf)

@@ -122,11 +122,13 @@ class EpisodicStore:
     Selection must stay O(1)-ish per miss (replay runs inside the miss
     path), so sampling with a phase exclusion uses bounded rejection
     sampling rather than materializing filtered pools.
+
+    Its counters are ``ep_count`` read two ways (:attr:`stored_total`,
+    :attr:`evicted_total`), so a writer of the columns — the compiled
+    miss, ``rk_cls_miss`` — moves them by advancing the count.
     """
 
     capacity: int | None = None
-    stored_total: int = 0
-    evicted_total: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
@@ -144,6 +146,16 @@ class EpisodicStore:
 
     def __len__(self) -> int:
         return min(self._count[0], self.ep_cap)
+
+    @property
+    def stored_total(self) -> int:
+        """Episodes ever stored."""
+        return int(self._count[0])
+
+    @property
+    def evicted_total(self) -> int:
+        """Episodes a capped store's ring has overwritten."""
+        return max(0, int(self._count[0]) - self.ep_cap)
 
     def _view(self) -> None:
         # :meth:`append` writes through memoryviews: an element store
@@ -172,9 +184,7 @@ class EpisodicStore:
         """:meth:`store` of that episode, written into the columns."""
         count = self._count[0]
         at = count % self.ep_cap
-        if count >= self.ep_cap:
-            self.evicted_total += 1  # the ring's oldest is overwritten
-        elif at == self.ep_input.size:
+        if count < self.ep_cap and at == self.ep_input.size:
             self._fit(at + 1)
         inputs, targets, phases, confidences, timestamps = self._views
         inputs[at] = input_class
@@ -183,7 +193,6 @@ class EpisodicStore:
         confidences[at] = confidence
         timestamps[at] = timestamp
         self._count[0] = count + 1
-        self.stored_total += 1
 
     def extend(self, episodes: Sequence[Episode]) -> None:
         """Bulk :meth:`store`: the same contents and counters as storing
@@ -210,9 +219,7 @@ class EpisodicStore:
         at = (count + written - kept + np.arange(kept)) % cap
         for name, values in zip(EPISODE_COLUMNS, columns):
             getattr(self, name)[at] = values[n - kept:]
-        self.evicted_total += max(0, min(count, cap) + written - cap)
         self._count[0] = count + written
-        self.stored_total += written
 
     def telemetry_counters(self) -> dict[str, int | float]:
         """Named counters for the telemetry sink (ints: monotone; floats:

@@ -29,6 +29,7 @@ lane's detector only when that row fills.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -41,6 +42,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:  # repro-lint: disable=RL003 (exact-zero norm guard)
         return 0.0
     return float(a @ b) / (na * nb)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a float64 vector without its dispatch: for
+    one it computes ``sqrt(v.dot(v))``, correctly rounded either way."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -111,7 +118,15 @@ class OnlinePhaseDetector:
         if not self._centroids:
             self._centroids.append(signature.copy())
             return 0
-        sims = [cosine_similarity(signature, c) for c in self._centroids]
+        # cosine_similarity's arithmetic, the signature's norm taken once
+        norm = _norm(signature)
+        sims = []
+        for centroid in self._centroids:
+            c_norm = _norm(centroid)
+            if norm == 0.0 or c_norm == 0.0:  # repro-lint: disable=RL003 (exact-zero norm guard)
+                sims.append(0.0)
+            else:
+                sims.append(float(signature @ centroid) / (norm * c_norm))
         best = int(np.argmax(sims))
         if sims[best] >= self.similarity_threshold or len(self._centroids) >= self.max_phases:
             centroid = self._centroids[best]

@@ -175,6 +175,69 @@ typedef struct {
 } rk_replay;
 """
 
+#: ``rk_cls_miss``'s context: the settings and the state of one
+#: ``CLSPrefetcher``'s stages that a miss reads besides its model (bound
+#: by :func:`bind_cls_miss`), with the call's inputs, stage variables and
+#: results (``io`` / ``fio``) and its pages.
+_CLS_CONTEXT = """
+typedef struct {
+    /* the delta encoder: class c's delta at deltas[c - 1] for the known
+     * first met (limit at most), in units of 2**shift bytes, repeats
+     * collapsed unless collapse is 0 */
+    long long *deltas;
+    long long known, limit, shift, collapse;
+    /* the phase feature (address >> region_shift) % bins and the
+     * detector's window (0: no detector) */
+    long long region_shift, bins, window;
+    /* the scored probabilities (vocab) and the memo's classes for them;
+     * the rollout's steps (length * picked) */
+    double *probs, *roll_p;
+    long long *memo, *roll_top;
+    double alpha, min_accuracy, min_confidence, threshold, lr, replay_lr;
+    /* train_always: TrainAlways; store: a replay store, below: it keeps
+     * only episodes below threshold; replay: per_step > 0 */
+    long long width, length, page_shift, train_always, store, below, replay;
+    /* the EpisodicStore: episodes written, its ring's capacity, the
+     * columns' width and the five columns */
+    long long *ep_count;
+    long long ep_cap, ep_size;
+    int32_t *ep_input, *ep_target;
+    long long *ep_phase, *ep_timestamp;
+    double *ep_confidence;
+    /* one miss: inputs, stage variables and results (CM_*), the EMA and
+     * the confidence (CF_*), the pages */
+    long long *io, *pages;
+    double *fio;
+} rk_cls;
+"""
+
+#: ``rk_cls_miss``'s ``io`` slots: the miss and the state it starts from,
+#: the stage variables, then (from ``n``) the results a settled miss
+#: reads, the memo's classes (``tops``, ``picked`` of them) last.
+CM_SLOTS = ("address", "page", "time", "prev", "memo", "hint", "fill",
+            "phase", "pred", "covered", "draw", "steps", "roll_code",
+            "roll_class",
+            "n", "class", "unit", "code", "stepped", "feature", "train",
+            "learned", "replayed", "suppressed", "best", "rolled", "tops")
+#: Its ``fio`` slots.
+CF_SLOTS = ("ema", "confidence")
+#: Its return codes: ``done``, or the sub-step it leaves to Python.
+CM_CODES = ("done", "handback", "no_class", "new_delta", "window", "cover",
+            "train", "store", "link", "bad_pred", "replay_codes", "redraw",
+            "tie", "unmet", "decode")
+#: Its stages: where ``rk_cls_resume`` goes on after a sub-step.
+CM_STAGES = ("encode", "phase", "score", "ema", "remember", "step",
+             "replay", "gate", "roll", "decode")
+
+
+def _enum(prefix: str, names: tuple[str, ...]) -> str:
+    return ("enum { " + ", ".join(prefix + name.upper() for name in names)
+            + " };\n")
+
+
+_CLS_ENUMS = (_enum("CM_", CM_SLOTS) + _enum("CF_", CF_SLOTS)
+              + _enum("R_", CM_CODES) + _enum("S_", CM_STAGES))
+
 _SOURCE = r"""
 /* Compiled hot-path kernels for the repro simulator and the Hebbian
  * network, scalar and stacked.
@@ -720,13 +783,14 @@ static i64 heb_select(const rk_heb *h, const double *row, i64 width,
     i64 keep = width < v_n ? width + 1 : v_n;
     i64 held = 0;
     i64 *top = h->top;
+    double floor = 0.0;  /* the least value held, once keep are held */
 
     for (i64 c = 0; c < v_n; c++) {
         double v = row[c];
         i64 p;
         if (v != v)
             return -1;
-        if (held == keep && !(v > row[top[keep - 1]]))
+        if (held == keep && !(v > floor))
             continue;
         p = held < keep ? held++ : keep - 1;
         while (p > 0 && row[top[p - 1]] < v) {
@@ -734,6 +798,8 @@ static i64 heb_select(const rk_heb *h, const double *row, i64 width,
             p--;
         }
         top[p] = c;
+        if (held == keep)
+            floor = row[top[keep - 1]];
     }
     for (i64 p = 1; p < keep; p++)
         if (row[top[p - 1]] == row[top[p]])
@@ -823,18 +889,22 @@ i64 rk_heb_step(const rk_heb *h, i64 prev, i64 input, i64 predicted,
     return code;
 }
 
-/* SparseHebbianNetwork.predict_rollout(width, length) on the book: step s
+/* SparseHebbianNetwork.predict_rollout(width, length) on the book (into
+ * the context's scratch; heb_rollout_into takes another): step s
  * selects from its row (heb_select) into roll_top / roll_p + s * picked,
  * and the next row is the probabilities of the code that follows on the
  * step's first class.  The first row is probs, of code code; with cls >= 0
  * the call first moves on to the code that follows code on cls (probs is
  * then not read).  Returns the steps it completed.  Fewer than length: it
- * stopped at row state[ST_CODE], either on a tie (state[ST_CLASS] -1: that
- * row's selection is select_topk's; the row is probs when the call neither
- * moved nor completed a step, else x) or before moving on state[ST_CLASS]
- * (a transition the book has not met, or no room left in roll_*). */
-i64 rk_heb_rollout(const rk_heb *h, const double *probs, i64 code, i64 cls,
-                   i64 width, i64 length)
+ * stopped at row state[ST_CODE], either on a row whose selection it leaves
+ * to select_topk (state[ST_CLASS] -1: a tie, or no room in roll_* for the
+ * call's first step; the row is probs when the call neither moved nor
+ * completed a step, else x) or before moving on state[ST_CLASS] (a
+ * transition the book has not met, or no room left in roll_* for a later
+ * step).  Nothing is written past roll_cap entries of roll_*. */
+static i64 heb_rollout_into(const rk_heb *h, const double *probs, i64 code,
+                            i64 cls, i64 width, i64 length, i64 *roll_top,
+                            double *roll_p, i64 roll_cap)
 {
     const double *row = probs;
     i64 picked = width < h->vocab ? width : h->vocab;
@@ -845,24 +915,32 @@ i64 rk_heb_rollout(const rk_heb *h, const double *probs, i64 code, i64 cls,
     for (;;) {
         if (cls >= 0) {
             i64 next = book_follow(h, code, cls);
-            if (next < 0 || (s + 1) * picked > h->roll_cap)
+            if (next < 0 || (s > 0 && (s + 1) * picked > roll_cap))
                 break;
             heb_softmax(h, h->book->codes + next * h->k, h->k, h->x);
             code = next;
             row = h->x;
         }
-        if (heb_select(h, row, width, h->roll_top + s * picked,
-                       h->roll_p + s * picked) < 0) {
+        if ((s + 1) * picked > roll_cap
+            || heb_select(h, row, width, roll_top + s * picked,
+                          roll_p + s * picked) < 0) {
             cls = -1;
             break;
         }
-        cls = h->roll_top[s * picked];
+        cls = roll_top[s * picked];
         if (++s == length)
             return s;
     }
     h->state[ST_CODE] = code;
     h->state[ST_CLASS] = cls;
     return s;
+}
+
+i64 rk_heb_rollout(const rk_heb *h, const double *probs, i64 code, i64 cls,
+                   i64 width, i64 length)
+{
+    return heb_rollout_into(h, probs, code, cls, width, length, h->roll_top,
+                            h->roll_p, h->roll_cap);
 }
 
 /* A context-free learn keyed by class (SparseHebbianNetwork.learn_pair,
@@ -1181,6 +1259,305 @@ i64 rk_heb_replay_one(const rk_heb *h, const rk_replay *r, i64 phase,
                          r->pick_input, r->pick_target, r->pick_code,
                          r->pick_pred, r->redo, r->n_redo);
 }
+
+/* ------------------------------------------------------------------ */
+/* A CLS miss (repro/core/cls_prefetcher.py)                          */
+/* ------------------------------------------------------------------ */
+
+/* CLSPrefetcher.on_miss_fast for a prefetcher whose stages arrays model
+ * (arrays_model: a compiled Hebbian network stepped in rollout mode, the
+ * delta encoder, no manager, recall memory, batch policy or per-access
+ * observer), its stages in their order: observe (the encode, the phase
+ * feature, the score and the accuracy EMA, the training decision),
+ * remember (the episode into the store's columns), the step, the replay,
+ * the gate, the rollout (into the context's own scratch, roll_*) and the
+ * decode.  Where a stage meets what the stage's Python code handles, the
+ * call returns the code of that sub-step (R_*), having moved nothing the
+ * sub-step moves; Python runs it and calls rk_cls_resume at the stage
+ * after it (S_*).  Results are left in io (CM_*), fio (CF_*) and pages. */
+""" + _CLS_CONTEXT + _CLS_ENUMS + r"""
+#define SHIFT_LIMIT 63
+
+/* deltas[c - 1] of a class whose delta int64 cannot hold (a Python miss
+ * met it): never matched, never decoded here. */
+#define NO_DELTA INT64_MIN
+
+/* Python's x >> s for s >= 0. */
+static inline i64 rk_shr(i64 x, i64 s)
+{
+    return s <= SHIFT_LIMIT ? x >> s : (x < 0 ? -1 : 0);
+}
+
+/* DeltaVocabEncoder.observe's class of unit's delta from io[CM_UNIT] (0:
+ * out of vocabulary, once every slot is met), the unit and the class into
+ * io.  R_NO_CLASS for a collapsed repeat, R_NEW_DELTA for a delta met
+ * first, R_HANDBACK where the delta is one int64 cannot hold. */
+static i64 cls_encode(const rk_cls *m, i64 *io)
+{
+    i64 unit = rk_shr(io[CM_ADDRESS], m->shift), delta, c;
+
+    if (m->collapse && unit == io[CM_UNIT])
+        return R_NO_CLASS;
+    if (__builtin_sub_overflow(unit, io[CM_UNIT], &delta)
+        || delta == NO_DELTA)
+        return R_HANDBACK;
+    for (c = 0; c < m->known; c++)
+        if (m->deltas[c] == delta)
+            break;
+    if (c == m->known) {
+        if (m->known < m->limit)
+            return R_NEW_DELTA;
+        c = -1;
+    }
+    io[CM_CLASS] = c + 1;
+    io[CM_UNIT] = unit;
+    return R_DONE;
+}
+
+/* Whether cls is in np.argpartition(p, -width)[-width:] (width < n): 1 or
+ * 0 where that set does not depend on how the partition orders a tie at
+ * its boundary, else -1 (a NaN, or cls's value on the boundary). */
+static i64 cls_covered(const double *p, i64 n, i64 cls, i64 width)
+{
+    double v = p[cls];
+    i64 above = 0, level = 0;
+
+    for (i64 c = 0; c < n; c++) {
+        if (p[c] != p[c])
+            return -1;
+        above += p[c] > v;
+        level += p[c] == v;
+    }
+    if (above + level <= width)
+        return 1;
+    return above >= width ? 0 : -1;
+}
+
+/* DeltaVocabEncoder.decode(cls, base): 1 with the address in *out, 0 for
+ * None, -1 where Python's address outgrows int64. */
+static int cls_decode(const rk_cls *m, i64 cls, i64 base, i64 *out)
+{
+    i64 unit;
+
+    if (cls < 1 || cls > m->known)
+        return 0;
+    if (m->deltas[cls - 1] == NO_DELTA
+        || __builtin_add_overflow(rk_shr(base, m->shift), m->deltas[cls - 1],
+                               &unit))
+        return -1;
+    if (unit < 0)
+        return 0;
+    if (m->shift > SHIFT_LIMIT ? unit > 0
+        : unit > (INT64_MAX >> m->shift))
+        return -1;
+    *out = m->shift > SHIFT_LIMIT ? 0 : unit << m->shift;
+    return 1;
+}
+
+/* CLSPrefetcher._emit's candidate loop over the rollout in roll_*: the
+ * min_confidence floor, the out-of-vocabulary and undecodable skips, the
+ * dedupe and the top-1 chaining of the base address.  R_DECODE, having
+ * moved nothing, where an address outgrows int64. */
+static i64 cls_emit(const rk_cls *m, i64 picked)
+{
+    i64 *io = m->io;
+    i64 base = io[CM_ADDRESS], n = 0, suppressed = 0;
+
+    for (i64 s = 0; s < m->length; s++) {
+        const i64 *top = m->roll_top + s * picked;
+        const double *p = m->roll_p + s * picked;
+        i64 address;
+        int ok;
+        for (i64 j = 0; j < picked; j++) {
+            i64 page, seen = 0;
+            if (p[j] < m->min_confidence) {
+                suppressed++;
+                continue;
+            }
+            if (top[j] == 0)
+                continue;
+            ok = cls_decode(m, top[j], base, &address);
+            if (ok < 0)
+                return R_DECODE;
+            if (!ok)
+                continue;
+            page = rk_shr(address, m->page_shift);
+            for (i64 q = 0; q < n && !seen; q++)
+                seen = m->pages[q] == page;
+            if (page != io[CM_PAGE] && !seen)
+                m->pages[n++] = page;
+        }
+        ok = cls_decode(m, top[0], base, &address);
+        if (ok < 0)
+            return R_DECODE;
+        if (!ok)
+            break;
+        base = address;
+    }
+    for (i64 j = 0; j < picked; j++)
+        io[CM_TOPS + j] = m->memo[j] = m->roll_top[j];
+    io[CM_N] = n;
+    io[CM_SUPPRESSED] = suppressed;
+    io[CM_ROLLED] = 1;
+    return R_DONE;
+}
+
+static i64 cls_run(const rk_cls *m, const rk_heb *h, const rk_replay *r,
+                   i64 stage)
+{
+    i64 *io = m->io;
+    double *fio = m->fio;
+    i64 got;
+
+    switch (stage) {
+    case S_ENCODE:
+        got = cls_encode(m, io);
+        if (got != R_DONE)
+            return got;
+        /* fall through */
+    case S_PHASE:
+        io[CM_FEATURE] = -1;
+        if (io[CM_HINT] >= 0) {
+            io[CM_PHASE] = io[CM_HINT];
+        } else if (m->window) {
+            i64 f = rk_shr(io[CM_ADDRESS], m->region_shift) % m->bins;
+            io[CM_FEATURE] = f < 0 ? f + m->bins : f;
+            if (io[CM_FILL] + 1 >= m->window)
+                return R_WINDOW;
+        } else {
+            io[CM_PHASE] = -1;
+        }
+        /* fall through */
+    case S_SCORE: {
+        i64 cls = io[CM_CLASS];
+        fio[CF_CONFIDENCE] = m->probs[cls];
+        if (io[CM_MEMO]) {
+            i64 picked = m->width < h->vocab ? m->width : h->vocab;
+            io[CM_COVERED] = 0;
+            for (i64 j = 0; j < picked; j++)
+                io[CM_COVERED] |= m->memo[j] == cls;
+        } else if (m->width >= h->vocab) {
+            io[CM_COVERED] = 1;
+        } else {
+            io[CM_COVERED] = cls_covered(m->probs, h->vocab, cls, m->width);
+            if (io[CM_COVERED] < 0)
+                return R_COVER;
+        }
+    }
+        /* fall through */
+    case S_EMA:
+        fio[CF_EMA] = (1 - m->alpha) * fio[CF_EMA]
+                      + m->alpha * (double)io[CM_COVERED];
+        if (!m->train_always)
+            return R_TRAIN;
+        io[CM_TRAIN] = 1;
+        /* fall through */
+    case S_REMEMBER:
+        if (m->store && (!m->below || fio[CF_CONFIDENCE] < m->threshold)) {
+            i64 count = *m->ep_count, at = count % m->ep_cap;
+            if (count < m->ep_cap && at == m->ep_size)
+                return R_STORE;
+            m->ep_input[at] = (int32_t)io[CM_PREV];
+            m->ep_target[at] = (int32_t)io[CM_CLASS];
+            m->ep_phase[at] = io[CM_PHASE];
+            m->ep_confidence[at] = fio[CF_CONFIDENCE];
+            m->ep_timestamp[at] = io[CM_TIME];
+            *m->ep_count = count + 1;
+        }
+        /* fall through */
+    case S_STEP:
+        io[CM_LEARNED] = io[CM_TRAIN] && io[CM_CODE] >= 0;
+        got = rk_heb_step(h, io[CM_CODE], io[CM_CLASS], io[CM_PRED], m->lr,
+                          io[CM_LEARNED]);
+        if (got == -1)
+            return R_LINK;
+        if (got < 0)
+            return R_BAD_PRED;
+        memcpy(m->probs, h->x, (size_t)h->vocab * sizeof(double));
+        io[CM_CODE] = got;
+        io[CM_STEPPED] = 1;
+        io[CM_BEST] = h->state[ST_BEST];
+        io[CM_REPLAYED] = -1;
+        /* fall through */
+    case S_REPLAY:
+        if (io[CM_TRAIN] && m->replay) {
+            io[CM_REPLAYED] = rk_heb_replay_one(h, r, io[CM_PHASE],
+                                                io[CM_DRAW], m->replay_lr);
+            if (io[CM_REPLAYED] < 0)
+                return R_REPLAY_CODES;
+            if (!io[CM_REPLAYED] && r->n_redo[0])
+                return R_REDRAW;
+        }
+        /* fall through */
+    case S_GATE:
+        io[CM_N] = io[CM_SUPPRESSED] = io[CM_ROLLED] = 0;
+        if (m->min_accuracy > 0 && fio[CF_EMA] < m->min_accuracy) {
+            io[CM_SUPPRESSED] = 1;
+            return R_DONE;
+        }
+        io[CM_STEPS] = 0;
+        io[CM_ROLL_CODE] = io[CM_CODE];
+        io[CM_ROLL_CLASS] = -1;
+        /* fall through */
+    case S_ROLL: {
+        /* from step io[CM_STEPS] on: the first from the scored row (now
+         * the step's), a later one after moving from io[CM_ROLL_CODE] on
+         * io[CM_ROLL_CLASS] */
+        i64 picked = m->width < h->vocab ? m->width : h->vocab;
+        i64 at = io[CM_STEPS] * picked;
+        i64 left = m->length - io[CM_STEPS];
+        io[CM_STEPS] += heb_rollout_into(
+            h, m->probs, io[CM_ROLL_CODE], io[CM_ROLL_CLASS], m->width, left,
+            m->roll_top + at, m->roll_p + at, left * picked);
+        if (io[CM_STEPS] < m->length) {
+            io[CM_ROLL_CODE] = h->state[ST_CODE];
+            io[CM_ROLL_CLASS] = h->state[ST_CLASS];
+            return io[CM_ROLL_CLASS] < 0 ? R_TIE : R_UNMET;
+        }
+    }
+        /* fall through */
+    case S_DECODE:
+        return cls_emit(m, m->width < h->vocab ? m->width : h->vocab);
+    default:
+        return R_HANDBACK;
+    }
+}
+
+/* One miss at address (its page, its timestamp) from the stages' state:
+ * the encoder's last unit, the last class, whether the memo holds the
+ * scored row's top classes, the phase hint (-1: none), the detector's
+ * open features and phase, the network's last code and argmax (-1: none)
+ * and the accuracy EMA.  m->probs holds the scored row. */
+i64 rk_cls_miss(const rk_cls *m, const rk_heb *h, const rk_replay *r,
+                i64 address, i64 page, i64 time, i64 unit, i64 prev,
+                i64 memo, i64 hint, i64 fill, i64 phase, i64 code, i64 pred,
+                double ema)
+{
+    i64 *io = m->io;
+
+    io[CM_ADDRESS] = address;
+    io[CM_PAGE] = page;
+    io[CM_TIME] = time;
+    io[CM_UNIT] = unit;
+    io[CM_PREV] = prev;
+    io[CM_MEMO] = memo;
+    io[CM_HINT] = hint;
+    io[CM_FILL] = fill;
+    io[CM_PHASE] = phase;
+    io[CM_CODE] = code;
+    io[CM_PRED] = pred;
+    io[CM_DRAW] = 1;
+    io[CM_STEPPED] = 0;
+    m->fio[CF_EMA] = ema;
+    return cls_run(m, h, r, S_ENCODE);
+}
+
+/* The same miss again from stage, after the sub-step before it. */
+i64 rk_cls_resume(const rk_cls *m, const rk_heb *h, const rk_replay *r,
+                  i64 stage)
+{
+    return cls_run(m, h, r, stage);
+}
 """
 
 _CDEF = """
@@ -1251,6 +1628,14 @@ long long rk_heb_replay(const rk_heb *h, double *slab, long long block,
 """ + _REPLAY_CONTEXT + """
 long long rk_heb_replay_one(const rk_heb *h, const rk_replay *r,
                             long long phase, long long draw, double lr);
+""" + _CLS_CONTEXT + """
+long long rk_cls_miss(const rk_cls *m, const rk_heb *h, const rk_replay *r,
+                      long long address, long long page, long long time,
+                      long long unit, long long prev, long long memo,
+                      long long hint, long long fill, long long phase,
+                      long long code, long long pred, double ema);
+long long rk_cls_resume(const rk_cls *m, const rk_heb *h,
+                        const rk_replay *r, long long stage);
 """
 
 #: ``-fno-fast-math`` and ``-ffp-contract=off`` are load-bearing for the
@@ -1593,13 +1978,14 @@ class CHebbian:
     rollout's steps, ``picked`` entries each).
     """
 
-    __slots__ = ("x", "roll_top", "roll_p", "punished", "state", "step",
-                 "rollout", "learn_class", "finite", "replay",
+    __slots__ = ("ctx", "x", "roll_top", "roll_p", "punished", "state",
+                 "step", "rollout", "learn_class", "finite", "replay",
                  "row", "no_row", "_keep")
 
     def __init__(self, ffi: Any, lib: Any, tables: dict[str, Any],
                  w: np.ndarray, **settings: float) -> None:
         ctx, self._keep, scratch = _heb_context(ffi, tables, w, settings)
+        self.ctx = ctx
         self.x = scratch["x"]
         self.roll_top = memoryview(scratch["roll_top"])
         self.roll_p = memoryview(scratch["roll_p"])
@@ -1798,6 +2184,89 @@ class CReplay:
         self.columns = inputs
 
 
+#: The kernel's ``NO_DELTA``: a delta int64 cannot hold.
+_NO_DELTA = -2**63
+
+
+def _int64_delta(delta: int) -> int:
+    return delta if _NO_DELTA < delta < 2**63 else _NO_DELTA
+
+
+class CClsMiss:
+    """``rk_cls_miss``'s context for one prefetcher (see
+    :func:`bind_cls_miss`), over its network's :class:`CHebbian` and its
+    replay's :class:`CReplay` (None: no replay).  ``run(address, page,
+    time, unit, prev, memo, hint, fill, phase, code, pred, ema)`` calls
+    ``rk_cls_miss`` and ``resume(stage)`` ``rk_cls_resume``; each returns
+    a code, an index into :data:`CM_CODES`.  The context's arrays: ``io``
+    (:data:`CM_SLOTS`, then the memo's classes), ``fio``
+    (:data:`CF_SLOTS`), ``probs`` (the scored row), ``memo`` (its top
+    classes), ``deltas`` (the encoder's vocabulary, :meth:`learn`),
+    ``pages`` and the rollout's steps, ``roll_top`` / ``roll_p``
+    (``picked`` entries each).  It holds raw addresses: :meth:`point_store` aims it at a
+    store's columns again once they are reallocated."""
+
+    __slots__ = ("ctx", "io", "fio", "probs", "memo", "deltas", "pages",
+                 "roll_top", "roll_p", "run", "resume", "_ffi", "_keep",
+                 "_held")
+
+    def __init__(self, ffi: Any, lib: Any, heb: CHebbian,
+                 ring: CReplay | None, limit: int, picked: int,
+                 **settings: float) -> None:
+        self._ffi = ffi
+        self.ctx = ffi.new("rk_cls *")
+        self.io = np.zeros(len(CM_SLOTS) - 1 + picked, dtype=np.int64)
+        self.fio = np.zeros(len(CF_SLOTS))
+        self.probs = np.zeros(heb.x.size)
+        self.memo = np.zeros(picked, dtype=np.int64)
+        self.deltas = np.zeros(limit, dtype=np.int64)
+        steps = int(settings["length"]) * picked
+        self.pages = np.zeros(steps, dtype=np.int64)
+        self.roll_top = np.zeros(steps, dtype=np.int64)
+        self.roll_p = np.zeros(steps)
+        arrays = {"io": self.io, "fio": self.fio, "probs": self.probs,
+                  "memo": self.memo, "deltas": self.deltas,
+                  "pages": self.pages, "roll_top": self.roll_top,
+                  "roll_p": self.roll_p}
+        self._keep: list[Any] = [arrays, heb, ring]
+        for name, arr in arrays.items():
+            self._keep.append(_buffer(ffi, arr))
+            setattr(self.ctx, name, self._keep[-1])
+        self.ctx.limit = limit
+        for name, value in settings.items():
+            setattr(self.ctx, name, value)
+        replay = ffi.NULL if ring is None else ring.ctx
+        self.run = partial(lib.rk_cls_miss, self.ctx, heb.ctx, replay)
+        self.resume = partial(lib.rk_cls_resume, self.ctx, heb.ctx, replay)
+        self._held: list[Any] = []
+
+    def learn(self, deltas: list[int]) -> None:
+        """Take the encoder's vocabulary: class ``c``'s delta at
+        ``deltas[c - 1]`` (one int64 cannot hold as ``NO_DELTA``, the
+        kernel's mark for a class it leaves to Python)."""
+        self.deltas[:len(deltas)] = [_int64_delta(d) for d in deltas]
+        self.ctx.known = len(deltas)
+
+    def learn_one(self, delta: int) -> None:
+        """Take the delta the encoder met next."""
+        self.deltas[self.ctx.known] = _int64_delta(delta)
+        self.ctx.known += 1
+
+    def point_store(self, count: np.ndarray, cap: int,
+                    columns: tuple[np.ndarray, ...]) -> None:
+        """Append episodes to a store that has written ``count[0]`` into a
+        ring of ``cap``, in ``columns`` (``EPISODE_COLUMNS``' order and
+        dtypes: int32, int32, int64, float64, int64)."""
+        ffi, ctx = self._ffi, self.ctx
+        self._held = [count, *columns,
+                      *(_buffer(ffi, arr) for arr in (count, *columns))]
+        (ctx.ep_count, ctx.ep_input, ctx.ep_target, ctx.ep_phase,
+         ctx.ep_confidence, ctx.ep_timestamp) = self._held[6:]
+        ctx.ep_cap = cap
+        ctx.ep_size = columns[0].size
+        ctx.store = 1
+
+
 #: The kernel pointer type of each array dtype the kernels take.
 _CTYPES = {"d": "double[]", "q": "long long[]", "l": "long long[]",
            "B": "unsigned char[]", "?": "unsigned char[]",
@@ -1863,6 +2332,16 @@ def bind_replay(draws: tuple[np.ndarray, ...], count: np.ndarray,
     draws and at most ``per_step`` picks a call); :meth:`CReplay.point`
     names its columns."""
     return CReplay(_loaded()[0], draws, count, cap, attempts, per_step)
+
+
+def bind_cls_miss(heb: CHebbian, ring: CReplay | None, limit: int,
+                  picked: int, **settings: float) -> CClsMiss:
+    """A :class:`CClsMiss` over network kernels ``heb`` and replay context
+    ``ring``, for an encoder of ``limit`` classes besides the
+    out-of-vocabulary one and rollouts of ``picked`` classes a step, with
+    ``settings`` named as the scalar fields of ``rk_cls``."""
+    ffi, lib = _loaded()
+    return CClsMiss(ffi, lib, heb, ring, limit, picked, **settings)
 
 
 def bind_hebbian_lanes(tables: dict[str, Any],

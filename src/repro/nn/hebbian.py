@@ -212,13 +212,13 @@ _DELTA_CACHE_CAP = 65536
 _READOUT_IDX_CAP = 4096
 
 
-def _rolled(heb: c_backend.CHebbian, steps: int, picked: int
-            ) -> list[list[tuple[int, float]]]:
-    """The first ``steps`` steps an ``rk_heb_rollout`` call left in the
-    kernels' scratch, ``picked`` classes each, as ``predict_rollout``
-    returns them."""
+def rolled(top: Any, p: Any, steps: int, picked: int
+           ) -> list[list[tuple[int, float]]]:
+    """The first ``steps`` steps a rollout kernel left in its scratch —
+    classes ``top``, probabilities ``p``, ``picked`` of each a step — as
+    ``predict_rollout`` returns them."""
     n = steps * picked
-    pairs = zip(heb.roll_top[:n].tolist(), heb.roll_p[:n].tolist())
+    pairs = zip(top[:n].tolist(), p[:n].tolist())
     return list(map(list, zip(*[pairs] * picked)))
 
 
@@ -1088,7 +1088,8 @@ class SparseHebbianNetwork:
             done = heb.rollout(heb.row(probs), code, -1, width, length)
             if done < length:
                 return self._finish_rollout(heb, probs, width, length, done)
-        return _rolled(heb, done, min(width, self.vocab_size))
+        return rolled(heb.roll_top, heb.roll_p, done,
+                      min(width, self.vocab_size))
 
     def _finish_rollout(self, heb: c_backend.CHebbian, probs: np.ndarray,
                         width: int, length: int, done: int
@@ -1098,7 +1099,7 @@ class SparseHebbianNetwork:
         a transition the code table has not met, made here; then the
         kernel again, from that row on."""
         picked = min(width, self.vocab_size)
-        out = _rolled(heb, done, picked) if done else []
+        out = rolled(heb.roll_top, heb.roll_p, done, picked) if done else []
         tied = probs if not done else heb.x
         while True:
             code, cls = heb.state.item(2), heb.state.item(3)
@@ -1113,7 +1114,7 @@ class SparseHebbianNetwork:
             left = length - len(out)
             done = heb.rollout(heb.no_row, code, cls, width, left)
             if done:
-                out += _rolled(heb, done, picked)
+                out += rolled(heb.roll_top, heb.roll_p, done, picked)
                 if done == left:
                     return out
             tied = heb.x

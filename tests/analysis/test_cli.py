@@ -131,3 +131,23 @@ def test_module_entry_point_runs():
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_findings_do_not_depend_on_the_hash_seed():
+    """One call carries a volatile value into both ``spec_key`` and
+    ``canonicalize_spec``: which sink the RL101 finding names must not
+    follow set iteration order, which ``PYTHONHASHSEED`` moves (seeds 0
+    and 1 named different sinks while the taint engine iterated a
+    summary's sinks in hash order)."""
+    outputs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--select", "RL101",
+             str(FIXTURES / "rl101_two_sinks")],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin",
+                 "PYTHONHASHSEED": seed})
+        assert proc.returncode == 1, proc.stderr
+        assert "RL101" in proc.stdout
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

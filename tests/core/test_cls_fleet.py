@@ -526,13 +526,14 @@ def test_a_model_off_the_compiled_backend_has_no_group(backend: str) -> None:
 TINY = 4  # a vocabulary of three deltas and the OOV class
 
 
-def _tiny(lane: int, **overrides) -> CLSPrefetcher:
+def _tiny(lane: int, backend: str = "auto", **overrides) -> CLSPrefetcher:
     """A lane of the four-class model (a model config of its own, so a
     fleet group apart from ``_prefetcher``'s lanes even where the stage
     settings are equal)."""
     return CLSPrefetcher(CLSPrefetcherConfig(
         vocab_size=TINY,
-        hebbian=HebbianConfig(vocab_size=TINY, hidden_dim=120, seed=9),
+        hebbian=HebbianConfig(vocab_size=TINY, hidden_dim=120, seed=9,
+                              backend=backend),
         seed=70 + lane, **overrides))
 
 
@@ -562,8 +563,10 @@ def test_ragged_egress_is_the_candidate_loop(width: int, length: int) -> None:
                       min_confidence=floor, phase_detection=False)
                  for floor in floors]
     lanes = list(range(LANES + 1))
+    # The twins run the stages (their decode is watched below), so their
+    # networks are numpy's: on "c" a twin's miss would be the compiled one.
     pairs = [(_tiny(lane, **overrides[lane % 3]),
-              _tiny(lane, **overrides[lane % 3])) for lane in lanes]
+              _tiny(lane, "numpy", **overrides[lane % 3])) for lane in lanes]
     groups = [CLSFleetGroup(pairs[f][0], capacity=len(lanes))
               for f in range(len(floors))]
     rows = [lanes[f::len(floors)] for f in range(len(floors))]

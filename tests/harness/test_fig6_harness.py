@@ -40,6 +40,19 @@ UVM_GOLDEN = {
     1: (1957, 0, 25864880, 900, 878),
     2: (1957, 0, 25864880, 900, 878),
 }
+#: ``CONFIG`` at ``benchmarks/test_fig6_target_systems.py``'s 2 000
+#: accesses per stream, where the per-stream models learn enough to
+#: prefetch (on ``CONFIG``'s 900 they issue nothing useful).
+PREFETCHING_CONFIG = Fig6Config(n_nodes=2, node_apps=("resnet", "graph500"),
+                                accesses_per_node=3_000, n_streams=3,
+                                accesses_per_stream=2_000, seed=0)
+PREFETCHING_UVM_GOLDEN = {
+    "baseline": (5985, 0, 61920000, 1998, 1998),
+    "shared": (5980, 4, 61910000, 1998, 1998),
+    1: (5941, 43, 61832000, 1998, 1998),
+    2: (5595, 373, 61140000, 1998, 1998),
+    4: (3701, 2284, 52384960, 1998, 1799),
+}
 
 
 def node_fields(result):
@@ -126,6 +139,16 @@ class TestUVM:
         assert uvm_fields(comparison.shared) == UVM_GOLDEN["shared"]
         for width, result in comparison.per_stream_by_width.items():
             assert uvm_fields(result) == UVM_GOLDEN[width], width
+
+    def test_golden_where_the_per_stream_models_prefetch(self):
+        comparison = run_uvm(PREFETCHING_CONFIG, widths=(1, 2, 4))
+        golden = PREFETCHING_UVM_GOLDEN
+        assert uvm_fields(comparison.baseline) == golden["baseline"]
+        assert uvm_fields(comparison.shared) == golden["shared"]
+        for width, result in comparison.per_stream_by_width.items():
+            assert uvm_fields(result) == golden[width], width
+        assert any(result.prefetch_hits > 0
+                   for result in comparison.per_stream_by_width.values())
 
 
 class TestLatencyModel:

@@ -468,6 +468,33 @@ def test_compiled_hebbian_on_tie_heavy_vectors(backend):
 
 
 @pytest.mark.parametrize("backend", COMPILED or ["__none__"])
+@pytest.mark.parametrize("room", [0, 1, 2])
+def test_a_rollout_scratch_smaller_than_one_step(backend, room):
+    """A context whose rollout scratch holds fewer entries than one step
+    (``min(width, vocab)``, three here): ``rk_heb_rollout`` writes
+    nothing past the scratch — it leaves each step's selection to
+    ``select_topk``, the first step's too — and ``predict_rollout`` is
+    the numpy network's, bit for bit, at every length."""
+    _require_compiled(backend)
+    config = HebbianConfig(vocab_size=12, hidden_dim=60, seed=3)
+    ref = SparseHebbianNetwork(dataclasses.replace(config, backend="numpy"))
+    fast = SparseHebbianNetwork(dataclasses.replace(config, backend=backend))
+    heb = fast._kernels()
+    assert heb is not None
+    heb.ctx.roll_cap = room
+    top, p = np.asarray(heb.roll_top), np.asarray(heb.roll_p)
+    top[:] = -7
+    p[:] = 0.5
+    rng = np.random.default_rng(4)
+    for class_id in rng.choice([1, 2, 3, 1, 2, 5, 7], size=80).tolist():
+        assert np.array_equal(ref.step(class_id), fast.step(class_id))
+        for length in (1, 2, 4):
+            assert (ref.predict_rollout(3, length)
+                    == fast.predict_rollout(3, length))
+    assert (top[room:] == -7).all() and (p[room:] == 0.5).all()
+
+
+@pytest.mark.parametrize("backend", COMPILED or ["__none__"])
 def test_kernel_selection_is_select_topk_or_hands_back(backend):
     """``rk_heb_rollout``'s selection of a given row (one step) on
     vectors drawn from a few values: wherever it picks it equals

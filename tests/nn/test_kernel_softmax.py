@@ -192,7 +192,9 @@ class _Counted:
 
 
 def test_a_trained_miss_is_three_kernel_calls(monkeypatch):
-    """A Fig. 5 prefetcher on a learned stream: a trained, ungated miss
+    """A Fig. 5 prefetcher on a learned stream, its misses run through
+    the stages (``_ingest`` then ``_predict``, what ``on_miss_fast`` runs
+    where the compiled miss does not apply): a trained, ungated miss
     whose rollout meets no tie and no new transition, and whose replay
     finds its raw block long enough (all but one replay in 64 at one pick
     a step), is
@@ -231,8 +233,8 @@ def test_a_trained_miss_is_three_kernel_calls(monkeypatch):
         counted.calls.clear()
         made.clear()
         heb.state[3] = 0
-        prefetcher.on_miss_fast(index, address, address >> page_shift, 0,
-                                index)
+        if prefetcher._ingest(address, index, True):
+            prefetcher._predict(address, address >> page_shift)
         if (prefetcher.stats.trained_steps > trained and not made
                 and "rollout" in counted.calls
                 and "refill" not in counted.calls
@@ -242,4 +244,56 @@ def test_a_trained_miss_is_three_kernel_calls(monkeypatch):
         else:
             others += 1
     assert three > 200, (three, others)
+    assert not exps
+
+
+def test_a_warm_miss_is_one_kernel_call(monkeypatch):
+    """The same prefetcher through ``on_miss_fast``, where the compiled
+    miss applies: a trained miss that hands no sub-step back is one
+    ``rk_cls_miss`` call — none of the network's own entries, and no
+    ``np.exp``."""
+    trace = generate_application("resnet", AppSpec(n=6_000, seed=2))
+    sim = SimConfig(memory_fraction=0.5, prefetch_delay_accesses=4)
+    prefetcher = make_model_prefetcher("hebbian", Fig5Config())
+    result = simulate(trace, prefetcher, sim, record_miss_indices=True)
+    net = prefetcher.model
+    assert isinstance(net, SparseHebbianNetwork)
+    heb = net._kernels()
+    assert heb is not None
+    counted = _Counted(monkeypatch, heb)
+    miss = prefetcher._miss
+    assert miss is not None
+    kernel_calls: list[str] = []
+    run, resume = miss.run, miss.kernel.resume
+
+    def counting(name: str, call: Any) -> Any:
+        def counted_call(*args: Any) -> Any:
+            kernel_calls.append(name)
+            return call(*args)
+        return counted_call
+
+    monkeypatch.setattr(miss, "run", counting("miss", run))
+    monkeypatch.setattr(miss.kernel, "resume", counting("resume", resume))
+    exps: list[int] = []
+    exp = np.exp
+
+    def counting_exp(*args: Any, **kwargs: Any) -> Any:
+        exps.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    page_shift = sim.page_size.bit_length() - 1
+    one = 0
+    for index in result.miss_indices[-400:]:
+        address = int(trace.addresses[index])
+        trained = prefetcher.stats.trained_steps
+        counted.calls.clear()
+        kernel_calls.clear()
+        prefetcher.on_miss_fast(index, address, address >> page_shift, 0,
+                                index)
+        if (prefetcher.stats.trained_steps > trained
+                and kernel_calls == ["miss"]):
+            assert not counted.calls
+            one += 1
+    assert one > 200, one
     assert not exps
